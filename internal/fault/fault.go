@@ -179,7 +179,7 @@ func (in *Injector) AbsorbStats(s Stats) {
 // through here; the batch executor then re-seeds per-row state and the
 // substream position explicitly, exactly as it does for a fresh sandbox.
 func (in *Injector) Reset() {
-	in.rng = rand.New(rand.NewSource(in.cfg.Seed))
+	in.rng.Seed(in.cfg.Seed)
 	in.seq = 0
 	in.stats = Stats{}
 	for k := range in.wear {
@@ -198,10 +198,12 @@ func (in *Injector) Reset() {
 // number). Operations then draw faults independently of each other, which
 // is what lets Batch run fault-injected shards concurrently and still
 // reproduce the exact flips sequential execution would have drawn.
-// Wear and stuck-at state are keyed per row and unaffected.
+// Wear and stuck-at state are keyed per row and unaffected. The PRNG is
+// reseeded in place — the same stream a fresh rand.New(rand.NewSource(…))
+// would produce, without allocating a new source per operation.
 func (in *Injector) BeginOp() {
 	in.seq++
-	in.rng = rand.New(rand.NewSource(in.cfg.Seed ^ int64(splitmix64(uint64(in.seq)))))
+	in.rng.Seed(in.cfg.Seed ^ int64(splitmix64(uint64(in.seq))))
 }
 
 // OpSeq returns the per-operation substream sequence number: the number of

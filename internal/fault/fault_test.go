@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"pinatubo/internal/analog"
@@ -267,5 +269,46 @@ func TestDriftWidensMarginsReducesFlips(t *testing.T) {
 	aged := newPCM(t, Config{SenseFlipRate: 1e-3, DriftSeconds: 1e6})
 	if pf, pa := fresh.FlipProb(sense.OpOR, 128), aged.FlipProb(sense.OpOR, 128); pa >= pf {
 		t.Fatalf("drift should widen the 128-row margin and cut flips: fresh %g, aged %g", pf, pa)
+	}
+}
+
+// sameStream draws a mixed sequence from got and from a fresh
+// rand.New(rand.NewSource(seed)) and reports the first disagreement.
+func sameStream(t *testing.T, what string, got *rand.Rand, seed int64) {
+	t.Helper()
+	want := rand.New(rand.NewSource(seed))
+	for i := 0; i < 64; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("%s: draw %d Int63 %d, fresh source %d", what, i, g, w)
+		}
+		if g, w := got.Float64(), want.Float64(); g != w {
+			t.Fatalf("%s: draw %d Float64 %v, fresh source %v", what, i, g, w)
+		}
+		if g, w := got.Intn(1000+i), want.Intn(1000+i); g != w {
+			t.Fatalf("%s: draw %d Intn %d, fresh source %d", what, i, g, w)
+		}
+	}
+}
+
+// TestReseedMatchesFreshSource pins that reseeding the injector's PRNG in
+// place yields exactly the stream a newly built source would: Reset
+// rewinds to the configured seed and BeginOp to the per-op substream.
+func TestReseedMatchesFreshSource(t *testing.T) {
+	const seed = 42
+	in := newPCM(t, Config{SenseFlipRate: 1e-3, Seed: seed})
+	in.rng.Int63() // advance the stream so the reseed has work to undo
+	in.Reset()
+	sameStream(t, "Reset", in.rng, seed)
+	for op := int64(1); op <= 3; op++ {
+		in.rng.Float64()
+		in.BeginOp()
+		sameStream(t, fmt.Sprintf("BeginOp %d", op), in.rng, seed^int64(splitmix64(uint64(op))))
+	}
+}
+
+func TestBeginOpZeroAllocs(t *testing.T) {
+	in := newPCM(t, Config{SenseFlipRate: 1e-3, Seed: 7})
+	if allocs := testing.AllocsPerRun(100, in.BeginOp); allocs != 0 {
+		t.Errorf("BeginOp: %v allocs/op, want 0", allocs)
 	}
 }

@@ -84,7 +84,13 @@ type Result struct {
 	Energy energy.Meter
 	// Commands is the DDR command sequence the controller issued.
 	Commands []ddr.Cmd
-	// Words is the result vector (bitvec.WordsFor(Bits) words).
+	// Words is the result vector (bitvec.WordsFor(Bits) words). It stays
+	// valid only until the controller's next execution: a cache hit (and
+	// the OpRead it serves for ReadRow) computes into a controller-owned
+	// buffer that the next hit overwrites. A holder that keeps the words
+	// across a later execution must copy them or own its buffer — as the
+	// voted-majority result, the scheduler's golden and restore
+	// checkpoints, and ScheduleResult.Words do.
 	Words []uint64
 	// Voted is the replica count of a majority-voted execution (0 for a
 	// plain request). Outvoted counts the bit positions where the replica
@@ -143,6 +149,10 @@ type Controller struct {
 	// reused so the R sensing passes of a steady-state voted request
 	// allocate nothing.
 	voteOuts [][]uint64
+	// words is the cache-hit result buffer behind Result.Words, reused so
+	// a steady-state hit allocates nothing row-sized (see Result.Words for
+	// the lifetime this implies).
+	words []uint64
 	// eccData / eccCheck are the ECC verification path's decode scratch:
 	// the sensed data and check words live only for the decode, so the
 	// steady-state verify-every-op loop reuses them.
@@ -510,7 +520,8 @@ func (c *Controller) cacheEligible() bool {
 // from current memory through the same SA model (including the analog
 // cross-check, so the sampling stream stays aligned with an uncached
 // run), the accumulation buffer left holding the result on the digital
-// paths, and dst programmed.
+// paths, and dst programmed. The words land in the controller's reused
+// result buffer, valid until the next execution (Result.Words).
 func (c *Controller) executeCached(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (*Result, bool, error) {
 	geo := c.mem.Geometry()
 	// Build the key. Addresses are bounds-checked before trusting a hit:
@@ -558,14 +569,14 @@ func (c *Controller) executeCached(op sense.Op, srcs []memarch.RowAddr, bits int
 	}
 	res := &Result{Op: op, Class: ent.class, Rows: len(srcs), Bits: bits,
 		Seconds: ent.seconds, Energy: ent.energy, Commands: ent.commands}
+	c.words = scratchWords(c.words, w)
+	out := c.words
 	if ent.class == ClassIntraSub {
-		out := make([]uint64, w)
 		if err := c.be.ComputeInto(out, op, rows); err != nil {
 			return nil, false, err
 		}
 		res.Words = out
 	} else {
-		out := make([]uint64, w)
 		combineWords(op, rows, out)
 		var buf []uint64
 		if ent.class == ClassInterBank {
@@ -878,7 +889,8 @@ func (c *Controller) writeback(locus memarch.RowAddr, bits int, dst *memarch.Row
 
 // ReadRow performs a conventional read of `bits` bits from a row to the
 // host, returning latency/energy like Execute (used by baselines and the
-// public API's Read).
+// public API's Read). Like Execute's, the returned words are valid only
+// until the controller's next execution.
 func (c *Controller) ReadRow(addr memarch.RowAddr, bits int) (*Result, error) {
 	return c.Execute(sense.OpRead, []memarch.RowAddr{addr}, bits, nil)
 }

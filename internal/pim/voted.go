@@ -137,9 +137,10 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 			float64(op.SenseSteps())*fbits*(e.SensePerBit+fn*e.SenseRowAdd))
 	}
 
-	// The majority words become res.Words, which outlives this call (the
-	// scheduler verifies and stores through it), so they get a fresh
-	// buffer — only the per-replica sensing passes run on scratch.
+	// The majority words become res.Words. Unlike a cache hit's words they
+	// get a fresh buffer, which the caller owns past the next execution
+	// (the scheduler verifies and stores through it); only the
+	// per-replica sensing passes run on scratch.
 	maj := make([]uint64, w)
 	disagree, err := sense.MajorityWordsInto(maj, outs, bits)
 	if err != nil {

@@ -130,7 +130,9 @@ func (a *Allocator) AllocRows(n int) ([]memarch.RowAddr, error) {
 
 // AllocGroupRows returns n rows guaranteed to share one subarray (needed
 // when the caller wants one-step multi-row ops over the whole group). It
-// fails if n exceeds the subarray's row count.
+// fails if n exceeds the subarray's row count. Freed rows are reused
+// first: the lowest subarray holding n of them gives its n lowest, and
+// only when no subarray does is the frontier advanced.
 func (a *Allocator) AllocGroupRows(n int) ([]memarch.RowAddr, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pimrt: alloc of %d rows", n)
@@ -139,6 +141,9 @@ func (a *Allocator) AllocGroupRows(n int) ([]memarch.RowAddr, error) {
 	if n > avail {
 		return nil, fmt.Errorf("pimrt: group of %d rows exceeds subarray (%d usable rows)",
 			n, avail)
+	}
+	if out := a.freeGroup(n); out != nil {
+		return out, nil
 	}
 	// Advance the frontier to a subarray boundary if the group would
 	// straddle one (counting the reserved tail rows as unusable).
@@ -156,6 +161,42 @@ func (a *Allocator) AllocGroupRows(n int) ([]memarch.RowAddr, error) {
 		a.next++
 	}
 	return out, nil
+}
+
+// freeGroup takes n free rows sharing one subarray off the free list —
+// the lowest such subarray, its rows in ascending order — or returns nil
+// when no subarray holds n. Retired rows never sit on the free list;
+// reserved tail rows are skipped in case a caller freed one.
+func (a *Allocator) freeGroup(n int) []memarch.RowAddr {
+	if len(a.free) < n {
+		return nil
+	}
+	per := uint64(a.geo.RowsPerSubarray)
+	usable := per - uint64(a.tail)
+	keys := make([]uint64, 0, len(a.free))
+	for k := range a.free {
+		if k%per < usable {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	// keys is sorted, so each subarray's free rows form one run.
+	for start := 0; start+n <= len(keys); {
+		end := start + 1
+		for end < len(keys) && keys[end]/per == keys[start]/per {
+			end++
+		}
+		if end-start >= n {
+			out := make([]memarch.RowAddr, n)
+			for i, k := range keys[start : start+n] {
+				delete(a.free, k)
+				out[i] = a.geo.Decode(k)
+			}
+			return out
+		}
+		start = end
+	}
+	return nil
 }
 
 // Free returns rows to the allocator. Retired rows stay out of circulation.
@@ -350,7 +391,12 @@ type TraceSegment struct {
 type ScheduleResult struct {
 	Requests int
 	Cost     workload.Cost
-	Words    []uint64
+	// Words is the operation's result. With resilience on it is the
+	// verified golden reference, a buffer the result owns. With
+	// resilience off it is the final request's controller words, valid
+	// only until the controller's next execution (pim.Result.Words): copy
+	// them to keep them longer.
+	Words []uint64
 
 	// Program is the operation's lowered cmdstream program: everything it
 	// put on the channel in execution order, including resilience
@@ -468,6 +514,9 @@ func (s *Scheduler) OR(rows []memarch.RowAddr, bits int, dst memarch.RowAddr) (*
 // operands. Every link goes through request, so with resilience enabled
 // each one is verified before the next consumes the accumulator; the
 // verified words double as the restore checkpoint for the following link.
+// Those are golden buffers the scheduler owns, so they survive the next
+// link's execution; with resilience off request hands back controller
+// words that the next link overwrites, but restore is then never read.
 func (s *Scheduler) chainedOR(rows []memarch.RowAddr, bits int, target *memarch.RowAddr, depth int, res *ScheduleResult) error {
 	take := len(rows)
 	if take > depth {

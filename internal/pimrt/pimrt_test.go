@@ -81,6 +81,51 @@ func TestAllocGroupAffinity(t *testing.T) {
 	}
 }
 
+// TestAllocGroupReusesFreedRows pins the group allocator's reuse order:
+// the lowest subarray with enough free rows gives its lowest ones, retired
+// rows are never handed back, and a group no subarray's free rows can
+// hold still comes from the frontier.
+func TestAllocGroupReusesFreedRows(t *testing.T) {
+	a := newAlloc(t, true)
+	per := memarch.Default().RowsPerSubarray
+	usable := per - 1
+	sub0, err := a.AllocGroupRows(usable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub1, err := a.AllocGroupRows(usable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Subarray 1 frees three rows, subarray 0 two (one of them retired).
+	a.Free([]memarch.RowAddr{sub1[9], sub1[4], sub1[7], sub0[5], sub0[3]})
+	a.Retire(sub0[3])
+	got, err := a.AllocGroupRows(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []memarch.RowAddr{sub1[4], sub1[7]}; got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("group of 2 = %v, want %v (subarray 0 holds one usable free row)", got, want)
+	}
+	got, err = a.AllocGroupRows(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != sub0[5] {
+		t.Errorf("group of 1 = %v, want the lowest subarray's free row %v", got[0], sub0[5])
+	}
+	got, err = a.AllocGroupRows(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memarch.SameSubarray(got[0], sub0[0]) || memarch.SameSubarray(got[0], sub1[0]) {
+		t.Errorf("group of 2 = %v, want fresh rows past the frontier", got)
+	}
+	if !a.free[memarch.Default().Encode(sub1[9])] {
+		t.Error("the unused free row of subarray 1 left the free list")
+	}
+}
+
 func TestAllocGroupTooBig(t *testing.T) {
 	a := newAlloc(t, true)
 	if _, err := a.AllocGroupRows(memarch.Default().RowsPerSubarray); err == nil {

@@ -168,9 +168,13 @@ func (res *ScheduleResult) record(r *pim.Result) {
 // resilience off it is a plain controller call. With resilience on, the
 // result is verified and the degradation ladder walked until a verified
 // result lands in *target (possibly remapped); the verified words are
-// returned. restore must hold the known-good contents of *target when the
-// target is also an operand (a chained accumulator), so failed attempts can
-// rebuild it; nil means the target is write-only for this request.
+// returned. Those are the golden reference, a fresh buffer from
+// Ctl.Golden that later executions never touch; with resilience off the
+// controller's words come back, valid until its next execution. restore
+// must hold the known-good contents of *target when the target is also an
+// operand (a chained accumulator), so failed attempts can rebuild it; nil
+// means the target is write-only for this request. It must own its buffer:
+// the attempts it guards execute before it is read.
 func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore []uint64, res *ScheduleResult) ([]uint64, error) {
 	if s.Res == nil {
 		r, err := s.Ctl.Execute(op, srcs, bits, target)

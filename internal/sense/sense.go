@@ -78,6 +78,9 @@ func (e *OperandError) Error() string {
 		e.Op, e.Tech, e.Max, e.N)
 }
 
+// analogCheckSeed seeds the deterministic analog-check sampling stream.
+const analogCheckSeed = 0x9144
+
 // Array models the sense amplifiers of one MAT (or, because chips and MATs
 // operate in lock step, of the whole rank slice being sensed).
 type Array struct {
@@ -115,7 +118,7 @@ func NewArray(p nvm.Params, cfg analog.SenseConfig, checkBits int) (*Array, erro
 		params:     p,
 		cfg:        cfg,
 		checkEvery: checkBits,
-		rng:        rand.New(rand.NewSource(0x9144)), // deterministic sampling
+		rng:        rand.New(rand.NewSource(analogCheckSeed)),
 		maxOR:      depth,
 	}, nil
 }
@@ -149,7 +152,7 @@ func (a *Array) ValidateOperands(op Op, n int) error {
 // Reset restores the array's deterministic analog-check sampling stream
 // to its NewArray state (pooled shard sandboxes reset through here).
 func (a *Array) Reset() {
-	a.rng = rand.New(rand.NewSource(0x9144))
+	a.rng.Seed(analogCheckSeed)
 }
 
 // ComputeWords resolves the operation over word-parallel operand rows and
@@ -186,35 +189,55 @@ func (a *Array) ComputeWordsInto(dst []uint64, op Op, rows [][]uint64) error {
 	if len(dst) != width {
 		return fmt.Errorf("sense: destination has %d words, rows have %d", len(dst), width)
 	}
-	out := dst
+	// Every operand is resliced to width so the loops below run without
+	// per-word bounds checks.
+	out := dst[:width]
 	switch op {
 	case OpRead:
 		copy(out, rows[0])
 	case OpINV:
-		for i, w := range rows[0] {
+		for i, w := range rows[0][:width] {
 			out[i] = ^w
 		}
 	case OpAND:
+		x, y := rows[0][:width], rows[1][:width]
 		for i := range out {
-			out[i] = rows[0][i] & rows[1][i]
+			out[i] = x[i] & y[i]
 		}
 	case OpXOR:
+		x, y := rows[0][:width], rows[1][:width]
 		for i := range out {
-			out[i] = rows[0][i] ^ rows[1][i]
+			out[i] = x[i] ^ y[i]
 		}
 	case OpOR:
-		for i := range out {
-			w := rows[0][i]
-			for _, r := range rows[1:] {
-				w |= r[i]
-			}
-			out[i] = w
-		}
+		orRows(out, rows)
 	}
 	if a.checkEvery > 0 && width > 0 {
 		a.analogCheck(op, rows, out)
 	}
 	return nil
+}
+
+// orRows streams the operand rows into out: rows[0] is copied, then the
+// rest are folded four rows per pass and the remainder one row per pass.
+// Each pass walks contiguous memory with its operand slices held in
+// registers, instead of reloading and bounds-checking every operand's
+// slice header once per word.
+func orRows(out []uint64, rows [][]uint64) {
+	copy(out, rows[0])
+	rest := rows[1:]
+	for ; len(rest) >= 4; rest = rest[4:] {
+		a, b, c, d := rest[0][:len(out)], rest[1][:len(out)], rest[2][:len(out)], rest[3][:len(out)]
+		for i := range out {
+			out[i] |= a[i] | b[i] | c[i] | d[i]
+		}
+	}
+	for _, r := range rest {
+		r = r[:len(out)]
+		for i := range out {
+			out[i] |= r[i]
+		}
+	}
 }
 
 // analogCheck re-resolves sampled bit positions through the analog path.

@@ -2,10 +2,10 @@ package sense
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"pinatubo/internal/analog"
 	"pinatubo/internal/nvm"
@@ -205,55 +205,88 @@ func TestParamsAccessor(t *testing.T) {
 	}
 }
 
-// Property: ComputeWords(OR) equals word-wise fold for arbitrary rows.
+// Property: the OR kernel equals a word-wise fold for every operand count
+// 2..MaxORRows and every width 0..67 words, so the 4-row fold, each
+// remainder length and ragged widths all run. The destination starts as
+// garbage, so a kernel that folds into stale words instead of overwriting
+// them fails too. The analog cross-check is off so the fold alone judges
+// the kernel (TestAnalogCrossCheckRuns covers the check).
 func TestPropORAgainstFold(t *testing.T) {
-	a := newPCM(t)
-	f := func(seed int64, nSeed, wSeed uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nSeed)%127 + 2
-		w := int(wSeed)%8 + 1
-		rows := make([][]uint64, n)
-		for i := range rows {
-			rows[i] = make([]uint64, w)
-			for j := range rows[i] {
-				rows[i][j] = rng.Uint64()
-			}
-		}
-		out, err := a.ComputeWords(OpOR, rows)
-		if err != nil {
-			return false
-		}
-		for j := 0; j < w; j++ {
-			want := uint64(0)
-			for i := 0; i < n; i++ {
-				want |= rows[i][j]
-			}
-			if out[j] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	a, err := NewArray(nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for n := 2; n <= a.MaxORRows(); n++ {
+		for w := 0; w <= 67; w++ {
+			rows := make([][]uint64, n)
+			for i := range rows {
+				rows[i] = make([]uint64, w)
+				for j := range rows[i] {
+					// One set bit per word, so even at 128 rows many bits
+					// come from a single row and a dropped row shows.
+					rows[i][j] = 1 << rng.Intn(64)
+				}
+			}
+			dst := make([]uint64, w)
+			for j := range dst {
+				dst[j] = rng.Uint64()
+			}
+			if err := a.ComputeWordsInto(dst, OpOR, rows); err != nil {
+				t.Fatalf("%d rows x %d words: %v", n, w, err)
+			}
+			for j := 0; j < w; j++ {
+				want := uint64(0)
+				for i := 0; i < n; i++ {
+					want |= rows[i][j]
+				}
+				if dst[j] != want {
+					t.Fatalf("%d rows x %d words: word %d = %#x, fold %#x", n, w, j, dst[j], want)
+				}
+			}
+		}
 	}
 }
 
-func BenchmarkComputeOR128x64Words(b *testing.B) {
-	a, _ := NewArray(nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 0)
-	rng := rand.New(rand.NewSource(1))
-	rows := make([][]uint64, 128)
-	for i := range rows {
-		rows[i] = make([]uint64, 64)
-		for j := range rows[i] {
-			rows[i][j] = rng.Uint64()
+// TestResetMatchesFreshSource pins that Reset reseeds the sampling stream
+// in place to exactly the stream NewArray starts with.
+func TestResetMatchesFreshSource(t *testing.T) {
+	a := newPCM(t)
+	rows := randRows(3, 4, 9)
+	if _, err := a.ComputeWords(OpOR, rows); err != nil { // advance the stream
+		t.Fatal(err)
+	}
+	a.Reset()
+	want := rand.New(rand.NewSource(analogCheckSeed))
+	for i := 0; i < 64; i++ {
+		if g, w := a.rng.Intn(1000+i), want.Intn(1000+i); g != w {
+			t.Fatalf("draw %d after Reset: %d, fresh source %d", i, g, w)
 		}
 	}
-	b.SetBytes(128 * 64 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.ComputeWords(OpOR, rows); err != nil {
-			b.Fatal(err)
-		}
+	if allocs := testing.AllocsPerRun(100, a.Reset); allocs != 0 {
+		t.Errorf("Reset: %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkComputeOR times the OR kernel over 2048-word (128 Kbit) rows at
+// operand counts spanning the 4-row fold and its remainder, up to the PCM
+// depth limit. The analog cross-check is off so only the word math runs.
+func BenchmarkComputeOR(b *testing.B) {
+	const words = 2048
+	a, err := NewArray(nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{2, 8, 26, 128} {
+		rows := randRows(n, words, 1)
+		dst := make([]uint64, words)
+		b.Run(fmt.Sprintf("%dx%dWords", n, words), func(b *testing.B) {
+			b.SetBytes(int64(n * words * 8))
+			for i := 0; i < b.N; i++ {
+				if err := a.ComputeWordsInto(dst, OpOR, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

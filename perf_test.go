@@ -3,6 +3,7 @@ package pinatubo
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -254,5 +255,76 @@ func TestSandboxPoolReuseBitIdentical(t *testing.T) {
 	}
 	if p.SandboxPoolReuses == 0 {
 		t.Errorf("second window reused no pooled sandbox: %+v", p)
+	}
+}
+
+// bytesPerCall reports the heap bytes one call of f allocates, averaged
+// over runs calls after two warm-up calls: the first lowers the program
+// (a cache miss), the second grows the controller's hit buffer.
+func bytesPerCall(f func(), runs int) float64 {
+	f()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestCachedApplyRowSizedZeroAllocs pins that a warm cache hit allocates
+// nothing row-sized: a 26-row OR over resident vectors and a popcount,
+// both with verification off, cost the same heap bytes per call at
+// 1 Ki-bit and 64 Ki-bit vectors. A result buffer allocated per hit would
+// show up as the 8 KiB difference in row size.
+func TestCachedApplyRowSizedZeroAllocs(t *testing.T) {
+	const runs = 200
+	measure := func(bits int) (or, pop float64) {
+		cfg := DefaultConfig()
+		cfg.Resilience.Verify = VerifyOff
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := s.AllocGroup(27, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		data := make([]uint64, bits/64)
+		for _, v := range vs[1:] {
+			for i := range data {
+				data[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+			if _, err := s.Write(v, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst, srcs := vs[0], vs[1:]
+		or = bytesPerCall(func() {
+			if _, err := s.Apply(OpOr, dst, srcs); err != nil {
+				t.Fatal(err)
+			}
+		}, runs)
+		pop = bytesPerCall(func() {
+			if _, err := s.Apply(OpPopcount, dst, nil); err != nil {
+				t.Fatal(err)
+			}
+		}, runs)
+		if p := s.PerfStats(); p.ProgramCacheHits < 2*runs {
+			t.Fatalf("%d-bit run: %d cache hits, want every measured call to hit", bits, p.ProgramCacheHits)
+		}
+		return or, pop
+	}
+	smallOr, smallPop := measure(1 << 10)
+	bigOr, bigPop := measure(1 << 16)
+	t.Logf("bytes/call: OR %.0f -> %.0f, popcount %.0f -> %.0f (1 Ki-bit -> 64 Ki-bit)",
+		smallOr, bigOr, smallPop, bigPop)
+	if d := bigOr - smallOr; d >= 64 || d <= -64 {
+		t.Errorf("cached OR allocates %.0f B/call at 64 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigOr, smallOr)
+	}
+	if d := bigPop - smallPop; d >= 64 || d <= -64 {
+		t.Errorf("cached popcount allocates %.0f B/call at 64 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigPop, smallPop)
 	}
 }

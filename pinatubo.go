@@ -1005,21 +1005,30 @@ func (s *System) writeRowECC(addr *memarch.RowAddr, chunk, golden []uint64, bits
 	}
 }
 
-// Read returns the vector contents through the host interface.
+// Read returns the vector contents through the host interface. The
+// returned words are the caller's.
 func (s *System) Read(b *BitVector) ([]uint64, Result, error) {
 	s.beginOp()
-	return s.readInto(b, nil)
-}
-
-// readInto is Read with an optional program capture: when prog is non-nil
-// every controller request and verification pass of the read is lowered
-// into it, so the batch executor can schedule host reads (OpPopcount) on
-// the channel like any other operation.
-func (s *System) readInto(b *BitVector, prog *cmdstream.Program) ([]uint64, Result, error) {
 	if err := b.check(s); err != nil {
 		return nil, Result{}, err
 	}
 	words := make([]uint64, 0, bitvec.WordsFor(b.bits))
+	res, err := s.readInto(b, nil, func(row []uint64, _ int) { words = append(words, row...) })
+	if err != nil {
+		return nil, Result{}, err
+	}
+	return words[:bitvec.WordsFor(b.bits)], res, nil
+}
+
+// readInto reads b through the host interface row by row and hands each
+// row's sensed words, with the row's bit count, to visit before the next
+// row is read. The words are the controller's (pim.Result.Words) and the
+// next read overwrites them, so visit copies whatever it keeps. When prog
+// is non-nil every controller request and verification pass of the read
+// is lowered into it, so the batch executor can schedule host reads
+// (OpPopcount) on the channel like any other operation. The caller has
+// checked b.
+func (s *System) readInto(b *BitVector, prog *cmdstream.Program, visit func(row []uint64, bits int)) (Result, error) {
 	var seconds, joules float64
 	for i, addr := range b.rows {
 		bitsHere := s.RowBits()
@@ -1028,14 +1037,13 @@ func (s *System) readInto(b *BitVector, prog *cmdstream.Program) ([]uint64, Resu
 		}
 		row, sec, j, err := s.readRow(addr, bitsHere, prog)
 		if err != nil {
-			return nil, Result{}, err
+			return Result{}, err
 		}
-		words = append(words, row...)
+		visit(row, bitsHere)
 		seconds += sec
 		joules += j
 	}
-	words = words[:bitvec.WordsFor(b.bits)]
-	return words, s.account(PlaceHostRead, len(b.rows), seconds, joules), nil
+	return s.account(PlaceHostRead, len(b.rows), seconds, joules), nil
 }
 
 // readRow bursts one row to the host. With resilience on, the sensed words
@@ -1333,13 +1341,14 @@ func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, prog *cmdst
 	s.beginOp()
 	if op == OpPopcount {
 		// Host-side reduction over dst itself: read the vector out and
-		// count there; the cost is exactly the host read. The count masks
-		// the final partial word in place — no Vector round-trip.
-		words, res, err := s.readInto(dst, prog)
+		// count there; the cost is exactly the host read. Each row is
+		// counted as it arrives (masking its partial tail word), so no
+		// vector is assembled.
+		n := 0
+		res, err := s.readInto(dst, prog, func(row []uint64, bits int) { n += bitvec.PopcountWords(row, bits) })
 		if err != nil {
 			return Result{}, err
 		}
-		n := bitvec.PopcountWords(words, dst.bits)
 		res.Count = &n
 		return res, nil
 	}

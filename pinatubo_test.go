@@ -84,6 +84,88 @@ func TestAllocAndFree(t *testing.T) {
 	}
 }
 
+// TestAllocGroupFreeLoopReusesRows pins that group allocation recycles
+// freed rows: an AllocGroup/Free loop (and a replicated Alloc/Free loop,
+// which allocates every row as a replica group) keeps the live and
+// materialised row counts bounded instead of advancing the frontier
+// forever, and every group it hands out still shares one subarray.
+func TestAllocGroupFreeLoopReusesRows(t *testing.T) {
+	const iters = 10000
+	const bits = 256
+	words := []uint64{1, 2, 3, 4}
+
+	t.Run("group", func(t *testing.T) {
+		s := newSys(t)
+		var live [][]*BitVector // two groups stay live, so frees interleave
+		for i := 0; i < iters; i++ {
+			g, err := s.AllocGroup(1+i%5, bits)
+			if err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+			for _, v := range g {
+				if !memarch.SameSubarray(v.rows[0], g[0].rows[0]) {
+					t.Fatalf("iteration %d: group spans subarrays (%v, %v)", i, g[0].rows[0], v.rows[0])
+				}
+				if _, err := s.Write(v, words); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live = append(live, g)
+			if len(live) > 2 {
+				for _, v := range live[0] {
+					if err := s.Free(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = live[1:]
+			}
+		}
+		// At most three groups of at most five rows were ever live at once.
+		if n := s.alloc.AllocatedRows(); n > 15 {
+			t.Errorf("%d rows allocated after the loop, want <= 15", n)
+		}
+		if n := s.mem.MaterializedRows(); n > 64 {
+			t.Errorf("%d rows materialised after %d iterations, want a bounded handful", n, iters)
+		}
+	})
+
+	t.Run("replicated", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Resilience = ResilienceConfig{Verify: VerifyReadback, Replicate: 3}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < iters; i++ {
+			v, err := s.Alloc(bits)
+			if err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+			reps := s.replicaRows(v.rows[0])
+			if len(reps) != 2 {
+				t.Fatalf("iteration %d: %d replicas, want 2", i, len(reps))
+			}
+			for _, rep := range reps {
+				if !memarch.SameSubarray(rep, v.rows[0]) {
+					t.Fatalf("iteration %d: replica %v outside the primary's subarray %v", i, rep, v.rows[0])
+				}
+			}
+			if _, err := s.Write(v, words); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Free(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := s.alloc.AllocatedRows(); n != 0 {
+			t.Errorf("%d rows still allocated after freeing everything", n)
+		}
+		if n := s.mem.MaterializedRows(); n > 16 {
+			t.Errorf("%d rows materialised after %d iterations, want a bounded handful", n, iters)
+		}
+	})
+}
+
 func TestForeignVectorRejected(t *testing.T) {
 	s1 := newSys(t)
 	s2 := newSys(t)
