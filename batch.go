@@ -48,7 +48,8 @@ type BatchResult struct {
 	Arb Arbiter
 }
 
-// Batch executes a set of operations as one scheduled batch:
+// Batch executes a set of operations as one scheduled batch. It is
+// exactly NewBatchBuilder, one Add per op, Start and Wait:
 //
 //  1. lower — every op is executed through the normal pipeline and its
 //     full cmdstream program (requests, verification passes) captured;
@@ -73,12 +74,12 @@ type BatchResult struct {
 // one, the sandboxes are discarded and the batch deterministically
 // replays in op order on the live system (Shards reports 1).
 //
-// WithContext attaches cancellation: a cancelled multi-shard batch
+// WithContext attaches cancellation, all-or-nothing: a cancelled batch
 // discards its sandboxes unmerged and the System is left as if the batch
-// never ran; a batch whose ops all conflict (one shard) executes in op
-// order on the live system and cancellation stops it between ops, leaving
-// the completed prefix applied — exactly a sequence of Apply calls
-// interrupted at that point.
+// never ran. Only the fault-retirement replay above runs on the live
+// system; there cancellation stops between ops and leaves the completed
+// prefix applied, exactly a sequence of Apply calls interrupted at that
+// point.
 //
 // Ops whose operands span ranks are rejected: the paper's datapaths stop
 // at the rank's I/O buffer, and Apply would reject them too. On error the
@@ -89,38 +90,13 @@ type BatchResult struct {
 // executes — use NewBatchBuilder and BatchRun instead of collecting a
 // slice for Batch.
 func (s *System) Batch(ops []BatchOp, opts ...Option) (BatchResult, error) {
-	o, err := resolveOpts(opts)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	if _, err := o.arb.internal(); err != nil {
-		return BatchResult{}, err
-	}
-	if len(ops) == 0 {
-		return BatchResult{}, fmt.Errorf("pinatubo: empty batch")
-	}
-	if err := o.ctx.Err(); err != nil {
-		return BatchResult{}, err
-	}
 	b := s.NewBatchBuilder()
 	for _, op := range ops {
 		if err := b.Add(op); err != nil {
 			return BatchResult{}, err
 		}
 	}
-	if b.Shards() == 1 {
-		// Fully conflicting batch: nothing can overlap, so run in op order
-		// directly on the live system. This keeps the ledger merge exact
-		// (no shard-order float summation) — the sequential ledger IS the
-		// batch ledger.
-		results := make([]Result, len(ops))
-		progs := make([]cmdstream.Program, len(ops))
-		if err := s.runSequential(o.ctx, ops, results, progs); err != nil {
-			return BatchResult{}, err
-		}
-		return s.scheduleBatch(ops, progs, results, 1, o.arb)
-	}
-	run, err := b.Start(WithArbiter(o.arb), WithContext(o.ctx))
+	run, err := b.Start(opts...)
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -202,21 +178,23 @@ func (s *System) appendRowKeys(keys []fpKey, r memarch.RowAddr) []fpKey {
 	return keys
 }
 
-// runSequential executes the batch's data-side effects in op order on the
-// live system, capturing each op's program. Cancellation is observed
-// between ops: the completed prefix stays applied (Apply-sequence
-// semantics) and the context's error is returned.
+// runSequential is the fault-retirement replay of a batch run: it
+// executes the ops in order on the live system, capturing each op's
+// program. Cancellation is observed between ops: the completed prefix
+// stays applied (Apply-sequence semantics) and the context's error is
+// returned.
 func (s *System) runSequential(ctx context.Context, ops []BatchOp, results []Result, progs []cmdstream.Program) error {
 	for i, op := range ops {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		progs[i] = cmdstream.Program{}
-		res, err := s.apply(op.Op, op.Dst, op.Srcs, &progs[i])
+		res, err := s.applyOpts(op.Op, op.Dst, op.Srcs, callOpts{})
 		if err != nil {
 			return fmt.Errorf("pinatubo: batch op %d (%v): %w", i, op.Op, err)
 		}
 		results[i] = res
+		progs[i] = cmdstream.Program{}
+		progs[i].Append(s.prog)
 	}
 	return nil
 }

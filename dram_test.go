@@ -285,10 +285,11 @@ func TestDRAMCachedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := New(Config{Tech: DRAM, Geometry: spreadGeometry(), DisableProgramCache: true})
+	uncached, err := New(Config{Tech: DRAM, Geometry: spreadGeometry()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	uncached.ctl.SetProgramCache(false)
 	const bits = 4096
 	run := func(s *System) ([]Result, [][]uint64) {
 		var results []Result

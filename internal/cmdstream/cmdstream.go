@@ -15,8 +15,8 @@
 //	           executor;
 //	execute  — internal/pimrt records the program of everything a
 //	           scheduled operation put on the channel and derives its
-//	           Cost, request count and TraceSegments from it in exactly
-//	           one place.
+//	           Cost, request count and votes from it in exactly one
+//	           place.
 //
 // Each instruction carries its cost annotation (Seconds, Joules) as priced
 // by the controller's architectural model, so accounting is a fold over
@@ -127,6 +127,14 @@ type Program struct {
 // Emit appends one instruction.
 func (p *Program) Emit(in Instr) { p.Instrs = append(p.Instrs, in) }
 
+// Reset empties the program for reuse: the instruction buffer keeps its
+// capacity but drops its references to command sequences, so a reused
+// program does not keep an earlier operation's commands alive.
+func (p *Program) Reset() {
+	clear(p.Instrs)
+	p.Instrs = p.Instrs[:0]
+}
+
 // Append concatenates another program onto this one.
 func (p *Program) Append(q Program) { p.Instrs = append(p.Instrs, q.Instrs...) }
 
@@ -193,7 +201,7 @@ func (p Program) Channel() int {
 // instructions through chansim.FromDDR's per-command pricing (issue slots,
 // exec times, bank resources), KindVerify passes as one command-bus issue
 // slot plus a bank-busy interval. Zero-second verify passes leave no
-// scheduling footprint, exactly as they leave no trace segment.
+// scheduling footprint.
 func (p Program) Request(name string, t nvm.Timing, bus ddr.BusParams, banks int) chansim.Request {
 	req := chansim.Request{Name: name, Channel: p.Channel()}
 	for _, in := range p.Instrs {

@@ -32,10 +32,6 @@ func TestEnumSwitch(t *testing.T) {
 	linttest.Run(t, lint.EnumSwitch, "testdata/src/enumswitch")
 }
 
-func TestCostPair(t *testing.T) {
-	linttest.Run(t, lint.CostPair, "testdata/src/costpair")
-}
-
 func TestPanicFree(t *testing.T) {
 	linttest.Run(t, lint.PanicFree, "testdata/src/panicfree")
 }

@@ -7,11 +7,10 @@
 // scheduler bit-identical to the legacy loop — and the invariants that make
 // those claims hold (seeded RNG only, no wall clock, no map-iteration-order
 // leaking into results, no float == in cost math, %w-wrapped sentinels,
-// exhaustive enum switches, trace segments paired with cost accounting,
-// no undocumented panics in library packages) are what these analyzers
-// machine-check. cmd/pinlint runs the suite over the module; each analyzer
-// has positive and negative fixtures under testdata/src driven by the
-// linttest harness.
+// exhaustive enum switches, no undocumented panics in library packages)
+// are what these analyzers machine-check. cmd/pinlint runs the suite over
+// the module; each analyzer has positive and negative fixtures under
+// testdata/src driven by the linttest harness.
 //
 // A finding can be acknowledged in place with a directive comment
 //
@@ -199,7 +198,6 @@ func All() []*Analyzer {
 		FloatEq,
 		WrapErr,
 		EnumSwitch,
-		CostPair,
 		PanicFree,
 		TimeMix,
 		APILeak,

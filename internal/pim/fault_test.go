@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pinatubo/internal/analog"
+	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
@@ -77,8 +78,8 @@ func TestActivationFaultSurfacesAsSentinel(t *testing.T) {
 	attachInjector(t, c, fault.Config{ActivationFailRate: 0.01})
 	srcs := addrsInSubarray(128)
 	_, err := c.Execute(sense.OpOR, srcs, 64, nil)
-	if !errors.Is(err, ErrActivationFault) {
-		t.Fatalf("err=%v, want ErrActivationFault", err)
+	if !errors.Is(err, backend.ErrActivationFault) {
+		t.Fatalf("err=%v, want backend.ErrActivationFault", err)
 	}
 	// Single-row ops never activation-fault.
 	if _, err := c.Execute(sense.OpRead, srcs[:1], 64, nil); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/memarch"
@@ -50,7 +51,7 @@ func addrsInSubarray(n int) []memarch.RowAddr {
 }
 
 func TestLWLProtocol(t *testing.T) {
-	l := NewLWL(16)
+	l := backend.NewLWL(16)
 	if err := l.Latch(0); err == nil {
 		t.Fatal("latch before RESET should fail")
 	}

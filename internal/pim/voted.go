@@ -3,6 +3,7 @@ package pim
 import (
 	"fmt"
 
+	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
@@ -94,7 +95,7 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 		// Each replica group is a fresh multi-row activation: the LWL reset
 		// closes the previous group's rows and re-arms the latches, so the
 		// protocol checker sees R well-formed groups in one sequence.
-		lwl := NewLWL(geo.RowsPerSubarray)
+		lwl := backend.NewLWL(geo.RowsPerSubarray)
 		lwl.Reset()
 		res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdLWLReset, Addr: set[0]})
 		for i, s := range set {
@@ -111,7 +112,7 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 			return nil, fmt.Errorf("pim: LWL opened %d rows, want %d", lwl.OpenCount(), n)
 		}
 		if c.inj != nil && c.inj.ActivationFault(n) {
-			return nil, fmt.Errorf("pim: activating %d rows (voted): %w", n, ErrActivationFault)
+			return nil, fmt.Errorf("pim: activating %d rows (voted): %w", n, backend.ErrActivationFault)
 		}
 		for i := 0; i < steps; i++ {
 			res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdSense, Addr: set[0]})

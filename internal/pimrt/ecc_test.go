@@ -87,7 +87,7 @@ func TestECCVerifyCheapOnCleanHardware(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := s.OR(rows, bits, dst)
+		res, err := s.Execute(sense.OpOR, rows, bits, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestECCCorrectsSenseFlipsBitExact(t *testing.T) {
 	want := fillRows(t, ctl, rows, w, rng)
 	for trial := 0; trial < 8; trial++ {
 		dst := memarch.RowAddr{Subarray: 2, Row: 700 + trial}
-		res, err := s.OR(rows, bits, dst)
+		res, err := s.Execute(sense.OpOR, rows, bits, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestECCEscalatesToLadderOnHeavyFlips(t *testing.T) {
 	}
 	want := fillRows(t, ctl, rows, w, rng)
 	dst := memarch.RowAddr{Subarray: 3, Row: 600}
-	res, err := s.OR(rows, bits, dst)
+	res, err := s.Execute(sense.OpOR, rows, bits, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

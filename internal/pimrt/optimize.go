@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pinatubo/internal/memarch"
+	"pinatubo/internal/sense"
 	"pinatubo/internal/workload"
 )
 
@@ -125,7 +126,7 @@ func (s *Scheduler) RunBatch(reqs []ORRequest) (workload.Cost, int, error) {
 		if len(r.Srcs) == 0 {
 			return workload.Cost{}, 0, fmt.Errorf("pimrt: batch request %d has no sources", i)
 		}
-		res, err := s.OR(r.Srcs, r.Bits, r.Dst)
+		res, err := s.Execute(sense.OpOR, r.Srcs, r.Bits, r.Dst)
 		if err != nil {
 			return workload.Cost{}, 0, fmt.Errorf("pimrt: batch request %d: %w", i, err)
 		}

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"pinatubo/internal/cmdstream"
-	"pinatubo/internal/ddr"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
@@ -324,13 +323,14 @@ func SpecForOR(rows []memarch.RowAddr, bits int) (workload.OpSpec, error) {
 	return spec, nil
 }
 
-// Schedule lowers a logical OR over arbitrarily many operand rows into the
-// hardware request sequence: per-subarray multi-row ORs at the controller's
-// depth (with chaining through scratch rows), then an inter combine, with
-// the final result written to dst. It executes the ops on the controller
-// and returns the accumulated cost plus the number of hardware requests.
+// Scheduler is the runtime's one way to execute a logical operation.
+// Execute lowers the operation into hardware requests — a logical OR over
+// arbitrarily many operand rows becomes per-subarray multi-row ORs at the
+// controller's depth (chained through scratch rows) plus an inter combine;
+// every other op is a single request — runs them on the controller, and
+// returns the operation's cmdstream program with the cost folded from it.
 //
-// scratch must provide one free row in every subarray touched; the driver
+// Scratch must provide one free row in every subarray touched; the driver
 // library reserves these at init (the paper's run-time "schedule opt").
 type Scheduler struct {
 	Ctl *pim.Controller
@@ -355,10 +355,14 @@ type Scheduler struct {
 
 	stats FaultStats
 
-	// groups, srcs and partials are scheduling scratch, reused across
-	// operations so the steady-state OR path allocates nothing for
-	// operand grouping and request assembly. A Scheduler is owned by one
-	// System and never called reentrantly, so plain fields suffice.
+	// res, partial, groups, srcs and partials are scheduling scratch,
+	// reused across operations so a steady-state Execute allocates
+	// nothing of its own: res is the result Execute hands out, partial
+	// the target of a per-subarray OR partial, the rest operand grouping
+	// and request assembly. A Scheduler is owned by one System and never
+	// called reentrantly, so plain fields suffice.
+	res      ScheduleResult
+	partial  memarch.RowAddr
 	groups   [][]memarch.RowAddr
 	srcs     []memarch.RowAddr
 	partials []memarch.RowAddr
@@ -371,23 +375,10 @@ func (s *Scheduler) groupBySubarray(rows []memarch.RowAddr) [][]memarch.RowAddr 
 	return s.groups
 }
 
-// TraceSegment is one channel-schedulable piece of a scheduled operation's
-// command trace. Controller-executed requests carry their full DDR command
-// sequence; verification and ECC passes, which the controller prices as
-// lump-sum latencies without emitting commands, appear as opaque segments
-// that occupy the destination's bank for Seconds.
-type TraceSegment struct {
-	// Cmds is the DDR command sequence of a controller-executed request
-	// (nil for opaque verification/ECC segments).
-	Cmds []ddr.Cmd
-	// Seconds is the bank-busy time of an opaque segment (0 when Cmds is
-	// set — the commands carry their own timing).
-	Seconds float64
-	// Addr locates the bank an opaque segment occupies.
-	Addr memarch.RowAddr
-}
-
-// ScheduleResult summarises one scheduled logical operation.
+// ScheduleResult summarises one scheduled logical operation. The
+// scheduler owns it: it stays valid only until the scheduler's next
+// Execute, like pim.Result.Words. A holder that keeps the program longer
+// copies it (cmdstream.Program.Append).
 type ScheduleResult struct {
 	Requests int
 	Cost     workload.Cost
@@ -401,15 +392,11 @@ type ScheduleResult struct {
 	// Program is the operation's lowered cmdstream program: everything it
 	// put on the channel in execution order, including resilience
 	// expansions (retries, depth splits, ECC reprograms and verification
-	// passes). Requests, Cost and Trace are all derived from it by
-	// finalize — the program is the single source of truth.
+	// passes). Requests, Cost and Votes are all derived from it by
+	// finalize — the program is the single source of truth. With
+	// resilience off it is exactly the plain controller command sequence;
+	// Program.Request lowers it onto the channel scheduler.
 	Program cmdstream.Program
-
-	// Trace is the ordered command trace derived from Program. Replaying
-	// it through internal/chansim reproduces the operation's scheduling
-	// footprint; with resilience off it is exactly the plain controller
-	// command sequence.
-	Trace []TraceSegment
 
 	// Resilience outcome — all zero when the ladder is off or never needed.
 	Retries       int    // hardware re-executions
@@ -423,49 +410,56 @@ type ScheduleResult struct {
 }
 
 // finalize derives the result's accounting — request count, accumulated
-// Cost, TraceSegments — from the lowered program. This is the only place
-// in the runtime that computes them. The cost fold replays the program's
+// Cost, votes — from the lowered program. This is the only place in the
+// runtime that computes them. The cost fold replays the program's
 // annotations in emission order, so it is bit-identical to accumulating
-// during execution; zero-second verify instructions (the linear ECC fast
-// path) contribute energy but no trace segment.
+// during execution.
 func (res *ScheduleResult) finalize() {
 	res.Requests = res.Program.Requests()
 	res.Cost = res.Program.Cost()
 	res.Votes, res.BitsOutvoted = res.Program.Votes()
-	res.Trace = nil
-	for _, in := range res.Program.Instrs {
-		switch in.Kind {
-		case cmdstream.KindRequest, cmdstream.KindVoted:
-			res.Trace = append(res.Trace, TraceSegment{Cmds: in.Cmds})
-		case cmdstream.KindVerify:
-			if in.Seconds > 0 {
-				res.Trace = append(res.Trace, TraceSegment{Seconds: in.Seconds, Addr: in.Addr})
-			}
-		default:
-			// Unknown kinds carry no schedulable footprint.
-		}
-	}
 }
 
-// OR executes the logical OR of the operand rows into dst.
-func (s *Scheduler) OR(rows []memarch.RowAddr, bits int, dst memarch.RowAddr) (*ScheduleResult, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("pimrt: OR of no rows")
-	}
-	res := &ScheduleResult{FinalDst: dst}
-	tgt := dst
-	if len(rows) == 1 {
+// Execute runs op over the operand rows into dst — the runtime's one op
+// entry point. A logical OR of any width is grouped by subarray and
+// chained at the controller's depth (a one-row OR is a copy); every other
+// op (AND/XOR/INV/READ) is a single request. Each request goes through
+// the resilience ladder when it is enabled and is a plain controller call
+// otherwise. The returned FinalDst differs from dst when the destination
+// row was retired. The result is the scheduler's own and is overwritten
+// by the next Execute.
+func (s *Scheduler) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst memarch.RowAddr) (*ScheduleResult, error) {
+	res := &s.res
+	res.Program.Reset()
+	*res = ScheduleResult{Program: res.Program, FinalDst: dst}
+	var err error
+	switch {
+	case op != sense.OpOR:
+		_, err = s.request(op, srcs, bits, &res.FinalDst, nil, res)
+	case len(srcs) == 0:
+		err = errors.New("pimrt: OR of no rows")
+	case len(srcs) == 1:
 		// Degenerate copy: read + write through the controller.
-		if _, err := s.request(sense.OpRead, rows, bits, &tgt, nil, res); err != nil {
-			return nil, err
-		}
-		res.FinalDst = tgt
-		res.finalize()
-		return res, nil
+		_, err = s.request(sense.OpRead, srcs, bits, &res.FinalDst, nil, res)
+	default:
+		err = s.or(srcs, bits, res)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.finalize()
+	return res, nil
+}
 
+// or executes the logical OR of two or more operand rows into
+// res.FinalDst.
+func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) error {
 	depth := s.Ctl.MaxORRows()
 	groups := s.groupBySubarray(rows)
+	if len(groups) == 1 {
+		// Collapse the group inside its subarray, chaining at the depth.
+		return s.chainedOR(rows, bits, &res.FinalDst, depth, res)
+	}
 	partials := s.partials[:0]
 	var borrowed []memarch.RowAddr
 	for _, g := range groups {
@@ -473,41 +467,29 @@ func (s *Scheduler) OR(rows []memarch.RowAddr, bits int, dst memarch.RowAddr) (*
 			partials = append(partials, g[0])
 			continue
 		}
-		// Collapse the group inside its subarray, chaining at the depth.
-		target := s.Scratch(g[0])
-		if len(groups) == 1 {
-			target = dst
+		s.partial = s.Scratch(g[0])
+		orig := s.partial
+		if err := s.chainedOR(g, bits, &s.partial, depth, res); err != nil {
+			return err
 		}
-		orig := target
-		if err := s.chainedOR(g, bits, &target, depth, res); err != nil {
-			return nil, err
-		}
-		if len(groups) == 1 {
-			res.FinalDst = target
-			res.finalize()
-			s.partials = partials[:0]
-			return res, nil
-		}
-		if target != orig {
+		if s.partial != orig {
 			// The scratch row wore out mid-chain and the partial now lives
 			// in a row on loan from the allocator; return it once combined.
-			borrowed = append(borrowed, target)
+			borrowed = append(borrowed, s.partial)
 		}
-		partials = append(partials, target)
+		partials = append(partials, s.partial)
 	}
 	// Combine partials across subarrays/banks. The partials necessarily
 	// live in distinct subarrays, so this is one inter request (chunked at
 	// the request cap when enormous).
-	if err := s.chainedOR(partials, bits, &tgt, pim.InterORLimit, res); err != nil {
-		return nil, err
+	if err := s.chainedOR(partials, bits, &res.FinalDst, pim.InterORLimit, res); err != nil {
+		return err
 	}
 	s.partials = partials[:0]
-	res.FinalDst = tgt
 	if s.Release != nil && len(borrowed) > 0 {
 		s.Release(borrowed)
 	}
-	res.finalize()
-	return res, nil
+	return nil
 }
 
 // chainedOR folds rows into *target with requests of at most depth

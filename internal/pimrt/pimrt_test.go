@@ -296,7 +296,7 @@ func TestSchedulerORSingleSubarray(t *testing.T) {
 		}
 	}
 	dst := memarch.RowAddr{Subarray: 3, Row: 500}
-	res, err := s.OR(rows, bits, dst)
+	res, err := s.Execute(sense.OpOR, rows, bits, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestSchedulerORAcrossSubarrays(t *testing.T) {
 		}
 	}
 	dst := memarch.RowAddr{Subarray: 10, Row: 0}
-	res, err := s.OR(rows, bits, dst)
+	res, err := s.Execute(sense.OpOR, rows, bits, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestSchedulerORChainsBeyondDepth(t *testing.T) {
 		}
 	}
 	dst := memarch.RowAddr{Subarray: 0, Row: 900}
-	res, err := s.OR(rows, bits, dst)
+	res, err := s.Execute(sense.OpOR, rows, bits, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,14 +384,14 @@ func TestSchedulerSingleRowCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := memarch.RowAddr{Subarray: 2, Row: 9}
-	res, err := s.OR([]memarch.RowAddr{src}, 64, dst)
+	res, err := s.Execute(sense.OpOR, []memarch.RowAddr{src}, 64, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Requests != 1 || ctl.Memory().ReadRow(dst)[0] != 42 {
 		t.Error("single-row OR should copy")
 	}
-	if _, err := s.OR(nil, 64, dst); err == nil {
+	if _, err := s.Execute(sense.OpOR, nil, 64, dst); err == nil {
 		t.Error("empty OR accepted")
 	}
 }
@@ -489,7 +489,7 @@ func TestWriteAmplificationOfChaining(t *testing.T) {
 	dst := memarch.RowAddr{Subarray: 4, Row: 900}
 
 	before := mem.RowWrites()
-	if _, err := s.OR(rows, 64, dst); err != nil {
+	if _, err := s.Execute(sense.OpOR, rows, 64, dst); err != nil {
 		t.Fatal(err)
 	}
 	oneStepWrites := mem.RowWrites() - before

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pinatubo/internal/backend"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
@@ -94,9 +95,15 @@ type FaultStats struct {
 // FaultStats returns a snapshot of the accumulated resilience activity.
 func (s *Scheduler) FaultStats() FaultStats { return s.stats }
 
-// ResetStats clears the accumulated resilience counters — pooled shard
-// sandboxes reset through here before their next window.
-func (s *Scheduler) ResetStats() { s.stats = FaultStats{} }
+// Reset clears the accumulated resilience counters and the last result
+// (keeping only its program buffer's capacity), so a pooled shard sandbox
+// neither carries counters into its next window nor keeps its last op's
+// commands and result words alive.
+func (s *Scheduler) Reset() {
+	s.stats = FaultStats{}
+	s.res.Program.Reset()
+	s.res = ScheduleResult{Program: s.res.Program}
+}
 
 // AbsorbStats folds another scheduler's accumulated resilience activity
 // into this one. The batch executor runs shards on private scheduler
@@ -142,23 +149,9 @@ func (r *ScheduleResult) noteDegraded(d string) {
 	}
 }
 
-// Execute runs one fixed-arity op (AND/XOR/INV/READ — or a one-step OR)
-// through the resilience ladder when it is enabled, plainly otherwise. The
-// returned FinalDst differs from dst when the destination row was retired.
-func (s *Scheduler) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst memarch.RowAddr) (*ScheduleResult, error) {
-	res := &ScheduleResult{FinalDst: dst}
-	tgt := dst
-	if _, err := s.request(op, srcs, bits, &tgt, nil, res); err != nil {
-		return nil, err
-	}
-	res.FinalDst = tgt
-	res.finalize()
-	return res, nil
-}
-
 // record lowers one executed controller request into the running program.
-// Requests, Cost and Trace are all derived from the program by finalize —
-// nothing is accounted by hand here.
+// Requests and Cost are derived from the program by finalize — nothing is
+// accounted by hand here.
 func (res *ScheduleResult) record(r *pim.Result) {
 	res.Program.Emit(r.Instr())
 	res.Words = r.Words
@@ -301,7 +294,7 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 		}
 		r, err := s.nativeExec(op, srcs, bits, target)
 		if err != nil {
-			if errors.Is(err, pim.ErrActivationFault) {
+			if errors.Is(err, backend.ErrActivationFault) {
 				continue // nothing was sensed or written; reissue
 			}
 			return false, err
@@ -357,7 +350,7 @@ func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 		}
 		r, err := exec(op, srcs, bits, target)
 		if err != nil {
-			if errors.Is(err, pim.ErrActivationFault) {
+			if errors.Is(err, backend.ErrActivationFault) {
 				continue // nothing was sensed or written; reissue
 			}
 			return false, err

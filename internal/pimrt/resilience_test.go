@@ -70,7 +70,7 @@ func TestResilientORMatchesGoldenUnderHeavyFlips(t *testing.T) {
 	}
 	want := fillRows(t, ctl, rows, w, rng)
 	dst := memarch.RowAddr{Subarray: 3, Row: 900}
-	res, err := s.OR(rows, bits, dst)
+	res, err := s.Execute(sense.OpOR, rows, bits, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +95,41 @@ func TestResilientORMatchesGoldenUnderHeavyFlips(t *testing.T) {
 	}
 	if st.BitsCorrected == 0 {
 		t.Fatalf("no corrected bits recorded: %+v", st)
+	}
+}
+
+// A chained OR (wider than MaxORRows, so every link after the first
+// re-reads its accumulator) under a flip rate of 1: when a link falls to
+// the depth-split rung, the accumulator a failed attempt clobbered must be
+// restored before the split re-reads it, or the garbage lands in dst.
+func TestChainedORUnderFlipsRestoresAccumulator(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		s, ctl := newResilientSched(t, memarch.Default(),
+			fault.Config{Seed: seed, SenseFlipRate: 1})
+		rng := rand.New(rand.NewSource(seed + 100))
+		const bits = 4096
+		w := bitvec.WordsFor(bits)
+		rows := make([]memarch.RowAddr, 200) // > MaxORRows -> chained links
+		for i := range rows {
+			rows[i] = memarch.RowAddr{Subarray: 3, Row: i}
+		}
+		want := fillRows(t, ctl, rows, w, rng)
+		dst := memarch.RowAddr{Subarray: 3, Row: 900}
+		res, err := s.Execute(sense.OpOR, rows, bits, dst)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got := ctl.Memory().ReadRow(res.FinalDst)
+		bad := 0
+		for j := range want {
+			if got[j] != want[j] {
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Errorf("seed %d: %d/%d words wrong in stored dst despite resilience (degraded=%q retries=%d)",
+				seed, bad, w, res.Degraded, res.Retries)
+		}
 	}
 }
 
@@ -255,7 +290,7 @@ func TestChainingBoundaries(t *testing.T) {
 			}
 			want := fillRows(t, ctl, rows, w, rng)
 			dst := memarch.RowAddr{Subarray: 5, Row: 1000}
-			res, err := s.OR(rows, bits, dst)
+			res, err := s.Execute(sense.OpOR, rows, bits, dst)
 			if err != nil {
 				t.Fatalf("%d rows: %v", tc.rows, err)
 			}
@@ -308,7 +343,7 @@ func TestChainingBoundaries(t *testing.T) {
 			}
 			want := fillRows(t, ctl, rows, 1, rng)
 			dst := memarch.RowAddr{Subarray: 0, Row: 1}
-			res, err := s.OR(rows, bits, dst)
+			res, err := s.Execute(sense.OpOR, rows, bits, dst)
 			if err != nil {
 				t.Fatalf("%d subarrays: %v", tc.subs, err)
 			}

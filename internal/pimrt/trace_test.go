@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"pinatubo/internal/bitvec"
-	"pinatubo/internal/ddr"
+	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
@@ -14,22 +14,15 @@ import (
 	"pinatubo/internal/sense"
 )
 
-// traceSeconds sums the scheduling footprint of a trace: command segments
-// priced exactly as the controller priced them, opaque segments at their
-// recorded latency.
-func traceSeconds(trace []TraceSegment, t nvm.Timing, bus ddr.BusParams) float64 {
-	total := 0.0
-	for _, seg := range trace {
-		if seg.Cmds != nil {
-			total += ddr.Duration(seg.Cmds, t, bus)
-			continue
-		}
-		total += seg.Seconds
-	}
-	return total
+// requestSeconds lowers a program onto the channel scheduler and sums the
+// durations of its commands: command sequences priced per command,
+// verification passes at their recorded latency.
+func requestSeconds(ctl *pim.Controller, p cmdstream.Program) float64 {
+	mem := ctl.Memory()
+	return p.Request("op", mem.Tech().Timing, ctl.Bus(), mem.Geometry().BanksPerChip).Duration()
 }
 
-// With resilience off the trace is exactly the plain controller command
+// With resilience off the program is exactly the plain controller command
 // sequence — the zero-fault reproduction guarantee the planner relies on.
 func TestTracePlainPathMatchesController(t *testing.T) {
 	geo := memarch.Default()
@@ -47,39 +40,38 @@ func TestTracePlainPathMatchesController(t *testing.T) {
 	}
 	rows := []memarch.RowAddr{{Subarray: 0, Row: 0}, {Subarray: 0, Row: 1}}
 	dst := memarch.RowAddr{Subarray: 0, Row: 5}
-	res, err := s.OR(rows, geo.RowBits(), dst)
+	res, err := s.Execute(sense.OpOR, rows, geo.RowBits(), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != 1 {
-		t.Fatalf("plain OR trace has %d segments, want 1", len(res.Trace))
+	if n := res.Program.Len(); n != 1 {
+		t.Fatalf("plain OR program has %d instructions, want 1", n)
 	}
-	seg := res.Trace[0]
-	if seg.Cmds == nil || seg.Seconds != 0 {
-		t.Fatalf("plain segment should carry commands only: %+v", seg)
+	in := res.Program.Instrs[0]
+	if in.Kind != cmdstream.KindRequest || in.Cmds == nil {
+		t.Fatalf("plain instruction should be a command request: %+v", in)
 	}
-	// The segment is the very command sequence a bare controller emits.
+	if got := requestSeconds(ctl, res.Program); got != res.Cost.Seconds {
+		t.Errorf("request seconds %g != cost %g", got, res.Cost.Seconds)
+	}
+	// The instruction is the very command sequence a bare controller emits.
 	ref, err := ctl.Execute(sense.OpOR, rows, geo.RowBits(), &dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seg.Cmds) != len(ref.Commands) {
-		t.Fatalf("trace %d commands, controller %d", len(seg.Cmds), len(ref.Commands))
+	if len(in.Cmds) != len(ref.Commands) {
+		t.Fatalf("program %d commands, controller %d", len(in.Cmds), len(ref.Commands))
 	}
-	for i := range seg.Cmds {
-		if seg.Cmds[i] != ref.Commands[i] {
-			t.Fatalf("command %d differs: %+v vs %+v", i, seg.Cmds[i], ref.Commands[i])
+	for i := range in.Cmds {
+		if in.Cmds[i] != ref.Commands[i] {
+			t.Fatalf("command %d differs: %+v vs %+v", i, in.Cmds[i], ref.Commands[i])
 		}
-	}
-	tech := nvm.Get(nvm.PCM)
-	if got := traceSeconds(res.Trace, tech.Timing, ctl.Bus()); got != res.Cost.Seconds {
-		t.Errorf("trace seconds %g != cost %g", got, res.Cost.Seconds)
 	}
 }
 
-// Under heavy faults the trace grows with the ladder — retries, verify
-// passes and host traffic all leave footprints — and its total duration
-// stays exactly the accumulated cost.
+// Under heavy faults the program grows with the ladder — retries, verify
+// passes and host traffic all leave footprints — and its scheduled
+// duration stays exactly the accumulated cost.
 func TestTraceAccountsForResilienceExpansions(t *testing.T) {
 	geo := memarch.Default()
 	s, ctl := newResilientSched(t, geo, fault.Config{Seed: 17, SenseFlipRate: 1})
@@ -92,31 +84,27 @@ func TestTraceAccountsForResilienceExpansions(t *testing.T) {
 	}
 	fillRows(t, ctl, rows, w, rng)
 	dst := memarch.RowAddr{Subarray: 3, Row: 900}
-	res, err := s.OR(rows, bits, dst)
+	res, err := s.Execute(sense.OpOR, rows, bits, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The expanded trace must be strictly longer than the one plain
+	// The expanded program must be strictly longer than the one plain
 	// request the zero-fault path would have issued, and must include
-	// opaque verification segments.
-	if len(res.Trace) < 3 {
-		t.Fatalf("heavy-fault trace has only %d segments", len(res.Trace))
+	// verification passes that occupy a bank.
+	if n := res.Program.Len(); n < 3 {
+		t.Fatalf("heavy-fault program has only %d instructions", n)
 	}
-	opaque := 0
-	for _, seg := range res.Trace {
-		if seg.Cmds == nil {
-			if seg.Seconds <= 0 {
-				t.Fatalf("opaque segment without latency: %+v", seg)
-			}
-			opaque++
+	verifies := 0
+	for _, in := range res.Program.Instrs {
+		if in.Kind == cmdstream.KindVerify && in.Seconds > 0 {
+			verifies++
 		}
 	}
-	if opaque == 0 {
-		t.Fatal("no verification segments in a verified schedule")
+	if verifies == 0 {
+		t.Fatal("no verification passes in a verified schedule")
 	}
-	tech := nvm.Get(nvm.PCM)
-	got := traceSeconds(res.Trace, tech.Timing, ctl.Bus())
+	got := requestSeconds(ctl, res.Program)
 	if math.Abs(got-res.Cost.Seconds) > res.Cost.Seconds*1e-12 {
-		t.Errorf("trace seconds %g != cost %g", got, res.Cost.Seconds)
+		t.Errorf("request seconds %g != cost %g", got, res.Cost.Seconds)
 	}
 }

@@ -7,24 +7,14 @@ import (
 
 // Option configures one Apply, Batch, Plan or batch-window call. Options
 // follow the functional-options pattern: the zero call is the legacy
-// default (FIFO arbitration, background context, program cache as
-// configured), and each option overrides one knob without widening the
-// signature.
-//
-// Precedence rule (the one rule, for every option that shadows a Config
-// field): Config sets the System-wide default at construction;
-// an Option overrides it for the duration of that one call. So
-// Config.DisableProgramCache turns the cache off by default, and
-// WithProgramCache(true/false) beats it for a single Apply/Batch/Plan.
+// default (FIFO arbitration, background context), and each option
+// overrides one knob without widening the signature.
 type Option func(*callOpts)
 
 // callOpts is the resolved per-call configuration.
 type callOpts struct {
 	arb Arbiter
 	ctx context.Context
-	// progCache is the per-call program-cache override: nil follows the
-	// System's configured default (Config.DisableProgramCache).
-	progCache *bool
 }
 
 // WithArbiter selects the channel arbitration policy the call schedules
@@ -36,42 +26,39 @@ func WithArbiter(arb Arbiter) Option {
 // WithContext attaches a cancellation context to the call. Apply observes
 // cancellation between row chunks: the completed prefix of row batches
 // stays applied (exactly as if a shorter vector had been processed) and
-// the call returns ctx.Err(). A Batch (or a batch window) observing
-// cancellation stops without merging any partial shard state: the System
-// is left exactly as if the cancelled batch had never started, and the
-// call returns ctx.Err(). The one exception is a fault-injected batch
-// that retired a row mid-run and fell back to the sequential replay on
-// the live system — there cancellation stops between ops and the
-// completed prefix remains applied, exactly as a sequence of Apply calls
-// interrupted at that point. Plan runs entirely on sandboxed copies, so
-// a cancelled Plan never has side effects.
+// the call returns ctx.Err(). A Batch (or a batch window) is
+// all-or-nothing: observing cancellation it stops without merging any
+// partial shard state, the System is left exactly as if the cancelled
+// batch had never started, and the call returns ctx.Err(). The one
+// exception is a fault-injected batch that retired a row mid-run and fell
+// back to the sequential replay on the live system — there cancellation
+// stops between ops and the completed prefix remains applied, exactly as
+// a sequence of Apply calls interrupted at that point. Plan runs entirely
+// on sandboxed copies, so a cancelled Plan never has side effects.
 func WithContext(ctx context.Context) Option {
 	return func(o *callOpts) { o.ctx = ctx }
-}
-
-// WithProgramCache overrides the lowered-program cache for this call:
-// true forces it on, false forces it off, regardless of
-// Config.DisableProgramCache (see the precedence rule on Option). The
-// cache is a pure latency optimisation — cached and uncached runs are
-// bit-identical — so the only reasons to touch this are benchmarking the
-// lowering cost itself or pinning that equivalence in tests.
-func WithProgramCache(enabled bool) Option {
-	return func(o *callOpts) { o.progCache = &enabled }
 }
 
 // resolveOpts folds a call's options over the defaults. A nil Option is
 // a caller bug (usually a conditional that forgot its else branch), so
 // it is rejected with an error instead of being silently skipped.
+//
+// The options write through a pointer that escapes to the heap, so the
+// zero-option call every hot loop makes returns the defaults without
+// taking it.
 func resolveOpts(opts []Option) (callOpts, error) {
-	o := callOpts{arb: ArbFIFO, ctx: context.Background()}
+	if len(opts) == 0 {
+		return callOpts{arb: ArbFIFO, ctx: context.Background()}, nil
+	}
+	o := &callOpts{arb: ArbFIFO}
 	for i, f := range opts {
 		if f == nil {
 			return callOpts{}, fmt.Errorf("pinatubo: option %d of %d is nil", i, len(opts))
 		}
-		f(&o)
+		f(o)
 	}
 	if o.ctx == nil {
 		o.ctx = context.Background()
 	}
-	return o, nil
+	return *o, nil
 }

@@ -65,9 +65,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.ctx == nil {
 		t.Error("default context is nil")
 	}
-	if o.progCache != nil {
-		t.Error("default call carries a program-cache override")
-	}
 	o, err = resolveOpts([]Option{WithContext(nil)})
 	if err != nil {
 		t.Fatal(err)

@@ -70,12 +70,8 @@ func driveRepeated(t *testing.T, s *System) [][]uint64 {
 // ledger, same hardware counters — the cache only skips re-lowering.
 func TestProgramCacheBitIdentical(t *testing.T) {
 	cached := newSys(t)
-	plainCfg := DefaultConfig()
-	plainCfg.DisableProgramCache = true
-	plain, err := New(plainCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := newSys(t)
+	plain.ctl.SetProgramCache(false)
 
 	a := driveRepeated(t, cached)
 	b := driveRepeated(t, plain)
@@ -94,7 +90,7 @@ func TestProgramCacheBitIdentical(t *testing.T) {
 		t.Errorf("repeated workload produced no cache traffic: %+v", pc)
 	}
 	if pp := plain.PerfStats(); pp.ProgramCacheHits != 0 || pp.ProgramCacheMisses != 0 {
-		t.Errorf("DisableProgramCache still produced cache traffic: %+v", pp)
+		t.Errorf("a disabled cache still produced cache traffic: %+v", pp)
 	}
 }
 
@@ -147,67 +143,6 @@ func TestProgramCacheInvalidatedOnLayoutChange(t *testing.T) {
 		if w != 7^9 {
 			t.Fatalf("word %d after layout change: %#x want %#x", i, w, 7^9)
 		}
-	}
-}
-
-// TestWithProgramCacheOverride pins the option-vs-Config precedence:
-// Config.DisableProgramCache sets the default, WithProgramCache overrides
-// it for exactly one call in either direction.
-func TestWithProgramCacheOverride(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DisableProgramCache = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := s.AllocGroup(3, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := []*BitVector{vs[0], vs[1]}
-
-	if _, err := s.Apply(OpAnd, vs[2], srcs); err != nil {
-		t.Fatal(err)
-	}
-	if p := s.PerfStats(); p.ProgramCacheHits != 0 || p.ProgramCacheMisses != 0 {
-		t.Fatalf("disabled-by-config call produced cache traffic: %+v", p)
-	}
-	if _, err := s.Apply(OpAnd, vs[2], srcs, WithProgramCache(true)); err != nil {
-		t.Fatal(err)
-	}
-	if p := s.PerfStats(); p.ProgramCacheMisses == 0 {
-		t.Fatalf("WithProgramCache(true) did not engage the cache: %+v", p)
-	}
-	if _, err := s.Apply(OpAnd, vs[2], srcs, WithProgramCache(true)); err != nil {
-		t.Fatal(err)
-	}
-	if p := s.PerfStats(); p.ProgramCacheHits == 0 {
-		t.Fatalf("second overridden call did not hit: %+v", p)
-	}
-	// Back to the Config default: no further traffic.
-	before := s.PerfStats()
-	if _, err := s.Apply(OpAnd, vs[2], srcs); err != nil {
-		t.Fatal(err)
-	}
-	after := s.PerfStats()
-	if after.ProgramCacheHits != before.ProgramCacheHits || after.ProgramCacheMisses != before.ProgramCacheMisses {
-		t.Errorf("default call after override produced cache traffic: %+v -> %+v", before, after)
-	}
-
-	// And the other direction: a default-on system with a one-call opt-out.
-	on, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := on.AllocGroup(3, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := on.Apply(OpAnd, ws[2], []*BitVector{ws[0], ws[1]}, WithProgramCache(false)); err != nil {
-		t.Fatal(err)
-	}
-	if p := on.PerfStats(); p.ProgramCacheHits != 0 || p.ProgramCacheMisses != 0 {
-		t.Errorf("WithProgramCache(false) still produced cache traffic: %+v", p)
 	}
 }
 
@@ -271,6 +206,65 @@ func bytesPerCall(f func(), runs int) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestApplyOnePathAllocs pins the per-call allocation count of every Op
+// on a warm cached system with verification off. Every in-memory op runs
+// through the one scheduler entry, which must add no allocation of its
+// own, so each costs exactly the controller's heap Result; popcount pays
+// for its per-row reads instead. (Before the scheduler took over every op
+// the counts were OR 7, AND/XOR/NOT/Copy 2 and popcount 4.)
+func TestApplyOnePathAllocs(t *testing.T) {
+	const bits = 1 << 16
+	cfg := DefaultConfig()
+	cfg.Resilience.Verify = VerifyOff
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := s.AllocGroup(5, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	data := make([]uint64, bits/64)
+	for _, v := range vs[1:] {
+		for i := range data {
+			data[i] = rng.Uint64()
+		}
+		if _, err := s.Write(v, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		op   Op
+		srcs []*BitVector
+		max  float64
+	}{
+		{OpOr, vs[1:], 1},
+		{OpAnd, vs[1:3], 1},
+		{OpXor, vs[1:3], 1},
+		{OpNot, vs[1:2], 1},
+		{OpCopy, vs[1:2], 1},
+		{OpPopcount, nil, 3},
+	}
+	for _, c := range cases {
+		call := func() {
+			if _, err := s.Apply(c.op, vs[0], c.srcs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // lower: a cache miss
+		call() // grow the controller's hit buffer
+		got := testing.AllocsPerRun(100, call)
+		t.Logf("%v: %.1f allocs/call", c.op, got)
+		if got > c.max {
+			t.Errorf("%v allocates %.1f per call, want at most %.0f", c.op, got, c.max)
+		}
+	}
+	if p := s.PerfStats(); p.ProgramCacheHits == 0 {
+		t.Errorf("no cache hits: %+v", p)
+	}
 }
 
 // TestCachedApplyRowSizedZeroAllocs pins that a warm cache hit allocates

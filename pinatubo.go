@@ -113,12 +113,6 @@ type Config struct {
 	// Resilience tunes the verify-and-retry ladder that guards results
 	// when faults are injected.
 	Resilience ResilienceConfig
-	// DisableProgramCache turns the lowered-program cache off by default
-	// for this System. The cache is a pure wall-clock optimisation —
-	// cached and uncached runs are bit-identical — so this is an escape
-	// hatch for measuring lowering cost, not a correctness knob. A
-	// per-call WithProgramCache option overrides it (see Option).
-	DisableProgramCache bool
 }
 
 // FaultConfig selects which hardware faults the simulated memory suffers.
@@ -294,6 +288,11 @@ type System struct {
 	// across calls so a steady-state fixed-arity Apply allocates nothing
 	// for it.
 	rowScratch []memarch.RowAddr
+	// prog is the lowered cmdstream program of the operation in progress:
+	// every scheduled row chunk of an Apply and every host read, in
+	// execution order. beginOp empties it; the batch executor copies it
+	// out after each op to schedule the batch on the channel.
+	prog cmdstream.Program
 
 	// sandboxPool recycles shard-sandbox Systems across batch windows
 	// (window.go): reset-on-get, capped, guarded by poolMu because Start
@@ -382,7 +381,7 @@ func New(cfg Config) (*System, error) {
 		alloc: alloc,
 		stats: Stats{Ops: make(map[string]int64)},
 	}
-	ctl.SetProgramCache(!cfg.DisableProgramCache)
+	ctl.SetProgramCache(true)
 	s.sched = &pimrt.Scheduler{
 		Ctl:     ctl,
 		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return pimrt.ScratchRow(geo, sub) },
@@ -521,12 +520,14 @@ func (s *System) bumpLayout() {
 	s.ctl.InvalidateProgramCache()
 }
 
-// beginOp opens a fresh per-operation fault substream. Every public
+// beginOp starts a public operation: it empties the operation's program
+// buffer and opens a fresh per-operation fault substream. Every public
 // operation (Apply/Batch op, Write, Read) draws its faults from a stream
 // seeded by (Seed, operation sequence number), which is what lets Batch
 // run fault-injected shards concurrently yet produce exactly the faults
 // sequential execution would have drawn.
 func (s *System) beginOp() {
+	s.prog.Reset()
 	if inj := s.ctl.Injector(); inj != nil {
 		inj.BeginOp()
 	}
@@ -635,10 +636,14 @@ func (s *System) getSandbox() (*System, error) {
 // finished (merged or discarded). The sandbox's program-cache traffic is
 // folded into the live System's PerfStats first, so cache observability
 // covers shard executions; the sandbox itself is reset on its next get.
+// Its last op's program and scheduler result are emptied now, so the pool
+// does not keep that op's command sequences and result words alive.
 func (s *System) putSandbox(sb *System) {
 	if sb == nil {
 		return
 	}
+	sb.prog.Reset()
+	sb.sched.Reset()
 	cs := sb.ctl.CacheStats()
 	s.poolMu.Lock()
 	s.cacheAbsorbed.Hits += cs.Hits
@@ -661,7 +666,7 @@ func (s *System) resetForReuse() {
 	if inj := s.ctl.Injector(); inj != nil {
 		inj.Reset()
 	}
-	s.sched.ResetStats()
+	s.sched.Reset()
 	for k := range s.stats.Ops {
 		delete(s.stats.Ops, k)
 	}
@@ -1013,7 +1018,7 @@ func (s *System) Read(b *BitVector) ([]uint64, Result, error) {
 		return nil, Result{}, err
 	}
 	words := make([]uint64, 0, bitvec.WordsFor(b.bits))
-	res, err := s.readInto(b, nil, func(row []uint64, _ int) { words = append(words, row...) })
+	res, err := s.readInto(b, func(row []uint64, _ int) { words = append(words, row...) })
 	if err != nil {
 		return nil, Result{}, err
 	}
@@ -1023,19 +1028,19 @@ func (s *System) Read(b *BitVector) ([]uint64, Result, error) {
 // readInto reads b through the host interface row by row and hands each
 // row's sensed words, with the row's bit count, to visit before the next
 // row is read. The words are the controller's (pim.Result.Words) and the
-// next read overwrites them, so visit copies whatever it keeps. When prog
-// is non-nil every controller request and verification pass of the read
-// is lowered into it, so the batch executor can schedule host reads
+// next read overwrites them, so visit copies whatever it keeps. Every
+// controller request and verification pass of the read is lowered into
+// the operation's program, so the batch executor schedules host reads
 // (OpPopcount) on the channel like any other operation. The caller has
 // checked b.
-func (s *System) readInto(b *BitVector, prog *cmdstream.Program, visit func(row []uint64, bits int)) (Result, error) {
+func (s *System) readInto(b *BitVector, visit func(row []uint64, bits int)) (Result, error) {
 	var seconds, joules float64
 	for i, addr := range b.rows {
 		bitsHere := s.RowBits()
 		if i == len(b.rows)-1 {
 			bitsHere = b.bits - i*s.RowBits()
 		}
-		row, sec, j, err := s.readRow(addr, bitsHere, prog)
+		row, sec, j, err := s.readRow(addr, bitsHere)
 		if err != nil {
 			return Result{}, err
 		}
@@ -1050,16 +1055,14 @@ func (s *System) readInto(b *BitVector, prog *cmdstream.Program, visit func(row 
 // are checked against the row's true contents and the read reissued on a
 // flip (plain reads run at the full read margin, so this almost never
 // loops — but a wrong word never escapes).
-func (s *System) readRow(addr memarch.RowAddr, bitsHere int, prog *cmdstream.Program) ([]uint64, float64, float64, error) {
+func (s *System) readRow(addr memarch.RowAddr, bitsHere int) ([]uint64, float64, float64, error) {
 	var seconds, joules float64
 	for try := 0; ; try++ {
 		r, err := s.ctl.ReadRow(addr, bitsHere)
 		if err != nil {
 			return nil, seconds, joules, err
 		}
-		if prog != nil {
-			prog.Emit(r.Instr())
-		}
+		s.prog.Emit(r.Instr())
 		seconds += r.Seconds
 		joules += r.Energy.Total()
 		if s.sched.Res == nil {
@@ -1076,9 +1079,7 @@ func (s *System) readRow(addr memarch.RowAddr, bitsHere int, prog *cmdstream.Pro
 			if v.Seconds > 0 { // a decode actually ran (row was encoded)
 				s.hostEccDecodes++
 			}
-			if prog != nil {
-				prog.Emit(v.Instr(addr))
-			}
+			s.prog.Emit(v.Instr(addr))
 			seconds += v.Seconds
 			joules += v.Energy.Total()
 			s.hostEccCorrected += int64(v.CorrectedBits)
@@ -1262,18 +1263,6 @@ func placementClass(p workload.Placement) PlacementClass {
 	}
 }
 
-// classFromPim maps the controller's class onto the public one.
-func classFromPim(c pim.Class) PlacementClass {
-	switch c {
-	case pim.ClassInterBank:
-		return PlaceInterBank
-	case pim.ClassInterSub:
-		return PlaceInterSubarray
-	default:
-		return PlaceIntraSubarray
-	}
-}
-
 // validateOp checks an operation's arity and operand handles/lengths — the
 // shared front door of Apply and Batch.
 func (s *System) validateOp(op Op, dst *BitVector, srcs []*BitVector) error {
@@ -1299,42 +1288,29 @@ func (s *System) validateOp(op Op, dst *BitVector, srcs []*BitVector) error {
 }
 
 // Apply computes dst = op(srcs...) inside the memory. It validates the
-// operation's arity, runs every row batch of the vectors, and reports the
-// folded cost with Class set to the worst placement class any batch took
-// (the native path of the operands, even when a batch was degraded to a
-// slower one by the resilience layer).
+// operation's arity, runs every row batch of the vectors through the
+// runtime scheduler, and reports the folded cost with Class set to the
+// worst placement class any batch took (the native path of the operands,
+// even when a batch was degraded to a slower one by the resilience layer).
 //
 // Options: WithContext attaches cancellation, observed between row
 // chunks — a cancelled multi-row Apply stops with ctx.Err() and the
 // completed prefix of row batches stays applied, exactly as if a shorter
-// vector had been processed. WithProgramCache overrides the System's
-// program-cache default for this call. WithArbiter is accepted for
-// signature uniformity but has no effect: a single Apply issues its
-// requests back-to-back, so there is nothing to arbitrate.
+// vector had been processed. WithArbiter is accepted for signature
+// uniformity but has no effect: a single Apply issues its requests
+// back-to-back, so there is nothing to arbitrate.
 func (s *System) Apply(op Op, dst *BitVector, srcs []*BitVector, opts ...Option) (Result, error) {
 	o, err := resolveOpts(opts)
 	if err != nil {
 		return Result{}, err
 	}
-	return s.applyOpts(op, dst, srcs, nil, o)
-}
-
-// apply is Apply with an optional program capture under default options:
-// when prog is non-nil the operation's full lowered cmdstream program
-// (every controller request and verification pass, in execution order) is
-// appended to it. The batch executor schedules those programs through
-// chansim and owns its own cancellation (between ops, not row chunks).
-func (s *System) apply(op Op, dst *BitVector, srcs []*BitVector, prog *cmdstream.Program) (Result, error) {
-	return s.applyOpts(op, dst, srcs, prog, callOpts{arb: ArbFIFO})
+	return s.applyOpts(op, dst, srcs, o)
 }
 
 // applyOpts is the Apply implementation with resolved per-call options.
-func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, prog *cmdstream.Program, o callOpts) (Result, error) {
-	if o.progCache != nil && *o.progCache != s.ctl.ProgramCacheEnabled() {
-		prev := s.ctl.ProgramCacheEnabled()
-		s.ctl.SetProgramCache(*o.progCache)
-		defer s.ctl.SetProgramCache(prev)
-	}
+// The batch executor calls it with zero options (no cancellation between
+// row chunks) and copies the operation's program out of s.prog.
+func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, o callOpts) (Result, error) {
 	if err := s.validateOp(op, dst, srcs); err != nil {
 		return Result{}, err
 	}
@@ -1345,7 +1321,7 @@ func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, prog *cmdst
 		// counted as it arrives (masking its partial tail word), so no
 		// vector is assembled.
 		n := 0
-		res, err := s.readInto(dst, prog, func(row []uint64, bits int) { n += bitvec.PopcountWords(row, bits) })
+		res, err := s.readInto(dst, func(row []uint64, bits int) { n += bitvec.PopcountWords(row, bits) })
 		if err != nil {
 			return Result{}, err
 		}
@@ -1379,61 +1355,20 @@ func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, prog *cmdst
 		if batch == len(dst.rows)-1 {
 			bitsHere = dst.bits - batch*s.RowBits()
 		}
-		if op == OpOr {
-			// The OR scheduler owns its own placement planning (per-subarray
-			// one-step groups plus a combine step) and verification.
-			p, err := pimrt.PlacementOf(rows)
-			if err != nil {
-				return Result{}, err
-			}
-			class = worseClass(class, placementClass(p))
-			res, err := s.sched.OR(rows, bitsHere, dst.rows[batch])
-			if err != nil {
-				return Result{}, err
-			}
-			if res.FinalDst != dst.rows[batch] {
-				s.dropReplicas(dst.rows[batch])
-			}
-			dst.rows[batch] = res.FinalDst
-			if prog != nil {
-				prog.Append(res.Program)
-			}
-			seconds += res.Cost.Seconds
-			joules += res.Cost.Joules
-			requests += res.Requests
-			resil.add(res)
-			continue
-		}
-		if s.sched.Res == nil {
-			res, err := s.ctl.Execute(sop, rows, bitsHere, &dst.rows[batch])
-			if err != nil {
-				return Result{}, err
-			}
-			if prog != nil {
-				prog.Emit(res.Instr())
-			}
-			seconds += res.Seconds
-			joules += res.Energy.Total()
-			requests++
-			class = worseClass(class, classFromPim(res.Class))
-			continue
-		}
-		cl, err := s.ctl.Classify(rows)
+		p, err := pimrt.PlacementOf(rows)
 		if err != nil {
 			return Result{}, err
 		}
-		class = worseClass(class, classFromPim(cl))
+		class = worseClass(class, placementClass(p))
 		res, err := s.sched.Execute(sop, rows, bitsHere, dst.rows[batch])
 		if err != nil {
 			return Result{}, err
 		}
 		if res.FinalDst != dst.rows[batch] {
 			s.dropReplicas(dst.rows[batch])
+			dst.rows[batch] = res.FinalDst
 		}
-		dst.rows[batch] = res.FinalDst
-		if prog != nil {
-			prog.Append(res.Program)
-		}
+		s.prog.Append(res.Program)
 		seconds += res.Cost.Seconds
 		joules += res.Cost.Joules
 		requests += res.Requests
@@ -1551,9 +1486,9 @@ func (s *System) HardwareCounters() HardwareCounters {
 // FaultStats is the system's cumulative fault-and-resilience ledger: what
 // the injected fault model actually did to the hardware (ground truth) and
 // what the verify-and-retry layer did about it. All zero when Config.Fault
-// is zero. Batch execution updates this ledger too: with an injector
-// attached a batch runs its ops in order on the live system, so the ledger
-// reads exactly as a sequence of Apply calls.
+// is zero. Batch execution updates this ledger too: every op draws its
+// faults from its own per-operation substream, so the merged shard ledgers
+// read exactly as the same ops issued as a sequence of Apply calls.
 type FaultStats struct {
 	// Ground truth from the injector.
 	SenseFlips       int64 // bits flipped on the sensing path

@@ -253,20 +253,15 @@ func (s *System) sampleTraces(op Op, concurrency int, faultRate float64, rep int
 	if err != nil {
 		return nil, err
 	}
-	nsrc := 1
-	switch op {
-	case OpOr:
-		nsrc = sb.MaxORRows()
-	case OpAnd, OpXor:
-		nsrc = 2
-	case OpNot, OpCopy:
-		nsrc = 1
-	case OpPopcount:
-		// Plan rejects OpPopcount before sampling; guard anyway so a future
-		// caller cannot reach the scheduler with a host-only op.
-		return nil, fmt.Errorf("pinatubo: %v is host traffic, not a channel operation", op)
-	default:
-		return nil, fmt.Errorf("pinatubo: unknown Op %d", int(op))
+	// op.internal rejects OpPopcount (Plan does too, before sampling), so
+	// only channel operations reach the scheduler.
+	sop, err := op.internal()
+	if err != nil {
+		return nil, err
+	}
+	nsrc := sb.MaxORRows()
+	if _, hi := op.arity(); hi >= 0 {
+		nsrc = hi
 	}
 	rows, err := sb.alloc.AllocGroupRows(nsrc)
 	if err != nil {
@@ -281,16 +276,7 @@ func (s *System) sampleTraces(op Op, concurrency int, faultRate float64, rep int
 
 	reqs := make([]chansim.Request, concurrency)
 	for i := 0; i < concurrency; i++ {
-		var sr *pimrt.ScheduleResult
-		if op == OpOr && nsrc > 1 {
-			sr, err = sb.sched.OR(rows, bits, dst)
-		} else {
-			sop, ierr := op.internal()
-			if ierr != nil {
-				return nil, ierr
-			}
-			sr, err = sb.sched.Execute(sop, rows, bits, dst)
-		}
+		sr, err := sb.sched.Execute(sop, rows, bits, dst)
 		if err != nil {
 			return nil, fmt.Errorf("pinatubo: sampling plan trace %d: %w", i, err)
 		}

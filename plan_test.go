@@ -6,6 +6,7 @@ import (
 
 	"pinatubo/internal/chansim"
 	"pinatubo/internal/pimrt"
+	"pinatubo/internal/sense"
 )
 
 // planReference captures one bare controller-level OR trace from an
@@ -19,14 +20,18 @@ func planReference(t *testing.T) chansim.Request {
 		t.Fatal(err)
 	}
 	geo := ref.mem.Geometry()
-	sr, err := ref.sched.OR(rows, ref.RowBits(), pimrt.ScratchRow(geo, rows[0]))
+	sr, err := ref.sched.Execute(sense.OpOR, rows, ref.RowBits(), pimrt.ScratchRow(geo, rows[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sr.Trace) != 1 || sr.Trace[0].Cmds == nil {
-		t.Fatalf("zero-fault OR trace has %d segments, want 1 command segment", len(sr.Trace))
+	if sr.Program.Len() != 1 || sr.Program.Instrs[0].Cmds == nil {
+		t.Fatalf("zero-fault OR program has %d instructions, want 1 command request", sr.Program.Len())
 	}
-	return chansim.FromDDR("or", sr.Trace[0].Cmds, ref.mem.Tech().Timing, ref.ctl.Bus(), geo.BanksPerChip)
+	tmpl := chansim.FromDDR("or", sr.Program.Instrs[0].Cmds, ref.mem.Tech().Timing, ref.ctl.Bus(), geo.BanksPerChip)
+	if d := tmpl.Duration(); d != sr.Cost.Seconds {
+		t.Fatalf("template duration %g != scheduled cost %g", d, sr.Cost.Seconds)
+	}
+	return tmpl
 }
 
 func TestPlanZeroFaultMatchesChansim(t *testing.T) {

@@ -205,10 +205,10 @@ type BatchRun struct {
 // entirely on sandboxes, which is what makes overlapping the next
 // window's admission race-free. The builder is reset to empty.
 //
-// Unlike Batch, Start always sandboxes, even a single-shard window: the
-// point is overlap, and the merge in Wait keeps every integer counter
-// exact (float totals are summed per shard, so they can differ from the
-// op-order sum by ULPs).
+// Start always sandboxes, even a single-shard window: the point is
+// overlap, and the merge in Wait keeps every integer counter exact (float
+// totals are summed per shard, so they can differ from the op-order sum
+// by ULPs).
 func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 	o, err := resolveOpts(opts)
 	if err != nil {
@@ -274,12 +274,13 @@ func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 				for j, src := range r.ops[i].Srcs {
 					srcs[j] = st.vecs[src]
 				}
-				res, err := st.sys.apply(r.ops[i].Op, st.vecs[r.ops[i].Dst], srcs, &r.progs[i])
+				res, err := st.sys.applyOpts(r.ops[i].Op, st.vecs[r.ops[i].Dst], srcs, callOpts{})
 				if err != nil {
 					r.errs[i] = err
 					return
 				}
 				r.results[i] = res
+				r.progs[i].Append(st.sys.prog)
 			}
 		}(si)
 	}
