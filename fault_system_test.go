@@ -266,3 +266,72 @@ func TestZeroFaultConfigIsBitIdentical(t *testing.T) {
 		t.Fatalf("inert Replicate=3 changed totals: %+v vs %+v", st1, st3)
 	}
 }
+
+// A rejected Read must not open a fault substream. Read validates its
+// vector before beginOp, as Apply and Write do, so a system that made a
+// bad Read call draws exactly the faults of a twin that never made it:
+// same sense flips, same ladder activity, same results.
+func TestRejectedReadKeepsFaultStream(t *testing.T) {
+	const bits = 4096
+	run := func(badReads bool) (FaultStats, []uint64) {
+		s := faultySys(t, FaultConfig{Seed: 1, SenseFlipRate: 1e-2})
+		rng := rand.New(rand.NewSource(3))
+		vs, err := s.AllocGroup(64, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			words := make([]uint64, bitvec.WordsFor(bits))
+			for j := range words {
+				words[j] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+			if _, err := s.Write(v, words); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst, err := s.Alloc(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed, err := s.Alloc(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Free(freed); err != nil {
+			t.Fatal(err)
+		}
+		foreign, err := newSys(t).Alloc(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if badReads {
+			if _, _, err := s.Read(freed); err == nil {
+				t.Fatal("Read of a freed vector succeeded")
+			}
+			if _, _, err := s.Read(foreign); err == nil {
+				t.Fatal("Read of a foreign vector succeeded")
+			}
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := s.Or(dst, vs...); err != nil {
+				t.Fatalf("or %d: %v", i, err)
+			}
+		}
+		got, _, err := s.Read(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.FaultStats(), got
+	}
+	clean, want := run(false)
+	twin, got := run(true)
+	if clean.SenseFlips == 0 {
+		t.Fatal("no sense flips injected; the comparison is vacuous")
+	}
+	if twin != clean {
+		t.Errorf("rejected Reads changed the fault stream:\n got %+v\nwant %+v", twin, clean)
+	}
+	if !bitvec.EqualWords(got, want, bits) {
+		t.Error("rejected Reads changed the OR result")
+	}
+}

@@ -56,8 +56,8 @@ func TestFrozenProg(t *testing.T) {
 	linttest.Run(t, lint.FrozenProg, "testdata/src/frozenprog")
 }
 
-func TestAliasWrite(t *testing.T) {
-	linttest.Run(t, lint.AliasWrite, "testdata/src/aliaswrite")
+func TestRowWrite(t *testing.T) {
+	linttest.Run(t, lint.RowWrite, "testdata/src/rowwrite")
 }
 
 func TestJoinAll(t *testing.T) {

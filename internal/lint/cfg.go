@@ -2,11 +2,11 @@ package lint
 
 // This file is the control-flow half of pinlint's analysis engine: an
 // intra-procedural CFG built from go/ast alone (no SSA, no x/tools), with
-// dominator computation on top. The concurrency-ownership analyzers
-// (lockpair, aliaswrite, frozenprog) need exactly two questions answered
-// that per-function AST walks cannot: "which statements can execute after
-// this one" (reachability along edges, including loop back-edges) and
-// "does every path to this statement pass through that guard" (dominance).
+// dominator computation on top. It answers two questions per-function AST
+// walks cannot: "which statements can execute after this one"
+// (reachability along edges, including loop back-edges), which the
+// concurrency-ownership analyzers (lockpair, frozenprog) ask, and "does
+// every path to this statement pass through that node" (dominance).
 // The CFG is statement-granular — each Block holds the ast.Nodes that
 // execute unconditionally together, in order — which keeps transfer
 // functions simple folds over Block.Nodes.

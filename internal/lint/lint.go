@@ -204,7 +204,7 @@ func All() []*Analyzer {
 		IgnoreReason,
 		LoopOwner,
 		FrozenProg,
-		AliasWrite,
+		RowWrite,
 		JoinAll,
 		LockPair,
 	}

@@ -1,6 +1,7 @@
 package memarch
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -321,6 +322,48 @@ func BenchmarkReadRow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.ReadRow(addr)
+	}
+}
+
+// BenchmarkWriteRow writes 128, 2,048 and 8,192 words into one row of the
+// default geometry. In the narrow cases the row starts out holding a
+// 128-word vector and then holds what the loop writes, so its extent never
+// exceeds the write and nothing beyond the written words is cleared. In
+// the full cases MutableRow widens the row's extent to the whole row
+// before every write, as a row that last held a full-row vector (or had
+// stuck bits forced) has it, so each write also clears the rest of the
+// row. The gap between the two is the row-width cost WriteRow avoids.
+func BenchmarkWriteRow(b *testing.B) {
+	for _, prev := range []string{"narrow", "full"} {
+		for _, n := range []int{128, 2048, 8192} {
+			b.Run(fmt.Sprintf("prev=%s/words=%d", prev, n), func(b *testing.B) {
+				m, err := NewMemory(Default(), nvm.Get(nvm.PCM))
+				if err != nil {
+					b.Fatal(err)
+				}
+				addr := RowAddr{Row: 1}
+				words := make([]uint64, n)
+				for i := range words {
+					words[i] = uint64(i) | 1
+				}
+				if err := m.WriteRow(addr, words[:128]); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(n * 8))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if prev == "full" {
+						if _, err := m.MutableRow(addr); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := m.WriteRow(addr, words); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

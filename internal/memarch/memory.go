@@ -13,13 +13,20 @@ import (
 // and unwritten rows read as all zeros — the RESET (high-resistance, logic
 // "0") state a fresh PCM array powers up in.
 //
+// Every materialised row keeps its full-width backing and a written
+// extent: every word at or beyond the extent is zero. Rows change only
+// through Memory's mutators (WriteRow, CopyRow, MutableRow), which keep
+// the extent current, so writes, copies and Reset touch only the words
+// below it — a row holding an 8,192-bit vector costs 128 words to
+// rewrite, not the 8,192 of a 524,288-bit row.
+//
 // Memory also owns the two buffer levels Pinatubo's inter-subarray and
 // inter-bank datapaths latch results in: one global row buffer per bank and
 // one I/O buffer per rank.
 type Memory struct {
 	geo  Geometry
 	tech nvm.Params
-	rows map[uint64][]uint64
+	rows map[uint64]row
 
 	// globalBuf[channel][rank][bank] is the bank's global row buffer.
 	globalBuf map[[3]int][]uint64
@@ -37,12 +44,31 @@ type Memory struct {
 	// freeRows recycles zeroed row storage from Reset, so a pooled shard
 	// memory re-materialises its working set without fresh allocations.
 	freeRows [][]uint64
+}
 
-	// aliased marks rows whose backing is borrowed read-only from another
-	// Memory (AliasRow). Reset detaches them instead of zeroing and
-	// recycling them, and WriteRow refuses them — a write to a borrowed
-	// row would corrupt the lender.
-	aliased map[uint64]bool
+// row is one materialised row.
+type row struct {
+	// words is the full-width backing.
+	words []uint64
+	// extent bounds the words the row holds: every word at or beyond it
+	// is zero.
+	extent int
+	// borrowed marks backing lent read-only by another Memory (AliasRow).
+	// Reset detaches it instead of zeroing and recycling it, and every
+	// mutator refuses it — a write to a borrowed row would corrupt the
+	// lender.
+	borrowed bool
+}
+
+// fill overwrites the row with src and zeroes only the old words src does
+// not cover, returning the row with its new extent.
+func (r row) fill(src []uint64) row {
+	n := copy(r.words, src)
+	if n < r.extent {
+		clear(r.words[n:r.extent])
+	}
+	r.extent = n
+	return r
 }
 
 // NewMemory builds a memory with the given geometry and technology.
@@ -53,7 +79,7 @@ func NewMemory(geo Geometry, tech nvm.Params) (*Memory, error) {
 	return &Memory{
 		geo:         geo,
 		tech:        tech,
-		rows:        make(map[uint64][]uint64),
+		rows:        make(map[uint64]row),
 		globalBuf:   make(map[[3]int][]uint64),
 		ioBuf:       make(map[[2]int][]uint64),
 		writeCounts: make(map[uint64]int64),
@@ -70,62 +96,61 @@ func (m *Memory) Tech() nvm.Params { return m.tech }
 func (m *Memory) RowReads() int64  { return m.rowReads }
 func (m *Memory) RowWrites() int64 { return m.rowWrites }
 
-// row returns the backing words of addr, materialising them if needed.
-func (m *Memory) row(addr RowAddr) []uint64 {
+// row returns addr's key and row, materialising it (zeroed, extent 0) if
+// needed.
+func (m *Memory) row(addr RowAddr) (uint64, row) {
 	key := m.geo.Encode(addr)
 	r, ok := m.rows[key]
 	if !ok {
 		if n := len(m.freeRows); n > 0 {
-			r = m.freeRows[n-1]
+			r.words = m.freeRows[n-1]
 			m.freeRows = m.freeRows[:n-1]
 		} else {
-			r = make([]uint64, m.geo.RowWords())
+			r.words = make([]uint64, m.geo.RowWords())
 		}
 		m.rows[key] = r
 	}
-	return r
+	return key, r
+}
+
+// writable is row for a mutator: it refuses a borrowed row.
+func (m *Memory) writable(addr RowAddr) (uint64, row, error) {
+	key, r := m.row(addr)
+	if r.borrowed {
+		return 0, row{}, fmt.Errorf("memarch: write to row %v borrowed read-only via AliasRow", addr)
+	}
+	return key, r, nil
 }
 
 // AliasRow installs words as addr's backing without copying. The row is
 // borrowed read-only from another Memory: Reset detaches it (never zeroes
-// or recycles it) and WriteRow refuses it. The batch executor aliases a
-// shard's read-only footprint rows this way, so window setup does not
+// or recycles it) and every mutator refuses it. The batch executor aliases
+// a shard's read-only footprint rows this way, so window setup does not
 // copy data nothing in the window writes.
 func (m *Memory) AliasRow(addr RowAddr, words []uint64) {
-	key := m.geo.Encode(addr)
-	m.rows[key] = words
-	if m.aliased == nil {
-		m.aliased = make(map[uint64]bool)
-	}
-	m.aliased[key] = true
+	m.rows[m.geo.Encode(addr)] = row{words: words, extent: len(words), borrowed: true}
 }
 
 // Aliased reports whether addr's backing is borrowed via AliasRow.
 func (m *Memory) Aliased(addr RowAddr) bool {
-	return len(m.aliased) > 0 && m.aliased[m.geo.Encode(addr)]
+	return m.rows[m.geo.Encode(addr)].borrowed
 }
 
 // Reset restores the memory to its fresh all-zeros state: every
-// materialised row, buffer and counter is cleared. Row storage is zeroed
-// and kept on a freelist, so a pooled shard memory that re-materialises a
-// similar working set on its next window allocates nothing for it.
-// Borrowed rows are detached untouched — their storage belongs to the
-// lending memory.
+// materialised row, buffer and counter is cleared. A row is zeroed up to
+// its extent only and kept on a freelist, so a pooled shard memory that
+// re-materialises a similar working set on its next window allocates
+// nothing for it. Borrowed rows are detached untouched — their storage
+// belongs to the lending memory.
 func (m *Memory) Reset() {
 	for k, r := range m.rows {
-		if len(m.aliased) > 0 && m.aliased[k] {
-			delete(m.rows, k)
+		delete(m.rows, k)
+		if r.borrowed {
 			continue
 		}
-		for i := range r {
-			r[i] = 0
-		}
+		clear(r.words[:r.extent])
 		//pinlint:ignore maporder recycled buffers are zeroed and interchangeable; pop order is unobservable
-		m.freeRows = append(m.freeRows, r)
-		delete(m.rows, k)
-	}
-	for k := range m.aliased {
-		delete(m.aliased, k)
+		m.freeRows = append(m.freeRows, r.words)
 	}
 	for k, b := range m.globalBuf {
 		for i := range b {
@@ -150,39 +175,75 @@ func (m *Memory) Reset() {
 	m.rowWrites = 0
 }
 
-// PeekRow returns the words of a row without copying and without counting
-// a read access. Intended for the PIM datapath, which accounts for accesses
-// itself; ordinary clients should use ReadRow.
-func (m *Memory) PeekRow(addr RowAddr) []uint64 { return m.row(addr) }
+// PeekRow returns the full-width words of a row without copying and
+// without counting a read access. Intended for the PIM datapath, which
+// accounts for accesses itself; ordinary clients should use ReadRow. The
+// slice is read-only outside this package: mutate rows through WriteRow,
+// CopyRow or MutableRow, which keep the row's extent (pinlint's rowwrite
+// analyzer enforces this).
+func (m *Memory) PeekRow(addr RowAddr) []uint64 {
+	_, r := m.row(addr)
+	return r.words
+}
 
 // ReadRow returns a copy of the row's words.
 func (m *Memory) ReadRow(addr RowAddr) []uint64 {
 	m.rowReads++
-	src := m.row(addr)
-	dst := make([]uint64, len(src))
-	copy(dst, src)
+	_, r := m.row(addr)
+	dst := make([]uint64, len(r.words))
+	copy(dst, r.words[:r.extent])
 	return dst
 }
 
-// WriteRow overwrites the row with words (shorter slices zero-fill the
-// rest; longer slices are an error).
+// WriteRow overwrites the row with words: shorter slices leave the rest
+// of the row zero, longer slices are an error, and a borrowed row is
+// refused. It copies len(words) words and clears only the words the row
+// held beyond them, so its cost is proportional to the old and new
+// extents, not to the row width.
 func (m *Memory) WriteRow(addr RowAddr, words []uint64) error {
 	if len(words) > m.geo.RowWords() {
 		return fmt.Errorf("memarch: writing %d words into a %d-word row %v",
 			len(words), m.geo.RowWords(), addr)
 	}
-	key := m.geo.Encode(addr)
-	if len(m.aliased) > 0 && m.aliased[key] {
-		return fmt.Errorf("memarch: write to row %v borrowed read-only via AliasRow", addr)
+	key, r, err := m.writable(addr)
+	if err != nil {
+		return err
 	}
 	m.rowWrites++
 	m.writeCounts[key]++
-	dst := m.row(addr)
-	n := copy(dst, words)
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
+	m.rows[key] = r.fill(words)
 	return nil
+}
+
+// CopyRow overwrites addr with src's row at the same address. The batch
+// executor uses it to snapshot live rows into a shard memory and to merge
+// a shard's rows back. Like WriteRow it touches only the two extents and
+// refuses a borrowed destination; unlike WriteRow it counts no access,
+// because it models no hardware write (AbsorbCounters merges the wear
+// ledger).
+func (m *Memory) CopyRow(addr RowAddr, src *Memory) error {
+	key, r, err := m.writable(addr)
+	if err != nil {
+		return err
+	}
+	_, s := src.row(addr)
+	m.rows[key] = r.fill(s.words[:s.extent])
+	return nil
+}
+
+// MutableRow returns addr's full-width words for an in-place update that
+// may touch any word, and widens the row's extent to the whole row. The
+// controller forces a worn row's stuck-at cells through it: stuck cells
+// can sit anywhere in a row, beyond the words the last write covered. A
+// borrowed row is refused. No access is counted.
+func (m *Memory) MutableRow(addr RowAddr) ([]uint64, error) {
+	key, r, err := m.writable(addr)
+	if err != nil {
+		return nil, err
+	}
+	r.extent = len(r.words)
+	m.rows[key] = r
+	return r.words, nil
 }
 
 // MaterializedRows reports how many rows have backing storage (testing aid).

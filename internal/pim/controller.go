@@ -709,7 +709,14 @@ func (c *Controller) store(addr memarch.RowAddr, words []uint64) error {
 		}
 		c.inj.RecordWriteShared(key, share)
 		if c.inj.Worn(key) {
-			c.inj.CorruptStored(key, c.mem.PeekRow(addr))
+			// Stuck cells can sit anywhere in the row, beyond the words
+			// just written, so they are forced through the full-row
+			// mutator.
+			row, err := c.mem.MutableRow(addr)
+			if err != nil {
+				return err
+			}
+			c.inj.CorruptStored(key, row)
 		}
 	}
 	return nil

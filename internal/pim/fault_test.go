@@ -291,3 +291,45 @@ func TestWearCorruptsStoredRowAfterLimit(t *testing.T) {
 		t.Fatal("memory corrupted without the wear model claiming it")
 	}
 }
+
+// Stuck cells can sit anywhere in a row, so a narrow write to a worn row
+// must still show a stuck-at-1 cell far beyond the words it covers —
+// whether the row was fresh, last held a narrow vector, or receives an
+// op result.
+func TestStuckBitBeyondNarrowWriteShows(t *testing.T) {
+	c := newCtl(t, nvm.PCM)
+	inj := attachInjector(t, c, fault.Config{Seed: 2})
+	geo := c.mem.Geometry()
+	const bits = 8192
+	src := memarch.RowAddr{Row: 4}
+	dst := memarch.RowAddr{Row: 5}
+	pos := geo.RowBits() - 3
+	inj.SetRowState(geo.Encode(dst), fault.RowState{Wear: 1,
+		Stuck: []fault.StuckBit{{Pos: pos, Val: true}}})
+	if pos/64 < bits/64 {
+		t.Fatal("stuck cell inside the narrow write; the test is vacuous")
+	}
+	stuckShows := func(step string) {
+		t.Helper()
+		if c.mem.PeekRow(dst)[pos/64]>>(pos%64)&1 != 1 {
+			t.Fatalf("%s: stuck-at-1 bit %d beyond the %d-bit write reads 0", step, pos, bits)
+		}
+	}
+	zeros := make([]uint64, bits/64)
+	for i := 0; i < 2; i++ {
+		if _, err := c.WriteRowFromHost(dst, zeros, bits); err != nil {
+			t.Fatal(err)
+		}
+		stuckShows("host write")
+	}
+	if _, err := c.WriteRowFromHost(src, zeros, bits); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(sense.OpINV, []memarch.RowAddr{src}, bits, &dst); err != nil {
+		t.Fatal(err)
+	}
+	stuckShows("op result")
+	if got := inj.Stats().StuckBitsForced; got != 3 {
+		t.Errorf("StuckBitsForced = %d, want 3", got)
+	}
+}

@@ -1013,10 +1013,10 @@ func (s *System) writeRowECC(addr *memarch.RowAddr, chunk, golden []uint64, bits
 // Read returns the vector contents through the host interface. The
 // returned words are the caller's.
 func (s *System) Read(b *BitVector) ([]uint64, Result, error) {
-	s.beginOp()
 	if err := b.check(s); err != nil {
 		return nil, Result{}, err
 	}
+	s.beginOp()
 	words := make([]uint64, 0, bitvec.WordsFor(b.bits))
 	res, err := s.readInto(b, func(row []uint64, _ int) { words = append(words, row...) })
 	if err != nil {

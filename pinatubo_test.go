@@ -602,3 +602,84 @@ func TestHottestRowExposed(t *testing.T) {
 		t.Errorf("HottestRow=%q/%d want 3 writes", desc, n)
 	}
 }
+
+// Freed rows are reused across vector widths. A narrow host write or op
+// result stored into a row that last held a full-row vector of ones must
+// leave the rest of the row zero, so a full-row vector later allocated on
+// the same row reads the narrow data followed by zeros — exactly as if
+// every write cleared the whole row.
+func TestRowReuseAcrossWidths(t *testing.T) {
+	s := newSys(t)
+	full := s.RowBits()
+	const narrow = 8192
+	ones := make([]uint64, full/64)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	alloc := func(bits int, want []memarch.RowAddr) []*BitVector {
+		t.Helper()
+		vs := make([]*BitVector, 2)
+		for i := range vs {
+			v, err := s.Alloc(bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want != nil && v.rows[0] != want[i] {
+				t.Fatalf("%d-bit vector %d on row %v, want the freed row %v", bits, i, v.rows[0], want[i])
+			}
+			vs[i] = v
+		}
+		return vs
+	}
+	free := func(vs []*BitVector) {
+		t.Helper()
+		for _, v := range vs {
+			if err := s.Free(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	wide := alloc(full, nil)
+	rows := []memarch.RowAddr{wide[0].rows[0], wide[1].rows[0]}
+	for _, v := range wide {
+		if _, err := s.Write(v, ones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	free(wide)
+
+	// One narrow row is written by the host, the other holds an op result.
+	small := alloc(narrow, rows)
+	data := make([]uint64, narrow/64)
+	for i := range data {
+		data[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+	}
+	if _, err := s.Write(small[0], data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Not(small[1], small[0]); err != nil {
+		t.Fatal(err)
+	}
+	free(small)
+
+	again := alloc(full, rows)
+	for i, v := range again {
+		got, _, err := s.Read(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, w := range got {
+			var want uint64
+			if j < len(data) {
+				want = data[j]
+				if i == 1 {
+					want = ^want
+				}
+			}
+			if w != want {
+				t.Fatalf("row %v word %d = %#x, want %#x", rows[i], j, w, want)
+			}
+		}
+	}
+}

@@ -372,7 +372,9 @@ func (r *BatchRun) finish() (BatchResult, error) {
 				// Borrowed read-only from the live memory — already current.
 				continue
 			}
-			copy(s.mem.PeekRow(a), sh.mem.PeekRow(a))
+			if err := s.mem.CopyRow(a, sh.mem); err != nil {
+				return BatchResult{}, fmt.Errorf("pinatubo: merging shard %d: %w", si, err)
+			}
 		}
 		sh.ctl.ECCEntries(func(a memarch.RowAddr, bits int, words []uint64) {
 			s.ctl.SetECCState(a, bits, words)
@@ -452,20 +454,24 @@ func (r *BatchRun) release() {
 // footprint row is borrowed read-only from the live memory via AliasRow
 // instead of copied — the live System is untouched between Start and
 // Wait, so the borrowed words cannot change under the shard. Any write
-// path the classification missed fails loudly in Memory.WriteRow.
+// path the classification missed fails loudly in the memory's mutators.
 func (s *System) prepareShards(ops []BatchOp, footprints [][]fpKey, shards [][]int) ([]shardState, error) {
 	liveInj := s.ctl.Injector()
 	geo := s.mem.Geometry()
 	aliasOK := liveInj == nil && !s.ctl.ECCEnabled() && len(s.repRows) == 0
 	states := make([]shardState, len(shards))
+	fail := func(err error) ([]shardState, error) {
+		for _, st := range states {
+			s.putSandbox(st.sys)
+		}
+		return nil, err
+	}
 	for si, shard := range shards {
 		sh, err := s.getSandbox()
 		if err != nil {
-			for _, st := range states[:si] {
-				s.putSandbox(st.sys)
-			}
-			return nil, err
+			return fail(err)
 		}
+		states[si].sys = sh
 		var written map[uint64]bool
 		if aliasOK {
 			written = s.shardWriteSet(ops, shard)
@@ -481,7 +487,9 @@ func (s *System) prepareShards(ops []BatchOp, footprints [][]fpKey, shards [][]i
 					}
 					continue
 				}
-				copy(sh.mem.PeekRow(k.addr), s.mem.PeekRow(k.addr))
+				if err := sh.mem.CopyRow(k.addr, s.mem); err != nil {
+					return fail(fmt.Errorf("pinatubo: preparing shard %d: %w", si, err))
+				}
 				if bits, words, ok := s.ctl.ECCState(k.addr); ok {
 					sh.ctl.SetECCState(k.addr, bits, words)
 				}
@@ -511,7 +519,7 @@ func (s *System) prepareShards(ops []BatchOp, footprints [][]fpKey, shards [][]i
 				mirror(src)
 			}
 		}
-		states[si] = shardState{sys: sh, vecs: vecs}
+		states[si].vecs = vecs
 	}
 	return states, nil
 }
