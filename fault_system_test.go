@@ -335,3 +335,40 @@ func TestRejectedReadKeepsFaultStream(t *testing.T) {
 		t.Error("rejected Reads changed the OR result")
 	}
 }
+
+// FaultStats' injector fields are ground truth and read zero without an
+// injector; its response fields count whenever verification runs. A
+// fault-free system under explicit verification counts one pass per
+// host-written row and one per op, and no row writes: the wear model
+// counts them only with an injector attached.
+func TestFaultStatsCountVerificationWithoutInjector(t *testing.T) {
+	for _, tc := range []struct {
+		mode VerifyMode
+		want FaultStats
+	}{
+		{VerifyReadback, FaultStats{Verifies: 4}},
+		{VerifyECC, FaultStats{EccDecodes: 4}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Resilience.Verify = tc.mode
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := s.AllocGroup(4, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vs[:3] {
+			if _, err := s.Write(v, []uint64{1 << i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Or(vs[3], vs[:3]...); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.FaultStats(); got != tc.want {
+			t.Errorf("%v: FaultStats = %+v, want %+v", tc.mode, got, tc.want)
+		}
+	}
+}

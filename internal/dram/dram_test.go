@@ -10,6 +10,7 @@ import (
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
 	"pinatubo/internal/fault"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -255,7 +256,7 @@ func TestLowerIntraRejections(t *testing.T) {
 	// Fault injection belongs to resistive sensing; the seam must refuse
 	// it rather than silently not injecting.
 	inj, err := fault.New(fault.Config{Seed: 1, SenseFlipRate: 1e-3},
-		nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 256)
+		nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 256, new(ledger.Ledger))
 	if err != nil {
 		t.Fatal(err)
 	}

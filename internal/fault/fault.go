@@ -32,6 +32,7 @@ import (
 	"math/rand"
 
 	"pinatubo/internal/analog"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
 )
@@ -88,16 +89,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats accumulates the injector's lifetime activity — the ground truth a
-// resilience layer is measured against.
-type Stats struct {
-	SenseFlips       int64 // bits flipped on the sensing path
-	ActivationFaults int64 // transient multi-row activation failures
-	StuckRows        int64 // rows that have developed at least one stuck bit
-	StuckBitsForced  int64 // written bits overridden by a stuck cell
-	RowWrites        int64 // row programs seen by the wear model
-}
-
 // stuckBit is one permanently-failed cell of a worn row.
 type stuckBit struct {
 	pos int  // bit position within the row
@@ -120,7 +111,10 @@ type Injector struct {
 	// wear event, so replicated rows age R× slower per logical write.
 	wearFrac map[uint64]int64
 	stuck    map[uint64][]stuckBit
-	stats    Stats
+	// led receives the injector's ground truth — flips, activation
+	// faults, stuck rows, forced bits, row writes — the activity a
+	// resilience layer is measured against.
+	led *ledger.Ledger
 }
 
 type marginKey struct {
@@ -129,8 +123,10 @@ type marginKey struct {
 }
 
 // New builds an injector for the technology. rowBits is the rank-logical
-// row width (stuck-at positions are drawn inside it).
-func New(cfg Config, p nvm.Params, scfg analog.SenseConfig, rowBits int) (*Injector, error) {
+// row width (stuck-at positions are drawn inside it). The injector counts
+// what it does into led, which must be non-nil: a System passes the ledger
+// of the controller the injector is attached to.
+func New(cfg Config, p nvm.Params, scfg analog.SenseConfig, rowBits int, led *ledger.Ledger) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -155,33 +151,20 @@ func New(cfg Config, p nvm.Params, scfg analog.SenseConfig, rowBits int) (*Injec
 		wear:     make(map[uint64]int64),
 		wearFrac: make(map[uint64]int64),
 		stuck:    make(map[uint64][]stuckBit),
+		led:      led,
 	}, nil
 }
 
-// Stats returns a snapshot of the accumulated fault activity.
-func (in *Injector) Stats() Stats { return in.stats }
-
-// AbsorbStats folds another injector's accumulated activity into this one.
-// Batch execution runs sandboxed injectors per shard and merges their
-// ground truth back through here.
-func (in *Injector) AbsorbStats(s Stats) {
-	in.stats.SenseFlips += s.SenseFlips
-	in.stats.ActivationFaults += s.ActivationFaults
-	in.stats.StuckRows += s.StuckRows
-	in.stats.StuckBitsForced += s.StuckBitsForced
-	in.stats.RowWrites += s.RowWrites
-}
-
-// Reset restores the injector to its New state: wear, stuck-at bits,
-// statistics and the substream counter all clear, and the PRNG rewinds to
-// the seed. The margin memo survives — it caches pure analog math, so
-// keeping it is invisible to behaviour. Pooled shard sandboxes reset
-// through here; the batch executor then re-seeds per-row state and the
-// substream position explicitly, exactly as it does for a fresh sandbox.
+// Reset restores the injector to its New state: wear, stuck-at bits and
+// the substream counter clear, and the PRNG rewinds to the seed. The
+// margin memo survives — it caches pure analog math, so keeping it is
+// invisible to behaviour — and so does the ledger, which its owner
+// resets. Pooled shard sandboxes reset through here; the batch executor
+// then re-seeds per-row state and the substream position explicitly,
+// exactly as it does for a fresh sandbox.
 func (in *Injector) Reset() {
 	in.rng.Seed(in.cfg.Seed)
 	in.seq = 0
-	in.stats = Stats{}
 	for k := range in.wear {
 		delete(in.wear, k)
 	}
@@ -265,7 +248,7 @@ func (in *Injector) FlipSensed(op sense.Op, rows, bits int, words []uint64) int 
 		pos := in.rng.Intn(bits)
 		words[pos/64] ^= 1 << uint(pos%64)
 	}
-	in.stats.SenseFlips += int64(n)
+	in.led.Count[ledger.SenseFlips] += int64(n)
 	return n
 }
 
@@ -297,7 +280,7 @@ func (in *Injector) ActivationFault(rows int) bool {
 		p = 1
 	}
 	if in.rng.Float64() < p {
-		in.stats.ActivationFaults++
+		in.led.Count[ledger.ActivationFaults]++
 		return true
 	}
 	return false
@@ -317,7 +300,7 @@ func (in *Injector) RecordWrite(key uint64) {
 // of R copies ages R× slower per logical write — the capacity spent on
 // replication is simultaneously wear levelling. share == 1 is RecordWrite.
 func (in *Injector) RecordWriteShared(key uint64, share int) {
-	in.stats.RowWrites++
+	in.led.Count[ledger.RowWrites]++
 	if in.cfg.WearLimit == 0 {
 		return
 	}
@@ -342,7 +325,7 @@ func (in *Injector) RecordWriteShared(key uint64, share int) {
 		val: h&(1<<63) != 0,
 	}
 	if len(in.stuck[key]) == 0 {
-		in.stats.StuckRows++
+		in.led.Count[ledger.StuckRows]++
 	}
 	in.stuck[key] = append(in.stuck[key], b)
 }
@@ -401,7 +384,7 @@ func (in *Injector) CorruptStoredOffset(key uint64, row []uint64, offsetBits int
 		}
 		forced++
 	}
-	in.stats.StuckBitsForced += int64(forced)
+	in.led.Count[ledger.StuckBitsForced] += int64(forced)
 	return forced
 }
 
@@ -440,8 +423,8 @@ func (in *Injector) RowState(key uint64) (RowState, bool) {
 }
 
 // SetRowState installs per-row wear state, replacing whatever the injector
-// held for the row. It does not touch the activity statistics — imported
-// stuck bits are history, not new faults.
+// held for the row. It does not count into the ledger — imported stuck
+// bits are history, not new faults.
 func (in *Injector) SetRowState(key uint64, st RowState) {
 	if st.Wear == 0 {
 		delete(in.wear, key)

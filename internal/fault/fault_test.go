@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"pinatubo/internal/analog"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
 )
 
 func newPCM(t *testing.T, cfg Config) *Injector {
 	t.Helper()
-	in, err := New(cfg, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 1<<19)
+	in, err := New(cfg, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 1<<19, new(ledger.Ledger))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestValidate(t *testing.T) {
 		{DriftSeconds: -1},
 	}
 	for _, cfg := range bad {
-		if _, err := New(cfg, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 64); err == nil {
+		if _, err := New(cfg, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 64, new(ledger.Ledger)); err == nil {
 			t.Errorf("New(%+v) accepted an invalid config", cfg)
 		}
 	}
@@ -129,7 +130,7 @@ func TestActivationFault(t *testing.T) {
 	if faults != 1000 {
 		t.Fatalf("128-row activation at clamped p=1 faulted %d/1000 times", faults)
 	}
-	if got := in.Stats().ActivationFaults; got != 1000 {
+	if got := in.led.Count[ledger.ActivationFaults]; got != 1000 {
 		t.Fatalf("stats recorded %d activation faults, want 1000", got)
 	}
 }
@@ -157,12 +158,11 @@ func TestWearMintsStuckBits(t *testing.T) {
 	if got := len(in.stuck[key]); got != 2 {
 		t.Fatalf("%d stuck bits after 2x WearLimit programs, want 2", got)
 	}
-	st := in.Stats()
-	if st.StuckRows != 1 {
-		t.Fatalf("StuckRows = %d, want 1", st.StuckRows)
+	if got := in.led.Count[ledger.StuckRows]; got != 1 {
+		t.Fatalf("StuckRows = %d, want 1", got)
 	}
-	if st.RowWrites != 20 {
-		t.Fatalf("RowWrites = %d, want 20", st.RowWrites)
+	if got := in.led.Count[ledger.RowWrites]; got != 20 {
+		t.Fatalf("RowWrites = %d, want 20", got)
 	}
 }
 
@@ -209,8 +209,8 @@ func TestCorruptStored(t *testing.T) {
 	if forced := in.CorruptStored(key, row); forced != 0 {
 		t.Fatalf("agreeing write forced %d bits, want 0", forced)
 	}
-	if st := in.Stats(); st.StuckBitsForced != 1 {
-		t.Fatalf("StuckBitsForced = %d, want 1", st.StuckBitsForced)
+	if got := in.led.Count[ledger.StuckBitsForced]; got != 1 {
+		t.Fatalf("StuckBitsForced = %d, want 1", got)
 	}
 }
 

@@ -1,15 +1,13 @@
 package lint
 
 // This file is the control-flow half of pinlint's analysis engine: an
-// intra-procedural CFG built from go/ast alone (no SSA, no x/tools), with
-// dominator computation on top. It answers two questions per-function AST
-// walks cannot: "which statements can execute after this one"
-// (reachability along edges, including loop back-edges), which the
-// concurrency-ownership analyzers (lockpair, frozenprog) ask, and "does
-// every path to this statement pass through that node" (dominance).
-// The CFG is statement-granular — each Block holds the ast.Nodes that
-// execute unconditionally together, in order — which keeps transfer
-// functions simple folds over Block.Nodes.
+// intra-procedural CFG built from go/ast alone (no SSA, no x/tools). It
+// answers the question per-function AST walks cannot: "which statements
+// can execute after this one" (reachability along edges, including loop
+// back-edges), which the concurrency-ownership analyzers (lockpair,
+// frozenprog) ask. The CFG is statement-granular — each Block holds the
+// ast.Nodes that execute unconditionally together, in order — which keeps
+// transfer functions simple folds over Block.Nodes.
 
 import (
 	"go/ast"
@@ -19,8 +17,8 @@ import (
 // Block is one basic block: a maximal run of nodes with a single entry and
 // a single exit point. Branch conditions (if/for conditions, switch tags,
 // range operands) appear as the last node of the block that evaluates
-// them, so a guard's position in the dominator tree is the position of the
-// block holding its condition.
+// them, so the block holding a condition is the one whose Succs branch on
+// it.
 type Block struct {
 	// Index is the block's position in CFG.Blocks (entry is 0).
 	Index int
@@ -47,7 +45,6 @@ type CFG struct {
 	Defers []*ast.DeferStmt
 
 	blockOf map[ast.Node]*Block
-	idom    []*Block // lazily computed immediate dominators, by Index
 }
 
 // BlockOf returns the block a node was placed in, or nil for nodes that
@@ -427,92 +424,4 @@ func (g *CFG) Reachable(from *Block) map[*Block]bool {
 		}
 	}
 	return seen
-}
-
-// Dominates reports whether block a dominates block b: every path from
-// the entry to b passes through a. Unreachable blocks are dominated by
-// nothing but themselves. Computed lazily (Cooper–Harvey–Kennedy) and
-// cached on the CFG.
-func (g *CFG) Dominates(a, b *Block) bool {
-	if a == b {
-		return true
-	}
-	if g.idom == nil {
-		g.computeDominators()
-	}
-	for d := g.idom[b.Index]; d != nil; d = g.idom[d.Index] {
-		if d == a {
-			return true
-		}
-		if d == g.Entry {
-			break
-		}
-	}
-	return false
-}
-
-// computeDominators runs the iterative dominator algorithm over a reverse
-// postorder of the reachable blocks.
-func (g *CFG) computeDominators() {
-	// Reverse postorder from entry.
-	var order []*Block
-	state := make([]int, len(g.Blocks)) // 0 unvisited, 1 on stack, 2 done
-	var dfs func(*Block)
-	dfs = func(blk *Block) {
-		state[blk.Index] = 1
-		for _, s := range blk.Succs {
-			if state[s.Index] == 0 {
-				dfs(s)
-			}
-		}
-		state[blk.Index] = 2
-		order = append(order, blk)
-	}
-	dfs(g.Entry)
-	// order is postorder; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	rpoIndex := make([]int, len(g.Blocks))
-	for i, blk := range order {
-		rpoIndex[blk.Index] = i
-	}
-
-	g.idom = make([]*Block, len(g.Blocks))
-	g.idom[g.Entry.Index] = g.Entry
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for rpoIndex[a.Index] > rpoIndex[b.Index] {
-				a = g.idom[a.Index]
-			}
-			for rpoIndex[b.Index] > rpoIndex[a.Index] {
-				b = g.idom[b.Index]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range order {
-			if blk == g.Entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range blk.Preds {
-				if g.idom[p.Index] == nil {
-					continue // unreachable pred
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && g.idom[blk.Index] != newIdom {
-				g.idom[blk.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	g.idom[g.Entry.Index] = nil // entry has no strict dominator
 }

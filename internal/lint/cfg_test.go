@@ -3,7 +3,7 @@ package lint_test
 // Engine-level tests: the CFG builder and the dataflow solver are
 // exercised directly on hand-written function shapes — branches, loops
 // with break, early returns, panics, select, defer, goto — asserting
-// reachability, dominance and fixpoint facts rather than analyzer output.
+// edge, reachability and fixpoint facts rather than analyzer output.
 
 import (
 	"go/ast"
@@ -77,6 +77,30 @@ func incBlock(t *testing.T, g *lint.CFG, file *ast.File, name string) *lint.Bloc
 	return found
 }
 
+// hasBlock reports whether blk is in list.
+func hasBlock(list []*lint.Block, blk *lint.Block) bool {
+	for _, b := range list {
+		if b == blk {
+			return true
+		}
+	}
+	return false
+}
+
+// sameBlocks reports whether list holds exactly the blocks of want, in any
+// order (the builder never records an edge twice).
+func sameBlocks(list []*lint.Block, want ...*lint.Block) bool {
+	if len(list) != len(want) {
+		return false
+	}
+	for _, w := range want {
+		if !hasBlock(list, w) {
+			return false
+		}
+	}
+	return true
+}
+
 // stmtBlock returns the block of the first statement satisfying pred.
 func stmtBlock(t *testing.T, g *lint.CFG, file *ast.File, pred func(ast.Stmt) bool) *lint.Block {
 	t.Helper()
@@ -120,13 +144,19 @@ func f(c bool) int {
 		t.Fatalf("branch and join blocks not distinct: then=%d else=%d join=%d",
 			thenB.Index, elseB.Index, join.Index)
 	}
-	for _, b := range []*lint.Block{thenB, elseB, join, g.Exit} {
-		if !g.Dominates(entry, b) {
-			t.Errorf("entry-side block %d should dominate block %d", entry.Index, b.Index)
-		}
+	// The diamond: the entry block splits into exactly the two branches,
+	// they are the join's only predecessors, and the join returns to exit.
+	if !sameBlocks(entry.Succs, thenB, elseB) {
+		t.Error("entry block must branch to exactly the then and else blocks")
 	}
-	if g.Dominates(thenB, join) {
-		t.Error("then-branch must not dominate the join (else path bypasses it)")
+	if !sameBlocks(join.Preds, thenB, elseB) {
+		t.Error("both branch blocks, and only they, must be predecessors of the join")
+	}
+	if !hasBlock(g.Exit.Preds, join) {
+		t.Error("the join's return must edge to the exit")
+	}
+	if g.Reachable(elseB)[thenB] {
+		t.Error("the else path must reach the join without passing the then branch")
 	}
 	if r := g.Reachable(thenB); r[elseB] {
 		t.Error("else branch must not be reachable from the then branch")
@@ -158,11 +188,15 @@ func f(n int) int {
 	if r := g.Reachable(post); !r[body] {
 		t.Error("loop body must be reachable from the post statement (back edge)")
 	}
-	if !g.Dominates(body, post) {
-		t.Error("the loop body tail must dominate i++ (only path to the post statement)")
+	if !sameBlocks(post.Preds, body) {
+		t.Error("the loop body tail must be the only predecessor of i++")
 	}
-	if g.Dominates(body, after) {
-		t.Error("loop body must not dominate the after-loop block (break bypasses it)")
+	brk := stmtBlock(t, g, file, func(s ast.Stmt) bool {
+		br, ok := s.(*ast.BranchStmt)
+		return ok && br.Tok == token.BREAK
+	})
+	if !hasBlock(after.Preds, brk) || g.Reachable(brk)[body] {
+		t.Error("the break must edge to the after-loop block, bypassing the loop body tail")
 	}
 	if r := g.Reachable(body); !r[after] || !r[g.Exit] {
 		t.Error("after-loop block and exit must be reachable from the loop body")
@@ -227,10 +261,10 @@ func f(a, b chan int) int {
 	if c1 == c2 || c2 == c3 || c1 == c3 {
 		t.Fatal("select clauses must get distinct blocks")
 	}
+	if !sameBlocks(join.Preds, c1, c2, c3) {
+		t.Error("every clause block, and only they, must be predecessors of the join")
+	}
 	for _, c := range []*lint.Block{c1, c2, c3} {
-		if g.Dominates(c, join) {
-			t.Errorf("clause block %d must not dominate the join", c.Index)
-		}
 		if r := g.Reachable(c); !r[join] {
 			t.Errorf("join must be reachable from clause block %d", c.Index)
 		}

@@ -20,6 +20,7 @@ import (
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/energy"
 	"pinatubo/internal/fault"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -93,26 +94,19 @@ type Result struct {
 	Outvoted int64
 }
 
-// Counters accumulates the controller's lifetime hardware activity.
-type Counters struct {
-	Ops         map[Class]int64 // completed ops by placement class
-	Activations int64           // row activations (ACT + ACT-LATCH)
-	SenseSteps  int64           // column-group sensing steps
-	Writebacks  int64           // cell-array writes (WBACK / WR)
-	BusBits     int64           // data bits that crossed the DDR bus
-}
-
 // Controller drives one PIM-extended main memory. The technology-specific
 // part — how a co-located operand set is computed inside the array — lives
 // behind the backend seam; the controller owns placement classification,
 // the digital inter-subarray/bank datapath, write-back routing, caching,
 // counters and ECC, which are technology-generic.
 type Controller struct {
-	mem      *memarch.Memory
-	be       backend.Backend
-	bus      ddr.BusParams
-	mrs      ddr.ModeRegisters
-	counters Counters
+	mem *memarch.Memory
+	be  backend.Backend
+	bus ddr.BusParams
+	mrs ddr.ModeRegisters
+	// led is the ledger every layer stacked on this controller counts
+	// into: its own tally, the scheduler, the injector and the host paths.
+	led ledger.Ledger
 	// inj, when attached, corrupts sensing and cell writes — see
 	// internal/fault. nil means the ideal-hardware model.
 	inj *fault.Injector
@@ -214,12 +208,7 @@ func NewControllerWith(mem *memarch.Memory, be backend.Backend) (*Controller, er
 	if be == nil {
 		return nil, errors.New("pim: nil compute backend")
 	}
-	return &Controller{
-		mem:      mem,
-		be:       be,
-		bus:      ddr.DefaultBus(),
-		counters: Counters{Ops: make(map[Class]int64)},
-	}, nil
+	return &Controller{mem: mem, be: be, bus: ddr.DefaultBus()}, nil
 }
 
 // Backend returns the controller's compute backend.
@@ -265,33 +254,23 @@ func (c *Controller) Injector() *fault.Injector { return c.inj }
 // logical write. Passing nil restores normal wear.
 func (c *Controller) SetWearSpread(f func(memarch.RowAddr) int) { c.wearShare = f }
 
-// AbsorbCounters folds another controller's accumulated hardware activity
-// into this one (integer adds — exact under any merge order). The batch
-// executor merges per-shard controller counters through here.
-func (c *Controller) AbsorbCounters(o Counters) {
-	for k, v := range o.Ops {
-		if c.counters.Ops == nil {
-			c.counters.Ops = make(map[Class]int64)
-		}
-		c.counters.Ops[k] += v
-	}
-	c.counters.Activations += o.Activations
-	c.counters.SenseSteps += o.SenseSteps
-	c.counters.Writebacks += o.Writebacks
-	c.counters.BusBits += o.BusBits
-}
+// Ledger returns the controller's counter ledger. The scheduler, the
+// injector and the owning System count into it too.
+func (c *Controller) Ledger() *ledger.Ledger { return &c.led }
+
+// OpsCounter returns the ledger counter of completed executions in class.
+func OpsCounter(class Class) ledger.Counter { return ledger.HwIntraSub + ledger.Counter(class) }
 
 // ResetForReuse restores the controller to its just-built state so a
-// pooled shard sandbox is indistinguishable from a fresh one: counters,
-// mode registers, ECC check-bit state, the program-cache traffic
-// counters and the SA model's sampling stream all return to their New
-// values. Cached lowered programs deliberately survive — they are pure
-// functions of operand addresses and geometry, so a reused sandbox
-// replaying a same-shaped window hits instead of re-lowering. The
-// attached injector and codec stay attached (the owning System resets
-// the injector itself).
+// pooled shard sandbox is indistinguishable from a fresh one: mode
+// registers, ECC check-bit state, the program-cache traffic counters and
+// the SA model's sampling stream all return to their New values. Cached
+// lowered programs deliberately survive — they are pure functions of
+// operand addresses and geometry, so a reused sandbox replaying a
+// same-shaped window hits instead of re-lowering. The attached injector
+// and codec stay attached, and the ledger is left alone: the owning
+// System resets both itself.
 func (c *Controller) ResetForReuse() {
-	c.counters = Counters{Ops: make(map[Class]int64)}
 	c.mrs = ddr.ModeRegisters{}
 	if c.checks != nil {
 		c.checks = make(map[uint64]eccEntry)
@@ -302,17 +281,7 @@ func (c *Controller) ResetForReuse() {
 	c.be.Reset()
 }
 
-// Counters returns a snapshot of the accumulated hardware activity.
-func (c *Controller) Counters() Counters {
-	out := c.counters
-	out.Ops = make(map[Class]int64, len(c.counters.Ops))
-	for k, v := range c.counters.Ops {
-		out.Ops[k] = v
-	}
-	return out
-}
-
-// tally folds a completed command sequence into the counters.
+// tally folds a completed command sequence into the ledger.
 func (c *Controller) tally(class Class, cmds []ddr.Cmd) {
 	act, senseSteps, wb, bus := countersFor(cmds)
 	c.tallyDeltas(class, act, senseSteps, wb, bus)
@@ -345,11 +314,11 @@ func countersFor(cmds []ddr.Cmd) (act, senseSteps, wb, bus int64) {
 // tallyDeltas applies precomputed counter deltas (shared by the fresh and
 // cached execution paths, so both leave identical counters).
 func (c *Controller) tallyDeltas(class Class, act, senseSteps, wb, bus int64) {
-	c.counters.Ops[class]++
-	c.counters.Activations += act
-	c.counters.SenseSteps += senseSteps
-	c.counters.Writebacks += wb
-	c.counters.BusBits += bus
+	c.led.Count[OpsCounter(class)]++
+	c.led.Count[ledger.Activations] += act
+	c.led.Count[ledger.SenseSteps] += senseSteps
+	c.led.Count[ledger.Writebacks] += wb
+	c.led.Count[ledger.BusBits] += bus
 }
 
 // Memory returns the controlled memory.

@@ -37,6 +37,7 @@ import (
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/energy"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/sense"
 )
@@ -270,7 +271,7 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 	v.Seconds = float64(groups) * t.TCMD
 	v.Energy.Add(energy.SenseAmp, float64(bits+cbBits)*e.SensePerBit)
 	v.Energy.Add(energy.ECCLogic, float64(bits)*e.ECCPerBit)
-	c.counters.SenseSteps += int64(groups)
+	c.led.Count[ledger.SenseSteps] += int64(groups)
 
 	// Sense the stored row and its check bits (single-row read margins).
 	// Both live only for the decode, so they run on controller scratch.
@@ -306,7 +307,7 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 		v.Rewritten = true
 		v.Seconds += t.TWR
 		v.Energy.Add(energy.WriteDriver, float64(bits)*e.WritePerBit)
-		c.counters.Writebacks++
+		c.led.Count[ledger.Writebacks]++
 		if err := c.store(dst, data); err != nil {
 			return nil, err
 		}

@@ -214,7 +214,7 @@ func TestECCStuckSpareColumnStaysHonest(t *testing.T) {
 	if rowBits <= c.mem.Geometry().RowBits() {
 		t.Fatal("ECCRowBits must extend past the data row")
 	}
-	in, err := fault.New(fault.Config{Seed: 21, WearLimit: 1}, c.mem.Tech(), analog.DefaultSenseConfig(), rowBits)
+	in, err := fault.New(fault.Config{Seed: 21, WearLimit: 1}, c.mem.Tech(), analog.DefaultSenseConfig(), rowBits, c.Ledger())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/fault"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -16,7 +17,7 @@ import (
 
 func attachInjector(t testing.TB, c *Controller, cfg fault.Config) *fault.Injector {
 	t.Helper()
-	in, err := fault.New(cfg, c.mem.Tech(), analog.DefaultSenseConfig(), c.mem.Geometry().RowBits())
+	in, err := fault.New(cfg, c.mem.Tech(), analog.DefaultSenseConfig(), c.mem.Geometry().RowBits(), c.Ledger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestActivationFaultSurfacesAsSentinel(t *testing.T) {
 
 func TestSenseFlipsCorruptDeepORNotWritePath(t *testing.T) {
 	c := newCtl(t, nvm.PCM)
-	inj := attachInjector(t, c, fault.Config{Seed: 5, SenseFlipRate: 0.5})
+	attachInjector(t, c, fault.Config{Seed: 5, SenseFlipRate: 0.5})
 	rng := rand.New(rand.NewSource(11))
 	srcs := addrsInSubarray(128)
 	w := 1 << 7
@@ -114,7 +115,7 @@ func TestSenseFlipsCorruptDeepORNotWritePath(t *testing.T) {
 	if diff == 0 {
 		t.Fatal("a 0.5 flip rate over a 128-row OR corrupted nothing")
 	}
-	if inj.Stats().SenseFlips == 0 {
+	if c.Ledger().Count[ledger.SenseFlips] == 0 {
 		t.Fatal("injector recorded no flips")
 	}
 }
@@ -275,8 +276,8 @@ func TestWearCorruptsStoredRowAfterLimit(t *testing.T) {
 	// The stuck bit must be visible in memory if its stuck value is 1
 	// (all-zero writes disagree with a stuck-at-1 cell), and stats must
 	// show the wear model engaged either way.
-	if inj.Stats().RowWrites != 5 {
-		t.Fatalf("RowWrites = %d, want 5", inj.Stats().RowWrites)
+	if got := c.Ledger().Count[ledger.RowWrites]; got != 5 {
+		t.Fatalf("RowWrites = %d, want 5", got)
 	}
 	stored := c.mem.PeekRow(dst)
 	corrupted := 0
@@ -285,7 +286,7 @@ func TestWearCorruptsStoredRowAfterLimit(t *testing.T) {
 			corrupted++
 		}
 	}
-	if forced := inj.Stats().StuckBitsForced; forced > 0 && corrupted == 0 {
+	if forced := c.Ledger().Count[ledger.StuckBitsForced]; forced > 0 && corrupted == 0 {
 		t.Fatalf("stats claim %d forced bits but memory holds the written zeros", forced)
 	} else if forced == 0 && corrupted > 0 {
 		t.Fatal("memory corrupted without the wear model claiming it")
@@ -329,7 +330,7 @@ func TestStuckBitBeyondNarrowWriteShows(t *testing.T) {
 		t.Fatal(err)
 	}
 	stuckShows("op result")
-	if got := inj.Stats().StuckBitsForced; got != 3 {
+	if got := c.Ledger().Count[ledger.StuckBitsForced]; got != 3 {
 		t.Errorf("StuckBitsForced = %d, want 3", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ddr"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -636,27 +637,22 @@ func TestCountersAccumulate(t *testing.T) {
 	if _, err := c.Execute(sense.OpOR, srcs, 1<<19, nil); err != nil {
 		t.Fatal(err)
 	}
-	ct := c.Counters()
-	if ct.Ops[ClassIntraSub] != 2 {
-		t.Errorf("intra ops=%d want 2", ct.Ops[ClassIntraSub])
+	ct := &c.Ledger().Count
+	if ct[OpsCounter(ClassIntraSub)] != 2 {
+		t.Errorf("intra ops=%d want 2", ct[OpsCounter(ClassIntraSub)])
 	}
-	if ct.Activations != 6 {
-		t.Errorf("activations=%d want 6 (3 rows x 2 ops)", ct.Activations)
+	if ct[ledger.Activations] != 6 {
+		t.Errorf("activations=%d want 6 (3 rows x 2 ops)", ct[ledger.Activations])
 	}
-	if ct.SenseSteps != 64 {
-		t.Errorf("sense steps=%d want 64 (32 groups x 2 ops)", ct.SenseSteps)
+	if ct[ledger.SenseSteps] != 64 {
+		t.Errorf("sense steps=%d want 64 (32 groups x 2 ops)", ct[ledger.SenseSteps])
 	}
-	if ct.Writebacks != 1 {
-		t.Errorf("writebacks=%d want 1 (second op bursts to host)", ct.Writebacks)
+	if ct[ledger.Writebacks] != 1 {
+		t.Errorf("writebacks=%d want 1 (second op bursts to host)", ct[ledger.Writebacks])
 	}
 	// Only the host-read op put data on the bus.
-	if ct.BusBits != 1<<19 {
-		t.Errorf("bus bits=%d want 2^19", ct.BusBits)
-	}
-	// Snapshot is a copy.
-	ct.Ops[ClassIntraSub] = 99
-	if c.Counters().Ops[ClassIntraSub] == 99 {
-		t.Error("Counters leaked internal map")
+	if ct[ledger.BusBits] != 1<<19 {
+		t.Errorf("bus bits=%d want 2^19", ct[ledger.BusBits])
 	}
 }
 

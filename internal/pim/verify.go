@@ -7,6 +7,7 @@ import (
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/sense"
 )
@@ -157,9 +158,9 @@ func (c *Controller) VerifyAgainst(nsrc, bitCount int, dst memarch.RowAddr, gold
 		v.Energy.Add(energy.GDL, fbits*e.GDLPerBit)
 		v.Energy.Add(energy.Logic, fbits*e.LogicPerBit)
 	}
-	c.counters.Activations += int64(1 + nsrc)
-	c.counters.SenseSteps += int64(groups * (1 + nsrc))
-	c.counters.BusBits += int64(bitCount)
+	c.led.Count[ledger.Activations] += int64(1 + nsrc)
+	c.led.Count[ledger.SenseSteps] += int64(groups * (1 + nsrc))
+	c.led.Count[ledger.BusBits] += int64(bitCount)
 	return v, nil
 }
 

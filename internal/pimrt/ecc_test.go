@@ -9,6 +9,7 @@ import (
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/fault"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/pim"
@@ -31,7 +32,7 @@ func newECCSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Schedule
 	ctl.EnableECC(codec)
 	if fc.Enabled() {
 		inj, err := fault.New(fc, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(),
-			pim.ECCRowBits(geo, codec))
+			pim.ECCRowBits(geo, codec), ctl.Ledger())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestECCVerifyCheapOnCleanHardware(t *testing.T) {
 	}
 	dst := memarch.RowAddr{Subarray: 1, Row: 800}
 
-	run := func(configure func(*Scheduler)) (float64, FaultStats) {
+	run := func(configure func(*Scheduler)) (float64, *[ledger.NumCounters]int64) {
 		mem, err := memarch.NewMemory(geo, nvm.Get(nvm.PCM))
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +92,7 @@ func TestECCVerifyCheapOnCleanHardware(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Cost.Seconds, s.FaultStats()
+		return res.Cost.Seconds, &ctl.Ledger().Count
 	}
 
 	plain, _ := run(func(s *Scheduler) {})
@@ -102,14 +103,14 @@ func TestECCVerifyCheapOnCleanHardware(t *testing.T) {
 		s.Res.ECC = true
 	})
 
-	if rbStats.Verifies == 0 || rbStats.EccDecodes != 0 {
-		t.Fatalf("read-back run stats off: %+v", rbStats)
+	if rbStats[ledger.Verifies] == 0 || rbStats[ledger.EccDecodes] != 0 {
+		t.Fatalf("read-back run stats off: %v", rbStats)
 	}
-	if eccStats.EccDecodes == 0 || eccStats.Verifies != 0 {
-		t.Fatalf("ECC run stats off: %+v", eccStats)
+	if eccStats[ledger.EccDecodes] == 0 || eccStats[ledger.Verifies] != 0 {
+		t.Fatalf("ECC run stats off: %v", eccStats)
 	}
-	if eccStats.EccUncorrectables != 0 || eccStats.EccCorrectedBits != 0 {
-		t.Fatalf("clean hardware produced ECC events: %+v", eccStats)
+	if eccStats[ledger.EccUncorrectables] != 0 || eccStats[ledger.EccCorrectedBits] != 0 {
+		t.Fatalf("clean hardware produced ECC events: %v", eccStats)
 	}
 	if ratio := eccTime / plain; ratio > 1.1 {
 		t.Errorf("zero-fault ECC verification overhead %.3fx exceeds 1.1x", ratio)
@@ -145,12 +146,12 @@ func TestECCCorrectsSenseFlipsBitExact(t *testing.T) {
 			}
 		}
 	}
-	st := s.FaultStats()
-	if st.EccDecodes < 8 {
-		t.Fatalf("syndrome decodes missing: %+v", st)
+	st := &ctl.Ledger().Count
+	if st[ledger.EccDecodes] < 8 {
+		t.Fatalf("syndrome decodes missing: %v", st)
 	}
-	if st.EccCorrectedBits+st.EccUncorrectables == 0 {
-		t.Fatalf("flips at 2e-3 over deep ORs produced no ECC events: %+v", st)
+	if st[ledger.EccCorrectedBits]+st[ledger.EccUncorrectables] == 0 {
+		t.Fatalf("flips at 2e-3 over deep ORs produced no ECC events: %v", st)
 	}
 }
 
@@ -179,12 +180,12 @@ func TestECCEscalatesToLadderOnHeavyFlips(t *testing.T) {
 			t.Fatalf("word %d wrong despite escalation", j)
 		}
 	}
-	st := s.FaultStats()
-	if st.EccUncorrectables == 0 {
-		t.Fatalf("saturating flips never escalated: %+v", st)
+	st := &ctl.Ledger().Count
+	if st[ledger.EccUncorrectables] == 0 {
+		t.Fatalf("saturating flips never escalated: %v", st)
 	}
-	if st.Verifies == 0 {
-		t.Fatalf("the read-back ladder never engaged after escalation: %+v", st)
+	if st[ledger.Verifies] == 0 {
+		t.Fatalf("the read-back ladder never engaged after escalation: %v", st)
 	}
 	if res.Degraded == "" {
 		t.Error("a saturated deep OR should report a degradation rung")
@@ -218,7 +219,7 @@ func TestECCExhaustionWrapsBothSentinels(t *testing.T) {
 	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("err=%v, want ErrUncorrectable wrapped too", err)
 	}
-	if st := s.FaultStats(); st.EccUncorrectables == 0 {
-		t.Fatalf("exhaustion without an escalated syndrome: %+v", st)
+	if st := &ctl.Ledger().Count; st[ledger.EccUncorrectables] == 0 {
+		t.Fatalf("exhaustion without an escalated syndrome: %v", st)
 	}
 }

@@ -329,6 +329,8 @@ func SpecForOR(rows []memarch.RowAddr, bits int) (workload.OpSpec, error) {
 // controller's depth (chained through scratch rows) plus an inter combine;
 // every other op is a single request — runs them on the controller, and
 // returns the operation's cmdstream program with the cost folded from it.
+// Its resilience activity (verifications, retries, rungs, retirements,
+// ECC decodes, votes) counts into Ctl's ledger.
 //
 // Scratch must provide one free row in every subarray touched; the driver
 // library reserves these at init (the paper's run-time "schedule opt").
@@ -352,8 +354,6 @@ type Scheduler struct {
 	// majority-voted activation over all copies — the proactive rung of the
 	// resilience ladder (resilience.go).
 	Replicas func(a memarch.RowAddr) []memarch.RowAddr
-
-	stats FaultStats
 
 	// res, partial, groups, srcs and partials are scheduling scratch,
 	// reused across operations so a steady-state Execute allocates

@@ -12,6 +12,7 @@ package pimrt
 // clean first-try result.
 
 import (
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
@@ -67,8 +68,8 @@ func (s *Scheduler) nativeExec(op sense.Op, srcs []memarch.RowAddr, bits int, ds
 		if err != nil {
 			return nil, err
 		}
-		s.stats.Votes++
-		s.stats.BitsOutvoted += r.Outvoted
+		s.Ctl.Ledger().Count[ledger.Votes]++
+		s.Ctl.Ledger().Count[ledger.BitsOutvoted] += r.Outvoted
 		return r, nil
 	}
 	return s.Ctl.Execute(op, srcs, bits, dst)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"pinatubo/internal/backend"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
@@ -72,56 +73,12 @@ func (s *Scheduler) minDepth() int {
 	return 2
 }
 
-// FaultStats accumulates the scheduler's lifetime resilience activity.
-type FaultStats struct {
-	Verifies        int64 // read-back verification passes
-	Retries         int64 // request re-executions (any rung)
-	DepthReductions int64 // rung-2 depth halvings
-	InterFallbacks  int64 // requests degraded to the digital inter path
-	HostFallbacks   int64 // requests degraded to the host CPU
-	RowsRetired     int64 // destination rows retired and remapped
-	BitsCorrected   int64 // wrong bits intercepted before reaching a caller
-
-	// In-array SECDED activity (Resilience.ECC mode).
-	EccDecodes        int64 // syndrome-decode verification passes
-	EccCorrectedBits  int64 // single-bit errors SECDED fixed in place
-	EccUncorrectables int64 // detected-uncorrectable syndromes escalated
-
-	// Proactive replication activity (the majority-vote rung).
-	Votes        int64 // majority-voted requests executed
-	BitsOutvoted int64 // replica-disagreeing bits the vote overrode
-}
-
-// FaultStats returns a snapshot of the accumulated resilience activity.
-func (s *Scheduler) FaultStats() FaultStats { return s.stats }
-
-// Reset clears the accumulated resilience counters and the last result
-// (keeping only its program buffer's capacity), so a pooled shard sandbox
-// neither carries counters into its next window nor keeps its last op's
+// Reset empties the last result (keeping only its program buffer's
+// capacity), so a pooled shard sandbox does not keep its last op's
 // commands and result words alive.
 func (s *Scheduler) Reset() {
-	s.stats = FaultStats{}
 	s.res.Program.Reset()
 	s.res = ScheduleResult{Program: s.res.Program}
-}
-
-// AbsorbStats folds another scheduler's accumulated resilience activity
-// into this one. The batch executor runs shards on private scheduler
-// stacks and merges their counters back through here, so concurrent
-// execution neither drops nor double-counts retries and corrections.
-func (s *Scheduler) AbsorbStats(o FaultStats) {
-	s.stats.Verifies += o.Verifies
-	s.stats.Retries += o.Retries
-	s.stats.DepthReductions += o.DepthReductions
-	s.stats.InterFallbacks += o.InterFallbacks
-	s.stats.HostFallbacks += o.HostFallbacks
-	s.stats.RowsRetired += o.RowsRetired
-	s.stats.BitsCorrected += o.BitsCorrected
-	s.stats.EccDecodes += o.EccDecodes
-	s.stats.EccCorrectedBits += o.EccCorrectedBits
-	s.stats.EccUncorrectables += o.EccUncorrectables
-	s.stats.Votes += o.Votes
-	s.stats.BitsOutvoted += o.BitsOutvoted
 }
 
 // Degradation rungs reported in ScheduleResult.Degraded (worst one wins).
@@ -248,7 +205,7 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 	// margins are wider.
 	if op == sense.OpOR && len(srcs) > s.minDepth() && memarch.SameSubarray(srcs...) {
 		for depth := len(srcs) / 2; depth >= s.minDepth(); depth /= 2 {
-			s.stats.DepthReductions++
+			s.Ctl.Ledger().Count[ledger.DepthReductions]++
 			res.noteDegraded(DegradedDepthSplit)
 			ok, err := s.chunked(srcs, bits, target, restore, depth, res, dirty)
 			if err != nil || ok {
@@ -258,7 +215,7 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 	}
 	// Rung 3 — the serial digital datapath: single-row sensing only, no
 	// multi-row margin to lose.
-	s.stats.InterFallbacks++
+	s.Ctl.Ledger().Count[ledger.InterFallbacks]++
 	res.noteDegraded(DegradedInter)
 	ok, err = s.attempt(op, srcs, bits, target, restore, golden, res, true, dirty)
 	if err != nil || ok {
@@ -266,7 +223,7 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 	}
 	// Rung 4 — the host CPU.
 	if s.Res.HostFallback {
-		s.stats.HostFallbacks++
+		s.Ctl.Ledger().Count[ledger.HostFallbacks]++
 		res.noteDegraded(DegradedHost)
 		ok, err = s.hostAttempt(srcs, bits, target, golden, res)
 		if err != nil || ok {
@@ -284,7 +241,7 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, dirty *bool) (bool, error) {
 	for try := 0; try <= s.Res.MaxRetries; try++ {
 		if try > 0 {
-			s.stats.Retries++
+			s.Ctl.Ledger().Count[ledger.Retries]++
 			res.Retries++
 		}
 		if *dirty && restore != nil {
@@ -310,9 +267,9 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 		if err != nil {
 			return false, err
 		}
-		s.stats.EccDecodes++
+		s.Ctl.Ledger().Count[ledger.EccDecodes]++
 		res.Program.Emit(v.Instr(*target))
-		s.stats.EccCorrectedBits += int64(v.CorrectedBits)
+		s.Ctl.Ledger().Count[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
 		res.BitsCorrected += int64(v.CorrectedBits)
 		if v.OK {
 			res.Words = golden
@@ -320,7 +277,7 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 		}
 		// Detected-uncorrectable (or a repair the cells would not hold):
 		// no blind retry — the ladder's read-back rungs take over.
-		s.stats.EccUncorrectables++
+		s.Ctl.Ledger().Count[ledger.EccUncorrectables]++
 		return false, nil
 	}
 	return false, nil
@@ -332,7 +289,7 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, digital bool, dirty *bool) (bool, error) {
 	for try := 0; try <= s.Res.MaxRetries; try++ {
 		if try > 0 {
-			s.stats.Retries++
+			s.Ctl.Ledger().Count[ledger.Retries]++
 			res.Retries++
 		}
 		if *dirty && restore != nil {
@@ -361,13 +318,13 @@ func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 		if err != nil {
 			return false, err
 		}
-		s.stats.Verifies++
+		s.Ctl.Ledger().Count[ledger.Verifies]++
 		res.Program.Emit(v.Instr(*target))
 		if v.OK {
 			res.Words = golden
 			return true, nil
 		}
-		s.stats.BitsCorrected += int64(v.MismatchedBits)
+		s.Ctl.Ledger().Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
 		res.BitsCorrected += int64(v.MismatchedBits)
 		if v.WriteFault {
 			s.retireTarget(srcs, target)
@@ -438,7 +395,7 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 	}
 	for try := 0; try <= s.Res.MaxRetries; try++ {
 		if try > 0 {
-			s.stats.Retries++
+			s.Ctl.Ledger().Count[ledger.Retries]++
 			res.Retries++
 		}
 		if err := s.hostWrite(*target, golden, bits, res); err != nil {
@@ -448,13 +405,13 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 		if err != nil {
 			return false, err
 		}
-		s.stats.Verifies++
+		s.Ctl.Ledger().Count[ledger.Verifies]++
 		res.Program.Emit(v.Instr(*target))
 		if v.OK {
 			res.Words = golden
 			return true, nil
 		}
-		s.stats.BitsCorrected += int64(v.MismatchedBits)
+		s.Ctl.Ledger().Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
 		res.BitsCorrected += int64(v.MismatchedBits)
 		if v.WriteFault {
 			s.retireTarget(srcs, target)
@@ -485,7 +442,7 @@ func (s *Scheduler) retireTarget(srcs []memarch.RowAddr, target *memarch.RowAddr
 	if err != nil {
 		return
 	}
-	s.stats.RowsRetired++
+	s.Ctl.Ledger().Count[ledger.RowsRetired]++
 	old := *target
 	*target = fresh
 	for i := range srcs {

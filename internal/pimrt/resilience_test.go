@@ -8,6 +8,7 @@ import (
 	"pinatubo/internal/analog"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/fault"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/pim"
@@ -26,7 +27,7 @@ func newResilientSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := fault.New(fc, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), geo.RowBits())
+	inj, err := fault.New(fc, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), geo.RowBits(), ctl.Ledger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +84,18 @@ func TestResilientORMatchesGoldenUnderHeavyFlips(t *testing.T) {
 	if !bitvec.FromWords(bits, res.Words).Equal(bitvec.FromWords(bits, want)) {
 		t.Fatal("reported words disagree with memory")
 	}
-	st := s.FaultStats()
-	if st.Retries == 0 || st.Verifies == 0 {
-		t.Fatalf("a flip rate of 1 must force retries and verifies: %+v", st)
+	st := &ctl.Ledger().Count
+	if st[ledger.Retries] == 0 || st[ledger.Verifies] == 0 {
+		t.Fatalf("a flip rate of 1 must force retries and verifies: %v", st)
 	}
-	if st.DepthReductions == 0 {
-		t.Fatalf("a 128-row OR at flip rate 1 must take the depth-split rung: %+v", st)
+	if st[ledger.DepthReductions] == 0 {
+		t.Fatalf("a 128-row OR at flip rate 1 must take the depth-split rung: %v", st)
 	}
 	if res.Degraded == "" || res.Retries == 0 {
 		t.Fatalf("result does not report its degradation: %+v", res)
 	}
-	if st.BitsCorrected == 0 {
-		t.Fatalf("no corrected bits recorded: %+v", st)
+	if st[ledger.BitsCorrected] == 0 {
+		t.Fatalf("no corrected bits recorded: %v", st)
 	}
 }
 
@@ -167,7 +168,7 @@ func TestResilientANDFallsBackToInterDigital(t *testing.T) {
 	if res.Degraded != DegradedInter {
 		t.Fatalf("Degraded=%q, want %q", res.Degraded, DegradedInter)
 	}
-	if s.FaultStats().InterFallbacks == 0 {
+	if ctl.Ledger().Count[ledger.InterFallbacks] == 0 {
 		t.Fatal("no inter fallback recorded")
 	}
 }
@@ -227,9 +228,8 @@ func TestWornDestinationRetiredAndRemapped(t *testing.T) {
 			t.Fatalf("word %d wrong after remap", j)
 		}
 	}
-	st := s.FaultStats()
-	if st.RowsRetired == 0 {
-		t.Fatalf("no rows retired: %+v", st)
+	if st := &ctl.Ledger().Count; st[ledger.RowsRetired] == 0 {
+		t.Fatalf("no rows retired: %v", st)
 	}
 	if res.BitsCorrected == 0 {
 		t.Fatal("the intercepted stuck bits were not counted")

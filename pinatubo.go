@@ -33,6 +33,7 @@ import (
 	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/fault"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/pim"
@@ -267,6 +268,10 @@ type System struct {
 	ctl    *pim.Controller
 	alloc  *pimrt.Allocator
 	sched  *pimrt.Scheduler
+	// led is the controller's ledger, the one every counter this System
+	// reports lives in: the controller, scheduler and injector count into
+	// it, and so do the host paths and account below.
+	led *ledger.Ledger
 
 	// Proactive replication state (nil maps when the rung is inert):
 	// replicate is the effective factor, repRows maps an encoded primary
@@ -281,8 +286,6 @@ type System struct {
 	// computed against and recomputes them at Start when the layout moved
 	// underneath it.
 	layoutGen uint64
-
-	stats Stats
 
 	// rowScratch is Apply's per-row-batch operand address buffer, reused
 	// across calls so a steady-state fixed-arity Apply allocates nothing
@@ -306,16 +309,6 @@ type System struct {
 	// cacheAbsorbed accumulates program-cache traffic merged back from
 	// released sandboxes, so PerfStats covers shard executions too.
 	cacheAbsorbed cmdstream.CacheStats
-
-	// host-path resilience activity (Write/Read verification), kept apart
-	// from the scheduler's own counters.
-	hostVerifies         int64
-	hostRetries          int64
-	hostRowsRetired      int64
-	hostBitsCorrected    int64
-	hostEccDecodes       int64
-	hostEccCorrected     int64
-	hostEccUncorrectable int64
 }
 
 // VerifyMode returns the effective verification mode the system runs under
@@ -379,7 +372,7 @@ func New(cfg Config) (*System, error) {
 		mem:   mem,
 		ctl:   ctl,
 		alloc: alloc,
-		stats: Stats{Ops: make(map[string]int64)},
+		led:   ctl.Ledger(),
 	}
 	ctl.SetProgramCache(true)
 	s.sched = &pimrt.Scheduler{
@@ -427,7 +420,7 @@ func New(cfg Config) (*System, error) {
 		rowBits = pim.ECCRowBits(geo, codec)
 	}
 	if faultCfg.Enabled() {
-		inj, err := fault.New(faultCfg, nvm.Get(tech), analog.DefaultSenseConfig(), rowBits)
+		inj, err := fault.New(faultCfg, nvm.Get(tech), analog.DefaultSenseConfig(), rowBits, s.led)
 		if err != nil {
 			return nil, err
 		}
@@ -559,14 +552,28 @@ func (s *System) UsableRowsPerSubarray() int { return s.alloc.UsableRowsPerSubar
 // length occupy a single row and enjoy one-step operations.
 func (s *System) RowBits() int { return s.mem.Geometry().RowBits() }
 
-// Stats returns a snapshot of the accumulated statistics.
+// Stats returns a snapshot of the accumulated statistics. Stats,
+// HardwareCounters and FaultStats are together the one mapping of the
+// System's counter ledger onto the public structs; the maps carry a key
+// exactly when its count is non-zero.
 func (s *System) Stats() Stats {
-	out := s.stats
-	out.Ops = make(map[string]int64, len(s.stats.Ops))
-	for k, v := range s.stats.Ops {
-		out.Ops[k] = v
+	out := Stats{
+		Ops:          make(map[string]int64),
+		Requests:     s.led.Count[ledger.Requests],
+		BusySeconds:  s.led.BusySeconds,
+		EnergyJoules: s.led.EnergyJoules,
+	}
+	for c := PlaceHostRead; c <= PlaceInterBank; c++ {
+		if n := s.led.Count[opsCounter(c)]; n != 0 {
+			out.Ops[c.String()] = n
+		}
 	}
 	return out
+}
+
+// opsCounter returns the ledger counter of completed operations in class.
+func opsCounter(class PlacementClass) ledger.Counter {
+	return ledger.OpsHostRead + ledger.Counter(class-PlaceHostRead)
 }
 
 // PerfStats are the simulator's own raw-speed counters: how often the
@@ -635,9 +642,11 @@ func (s *System) getSandbox() (*System, error) {
 // putSandbox releases a shard sandbox back to the pool once its window is
 // finished (merged or discarded). The sandbox's program-cache traffic is
 // folded into the live System's PerfStats first, so cache observability
-// covers shard executions; the sandbox itself is reset on its next get.
-// Its last op's program and scheduler result are emptied now, so the pool
-// does not keep that op's command sequences and result words alive.
+// covers shard executions, whether or not the window merged; its ledger
+// was absorbed by the merge, if any, and is cleared with one Reset on the
+// sandbox's next get. Its last op's program and scheduler result are
+// emptied now, so the pool does not keep that op's command sequences and
+// result words alive.
 func (s *System) putSandbox(sb *System) {
 	if sb == nil {
 		return
@@ -656,9 +665,10 @@ func (s *System) putSandbox(sb *System) {
 
 // resetForReuse restores a pooled sandbox to the observable state of a
 // fresh New(s.cfg) System: memory content, allocator frontier, controller
-// counters and mode registers, analog-check sampling stream, fault state,
-// scheduler and host ledgers all rewind, so a reused sandbox replays a
-// shard bit-identically to a fresh one. Differential tests pin that.
+// mode registers, analog-check sampling stream, fault state and scheduler
+// all rewind, and the one counter ledger clears with a single Reset, so a
+// reused sandbox replays a shard bit-identically to a fresh one.
+// Differential tests pin that.
 func (s *System) resetForReuse() {
 	s.mem.Reset()
 	s.alloc.Reset()
@@ -667,12 +677,7 @@ func (s *System) resetForReuse() {
 		inj.Reset()
 	}
 	s.sched.Reset()
-	for k := range s.stats.Ops {
-		delete(s.stats.Ops, k)
-	}
-	s.stats.Requests = 0
-	s.stats.BusySeconds = 0
-	s.stats.EnergyJoules = 0
+	s.led.Reset()
 	for k := range s.repRows {
 		delete(s.repRows, k)
 	}
@@ -680,13 +685,6 @@ func (s *System) resetForReuse() {
 		delete(s.repMember, k)
 	}
 	s.layoutGen = 0
-	s.hostVerifies = 0
-	s.hostRetries = 0
-	s.hostRowsRetired = 0
-	s.hostBitsCorrected = 0
-	s.hostEccDecodes = 0
-	s.hostEccCorrected = 0
-	s.hostEccUncorrectable = 0
 }
 
 // BitVector is a handle to a bit-vector stored in the PIM memory.
@@ -845,10 +843,10 @@ type Result struct {
 }
 
 func (s *System) account(class PlacementClass, requests int, seconds, joules float64) Result {
-	s.stats.Ops[class.String()]++
-	s.stats.Requests += int64(requests)
-	s.stats.BusySeconds += seconds
-	s.stats.EnergyJoules += joules
+	s.led.Count[opsCounter(class)]++
+	s.led.Count[ledger.Requests] += int64(requests)
+	s.led.BusySeconds += seconds
+	s.led.EnergyJoules += joules
 	return Result{
 		Class:        class,
 		Requests:     requests,
@@ -946,22 +944,22 @@ func (s *System) writeRow(addr *memarch.RowAddr, chunk []uint64, bitsHere int) (
 		if err != nil {
 			return seconds, joules, err
 		}
-		s.hostVerifies++
+		s.led.Count[ledger.Verifies]++
 		seconds += v.Seconds
 		joules += v.Energy.Total()
 		if v.OK {
 			return seconds, joules, nil
 		}
-		s.hostBitsCorrected += int64(v.MismatchedBits)
+		s.led.Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
 		if try >= s.sched.Res.MaxRetries {
 			return seconds, joules, fmt.Errorf("pinatubo: writing row %v: %w",
 				*addr, ErrResilienceExhausted)
 		}
-		s.hostRetries++
+		s.led.Count[ledger.Retries]++
 		if v.WriteFault {
 			if fresh, err := s.remapRow(*addr); err == nil {
 				*addr = fresh
-				s.hostRowsRetired++
+				s.led.Count[ledger.RowsRetired]++
 			}
 		}
 		r, err := s.ctl.WriteRowFromHost(*addr, chunk, bitsHere)
@@ -984,22 +982,22 @@ func (s *System) writeRowECC(addr *memarch.RowAddr, chunk, golden []uint64, bits
 		if err != nil {
 			return seconds, joules, err
 		}
-		s.hostEccDecodes++
+		s.led.Count[ledger.EccDecodes]++
 		seconds += v.Seconds
 		joules += v.Energy.Total()
-		s.hostEccCorrected += int64(v.CorrectedBits)
+		s.led.Count[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
 		if v.OK {
 			return seconds, joules, nil
 		}
-		s.hostEccUncorrectable++
+		s.led.Count[ledger.EccUncorrectables]++
 		if try >= s.sched.Res.MaxRetries {
 			return seconds, joules, fmt.Errorf("pinatubo: writing row %v: %w (%w)",
 				*addr, ErrResilienceExhausted, ErrUncorrectable)
 		}
-		s.hostRetries++
+		s.led.Count[ledger.Retries]++
 		if fresh, err := s.remapRow(*addr); err == nil {
 			*addr = fresh
-			s.hostRowsRetired++
+			s.led.Count[ledger.RowsRetired]++
 		}
 		r, err := s.ctl.WriteRowFromHost(*addr, chunk, bitsHere)
 		if err != nil {
@@ -1077,28 +1075,28 @@ func (s *System) readRow(addr memarch.RowAddr, bitsHere int) ([]uint64, float64,
 				return nil, seconds, joules, err
 			}
 			if v.Seconds > 0 { // a decode actually ran (row was encoded)
-				s.hostEccDecodes++
+				s.led.Count[ledger.EccDecodes]++
 			}
 			s.prog.Emit(v.Instr(addr))
 			seconds += v.Seconds
 			joules += v.Energy.Total()
-			s.hostEccCorrected += int64(v.CorrectedBits)
+			s.led.Count[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
 			if v.Uncorrectable {
-				s.hostEccUncorrectable++
+				s.led.Count[ledger.EccUncorrectables]++
 			}
 		}
 		golden, err := s.ctl.Golden(sense.OpRead, []memarch.RowAddr{addr}, bitsHere)
 		if err != nil {
 			return nil, seconds, joules, err
 		}
-		s.hostVerifies++
+		s.led.Count[ledger.Verifies]++
 		if !bitvec.EqualWords(r.Words, golden, bitsHere) {
-			s.hostBitsCorrected += int64(bitvec.DiffCount(r.Words, golden, bitsHere))
+			s.led.Count[ledger.BitsCorrected] += int64(bitvec.DiffCount(r.Words, golden, bitsHere))
 			if try >= s.sched.Res.MaxRetries {
 				return nil, seconds, joules, fmt.Errorf("pinatubo: reading row %v: %w",
 					addr, ErrResilienceExhausted)
 			}
-			s.hostRetries++
+			s.led.Count[ledger.Retries]++
 			continue
 		}
 		return r.Words, seconds, joules, nil
@@ -1469,26 +1467,31 @@ type HardwareCounters struct {
 
 // HardwareCounters returns the controller's counters.
 func (s *System) HardwareCounters() HardwareCounters {
-	c := s.ctl.Counters()
 	out := HardwareCounters{
-		OpsByClass:  make(map[string]int64, len(c.Ops)),
-		Activations: c.Activations,
-		SenseSteps:  c.SenseSteps,
-		Writebacks:  c.Writebacks,
-		BusBits:     c.BusBits,
+		OpsByClass:  make(map[string]int64),
+		Activations: s.led.Count[ledger.Activations],
+		SenseSteps:  s.led.Count[ledger.SenseSteps],
+		Writebacks:  s.led.Count[ledger.Writebacks],
+		BusBits:     s.led.Count[ledger.BusBits],
 	}
-	for class, n := range c.Ops {
-		out.OpsByClass[class.String()] = n
+	for c := pim.ClassIntraSub; c <= pim.ClassInterBank; c++ {
+		if n := s.led.Count[pim.OpsCounter(c)]; n != 0 {
+			out.OpsByClass[c.String()] = n
+		}
 	}
 	return out
 }
 
-// FaultStats is the system's cumulative fault-and-resilience ledger: what
+// FaultStats is the system's cumulative fault-and-resilience record: what
 // the injected fault model actually did to the hardware (ground truth) and
-// what the verify-and-retry layer did about it. All zero when Config.Fault
-// is zero. Batch execution updates this ledger too: every op draws its
-// faults from its own per-operation substream, so the merged shard ledgers
-// read exactly as the same ops issued as a sequence of Apply calls.
+// what the verify-and-retry layer did about it. The five injector fields,
+// SenseFlips through RowWrites, are ground truth and read zero without an
+// injector (Config.Fault zero). The response fields count whenever
+// verification runs, faults or not: a fault-free system under explicit
+// VerifyReadback still counts Verifies, and under VerifyECC EccDecodes.
+// Batch execution updates this record too: every op draws its faults from
+// its own per-operation substream, so the merged shard ledgers read
+// exactly as the same ops issued as a sequence of Apply calls.
 type FaultStats struct {
 	// Ground truth from the injector.
 	SenseFlips       int64 // bits flipped on the sensing path
@@ -1519,34 +1522,26 @@ type FaultStats struct {
 
 // FaultStats returns a snapshot of the cumulative fault activity.
 func (s *System) FaultStats() FaultStats {
-	out := FaultStats{
-		Verifies:      s.hostVerifies,
-		Retries:       s.hostRetries,
-		RowsRetired:   s.hostRowsRetired,
-		BitsCorrected: s.hostBitsCorrected,
+	n := &s.led.Count
+	return FaultStats{
+		SenseFlips:        n[ledger.SenseFlips],
+		ActivationFaults:  n[ledger.ActivationFaults],
+		StuckRows:         n[ledger.StuckRows],
+		StuckBitsForced:   n[ledger.StuckBitsForced],
+		RowWrites:         n[ledger.RowWrites],
+		Verifies:          n[ledger.Verifies],
+		Retries:           n[ledger.Retries],
+		DepthReductions:   n[ledger.DepthReductions],
+		InterFallbacks:    n[ledger.InterFallbacks],
+		HostFallbacks:     n[ledger.HostFallbacks],
+		RowsRetired:       n[ledger.RowsRetired],
+		BitsCorrected:     n[ledger.BitsCorrected],
+		EccDecodes:        n[ledger.EccDecodes],
+		EccCorrectedBits:  n[ledger.EccCorrectedBits],
+		EccUncorrectables: n[ledger.EccUncorrectables],
+		Votes:             n[ledger.Votes],
+		BitsOutvoted:      n[ledger.BitsOutvoted],
 	}
-	if inj := s.ctl.Injector(); inj != nil {
-		st := inj.Stats()
-		out.SenseFlips = st.SenseFlips
-		out.ActivationFaults = st.ActivationFaults
-		out.StuckRows = st.StuckRows
-		out.StuckBitsForced = st.StuckBitsForced
-		out.RowWrites = st.RowWrites
-	}
-	sc := s.sched.FaultStats()
-	out.Verifies += sc.Verifies
-	out.Retries += sc.Retries
-	out.DepthReductions = sc.DepthReductions
-	out.InterFallbacks = sc.InterFallbacks
-	out.HostFallbacks = sc.HostFallbacks
-	out.RowsRetired += sc.RowsRetired
-	out.BitsCorrected += sc.BitsCorrected
-	out.EccDecodes = s.hostEccDecodes + sc.EccDecodes
-	out.EccCorrectedBits = s.hostEccCorrected + sc.EccCorrectedBits
-	out.EccUncorrectables = s.hostEccUncorrectable + sc.EccUncorrectables
-	out.Votes = sc.Votes
-	out.BitsOutvoted = sc.BitsOutvoted
-	return out
 }
 
 // HottestRow reports the most-programmed physical row and its write count —

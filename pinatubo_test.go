@@ -1,7 +1,9 @@
 package pinatubo
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -580,6 +582,65 @@ func TestHardwareCountersExposed(t *testing.T) {
 	}
 	if hc.OpsByClass["intra-subarray"] < 1 {
 		t.Errorf("class counts %v", hc.OpsByClass)
+	}
+	// The snapshot is a copy: its map does not alias the ledger.
+	hc.OpsByClass["intra-subarray"] = 99
+	if s.HardwareCounters().OpsByClass["intra-subarray"] == 99 {
+		t.Error("HardwareCounters leaked internal state")
+	}
+}
+
+// Every ledger counter reaches exactly one public field. With each counter
+// and float total set to a distinct value, the three public snapshots
+// together hold every value once and no field holds anything else, so a
+// counter left out of the mapping, mapped twice, or a public field fed
+// from anywhere but the ledger fails here.
+func TestLedgerSnapshotCoversEveryCounter(t *testing.T) {
+	s := newSys(t)
+	if n, m := len(s.Stats().Ops), len(s.HardwareCounters().OpsByClass); n != 0 || m != 0 {
+		t.Fatalf("fresh system reports %d op classes and %d hardware classes, want none", n, m)
+	}
+	want := map[float64]bool{0.5: true, 0.25: true}
+	for c := range s.led.Count {
+		s.led.Count[c] = int64(1000 + c)
+		want[float64(1000+c)] = true
+	}
+	s.led.BusySeconds, s.led.EnergyJoules = 0.5, 0.25
+
+	seen := make(map[float64][]string)
+	var walk func(name string, v reflect.Value)
+	walk = func(name string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(name+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Map:
+			for _, k := range v.MapKeys() {
+				walk(fmt.Sprintf("%s[%v]", name, k), v.MapIndex(k))
+			}
+		case reflect.Int64:
+			seen[float64(v.Int())] = append(seen[float64(v.Int())], name)
+		case reflect.Float64:
+			seen[v.Float()] = append(seen[v.Float()], name)
+		default:
+			t.Fatalf("%s: unexpected kind %v", name, v.Kind())
+		}
+	}
+	walk("Stats", reflect.ValueOf(s.Stats()))
+	walk("HardwareCounters", reflect.ValueOf(s.HardwareCounters()))
+	walk("FaultStats", reflect.ValueOf(s.FaultStats()))
+	for v, names := range seen {
+		if !want[v] {
+			t.Errorf("%v hold %v, not a ledger value", names, v)
+		} else if len(names) != 1 {
+			t.Errorf("ledger value %v reported %d times: %v", v, len(names), names)
+		}
+	}
+	for v := range want {
+		if _, ok := seen[v]; !ok {
+			t.Errorf("ledger value %v reported nowhere", v)
+		}
 	}
 }
 

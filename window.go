@@ -380,8 +380,7 @@ func (r *BatchRun) finish() (BatchResult, error) {
 			s.ctl.SetECCState(a, bits, words)
 		})
 		s.mem.AbsorbCounters(sh.mem)
-		s.ctl.AbsorbCounters(sh.ctl.Counters())
-		s.sched.AbsorbStats(sh.sched.FaultStats())
+		s.led.Absorb(sh.led)
 		if liveInj != nil {
 			shInj := sh.ctl.Injector()
 			seen := make(map[uint64]bool)
@@ -399,21 +398,7 @@ func (r *BatchRun) finish() (BatchResult, error) {
 					liveInj.SetRowState(key, st)
 				}
 			}
-			liveInj.AbsorbStats(shInj.Stats())
 		}
-		for k, v := range sh.stats.Ops {
-			s.stats.Ops[k] += v
-		}
-		s.stats.Requests += sh.stats.Requests
-		s.stats.BusySeconds += sh.stats.BusySeconds
-		s.stats.EnergyJoules += sh.stats.EnergyJoules
-		s.hostVerifies += sh.hostVerifies
-		s.hostRetries += sh.hostRetries
-		s.hostRowsRetired += sh.hostRowsRetired
-		s.hostBitsCorrected += sh.hostBitsCorrected
-		s.hostEccDecodes += sh.hostEccDecodes
-		s.hostEccCorrected += sh.hostEccCorrected
-		s.hostEccUncorrectable += sh.hostEccUncorrectable
 		for live, mirror := range r.states[si].vecs {
 			copy(live.rows, mirror.rows)
 		}
