@@ -55,7 +55,8 @@ func (b *SenseAmp) ComputeInto(dst []uint64, op sense.Op, rows [][]uint64) error
 	return b.sa.ComputeWordsInto(dst, op, rows)
 }
 
-// Reset reseeds the SA model's sampling stream for sandbox reuse.
+// Reset rewinds the SA model's analog-check sampling stream for sandbox
+// reuse: a constant-time PCG reseed (sense.Array.Reset).
 func (b *SenseAmp) Reset() { b.sa.Reset() }
 
 // LowerIntra performs the one-step multi-row operation in the SAs: LWL

@@ -41,7 +41,9 @@ type Cmd struct {
 	// commands with Exec < Issue still hold the bus for Issue.
 	Exec float64
 	// Resource identifies the bank (or buffer) the command occupies.
-	// Resource < 0 means bus-only (e.g. MRS).
+	// Resource < 0 means bus-only (e.g. MRS). IDs must be small, dense
+	// ints: the scheduler keeps one slot per ID up to the largest one a
+	// schedule names. BankResource IDs and Replicate's offsets are.
 	Resource int
 }
 
@@ -196,12 +198,13 @@ func ScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 		done     bool
 	}
 	states := make([]state, len(reqs))
-	channels := 1
+	channels, resources := 1, 0
 	for i, r := range reqs {
 		for j, c := range r.Cmds {
 			if c.Issue < 0 || c.Exec < 0 {
 				return Result{}, fmt.Errorf("chansim: request %d command %d has negative time", i, j)
 			}
+			resources = max(resources, c.Resource+1)
 		}
 		if r.Channel < 0 {
 			return Result{}, fmt.Errorf("chansim: request %d has negative channel", i)
@@ -213,7 +216,12 @@ func ScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 	}
 
 	busFree := make([]float64, channels)
-	resourceFree := map[int]float64{}
+	// resourceFree[id] is when resource id finishes its last command: a
+	// dense table over every ID queued at load, grown if a Grow hook
+	// names a larger one. A table of up to 64 IDs, the banks of one
+	// channel, lives in local and costs no allocation.
+	var local [64]float64
+	resourceFree := append(local[:0], make([]float64, resources)...)
 	res := Result{Completion: make([]float64, len(reqs)), Channels: channels}
 
 	// refill tops up a drained request from its Grow hook and records the
@@ -234,6 +242,9 @@ func ScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 			for j, c := range more {
 				if c.Issue < 0 || c.Exec < 0 {
 					return fmt.Errorf("chansim: request %d grown command %d has negative time", i, j)
+				}
+				if c.Resource >= len(resourceFree) {
+					resourceFree = append(resourceFree, make([]float64, c.Resource+1-len(resourceFree))...)
 				}
 			}
 			st.cmds = append(st.cmds, more...)

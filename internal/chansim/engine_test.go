@@ -1,9 +1,11 @@
 package chansim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -96,6 +98,196 @@ func TestFIFOMatchesLegacyBitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: engine diverged from legacy scheduler:\n got %+v\nwant %+v", trial, got, want)
+		}
+	}
+}
+
+// mapScheduleWith is the engine as it stood before its resource table
+// became a dense slice: ScheduleWith with resourceFree in a map, kept
+// verbatim as the reference the slice-backed engine must reproduce
+// bit-identically.
+func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
+	if arb != ArbFIFO && arb != ArbOldestReady {
+		return Result{}, fmt.Errorf("chansim: unknown arbiter %d", int(arb))
+	}
+	type state struct {
+		cmds     []Cmd
+		next     int     // next command index
+		executed int     // commands executed so far (passed to Grow)
+		prevDone float64 // completion of the previous command
+		grow     func(int) []Cmd
+		done     bool
+	}
+	states := make([]state, len(reqs))
+	channels := 1
+	for i, r := range reqs {
+		for j, c := range r.Cmds {
+			if c.Issue < 0 || c.Exec < 0 {
+				return Result{}, fmt.Errorf("chansim: request %d command %d has negative time", i, j)
+			}
+		}
+		if r.Channel < 0 {
+			return Result{}, fmt.Errorf("chansim: request %d has negative channel", i)
+		}
+		if r.Channel+1 > channels {
+			channels = r.Channel + 1
+		}
+		states[i] = state{cmds: r.Cmds, grow: r.Grow}
+	}
+
+	busFree := make([]float64, channels)
+	resourceFree := map[int]float64{}
+	res := Result{Completion: make([]float64, len(reqs)), Channels: channels}
+
+	// refill tops up a drained request from its Grow hook and records the
+	// completion time once the request is truly finished.
+	refill := func(i int) error {
+		st := &states[i]
+		for !st.done && st.next >= len(st.cmds) {
+			if st.grow == nil {
+				st.done = true
+				break
+			}
+			more := st.grow(st.executed)
+			if len(more) == 0 {
+				st.grow = nil
+				st.done = true
+				break
+			}
+			for j, c := range more {
+				if c.Issue < 0 || c.Exec < 0 {
+					return fmt.Errorf("chansim: request %d grown command %d has negative time", i, j)
+				}
+			}
+			st.cmds = append(st.cmds, more...)
+		}
+		if st.done && res.Completion[i] == 0 {
+			res.Completion[i] = st.prevDone
+			if st.prevDone > res.Makespan {
+				res.Makespan = st.prevDone
+			}
+		}
+		return nil
+	}
+
+	for {
+		// Find the request whose next command the arbiter favours.
+		best := -1
+		bestStart, bestReady := 0.0, 0.0
+		for i := range reqs {
+			if err := refill(i); err != nil {
+				return Result{}, err
+			}
+			st := &states[i]
+			if st.done {
+				continue
+			}
+			c := st.cmds[st.next]
+			start := st.prevDone
+			if bf := busFree[reqs[i].Channel]; bf > start {
+				start = bf
+			}
+			if c.Resource >= 0 && resourceFree[c.Resource] > start {
+				start = resourceFree[c.Resource]
+			}
+			switch arb {
+			case ArbFIFO:
+				if best == -1 || start < bestStart {
+					best, bestStart = i, start
+				}
+			case ArbOldestReady:
+				// The tie-break compares event times for exact equality on
+				// purpose: both are copies of the same computed value, and an
+				// epsilon here would make arbitration depend on magnitudes.
+				if best == -1 || st.prevDone < bestReady ||
+					//pinlint:ignore floateq exact tie-break on identical event times keeps arbitration deterministic
+					(st.prevDone == bestReady && start < bestStart) {
+					best, bestStart, bestReady = i, start, st.prevDone
+				}
+			}
+		}
+		if best == -1 {
+			break // all done
+		}
+		st := &states[best]
+		c := st.cmds[st.next]
+		issueEnd := bestStart + c.Issue
+		execEnd := bestStart + c.Exec
+		if issueEnd > execEnd {
+			execEnd = issueEnd
+		}
+		busFree[reqs[best].Channel] = issueEnd
+		res.BusBusy += c.Issue
+		if c.Resource >= 0 {
+			resourceFree[c.Resource] = execEnd
+		}
+		st.prevDone = execEnd
+		st.next++
+		st.executed++
+	}
+	return res, nil
+}
+
+// randomGrowingRequests extends randomRequests' shape to the engine's
+// full input space: up to three channels, bus-only commands, and Grow
+// hooks whose expansions name resource IDs up to 11, past the largest
+// (3) any request queues at load. Each hook is a pure function of the
+// executed count, so two engines replaying one request set see the same
+// expansions.
+func randomGrowingRequests(rng *rand.Rand) []Request {
+	randCmds := func(n, maxRes int) []Cmd {
+		cmds := make([]Cmd, n)
+		for j := range cmds {
+			cmds[j] = Cmd{
+				Issue:    float64(rng.Intn(5)) * 0.5,
+				Exec:     float64(rng.Intn(20)) * 0.5,
+				Resource: rng.Intn(maxRes+2) - 1, // -1..maxRes
+			}
+		}
+		return cmds
+	}
+	reqs := make([]Request, 1+rng.Intn(6))
+	for i := range reqs {
+		r := Request{Channel: rng.Intn(3), Cmds: randCmds(rng.Intn(8), 3)}
+		if rng.Intn(2) == 0 {
+			// grow[k] is the expansion returned once k commands executed.
+			grow := map[int][]Cmd{}
+			at := len(r.Cmds)
+			for e := rng.Intn(4); e > 0; e-- {
+				more := randCmds(1+rng.Intn(4), 11)
+				grow[at] = more
+				at += len(more)
+			}
+			r.Grow = func(executed int) []Cmd { return grow[executed] }
+		}
+		reqs[i] = r
+	}
+	return reqs
+}
+
+// TestDenseResourcesMatchMapEngine requires the slice-backed engine to
+// reproduce the map-backed one exactly — == on every completion time,
+// the makespan and the bus occupancy — under both arbiters, across
+// channels, bus-only commands and Grow hooks that introduce resource IDs
+// beyond any seen at load.
+func TestDenseResourcesMatchMapEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 500; trial++ {
+		reqs := randomGrowingRequests(rng)
+		for _, arb := range []Arbiter{ArbFIFO, ArbOldestReady} {
+			want, err := mapScheduleWith(reqs, arb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ScheduleWith(reqs, arb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Completion, want.Completion) || got.Makespan != want.Makespan ||
+				got.BusBusy != want.BusBusy || got.Channels != want.Channels {
+				t.Fatalf("trial %d %v: dense engine diverged from the map engine:\n got %+v\nwant %+v",
+					trial, arb, got, want)
+			}
 		}
 	}
 }

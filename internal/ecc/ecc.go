@@ -16,11 +16,21 @@
 // all-ones) directly from the operands' stored check bits. OR and AND are
 // not GF(2)-linear, so their check bits must be regenerated from the result
 // stream at the write drivers. TestXorLinearity pins the property.
+//
+// Linearity also makes the row codec cheap on the host. The overall parity
+// bit is linear too, so the 8 check bits of a (72,64) group are the XOR of
+// 8 table lookups, one 256-entry table per data byte, and group g's check
+// bits are byte g of the packed check words. EncodeRow and DecodeRow take
+// that byte-sliced path at the 64-bit width; DecodeRow falls back to the
+// bit-serial Decode only for a group whose recomputed check byte differs
+// from the stored one. The other widths run the bit-serial Encode/Decode,
+// which stay the reference FuzzRowCodec checks the tables against.
 package ecc
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Codec is one extended-Hamming SECDED code over dataBits-wide word groups.
@@ -36,7 +46,34 @@ type Codec struct {
 	posToData []int
 	// dataToPos is the inverse map.
 	dataToPos []int
+	// table is the byte-sliced encoder of the 64-bit code, shared by every
+	// 64-bit Codec; nil at the other widths.
+	table *byteTable
 }
+
+// byteTable holds Encode(v << 8b) at [b][v] for the (72,64) code: by
+// linearity, a data word's check byte is the XOR of its 8 bytes' entries.
+type byteTable [8][256]uint8
+
+// encode returns the 8 check bits of a 64-bit data group.
+func (t *byteTable) encode(d uint64) uint64 {
+	return uint64(t[0][uint8(d)] ^ t[1][uint8(d>>8)] ^ t[2][uint8(d>>16)] ^ t[3][uint8(d>>24)] ^
+		t[4][uint8(d>>32)] ^ t[5][uint8(d>>40)] ^ t[6][uint8(d>>48)] ^ t[7][uint8(d>>56)])
+}
+
+// table64 builds the byte table once per process: every VerifyECC System
+// constructs a Codec, sandbox-pool misses and Plan samples included, and
+// all of them share the one read-only table.
+var table64 = sync.OnceValue(func() *byteTable {
+	c := build(64)
+	t := new(byteTable)
+	for b := range t {
+		for v := range t[b] {
+			t[b][v] = uint8(c.Encode(uint64(v) << (8 * b)))
+		}
+	}
+	return t
+})
 
 // New builds a codec over dataBits-wide groups (4..64). The standard widths
 // are 8 (13,8), 16 (22,16), 32 (39,32) and 64 bits — the (72,64) code of
@@ -45,6 +82,15 @@ func New(dataBits int) (*Codec, error) {
 	if dataBits < 4 || dataBits > 64 {
 		return nil, fmt.Errorf("ecc: data width %d outside 4..64", dataBits)
 	}
+	c := build(dataBits)
+	if dataBits == 64 {
+		c.table = table64()
+	}
+	return c, nil
+}
+
+// build derives the bit-serial code tables of a validated width.
+func build(dataBits int) *Codec {
 	h := 2
 	for 1<<h < dataBits+h+1 {
 		h++
@@ -72,7 +118,7 @@ func New(dataBits int) (*Codec, error) {
 		}
 		d++
 	}
-	return c, nil
+	return c
 }
 
 // Default returns the (72,64) codec used by the controller. Panics only if
@@ -218,15 +264,42 @@ func (c *Codec) groupWidth(g, bits int) int {
 
 // EncodeRow computes the packed spare-column check words of the first
 // `bits` bits of data: group g's check bits sit at bit offset
-// g*CheckBits() of the returned slice.
+// g*CheckBits() of the returned slice. Data bits at or past `bits` are
+// ignored.
 func (c *Codec) EncodeRow(data []uint64, bits int) []uint64 {
 	out := make([]uint64, c.CheckWords(bits))
+	if c.table != nil {
+		for w := range out {
+			out[w] = c.table.checkWord(data, w, bits)
+		}
+		return out
+	}
 	cb := c.CheckBits()
 	for g := 0; g < c.Groups(bits); g++ {
 		d := getBits(data, g*c.dataBits, c.groupWidth(g, bits))
 		setBits(out, g*cb, cb, c.Encode(d))
 	}
 	return out
+}
+
+// checkWord returns check word w of a (72,64) row: byte i holds the check
+// bits of data word 8w+i, for every group below `bits`. The tail group is
+// masked to its real bits and bytes past the last group are zero.
+func (t *byteTable) checkWord(data []uint64, w, bits int) uint64 {
+	if (w+1)*512 <= bits {
+		d := data[8*w : 8*w+8]
+		return t.encode(d[0]) | t.encode(d[1])<<8 | t.encode(d[2])<<16 | t.encode(d[3])<<24 |
+			t.encode(d[4])<<32 | t.encode(d[5])<<40 | t.encode(d[6])<<48 | t.encode(d[7])<<56
+	}
+	var word uint64
+	for g := 8 * w; g*64 < bits; g++ {
+		d := data[g]
+		if r := bits - g*64; r < 64 {
+			d &= 1<<uint(r) - 1
+		}
+		word |= t.encode(d) << (8 * (g - 8*w))
+	}
+	return word
 }
 
 // RowResult summarises decoding one row.
@@ -246,28 +319,46 @@ func (r RowResult) Clean() bool { return r.Detected == 0 }
 // is physically impossible and counts as Detected.
 func (c *Codec) DecodeRow(data, check []uint64, bits int) RowResult {
 	var out RowResult
-	cb := c.CheckBits()
-	for g := 0; g < c.Groups(bits); g++ {
-		nb := c.groupWidth(g, bits)
-		d := getBits(data, g*c.dataBits, nb)
-		ch := getBits(check, g*cb, cb)
-		dec := c.Decode(d, ch)
-		switch dec.Outcome {
-		case OK:
-		case CorrectedCheck:
-			out.CorrectedCheck++
-		case CorrectedData:
-			if dec.Pos >= nb {
-				out.Detected++
-				continue
+	cb, groups := c.CheckBits(), c.Groups(bits)
+	if c.table != nil {
+		for w := range check[:c.CheckWords(bits)] {
+			// A recomputed check byte equal to the stored one is exactly
+			// Decode's OK case: only a differing byte needs the syndrome.
+			diff := c.table.checkWord(data, w, bits) ^ check[w]
+			for i := 0; diff != 0; i, diff = i+1, diff>>8 {
+				if g := 8*w + i; diff&0xff != 0 && g < groups {
+					nb := c.groupWidth(g, bits)
+					c.decodeGroup(&out, data, g, nb, getBits(data, 64*g, nb), check[w]>>(8*i)&0xff)
+				}
 			}
-			out.CorrectedData++
-			setBits(data, g*c.dataBits, nb, dec.Data)
-		case Detected:
-			out.Detected++
 		}
+		return out
+	}
+	for g := 0; g < groups; g++ {
+		nb := c.groupWidth(g, bits)
+		c.decodeGroup(&out, data, g, nb, getBits(data, g*c.dataBits, nb), getBits(check, g*cb, cb))
 	}
 	return out
+}
+
+// decodeGroup decodes group g — its nb real data bits d against its check
+// bits ch — into out, writing a data correction back into data.
+func (c *Codec) decodeGroup(out *RowResult, data []uint64, g, nb int, d, ch uint64) {
+	dec := c.Decode(d, ch)
+	switch dec.Outcome {
+	case OK:
+	case CorrectedCheck:
+		out.CorrectedCheck++
+	case CorrectedData:
+		if dec.Pos >= nb {
+			out.Detected++
+			return
+		}
+		out.CorrectedData++
+		setBits(data, g*c.dataBits, nb, dec.Data)
+	case Detected:
+		out.Detected++
+	}
 }
 
 // getBits extracts n (≤ 64) bits at bit offset off from a packed word

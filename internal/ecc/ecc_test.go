@@ -262,3 +262,51 @@ func TestBitPacking(t *testing.T) {
 		t.Fatalf("full-word setBits = %#x", words[2])
 	}
 }
+
+// BenchmarkEncodeRow and BenchmarkDecodeRow time the row codec on one
+// 64 Kbit row: "table" is the byte-sliced path every 64-bit Codec takes,
+// "bitserial" the same code with its table off, the reference path.
+// DecodeRow runs on a clean row, the common case, where the table path
+// never calls Decode.
+const benchRowBits = 1 << 16
+
+// benchCheck keeps EncodeRow's result live so the call is not optimised
+// away.
+var benchCheck []uint64
+
+func benchCodecs(b *testing.B, run func(b *testing.B, c *Codec, data []uint64)) {
+	rng := rand.New(rand.NewSource(8))
+	data := make([]uint64, benchRowBits/64)
+	for i := range data {
+		data[i] = rng.Uint64()
+	}
+	for _, bc := range []struct {
+		name string
+		c    *Codec
+	}{{"table", Default()}, {"bitserial", build(64)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(benchRowBits / 8)
+			run(b, bc.c, data)
+		})
+	}
+}
+
+func BenchmarkEncodeRow(b *testing.B) {
+	benchCodecs(b, func(b *testing.B, c *Codec, data []uint64) {
+		for i := 0; i < b.N; i++ {
+			benchCheck = c.EncodeRow(data, benchRowBits)
+		}
+	})
+}
+
+func BenchmarkDecodeRow(b *testing.B) {
+	benchCodecs(b, func(b *testing.B, c *Codec, data []uint64) {
+		check := c.EncodeRow(data, benchRowBits)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r := c.DecodeRow(data, check, benchRowBits); r != (RowResult{}) {
+				b.Fatalf("clean row decoded %+v", r)
+			}
+		}
+	})
+}

@@ -276,7 +276,13 @@ func TestDriftWidensMarginsReducesFlips(t *testing.T) {
 // rand.New(rand.NewSource(seed)) and reports the first disagreement.
 func sameStream(t *testing.T, what string, got *rand.Rand, seed int64) {
 	t.Helper()
-	want := rand.New(rand.NewSource(seed))
+	sameDraws(t, what, got, rand.New(rand.NewSource(seed)))
+}
+
+// sameDraws draws the same mixed sequence from got and want and reports
+// the first disagreement.
+func sameDraws(t *testing.T, what string, got, want *rand.Rand) {
+	t.Helper()
 	for i := 0; i < 64; i++ {
 		if g, w := got.Int63(), want.Int63(); g != w {
 			t.Fatalf("%s: draw %d Int63 %d, fresh source %d", what, i, g, w)
@@ -293,16 +299,50 @@ func sameStream(t *testing.T, what string, got *rand.Rand, seed int64) {
 // TestReseedMatchesFreshSource pins that reseeding the injector's PRNG in
 // place yields exactly the stream a newly built source would: Reset
 // rewinds to the configured seed and BeginOp to the per-op substream.
+// It reads through src, the accessor every draw takes, so Reset's
+// deferred rewind is part of what it checks.
 func TestReseedMatchesFreshSource(t *testing.T) {
 	const seed = 42
-	in := newPCM(t, Config{SenseFlipRate: 1e-3, Seed: seed})
-	in.rng.Int63() // advance the stream so the reseed has work to undo
+	cfg := Config{SenseFlipRate: 1e-3, Seed: seed}
+	in := newPCM(t, cfg)
+	in.src().Int63() // advance the stream so the reseed has work to undo
 	in.Reset()
-	sameStream(t, "Reset", in.rng, seed)
+	sameStream(t, "Reset", in.src(), seed)
 	for op := int64(1); op <= 3; op++ {
-		in.rng.Float64()
+		in.src().Float64()
 		in.BeginOp()
-		sameStream(t, fmt.Sprintf("BeginOp %d", op), in.rng, seed^int64(splitmix64(uint64(op))))
+		sameStream(t, fmt.Sprintf("BeginOp %d", op), in.src(), seed^int64(splitmix64(uint64(op))))
+	}
+
+	// Against a freshly built injector: after Reset, a draw without
+	// BeginOp is the Seed stream ...
+	in.src().Int63()
+	in.Reset()
+	sameDraws(t, "Reset vs fresh injector", in.src(), newPCM(t, cfg).src())
+
+	// ... and Reset, SetOpSeq(k), BeginOp is substream k+1, whatever the
+	// stream held before.
+	for _, k := range []int64{0, 1, 7, 1000} {
+		in.src().Float64()
+		in.Reset()
+		in.SetOpSeq(k)
+		in.BeginOp()
+		fresh := newPCM(t, cfg)
+		fresh.SetOpSeq(k)
+		fresh.BeginOp()
+		if in.OpSeq() != k+1 || fresh.OpSeq() != k+1 {
+			t.Fatalf("SetOpSeq(%d)+BeginOp: OpSeq %d, fresh %d, want %d", k, in.OpSeq(), fresh.OpSeq(), k+1)
+		}
+		sameDraws(t, fmt.Sprintf("substream %d vs fresh injector", k+1), in.src(), fresh.src())
+	}
+}
+
+// TestResetZeroAllocs pins the pooled-sandbox reset: it defers the
+// rewind, so it touches no PRNG state and allocates nothing.
+func TestResetZeroAllocs(t *testing.T) {
+	in := newPCM(t, Config{SenseFlipRate: 1e-3, Seed: 7})
+	if allocs := testing.AllocsPerRun(100, in.Reset); allocs != 0 {
+		t.Errorf("Reset: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -50,6 +50,15 @@ func TestComputeWordsIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestResetZeroAllocs pins the pooled-sandbox reset of the sampling
+// stream: a PCG reseed in place.
+func TestResetZeroAllocs(t *testing.T) {
+	a := newPCM(t)
+	if allocs := testing.AllocsPerRun(100, a.Reset); allocs != 0 {
+		t.Errorf("Reset: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestMajorityWordsIntoZeroAllocs(t *testing.T) {
 	outs := randRows(3, 16, 13)
 	dst := make([]uint64, 16)

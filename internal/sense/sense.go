@@ -14,7 +14,7 @@ package sense
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"pinatubo/internal/analog"
 	"pinatubo/internal/nvm"
@@ -78,7 +78,8 @@ func (e *OperandError) Error() string {
 		e.Op, e.Tech, e.Max, e.N)
 }
 
-// analogCheckSeed seeds the deterministic analog-check sampling stream.
+// analogCheckSeed seeds the deterministic analog-check sampling stream:
+// a PCG seeded (analogCheckSeed, 0).
 const analogCheckSeed = 0x9144
 
 // Array models the sense amplifiers of one MAT (or, because chips and MATs
@@ -89,7 +90,11 @@ type Array struct {
 	// checkEvery > 0 enables analog cross-checking of that many sampled
 	// bit positions per ComputeWords call.
 	checkEvery int
-	rng        *rand.Rand
+	// pcg drives rng, the stream that picks the bit positions the analog
+	// cross-check re-resolves. It only chooses what to check and never
+	// changes a result. A PCG reseeds in constant time (Reset).
+	pcg *rand.PCG
+	rng *rand.Rand
 	// cells is the analog-check sample scratch, reused so steady-state
 	// operations allocate nothing for the cross-check.
 	cells []bool
@@ -114,11 +119,13 @@ func NewArray(p nvm.Params, cfg analog.SenseConfig, checkBits int) (*Array, erro
 	if depth > p.MaxOpenRows {
 		depth = p.MaxOpenRows
 	}
+	pcg := rand.NewPCG(analogCheckSeed, 0)
 	return &Array{
 		params:     p,
 		cfg:        cfg,
 		checkEvery: checkBits,
-		rng:        rand.New(rand.NewSource(analogCheckSeed)),
+		pcg:        pcg,
+		rng:        rand.New(pcg),
 		maxOR:      depth,
 	}, nil
 }
@@ -150,9 +157,11 @@ func (a *Array) ValidateOperands(op Op, n int) error {
 }
 
 // Reset restores the array's deterministic analog-check sampling stream
-// to its NewArray state (pooled shard sandboxes reset through here).
+// to its NewArray state (pooled shard sandboxes reset through here). It
+// reseeds the PCG in place: two words of state, so a reset costs
+// constant time and allocates nothing.
 func (a *Array) Reset() {
-	a.rng.Seed(analogCheckSeed)
+	a.pcg.Seed(analogCheckSeed, 0)
 }
 
 // ComputeWords resolves the operation over word-parallel operand rows and
@@ -249,7 +258,7 @@ func (a *Array) analogCheck(op Op, rows [][]uint64, out []uint64) {
 		a.cells = make([]bool, len(rows))
 	}
 	for k := 0; k < a.checkEvery; k++ {
-		pos := a.rng.Intn(totalBits)
+		pos := a.rng.IntN(totalBits)
 		wi, bi := pos/64, uint(pos%64)
 		cells := a.cells[:len(rows)]
 		for r := range rows {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"strings"
 	"testing"
 
@@ -248,24 +249,27 @@ func TestPropORAgainstFold(t *testing.T) {
 	}
 }
 
-// TestResetMatchesFreshSource pins that Reset reseeds the sampling stream
-// in place to exactly the stream NewArray starts with.
+// TestResetMatchesFreshSource pins the sampling stream: NewArray starts,
+// and Reset rewinds in place to, exactly the stream of a fresh
+// PCG(analogCheckSeed, 0).
 func TestResetMatchesFreshSource(t *testing.T) {
 	a := newPCM(t)
+	same := func(what string) {
+		t.Helper()
+		want := randv2.New(randv2.NewPCG(analogCheckSeed, 0))
+		for i := 0; i < 64; i++ {
+			if g, w := a.rng.IntN(1000+i), want.IntN(1000+i); g != w {
+				t.Fatalf("draw %d %s: %d, fresh PCG %d", i, what, g, w)
+			}
+		}
+	}
+	same("after NewArray")
 	rows := randRows(3, 4, 9)
 	if _, err := a.ComputeWords(OpOR, rows); err != nil { // advance the stream
 		t.Fatal(err)
 	}
 	a.Reset()
-	want := rand.New(rand.NewSource(analogCheckSeed))
-	for i := 0; i < 64; i++ {
-		if g, w := a.rng.Intn(1000+i), want.Intn(1000+i); g != w {
-			t.Fatalf("draw %d after Reset: %d, fresh source %d", i, g, w)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, a.Reset); allocs != 0 {
-		t.Errorf("Reset: %v allocs/op, want 0", allocs)
-	}
+	same("after Reset")
 }
 
 // BenchmarkComputeOR times the OR kernel over 2048-word (128 Kbit) rows at
