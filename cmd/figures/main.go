@@ -1,25 +1,24 @@
 // Command figures regenerates the paper's evaluation tables and figures
-// (Table 1, Figs. 9–13) from the simulator and prints them as aligned text
-// tables. EXPERIMENTS.md records a reference run next to the paper's
-// numbers.
+// (Table 1, Figs. 9–13) and this reproduction's extension sweeps from the
+// simulator and prints them as aligned text tables. EXPERIMENTS.md records
+// a reference run next to the paper's numbers. The batch sweep's
+// sequential times and makespans are pinned to the nanosecond by
+// TestBatchSweep; the Apply round's allocations, cache misses and DRAM
+// prices by the root package's TestApplyOnePathAllocs and
+// TestDRAMApplyRoundPrices.
 //
 // Usage:
 //
-//	figures            # everything
-//	figures -fig 9     # one figure: table1, 9, 10, 11, 12, 13, margins, ablation, faults, replication, ecc, batch
-//	figures -fig batch -benchout BENCH_batch.json   # batch sweep + CI benchmark artifact
-//	figures -fig batch -benchgate BENCH_batch.json  # fail on >15% makespan regression
-//	figures -fig apply -applyout BENCH_apply.json   # Apply hot-path benchmark artifact
-//	figures -fig apply -applygate BENCH_apply.json  # fail on >15% allocs/op or hit-rate regression
-//	figures -fig techcompare                        # NVM-vs-DRAM latency/throughput/energy sweep
-//	figures -fig dram -dramout BENCH_dram.json      # DRAM TRA backend benchmark artifact
-//	figures -fig dram -dramgate BENCH_dram.json     # fail on >15% allocs/op, hit-rate, sim-time or energy regression
+//	figures                        # everything
+//	figures -fig 9                 # one figure: table1, 9, 10, 11, 12, 13, margins, ablation, extended, faults, replication, ecc, headroom, batch, techcompare
+//	figures -fig techcompare       # NVM-vs-DRAM latency/throughput/energy sweep
+//	figures -fig batch -csv        # one figure as CSV (not table1, margins, ablation or extended)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pinatubo/internal/analog"
@@ -28,28 +27,33 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: table1, 9, 10, 11, 12, 13, margins, ablation, extended, faults, replication, ecc, headroom, batch, apply, techcompare, dram, all")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of text tables (figs 9-13)")
-	benchOut := flag.String("benchout", "", "also write the batch smoke benchmark JSON to this file")
-	benchGate := flag.String("benchgate", "", "fail if the fresh batch benchmark's simulated makespan regresses >15% vs this baseline JSON")
-	applyOut := flag.String("applyout", "", "also write the Apply hot-path benchmark JSON to this file")
-	applyGate := flag.String("applygate", "", "fail if the fresh Apply benchmark's allocs/op or cache hit rate regresses >15% vs this baseline JSON")
-	dramOut := flag.String("dramout", "", "also write the DRAM TRA backend benchmark JSON to this file")
-	dramGate := flag.String("dramgate", "", "fail if the fresh DRAM benchmark's gated figures regress >15% vs this baseline JSON")
+	fig := flag.String("fig", "all", "which figure to regenerate: table1, 9, 10, 11, 12, 13, margins, ablation, extended, faults, replication, ecc, headroom, batch, techcompare, all")
+	csvOut := flag.Bool("csv", false, "emit one figure as CSV instead of a text table (needs -fig naming a figure with a CSV form)")
 	flag.Parse()
 
-	if err := run(*fig, *csvOut, *benchOut, *benchGate, *applyOut, *applyGate, *dramOut, *dramGate); err != nil {
+	if err := run(os.Stdout, *fig, *csvOut); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dramOut, dramGate string) error {
+// csvFigures names the figures that have a CSV form.
+var csvFigures = map[string]bool{
+	"9": true, "10": true, "11": true, "12": true, "13": true, "faults": true,
+	"replication": true, "ecc": true, "headroom": true, "batch": true, "techcompare": true,
+}
+
+// run writes the figure fig names (every figure for "all") to w, as CSV
+// when csvOut is set.
+func run(w io.Writer, fig string, csvOut bool) error {
+	if csvOut && !csvFigures[fig] {
+		return fmt.Errorf("-csv needs -fig to name one figure with a CSV form, not %q", fig)
+	}
 	want := func(name string) bool { return fig == "all" || fig == name }
 	printed := false
 
 	if want("table1") {
-		fmt.Println(figures.FormatTable1())
+		fmt.Fprintln(w, figures.FormatTable1())
 		printed = true
 	}
 	if want("9") {
@@ -58,12 +62,12 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFig9CSV(os.Stdout, rows)
+			return figures.WriteFig9CSV(w, rows)
 		}
-		fmt.Println(figures.FormatFig9(rows))
-		fmt.Println("  turning point A at 2^14 (SA sharing), B at 2^19 (rank row);")
-		fmt.Println("  regions: <12.8 GBps below the DDR bus, >1842 GBps beyond internal bandwidth")
-		fmt.Println()
+		fmt.Fprintln(w, figures.FormatFig9(rows))
+		fmt.Fprintln(w, "  turning point A at 2^14 (SA sharing), B at 2^19 (rank row);")
+		fmt.Fprintln(w, "  regions: <12.8 GBps below the DDR bus, >1842 GBps beyond internal bandwidth")
+		fmt.Fprintln(w)
 		printed = true
 	}
 	if want("10") {
@@ -72,9 +76,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteComparisonCSV(os.Stdout, rows)
+			return figures.WriteComparisonCSV(w, rows)
 		}
-		fmt.Println(figures.FormatComparison("Fig. 10 — bitwise-operation speedup vs SIMD baseline", rows))
+		fmt.Fprintln(w, figures.FormatComparison("Fig. 10 — bitwise-operation speedup vs SIMD baseline", rows))
 		printed = true
 	}
 	if want("11") {
@@ -83,9 +87,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteComparisonCSV(os.Stdout, rows)
+			return figures.WriteComparisonCSV(w, rows)
 		}
-		fmt.Println(figures.FormatComparison("Fig. 11 — bitwise-operation energy saving vs SIMD baseline", rows))
+		fmt.Fprintln(w, figures.FormatComparison("Fig. 11 — bitwise-operation energy saving vs SIMD baseline", rows))
 		printed = true
 	}
 	if want("12") {
@@ -94,9 +98,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFig12CSV(os.Stdout, rows)
+			return figures.WriteFig12CSV(w, rows)
 		}
-		fmt.Println(figures.FormatFig12(rows))
+		fmt.Fprintln(w, figures.FormatFig12(rows))
 		printed = true
 	}
 	if want("13") {
@@ -105,13 +109,13 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFig13CSV(os.Stdout, res)
+			return figures.WriteFig13CSV(w, res)
 		}
-		fmt.Println(figures.FormatFig13(res))
+		fmt.Fprintln(w, figures.FormatFig13(res))
 		printed = true
 	}
 	if want("margins") {
-		printMargins()
+		printMargins(w)
 		printed = true
 	}
 	if want("ablation") {
@@ -127,12 +131,12 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatAblations(d, m, te))
+		fmt.Fprintln(w, figures.FormatAblations(d, m, te))
 		conc, err := figures.ConcurrencyAblation()
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatConcurrency(conc))
+		fmt.Fprintln(w, figures.FormatConcurrency(conc))
 		printed = true
 	}
 	if want("extended") {
@@ -140,7 +144,7 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatExtended(rows))
+		fmt.Fprintln(w, figures.FormatExtended(rows))
 		printed = true
 	}
 	if want("faults") {
@@ -149,9 +153,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFaultSweepCSV(os.Stdout, rows)
+			return figures.WriteFaultSweepCSV(w, rows)
 		}
-		fmt.Println(figures.FormatFaultSweep(rows))
+		fmt.Fprintln(w, figures.FormatFaultSweep(rows))
 		printed = true
 	}
 	if want("replication") {
@@ -160,9 +164,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteReplicationCSV(os.Stdout, rows)
+			return figures.WriteReplicationCSV(w, rows)
 		}
-		fmt.Println(figures.FormatReplicationSweep(rows))
+		fmt.Fprintln(w, figures.FormatReplicationSweep(rows))
 		printed = true
 	}
 	if want("ecc") {
@@ -171,9 +175,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteECCSweepCSV(os.Stdout, rows)
+			return figures.WriteECCSweepCSV(w, rows)
 		}
-		fmt.Println(figures.FormatECCSweep(rows))
+		fmt.Fprintln(w, figures.FormatECCSweep(rows))
 		printed = true
 	}
 	if want("headroom") {
@@ -182,9 +186,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteHeadroomCSV(os.Stdout, rows)
+			return figures.WriteHeadroomCSV(w, rows)
 		}
-		fmt.Println(figures.FormatHeadroom(rows))
+		fmt.Fprintln(w, figures.FormatHeadroom(rows))
 		printed = true
 	}
 	if want("batch") {
@@ -193,17 +197,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteBatchCSV(os.Stdout, rows)
+			return figures.WriteBatchCSV(w, rows)
 		}
-		fmt.Println(figures.FormatBatch(rows))
-		printed = true
-	}
-	if want("apply") {
-		res, err := figures.ApplyBench()
-		if err != nil {
-			return err
-		}
-		fmt.Println(figures.FormatApplyBench(res))
+		fmt.Fprintln(w, figures.FormatBatch(rows))
 		printed = true
 	}
 	if want("techcompare") {
@@ -212,204 +208,67 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteTechCompareCSV(os.Stdout, rows)
+			return figures.WriteTechCompareCSV(w, rows)
 		}
-		fmt.Println(figures.FormatTechCompare(rows))
-		printed = true
-	}
-	if want("dram") {
-		res, err := figures.DRAMBench()
-		if err != nil {
-			return err
-		}
-		fmt.Println(figures.FormatDRAMBench(res))
+		fmt.Fprintln(w, figures.FormatTechCompare(rows))
 		printed = true
 	}
 	if !printed {
 		return fmt.Errorf("unknown figure %q", fig)
-	}
-	if benchOut != "" || benchGate != "" {
-		if err := runBench(benchOut, benchGate); err != nil {
-			return err
-		}
-	}
-	if applyOut != "" || applyGate != "" {
-		if err := runApplyBench(applyOut, applyGate); err != nil {
-			return err
-		}
-	}
-	if dramOut != "" || dramGate != "" {
-		return runDRAMBench(dramOut, dramGate)
-	}
-	return nil
-}
-
-// runDRAMBench runs the DRAM TRA backend benchmark once, optionally
-// persisting the result and optionally gating its host-independent
-// figures against a committed baseline.
-func runDRAMBench(dramOut, dramGate string) error {
-	res, err := figures.DRAMBench()
-	if err != nil {
-		return err
-	}
-	if dramOut != "" {
-		f, err := os.Create(dramOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := figures.WriteDRAMBenchResultJSON(f, res); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if dramGate != "" {
-		data, err := os.ReadFile(dramGate)
-		if err != nil {
-			return err
-		}
-		var baseline figures.DRAMBenchResult
-		if err := json.Unmarshal(data, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline %s: %w", dramGate, err)
-		}
-		if err := figures.GateDRAMBench(res, baseline, 0.15); err != nil {
-			return err
-		}
-		fmt.Printf("dramgate: %.1f allocs/op, hit rate %.3f, %.3es sim/op, %.3f pJ/bit within 15%% of baseline (%s)\n",
-			res.AllocsPerOp, res.CacheHitRate, res.SimSecondsPerOp, res.PJPerBit, dramGate)
-	}
-	return nil
-}
-
-// runApplyBench runs the Apply hot-path benchmark once, optionally
-// persisting the result and optionally gating its host-independent
-// figures against a committed baseline.
-func runApplyBench(applyOut, applyGate string) error {
-	res, err := figures.ApplyBench()
-	if err != nil {
-		return err
-	}
-	if applyOut != "" {
-		f, err := os.Create(applyOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := figures.WriteApplyBenchResultJSON(f, res); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if applyGate != "" {
-		data, err := os.ReadFile(applyGate)
-		if err != nil {
-			return err
-		}
-		var baseline figures.ApplyBenchResult
-		if err := json.Unmarshal(data, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline %s: %w", applyGate, err)
-		}
-		if err := figures.GateApplyBench(res, baseline, 0.15); err != nil {
-			return err
-		}
-		fmt.Printf("applygate: %.1f allocs/op, hit rate %.3f within 15%% of baseline (%s)\n",
-			res.AllocsPerOp, res.CacheHitRate, applyGate)
-	}
-	return nil
-}
-
-// runBench runs the batch smoke benchmark once, optionally persisting the
-// result and optionally gating it against a committed baseline.
-func runBench(benchOut, benchGate string) error {
-	res, err := figures.BatchBench()
-	if err != nil {
-		return err
-	}
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := figures.WriteBatchBenchResultJSON(f, res); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if benchGate != "" {
-		data, err := os.ReadFile(benchGate)
-		if err != nil {
-			return err
-		}
-		var baseline figures.BatchBenchResult
-		if err := json.Unmarshal(data, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline %s: %w", benchGate, err)
-		}
-		if err := figures.GateBatchBench(res, baseline, 0.15); err != nil {
-			return err
-		}
-		fmt.Printf("benchgate: makespan %.6es within +15%% of baseline %.6es (%s)\n",
-			res.MakespanSeconds, baseline.MakespanSeconds, benchGate)
 	}
 	return nil
 }
 
 // printMargins reports the sensing-margin analysis behind the paper's
 // multi-row claims (the Fig. 5/6 design-space content).
-func printMargins() {
+func printMargins(w io.Writer) {
 	cfg := analog.DefaultSenseConfig()
-	fmt.Println("Sensing margins (worst case, 4σ variation, 5% SA offset tolerance)")
+	fmt.Fprintln(w, "Sensing margins (worst case, 4σ variation, 5% SA offset tolerance)")
 	for _, p := range nvm.All() {
 		orMax, err := analog.MaxORRows(cfg, p, 512)
 		if err != nil {
-			fmt.Printf("  %-9s %v\n", p.Tech, err)
+			fmt.Fprintf(w, "  %-9s %v\n", p.Tech, err)
 			continue
 		}
 		andMax, err := analog.MaxANDRows(cfg, p, 16)
 		if err != nil {
-			fmt.Printf("  %-9s %v\n", p.Tech, err)
+			fmt.Fprintf(w, "  %-9s %v\n", p.Tech, err)
 			continue
 		}
-		fmt.Printf("  %-9s ON/OFF %6.1f  analog OR depth %3d  AND depth %d  architectural cap %d\n",
+		fmt.Fprintf(w, "  %-9s ON/OFF %6.1f  analog OR depth %3d  AND depth %d  architectural cap %d\n",
 			p.Tech, p.Cell.OnOffRatio(), orMax, andMax, p.MaxOpenRows)
 		for _, n := range []int{2, 8, 32, 128} {
 			m := analog.ORMargin(cfg, p.Cell, n)
-			fmt.Printf("      %3d-row OR margin %+.3f\n", n, m)
+			fmt.Fprintf(w, "      %3d-row OR margin %+.3f\n", n, m)
 		}
 	}
-	fmt.Println()
-	printReliability(cfg)
+	fmt.Fprintln(w)
+	printReliability(w, cfg)
 }
 
 // printReliability reports the PCM drift/temperature sensitivity of the
 // multi-row margins (an extension beyond the paper's fixed-condition
 // analysis).
-func printReliability(cfg analog.SenseConfig) {
+func printReliability(w io.Writer, cfg analog.SenseConfig) {
 	p := nvm.Get(nvm.PCM)
-	fmt.Println("PCM reliability sweeps (128-row OR margin / depth)")
+	fmt.Fprintln(w, "PCM reliability sweeps (128-row OR margin / depth)")
 	drift, err := analog.DriftSweep(cfg, p, []float64{1, 1e3, 1e6, 1e8})
 	if err != nil {
-		fmt.Println("  drift sweep:", err)
+		fmt.Fprintln(w, "  drift sweep:", err)
 		return
 	}
 	for _, pt := range drift {
-		fmt.Printf("  drift %8.0es:  ON/OFF %7.0f  margin %+.3f  depth %3d\n",
+		fmt.Fprintf(w, "  drift %8.0es:  ON/OFF %7.0f  margin %+.3f  depth %3d\n",
 			pt.Condition, pt.Ratio, pt.Margin128, pt.Depth)
 	}
 	temps, err := analog.TemperatureSweep(cfg, p, []float64{0, 25, 50, 85})
 	if err != nil {
-		fmt.Println("  temperature sweep:", err)
+		fmt.Fprintln(w, "  temperature sweep:", err)
 		return
 	}
 	for _, pt := range temps {
-		fmt.Printf("  +%3.0f°C:          ON/OFF %7.1f  margin %+.3f  depth %3d\n",
+		fmt.Fprintf(w, "  +%3.0f°C:          ON/OFF %7.1f  margin %+.3f  depth %3d\n",
 			pt.Condition, pt.Ratio, pt.Margin128, pt.Depth)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

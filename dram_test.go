@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The DRAM backend computes AND/OR through triple-row activation and NOT
@@ -332,6 +333,32 @@ func TestDRAMCachedBitIdentical(t *testing.T) {
 	}
 	if hits := cached.PerfStats().ProgramCacheHits; hits == 0 {
 		t.Error("cached system recorded zero cache hits — cache never engaged, test is vacuous")
+	}
+}
+
+// TestDRAMApplyRoundPrices pins the triple-row-activation lowering's
+// prices to the bit: each op of the repeated-op round over full rows of
+// the default DRAM geometry must report the committed simulated latency
+// and energy, on the lowering round and on a cache-hit round alike. Their
+// mean is 4.0647 µs and 26.700 pJ per result bit.
+func TestDRAMApplyRoundPrices(t *testing.T) {
+	want := [3]struct {
+		op      string
+		latency time.Duration
+		joules  float64
+	}{
+		{"and", 1881, 6.7633242e-06},
+		{"xor", 6551, 2.17055532e-05},
+		{"or3", 3762, 1.35266484e-05},
+	}
+	_, round := applyRound(t, Config{Tech: DRAM})
+	for _, pass := range []string{"lowering", "cached"} {
+		for i, r := range round() {
+			if w := want[i]; r.Latency != w.latency || r.EnergyJoules != w.joules {
+				t.Errorf("%s %s: %v, %v J; want %v, %v J",
+					pass, w.op, r.Latency, r.EnergyJoules, w.latency, w.joules)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -156,77 +155,4 @@ func WriteBatchCSV(w io.Writer, rows []BatchRow) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// BatchBenchResult is the CI smoke benchmark: simulated-time throughput of
-// the largest sweep point, sequential vs batched. Every figure is derived
-// from the deterministic simulated clock, so the committed baseline is
-// reproducible on any machine and the gate measures model regressions, not
-// host noise.
-type BatchBenchResult struct {
-	K                   int     `json:"k"`
-	SequentialOpsPerSec float64 `json:"sequential_ops_per_sec"`
-	BatchedOpsPerSec    float64 `json:"batched_ops_per_sec"`
-	Speedup             float64 `json:"speedup"`
-	// MakespanSeconds is the batched schedule's simulated end-to-end time —
-	// the figure the CI regression gate compares against the committed
-	// baseline.
-	MakespanSeconds float64 `json:"makespan_s"`
-}
-
-// BatchBench runs the largest default sweep point and reports ops/s in
-// simulated time for the back-to-back and batched schedules.
-func BatchBench() (BatchBenchResult, error) {
-	k := DefaultBatchKs[len(DefaultBatchKs)-1]
-	sys, ops, err := batchDeepORs(k)
-	if err != nil {
-		return BatchBenchResult{}, err
-	}
-	br, err := sys.Batch(ops, pinatubo.WithArbiter(pinatubo.ArbFIFO))
-	if err != nil {
-		return BatchBenchResult{}, err
-	}
-	res := BatchBenchResult{K: k, Speedup: br.Speedup, MakespanSeconds: br.Makespan.Seconds()}
-	if s := br.Sequential.Seconds(); s > 0 {
-		res.SequentialOpsPerSec = float64(k) / s
-	}
-	if m := br.Makespan.Seconds(); m > 0 {
-		res.BatchedOpsPerSec = float64(k) / m
-	}
-	return res, nil
-}
-
-// WriteBatchBenchJSON runs BatchBench and writes its JSON to w (the CI
-// BENCH_batch.json artifact).
-func WriteBatchBenchJSON(w io.Writer) error {
-	res, err := BatchBench()
-	if err != nil {
-		return err
-	}
-	return WriteBatchBenchResultJSON(w, res)
-}
-
-// WriteBatchBenchResultJSON writes an already-computed benchmark result,
-// so a caller can both persist and gate one run.
-func WriteBatchBenchResultJSON(w io.Writer, res BatchBenchResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// GateBatchBench compares a fresh benchmark against the committed baseline
-// and fails on a makespan regression beyond tolerance (0.15 = +15%). A
-// faster makespan passes: improvements re-baseline by committing the fresh
-// BENCH_batch.json.
-func GateBatchBench(fresh, baseline BatchBenchResult, tolerance float64) error {
-	if baseline.MakespanSeconds <= 0 {
-		return fmt.Errorf("figures: baseline makespan %v is not positive — regenerate the baseline with -benchout",
-			baseline.MakespanSeconds)
-	}
-	limit := baseline.MakespanSeconds * (1 + tolerance)
-	if fresh.MakespanSeconds > limit {
-		return fmt.Errorf("figures: batch makespan regression: %.6es vs baseline %.6es (limit %.6es, +%.0f%%)",
-			fresh.MakespanSeconds, baseline.MakespanSeconds, limit, tolerance*100)
-	}
-	return nil
 }

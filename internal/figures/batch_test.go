@@ -2,32 +2,49 @@ package figures
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
+// TestBatchSweep runs the full default sweep and pins every row's
+// simulated sequential time and makespan to the nanosecond. The sweep is
+// fault-free, so both come out of the timing model exactly; any change to
+// a command's duration or to the scheduler's overlap moves a pin.
 func TestBatchSweep(t *testing.T) {
-	rows, err := BatchSweep([]int{1, 4})
+	want := []struct {
+		k                    int
+		sequential, makespan time.Duration
+	}{
+		{1, 616, 616},
+		{2, 1233, 799},
+		{4, 2466, 1202},
+		{8, 4933, 2022},
+		{16, 9867, 3662},
+	}
+	rows, err := BatchSweep(DefaultBatchKs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		w := want[i]
+		if r.K != w.k || r.Sequential != w.sequential || r.Makespan != w.makespan {
+			t.Errorf("k=%d: sequential %v makespan %v, want k=%d sequential %v makespan %v",
+				r.K, r.Sequential, r.Makespan, w.k, w.sequential, w.makespan)
+		}
 		if !r.PlanMatch {
 			t.Errorf("k=%d: batch makespan %v != plan %v", r.K, r.Makespan, r.PlanMakespan)
-		}
-		if r.Makespan <= 0 || r.Makespan > r.Sequential {
-			t.Errorf("k=%d: makespan %v outside (0, %v]", r.K, r.Makespan, r.Sequential)
 		}
 		if r.Shards != r.K {
 			t.Errorf("k=%d: shards = %d", r.K, r.Shards)
 		}
-	}
-	if rows[1].Speedup <= rows[0].Speedup {
-		t.Errorf("speedup not increasing: k=1 %.3f, k=4 %.3f", rows[0].Speedup, rows[1].Speedup)
+		if i > 0 && r.Speedup <= rows[i-1].Speedup {
+			t.Errorf("speedup not increasing: k=%d %.3f, k=%d %.3f",
+				rows[i-1].K, rows[i-1].Speedup, r.K, r.Speedup)
+		}
 	}
 
 	text := FormatBatch(rows)
@@ -38,28 +55,7 @@ func TestBatchSweep(t *testing.T) {
 	if err := WriteBatchCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
-		t.Errorf("CSV lines = %d, want 3", lines)
-	}
-}
-
-func TestBatchBenchJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBatchBenchJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var res BatchBenchResult
-	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.K != DefaultBatchKs[len(DefaultBatchKs)-1] {
-		t.Errorf("K = %d", res.K)
-	}
-	if res.BatchedOpsPerSec <= res.SequentialOpsPerSec {
-		t.Errorf("batched %.0f ops/s not above sequential %.0f ops/s",
-			res.BatchedOpsPerSec, res.SequentialOpsPerSec)
-	}
-	if res.Speedup <= 1 {
-		t.Errorf("speedup = %.3f, want > 1", res.Speedup)
+	if lines := strings.Count(buf.String(), "\n"); lines != len(rows)+1 {
+		t.Errorf("CSV lines = %d, want %d", lines, len(rows)+1)
 	}
 }

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -52,62 +51,5 @@ func TestTechCompare(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != len(rows)+1 {
 		t.Errorf("CSV lines = %d, want %d", lines, len(rows)+1)
-	}
-}
-
-func TestDRAMBenchAndGate(t *testing.T) {
-	res, err := DRAMBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != dramBenchRounds*3 {
-		t.Errorf("Ops = %d, want %d", res.Ops, dramBenchRounds*3)
-	}
-	if res.CacheHitRate < 0.9 {
-		t.Errorf("cache hit rate %.3f — repeated-op workload should be nearly all hits", res.CacheHitRate)
-	}
-	if res.SimSecondsPerOp <= 0 || res.PJPerBit <= 0 {
-		t.Errorf("non-positive deterministic figures: %+v", res)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteDRAMBenchResultJSON(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	var back DRAMBenchResult
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != res {
-		t.Errorf("JSON round trip changed the result: %+v != %+v", back, res)
-	}
-
-	// A fresh run gates cleanly against itself...
-	if err := GateDRAMBench(res, res, 0.15); err != nil {
-		t.Errorf("self-gate failed: %v", err)
-	}
-	// ...and each gated figure trips individually.
-	worse := res
-	worse.AllocsPerOp = res.AllocsPerOp * 2
-	if err := GateDRAMBench(worse, res, 0.15); err == nil {
-		t.Error("doubled allocs/op passed the gate")
-	}
-	worse = res
-	worse.CacheHitRate = res.CacheHitRate / 2
-	if err := GateDRAMBench(worse, res, 0.15); err == nil {
-		t.Error("halved cache hit rate passed the gate")
-	}
-	worse = res
-	worse.SimSecondsPerOp = res.SimSecondsPerOp * 2
-	if err := GateDRAMBench(worse, res, 0.15); err == nil {
-		t.Error("doubled simulated time passed the gate")
-	}
-	worse = res
-	worse.PJPerBit = res.PJPerBit * 2
-	if err := GateDRAMBench(worse, res, 0.15); err == nil {
-		t.Error("doubled energy passed the gate")
-	}
-	if err := GateDRAMBench(res, DRAMBenchResult{}, 0.15); err == nil {
-		t.Error("zero baseline accepted — must demand regeneration")
 	}
 }

@@ -94,11 +94,13 @@ func (a *Allocator) skipReserved() {
 
 // AllocRows returns n rows. Rows come from the free list first, then from
 // the sequential frontier (which fills subarray after subarray, giving
-// adjacent allocations intra-subarray placement).
+// adjacent allocations intra-subarray placement). A failed call takes no
+// rows.
 func (a *Allocator) AllocRows(n int) ([]memarch.RowAddr, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pimrt: alloc of %d rows", n)
 	}
+	start := a.next
 	out := make([]memarch.RowAddr, 0, n)
 	// Reuse freed rows in ascending order for determinism.
 	if len(a.free) > 0 {
@@ -118,6 +120,7 @@ func (a *Allocator) AllocRows(n int) ([]memarch.RowAddr, error) {
 	for len(out) < n {
 		a.skipReserved()
 		if a.next >= a.max {
+			a.Rollback(start, out)
 			return nil, fmt.Errorf("pimrt: allocating %d rows (%d still needed): %w",
 				n, n-len(out), ErrOutOfMemory)
 		}
@@ -131,7 +134,8 @@ func (a *Allocator) AllocRows(n int) ([]memarch.RowAddr, error) {
 // when the caller wants one-step multi-row ops over the whole group). It
 // fails if n exceeds the subarray's row count. Freed rows are reused
 // first: the lowest subarray holding n of them gives its n lowest, and
-// only when no subarray does is the frontier advanced.
+// only when no subarray does is the frontier advanced. A failed call
+// takes no rows.
 func (a *Allocator) AllocGroupRows(n int) ([]memarch.RowAddr, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pimrt: alloc of %d rows", n)
@@ -144,6 +148,7 @@ func (a *Allocator) AllocGroupRows(n int) ([]memarch.RowAddr, error) {
 	if out := a.freeGroup(n); out != nil {
 		return out, nil
 	}
+	start := a.next
 	// Advance the frontier to a subarray boundary if the group would
 	// straddle one (counting the reserved tail rows as unusable).
 	per := uint64(a.geo.RowsPerSubarray)
@@ -152,6 +157,7 @@ func (a *Allocator) AllocGroupRows(n int) ([]memarch.RowAddr, error) {
 		a.next += per - used
 	}
 	if a.next+uint64(n) > a.max {
+		a.next = start
 		return nil, fmt.Errorf("pimrt: allocating a %d-row group: %w", n, ErrOutOfMemory)
 	}
 	out := make([]memarch.RowAddr, n)
@@ -196,6 +202,23 @@ func (a *Allocator) freeGroup(n int) []memarch.RowAddr {
 		start = end
 	}
 	return nil
+}
+
+// Mark returns the allocation frontier, for a later Rollback.
+func (a *Allocator) Mark() uint64 { return a.next }
+
+// Rollback undoes allocations made since Mark returned start, given every
+// row they handed out: rows below start came off the free list (freed
+// rows always lie below the frontier) and go back on it, and the frontier
+// rewinds to start, so the allocator hands out what it would have had
+// those allocations never been made.
+func (a *Allocator) Rollback(start uint64, rows []memarch.RowAddr) {
+	for _, r := range rows {
+		if key := a.geo.Encode(r); key < start {
+			a.free[key] = true
+		}
+	}
+	a.next = start
 }
 
 // Free returns rows to the allocator. Retired rows stay out of circulation.

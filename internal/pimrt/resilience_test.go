@@ -403,16 +403,12 @@ func TestOutOfMemoryWrapsContext(t *testing.T) {
 	if _, err := a.AllocRows(8); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("AllocRows err=%v, want wrapped ErrOutOfMemory", err)
 	}
-	// A failed AllocRows leaves the frontier consumed, so use a fresh
-	// allocator for the group-shaped failure.
-	b, err := NewAllocator(small, true)
-	if err != nil {
+	// A failed allocation takes no rows: the subarray's three usable rows
+	// are all still there for one group.
+	if _, err := a.AllocGroupRows(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.AllocGroupRows(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.AllocGroupRows(3); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := a.AllocGroupRows(3); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("AllocGroupRows err=%v, want wrapped ErrOutOfMemory", err)
 	}
 }

@@ -184,7 +184,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // line-delimited JSON requests into the state loop, and a writer
 // goroutine drains the connection's outbox. Responses to a request may
 // arrive out of line-order (ops answer at window boundaries); clients
-// match on ID.
+// match on ID. A line over 4 MiB is answered with one error (ID 0) and
+// ends the connection.
 func (s *Server) HandleConn(conn net.Conn) {
 	ob := newOutbox()
 	go func() {
@@ -214,6 +215,12 @@ func (s *Server) HandleConn(conn net.Conn) {
 				continue
 			}
 			s.reqCh <- envelope{req: req, out: ob}
+		}
+		if err := sc.Err(); err != nil {
+			// A line over the limit (or a read error) ends the stream;
+			// answer it like an undecodable line before closing.
+			received++
+			ob.push(Response{Error: fmt.Sprintf("serve: bad request: %v", err)})
 		}
 		// EOF only half-closes: a pipe client may have sent its whole
 		// script and still be reading, so the writer stays until every

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -531,6 +533,57 @@ func TestServeConcurrentClients(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Run did not exit on cancel")
+	}
+}
+
+// TestServeOversizedLine pins that a request line over the 4 MiB limit
+// is answered, not dropped: after a bad-type request, a 5 MiB line gets
+// one error response with ID 0, and only then does the connection close.
+func TestServeOversizedLine(t *testing.T) {
+	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{System: sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+
+	cliConn, srvConn := net.Pipe()
+	defer cliConn.Close()
+	srv.HandleConn(srvConn)
+	sent := make(chan error, 1)
+	go func() {
+		// The server stops reading mid-line, so this write ends when the
+		// server closes the connection.
+		line := append([]byte(`{"id":1,"type":"bogus"}`+"\n"), bytes.Repeat([]byte("x"), 5<<20)...)
+		_, err := cliConn.Write(append(line, '\n'))
+		sent <- err
+	}()
+	dec := json.NewDecoder(cliConn)
+	var resps []Response
+	for {
+		var r Response
+		if err := dec.Decode(&r); err != nil {
+			break
+		}
+		resps = append(resps, r)
+	}
+	<-sent
+	var badType, tooLong bool
+	for _, r := range resps {
+		badType = badType || (r.ID == 1 && strings.Contains(r.Error, "unknown request type"))
+		tooLong = tooLong || (r.ID == 0 && strings.Contains(r.Error, "too long"))
+	}
+	if len(resps) != 2 || !badType || !tooLong {
+		t.Errorf("responses %+v, want the bad-type error and a too-long error with ID 0", resps)
 	}
 }
 

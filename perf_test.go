@@ -213,7 +213,9 @@ func bytesPerCall(f func(), runs int) float64 {
 // through the one scheduler entry, which must add no allocation of its
 // own, so each costs exactly the controller's heap Result; popcount pays
 // for its per-row reads instead. (Before the scheduler took over every op
-// the counts were OR 7, AND/XOR/NOT/Copy 2 and popcount 4.)
+// the counts were OR 7, AND/XOR/NOT/Copy 2 and popcount 4.) The same
+// holds for applyRound's repeated-op round on the default config and on
+// DRAM, which must also run without a program-cache miss once warm.
 func TestApplyOnePathAllocs(t *testing.T) {
 	const bits = 1 << 16
 	cfg := DefaultConfig()
@@ -264,6 +266,61 @@ func TestApplyOnePathAllocs(t *testing.T) {
 	}
 	if p := s.PerfStats(); p.ProgramCacheHits == 0 {
 		t.Errorf("no cache hits: %+v", p)
+	}
+
+	// The repeated-op round, verification at its default: after one
+	// lowering round every lookup hits the program cache and each op costs
+	// the controller's one heap Result. DRAM chains the 3-source OR as two
+	// pairwise activations, one more hit and one more Result.
+	for _, rc := range []struct {
+		cfg Config
+		max float64
+	}{{DefaultConfig(), 3}, {Config{Tech: DRAM}, 4}} {
+		s, round := applyRound(t, rc.cfg)
+		round()
+		warm := s.PerfStats()
+		got := testing.AllocsPerRun(100, func() { round() })
+		t.Logf("%v round: %.1f allocs", rc.cfg.Tech, got)
+		if got > rc.max {
+			t.Errorf("%v round allocates %.1f, want at most %.0f", rc.cfg.Tech, got, rc.max)
+		}
+		p := s.PerfStats()
+		if p.ProgramCacheMisses != warm.ProgramCacheMisses || p.ProgramCacheHits == warm.ProgramCacheHits {
+			t.Errorf("%v warm rounds: %d misses, %d hits; want 0 misses",
+				rc.cfg.Tech, p.ProgramCacheMisses-warm.ProgramCacheMisses, p.ProgramCacheHits-warm.ProgramCacheHits)
+		}
+	}
+}
+
+// applyRound builds six full-row vectors on a fresh system, writes seed-42
+// data to the first four, and returns a round of three ops over them: an
+// AND and an XOR of two and an OR of three, reporting their Results.
+func applyRound(t *testing.T, cfg Config) (*System, func() [3]Result) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := s.AllocGroup(6, s.RowBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for _, v := range vs[:4] {
+		seedVector(t, s, rng, v, s.RowBits())
+	}
+	return s, func() [3]Result {
+		var rs [3]Result
+		var errs [3]error
+		rs[0], errs[0] = s.And(vs[4], vs[0], vs[1])
+		rs[1], errs[1] = s.Xor(vs[5], vs[2], vs[3])
+		rs[2], errs[2] = s.Or(vs[4], vs[0], vs[1], vs[2])
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rs
 	}
 }
 

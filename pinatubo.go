@@ -486,22 +486,30 @@ func (s *System) registerReplicas(primary memarch.RowAddr, reps []memarch.RowAdd
 // (the fresh row starts life unreplicated; voting simply stops applying to
 // requests that touch it).
 func (s *System) dropReplicas(primary memarch.RowAddr) {
+	if reps := s.forgetReplicas(primary); reps != nil {
+		s.alloc.Free(reps)
+		s.bumpLayout()
+	}
+}
+
+// forgetReplicas removes a primary row's replica registration and returns
+// its replica rows (nil when the row has none).
+func (s *System) forgetReplicas(primary memarch.RowAddr) []memarch.RowAddr {
 	if s.repRows == nil {
-		return
+		return nil
 	}
 	geo := s.mem.Geometry()
 	key := geo.Encode(primary)
 	reps, ok := s.repRows[key]
 	if !ok {
-		return
+		return nil
 	}
 	delete(s.repRows, key)
 	delete(s.repMember, key)
 	for _, r := range reps {
 		delete(s.repMember, geo.Encode(r))
 	}
-	s.alloc.Free(reps)
-	s.bumpLayout()
+	return reps
 }
 
 // bumpLayout records a row-layout mutation: the generation counter that
@@ -734,17 +742,24 @@ func (s *System) rowsFor(bits int) (int, error) {
 // Alloc allocates one bit-vector (pim_malloc). With the replication rung
 // active, every row is allocated as a subarray-local group of Replicate
 // copies: the first is the primary the vector names, the rest are the
-// replicas the majority vote senses.
+// replicas the majority vote senses. A failed Alloc takes no rows.
 func (s *System) Alloc(bits int) (*BitVector, error) {
 	n, err := s.rowsFor(bits)
 	if err != nil {
 		return nil, err
 	}
 	if s.replicate >= 3 {
+		start := s.alloc.Mark()
 		rows := make([]memarch.RowAddr, 0, n)
 		for i := 0; i < n; i++ {
 			grp, err := s.alloc.AllocGroupRows(s.replicate)
 			if err != nil {
+				// All or nothing: hand back every group taken so far.
+				var taken []memarch.RowAddr
+				for _, p := range rows {
+					taken = append(append(taken, p), s.forgetReplicas(p)...)
+				}
+				s.alloc.Rollback(start, taken)
 				return nil, err
 			}
 			s.registerReplicas(grp[0], grp[1:])

@@ -1,6 +1,7 @@
 package pinatubo
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"pinatubo/internal/memarch"
+	"pinatubo/internal/pimrt"
 )
 
 func newSys(t testing.TB) *System {
@@ -83,6 +85,52 @@ func TestAllocAndFree(t *testing.T) {
 	}
 	if _, err := s.Alloc(0); err == nil {
 		t.Error("zero-bit alloc accepted")
+	}
+}
+
+// TestFailedAllocTakesNoRows pins allocation as all or nothing: after an
+// Alloc too large for the memory fails, with a freed row waiting on the
+// free list, the system hands out exactly the rows (and replica rows) of
+// a twin that never made the call, until both run out together.
+func TestFailedAllocTakesNoRows(t *testing.T) {
+	geo := Geometry{
+		Channels: 1, RanksPerChannel: 1, ChipsPerRank: 1, BanksPerChip: 1,
+		SubarraysPerBank: 2, MatsPerSubarray: 1, RowsPerSubarray: 8,
+		MatRowBits: 2048, MuxRatio: 32,
+	}
+	for _, rep := range []int{0, 3} {
+		failed, twin := twoSys(t, Config{Tech: PCM, Geometry: geo,
+			Resilience: ResilienceConfig{Verify: VerifyReadback, Replicate: rep}})
+		for _, s := range []*System{failed, twin} {
+			v, err := s.Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Alloc(64); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Free(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := failed.Alloc(100 * failed.RowBits()); !errors.Is(err, pimrt.ErrOutOfMemory) {
+			t.Fatalf("replicate %d: oversized Alloc err = %v, want ErrOutOfMemory", rep, err)
+		}
+		for n := 0; ; n++ {
+			a, errA := failed.Alloc(64)
+			b, errB := twin.Alloc(64)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("replicate %d vector %d: err %v, twin err %v", rep, n, errA, errB)
+			}
+			if errA != nil {
+				break
+			}
+			if !reflect.DeepEqual(a.rows, b.rows) ||
+				!reflect.DeepEqual(failed.replicaRows(a.rows[0]), twin.replicaRows(b.rows[0])) {
+				t.Fatalf("replicate %d vector %d: rows %v (replicas %v), twin %v (replicas %v)", rep, n,
+					a.rows, failed.replicaRows(a.rows[0]), b.rows, twin.replicaRows(b.rows[0]))
+			}
+		}
 	}
 }
 
