@@ -431,8 +431,12 @@ type RowState struct {
 }
 
 // RowState snapshots the wear state of one row. The second return is false
-// when the injector holds no state for the row (a fresh row).
+// when the injector holds no state for the row (a fresh row), or is nil —
+// a System with no injector attached has no wear.
 func (in *Injector) RowState(key uint64) (RowState, bool) {
+	if in == nil {
+		return RowState{}, false
+	}
 	w, okW := in.wear[key]
 	f, okF := in.wearFrac[key]
 	s := in.stuck[key]

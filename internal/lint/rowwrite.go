@@ -2,12 +2,13 @@ package lint
 
 // RowWrite keeps every row mutation inside the memory model. Memory keeps,
 // for each materialised row, the extent of the words it holds (every word
-// beyond it is zero) and refuses writes to rows borrowed from another
-// memory through AliasRow. Both hold only if rows change through its
-// mutators (WriteRow, CopyRow, MutableRow). PeekRow hands out the raw
-// backing so the PIM datapath can read it without copying; outside the
-// package that declares PeekRow, a copy into or an element store through
-// its result is a row write that skips those checks.
+// beyond it is zero) and copies a row borrowed from another memory through
+// BorrowRow before its first write. Both hold only if rows change through
+// its mutators (WriteRow, CopyRow, MutableRow). PeekRow hands out the raw
+// backing — the lender's, for a borrowed row — so the PIM datapath can
+// read it without copying; outside the package that declares PeekRow, a
+// copy into or an element store through its result is a row write that
+// skips the extent and reaches a lender's row.
 
 import (
 	"go/ast"
@@ -42,7 +43,7 @@ func runRowWrite(pass *Pass) error {
 			for _, t := range targets {
 				if foreignPeekRow(pass, t) {
 					pass.Reportf(t.Pos(),
-						"row write through PeekRow outside its package; use WriteRow, CopyRow or MutableRow so the row's extent and borrow checks hold")
+						"row write through PeekRow outside its package; use WriteRow, CopyRow or MutableRow, which keep the row's extent and copy a borrowed row before writing it")
 				}
 			}
 			return true

@@ -35,14 +35,8 @@ func goodMutators(m, src *memarch.Memory, a memarch.RowAddr) error {
 	if err := m.WriteRow(a, []uint64{1}); err != nil {
 		return err
 	}
-	if err := m.CopyRow(a, src); err != nil {
-		return err
-	}
-	row, err := m.MutableRow(a)
-	if err != nil {
-		return err
-	}
-	row[0] |= 1
+	m.CopyRow(a, src)
+	m.MutableRow(a)[0] |= 1
 	return nil
 }
 

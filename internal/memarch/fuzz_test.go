@@ -17,7 +17,7 @@ func fuzzGeometry() Geometry {
 
 // refRows is the naive full-row reference for one Memory: every row is
 // a full-width slice that each write overwrites whole, and a borrowed row
-// reads the lender's words.
+// reads the lender's words until a mutator gives it words of its own.
 type refRows struct {
 	rows     [][]uint64
 	borrowed []bool
@@ -32,11 +32,13 @@ func newRefRows(rows, words int) *refRows {
 }
 
 // FuzzRowExtent drives random sequences of WriteRow, CopyRow between two
-// memories, bit sets through MutableRow, AliasRow, ReadRow and Reset, and
+// memories, bit sets through MutableRow, BorrowRow, ReadRow and Reset, and
 // after every step checks each materialised row word for word against the
 // full-row reference, together with the extent invariant (every word at
 // or beyond a row's extent is zero). A third memory lends rows of every
-// extent through AliasRow and must never change.
+// extent through BorrowRow and must never change: a mutator on a borrowed
+// row copies it first, and the row then holds the lent words with the
+// mutation applied and is no longer borrowed.
 //
 // Each step reads an op byte, a byte selecting the memory and the row,
 // and the op's operands.
@@ -46,9 +48,10 @@ func FuzzRowExtent(f *testing.F) {
 	f.Add([]byte{0, 0, 16, 1, 0, 0, 2, 2, 5, 0, 4, 0, 0, 0, 3, 3, 5, 0})
 	// A stuck bit far beyond a narrow write, then narrower rewrites.
 	f.Add([]byte{0, 2, 3, 7, 2, 2, 3, 250, 5, 2, 0, 2, 1, 9, 0, 2, 0, 0})
-	// Borrow a lent row, refuse every mutator on it, copy it into the
-	// other memory, then Reset and write the row again.
-	f.Add([]byte{3, 6, 2, 6, 0, 0, 6, 9, 1, 6, 0, 1, 7, 0, 5, 7, 4, 0, 0, 6, 4, 4})
+	// Borrow a lent row and overwrite it, borrow it again and set a bit
+	// through MutableRow, copy a borrowed row into the other memory, then
+	// Reset and read the row back as zeros.
+	f.Add([]byte{3, 6, 4, 6, 0, 6, 2, 9, 4, 6, 3, 6, 2, 6, 1, 7, 4, 6, 3, 5, 1, 4, 1, 5, 0, 4, 6})
 	// Copies between the memories in both directions and from the lender.
 	f.Add([]byte{0, 1, 16, 5, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 2, 1, 4, 1, 2, 3, 1, 5, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
@@ -95,15 +98,13 @@ func FuzzRowExtent(f *testing.F) {
 			op, sel := next()%6, next()
 			mi, r := sel&1, (sel>>1)%nr
 			m, ref, a := mems[mi], refs[mi], RowAddr{Row: r}
-			// wantRefused checks a mutator's error against the reference:
-			// exactly the borrowed rows are refused.
-			wantRefused := func(name string, err error) bool {
-				t.Helper()
-				if ref.borrowed[r] != (err != nil) {
-					t.Fatalf("step %d: %s on memory %d row %d (borrowed %v): err %v",
-						step, name, mi, r, ref.borrowed[r], err)
+			// own gives the reference row the words it reads before a
+			// mutator: a borrowed row becomes a copy of the lent words.
+			own := func() {
+				if ref.borrowed[r] {
+					copy(ref.rows[r], lent.rows[r])
+					ref.borrowed[r] = false
 				}
-				return err != nil
 			}
 			switch op {
 			case 0:
@@ -112,25 +113,25 @@ func FuzzRowExtent(f *testing.F) {
 				for j := range words {
 					words[j] = uint64(seed+1)*0x9e3779b97f4a7c15 ^ uint64(step)<<8 ^ uint64(j)
 				}
-				if !wantRefused("WriteRow", m.WriteRow(a, words)) {
-					clear(ref.rows[r])
-					copy(ref.rows[r], words)
+				if err := m.WriteRow(a, words); err != nil {
+					t.Fatalf("step %d: WriteRow memory %d row %d: %v", step, mi, r, err)
 				}
+				own()
+				clear(ref.rows[r])
+				copy(ref.rows[r], words)
 			case 1:
 				si := next() % 3
 				want := append([]uint64(nil), content(refs[si], r)...)
-				if !wantRefused("CopyRow", m.CopyRow(a, mems[si])) {
-					copy(ref.rows[r], want)
-				}
+				m.CopyRow(a, mems[si])
+				own()
+				copy(ref.rows[r], want)
 			case 2:
 				pos := (next()<<8 | next()) % (nw * 64)
-				row, err := m.MutableRow(a)
-				if !wantRefused("MutableRow", err) {
-					row[pos/64] |= 1 << (pos % 64)
-					ref.rows[r][pos/64] |= 1 << (pos % 64)
-				}
+				m.MutableRow(a)[pos/64] |= 1 << (pos % 64)
+				own()
+				ref.rows[r][pos/64] |= 1 << (pos % 64)
 			case 3:
-				m.AliasRow(a, lender.PeekRow(a))
+				m.BorrowRow(a, lender)
 				ref.borrowed[r] = true
 			case 4:
 				got, want := m.ReadRow(a), content(ref, r)
@@ -162,6 +163,10 @@ func FuzzRowExtent(f *testing.F) {
 					if row.borrowed != want.borrowed[r] {
 						t.Fatalf("step %d: memory %d row %d borrowed %v, want %v",
 							step, i, r, row.borrowed, want.borrowed[r])
+					}
+					if lent := lender.rows[geo.Encode(RowAddr{Row: r})]; row.borrowed && row.extent != lent.extent {
+						t.Fatalf("step %d: memory %d row %d borrowed with extent %d, lender's is %d",
+							step, i, r, row.extent, lent.extent)
 					}
 					if row.extent < 0 || row.extent > nw {
 						t.Fatalf("step %d: memory %d row %d extent %d outside 0..%d", step, i, r, row.extent, nw)

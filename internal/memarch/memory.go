@@ -18,7 +18,9 @@ import (
 // through Memory's mutators (WriteRow, CopyRow, MutableRow), which keep
 // the extent current, so writes, copies and Reset touch only the words
 // below it — a row holding an 8,192-bit vector costs 128 words to
-// rewrite, not the 8,192 of a 524,288-bit row.
+// rewrite, not the 8,192 of a 524,288-bit row. A row borrowed from
+// another Memory (BorrowRow) reads the lender's words until a mutator
+// copies it.
 //
 // Memory also owns the two buffer levels Pinatubo's inter-subarray and
 // inter-bank datapaths latch results in: one global row buffer per bank and
@@ -53,10 +55,9 @@ type row struct {
 	// extent bounds the words the row holds: every word at or beyond it
 	// is zero.
 	extent int
-	// borrowed marks backing lent read-only by another Memory (AliasRow).
-	// Reset detaches it instead of zeroing and recycling it, and every
-	// mutator refuses it — a write to a borrowed row would corrupt the
-	// lender.
+	// borrowed marks backing lent by another Memory (BorrowRow). Reset
+	// detaches it instead of zeroing and recycling it, and a mutator gives
+	// the row backing of its own before its first write.
 	borrowed bool
 }
 
@@ -102,37 +103,45 @@ func (m *Memory) row(addr RowAddr) (uint64, row) {
 	key := m.geo.Encode(addr)
 	r, ok := m.rows[key]
 	if !ok {
-		if n := len(m.freeRows); n > 0 {
-			r.words = m.freeRows[n-1]
-			m.freeRows = m.freeRows[:n-1]
-		} else {
-			r.words = make([]uint64, m.geo.RowWords())
-		}
+		r.words = m.newWords()
 		m.rows[key] = r
 	}
 	return key, r
 }
 
-// writable is row for a mutator: it refuses a borrowed row.
-func (m *Memory) writable(addr RowAddr) (uint64, row, error) {
+// newWords returns zeroed full-width row backing, recycled when it can be.
+func (m *Memory) newWords() []uint64 {
+	if n := len(m.freeRows); n > 0 {
+		w := m.freeRows[n-1]
+		m.freeRows = m.freeRows[:n-1]
+		return w
+	}
+	return make([]uint64, m.geo.RowWords())
+}
+
+// writable is row for a mutator that overwrites the row's words: a
+// borrowed row gets zeroed backing of its own, and the lent words are
+// not copied.
+func (m *Memory) writable(addr RowAddr) (uint64, row) {
 	key, r := m.row(addr)
 	if r.borrowed {
-		return 0, row{}, fmt.Errorf("memarch: write to row %v borrowed read-only via AliasRow", addr)
+		r = row{words: m.newWords()}
 	}
-	return key, r, nil
+	return key, r
 }
 
-// AliasRow installs words as addr's backing without copying. The row is
-// borrowed read-only from another Memory: Reset detaches it (never zeroes
-// or recycles it) and every mutator refuses it. The batch executor aliases
-// a shard's read-only footprint rows this way, so window setup does not
-// copy data nothing in the window writes.
-func (m *Memory) AliasRow(addr RowAddr, words []uint64) {
-	m.rows[m.geo.Encode(addr)] = row{words: words, extent: len(words), borrowed: true}
+// BorrowRow makes addr read the lender's row at the same address, words
+// and extent, without copying them. A mutator gives the row backing of
+// its own before its first write, so the lender never changes, and Reset
+// detaches the row without zeroing or recycling it.
+func (m *Memory) BorrowRow(addr RowAddr, lender *Memory) {
+	key, r := lender.row(addr)
+	r.borrowed = true
+	m.rows[key] = r
 }
 
-// Aliased reports whether addr's backing is borrowed via AliasRow.
-func (m *Memory) Aliased(addr RowAddr) bool {
+// Borrowed reports whether addr reads a row borrowed via BorrowRow.
+func (m *Memory) Borrowed(addr RowAddr) bool {
 	return m.rows[m.geo.Encode(addr)].borrowed
 }
 
@@ -178,9 +187,10 @@ func (m *Memory) Reset() {
 // PeekRow returns the full-width words of a row without copying and
 // without counting a read access. Intended for the PIM datapath, which
 // accounts for accesses itself; ordinary clients should use ReadRow. The
-// slice is read-only outside this package: mutate rows through WriteRow,
-// CopyRow or MutableRow, which keep the row's extent (pinlint's rowwrite
-// analyzer enforces this).
+// slice is read-only outside this package — for a borrowed row it is the
+// lender's backing: mutate rows through WriteRow, CopyRow or MutableRow,
+// which keep the row's extent and copy a borrowed row before its first
+// write (pinlint's rowwrite analyzer enforces this).
 func (m *Memory) PeekRow(addr RowAddr) []uint64 {
 	_, r := m.row(addr)
 	return r.words
@@ -196,19 +206,16 @@ func (m *Memory) ReadRow(addr RowAddr) []uint64 {
 }
 
 // WriteRow overwrites the row with words: shorter slices leave the rest
-// of the row zero, longer slices are an error, and a borrowed row is
-// refused. It copies len(words) words and clears only the words the row
-// held beyond them, so its cost is proportional to the old and new
-// extents, not to the row width.
+// of the row zero, and longer slices are an error. It copies len(words)
+// words and clears only the words the row held beyond them, so its cost
+// is proportional to the old and new extents, not to the row width. A
+// borrowed row gets backing of its own first.
 func (m *Memory) WriteRow(addr RowAddr, words []uint64) error {
 	if len(words) > m.geo.RowWords() {
 		return fmt.Errorf("memarch: writing %d words into a %d-word row %v",
 			len(words), m.geo.RowWords(), addr)
 	}
-	key, r, err := m.writable(addr)
-	if err != nil {
-		return err
-	}
+	key, r := m.writable(addr)
 	m.rowWrites++
 	m.writeCounts[key]++
 	m.rows[key] = r.fill(words)
@@ -216,47 +223,54 @@ func (m *Memory) WriteRow(addr RowAddr, words []uint64) error {
 }
 
 // CopyRow overwrites addr with src's row at the same address. The batch
-// executor uses it to snapshot live rows into a shard memory and to merge
-// a shard's rows back. Like WriteRow it touches only the two extents and
-// refuses a borrowed destination; unlike WriteRow it counts no access,
-// because it models no hardware write (AbsorbCounters merges the wear
-// ledger).
-func (m *Memory) CopyRow(addr RowAddr, src *Memory) error {
-	key, r, err := m.writable(addr)
-	if err != nil {
-		return err
-	}
+// executor uses it to merge a shard's rows back. Like WriteRow it touches
+// only the two extents and gives a borrowed destination backing of its
+// own; unlike WriteRow it counts no access, because it models no hardware
+// write (AbsorbCounters merges the wear ledger).
+func (m *Memory) CopyRow(addr RowAddr, src *Memory) {
+	key, r := m.writable(addr)
 	_, s := src.row(addr)
 	m.rows[key] = r.fill(s.words[:s.extent])
-	return nil
 }
 
 // MutableRow returns addr's full-width words for an in-place update that
 // may touch any word, and widens the row's extent to the whole row. The
 // controller forces a worn row's stuck-at cells through it: stuck cells
 // can sit anywhere in a row, beyond the words the last write covered. A
-// borrowed row is refused. No access is counted.
-func (m *Memory) MutableRow(addr RowAddr) ([]uint64, error) {
-	key, r, err := m.writable(addr)
-	if err != nil {
-		return nil, err
+// borrowed row is copied into backing of its own first (unborrow). No
+// access is counted.
+func (m *Memory) MutableRow(addr RowAddr) []uint64 {
+	key, r := m.row(addr)
+	if r.borrowed {
+		r = m.unborrow(r)
 	}
 	r.extent = len(r.words)
 	m.rows[key] = r
-	return r.words, nil
+	return r.words
+}
+
+// unborrow returns a borrowed row's words and extent in backing of its
+// own. It stays out of MutableRow's body so the owned-row path stays
+// small.
+func (m *Memory) unborrow(r row) row {
+	words := m.newWords()
+	copy(words, r.words[:r.extent])
+	return row{words: words, extent: r.extent}
 }
 
 // MaterializedRows reports how many rows have backing storage (testing aid).
 func (m *Memory) MaterializedRows() int { return len(m.rows) }
 
-// MaterializedAddrs returns the addresses of every row with backing
-// storage, in ascending row-key order (deterministic regardless of map
-// iteration order). The batch executor uses it to copy a shard memory's
-// touched rows back into the live memory.
-func (m *Memory) MaterializedAddrs() []RowAddr {
+// OwnedAddrs returns the addresses of every materialised row that is not
+// borrowed, in ascending row-key order (deterministic regardless of map
+// iteration order). The batch executor uses it to copy the rows a shard
+// wrote back into the live memory.
+func (m *Memory) OwnedAddrs() []RowAddr {
 	keys := make([]uint64, 0, len(m.rows))
-	for k := range m.rows {
-		keys = append(keys, k)
+	for k, r := range m.rows {
+		if !r.borrowed {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	out := make([]RowAddr, len(keys))

@@ -681,11 +681,7 @@ func (c *Controller) store(addr memarch.RowAddr, words []uint64) error {
 			// Stuck cells can sit anywhere in the row, beyond the words
 			// just written, so they are forced through the full-row
 			// mutator.
-			row, err := c.mem.MutableRow(addr)
-			if err != nil {
-				return err
-			}
-			c.inj.CorruptStored(key, row)
+			c.inj.CorruptStored(key, c.mem.MutableRow(addr))
 		}
 	}
 	return nil

@@ -32,7 +32,6 @@ package pim
 
 import (
 	"fmt"
-	"sort"
 
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ecc"
@@ -43,7 +42,11 @@ import (
 )
 
 // eccEntry is the stored spare-column state of one row: the packed check
-// words and the data-bit count they were encoded over.
+// words and the data-bit count they were encoded over. An entry's words
+// are never modified once stored: every program stores the fresh slice
+// ecc.EncodeRow returns, and every decode works on a scratch copy. That
+// is what lets ECCState and SetECCState share entries between the live
+// controller and the batch executor's sandboxes instead of copying them.
 type eccEntry struct {
 	bits  int
 	words []uint64
@@ -59,50 +62,27 @@ func (c *Controller) EnableECC(codec *ecc.Codec) {
 	}
 }
 
-// ECCEnabled reports whether the in-array SECDED path is active.
-func (c *Controller) ECCEnabled() bool { return c.codec != nil }
-
 // ECCCodec returns the attached codec (nil when ECC is off).
 func (c *Controller) ECCCodec() *ecc.Codec { return c.codec }
 
-// ECCState returns a copy of the stored check-bit entry for addr's row,
-// reporting ok=false when the row has never been ECC-programmed. The batch
-// executor uses it (with SetECCState) to carry spare-column state into and
-// out of per-shard controller stacks.
+// ECCState returns the stored check-bit entry for addr's row, reporting
+// ok=false when the row has never been ECC-programmed. The batch executor
+// uses it (with SetECCState) to carry spare-column state into and out of
+// per-shard controller stacks. The words are shared, not copied: the
+// caller must not modify them (see eccEntry).
 func (c *Controller) ECCState(addr memarch.RowAddr) (bits int, words []uint64, ok bool) {
 	entry, ok := c.checks[c.eccSpareKey(addr)]
-	if !ok {
-		return 0, nil, false
-	}
-	cp := make([]uint64, len(entry.words))
-	copy(cp, entry.words)
-	return entry.bits, cp, true
+	return entry.bits, entry.words, ok
 }
 
 // SetECCState installs (or replaces) the check-bit entry for addr's row,
-// copying words. A no-op when ECC is off.
+// sharing words, which neither side may modify afterwards. A no-op when
+// ECC is off.
 func (c *Controller) SetECCState(addr memarch.RowAddr, bits int, words []uint64) {
 	if c.codec == nil {
 		return
 	}
-	cp := make([]uint64, len(words))
-	copy(cp, words)
-	c.checks[c.eccSpareKey(addr)] = eccEntry{bits: bits, words: cp}
-}
-
-// ECCEntries calls fn for every stored check-bit entry in ascending
-// row-key order (deterministic regardless of map iteration order).
-func (c *Controller) ECCEntries(fn func(addr memarch.RowAddr, bits int, words []uint64)) {
-	keys := make([]uint64, 0, len(c.checks))
-	for k := range c.checks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	geo := c.mem.Geometry()
-	for _, k := range keys {
-		entry := c.checks[k]
-		fn(geo.Decode(k), entry.bits, entry.words)
-	}
+	c.checks[c.eccSpareKey(addr)] = eccEntry{bits: bits, words: words}
 }
 
 // ECCCost is the latency/energy bill of one check-bit maintenance step.

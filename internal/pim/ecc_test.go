@@ -9,6 +9,7 @@ import (
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/energy"
 	"pinatubo/internal/fault"
+	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -202,6 +203,62 @@ func TestECCCorrectReadFixesSensedFlip(t *testing.T) {
 	}
 	if !v2.OK || v2.Seconds != 0 || v2.CorrectedBits != 0 {
 		t.Fatalf("unencoded row decode came back %+v, want free no-op", v2)
+	}
+}
+
+// TestECCStoredEntryNeverChanges pins the invariant that lets ECCState
+// and SetECCState share check words with batch sandboxes instead of
+// copying them: once stored, an entry's words are never modified. The
+// decodes inject sense flips into their own copy, an in-place repair
+// leaves the check words alone, and a later program of the row stores a
+// new slice.
+func TestECCStoredEntryNeverChanges(t *testing.T) {
+	c := newECCCtl(t)
+	// An offset tolerance above every read margin makes single-row reads
+	// flip at the full rate, so every decode sees flipped check bits.
+	scfg := analog.DefaultSenseConfig()
+	scfg.OffsetTol = 0.99
+	in, err := fault.New(fault.Config{Seed: 3, SenseFlipRate: 1e-3}, c.mem.Tech(), scfg,
+		ECCRowBits(c.mem.Geometry(), c.ECCCodec()), c.Ledger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AttachInjector(in)
+	dst := memarch.RowAddr{Row: 9}
+	const bits = 4096
+	words := make([]uint64, bits/64)
+	rng := rand.New(rand.NewSource(9))
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	if _, err := c.WriteRowFromHost(dst, words, bits); err != nil {
+		t.Fatal(err)
+	}
+	_, stored, ok := c.ECCState(dst)
+	if !ok {
+		t.Fatal("no check words stored for the written row")
+	}
+	want := append([]uint64(nil), stored...)
+	c.mem.MutableRow(dst)[1] ^= 1 << 17 // a stored data error to repair
+	for i := 0; i < 16; i++ {
+		if _, err := c.CorrectOrEscalate(dst, bits, words); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ECCCorrectRead(dst, bits, append([]uint64(nil), words...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Ledger().Count[ledger.SenseFlips] == 0 {
+		t.Fatal("no sense flips injected; the decodes were never exposed")
+	}
+	if !bitvec.EqualWords(stored, want, len(want)*64) {
+		t.Fatal("a decode or repair modified the stored check words")
+	}
+	if _, err := c.WriteRowFromHost(dst, invert(words), bits); err != nil {
+		t.Fatal(err)
+	}
+	if _, now, _ := c.ECCState(dst); &now[0] == &stored[0] || !bitvec.EqualWords(stored, want, len(want)*64) {
+		t.Fatal("reprogramming the row wrote into the previously stored check words")
 	}
 }
 

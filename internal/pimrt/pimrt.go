@@ -92,13 +92,25 @@ func (a *Allocator) skipReserved() {
 	}
 }
 
+// RowsLeft reports how many rows AllocRows could still hand out: the free
+// list plus the usable rows beyond the frontier.
+func (a *Allocator) RowsLeft() int {
+	per, usable := uint64(a.geo.RowsPerSubarray), uint64(a.UsableRowsPerSubarray())
+	below := func(row uint64) uint64 { return row/per*usable + min(row%per, usable) }
+	return len(a.free) + int(below(a.max)-below(a.next))
+}
+
 // AllocRows returns n rows. Rows come from the free list first, then from
 // the sequential frontier (which fills subarray after subarray, giving
-// adjacent allocations intra-subarray placement). A failed call takes no
-// rows.
+// adjacent allocations intra-subarray placement). A request for more rows
+// than are left fails before it takes or allocates anything, and any
+// failed call takes no rows.
 func (a *Allocator) AllocRows(n int) ([]memarch.RowAddr, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pimrt: alloc of %d rows", n)
+	}
+	if left := a.RowsLeft(); n > left {
+		return nil, fmt.Errorf("pimrt: allocating %d rows (%d left): %w", n, left, ErrOutOfMemory)
 	}
 	start := a.next
 	out := make([]memarch.RowAddr, 0, n)

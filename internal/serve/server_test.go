@@ -587,6 +587,40 @@ func TestServeOversizedLine(t *testing.T) {
 	}
 }
 
+// TestServeOversizedAlloc pins that an alloc for more rows than the
+// memory holds gets an error response instead of taking down the state
+// loop, and that the connection is still served afterwards: the same name
+// then allocates, because the failed request registered nothing.
+func TestServeOversizedAlloc(t *testing.T) {
+	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{System: sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-runDone
+	}()
+
+	cliConn, srvConn := net.Pipe()
+	defer cliConn.Close()
+	srv.HandleConn(srvConn)
+	c := newTestClient(cliConn)
+	if _, err := c.call(Request{Type: "alloc", Name: "x", Bits: 1 << 62}); err == nil ||
+		!strings.Contains(err.Error(), "out of memory") {
+		t.Fatalf("oversized alloc: err %v, want an out-of-memory error", err)
+	}
+	if _, err := c.call(Request{Type: "alloc", Name: "x", Bits: 64}); err != nil {
+		t.Fatalf("alloc after the oversized one: %v", err)
+	}
+}
+
 // bits_OnesCount64 keeps the math/bits dependency in one place.
 func bits_OnesCount64(x uint64) int { return bits.OnesCount64(x) }
 

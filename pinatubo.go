@@ -735,20 +735,24 @@ func (s *System) rowsFor(bits int) (int, error) {
 	if bits < 1 {
 		return 0, fmt.Errorf("pinatubo: vector of %d bits", bits)
 	}
-	rb := s.RowBits()
-	return (bits + rb - 1) / rb, nil
+	return (bits-1)/s.RowBits() + 1, nil
 }
 
 // Alloc allocates one bit-vector (pim_malloc). With the replication rung
 // active, every row is allocated as a subarray-local group of Replicate
 // copies: the first is the primary the vector names, the rest are the
-// replicas the majority vote senses. A failed Alloc takes no rows.
+// replicas the majority vote senses. A failed Alloc takes no rows, and a
+// request for more rows than are left fails before it allocates anything.
 func (s *System) Alloc(bits int) (*BitVector, error) {
 	n, err := s.rowsFor(bits)
 	if err != nil {
 		return nil, err
 	}
 	if s.replicate >= 3 {
+		if left := s.alloc.RowsLeft() / s.replicate; n > left {
+			return nil, fmt.Errorf("pinatubo: allocating %d replicated rows (%d left): %w",
+				n, left, pimrt.ErrOutOfMemory)
+		}
 		start := s.alloc.Mark()
 		rows := make([]memarch.RowAddr, 0, n)
 		for i := 0; i < n; i++ {
@@ -778,8 +782,9 @@ func (s *System) Alloc(bits int) (*BitVector, error) {
 // subarray, so operations across the whole group are one-step multi-row
 // ops. Each vector must fit one row.
 func (s *System) AllocGroup(count, bits int) ([]*BitVector, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("pinatubo: group of %d vectors", count)
+	if count < 1 || count > s.UsableRowsPerSubarray() {
+		return nil, fmt.Errorf("pinatubo: group of %d vectors (a subarray has %d usable rows)",
+			count, s.UsableRowsPerSubarray())
 	}
 	if bits < 1 || bits > s.RowBits() {
 		return nil, fmt.Errorf("pinatubo: group vectors must fit one row (1..%d bits), got %d",

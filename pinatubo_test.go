@@ -3,8 +3,10 @@ package pinatubo
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +132,46 @@ func TestFailedAllocTakesNoRows(t *testing.T) {
 				t.Fatalf("replicate %d vector %d: rows %v (replicas %v), twin %v (replicas %v)", rep, n,
 					a.rows, failed.replicaRows(a.rows[0]), b.rows, twin.replicaRows(b.rows[0]))
 			}
+		}
+	}
+}
+
+// TestOversizedAllocFailsBeforeAllocating pins that a request for more
+// rows than the memory has left fails with ErrOutOfMemory before it
+// allocates host memory in proportion to the request, with and without
+// replication, up to sizes whose row count would overflow; so does an
+// AllocGroup wider than a subarray whose replica count would overflow.
+func TestOversizedAllocFailsBeforeAllocating(t *testing.T) {
+	for _, rep := range []int{0, 3} {
+		cfg := DefaultConfig()
+		cfg.Resilience = ResilienceConfig{Verify: VerifyReadback, Replicate: rep}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.replicate != rep {
+			t.Fatalf("replicate %d: system replicates %d", rep, s.replicate)
+		}
+		// The largest sizes come first: at 1<<44 bits an allocator that
+		// sizes its result before checking would allocate over a GiB.
+		for _, bits := range []int{math.MaxInt, 1 << 62, 1 << 44} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := s.Alloc(bits)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, pimrt.ErrOutOfMemory) {
+				t.Errorf("replicate %d: Alloc(%d) err = %v, want ErrOutOfMemory", rep, bits, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("replicate %d: Alloc(%d) allocated %d bytes, want under 1 MiB", rep, bits, got)
+			}
+		}
+		// count*3 wraps to 2, which a group allocation would satisfy.
+		if _, err := s.AllocGroup(math.MaxUint64/3+1, 1); err == nil {
+			t.Errorf("replicate %d: AllocGroup wider than a subarray accepted", rep)
+		}
+		if _, err := s.Alloc(64); err != nil {
+			t.Errorf("replicate %d: Alloc after the oversized ones: %v", rep, err)
 		}
 	}
 }

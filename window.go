@@ -7,7 +7,6 @@ import (
 
 	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/memarch"
-	"pinatubo/internal/pimrt"
 )
 
 // shardSet is an incremental union-find over op footprints: ops that share
@@ -176,14 +175,13 @@ type shardState struct {
 // answer host reads of untouched vectors, or Plan. All live-state
 // mutation (the merge) happens inside Wait, on the caller's goroutine.
 type BatchRun struct {
-	sys        *System
-	ops        []BatchOp
-	footprints [][]fpKey
-	shards     [][]int
-	states     []shardState
-	arb        Arbiter
-	ctx        context.Context
-	opSeqBase  int64
+	sys       *System
+	ops       []BatchOp
+	shards    [][]int
+	states    []shardState
+	arb       Arbiter
+	ctx       context.Context
+	opSeqBase int64
 
 	results []Result
 	progs   []cmdstream.Program
@@ -198,12 +196,13 @@ type BatchRun struct {
 	err    error       //pinlint:owned Wait
 }
 
-// Start launches the admitted batch: it snapshots the live rows every
-// shard needs into per-shard sandboxes (synchronously, on the calling
-// goroutine) and starts one goroutine per shard. After Start returns, the
-// live System is not touched again until Wait — the window executes
-// entirely on sandboxes, which is what makes overlapping the next
-// window's admission race-free. The builder is reset to empty.
+// Start launches the admitted batch: it lends the live rows every shard
+// needs to per-shard sandboxes (synchronously, on the calling goroutine;
+// a sandbox copies a row only when it first writes it) and starts one
+// goroutine per shard. After Start returns, the live System is not
+// touched again until Wait — the window executes entirely on sandboxes,
+// which only read the lent rows, and that is what makes overlapping the
+// next window's admission race-free. The builder is reset to empty.
 //
 // Start always sandboxes, even a single-shard window: the point is
 // overlap, and the merge in Wait keeps every integer counter exact (float
@@ -227,25 +226,24 @@ func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 		return nil, err
 	}
 	s := b.sys
-	ops, footprints := b.ops, b.footprints
+	ops := b.ops
 	shards := b.ss.shards()
-	states, err := s.prepareShards(ops, footprints, shards)
+	states, err := s.prepareShards(ops, b.footprints, shards)
 	if err != nil {
 		return nil, err
 	}
 	r := &BatchRun{
-		sys:        s,
-		ops:        ops,
-		footprints: footprints,
-		shards:     shards,
-		states:     states,
-		arb:        o.arb,
-		ctx:        o.ctx,
-		results:    make([]Result, len(ops)),
-		progs:      make([]cmdstream.Program, len(ops)),
-		errs:       make([]error, len(ops)),
-		ctxErrs:    make([]error, len(shards)),
-		done:       make(chan struct{}),
+		sys:     s,
+		ops:     ops,
+		shards:  shards,
+		states:  states,
+		arb:     o.arb,
+		ctx:     o.ctx,
+		results: make([]Result, len(ops)),
+		progs:   make([]cmdstream.Program, len(ops)),
+		errs:    make([]error, len(ops)),
+		ctxErrs: make([]error, len(shards)),
+		done:    make(chan struct{}),
 	}
 	if liveInj := s.ctl.Injector(); liveInj != nil {
 		r.opSeqBase = liveInj.OpSeq()
@@ -365,40 +363,22 @@ func (r *BatchRun) finish() (BatchResult, error) {
 	}
 
 	geo := s.mem.Geometry()
-	for si, shard := range r.shards {
+	for si := range r.shards {
 		sh := r.states[si].sys
-		for _, a := range sh.mem.MaterializedAddrs() {
-			if sh.mem.Aliased(a) {
-				// Borrowed read-only from the live memory — already current.
-				continue
+		// A row still borrowed was only read, so the live row, its check
+		// words and its wear are current. A row the shard programmed comes
+		// back with the check words and the wear programming it left.
+		for _, a := range sh.mem.OwnedAddrs() {
+			s.mem.CopyRow(a, sh.mem)
+			if bits, words, ok := sh.ctl.ECCState(a); ok {
+				s.ctl.SetECCState(a, bits, words)
 			}
-			if err := s.mem.CopyRow(a, sh.mem); err != nil {
-				return BatchResult{}, fmt.Errorf("pinatubo: merging shard %d: %w", si, err)
+			if st, ok := sh.ctl.Injector().RowState(geo.Encode(a)); ok {
+				liveInj.SetRowState(geo.Encode(a), st)
 			}
 		}
-		sh.ctl.ECCEntries(func(a memarch.RowAddr, bits int, words []uint64) {
-			s.ctl.SetECCState(a, bits, words)
-		})
 		s.mem.AbsorbCounters(sh.mem)
 		s.led.Absorb(sh.led)
-		if liveInj != nil {
-			shInj := sh.ctl.Injector()
-			seen := make(map[uint64]bool)
-			for _, i := range shard {
-				for _, k := range r.footprints[i] {
-					if k.kind != 'r' {
-						continue
-					}
-					key := geo.Encode(k.addr)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					st, _ := shInj.RowState(key)
-					liveInj.SetRowState(key, st)
-				}
-			}
-		}
 		for live, mirror := range r.states[si].vecs {
 			copy(live.rows, mirror.rows)
 		}
@@ -427,64 +407,41 @@ func (r *BatchRun) release() {
 	r.states = nil
 }
 
-// prepareShards snapshots the live state every shard's ops can touch into
-// per-shard sandbox Systems: footprint rows, their ECC state, replica
-// registrations and per-row fault-injector state, plus mirror BitVectors
-// bound to the sandbox. Sandboxes come from the System's pool — a reused
+// prepareShards lends the live state every shard's ops can touch to
+// per-shard sandbox Systems: each footprint row is borrowed from the live
+// memory (copied only when the shard first writes it) with its ECC check
+// words shared, replica registrations and per-row fault-injector state are
+// copied in, and mirror BitVectors are bound to the sandbox. The live
+// System is untouched between Start and Wait, so the lent words cannot
+// change under a shard. Sandboxes come from the System's pool — a reused
 // one is reset to fresh-construction state first — and go back to it when
 // the run finishes.
-//
-// On the ideal-hardware path (no injector, no ECC, no replication) the
-// shard only ever writes its destination and OR-scratch rows; every other
-// footprint row is borrowed read-only from the live memory via AliasRow
-// instead of copied — the live System is untouched between Start and
-// Wait, so the borrowed words cannot change under the shard. Any write
-// path the classification missed fails loudly in the memory's mutators.
 func (s *System) prepareShards(ops []BatchOp, footprints [][]fpKey, shards [][]int) ([]shardState, error) {
-	liveInj := s.ctl.Injector()
 	geo := s.mem.Geometry()
-	aliasOK := liveInj == nil && !s.ctl.ECCEnabled() && len(s.repRows) == 0
 	states := make([]shardState, len(shards))
-	fail := func(err error) ([]shardState, error) {
-		for _, st := range states {
-			s.putSandbox(st.sys)
-		}
-		return nil, err
-	}
 	for si, shard := range shards {
 		sh, err := s.getSandbox()
 		if err != nil {
-			return fail(err)
+			for _, st := range states {
+				s.putSandbox(st.sys)
+			}
+			return nil, err
 		}
 		states[si].sys = sh
-		var written map[uint64]bool
-		if aliasOK {
-			written = s.shardWriteSet(ops, shard)
-		}
 		for _, i := range shard {
 			for _, k := range footprints[i] {
-				if k.kind != 'r' {
+				if k.kind != 'r' || sh.mem.Borrowed(k.addr) {
 					continue
 				}
-				if aliasOK && !written[geo.Encode(k.addr)] {
-					if !sh.mem.Aliased(k.addr) {
-						sh.mem.AliasRow(k.addr, s.mem.PeekRow(k.addr))
-					}
-					continue
-				}
-				if err := sh.mem.CopyRow(k.addr, s.mem); err != nil {
-					return fail(fmt.Errorf("pinatubo: preparing shard %d: %w", si, err))
-				}
+				sh.mem.BorrowRow(k.addr, s.mem)
 				if bits, words, ok := s.ctl.ECCState(k.addr); ok {
 					sh.ctl.SetECCState(k.addr, bits, words)
 				}
 				if reps := s.replicaRows(k.addr); reps != nil {
 					sh.registerReplicas(k.addr, reps)
 				}
-				if liveInj != nil {
-					if st, ok := liveInj.RowState(geo.Encode(k.addr)); ok {
-						sh.ctl.Injector().SetRowState(geo.Encode(k.addr), st)
-					}
+				if st, ok := s.ctl.Injector().RowState(geo.Encode(k.addr)); ok {
+					sh.ctl.Injector().SetRowState(geo.Encode(k.addr), st)
 				}
 			}
 		}
@@ -507,39 +464,4 @@ func (s *System) prepareShards(ops []BatchOp, footprints [][]fpKey, shards [][]i
 		states[si].vecs = vecs
 	}
 	return states, nil
-}
-
-// shardWriteSet returns the encoded keys of every row the shard's ops can
-// program on the ideal-hardware path: the destination rows of every op
-// except popcount (host traffic that only reads), plus the per-subarray
-// scratch row of every multi-row OR source group. This mirrors the write
-// side of opFootprint's classification; every other footprint row is
-// sensed but never driven, so prepareShards aliases it instead of copying.
-func (s *System) shardWriteSet(ops []BatchOp, shard []int) map[uint64]bool {
-	geo := s.mem.Geometry()
-	written := make(map[uint64]bool)
-	for _, i := range shard {
-		op := ops[i]
-		if op.Op == OpPopcount {
-			continue
-		}
-		for _, r := range op.Dst.rows {
-			written[geo.Encode(r)] = true
-		}
-		if op.Op != OpOr {
-			continue
-		}
-		for batch := range op.Dst.rows {
-			srcRows := make([]memarch.RowAddr, 0, len(op.Srcs))
-			for _, src := range op.Srcs {
-				srcRows = append(srcRows, src.rows[batch])
-			}
-			for _, g := range pimrt.GroupBySubarray(srcRows) {
-				if len(g) > 1 {
-					written[geo.Encode(pimrt.ScratchRow(geo, g[0]))] = true
-				}
-			}
-		}
-	}
-	return written
 }

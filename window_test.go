@@ -2,6 +2,7 @@ package pinatubo
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -199,105 +200,145 @@ func (c *countdownCtx) Err() error {
 // TestBatchRunCancellationAllOrNothing pins the window cancellation
 // guarantee: a run cancelled after its shard already executed part of the
 // window merges NOTHING — the live System is bit-identical to a twin that
-// never saw the batch, and re-running the same ops afterwards succeeds.
+// never saw the batch, and re-running the same ops afterwards matches the
+// twin running them sequentially. The worn case runs SECDED under sense
+// flips and wear, so the shard programs borrowed rows that develop stuck
+// bits (the controller forces those through MutableRow) and carries ECC
+// check words and injector row state in from the live System.
 func TestBatchRunCancellationAllOrNothing(t *testing.T) {
-	cfg := Config{Tech: PCM, Geometry: spreadGeometry()}
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"pcm", Config{Tech: PCM, Geometry: spreadGeometry()}},
+		{"pcm-ecc-worn", Config{Tech: PCM, Geometry: spreadGeometry(),
+			Resilience: ResilienceConfig{Verify: VerifyECC},
+			Fault:      FaultConfig{Seed: 5, SenseFlipRate: 1e-3, WearLimit: 1}}},
 	}
-	twin, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bits = 4096
-	ops := buildBatchOps(t, sys, bits)
-	twinOps := buildBatchOps(t, twin, bits)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const bits = 4096
+			ops := buildBatchOps(t, sys, bits)
+			twinOps := buildBatchOps(t, twin, bits)
+			// matchTwin compares every counter and every op's destination.
+			// A merged window sums its float totals per shard, so after one
+			// they may differ from the op-order sums by ULPs (see Start).
+			matchTwin := func(stage string, merged bool) {
+				t.Helper()
+				a, b := sys.Stats(), twin.Stats()
+				near := func(got *float64, want float64) {
+					if merged && math.Abs(*got-want) <= 1e-12*math.Abs(want) {
+						*got = want
+					}
+				}
+				near(&a.BusySeconds, b.BusySeconds)
+				near(&a.EnergyJoules, b.EnergyJoules)
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%s: stats %+v, twin %+v", stage, a, b)
+				}
+				if a, b := sys.HardwareCounters(), twin.HardwareCounters(); !reflect.DeepEqual(a, b) {
+					t.Errorf("%s: hardware counters %+v, twin %+v", stage, a, b)
+				}
+				if a, b := sys.FaultStats(), twin.FaultStats(); a != b {
+					t.Errorf("%s: fault stats %+v, twin %+v", stage, a, b)
+				}
+				for i := range ops {
+					wa, _, err := sys.Read(ops[i].Dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wb, _, err := twin.Read(twinOps[i].Dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(wa, wb) {
+						t.Errorf("%s: vector %d diverges from the twin", stage, i)
+					}
+				}
+			}
 
-	// Chain the ops into one shard: op i+1 reads op i's destination, so
-	// the sandbox executes them in op order on one goroutine and the
-	// countdown context is hit deterministically.
-	var chained []BatchOp
-	for i := 1; i < len(ops); i++ {
-		chained = append(chained, BatchOp{Op: OpCopy, Dst: ops[i].Dst, Srcs: []*BitVector{ops[i-1].Dst}})
-	}
-	b := sys.NewBatchBuilder()
-	for _, op := range chained {
-		if err := b.Add(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.Shards() != 1 {
-		t.Fatalf("chained ops split into %d shards, want 1", b.Shards())
-	}
-	// Call 1 is Start's admission check; calls 2..3 let the shard run two
-	// ops; call 4 (before op 3) cancels — mid-window, with real sandbox
-	// effects already applied.
-	ctx := newCountdownCtx(3)
-	run, err := b.Start(WithContext(ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Wait(); err != context.Canceled {
-		t.Fatalf("Wait after cancel: err=%v, want context.Canceled", err)
-	}
-	// Idempotent Wait reports the same outcome.
-	if _, err := run.Wait(); err != context.Canceled {
-		t.Fatalf("second Wait: err=%v, want context.Canceled", err)
-	}
+			// Chain the ops into one shard: op i+1 reads op i's destination,
+			// so the sandbox executes them in op order on one goroutine and
+			// the countdown context is hit deterministically.
+			var chained []BatchOp
+			for i := 1; i < len(ops); i++ {
+				chained = append(chained, BatchOp{Op: OpCopy, Dst: ops[i].Dst, Srcs: []*BitVector{ops[i-1].Dst}})
+			}
+			b := sys.NewBatchBuilder()
+			for _, op := range chained {
+				if err := b.Add(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if b.Shards() != 1 {
+				t.Fatalf("chained ops split into %d shards, want 1", b.Shards())
+			}
+			// Call 1 is Start's admission check; calls 2..3 let the shard
+			// run two ops; call 4 (before op 3) cancels — mid-window, with
+			// real sandbox effects already applied.
+			ctx := newCountdownCtx(3)
+			run, err := b.Start(WithContext(ctx))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Wait(); err != context.Canceled {
+				t.Fatalf("Wait after cancel: err=%v, want context.Canceled", err)
+			}
+			// Idempotent Wait reports the same outcome.
+			if _, err := run.Wait(); err != context.Canceled {
+				t.Fatalf("second Wait: err=%v, want context.Canceled", err)
+			}
+			matchTwin("cancelled window", false)
 
-	// The live system must be exactly the twin that never ran the batch.
-	if a, bst := sys.Stats(), twin.Stats(); !reflect.DeepEqual(a, bst) {
-		t.Errorf("cancelled run leaked stats: %+v != %+v", a, bst)
-	}
-	if a, bhc := sys.HardwareCounters(), twin.HardwareCounters(); !reflect.DeepEqual(a, bhc) {
-		t.Errorf("cancelled run leaked hardware counters: %+v != %+v", a, bhc)
-	}
-	for i := range ops {
-		wa, _, err := sys.Read(ops[i].Dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, _, err := twin.Read(twinOps[i].Dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wa, wb) {
-			t.Errorf("cancelled run mutated vector %d", i)
-		}
-	}
+			// The same window re-admitted under a live context completes,
+			// and matches the twin running the same ops sequentially.
+			for _, op := range chained {
+				if err := b.Add(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := sys.FaultStats()
+			run, err = b.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if after := sys.FaultStats(); tc.cfg.Fault.WearLimit > 0 &&
+				(after.StuckBitsForced == before.StuckBitsForced || after.RowsRetired != 0) {
+				// The window must have forced stuck bits into the rows it
+				// programmed, and merged rather than replayed on the live
+				// System (which a retired row would make it do).
+				t.Errorf("window fault stats %+v from %+v: want stuck bits forced and no row retired", after, before)
+			}
+			for i := 1; i < len(twinOps); i++ {
+				if _, err := twin.Apply(OpCopy, twinOps[i].Dst, []*BitVector{twinOps[i-1].Dst}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			matchTwin("re-admitted window", true)
 
-	// The same window re-admitted under a live context completes, and
-	// matches the twin running the same ops sequentially.
-	for _, op := range chained {
-		if err := b.Add(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run, err = b.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(twinOps); i++ {
-		if _, err := twin.Apply(OpCopy, twinOps[i].Dst, []*BitVector{twinOps[i-1].Dst}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range ops {
-		wa, _, err := sys.Read(ops[i].Dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, _, err := twin.Read(twinOps[i].Dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wa, wb) {
-			t.Errorf("retried run diverged on vector %d", i)
-		}
+			// Programming the same rows again on both Systems depends on
+			// the wear the window left in the live injector.
+			for i := 1; i < len(ops); i++ {
+				if _, err := sys.Apply(OpCopy, ops[i].Dst, []*BitVector{ops[i-1].Dst}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := twin.Apply(OpCopy, twinOps[i].Dst, []*BitVector{twinOps[i-1].Dst}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			matchTwin("sequential ops after the window", true)
+		})
 	}
 }
 
