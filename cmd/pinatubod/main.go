@@ -227,8 +227,8 @@ func runDemo(srv *serve.Server, n, demoOps, demoBits int) error {
 	fmt.Printf("  op latency       p50 %v  p99 %v  max %v (in-window, simulated)\n",
 		m.Latency.P50, m.Latency.P99, m.Latency.Max)
 	fmt.Printf("  window makespan  p50 %v  p99 %v\n", m.WindowLatency.P50, m.WindowLatency.P99)
-	fmt.Printf("  program cache    %d hits / %d misses   sandbox pool %d reused / %d gets\n",
-		m.ProgramCacheHits, m.ProgramCacheMisses, m.SandboxPoolReuses, m.SandboxPoolGets)
+	fmt.Printf("  program cache    %d hits / %d misses / %d evictions   sandbox pool %d reused / %d gets\n",
+		m.ProgramCacheHits, m.ProgramCacheMisses, m.ProgramCacheEvictions, m.SandboxPoolReuses, m.SandboxPoolGets)
 
 	// Fairness spread: with identical offered load per tenant, admitted
 	// counts should be flat.

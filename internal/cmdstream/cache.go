@@ -3,32 +3,43 @@ package cmdstream
 // This file holds the lowered-program cache. Lowering one bulk bitwise
 // operation — classifying its placement, building and protocol-checking
 // the DDR command sequence, pricing latency and energy — is a pure
-// function of the operation shape (op kind, operand addresses, bit span,
-// datapath selection) on a fixed geometry: the data words are the only
-// part of an execution that depends on memory contents. The cache
+// function of the operation shape (op kind, physical operand addresses,
+// bit span, datapath selection) on a fixed geometry: the data words are
+// the only part of an execution that depends on memory contents. The cache
 // memoises that pure part so a repeated op skips straight to its data
 // effects. Entries are treated as immutable after Store (copy-on-write:
 // consumers take cost/trace *views* of a cached entry and must never
-// mutate the shared command slice); the owner invalidates the whole cache
-// whenever the row layout moves underneath it (System.layoutGen bumps).
+// mutate the shared command slice). Because a key holds every physical
+// address its lowering read, an entry stays correct when the row layout
+// moves (a freed row handed out again keeps its address), so nothing is
+// ever invalidated; MaxEntries alone bounds the population.
+
+// MaxEntries caps a cache's population. Store empties a full cache before
+// inserting, so the population never exceeds it; a steady workload's
+// working set of shapes (hundreds for the bitmap-index queries, a handful
+// for a BFS frontier) sits far below it.
+const MaxEntries = 4096
 
 // CacheStats counts cache traffic. Hits+Misses is the number of eligible
-// lookups; entries is the current population.
+// lookups; Evictions counts the entries dropped to make room; Entries is
+// the current population.
 type CacheStats struct {
-	Hits    int64
-	Misses  int64
-	Entries int
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Entries   int
 }
 
 // Cache is a keyed store of lowered-program entries. The value type is
 // opaque to this package (the controller stores its own entry struct);
-// the cache owns keying, hit/miss accounting and invalidation. Not safe
-// for concurrent use — each controller owns exactly one, and a controller
-// is single-goroutine by the System's ownership rules.
+// the cache owns keying, hit/miss accounting and the population bound.
+// Not safe for concurrent use — each controller owns exactly one, and a
+// controller is single-goroutine by the System's ownership rules.
 type Cache struct {
-	entries map[string]any
-	hits    int64
-	misses  int64
+	entries   map[string]any
+	hits      int64
+	misses    int64
+	evictions int64
 }
 
 // NewCache returns an empty cache.
@@ -49,19 +60,16 @@ func (c *Cache) Lookup(key []byte) (any, bool) {
 	return e, ok
 }
 
-// Store inserts an entry under key (copying the key). The entry must be
+// Store inserts an entry under key (copying the key), first dropping
+// every entry when the cache already holds MaxEntries. The entry must be
 // immutable from this point on: every later Lookup returns the same
 // value, concurrently with whatever the first execution still holds.
 func (c *Cache) Store(key []byte, entry any) {
-	c.entries[string(key)] = entry
-}
-
-// Invalidate drops every entry. Hit/miss counters survive — they describe
-// lifetime traffic, not the current population.
-func (c *Cache) Invalidate() {
-	if len(c.entries) > 0 {
-		c.entries = make(map[string]any)
+	if len(c.entries) >= MaxEntries {
+		c.evictions += int64(len(c.entries))
+		clear(c.entries)
 	}
+	c.entries[string(key)] = entry
 }
 
 // ResetStats zeroes the traffic counters without touching the stored
@@ -71,11 +79,11 @@ func (c *Cache) Invalidate() {
 // across a memory reset, because they depend only on operand addresses
 // and geometry, never on cell contents. Keeping them is what turns the
 // second window of a repeated workload into all cache hits.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
+func (c *Cache) ResetStats() { c.hits, c.misses, c.evictions = 0, 0, 0 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
 }
 
 // KeyBuffer builds cache keys without allocating: the byte slice is

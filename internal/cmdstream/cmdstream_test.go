@@ -106,3 +106,38 @@ func TestProgramRequestLowering(t *testing.T) {
 		t.Errorf("verify slot = %+v want %+v", last, want)
 	}
 }
+
+// TestCacheBoundedByMaxEntries pins the population bound: storing one
+// more distinct key than MaxEntries empties the full cache first, counts
+// every dropped entry as an eviction, and leaves the newest entry served.
+func TestCacheBoundedByMaxEntries(t *testing.T) {
+	c := NewCache()
+	var k KeyBuffer
+	store := func(i int) {
+		k.Reset()
+		k.Int(i)
+		c.Store(k.Bytes(), i)
+	}
+	for i := 0; i < MaxEntries; i++ {
+		store(i)
+	}
+	if st := c.Stats(); st.Entries != MaxEntries || st.Evictions != 0 {
+		t.Fatalf("after %d stores: %+v, want %d entries and no evictions", MaxEntries, st, MaxEntries)
+	}
+	store(MaxEntries)
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != MaxEntries {
+		t.Fatalf("after one more store: %+v, want 1 entry and %d evictions", st, MaxEntries)
+	}
+	if e, ok := c.Lookup(k.Bytes()); !ok || e.(int) != MaxEntries {
+		t.Errorf("newest entry lookup = %v, %v", e, ok)
+	}
+	k.Reset()
+	k.Int(0)
+	if _, ok := c.Lookup(k.Bytes()); ok {
+		t.Error("an evicted entry was still served")
+	}
+	c.ResetStats()
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Entries != 1 {
+		t.Errorf("ResetStats left %+v, want zero traffic and the 1 entry kept", st)
+	}
+}

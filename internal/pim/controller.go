@@ -228,16 +228,6 @@ func (c *Controller) SetProgramCache(enabled bool) {
 	c.cacheOn = enabled
 }
 
-// InvalidateProgramCache drops every cached program. The System calls
-// this whenever its row layout moves (layoutGen bumps: frees, retire
-// remaps, replica teardowns), so a cached program can never outlive the
-// layout it was lowered against.
-func (c *Controller) InvalidateProgramCache() {
-	if c.cache != nil {
-		c.cache.Invalidate()
-	}
-}
-
 // CacheStats snapshots the program cache's traffic counters.
 func (c *Controller) CacheStats() cmdstream.CacheStats {
 	if c.cache == nil {
@@ -430,17 +420,9 @@ func (c *Controller) execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst 
 		return nil, err
 	}
 	if c.cacheEligible() {
-		act, senseSteps, wb, bus := countersFor(res.Commands)
-		c.cache.Store(c.keyBuf.Bytes(), &progEntry{
-			class:       res.Class,
-			seconds:     res.Seconds,
-			energy:      res.Energy,
-			commands:    res.Commands,
-			activations: act,
-			senseSteps:  senseSteps,
-			writebacks:  wb,
-			busBits:     bus,
-		})
+		// executeFresh left MR4 holding this op's encoding.
+		ent := newProgEntry(res.Class, res.Seconds, res.Energy, res.Commands, c.ModeRegister())
+		c.cache.Store(c.keyBuf.Bytes(), &ent)
 	}
 	return res, nil
 }
@@ -455,6 +437,9 @@ type progEntry struct {
 	seconds  float64
 	energy   energy.Meter
 	commands []ddr.Cmd
+	// mr4 is the PIM mode-register value the lowering programs; a hit
+	// writes it as the miss did (host writes leave MR4 alone).
+	mr4 ddr.MR4
 
 	// Hardware-counter deltas of the command sequence, precomputed so a
 	// hit tallies exactly what the fresh path would.
@@ -462,6 +447,13 @@ type progEntry struct {
 	senseSteps  int64
 	writebacks  int64
 	busBits     int64
+}
+
+// newProgEntry builds the cache entry of one lowering.
+func newProgEntry(class Class, seconds float64, en energy.Meter, cmds []ddr.Cmd, mr4 ddr.MR4) progEntry {
+	p := progEntry{class: class, seconds: seconds, energy: en, commands: cmds, mr4: mr4}
+	p.activations, p.senseSteps, p.writebacks, p.busBits = countersFor(cmds)
+	return p
 }
 
 // cacheEligible reports whether the program cache may serve this
@@ -476,12 +468,13 @@ func (c *Controller) cacheEligible() bool {
 // means no entry (the caller runs the fresh path, and the key left in
 // keyBuf is where the fresh result is stored). On a hit the non-data
 // outputs come from the entry and the data effects are reproduced
-// exactly as the fresh path would produce them: result words computed
-// from current memory through the same SA model (including the analog
-// cross-check, so the sampling stream stays aligned with an uncached
-// run), the accumulation buffer left holding the result on the digital
-// paths, and dst programmed. The words land in the controller's reused
-// result buffer, valid until the next execution (Result.Words).
+// exactly as the fresh path would produce them: MR4 programmed with the
+// op, result words computed from current memory through the same SA
+// model (including the analog cross-check, so the sampling stream stays
+// aligned with an uncached run), the accumulation buffer left holding the
+// result on the digital paths, and dst programmed. The words land in the
+// controller's reused result buffer, valid until the next execution
+// (Result.Words).
 func (c *Controller) executeCached(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (*Result, bool, error) {
 	geo := c.mem.Geometry()
 	// Build the key. Addresses are bounds-checked before trusting a hit:
@@ -518,6 +511,9 @@ func (c *Controller) executeCached(op sense.Op, srcs []memarch.RowAddr, bits int
 		return nil, false, nil
 	}
 	ent := e.(*progEntry)
+	if err := c.mrs.Write(ddr.PIMRegister, uint16(ent.mr4)); err != nil {
+		return nil, false, err
+	}
 
 	w := bitvec.WordsFor(bits)
 	if cap(c.rowsScratch) < len(srcs) {
@@ -859,9 +855,9 @@ func (c *Controller) ReadRow(addr memarch.RowAddr, bits int) (*Result, error) {
 }
 
 // WriteRowFromHost performs a conventional write of `bits` bits from the
-// host into a row, pricing the bus transfer and cell programming. Panics if
-// the fixed ACT/WR/PRE sequence violates the DDR protocol — a controller
-// bug, never a caller error.
+// host into a row, pricing the bus transfer and cell programming. Its
+// lowering comes from the program cache when the cache may serve (see
+// hostWriteProgram).
 func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits int) (*Result, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
@@ -873,20 +869,10 @@ func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits
 	if want := bitvec.WordsFor(bits); len(words) > want {
 		return nil, fmt.Errorf("pim: %d words exceed %d-bit vector", len(words), bits)
 	}
-	res := &Result{Op: sense.OpRead, Class: ClassIntraSub, Rows: 1, Bits: bits}
-	res.Commands = []ddr.Cmd{
-		{Kind: ddr.CmdAct, Addr: addr},
-		{Kind: ddr.CmdWr, Addr: addr, Bits: bits},
-		{Kind: ddr.CmdPre, Addr: addr},
-	}
-	if err := ddr.ValidateSequence(res.Commands); err != nil {
-		panic(fmt.Sprintf("pim: invalid host-write sequence: %v", err))
-	}
-	res.Seconds = ddr.Duration(res.Commands, c.mem.Tech().Timing, c.bus)
-	c.tally(ClassIntraSub, res.Commands)
-	e := c.mem.Tech().Energy
-	res.Energy.Add(energy.IOBus, float64(bits)*e.IOBusPerBit)
-	res.Energy.Add(energy.WriteDriver, float64(bits)*e.WritePerBit)
+	p := c.hostWriteProgram(addr, bits)
+	res := &Result{Op: sense.OpRead, Class: p.class, Rows: 1, Bits: bits,
+		Seconds: p.seconds, Energy: p.energy, Commands: p.commands}
+	c.tallyDeltas(p.class, p.activations, p.senseSteps, p.writebacks, p.busBits)
 	if err := c.store(addr, words); err != nil {
 		return nil, err
 	}
@@ -895,4 +881,48 @@ func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits
 	}
 	res.Words = words
 	return res, nil
+}
+
+// hostWriteKey tags a host-write cache key. It is no sense.Op value, so a
+// host write never shares a key with an op's lowering.
+const hostWriteKey = 0xFF
+
+// hostWriteProgram returns the lowering of a host write of bits bits into
+// addr: the fixed ACT/WR/PRE sequence, protocol-checked and priced. When
+// the program cache may serve, it is built once per (bits, addr) and
+// served from the cache after that, as ReadRow's is. Panics if the
+// sequence violates the DDR protocol — a controller bug, never a caller
+// error.
+func (c *Controller) hostWriteProgram(addr memarch.RowAddr, bits int) progEntry {
+	cached := c.cacheEligible()
+	if cached {
+		k := &c.keyBuf
+		k.Reset()
+		k.Byte(hostWriteKey)
+		k.Int(bits)
+		k.Uint64(c.mem.Geometry().Encode(addr))
+		if e, ok := c.cache.Lookup(k.Bytes()); ok {
+			return *e.(*progEntry)
+		}
+	}
+	cmds := []ddr.Cmd{
+		{Kind: ddr.CmdAct, Addr: addr},
+		{Kind: ddr.CmdWr, Addr: addr, Bits: bits},
+		{Kind: ddr.CmdPre, Addr: addr},
+	}
+	if err := ddr.ValidateSequence(cmds); err != nil {
+		panic(fmt.Sprintf("pim: invalid host-write sequence: %v", err))
+	}
+	var en energy.Meter
+	e := c.mem.Tech().Energy
+	en.Add(energy.IOBus, float64(bits)*e.IOBusPerBit)
+	en.Add(energy.WriteDriver, float64(bits)*e.WritePerBit)
+	p := newProgEntry(ClassIntraSub, ddr.Duration(cmds, c.mem.Tech().Timing, c.bus), en, cmds, 0)
+	if cached {
+		// The cache gets its own copy, so an uncached write allocates no
+		// entry.
+		ent := p
+		c.cache.Store(c.keyBuf.Bytes(), &ent)
+	}
+	return p
 }

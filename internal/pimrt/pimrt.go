@@ -10,7 +10,7 @@ package pimrt
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/memarch"
@@ -27,8 +27,11 @@ var ErrOutOfMemory = errors.New("pimrt: out of memory rows")
 // allocations walk subarrays sequentially so that consecutively allocated
 // bit-vectors (the common "operate on these together" case) share one.
 type Allocator struct {
-	geo     memarch.Geometry
-	free    map[uint64]bool // explicit frees, reused before fresh rows
+	geo memarch.Geometry
+	// free holds the encoded addresses of explicitly freed rows, ascending
+	// and without duplicates; they are reused, lowest first, before fresh
+	// rows.
+	free    []uint64
 	retired map[uint64]bool // worn-out rows, permanently out of circulation
 	next    uint64          // next never-allocated row index
 	max     uint64
@@ -64,7 +67,6 @@ func NewAllocatorTail(geo memarch.Geometry, tail int) (*Allocator, error) {
 	}
 	return &Allocator{
 		geo:     geo,
-		free:    make(map[uint64]bool),
 		retired: make(map[uint64]bool),
 		max:     uint64(geo.TotalRows()),
 		tail:    tail,
@@ -114,21 +116,13 @@ func (a *Allocator) AllocRows(n int) ([]memarch.RowAddr, error) {
 	}
 	start := a.next
 	out := make([]memarch.RowAddr, 0, n)
-	// Reuse freed rows in ascending order for determinism.
-	if len(a.free) > 0 {
-		keys := make([]uint64, 0, len(a.free))
-		for k := range a.free {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			if len(out) == n {
-				break
-			}
-			delete(a.free, k)
-			out = append(out, a.geo.Decode(k))
-		}
+	// Reuse freed rows in ascending order for determinism: the free list's
+	// prefix.
+	reused := min(n, len(a.free))
+	for _, k := range a.free[:reused] {
+		out = append(out, a.geo.Decode(k))
 	}
+	a.free = slices.Delete(a.free, 0, reused)
 	for len(out) < n {
 		a.skipReserved()
 		if a.next >= a.max {
@@ -185,35 +179,37 @@ func (a *Allocator) AllocGroupRows(n int) ([]memarch.RowAddr, error) {
 // when no subarray holds n. Retired rows never sit on the free list;
 // reserved tail rows are skipped in case a caller freed one.
 func (a *Allocator) freeGroup(n int) []memarch.RowAddr {
-	if len(a.free) < n {
-		return nil
-	}
 	per := uint64(a.geo.RowsPerSubarray)
 	usable := per - uint64(a.tail)
-	keys := make([]uint64, 0, len(a.free))
-	for k := range a.free {
-		if k%per < usable {
-			keys = append(keys, k)
+	// The list is ascending, so each subarray's free rows form one run,
+	// its usable rows first and any freed tail rows after them.
+	for start := 0; start+n <= len(a.free); {
+		sub := a.free[start] / per
+		end, fit := start, 0
+		for ; end < len(a.free) && a.free[end]/per == sub; end++ {
+			if a.free[end]%per < usable {
+				fit++
+			}
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	// keys is sorted, so each subarray's free rows form one run.
-	for start := 0; start+n <= len(keys); {
-		end := start + 1
-		for end < len(keys) && keys[end]/per == keys[start]/per {
-			end++
-		}
-		if end-start >= n {
+		if fit >= n {
 			out := make([]memarch.RowAddr, n)
-			for i, k := range keys[start : start+n] {
-				delete(a.free, k)
+			for i, k := range a.free[start : start+n] {
 				out[i] = a.geo.Decode(k)
 			}
+			a.free = slices.Delete(a.free, start, start+n)
 			return out
 		}
 		start = end
 	}
 	return nil
+}
+
+// addFree puts key on the free list, keeping it ascending; a key already
+// there is left as it is.
+func (a *Allocator) addFree(key uint64) {
+	if i, found := slices.BinarySearch(a.free, key); !found {
+		a.free = slices.Insert(a.free, i, key)
+	}
 }
 
 // Mark returns the allocation frontier, for a later Rollback.
@@ -227,7 +223,7 @@ func (a *Allocator) Mark() uint64 { return a.next }
 func (a *Allocator) Rollback(start uint64, rows []memarch.RowAddr) {
 	for _, r := range rows {
 		if key := a.geo.Encode(r); key < start {
-			a.free[key] = true
+			a.addFree(key)
 		}
 	}
 	a.next = start
@@ -240,7 +236,7 @@ func (a *Allocator) Free(rows []memarch.RowAddr) {
 		if a.retired[key] {
 			continue
 		}
-		a.free[key] = true
+		a.addFree(key)
 	}
 }
 
@@ -250,19 +246,17 @@ func (a *Allocator) Free(rows []memarch.RowAddr) {
 func (a *Allocator) Retire(r memarch.RowAddr) {
 	key := a.geo.Encode(r)
 	a.retired[key] = true
-	delete(a.free, key)
+	if i, found := slices.BinarySearch(a.free, key); found {
+		a.free = slices.Delete(a.free, i, i+1)
+	}
 }
 
 // Reset restores the allocator to its NewAllocator state: the frontier
 // rewinds and free/retired sets empty, so a pooled shard sandbox hands out
 // exactly the row sequence a fresh allocator would.
 func (a *Allocator) Reset() {
-	for k := range a.free {
-		delete(a.free, k)
-	}
-	for k := range a.retired {
-		delete(a.retired, k)
-	}
+	a.free = a.free[:0]
+	clear(a.retired)
 	a.next = 0
 }
 

@@ -48,10 +48,11 @@ type Metrics struct {
 	// Program-cache and sandbox-pool counters from the System's PerfStats,
 	// snapshotted at each window boundary — the raw-speed observability of
 	// the simulator itself (cached and uncached runs are bit-identical).
-	ProgramCacheHits   int64 `json:"program_cache_hits"`
-	ProgramCacheMisses int64 `json:"program_cache_misses"`
-	SandboxPoolGets    int64 `json:"sandbox_pool_gets"`
-	SandboxPoolReuses  int64 `json:"sandbox_pool_reuses"`
+	ProgramCacheHits      int64 `json:"program_cache_hits"`
+	ProgramCacheMisses    int64 `json:"program_cache_misses"`
+	ProgramCacheEvictions int64 `json:"program_cache_evictions"`
+	SandboxPoolGets       int64 `json:"sandbox_pool_gets"`
+	SandboxPoolReuses     int64 `json:"sandbox_pool_reuses"`
 	// Tenants breaks admission down per tenant — the fairness ledger.
 	Tenants map[string]TenantMetrics `json:"tenants,omitempty"`
 }
@@ -101,6 +102,7 @@ func (m *metricsState) snapshot(now time.Time) Metrics {
 	out.WindowLatency = latencyStats(m.windowLatencies)
 	out.ProgramCacheHits = m.perf.ProgramCacheHits
 	out.ProgramCacheMisses = m.perf.ProgramCacheMisses
+	out.ProgramCacheEvictions = m.perf.ProgramCacheEvictions
 	out.SandboxPoolGets = m.perf.SandboxPoolGets
 	out.SandboxPoolReuses = m.perf.SandboxPoolReuses
 	if m.simSeconds > 0 {

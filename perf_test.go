@@ -1,10 +1,13 @@
 package pinatubo
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"pinatubo/internal/cmdstream"
 )
 
 // twoSys builds two identically configured systems for differential runs.
@@ -94,12 +97,11 @@ func TestProgramCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestProgramCacheInvalidatedOnLayoutChange pins the invalidation rule:
-// any row-layout mutation (Free, and through the same path remaps and
-// replica teardowns) drops every cached program, so a stale program can
-// never be served against a moved layout — and the rows freed and handed
-// back out still compute correctly afterwards.
-func TestProgramCacheInvalidatedOnLayoutChange(t *testing.T) {
+// TestProgramCacheRecycledRow frees a vector whose ops are cached and
+// hands its row back out: ops over the recycled row must compute from the
+// row's new contents, whether they lower afresh (the XOR) or are served
+// by the entry the freed vector's AND left behind.
+func TestProgramCacheRecycledRow(t *testing.T) {
 	s := newSys(t)
 	vs, err := s.AllocGroup(3, 512)
 	if err != nil {
@@ -116,34 +118,253 @@ func TestProgramCacheInvalidatedOnLayoutChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.PerfStats().ProgramCacheEntries; n == 0 {
-		t.Fatal("warm-up left no cached programs")
-	}
 	if err := s.Free(vs[2]); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.PerfStats().ProgramCacheEntries; n != 0 {
-		t.Errorf("%d cached programs survived a Free", n)
-	}
 
-	// The freed row is handed back out; the op over the recycled layout
-	// must compute fresh, not replay a stale program.
+	// The freed row is handed back out.
 	nv, err := s.Alloc(512)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if nv.rows[0] != vs[2].rows[0] {
+		t.Fatalf("Alloc after Free took row %v, want the freed row %v", nv.rows[0], vs[2].rows[0])
+	}
+	check := func(what string, want uint64) {
+		t.Helper()
+		words, _, err := s.Read(nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range words {
+			if w != want {
+				t.Fatalf("%s: word %d on the recycled row: %#x want %#x", what, i, w, want)
+			}
+		}
+	}
 	if _, err := s.Xor(nv, vs[0], vs[1]); err != nil {
 		t.Fatal(err)
 	}
-	words, _, err := s.Read(nv)
+	check("XOR", 7^9)
+	hits := s.PerfStats().ProgramCacheHits
+	if _, err := s.And(nv, vs[0], vs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if s.PerfStats().ProgramCacheHits == hits {
+		t.Fatal("the AND over the recycled row lowered afresh; this check wants it served from the cache")
+	}
+	check("AND", 7&9)
+}
+
+// streamDistinctShapes runs the BFS-frontier cycle — alloc, two host
+// writes, an XOR, a read, free — once for every vector length from 1 to
+// n bits. Each length is a new key for all four lowerings, so the stream
+// lowers 4n distinct programs. Every read must return the XOR.
+func streamDistinctShapes(t *testing.T, s *System, n int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	for bits := 1; bits <= n; bits++ {
+		var vs [3]*BitVector
+		for i := range vs {
+			v, err := s.Alloc(bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs[i] = v
+		}
+		w := (bits + 63) / 64
+		x, y := make([]uint64, w), make([]uint64, w)
+		for i := range x {
+			x[i], y[i] = rng.Uint64(), rng.Uint64()
+		}
+		if _, err := s.Write(vs[0], x); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Write(vs[1], y); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Xor(vs[2], vs[0], vs[1]); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := s.Read(vs[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			want := x[i] ^ y[i]
+			if tail := bits - 64*i; tail < 64 {
+				want &= 1<<tail - 1
+				got[i] &= 1<<tail - 1
+			}
+			if got[i] != want {
+				t.Fatalf("%d-bit XOR: word %d = %#x, want %#x", bits, i, got[i], want)
+			}
+		}
+		for _, v := range vs {
+			if err := s.Free(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestProgramCacheEvictsAtCap streams more distinct shapes through a
+// System than its program cache holds: the cache must evict, stay within
+// cmdstream.MaxEntries and keep returning the right words. The same
+// stream on a shard sandbox must reach the live System's PerfStats when
+// the sandbox is released.
+func TestProgramCacheEvictsAtCap(t *testing.T) {
+	n := cmdstream.MaxEntries/4 + 100
+	s := newSys(t)
+	streamDistinctShapes(t, s, n)
+	p := s.PerfStats()
+	if p.ProgramCacheEvictions < cmdstream.MaxEntries || p.ProgramCacheEntries > cmdstream.MaxEntries {
+		t.Errorf("after %d distinct shapes: %d evictions, %d entries; want at least %d evictions and at most %d entries",
+			4*n, p.ProgramCacheEvictions, p.ProgramCacheEntries, cmdstream.MaxEntries, cmdstream.MaxEntries)
+	}
+
+	live := newSys(t)
+	sb, err := live.getSandbox()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range words {
-		if w != 7^9 {
-			t.Fatalf("word %d after layout change: %#x want %#x", i, w, 7^9)
-		}
+	streamDistinctShapes(t, sb, n)
+	want := sb.PerfStats().ProgramCacheEvictions
+	live.putSandbox(sb)
+	if got := live.PerfStats().ProgramCacheEvictions; want == 0 || got != want {
+		t.Errorf("released sandbox evicted %d programs; the live System reports %d", want, got)
 	}
+}
+
+// fuzzGeometry is a small memory (two banks of two 16-row subarrays,
+// 256-bit rows), so generated programs exhaust and recycle rows quickly
+// and their ops land in every placement class.
+func fuzzGeometry() Geometry {
+	return Geometry{
+		Channels:         1,
+		RanksPerChannel:  1,
+		ChipsPerRank:     1,
+		BanksPerChip:     2,
+		SubarraysPerBank: 2,
+		MatsPerSubarray:  1,
+		RowsPerSubarray:  16,
+		MatRowBits:       256,
+		MuxRatio:         32,
+	}
+}
+
+// FuzzProgramCacheLayout runs a generated alloc/write/apply/read/free
+// program on a System with the lowered-program cache and on a twin with
+// the cache off, on the technology the first byte picks (DRAM included).
+// Frees recycle rows, so cached programs are served for rows that were
+// freed and handed out again. After every step the two must agree on the
+// rows allocated, every returned word, Result and error, the program the
+// step lowered, MR4, Stats and HardwareCounters.
+func FuzzProgramCacheLayout(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 0, 3, 0, 3, 2, 0, 1, 2, 1, 2, 3, 2, 2, 0, 1, 4, 2, 5, 2, 0, 3, 3, 2, 2, 0, 1, 4, 2})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		techs := [...]Tech{PCM, STTMRAM, ReRAM, DRAM}
+		cached, plain := twoSys(t, Config{Tech: techs[int(prog[0])%len(techs)], Geometry: fuzzGeometry()})
+		plain.ctl.SetProgramCache(false)
+		sizes := [...]int{1, 64, 200, 256, 257, 512, 700}
+		ops := [...]Op{OpOr, OpAnd, OpXor, OpNot, OpCopy, OpPopcount}
+		pos := 1
+		next := func() int {
+			if pos >= len(prog) {
+				return 0
+			}
+			pos++
+			return int(prog[pos-1])
+		}
+		var vs [][2]*BitVector // each vector's handle on cached and plain
+		pick := func() [2]*BitVector { return vs[next()%len(vs)] }
+		same := func(step int, what string, a, b any) {
+			t.Helper()
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("step %d %s: cached %+v, uncached %+v", step, what, a, b)
+			}
+		}
+		sameErr := func(step int, ea, eb error) bool {
+			t.Helper()
+			if fmt.Sprint(ea) != fmt.Sprint(eb) {
+				t.Fatalf("step %d: cached error %v, uncached %v", step, ea, eb)
+			}
+			return ea == nil
+		}
+		for step := 0; pos < len(prog) && step < 64; step++ {
+			switch kind := next() % 6; {
+			case kind == 0 || kind == 1:
+				var va, vb []*BitVector
+				var ea, eb error
+				if kind == 0 {
+					bits := sizes[next()%len(sizes)]
+					var a, b *BitVector
+					a, ea = cached.Alloc(bits)
+					b, eb = plain.Alloc(bits)
+					va, vb = []*BitVector{a}, []*BitVector{b}
+				} else {
+					count, bits := 2+next()%3, sizes[next()%4]
+					va, ea = cached.AllocGroup(count, bits)
+					vb, eb = plain.AllocGroup(count, bits)
+				}
+				if sameErr(step, ea, eb) {
+					for i := range va {
+						same(step, "allocated rows", va[i].rows, vb[i].rows)
+						vs = append(vs, [2]*BitVector{va[i], vb[i]})
+					}
+				}
+			case len(vs) == 0:
+				continue
+			case kind == 2:
+				v := pick()
+				rng := rand.New(rand.NewSource(int64(next())))
+				data := make([]uint64, (v[0].Len()+63)/64)
+				for i := range data {
+					data[i] = rng.Uint64()
+				}
+				ra, ea := cached.Write(v[0], data)
+				rb, eb := plain.Write(v[1], data)
+				sameErr(step, ea, eb)
+				same(step, "write result", ra, rb)
+			case kind == 3:
+				op := ops[next()%len(ops)]
+				lo, hi := op.arity()
+				if hi < 0 {
+					hi = 4
+				}
+				n := lo + next()%(hi-lo+1)
+				dst := pick()
+				var sa, sb []*BitVector
+				for i := 0; i < n; i++ {
+					v := pick()
+					sa, sb = append(sa, v[0]), append(sb, v[1])
+				}
+				ra, ea := cached.Apply(op, dst[0], sa)
+				rb, eb := plain.Apply(op, dst[1], sb)
+				sameErr(step, ea, eb)
+				same(step, op.String()+" result", ra, rb)
+			case kind == 4:
+				v := pick()
+				wa, ra, ea := cached.Read(v[0])
+				wb, rb, eb := plain.Read(v[1])
+				sameErr(step, ea, eb)
+				same(step, "read words", wa, wb)
+				same(step, "read result", ra, rb)
+			default:
+				i := next() % len(vs)
+				if sameErr(step, cached.Free(vs[i][0]), plain.Free(vs[i][1])) {
+					vs = append(vs[:i], vs[i+1:]...)
+				}
+			}
+			same(step, "lowered program", cached.prog.Instrs, plain.prog.Instrs)
+			same(step, "MR4", cached.ctl.ModeRegister(), plain.ctl.ModeRegister())
+			same(step, "stats", cached.Stats(), plain.Stats())
+			same(step, "hardware counters", cached.HardwareCounters(), plain.HardwareCounters())
+		}
+	})
 }
 
 // TestSandboxPoolReuseBitIdentical runs the same multi-shard batch twice

@@ -512,14 +512,11 @@ func (s *System) forgetReplicas(primary memarch.RowAddr) []memarch.RowAddr {
 	return reps
 }
 
-// bumpLayout records a row-layout mutation: the generation counter that
-// re-footprints in-flight BatchBuilders also invalidates the lowered-
-// program cache, so a cached program can never be served for a layout it
-// was not lowered against.
-func (s *System) bumpLayout() {
-	s.layoutGen++
-	s.ctl.InvalidateProgramCache()
-}
+// bumpLayout records a row-layout mutation, so in-flight BatchBuilders
+// re-footprint at Start. The lowered-program cache keeps its entries: a
+// key names every physical row its lowering read, and a row keeps its
+// address through a free, a retirement or a reallocation.
+func (s *System) bumpLayout() { s.layoutGen++ }
 
 // beginOp starts a public operation: it empties the operation's program
 // buffer and opens a fresh per-operation fault substream. Every public
@@ -596,6 +593,9 @@ type PerfStats struct {
 	// batch-shard sandboxes (folded in when a sandbox is released).
 	ProgramCacheHits   int64
 	ProgramCacheMisses int64
+	// ProgramCacheEvictions counts cached programs dropped because a
+	// cache reached its fixed entry cap, sandboxes included.
+	ProgramCacheEvictions int64
 	// ProgramCacheEntries is the live System's current cached-program count.
 	ProgramCacheEntries int
 	// SandboxPoolGets counts shard sandboxes handed out for batch windows;
@@ -611,11 +611,12 @@ func (s *System) PerfStats() PerfStats {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	return PerfStats{
-		ProgramCacheHits:    cs.Hits + s.cacheAbsorbed.Hits,
-		ProgramCacheMisses:  cs.Misses + s.cacheAbsorbed.Misses,
-		ProgramCacheEntries: cs.Entries,
-		SandboxPoolGets:     s.poolGets,
-		SandboxPoolReuses:   s.poolReuses,
+		ProgramCacheHits:      cs.Hits + s.cacheAbsorbed.Hits,
+		ProgramCacheMisses:    cs.Misses + s.cacheAbsorbed.Misses,
+		ProgramCacheEvictions: cs.Evictions + s.cacheAbsorbed.Evictions,
+		ProgramCacheEntries:   cs.Entries,
+		SandboxPoolGets:       s.poolGets,
+		SandboxPoolReuses:     s.poolReuses,
 	}
 }
 
@@ -648,13 +649,13 @@ func (s *System) getSandbox() (*System, error) {
 }
 
 // putSandbox releases a shard sandbox back to the pool once its window is
-// finished (merged or discarded). The sandbox's program-cache traffic is
-// folded into the live System's PerfStats first, so cache observability
-// covers shard executions, whether or not the window merged; its ledger
-// was absorbed by the merge, if any, and is cleared with one Reset on the
-// sandbox's next get. Its last op's program and scheduler result are
-// emptied now, so the pool does not keep that op's command sequences and
-// result words alive.
+// finished (merged or discarded). The sandbox's program-cache traffic
+// (hits, misses and evictions) is folded into the live System's
+// PerfStats first, so cache observability covers shard executions,
+// whether or not the window merged; its ledger was absorbed by the merge,
+// if any, and is cleared with one Reset on the sandbox's next get. Its
+// last op's program and scheduler result are emptied now, so the pool
+// does not keep that op's command sequences and result words alive.
 func (s *System) putSandbox(sb *System) {
 	if sb == nil {
 		return
@@ -665,6 +666,7 @@ func (s *System) putSandbox(sb *System) {
 	s.poolMu.Lock()
 	s.cacheAbsorbed.Hits += cs.Hits
 	s.cacheAbsorbed.Misses += cs.Misses
+	s.cacheAbsorbed.Evictions += cs.Evictions
 	if len(s.sandboxPool) < sandboxPoolCap {
 		s.sandboxPool = append(s.sandboxPool, sb)
 	}
