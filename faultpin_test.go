@@ -1,0 +1,229 @@
+package pinatubo
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"pinatubo/internal/bitvec"
+)
+
+// faultPin is everything TestFaultyProgramPinned pins for one
+// configuration: the three counter snapshots and a SHA-256 over the words
+// of every read, in program order.
+type faultPin struct {
+	stats  Stats
+	hw     HardwareCounters
+	faults FaultStats
+	reads  string
+}
+
+// pinGeometry is a small organisation with two banks of two subarrays, so
+// a fixed program reaches all three placement classes and still leaves a
+// subarray of spare rows for the wear model's retirements.
+func pinGeometry() Geometry {
+	return Geometry{
+		Channels:         1,
+		RanksPerChannel:  1,
+		ChipsPerRank:     1,
+		BanksPerChip:     2,
+		SubarraysPerBank: 2,
+		MatsPerSubarray:  1,
+		RowsPerSubarray:  32,
+		MatRowBits:       1024,
+		MuxRatio:         8,
+	}
+}
+
+// runFaultPinProgram runs one fixed program of ORs, ANDs, XORs, NOTs, host
+// rewrites and reads on a PCM system with sense flips, activation faults
+// and wear all injected, checks every read against a host model, and
+// returns what the pin compares.
+func runFaultPinProgram(t *testing.T, rc ResilienceConfig) faultPin {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Geometry = pinGeometry()
+	cfg.Fault = FaultConfig{Seed: 23, SenseFlipRate: 5e-2, ActivationFailRate: 0.1, WearLimit: 5}
+	cfg.Resilience = rc
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 1000
+	w := bitvec.WordsFor(bits)
+	tail := uint64(1)<<(bits%64) - 1
+
+	// Each group fills its own subarray: A in bank 0 subarray 0, B in bank
+	// 0 subarray 1, C in bank 1 subarray 0. Bank 1 subarray 1 stays free
+	// for the rows the wear model retires.
+	per := s.UsableRowsPerSubarray()
+	if rc.Replicate > 1 {
+		per /= rc.Replicate
+	}
+	var groups [3][]*BitVector
+	for i := range groups {
+		if groups[i], err = s.AllocGroup(per, bits); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b, c := groups[0], groups[1], groups[2]
+
+	model := map[*BitVector][]uint64{}
+	rng := rand.New(rand.NewSource(29))
+	write := func(v *BitVector) {
+		t.Helper()
+		words := make([]uint64, w)
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		words[w-1] &= tail
+		if _, err := s.Write(v, words); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		model[v] = words
+	}
+	apply := func(op Op, dst *BitVector, srcs ...*BitVector) {
+		t.Helper()
+		if _, err := s.Apply(op, dst, srcs); err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		out := make([]uint64, w)
+		copy(out, model[srcs[0]])
+		for _, src := range srcs[1:] {
+			for i, x := range model[src] {
+				switch op {
+				case OpOr:
+					out[i] |= x
+				case OpAnd:
+					out[i] &= x
+				case OpXor:
+					out[i] ^= x
+				}
+			}
+		}
+		if op == OpNot {
+			for i := range out {
+				out[i] = ^out[i]
+			}
+			out[w-1] &= tail
+		}
+		model[dst] = out
+	}
+	digest := sha256.New()
+	read := func(v *BitVector) {
+		t.Helper()
+		got, _, err := s.Read(v)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		// Read hands back the whole last word; bits past the vector's
+		// length are not part of the result (NOT sets them).
+		for i := range got {
+			x := got[i]
+			if i == w-1 {
+				x &= tail
+			}
+			if x != model[v][i] {
+				t.Fatalf("read word %d: %x, want %x", i, x, model[v][i])
+			}
+		}
+		for _, x := range got {
+			digest.Write(binary.LittleEndian.AppendUint64(nil, x))
+		}
+	}
+
+	for _, v := range [][]*BitVector{a[:8], b[:4], c[:4]} {
+		for _, x := range v {
+			write(x)
+		}
+	}
+	for round := 0; round < 6; round++ {
+		apply(OpOr, a[7], a[:7]...)         // intra-subarray, 7 rows
+		apply(OpAnd, b[0], a[0], b[1])      // inter-subarray
+		apply(OpXor, c[0], a[1], c[1])      // inter-bank
+		apply(OpNot, a[6], b[2])            // one row, result crosses subarrays
+		apply(OpOr, b[3], a[2], b[1], c[2]) // inter-bank OR
+		apply(OpAnd, a[5], a[3], a[4])      // intra-subarray AND
+		apply(OpXor, c[3], c[1], c[2])      // intra-subarray XOR
+		for _, v := range []*BitVector{a[7], b[0], c[0], a[6], b[3], a[5], c[3]} {
+			read(v)
+		}
+		write(a[round%4])
+		write(b[1])
+		write(c[1+round%2])
+	}
+	return faultPin{
+		stats:  s.Stats(),
+		hw:     s.HardwareCounters(),
+		faults: s.FaultStats(),
+		reads:  hex.EncodeToString(digest.Sum(nil)),
+	}
+}
+
+// TestFaultyProgramPinned pins, exactly, what one fault-injected program
+// leaves behind under read-back verification, SECDED and R=3 replication:
+// Stats, HardwareCounters, FaultStats and a digest of every read. The
+// counters depend on every injector draw, so this fails if any execution
+// path draws its faults in a different order, skips a draw, or prices a
+// request differently.
+func TestFaultyProgramPinned(t *testing.T) {
+	// Every read returns the model's words, so all three share one digest.
+	const pinReads = "fe32c638d5b79af5c362752050de189de2580c6e3d68a3eb7de5c232348d47f1"
+
+	cases := []struct {
+		name string
+		rc   ResilienceConfig
+		want faultPin
+	}{
+		{"readback", ResilienceConfig{Verify: VerifyReadback}, faultPin{
+			stats: Stats{Ops: map[string]int64{"host-read": 42, "host-write": 34, "inter-bank": 19, "inter-subarray": 4, "intra-subarray": 19},
+				Requests: 177, BusySeconds: 7.609121093750002e-05, EnergyJoules: 6.449468000000003e-06},
+			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 21, "inter-subarray": 18, "intra-subarray": 139},
+				Activations: 669, SenseSteps: 4600, Writebacks: 136, BusBits: 213000},
+			faults: FaultStats{
+				SenseFlips: 441, ActivationFaults: 6, StuckRows: 15, StuckBitsForced: 15, RowWrites: 136,
+				Verifies: 178, Retries: 47, DepthReductions: 0, InterFallbacks: 12, HostFallbacks: 0,
+				RowsRetired: 15, BitsCorrected: 454, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
+				Votes: 0, BitsOutvoted: 0,
+			},
+			reads: pinReads,
+		}},
+		{"ecc", ResilienceConfig{Verify: VerifyECC}, faultPin{
+			stats: Stats{Ops: map[string]int64{"host-read": 42, "host-write": 34, "inter-bank": 16, "inter-subarray": 6, "intra-subarray": 20},
+				Requests: 183, BusySeconds: 6.313758125e-05, EnergyJoules: 5.174497600000003e-06},
+			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 22, "inter-subarray": 19, "intra-subarray": 143},
+				Activations: 492, SenseSteps: 3880, Writebacks: 149, BusBits: 136000},
+			faults: FaultStats{
+				SenseFlips: 477, ActivationFaults: 11, StuckRows: 12, StuckBitsForced: 28, RowWrites: 149,
+				Verifies: 101, Retries: 44, DepthReductions: 0, InterFallbacks: 11, HostFallbacks: 0,
+				RowsRetired: 11, BitsCorrected: 355, EccDecodes: 125, EccCorrectedBits: 89, EccUncorrectables: 17,
+				Votes: 0, BitsOutvoted: 0,
+			},
+			reads: pinReads,
+		}},
+		{"replicate3", ResilienceConfig{Verify: VerifyReadback, Replicate: 3}, faultPin{
+			stats: Stats{Ops: map[string]int64{"host-read": 42, "host-write": 34, "inter-bank": 12, "inter-subarray": 6, "intra-subarray": 24},
+				Requests: 244, BusySeconds: 9.737059062500001e-05, EnergyJoules: 6.701148000000007e-06},
+			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 14, "inter-subarray": 7, "intra-subarray": 291},
+				Activations: 802, SenseSteps: 4560, Writebacks: 270, BusBits: 238000},
+			faults: FaultStats{
+				SenseFlips: 518, ActivationFaults: 28, StuckRows: 3, StuckBitsForced: 9, RowWrites: 270,
+				Verifies: 135, Retries: 29, DepthReductions: 5, InterFallbacks: 1, HostFallbacks: 0,
+				RowsRetired: 1, BitsCorrected: 7, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
+				Votes: 38, BitsOutvoted: 488,
+			},
+			reads: pinReads,
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := runFaultPinProgram(t, tc.rc)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("pinned outcome changed:\n got %#v\nwant %#v", got, tc.want)
+			}
+		})
+	}
+}
