@@ -1,13 +1,15 @@
 // Package backend defines the technology-backend seam of the simulator:
 // the contract a memory technology must implement so the Pinatubo
-// controller can lower intra-subarray compute requests through it. The
+// controller can run intra-subarray compute requests through it. The
 // controller owns everything placement- and protocol-generic —
 // classification, the inter-subarray/bank digital datapath, write-back
-// routing, the program cache, counters, ECC — and delegates exactly two
-// things to the backend: how a co-located operand set is computed inside
-// the array (the command sequence, its energy, and the functional result)
-// and what the technology is capable of (operand depth, voted sensing,
-// reserved rows).
+// routing, the program cache, fault injection, counters, ECC — and
+// delegates exactly three things to the backend: how a co-located operand
+// set is lowered inside the array (LowerIntra: the command sequence and
+// its energy, a pure function of the request), how its result is computed
+// (ComputeInto, the backend's one compute entry) and what the technology
+// is capable of (operand depth, voted sensing, reserved rows, whether the
+// resistive fault model applies).
 //
 // Two backends exist: the modified-sense-amplifier NVM backend in this
 // package (SenseAmp — the paper's architecture, shared by PCM, STT-MRAM
@@ -22,7 +24,6 @@ import (
 
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
-	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -52,33 +53,26 @@ type Caps struct {
 	// scratch row. Zero for backends that compute in the sense amplifiers.
 	ComputeRows int
 	// FaultInjection reports whether the resistive fault model applies to
-	// this backend's sensing. When false, attaching an injector to the
-	// controller is a configuration error the lowering rejects loudly.
+	// this backend's sensing. When false, the controller's AttachInjector
+	// refuses an injector: a configuration error, reported once, rather
+	// than faults silently never drawn.
 	FaultInjection bool
 }
 
 // IntraRequest carries one intra-subarray compute request into a backend
 // lowering. The controller fills every field; the backend appends
-// commands, charges energy and writes the functional result into Out.
+// commands and charges energy. Nothing in it depends on memory contents,
+// so the lowering it drives is a pure function of the request.
 type IntraRequest struct {
 	Op sense.Op
 	// Srcs are the operand rows; all share one subarray and are distinct
 	// (the controller classified and validated them).
 	Srcs []memarch.RowAddr
-	// Bits is the vector length; Rows[i] holds operand i's words, already
-	// truncated to bitvec.WordsFor(Bits).
+	// Bits is the vector length.
 	Bits int
-	Rows [][]uint64
-	// Out is the result buffer, bitvec.WordsFor(Bits) words, zeroed or
-	// stale — the backend must fully overwrite it.
-	Out []uint64
 	// Geo is the memory organisation (sense-group width, rows per
 	// subarray).
 	Geo memarch.Geometry
-	// Inj is the attached fault injector, nil on the ideal-hardware path.
-	// A backend whose Caps().FaultInjection is false must reject a
-	// non-nil injector rather than silently ignore it.
-	Inj *fault.Injector
 	// Energy is the request's meter; the backend adds its per-component
 	// spend.
 	Energy *energy.Meter
@@ -95,18 +89,19 @@ type Backend interface {
 	// controller).
 	ValidateOperands(op sense.Op, n int) error
 	// LowerIntra appends the intra-subarray command sequence for req to
-	// cmds, charges req.Energy, and fills req.Out with the functional
-	// result. The sequence must leave the result in the computing
-	// subarray's sense amplifiers with its rows still open — the
-	// controller appends the write-back routing and the closing
-	// precharge, exactly as for any other placement class.
+	// cmds and charges req.Energy. It reads no memory and draws no fault:
+	// the same request always lowers to the same commands and energy, so
+	// the controller may cache the result. The sequence must leave the
+	// result in the computing subarray's sense amplifiers with its rows
+	// still open — the controller appends the write-back routing and the
+	// closing precharge, exactly as for any other placement class.
 	LowerIntra(req *IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, error)
-	// ComputeInto resolves op over the operand rows functionally, without
-	// emitting commands or energy: the program-cache hit path and the
-	// voted-execution replica passes recompute data effects through it.
-	// For backends with a stochastic sensing model it must consume the
-	// same random stream as LowerIntra's compute step, so cached and
-	// fresh runs stay bit-identical.
+	// ComputeInto resolves op over the operand rows functionally into
+	// dst, without emitting commands or energy. It is the backend's only
+	// compute entry: every intra-subarray execution and every replica
+	// pass of a voted one computes through it, and the controller applies
+	// any injected faults around it. A backend with a stochastic model
+	// check (the SA array's analog cross-check) consumes its stream here.
 	ComputeInto(dst []uint64, op sense.Op, rows [][]uint64) error
 	// Reset restores the backend to its just-built state (sampling
 	// streams, scratch) for sandbox reuse.

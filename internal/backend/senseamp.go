@@ -50,7 +50,7 @@ func (b *SenseAmp) ValidateOperands(op sense.Op, n int) error {
 }
 
 // ComputeInto resolves the op through the SA model, including the analog
-// cross-check sampling stream — cached and fresh runs stay bit-identical.
+// cross-check sampling stream.
 func (b *SenseAmp) ComputeInto(dst []uint64, op sense.Op, rows [][]uint64) error {
 	return b.sa.ComputeWordsInto(dst, op, rows)
 }
@@ -59,7 +59,7 @@ func (b *SenseAmp) ComputeInto(dst []uint64, op sense.Op, rows [][]uint64) error
 // reuse: a constant-time PCG reseed (sense.Array.Reset).
 func (b *SenseAmp) Reset() { b.sa.Reset() }
 
-// LowerIntra performs the one-step multi-row operation in the SAs: LWL
+// LowerIntra lowers the one-step multi-row operation in the SAs: LWL
 // reset, one activation per operand (the first at full tRCD, the rest one
 // command slot each), then one re-referenced sense per column group per
 // micro-step. The result stays in the SAs for the controller's write-back.
@@ -84,24 +84,11 @@ func (b *SenseAmp) LowerIntra(req *IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, err
 	if lwl.OpenCount() != len(srcs) {
 		return nil, fmt.Errorf("pim: LWL opened %d rows, want %d", lwl.OpenCount(), len(srcs))
 	}
-	if req.Inj != nil && req.Inj.ActivationFault(len(srcs)) {
-		// The latches lost a row address before sensing began; no cell or
-		// buffer state changed, so the request can simply be reissued.
-		return nil, fmt.Errorf("pim: activating %d rows: %w", len(srcs), ErrActivationFault)
-	}
 
 	// Sensing: one CmdSense per column group per micro-step.
 	steps := SenseGroups(geo, bits) * op.SenseSteps()
 	for i := 0; i < steps; i++ {
 		cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdSense, Addr: srcs[0]})
-	}
-
-	// Functional result through the SA model.
-	if err := b.sa.ComputeWordsInto(req.Out, op, req.Rows); err != nil {
-		return nil, err
-	}
-	if req.Inj != nil {
-		req.Inj.FlipSensed(op, len(srcs), bits, req.Out)
 	}
 
 	// Energy: one bitline bias per sensed bit (the BL is shared by all open

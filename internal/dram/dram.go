@@ -15,9 +15,7 @@
 //     copy through the sense amplifiers and write drivers, used to stage
 //     operands into the compute group without touching the DDR bus.
 //
-// XOR is synthesized from MAJ and NOT — a XOR b = MAJ(a∧¬b, ¬a∧b, 1) —
-// and XNOR (the BNN building block) the same way from the complementary
-// partial terms; see LowerXNOR.
+// XOR is synthesized from MAJ and NOT: a XOR b = MAJ(a∧¬b, ¬a∧b, 1).
 //
 // Because TRA is destructive, operands are never computed on in place:
 // every operation first AAP-stages its operands into a designated
@@ -123,48 +121,18 @@ func (b *Backend) ValidateOperands(op sense.Op, n int) error {
 }
 
 // ComputeInto resolves op functionally. DRAM compute is fully digital at
-// the model level — no stochastic sensing stream — so this is plain word
-// math, shared with LowerIntra.
+// the model level — no stochastic sensing stream — so this is the shared
+// word kernel, sense.Combine.
 func (b *Backend) ComputeInto(dst []uint64, op sense.Op, rows [][]uint64) error {
 	if err := b.ValidateOperands(op, len(rows)); err != nil {
 		return err
 	}
-	combine(dst, op, rows)
+	sense.Combine(dst, op, rows)
 	return nil
 }
 
 // Reset is a no-op: the backend keeps no sampling or scratch state.
 func (b *Backend) Reset() {}
-
-// combine fills dst with the result of op over the operand rows. Callers
-// validated the operand count. Panics on an op outside the sense.Op set —
-// an exhaustiveness bug when the op set grows, never a data condition
-// (both callers validate first).
-func combine(dst []uint64, op sense.Op, rows [][]uint64) {
-	a := rows[0]
-	switch op {
-	case sense.OpRead:
-		copy(dst, a[:len(dst)])
-	case sense.OpINV:
-		for i := range dst {
-			dst[i] = ^a[i]
-		}
-	case sense.OpAND:
-		for i := range dst {
-			dst[i] = a[i] & rows[1][i]
-		}
-	case sense.OpOR:
-		for i := range dst {
-			dst[i] = a[i] | rows[1][i]
-		}
-	case sense.OpXOR:
-		for i := range dst {
-			dst[i] = a[i] ^ rows[1][i]
-		}
-	default:
-		panic(fmt.Sprintf("dram: combine of unvalidated op %d", int(op)))
-	}
-}
 
 // lowering carries the emission state of one request.
 type lowering struct {
@@ -234,13 +202,12 @@ func (l *lowering) tra(close bool) {
 	}
 }
 
-// LowerIntra stages the operands into the compute group and computes
-// through TRA / the DCC row. The final activation's result is left in the
-// SAs (rows open) for the controller's generic write-back and precharge.
+// LowerIntra emits the commands that stage the operands into the compute
+// group and compute through TRA / the DCC row. The final activation's
+// result is left in the SAs (rows open) for the controller's generic
+// write-back and precharge. An operand inside the reserved compute-row
+// group is refused: the staging would clobber it.
 func (b *Backend) LowerIntra(req *backend.IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, error) {
-	if req.Inj != nil {
-		return nil, fmt.Errorf("dram: fault injection models resistive sensing margins and does not apply to the DRAM backend")
-	}
 	if err := b.ValidateOperands(req.Op, len(req.Srcs)); err != nil {
 		return nil, err
 	}
@@ -276,12 +243,10 @@ func (b *Backend) LowerIntra(req *backend.IntraRequest, cmds []ddr.Cmd) ([]ddr.C
 		l.stageTRA(req.Srcs[0], req.Srcs[1], offC1) // MAJ(a,b,1) = a OR b
 		l.tra(false)
 	case sense.OpXOR:
-		l.lowerXorLike(req.Srcs[0], req.Srcs[1], false)
+		l.lowerXOR(req.Srcs[0], req.Srcs[1])
 	default:
 		return nil, fmt.Errorf("dram: unknown op %d", int(req.Op))
 	}
-
-	combine(req.Out, req.Op, req.Rows)
 	return l.cmds, nil
 }
 
@@ -292,37 +257,27 @@ func (l *lowering) stageTRA(a, b memarch.RowAddr, ctrlOff int) {
 	l.aap(l.row(ctrlOff), l.row(offT2))
 }
 
-// lowerXorLike synthesizes XOR (or XNOR when invert is set) from MAJ and
-// NOT: two AND partial terms, OR-ed by a final MAJ(·,·,1).
+// lowerXOR synthesizes XOR from MAJ and NOT: two AND partial terms, OR-ed
+// by a final MAJ(·,·,1).
 //
-//	XOR  = (a ∧ ¬b) ∨ (¬a ∧ b)
-//	XNOR = (a ∧ b)  ∨ (¬a ∧ ¬b)
+//	XOR = (a ∧ ¬b) ∨ (¬a ∧ b)
 //
 // TRA's destructive restore is what makes this work in-array: after each
 // intermediate TRA the whole group holds the partial term, so T0 can be
 // spilled to T3 (first term) or simply left in place (second term).
-func (l *lowering) lowerXorLike(a, b memarch.RowAddr, invert bool) {
+func (l *lowering) lowerXOR(a, b memarch.RowAddr) {
 	dcc := l.row(offDCC)
-	// First partial term into T0..T2, spilled to T3.
-	if invert {
-		l.stageTRA(a, b, offC0) // a ∧ b
-	} else {
-		l.aap(b, dcc) // dcc = ¬b
-		l.aap(a, l.row(offT0))
-		l.aap(dcc, l.row(offT1))
-		l.aap(l.row(offC0), l.row(offT2)) // a ∧ ¬b
-	}
+	// First partial term, a ∧ ¬b, into T0..T2, spilled to T3.
+	l.aap(b, dcc) // dcc = ¬b
+	l.aap(a, l.row(offT0))
+	l.aap(dcc, l.row(offT1))
+	l.aap(l.row(offC0), l.row(offT2))
 	l.tra(true)
 	l.aap(l.row(offT0), l.row(offT3))
-	// Second partial term into T0..T2.
+	// Second partial term, ¬a ∧ b, into T0..T2.
 	l.aap(a, dcc) // dcc = ¬a
 	l.aap(dcc, l.row(offT0))
-	if invert {
-		l.aap(b, dcc) // dcc = ¬b
-		l.aap(dcc, l.row(offT1))
-	} else {
-		l.aap(b, l.row(offT1))
-	}
+	l.aap(b, l.row(offT1))
 	l.aap(l.row(offC0), l.row(offT2))
 	l.tra(true)
 	// OR the two terms: T0 holds the second term, T1 gets the spilled
@@ -330,32 +285,4 @@ func (l *lowering) lowerXorLike(a, b memarch.RowAddr, invert bool) {
 	l.aap(l.row(offT3), l.row(offT1))
 	l.aap(l.row(offC1), l.row(offT2))
 	l.tra(false)
-}
-
-// LowerXNOR lowers the XNOR of req's two operands — the BNN XNOR-popcount
-// building block — through the same MAJ/NOT synthesis as XOR. It is not
-// reachable through sense.Op (the public op set matches the paper's);
-// workloads that need XNOR call it directly. Contract as LowerIntra:
-// result in req.Out, final activation left open for write-back.
-func (b *Backend) LowerXNOR(req *backend.IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, error) {
-	if req.Inj != nil {
-		return nil, fmt.Errorf("dram: fault injection models resistive sensing margins and does not apply to the DRAM backend")
-	}
-	if len(req.Srcs) != 2 || len(req.Rows) != 2 {
-		return nil, fmt.Errorf("dram: XNOR requires exactly 2 operands, got %d", len(req.Srcs))
-	}
-	l := &lowering{
-		p:      b.p,
-		cmds:   cmds,
-		en:     req.Energy,
-		base:   req.Srcs[0],
-		bits:   req.Bits,
-		groups: backend.SenseGroups(req.Geo, req.Bits),
-		per:    req.Geo.RowsPerSubarray,
-	}
-	l.lowerXorLike(req.Srcs[0], req.Srcs[1], true)
-	for i := range req.Out {
-		req.Out[i] = ^(req.Rows[0][i] ^ req.Rows[1][i])
-	}
-	return l.cmds, nil
 }

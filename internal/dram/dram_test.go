@@ -5,12 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"pinatubo/internal/analog"
 	"pinatubo/internal/backend"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
-	"pinatubo/internal/fault"
-	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -43,28 +40,33 @@ func newBackend(t *testing.T) *Backend {
 }
 
 // makeReq builds an intra request over nsrc operand rows (rows 0..nsrc-1
-// of subarray 0) with deterministic random contents.
+// of subarray 0).
 func makeReq(op sense.Op, nsrc, bits int) *backend.IntraRequest {
-	rng := rand.New(rand.NewSource(21))
-	words := (bits + 63) / 64
-	rows := make([][]uint64, nsrc)
 	srcs := make([]memarch.RowAddr, nsrc)
-	for i := range rows {
-		rows[i] = make([]uint64, words)
-		for j := range rows[i] {
-			rows[i][j] = rng.Uint64()
-		}
+	for i := range srcs {
 		srcs[i] = memarch.RowAddr{Row: i}
 	}
 	return &backend.IntraRequest{
 		Op:     op,
 		Srcs:   srcs,
 		Bits:   bits,
-		Rows:   rows,
-		Out:    make([]uint64, words),
 		Geo:    testGeo(),
 		Energy: &energy.Meter{},
 	}
+}
+
+// makeRows returns nsrc operand rows of bits bits with deterministic
+// random contents.
+func makeRows(nsrc, bits int) [][]uint64 {
+	rng := rand.New(rand.NewSource(21))
+	rows := make([][]uint64, nsrc)
+	for i := range rows {
+		rows[i] = make([]uint64, (bits+63)/64)
+		for j := range rows[i] {
+			rows[i][j] = rng.Uint64()
+		}
+	}
+	return rows
 }
 
 func TestNewRejects(t *testing.T) {
@@ -131,17 +133,18 @@ func TestComputeIntoMatchesHost(t *testing.T) {
 		{sense.OpXOR, 2, func(r [][]uint64, i int) uint64 { return r[0][i] ^ r[1][i] }},
 	}
 	for _, c := range cases {
-		req := makeReq(c.op, c.nsrc, 128)
-		if err := b.ComputeInto(req.Out, c.op, req.Rows); err != nil {
+		rows := makeRows(c.nsrc, 128)
+		out := make([]uint64, 2)
+		if err := b.ComputeInto(out, c.op, rows); err != nil {
 			t.Fatalf("%v: %v", c.op, err)
 		}
-		for i, got := range req.Out {
-			if want := c.golden(req.Rows, i); got != want {
+		for i, got := range out {
+			if want := c.golden(rows, i); got != want {
 				t.Errorf("%v word %d: %x want %x", c.op, i, got, want)
 			}
 		}
 	}
-	if err := b.ComputeInto(make([]uint64, 2), sense.OpAND, makeReq(sense.OpAND, 1, 128).Rows); err == nil {
+	if err := b.ComputeInto(make([]uint64, 2), sense.OpAND, makeRows(1, 128)); err == nil {
 		t.Error("ComputeInto with wrong operand count accepted, want error")
 	}
 }
@@ -216,14 +219,6 @@ func TestLowerIntraCommandShapes(t *testing.T) {
 		if err := ddr.ValidateSequence(closed); err != nil {
 			t.Errorf("%v: lowered sequence violates the DDR protocol: %v", c.op, err)
 		}
-		// Functional output must have been filled.
-		for i := range req.Out {
-			tmp := make([]uint64, len(req.Out))
-			combine(tmp, c.op, req.Rows)
-			if req.Out[i] != tmp[i] {
-				t.Errorf("%v: Out word %d = %x, want %x", c.op, i, req.Out[i], tmp[i])
-			}
-		}
 		if req.Energy.Total() <= 0 {
 			t.Errorf("%v: no energy charged", c.op)
 		}
@@ -253,22 +248,9 @@ func TestLowerIntraEnergyOrdering(t *testing.T) {
 func TestLowerIntraRejections(t *testing.T) {
 	b := newBackend(t)
 
-	// Fault injection belongs to resistive sensing; the seam must refuse
-	// it rather than silently not injecting.
-	inj, err := fault.New(fault.Config{Seed: 1, SenseFlipRate: 1e-3},
-		nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 256, new(ledger.Ledger))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := makeReq(sense.OpAND, 2, 128)
-	req.Inj = inj
-	if _, err := b.LowerIntra(req, nil); err == nil {
-		t.Error("fault injector accepted, want error")
-	}
-
 	// Operand rows inside the reserved compute group would be clobbered
 	// by the lowering's own staging.
-	req = makeReq(sense.OpAND, 2, 128)
+	req := makeReq(sense.OpAND, 2, 128)
 	req.Srcs[1].Row = testGeo().RowsPerSubarray - 1 - ComputeRows
 	if _, err := b.LowerIntra(req, nil); err == nil {
 		t.Error("operand in the compute-row group accepted, want error")
@@ -279,38 +261,5 @@ func TestLowerIntraRejections(t *testing.T) {
 	req = makeReq(sense.Op(99), 1, 128)
 	if _, err := b.LowerIntra(req, nil); err == nil {
 		t.Error("unknown op accepted, want error")
-	}
-}
-
-// TestLowerXNOR pins the out-of-band XNOR building block: same command
-// shape as XOR (complementary partial terms), complement result.
-func TestLowerXNOR(t *testing.T) {
-	b := newBackend(t)
-	req := makeReq(sense.OpXOR, 2, 128) // op field unused by LowerXNOR
-	cmds, err := b.LowerXNOR(req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := kindCounts(cmds)
-	if got[ddr.CmdActTRA] != 3 || got[ddr.CmdAct] != 11 {
-		t.Errorf("XNOR shape: %d ACT / %d ACT-TRA, want 11 / 3", got[ddr.CmdAct], got[ddr.CmdActTRA])
-	}
-	for i := range req.Out {
-		if want := ^(req.Rows[0][i] ^ req.Rows[1][i]); req.Out[i] != want {
-			t.Errorf("word %d: %x want %x", i, req.Out[i], want)
-		}
-	}
-	closed := append(append([]ddr.Cmd{}, cmds...),
-		ddr.Cmd{Kind: ddr.CmdWBack, Addr: memarch.RowAddr{Row: 20}},
-		ddr.Cmd{Kind: ddr.CmdPre})
-	if err := ddr.ValidateSequence(closed); err != nil {
-		t.Errorf("XNOR sequence violates the DDR protocol: %v", err)
-	}
-	if req.Energy.Total() <= 0 {
-		t.Error("no energy charged")
-	}
-	bad := makeReq(sense.OpINV, 1, 128)
-	if _, err := b.LowerXNOR(bad, nil); err == nil {
-		t.Error("XNOR with one operand accepted, want error")
 	}
 }

@@ -1,0 +1,77 @@
+package pim
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"pinatubo/internal/fault"
+	"pinatubo/internal/memarch"
+	"pinatubo/internal/nvm"
+	"pinatubo/internal/sense"
+)
+
+// bytesPerCall reports the heap bytes one call of f allocates, averaged
+// over runs calls after two warm-up calls.
+func bytesPerCall(f func(), runs int) float64 {
+	f()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestUncachedExecuteRowSizedZeroAllocs pins that the uncached execution
+// path allocates nothing whose size grows with the vector: with an
+// injector attached (so the program cache is ineligible and every call
+// lowers afresh), an intra-subarray OR and an ExecuteDigital AND allocate
+// the same bytes per call at 1,024 and 16,384 bits. Both widths take one
+// sense group on the default geometry, so their command sequences, and
+// hence every allocation that is not row-sized, are the same size. The
+// replay computes into the controller's result buffer and reads the
+// digital path's flipped operands into reused scratch.
+func TestUncachedExecuteRowSizedZeroAllocs(t *testing.T) {
+	const runs = 200
+	measure := func(bits int) (or, and float64) {
+		c := newCtl(t, nvm.PCM)
+		attachInjector(t, c, fault.Config{Seed: 3, SenseFlipRate: 1e-4})
+		srcs := addrsInSubarray(5)
+		rng := rand.New(rand.NewSource(4))
+		for _, a := range srcs {
+			fillRow(t, c, a, bits/64, rng)
+		}
+		dst := srcs[4]
+		or = bytesPerCall(func() {
+			if _, err := c.Execute(sense.OpOR, srcs[:4], bits, &dst); err != nil {
+				t.Fatal(err)
+			}
+		}, runs)
+		and = bytesPerCall(func() {
+			if _, err := c.ExecuteDigital(sense.OpAND, srcs[:2], bits, &dst); err != nil {
+				t.Fatal(err)
+			}
+		}, runs)
+		if cs := c.CacheStats(); cs.Hits+cs.Misses != 0 {
+			t.Fatalf("%d-bit run: cache traffic %+v with an injector attached", bits, cs)
+		}
+		return or, and
+	}
+	geo := memarch.Default()
+	if g := senseGroups(geo, 1<<14); g != senseGroups(geo, 1<<10) {
+		t.Fatalf("widths need %d vs %d sense groups; the comparison needs equal command counts", g, senseGroups(geo, 1<<10))
+	}
+	smallOr, smallAnd := measure(1 << 10)
+	bigOr, bigAnd := measure(1 << 14)
+	t.Logf("bytes/call: intra OR %.0f -> %.0f, digital AND %.0f -> %.0f (1 Ki-bit -> 16 Ki-bit)",
+		smallOr, bigOr, smallAnd, bigAnd)
+	if d := bigOr - smallOr; d >= 64 || d <= -64 {
+		t.Errorf("uncached intra OR allocates %.0f B/call at 16 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigOr, smallOr)
+	}
+	if d := bigAnd - smallAnd; d >= 64 || d <= -64 {
+		t.Errorf("uncached digital AND allocates %.0f B/call at 16 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigAnd, smallAnd)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"pinatubo/internal/analog"
+	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
@@ -14,16 +16,26 @@ import (
 // and reads on a controller with the program cache on and on an uncached
 // twin, on PCM and on DRAM. The repeated OR is a cache hit, and after it
 // MR4 must again hold (OR,7), as the uncached twin's does: a hit programs
-// the mode register exactly as the miss that lowered it. Every Result and
-// the ledgers must agree too.
+// the mode register exactly as the miss that lowered it. Every Result, the
+// ledgers, the rows and the global row and I/O buffers must agree after
+// every step — a hit and a miss leave the digital path's result in the
+// same buffer. The last step names a DRAM compute row as an operand: both
+// twins must refuse it with the same error and leave MR4 as it was.
 func TestCachedControllerMatchesUncached(t *testing.T) {
 	for _, tech := range []nvm.Tech{nvm.PCM, nvm.DRAM} {
 		t.Run(tech.String(), func(t *testing.T) {
 			cached, plain := newCtl(t, tech), newCtl(t, tech)
 			cached.SetProgramCache(true)
 			srcs := addrsInSubarray(9)
+			// otherBank sits in another bank of the same rank: an op over it
+			// and srcs[1] runs on the inter-bank digital path.
+			otherBank := memarch.RowAddr{Bank: 3, Subarray: 0, Row: 5}
+			// reserved is one of DRAM's compute rows (T0) in the operands'
+			// subarray; on PCM it is an ordinary row.
+			reserved := srcs[0]
+			reserved.Row = memarch.Default().RowsPerSubarray - 2
 			rng := rand.New(rand.NewSource(11))
-			for _, a := range srcs {
+			for _, a := range append(srcs, otherBank, reserved) {
 				words := fillRow(t, cached, a, 4, rng)
 				if err := plain.Memory().WriteRow(a, words); err != nil {
 					t.Fatal(err)
@@ -36,6 +48,9 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 				return c.execute(sense.OpOR, srcs[:7], 256, &dst, c.MaxORRows() < 7)
 			}
 			read := func(c *Controller) (*Result, error) { return c.ReadRow(dst, 256) }
+			interBank := func(c *Controller) (*Result, error) {
+				return c.Execute(sense.OpXOR, []memarch.RowAddr{srcs[1], otherBank}, 256, nil)
+			}
 			steps := []struct {
 				name string
 				run  func(c *Controller) (*Result, error)
@@ -47,16 +62,27 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 				{"host-write-again", func(c *Controller) (*Result, error) { return c.WriteRowFromHost(srcs[7], []uint64{7, 8}, 128) }},
 				{"read", read},
 				{"xor2", func(c *Controller) (*Result, error) { return c.Execute(sense.OpXOR, srcs[6:8], 256, nil) }},
+				{"inter-bank", interBank},
+				{"inter-bank-again", interBank},
 				{"read-again", read},
+				{"reserved-row", func(c *Controller) (*Result, error) {
+					return c.Execute(sense.OpAND, []memarch.RowAddr{srcs[0], reserved}, 256, &dst)
+				}},
 			}
 			for _, st := range steps {
-				got, err := st.run(cached)
-				if err != nil {
-					t.Fatalf("%s: cached: %v", st.name, err)
-				}
-				want, err := st.run(plain)
-				if err != nil {
-					t.Fatalf("%s: uncached: %v", st.name, err)
+				before := plain.ModeRegister()
+				got, gerr := st.run(cached)
+				want, werr := st.run(plain)
+				if st.name == "reserved-row" && tech == nvm.DRAM {
+					if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+						t.Errorf("%s: cached err %v, uncached err %v; want the same refusal", st.name, gerr, werr)
+					}
+					if plain.ModeRegister() != before || cached.ModeRegister() != before {
+						t.Errorf("%s: a refused lowering moved MR4 from %#x to %#x (cached %#x)",
+							st.name, before, plain.ModeRegister(), cached.ModeRegister())
+					}
+				} else if gerr != nil || werr != nil {
+					t.Fatalf("%s: cached err %v, uncached err %v", st.name, gerr, werr)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: cached result %+v != uncached %+v", st.name, got, want)
@@ -69,18 +95,53 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 				if st.name == "or7-again" && (gop != sense.OpOR || gn != 7) {
 					t.Errorf("%s: MR4 = (%v,%d), want (OR,7)", st.name, gop, gn)
 				}
+				for bank := 0; bank < memarch.Default().BanksPerChip; bank++ {
+					if !reflect.DeepEqual(cached.Memory().GlobalBuffer(0, 0, bank), plain.Memory().GlobalBuffer(0, 0, bank)) {
+						t.Errorf("%s: bank %d global row buffer differs between cached and uncached", st.name, bank)
+					}
+				}
+				if !reflect.DeepEqual(cached.Memory().IOBuffer(0, 0), plain.Memory().IOBuffer(0, 0)) {
+					t.Errorf("%s: I/O buffer differs between cached and uncached", st.name)
+				}
 			}
-			if cs := cached.CacheStats(); cs.Hits != 3 || cs.Misses != 5 {
-				t.Errorf("cache traffic %+v, want 3 hits (OR, host write, read) and 5 misses", cs)
+			// Hits: OR, host write, inter-bank XOR, read. The refused
+			// DRAM lowering is a miss that stores nothing.
+			if cs := cached.CacheStats(); cs.Hits != 4 || cs.Misses != 7 {
+				t.Errorf("cache traffic %+v, want 4 hits and 7 misses", cs)
 			}
 			if !reflect.DeepEqual(cached.Ledger().Count, plain.Ledger().Count) {
 				t.Errorf("cached ledger %v != uncached %v", cached.Ledger().Count, plain.Ledger().Count)
 			}
-			for _, a := range append(srcs, memarch.RowAddr{}) {
+			for _, a := range append(srcs, memarch.RowAddr{}, otherBank, reserved) {
 				if !reflect.DeepEqual(cached.Memory().PeekRow(a), plain.Memory().PeekRow(a)) {
 					t.Errorf("row %v differs between cached and uncached", a)
 				}
 			}
 		})
+	}
+}
+
+// TestAttachInjectorRefusesDRAM pins the one configuration-time refusal of
+// fault injection on a backend whose sensing the resistive fault model
+// does not describe: the DRAM controller rejects an injector (and keeps
+// none), while PCM accepts it and either may detach with nil.
+func TestAttachInjectorRefusesDRAM(t *testing.T) {
+	for _, tech := range []nvm.Tech{nvm.PCM, nvm.DRAM} {
+		c := newCtl(t, tech)
+		inj, err := fault.New(fault.Config{Seed: 1, SenseFlipRate: 1e-3}, nvm.Get(nvm.PCM),
+			analog.DefaultSenseConfig(), c.Memory().Geometry().RowBits(), c.Ledger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.AttachInjector(inj)
+		if refuse := tech == nvm.DRAM; refuse != (err != nil) {
+			t.Errorf("%v: AttachInjector err = %v, want refusal %v", tech, err, refuse)
+		}
+		if tech == nvm.DRAM && c.Injector() != nil {
+			t.Errorf("%v: a refused injector stayed attached", tech)
+		}
+		if err := c.AttachInjector(nil); err != nil || c.Injector() != nil {
+			t.Errorf("%v: detaching: err %v, injector %v", tech, err, c.Injector())
+		}
 	}
 }

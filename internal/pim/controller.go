@@ -1,10 +1,13 @@
 // Package pim implements the Pinatubo memory controller — the paper's core
 // contribution. Given a bulk bitwise operation over operand rows, the
 // controller classifies it by operand placement (intra-subarray,
-// inter-subarray, or inter-bank, Section 4.1), lowers it to a DDR command
-// sequence (mode-register setup, LWL-latch multi-row activation, sensing
-// steps, in-place writeback), executes it functionally against the memory
-// model, and accounts latency and energy.
+// inter-subarray, or inter-bank, Section 4.1) and lowers it to a priced
+// DDR command sequence (mode-register setup, LWL-latch multi-row
+// activation, sensing steps, in-place writeback) — a pure function of the
+// op, its addresses and the geometry. Executing it then replays the
+// lowering's data effects against the memory model: mode register,
+// sensing (with any injected faults), result buffers, counters and the
+// destination row.
 package pim
 
 import (
@@ -80,9 +83,9 @@ type Result struct {
 	// Commands is the DDR command sequence the controller issued.
 	Commands []ddr.Cmd
 	// Words is the result vector (bitvec.WordsFor(Bits) words). It stays
-	// valid only until the controller's next execution: a cache hit (and
-	// the OpRead it serves for ReadRow) computes into a controller-owned
-	// buffer that the next hit overwrites. A holder that keeps the words
+	// valid only until the controller's next execution: every execution
+	// (and the OpRead behind ReadRow) computes into one controller-owned
+	// buffer that the next overwrites. A holder that keeps the words
 	// across a later execution must copy them or own its buffer — as the
 	// voted-majority result, the scheduler's golden and restore
 	// checkpoints, and ScheduleResult.Words do.
@@ -95,10 +98,11 @@ type Result struct {
 }
 
 // Controller drives one PIM-extended main memory. The technology-specific
-// part — how a co-located operand set is computed inside the array — lives
-// behind the backend seam; the controller owns placement classification,
-// the digital inter-subarray/bank datapath, write-back routing, caching,
-// counters and ECC, which are technology-generic.
+// part — how a co-located operand set is lowered and computed inside the
+// array — lives behind the backend seam; the controller owns placement
+// classification, the digital inter-subarray/bank datapath, write-back
+// routing, caching, fault injection, counters and ECC, which are
+// technology-generic.
 type Controller struct {
 	mem *memarch.Memory
 	be  backend.Backend
@@ -121,11 +125,11 @@ type Controller struct {
 	codec  *ecc.Codec
 	checks map[uint64]eccEntry
 
-	// cache memoises the pure part of execute() — placement class, command
-	// sequence, latency, energy, counter deltas — keyed by the operation
-	// shape (see cache.go). cacheOn gates lookups; the cache itself engages
-	// only on the ideal-hardware path (no injector, no ECC codec), where an
-	// execution's non-data outputs are a pure function of the key.
+	// cache memoises lowerings — placement class, command sequence,
+	// latency, energy, MR4, counter deltas — keyed by the operation shape
+	// (see execute). A hit and a miss run the same replay, so the cache
+	// cannot change a result. cacheOn gates it, and it serves only the
+	// ideal-hardware path (cacheEligible).
 	cache   *cmdstream.Cache
 	cacheOn bool
 	keyBuf  cmdstream.KeyBuffer
@@ -133,13 +137,14 @@ type Controller struct {
 	// list, so steady-state executions of a fixed arity allocate nothing
 	// for it.
 	rowsScratch [][]uint64
-	// voteOuts holds the per-replica sensing buffers of voted executions,
-	// reused so the R sensing passes of a steady-state voted request
-	// allocate nothing.
-	voteOuts [][]uint64
-	// words is the cache-hit result buffer behind Result.Words, reused so
-	// a steady-state hit allocates nothing row-sized (see Result.Words for
-	// the lifetime this implies).
+	// senseBufs holds per-pass sensing buffers — the replica passes of a
+	// voted execution, or the digital path's operand reads under an
+	// injector — reused so a steady-state request allocates nothing
+	// row-sized for them.
+	senseBufs [][]uint64
+	// words is the result buffer behind Result.Words, reused so a
+	// steady-state execution allocates nothing row-sized (see Result.Words
+	// for the lifetime this implies).
 	words []uint64
 	// eccData / eccCheck are the ECC verification path's decode scratch:
 	// the sensed data and check words live only for the decode, so the
@@ -157,23 +162,36 @@ func scratchWords(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
-// voteScratch returns r sensing buffers of exactly w words each, backed by
-// reused storage.
-func (c *Controller) voteScratch(r, w int) [][]uint64 {
-	if cap(c.voteOuts) < r {
+// senseScratch returns r sensing buffers of exactly w words each, backed
+// by reused storage.
+func (c *Controller) senseScratch(r, w int) [][]uint64 {
+	if cap(c.senseBufs) < r {
 		grown := make([][]uint64, r)
-		copy(grown, c.voteOuts[:cap(c.voteOuts)])
-		c.voteOuts = grown
+		copy(grown, c.senseBufs[:cap(c.senseBufs)])
+		c.senseBufs = grown
 	}
-	outs := c.voteOuts[:r]
+	outs := c.senseBufs[:r]
 	for i := range outs {
 		if cap(outs[i]) < w {
 			outs[i] = make([]uint64, w)
 		}
 		outs[i] = outs[i][:w]
 	}
-	c.voteOuts = outs
+	c.senseBufs = outs
 	return outs
+}
+
+// operandRows returns the first w words of every operand row, as views of
+// memory through the reused header list.
+func (c *Controller) operandRows(srcs []memarch.RowAddr, w int) [][]uint64 {
+	if cap(c.rowsScratch) < len(srcs) {
+		c.rowsScratch = make([][]uint64, len(srcs))
+	}
+	rows := c.rowsScratch[:len(srcs)]
+	for i, s := range srcs {
+		rows[i] = c.mem.PeekRow(s)[:w]
+	}
+	return rows
 }
 
 // NewController builds a controller over mem, selecting the compute
@@ -215,8 +233,17 @@ func NewControllerWith(mem *memarch.Memory, be backend.Backend) (*Controller, er
 func (c *Controller) Backend() backend.Backend { return c.be }
 
 // AttachInjector wires a fault injector into the controller's sensing and
-// cell-write paths. Passing nil restores the ideal-hardware model.
-func (c *Controller) AttachInjector(in *fault.Injector) { c.inj = in }
+// cell-write paths. Passing nil restores the ideal-hardware model. A
+// backend whose sensing the resistive fault model does not describe
+// (Caps().FaultInjection false, the DRAM backend) refuses an injector.
+func (c *Controller) AttachInjector(in *fault.Injector) error {
+	if in != nil && !c.be.Caps().FaultInjection {
+		return fmt.Errorf("pim: fault injection models resistive sensing margins and does not apply to the %s backend",
+			c.be.Params().Tech)
+	}
+	c.inj = in
+	return nil
+}
 
 // SetProgramCache turns the lowered-program cache on or off. Entries
 // survive a disable: the cached views are pure functions of the
@@ -271,12 +298,6 @@ func (c *Controller) ResetForReuse() {
 	c.be.Reset()
 }
 
-// tally folds a completed command sequence into the ledger.
-func (c *Controller) tally(class Class, cmds []ddr.Cmd) {
-	act, senseSteps, wb, bus := countersFor(cmds)
-	c.tallyDeltas(class, act, senseSteps, wb, bus)
-}
-
 // countersFor derives the hardware-counter deltas of a command sequence.
 func countersFor(cmds []ddr.Cmd) (act, senseSteps, wb, bus int64) {
 	for _, cmd := range cmds {
@@ -301,14 +322,13 @@ func countersFor(cmds []ddr.Cmd) (act, senseSteps, wb, bus int64) {
 	return act, senseSteps, wb, bus
 }
 
-// tallyDeltas applies precomputed counter deltas (shared by the fresh and
-// cached execution paths, so both leave identical counters).
-func (c *Controller) tallyDeltas(class Class, act, senseSteps, wb, bus int64) {
-	c.led.Count[OpsCounter(class)]++
-	c.led.Count[ledger.Activations] += act
-	c.led.Count[ledger.SenseSteps] += senseSteps
-	c.led.Count[ledger.Writebacks] += wb
-	c.led.Count[ledger.BusBits] += bus
+// tally folds one executed program's counter deltas into the ledger.
+func (c *Controller) tally(p *progEntry) {
+	c.led.Count[OpsCounter(p.class)]++
+	c.led.Count[ledger.Activations] += p.activations
+	c.led.Count[ledger.SenseSteps] += p.senseSteps
+	c.led.Count[ledger.Writebacks] += p.writebacks
+	c.led.Count[ledger.BusBits] += p.busBits
 }
 
 // Memory returns the controlled memory.
@@ -402,54 +422,47 @@ func (c *Controller) ExecuteDigital(op sense.Op, srcs []memarch.RowAddr, bits in
 	return c.execute(op, srcs, bits, dst, true)
 }
 
-// execute lowers one operation to a DDR command sequence, prices it, and
-// applies its data effects. Panics if the sequence it built violates the
-// DDR protocol — a controller bug, never a caller error.
+// execute runs one operation: it looks up the operation's lowering in the
+// program cache or lowers it afresh, then replays the lowering's data
+// effects. The replay is the same on a hit and on a miss.
 func (c *Controller) execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (*Result, error) {
-	if c.cacheEligible() {
-		res, ok, err := c.executeCached(op, srcs, bits, dst, digital)
+	keyed := c.opKey(op, srcs, bits, dst, digital)
+	p := c.lookup(keyed)
+	if p == nil {
+		fresh, err := c.lower(op, srcs, bits, dst, digital)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			return res, nil
-		}
+		c.remember(keyed, fresh)
+		p = &fresh
 	}
-	res, err := c.executeFresh(op, srcs, bits, dst, digital)
-	if err != nil {
-		return nil, err
-	}
-	if c.cacheEligible() {
-		// executeFresh left MR4 holding this op's encoding.
-		ent := newProgEntry(res.Class, res.Seconds, res.Energy, res.Commands, c.ModeRegister())
-		c.cache.Store(c.keyBuf.Bytes(), &ent)
-	}
-	return res, nil
+	return c.replay(p, op, srcs, bits, dst)
 }
 
-// progEntry is one cached lowering: everything execute() derives from the
-// operation shape alone. The command slice is shared by every hit and by
-// the miss that built it — a copy-on-write view that no consumer mutates
-// (Result.Instr and Program.Request only read it). Words are never
-// cached: they depend on memory contents and are recomputed per hit.
+// progEntry is one lowering: everything an execution derives from the
+// operation shape alone. A cached entry's command slice is shared by
+// every hit and by the miss that built it — a copy-on-write view that no
+// consumer mutates (Result.Instr and Program.Request only read it). Words
+// are never part of a lowering: they depend on memory contents and are
+// recomputed by every replay.
 type progEntry struct {
 	class    Class
 	seconds  float64
 	energy   energy.Meter
 	commands []ddr.Cmd
-	// mr4 is the PIM mode-register value the lowering programs; a hit
-	// writes it as the miss did (host writes leave MR4 alone).
+	// mr4 is the PIM mode-register value the lowering programs; the
+	// replay writes it (host writes leave MR4 alone).
 	mr4 ddr.MR4
 
-	// Hardware-counter deltas of the command sequence, precomputed so a
-	// hit tallies exactly what the fresh path would.
+	// Hardware-counter deltas of the command sequence, precomputed so the
+	// replay tallies without rescanning the commands.
 	activations int64
 	senseSteps  int64
 	writebacks  int64
 	busBits     int64
 }
 
-// newProgEntry builds the cache entry of one lowering.
+// newProgEntry builds the lowering record of a priced command sequence.
 func newProgEntry(class Class, seconds float64, en energy.Meter, cmds []ddr.Cmd, mr4 ddr.MR4) progEntry {
 	p := progEntry{class: class, seconds: seconds, energy: en, commands: cmds, mr4: mr4}
 	p.activations, p.senseSteps, p.writebacks, p.busBits = countersFor(cmds)
@@ -457,30 +470,24 @@ func newProgEntry(class Class, seconds float64, en energy.Meter, cmds []ddr.Cmd,
 }
 
 // cacheEligible reports whether the program cache may serve this
-// controller's executions. Only the ideal-hardware path qualifies: a
-// fault injector makes sensing stateful (wear, per-op substreams) and the
-// ECC codec adds per-row check-bit effects, so both force the fresh path.
+// controller: only on the ideal-hardware path, with no injector and no
+// ECC codec. Lowerings are pure under faults and ECC too, so this is a
+// memory condition, not a correctness one: a cache in every pooled
+// fault-injected sandbox costs heap (DESIGN.md §14).
 func (c *Controller) cacheEligible() bool {
 	return c.cacheOn && c.inj == nil && c.codec == nil
 }
 
-// executeCached serves one execution from the program cache. ok=false
-// means no entry (the caller runs the fresh path, and the key left in
-// keyBuf is where the fresh result is stored). On a hit the non-data
-// outputs come from the entry and the data effects are reproduced
-// exactly as the fresh path would produce them: MR4 programmed with the
-// op, result words computed from current memory through the same SA
-// model (including the analog cross-check, so the sampling stream stays
-// aligned with an uncached run), the accumulation buffer left holding the
-// result on the digital paths, and dst programmed. The words land in the
-// controller's reused result buffer, valid until the next execution
-// (Result.Words).
-func (c *Controller) executeCached(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (*Result, bool, error) {
+// opKey builds an operation's program-cache key in keyBuf and reports
+// whether the cache may serve it. Addresses are bounds-checked first:
+// Encode is only injective inside the geometry, so an out-of-bounds
+// operand must reach lower's validation errors rather than alias a cached
+// valid address.
+func (c *Controller) opKey(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) bool {
+	if !c.cacheEligible() {
+		return false
+	}
 	geo := c.mem.Geometry()
-	// Build the key. Addresses are bounds-checked before trusting a hit:
-	// Encode is only injective inside the geometry, so an out-of-bounds
-	// operand must fall through to the fresh path's validation errors
-	// rather than alias a cached valid address.
 	k := &c.keyBuf
 	k.Reset()
 	k.Byte(byte(op))
@@ -495,167 +502,173 @@ func (c *Controller) executeCached(op sense.Op, srcs []memarch.RowAddr, bits int
 	k.Int(bits)
 	if dst != nil {
 		if !geo.Valid(*dst) {
-			return nil, false, nil
+			return false
 		}
 		k.Uint64(geo.Encode(*dst))
 	}
 	k.Int(len(srcs))
 	for _, s := range srcs {
 		if !geo.Valid(s) {
-			return nil, false, nil
+			return false
 		}
 		k.Uint64(geo.Encode(s))
 	}
-	e, ok := c.cache.Lookup(k.Bytes())
+	return true
+}
+
+// lookup returns the lowering cached under the key in keyBuf, or nil.
+// Without a key (keyed false) it is a miss the cache does not count.
+func (c *Controller) lookup(keyed bool) *progEntry {
+	if !keyed {
+		return nil
+	}
+	e, ok := c.cache.Lookup(c.keyBuf.Bytes())
 	if !ok {
-		return nil, false, nil
+		return nil
 	}
-	ent := e.(*progEntry)
-	if err := c.mrs.Write(ddr.PIMRegister, uint16(ent.mr4)); err != nil {
-		return nil, false, err
-	}
-
-	w := bitvec.WordsFor(bits)
-	if cap(c.rowsScratch) < len(srcs) {
-		c.rowsScratch = make([][]uint64, len(srcs))
-	}
-	rows := c.rowsScratch[:len(srcs)]
-	for i, s := range srcs {
-		rows[i] = c.mem.PeekRow(s)[:w]
-	}
-	res := &Result{Op: op, Class: ent.class, Rows: len(srcs), Bits: bits,
-		Seconds: ent.seconds, Energy: ent.energy, Commands: ent.commands}
-	c.words = scratchWords(c.words, w)
-	out := c.words
-	if ent.class == ClassIntraSub {
-		if err := c.be.ComputeInto(out, op, rows); err != nil {
-			return nil, false, err
-		}
-		res.Words = out
-	} else {
-		combineWords(op, rows, out)
-		var buf []uint64
-		if ent.class == ClassInterBank {
-			buf = c.mem.IOBuffer(srcs[0].Channel, srcs[0].Rank)
-		} else {
-			buf = c.mem.GlobalBuffer(srcs[0].Channel, srcs[0].Rank, srcs[0].Bank)
-		}
-		copy(buf[:w], out)
-		res.Words = out
-	}
-	c.tallyDeltas(ent.class, ent.activations, ent.senseSteps, ent.writebacks, ent.busBits)
-	if dst != nil {
-		if err := c.store(*dst, res.Words); err != nil {
-			return nil, false, err
-		}
-	}
-	return res, true, nil
+	return e.(*progEntry)
 }
 
-// combineWords folds operand rows through the digital add-on logic — the
-// same word math execInter's streaming accumulation performs.
-func combineWords(op sense.Op, rows [][]uint64, out []uint64) {
-	copy(out, rows[0][:len(out)])
-	switch op {
-	case sense.OpINV:
-		for j := range out {
-			out[j] = ^out[j]
-		}
-	case sense.OpAND:
-		for _, r := range rows[1:] {
-			for j := range out {
-				out[j] &= r[j]
-			}
-		}
-	case sense.OpOR:
-		for _, r := range rows[1:] {
-			for j := range out {
-				out[j] |= r[j]
-			}
-		}
-	case sense.OpXOR:
-		for _, r := range rows[1:] {
-			for j := range out {
-				out[j] ^= r[j]
-			}
-		}
-	default:
-		// OpRead: the copy above is the whole operation.
+// remember caches a fresh lowering under the key in keyBuf. The cache gets
+// its own copy, so an uncached execution allocates no entry.
+func (c *Controller) remember(keyed bool, p progEntry) {
+	if keyed {
+		ent := p
+		c.cache.Store(c.keyBuf.Bytes(), &ent)
 	}
 }
 
-// executeFresh is the uncached lowering path. Panics if the command
-// sequence it built violates the DDR protocol — a controller bug, never
-// a caller error.
-func (c *Controller) executeFresh(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (*Result, error) {
+// lower validates one operation and builds its priced command sequence: a
+// pure function of the op, its addresses, the bit count, the digital flag
+// and the geometry. It reads no memory, draws no fault and leaves MR4
+// alone. Panics if the sequence it built violates the DDR protocol — a
+// controller bug, never a caller error.
+func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (progEntry, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
-		return nil, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
+		return progEntry{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
 	}
 	class, err := c.Classify(srcs)
 	if err != nil {
-		return nil, err
+		return progEntry{}, err
 	}
 	if digital && class == ClassIntraSub {
 		class = ClassInterSub
 	}
 	if err := c.validateOperandCount(op, class, len(srcs)); err != nil {
-		return nil, err
+		return progEntry{}, err
 	}
 	if dst != nil {
 		if !geo.Valid(*dst) {
-			return nil, fmt.Errorf("pim: destination %v outside geometry", *dst)
+			return progEntry{}, fmt.Errorf("pim: destination %v outside geometry", *dst)
 		}
 		if !memarch.SameRank(append([]memarch.RowAddr{*dst}, srcs...)...) {
-			return nil, ErrCrossRank
+			return progEntry{}, ErrCrossRank
 		}
 	}
-
-	// Configure MR4: the DIMM-side SA reference / datapath selector.
+	// MR4 configures the DIMM-side SA reference / datapath selector.
 	mr4, err := ddr.EncodeMR4(op, len(srcs))
 	if err != nil {
-		return nil, err
-	}
-	if err := c.mrs.Write(ddr.PIMRegister, uint16(mr4)); err != nil {
-		return nil, err
+		return progEntry{}, err
 	}
 
-	res := &Result{Op: op, Class: class, Rows: len(srcs), Bits: bits}
-	res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdMRS})
-
-	switch class {
-	case ClassIntraSub:
-		err = c.execIntra(op, srcs, bits, dst, res)
-	case ClassInterSub:
-		err = c.execInter(op, srcs, bits, dst, res, false)
-	case ClassInterBank:
-		err = c.execInter(op, srcs, bits, dst, res, true)
+	cmds := []ddr.Cmd{{Kind: ddr.CmdMRS}}
+	var en energy.Meter
+	if class == ClassIntraSub {
+		req := backend.IntraRequest{Op: op, Srcs: srcs, Bits: bits, Geo: geo, Energy: &en}
+		if cmds, err = c.be.LowerIntra(&req, cmds); err != nil {
+			return progEntry{}, err
+		}
+	} else {
+		cmds = c.lowerInter(op, srcs, bits, class == ClassInterBank, cmds, &en)
 	}
-	if err != nil {
-		return nil, err
-	}
+	return c.closeAndPrice(class, srcs[0], bits, dst, cmds, en, mr4), nil
+}
 
-	// Close the destination's row (or the computing subarray's when the
-	// result streamed to the host) so the precharge lands on the bank it
-	// occupies in the channel schedule.
-	preAddr := srcs[0]
+// closeAndPrice finishes a lowered sequence whose result sits at locus:
+// it appends the write-back routing and the closing precharge —
+// on the destination's row, or the computing subarray's when the result
+// streamed to the host, so it lands on the bank the row occupies in the
+// channel schedule — then protocol-checks and prices the whole sequence.
+// Panics on a protocol violation: a controller bug, never a caller error.
+func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int, dst *memarch.RowAddr, cmds []ddr.Cmd, en energy.Meter, mr4 ddr.MR4) progEntry {
+	cmds = c.lowerWriteback(locus, bits, dst, class, cmds, &en)
 	if dst != nil {
-		preAddr = *dst
+		locus = *dst
 	}
-	res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdPre, Addr: preAddr})
-	if err := ddr.ValidateSequence(res.Commands); err != nil {
-		// A protocol violation is a controller bug, never a caller error.
-		panic(fmt.Sprintf("pim: invalid command sequence for %v/%v: %v", op, class, err))
+	cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdPre, Addr: locus})
+	if err := ddr.ValidateSequence(cmds); err != nil {
+		op, n := mr4.Decode()
+		panic(fmt.Sprintf("pim: invalid command sequence for %v over %d rows (%v): %v", op, n, class, err))
 	}
-	res.Seconds = ddr.Duration(res.Commands, c.mem.Tech().Timing, c.bus)
-	c.tally(class, res.Commands)
+	return newProgEntry(class, ddr.Duration(cmds, c.mem.Tech().Timing, c.bus), en, cmds, mr4)
+}
 
+// replay applies one lowering's data effects in the order the hardware
+// produces them: MR4 is programmed and the operand rows sensed — on the
+// intra-subarray path one multi-row activation (senseIntra), on the
+// digital path one single-row read per operand, flipped under an injector
+// and folded by the add-on logic into the global row buffer or the I/O
+// buffer. The counters then tally and dst is programmed. The result lands
+// in the controller's result buffer (Result.Words).
+func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (*Result, error) {
+	if err := c.mrs.Write(ddr.PIMRegister, uint16(p.mr4)); err != nil {
+		return nil, err
+	}
+	w := bitvec.WordsFor(bits)
+	rows := c.operandRows(srcs, w)
+	c.words = scratchWords(c.words, w)
+	out := c.words
+	if p.class == ClassIntraSub {
+		if err := c.senseIntra(out, op, rows, bits); err != nil {
+			return nil, err
+		}
+	} else {
+		if c.inj != nil {
+			// The digital path senses each operand with an ordinary
+			// single-row read; flips are possible but read-margin rare.
+			reads := c.senseScratch(len(rows), w)
+			for i, r := range rows {
+				copy(reads[i], r)
+				c.inj.FlipSensed(sense.OpRead, 1, bits, reads[i])
+			}
+			rows = reads
+		}
+		sense.Combine(out, op, rows)
+		a := srcs[0]
+		buf := c.mem.GlobalBuffer(a.Channel, a.Rank, a.Bank)
+		if p.class == ClassInterBank {
+			buf = c.mem.IOBuffer(a.Channel, a.Rank)
+		}
+		copy(buf[:w], out)
+	}
+	c.tally(p)
 	if dst != nil {
-		if err := c.store(*dst, res.Words); err != nil {
+		if err := c.store(*dst, out); err != nil {
 			return nil, err
 		}
 	}
-	return res, nil
+	return &Result{Op: op, Class: p.class, Rows: len(srcs), Bits: bits,
+		Seconds: p.seconds, Energy: p.energy, Commands: p.commands, Words: out}, nil
+}
+
+// senseIntra resolves one multi-row activation of the operand rows into
+// out: the injector's transient activation-fault draw (a latch lost a row
+// address before sensing began, so nothing changed and the request may
+// simply be reissued), the backend's functional compute, then the sense
+// flips at the activation's margin.
+func (c *Controller) senseIntra(out []uint64, op sense.Op, rows [][]uint64, bits int) error {
+	n := len(rows)
+	if c.inj != nil && c.inj.ActivationFault(n) {
+		return fmt.Errorf("pim: activating %d rows: %w", n, backend.ErrActivationFault)
+	}
+	if err := c.be.ComputeInto(out, op, rows); err != nil {
+		return err
+	}
+	if c.inj != nil {
+		c.inj.FlipSensed(op, n, bits, out)
+	}
+	return nil
 }
 
 // store programs a row, routing the write through the wear model: worn rows
@@ -689,47 +702,13 @@ func senseGroups(geo memarch.Geometry, bits int) int {
 	return backend.SenseGroups(geo, bits)
 }
 
-// execIntra delegates the in-array computation to the technology backend:
-// it peeks the operand rows, hands the request to the backend's lowering
-// (which appends commands, charges energy and computes the result into a
-// fresh buffer), and routes the result through the generic write-back.
-func (c *Controller) execIntra(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, res *Result) error {
-	geo := c.mem.Geometry()
-	w := bitvec.WordsFor(bits)
-	if cap(c.rowsScratch) < len(srcs) {
-		c.rowsScratch = make([][]uint64, len(srcs))
-	}
-	rows := c.rowsScratch[:len(srcs)]
-	for i, s := range srcs {
-		rows[i] = c.mem.PeekRow(s)[:w]
-	}
-	req := backend.IntraRequest{
-		Op:     op,
-		Srcs:   srcs,
-		Bits:   bits,
-		Rows:   rows,
-		Out:    make([]uint64, w),
-		Geo:    geo,
-		Inj:    c.inj,
-		Energy: &res.Energy,
-	}
-	cmds, err := c.be.LowerIntra(&req, res.Commands)
-	if err != nil {
-		return err
-	}
-	res.Commands = cmds
-	res.Words = req.Out
-	return c.writeback(srcs[0], bits, dst, res, ClassIntraSub)
-}
-
-// execInter performs the serial global-buffer operation (inter-subarray
-// when interBank is false, inter-bank when true).
-func (c *Controller) execInter(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, res *Result, interBank bool) error {
-	geo := c.mem.Geometry()
+// lowerInter appends the serial global-buffer sequence (inter-subarray
+// when interBank is false, inter-bank when true): each operand is read
+// with single-row sensing and moved into the accumulation buffer, where
+// the add-on digital logic folds it in.
+func (c *Controller) lowerInter(op sense.Op, srcs []memarch.RowAddr, bits int, interBank bool, cmds []ddr.Cmd, en *energy.Meter) []ddr.Cmd {
 	e := c.mem.Tech().Energy
-	groups := senseGroups(geo, bits)
-	w := bitvec.WordsFor(bits)
-
+	groups := senseGroups(c.mem.Geometry(), bits)
 	moveKind := ddr.CmdGDLMove
 	moveEnergy := e.GDLPerBit
 	moveComp := energy.GDL
@@ -738,89 +717,43 @@ func (c *Controller) execInter(op sense.Op, srcs []memarch.RowAddr, bits int, ds
 		moveEnergy = e.IOBusPerBit
 		moveComp = energy.IOBus
 	}
-
-	// The accumulation buffer: global row buffer of the first operand's
-	// bank, or the rank's I/O buffer.
-	var buf []uint64
-	if interBank {
-		buf = c.mem.IOBuffer(srcs[0].Channel, srcs[0].Rank)
-	} else {
-		buf = c.mem.GlobalBuffer(srcs[0].Channel, srcs[0].Rank, srcs[0].Bank)
-	}
-
 	fbits := float64(bits)
 	for i, s := range srcs {
 		// Read the operand row: activate + normal sensing per group.
-		res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdAct, Addr: s})
+		cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdAct, Addr: s})
 		for g := 0; g < groups; g++ {
-			res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdSense, Addr: s})
+			cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdSense, Addr: s})
 		}
-		res.Commands = append(res.Commands, ddr.Cmd{Kind: moveKind, Addr: s, Bits: bits})
+		cmds = append(cmds, ddr.Cmd{Kind: moveKind, Addr: s, Bits: bits})
 		// Close the operand's row before the next serial read (the data is
 		// safe in the accumulation buffer).
-		res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdPre, Addr: s})
-		res.Energy.Add(energy.CellArray, fbits*e.ActPerBit)
-		res.Energy.Add(energy.LWLDriver, e.LWLPerAct)
-		res.Energy.Add(energy.SenseAmp, fbits*e.SensePerBit)
-		res.Energy.Add(moveComp, fbits*moveEnergy)
-		res.Energy.Add(energy.Buffer, fbits*e.BufferPerBit)
-
-		row := c.mem.PeekRow(s)[:w]
-		if c.inj != nil {
-			// The digital path senses each operand with an ordinary
-			// single-row read; flips are possible but read-margin rare.
-			cp := make([]uint64, w)
-			copy(cp, row)
-			c.inj.FlipSensed(sense.OpRead, 1, bits, cp)
-			row = cp
-		}
-		if i == 0 {
-			copy(buf[:w], row)
-			continue
-		}
-		// Add-on digital logic combines the streamed row into the buffer.
-		res.Energy.Add(energy.Logic, fbits*e.LogicPerBit)
-		switch op {
-		case sense.OpAND:
-			for j := 0; j < w; j++ {
-				buf[j] &= row[j]
-			}
-		case sense.OpOR:
-			for j := 0; j < w; j++ {
-				buf[j] |= row[j]
-			}
-		case sense.OpXOR:
-			for j := 0; j < w; j++ {
-				buf[j] ^= row[j]
-			}
-		default:
-			return fmt.Errorf("pim: op %v cannot have %d operands on the %s path",
-				op, len(srcs), res.Class)
+		cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdPre, Addr: s})
+		en.Add(energy.CellArray, fbits*e.ActPerBit)
+		en.Add(energy.LWLDriver, e.LWLPerAct)
+		en.Add(energy.SenseAmp, fbits*e.SensePerBit)
+		en.Add(moveComp, fbits*moveEnergy)
+		en.Add(energy.Buffer, fbits*e.BufferPerBit)
+		if i > 0 {
+			// Add-on digital logic combines the streamed row into the buffer.
+			en.Add(energy.Logic, fbits*e.LogicPerBit)
 		}
 	}
-	if len(srcs) == 1 && op == sense.OpINV {
-		for j := 0; j < w; j++ {
-			buf[j] = ^buf[j]
-		}
-		res.Energy.Add(energy.Logic, fbits*e.LogicPerBit)
+	if op == sense.OpINV {
+		en.Add(energy.Logic, fbits*e.LogicPerBit)
 	}
-
-	res.Words = make([]uint64, w)
-	copy(res.Words, buf[:w])
-	return c.writeback(srcs[0], bits, dst, res, res.Class)
+	return cmds
 }
 
-// writeback routes the result to dst (or to the host when dst is nil) and
-// charges the corresponding commands and energy. locus is where the result
+// lowerWriteback appends the routing of the result to dst (or to the host
+// when dst is nil) and charges its energy. locus is where the result
 // currently sits: the computing subarray's SAs (intra) or a buffer.
-func (c *Controller) writeback(locus memarch.RowAddr, bits int, dst *memarch.RowAddr, res *Result, class Class) error {
+func (c *Controller) lowerWriteback(locus memarch.RowAddr, bits int, dst *memarch.RowAddr, class Class, cmds []ddr.Cmd, en *energy.Meter) []ddr.Cmd {
 	e := c.mem.Tech().Energy
 	fbits := float64(bits)
 	if dst == nil {
 		// Burst to the host over the DDR bus.
-		res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdRd, Addr: locus, Bits: bits})
-		res.Energy.Add(energy.IOBus, fbits*e.IOBusPerBit)
-		return nil
+		en.Add(energy.IOBus, fbits*e.IOBusPerBit)
+		return append(cmds, ddr.Cmd{Kind: ddr.CmdRd, Addr: locus, Bits: bits})
 	}
 	sameSub := memarch.SameSubarray(locus, *dst)
 	sameBank := memarch.SameBank(locus, *dst)
@@ -829,21 +762,20 @@ func (c *Controller) writeback(locus memarch.RowAddr, bits int, dst *memarch.Row
 		// Pure in-place update: SA output feeds the WDs directly.
 	case sameBank:
 		// Move over the bank's GDLs to the destination subarray's WDs.
-		res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdGDLMove, Addr: *dst, Bits: bits})
-		res.Energy.Add(energy.GDL, fbits*e.GDLPerBit)
+		cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdGDLMove, Addr: *dst, Bits: bits})
+		en.Add(energy.GDL, fbits*e.GDLPerBit)
 	default:
 		// Cross-bank: GDL out of the source bank, I/O datapath across,
 		// GDL into the destination bank.
-		res.Commands = append(res.Commands,
+		cmds = append(cmds,
 			ddr.Cmd{Kind: ddr.CmdGDLMove, Addr: locus, Bits: bits},
 			ddr.Cmd{Kind: ddr.CmdIOMove, Addr: *dst, Bits: bits},
 			ddr.Cmd{Kind: ddr.CmdGDLMove, Addr: *dst, Bits: bits})
-		res.Energy.Add(energy.GDL, 2*fbits*e.GDLPerBit)
-		res.Energy.Add(energy.IOBus, fbits*e.IOBusPerBit)
+		en.Add(energy.GDL, 2*fbits*e.GDLPerBit)
+		en.Add(energy.IOBus, fbits*e.IOBusPerBit)
 	}
-	res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdWBack, Addr: *dst})
-	res.Energy.Add(energy.WriteDriver, fbits*e.WritePerBit)
-	return nil
+	en.Add(energy.WriteDriver, fbits*e.WritePerBit)
+	return append(cmds, ddr.Cmd{Kind: ddr.CmdWBack, Addr: *dst})
 }
 
 // ReadRow performs a conventional read of `bits` bits from a row to the
@@ -855,9 +787,9 @@ func (c *Controller) ReadRow(addr memarch.RowAddr, bits int) (*Result, error) {
 }
 
 // WriteRowFromHost performs a conventional write of `bits` bits from the
-// host into a row, pricing the bus transfer and cell programming. Its
-// lowering comes from the program cache when the cache may serve (see
-// hostWriteProgram).
+// host into a row, pricing the bus transfer and cell programming. Like an
+// operation, it looks up or lowers its program (hostWriteProgram), then
+// replays the write.
 func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits int) (*Result, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
@@ -872,7 +804,7 @@ func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits
 	p := c.hostWriteProgram(addr, bits)
 	res := &Result{Op: sense.OpRead, Class: p.class, Rows: 1, Bits: bits,
 		Seconds: p.seconds, Energy: p.energy, Commands: p.commands}
-	c.tallyDeltas(p.class, p.activations, p.senseSteps, p.writebacks, p.busBits)
+	c.tally(&p)
 	if err := c.store(addr, words); err != nil {
 		return nil, err
 	}
@@ -887,23 +819,22 @@ func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits
 // host write never shares a key with an op's lowering.
 const hostWriteKey = 0xFF
 
-// hostWriteProgram returns the lowering of a host write of bits bits into
-// addr: the fixed ACT/WR/PRE sequence, protocol-checked and priced. When
-// the program cache may serve, it is built once per (bits, addr) and
-// served from the cache after that, as ReadRow's is. Panics if the
-// sequence violates the DDR protocol — a controller bug, never a caller
-// error.
+// hostWriteProgram looks up or lowers the program of a host write of bits
+// bits into addr, exactly as execute does an operation's: the fixed
+// ACT/WR/PRE sequence, protocol-checked and priced, keyed by (bits, addr).
+// Panics if the sequence violates the DDR protocol — a controller bug,
+// never a caller error.
 func (c *Controller) hostWriteProgram(addr memarch.RowAddr, bits int) progEntry {
-	cached := c.cacheEligible()
-	if cached {
+	keyed := c.cacheEligible()
+	if keyed {
 		k := &c.keyBuf
 		k.Reset()
 		k.Byte(hostWriteKey)
 		k.Int(bits)
 		k.Uint64(c.mem.Geometry().Encode(addr))
-		if e, ok := c.cache.Lookup(k.Bytes()); ok {
-			return *e.(*progEntry)
-		}
+	}
+	if p := c.lookup(keyed); p != nil {
+		return *p
 	}
 	cmds := []ddr.Cmd{
 		{Kind: ddr.CmdAct, Addr: addr},
@@ -918,11 +849,6 @@ func (c *Controller) hostWriteProgram(addr memarch.RowAddr, bits int) progEntry 
 	en.Add(energy.IOBus, float64(bits)*e.IOBusPerBit)
 	en.Add(energy.WriteDriver, float64(bits)*e.WritePerBit)
 	p := newProgEntry(ClassIntraSub, ddr.Duration(cmds, c.mem.Tech().Timing, c.bus), en, cmds, 0)
-	if cached {
-		// The cache gets its own copy, so an uncached write allocates no
-		// entry.
-		ent := p
-		c.cache.Store(c.keyBuf.Bytes(), &ent)
-	}
+	c.remember(keyed, p)
 	return p
 }

@@ -223,7 +223,9 @@ func TestECCStoredEntryNeverChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AttachInjector(in)
+	if err := c.AttachInjector(in); err != nil {
+		t.Fatal(err)
+	}
 	dst := memarch.RowAddr{Row: 9}
 	const bits = 4096
 	words := make([]uint64, bits/64)
@@ -275,7 +277,9 @@ func TestECCStuckSpareColumnStaysHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AttachInjector(in)
+	if err := c.AttachInjector(in); err != nil {
+		t.Fatal(err)
+	}
 
 	dataBits := c.mem.Geometry().RowBits()
 	bits := dataBits // full-width rows so the whole spare stripe is in play

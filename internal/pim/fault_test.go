@@ -21,7 +21,9 @@ func attachInjector(t testing.TB, c *Controller, cfg fault.Config) *fault.Inject
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AttachInjector(in)
+	if err := c.AttachInjector(in); err != nil {
+		t.Fatal(err)
+	}
 	return in
 }
 

@@ -24,11 +24,15 @@ import (
 // it is priced as explicit copy requests.
 //
 // All rows of all sets must share a subarray (the analog vote has no
-// meaning on the serial digital path). A transient activation fault in
-// any replica group fails the whole request, exactly like a plain
-// multi-row activation — nothing was written, so the caller may reissue.
-// Panics if the command sequence it built violates the extended-DDR
-// protocol (a controller bug by construction, like Execute).
+// meaning on the serial digital path). Like Execute, a voted request is a
+// pure lowering — the backend's LowerIntra once per replica group — and
+// one replay, which senses the groups in order (activation-fault draw,
+// compute, flips). A transient activation fault in any replica group
+// fails the whole request, exactly like a plain multi-row activation —
+// nothing was written, so the caller may reissue. Voted lowerings are not
+// cached: only replicated Systems issue them, and those always have an
+// injector attached. Panics if the command sequence it built violates the
+// extended-DDR protocol (a controller bug by construction, like Execute).
 func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) (*Result, error) {
 	if !c.be.Caps().VotedSensing {
 		return nil, fmt.Errorf("pim: voted execution requires a backend that can re-sense an operand set at full margin; the %s backend cannot",
@@ -73,105 +77,49 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 	if err != nil {
 		return nil, err
 	}
+
+	// Lower: each replica group is its own multi-row activation, lowered
+	// by the backend exactly as a plain request's. The backend's LWL reset
+	// closes the previous group's rows and re-arms the latches, so the
+	// protocol checker sees R well-formed groups in one sequence. The
+	// vote gate lives in the subarray's add-on logic, one pass per replica
+	// beyond the first (the carry-save counters fold R-1 times).
+	cmds := []ddr.Cmd{{Kind: ddr.CmdMRS}}
+	var en energy.Meter
+	for _, set := range sets {
+		req := backend.IntraRequest{Op: op, Srcs: set, Bits: bits, Geo: geo, Energy: &en}
+		if cmds, err = c.be.LowerIntra(&req, cmds); err != nil {
+			return nil, err
+		}
+	}
+	en.Add(energy.Logic, float64(r-1)*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
+	p := c.closeAndPrice(ClassIntraSub, sets[0][0], bits, dst, cmds, en, mr4)
+
+	// Replay: every replica pass senses independently at the same margin
+	// — the independence the majority vote exploits.
 	if err := c.mrs.Write(ddr.PIMRegister, uint16(mr4)); err != nil {
 		return nil, err
 	}
-
-	res := &Result{Op: op, Class: ClassIntraSub, Rows: n, Bits: bits, Voted: r}
-	res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdMRS})
-
-	e := c.mem.Tech().Energy
 	w := bitvec.WordsFor(bits)
-	groups := senseGroups(geo, bits)
-	steps := groups * op.SenseSteps()
-	fbits := float64(bits)
-	fn := float64(n)
-
-	outs := c.voteScratch(r, w)
-	if cap(c.rowsScratch) < n {
-		c.rowsScratch = make([][]uint64, n)
-	}
-	for si, set := range sets {
-		// Each replica group is a fresh multi-row activation: the LWL reset
-		// closes the previous group's rows and re-arms the latches, so the
-		// protocol checker sees R well-formed groups in one sequence.
-		lwl := backend.NewLWL(geo.RowsPerSubarray)
-		lwl.Reset()
-		res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdLWLReset, Addr: set[0]})
-		for i, s := range set {
-			if err := lwl.Latch(s.Row); err != nil {
-				return nil, err
-			}
-			kind := ddr.CmdActLatch
-			if i == 0 {
-				kind = ddr.CmdAct
-			}
-			res.Commands = append(res.Commands, ddr.Cmd{Kind: kind, Addr: s})
-		}
-		if lwl.OpenCount() != n {
-			return nil, fmt.Errorf("pim: LWL opened %d rows, want %d", lwl.OpenCount(), n)
-		}
-		if c.inj != nil && c.inj.ActivationFault(n) {
-			return nil, fmt.Errorf("pim: activating %d rows (voted): %w", n, backend.ErrActivationFault)
-		}
-		for i := 0; i < steps; i++ {
-			res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdSense, Addr: set[0]})
-		}
-
-		rows := c.rowsScratch[:n]
-		for i, s := range set {
-			rows[i] = c.mem.PeekRow(s)[:w]
-		}
-		out := outs[si]
-		if err := c.be.ComputeInto(out, op, rows); err != nil {
+	outs := c.senseScratch(r, w)
+	for i, set := range sets {
+		if err := c.senseIntra(outs[i], op, c.operandRows(set, w), bits); err != nil {
 			return nil, err
 		}
-		if c.inj != nil {
-			// Every replica pass senses independently at the same margin —
-			// this is the independence the majority vote exploits.
-			c.inj.FlipSensed(op, n, bits, out)
-		}
-
-		res.Energy.Add(energy.CellArray, fbits*e.ActPerBit)
-		res.Energy.Add(energy.LWLDriver, fn*e.LWLPerAct)
-		res.Energy.Add(energy.SenseAmp,
-			float64(op.SenseSteps())*fbits*(e.SensePerBit+fn*e.SenseRowAdd))
 	}
-
-	// The majority words become res.Words. Unlike a cache hit's words they
-	// get a fresh buffer, which the caller owns past the next execution
-	// (the scheduler verifies and stores through it); only the
-	// per-replica sensing passes run on scratch.
+	// The majority words get a fresh buffer, which the caller owns past
+	// the next execution (the scheduler verifies and stores through it).
 	maj := make([]uint64, w)
 	disagree, err := sense.MajorityWordsInto(maj, outs, bits)
 	if err != nil {
 		return nil, err
 	}
-	res.Words = maj
-	res.Outvoted = int64(disagree)
-	// The vote gate lives in the subarray's add-on logic, one pass per
-	// replica beyond the first (the carry-save counters fold R-1 times).
-	res.Energy.Add(energy.Logic, float64(r-1)*fbits*e.LogicPerBit)
-
-	if err := c.writeback(sets[0][0], bits, dst, res, ClassIntraSub); err != nil {
-		return nil, err
-	}
-
-	preAddr := sets[0][0]
+	c.tally(&p)
 	if dst != nil {
-		preAddr = *dst
-	}
-	res.Commands = append(res.Commands, ddr.Cmd{Kind: ddr.CmdPre, Addr: preAddr})
-	if err := ddr.ValidateSequence(res.Commands); err != nil {
-		panic(fmt.Sprintf("pim: invalid voted command sequence for %v: %v", op, err))
-	}
-	res.Seconds = ddr.Duration(res.Commands, c.mem.Tech().Timing, c.bus)
-	c.tally(ClassIntraSub, res.Commands)
-
-	if dst != nil {
-		if err := c.store(*dst, res.Words); err != nil {
+		if err := c.store(*dst, maj); err != nil {
 			return nil, err
 		}
 	}
-	return res, nil
+	return &Result{Op: op, Class: ClassIntraSub, Rows: n, Bits: bits, Seconds: p.seconds,
+		Energy: p.energy, Commands: p.commands, Words: maj, Voted: r, Outvoted: int64(disagree)}, nil
 }

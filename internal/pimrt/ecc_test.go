@@ -36,7 +36,9 @@ func newECCSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Schedule
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl.AttachInjector(inj)
+		if err := ctl.AttachInjector(inj); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res := DefaultResilience()
 	res.ECC = true

@@ -31,7 +31,9 @@ func newResilientSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.AttachInjector(inj)
+	if err := ctl.AttachInjector(inj); err != nil {
+		t.Fatal(err)
+	}
 	s := &Scheduler{
 		Ctl:     ctl,
 		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },

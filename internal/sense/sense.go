@@ -183,7 +183,7 @@ func (a *Array) ComputeWords(op Op, rows [][]uint64) ([]uint64, error) {
 // ComputeWordsInto is ComputeWords resolving into a caller-owned buffer:
 // dst must hold exactly len(rows[0]) words, and a steady-state call
 // allocates nothing (the analog cross-check included). This is the
-// zero-alloc hot path the controller's cached executions and the voted
+// zero-alloc hot path every intra-subarray execution and the voted
 // sensing loop run on.
 func (a *Array) ComputeWordsInto(dst []uint64, op Op, rows [][]uint64) error {
 	if err := a.ValidateOperands(op, len(rows)); err != nil {
@@ -198,33 +198,46 @@ func (a *Array) ComputeWordsInto(dst []uint64, op Op, rows [][]uint64) error {
 	if len(dst) != width {
 		return fmt.Errorf("sense: destination has %d words, rows have %d", len(dst), width)
 	}
-	// Every operand is resliced to width so the loops below run without
-	// per-word bounds checks.
-	out := dst[:width]
-	switch op {
-	case OpRead:
-		copy(out, rows[0])
-	case OpINV:
-		for i, w := range rows[0][:width] {
-			out[i] = ^w
-		}
-	case OpAND:
-		x, y := rows[0][:width], rows[1][:width]
-		for i := range out {
-			out[i] = x[i] & y[i]
-		}
-	case OpXOR:
-		x, y := rows[0][:width], rows[1][:width]
-		for i := range out {
-			out[i] = x[i] ^ y[i]
-		}
-	case OpOR:
-		orRows(out, rows)
-	}
+	Combine(dst, op, rows)
 	if a.checkEvery > 0 && width > 0 {
-		a.analogCheck(op, rows, out)
+		a.analogCheck(op, rows, dst)
 	}
 	return nil
+}
+
+// Combine writes op over the operand rows into dst: the word math of every
+// functional model of a bulk bitwise operation — the SA array above, the
+// DRAM backend's TRA synthesis and the controller's serial digital
+// datapath. Every row must hold at least len(dst) words. The caller has
+// validated the operand count: READ and INV take rows[0], AND and XOR
+// rows[0] and rows[1], OR folds every row. Panics on an op outside the Op
+// set, which only an unvalidated caller can pass.
+func Combine(dst []uint64, op Op, rows [][]uint64) {
+	// Every operand is resliced to len(dst) so the loops below run
+	// without per-word bounds checks.
+	n := len(dst)
+	switch op {
+	case OpRead:
+		copy(dst, rows[0][:n])
+	case OpINV:
+		for i, w := range rows[0][:n] {
+			dst[i] = ^w
+		}
+	case OpAND:
+		x, y := rows[0][:n], rows[1][:n]
+		for i := range dst {
+			dst[i] = x[i] & y[i]
+		}
+	case OpXOR:
+		x, y := rows[0][:n], rows[1][:n]
+		for i := range dst {
+			dst[i] = x[i] ^ y[i]
+		}
+	case OpOR:
+		orRows(dst, rows)
+	default:
+		panic(fmt.Sprintf("sense: Combine of unvalidated op %d", int(op)))
+	}
 }
 
 // orRows streams the operand rows into out: rows[0] is copied, then the

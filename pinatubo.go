@@ -424,7 +424,9 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctl.AttachInjector(inj)
+		if err := ctl.AttachInjector(inj); err != nil {
+			return nil, err
+		}
 	}
 	if mode == VerifyReadback || mode == VerifyECC {
 		res := pimrt.DefaultResilience()
