@@ -140,7 +140,8 @@ type Controller struct {
 	// senseBufs holds per-pass sensing buffers — the replica passes of a
 	// voted execution, or the digital path's operand reads under an
 	// injector — reused so a steady-state request allocates nothing
-	// row-sized for them.
+	// row-sized for them. It keeps the largest set a request has needed:
+	// up to one row per operand of a digital OR.
 	senseBufs [][]uint64
 	// words is the result buffer behind Result.Words, reused so a
 	// steady-state execution allocates nothing row-sized (see Result.Words
