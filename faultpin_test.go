@@ -227,3 +227,99 @@ func TestFaultyProgramPinned(t *testing.T) {
 		})
 	}
 }
+
+// runChainedRestoreProgram runs a 9-operand OR on STT-MRAM, whose depth
+// of 2 chains it through eight links that each fold one operand into the
+// destination. Sense flips and wear make links fail verification, so a
+// link retries after restoring the accumulator from the previous link's
+// verified words. Operands are sparse, so the accumulator and the link's
+// own result differ in many bits: a restore that wrote anything but the
+// previous link's words would force a different set of stuck-at cells.
+func runChainedRestoreProgram(t *testing.T) faultPin {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Tech = STTMRAM
+	cfg.Geometry = pinGeometry()
+	cfg.Fault = FaultConfig{Seed: 31, SenseFlipRate: 2e-2, ActivationFailRate: 0.2, WearLimit: 4}
+	cfg.Resilience = ResilienceConfig{Verify: VerifyReadback}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 1000
+	w := bitvec.WordsFor(bits)
+	tail := uint64(1)<<(bits%64) - 1
+	vs, err := s.AllocGroup(10, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, srcs := vs[0], vs[1:]
+	model := make([][]uint64, len(srcs))
+	rng := rand.New(rand.NewSource(37))
+	write := func(i int) {
+		t.Helper()
+		words := make([]uint64, w)
+		for j := range words {
+			words[j] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+		}
+		words[w-1] &= tail
+		if _, err := s.Write(srcs[i], words); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		model[i] = words
+	}
+	for i := range srcs {
+		write(i)
+	}
+	digest := sha256.New()
+	for round := 0; round < 12; round++ {
+		if _, err := s.Apply(OpOr, dst, srcs); err != nil {
+			t.Fatalf("round %d OR: %v", round, err)
+		}
+		got, _, err := s.Read(dst)
+		if err != nil {
+			t.Fatalf("round %d read: %v", round, err)
+		}
+		for i := range got {
+			var want uint64
+			for _, m := range model {
+				want |= m[i]
+			}
+			if got[i] != want {
+				t.Fatalf("round %d word %d: %x, want %x", round, i, got[i], want)
+			}
+			digest.Write(binary.LittleEndian.AppendUint64(nil, got[i]))
+		}
+		write(round % len(srcs))
+	}
+	return faultPin{
+		stats:  s.Stats(),
+		hw:     s.HardwareCounters(),
+		faults: s.FaultStats(),
+		reads:  hex.EncodeToString(digest.Sum(nil)),
+	}
+}
+
+// TestChainedRestorePinned pins, exactly, what the chained OR of
+// runChainedRestoreProgram leaves behind. Every link after the first
+// hands the previous link's verified words to the next as its restore
+// checkpoint, so this fails if a link's own reference ever overwrites
+// the checkpoint it may still have to write back.
+func TestChainedRestorePinned(t *testing.T) {
+	want := faultPin{
+		stats: Stats{Ops: map[string]int64{"host-read": 12, "host-write": 21, "intra-subarray": 12},
+			Requests: 424, BusySeconds: 6.686296875000002e-05, EnergyJoules: 1.3011920999999987e-05},
+		hw: HardwareCounters{OpsByClass: map[string]int64{"inter-subarray": 140, "intra-subarray": 284},
+			Activations: 1427, SenseSteps: 9352, Writebacks: 398, BusBits: 459000},
+		faults: FaultStats{
+			SenseFlips: 263, ActivationFaults: 32, StuckRows: 44, StuckBitsForced: 123, RowWrites: 398,
+			Verifies: 289, Retries: 156, DepthReductions: 0, InterFallbacks: 29, HostFallbacks: 7,
+			RowsRetired: 43, BitsCorrected: 366, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
+			Votes: 0, BitsOutvoted: 0,
+		},
+		reads: "8902373e53dd3e13d69e0090d3d85d0b33d751117d28d1319d1ee996f1f06857",
+	}
+	if got := runChainedRestoreProgram(t); !reflect.DeepEqual(got, want) {
+		t.Errorf("pinned outcome changed:\n got %#v\nwant %#v", got, want)
+	}
+}
