@@ -23,7 +23,9 @@
 //
 // Everything is driven by a single seeded PRNG plus per-row hashes, so a
 // given seed and operation sequence reproduces the exact same faults —
-// tests and the fault-sweep figure rely on that.
+// tests and the fault-sweep figure rely on that. The PRNG emits math/rand's
+// stream for its seed, and it reseeds in constant time (source.go), so
+// reseeding once per operation costs next to nothing.
 package fault
 
 import (
@@ -103,9 +105,6 @@ type Injector struct {
 	cell    nvm.CellParams
 	rowBits int
 	rng     *rand.Rand
-	// rewound marks a Reset whose rewind to cfg.Seed has not run yet: the
-	// first draw through src applies it, unless a BeginOp reseeds first.
-	rewound bool
 	seq     int64
 	margins map[marginKey]float64
 	wear    map[uint64]int64
@@ -149,7 +148,7 @@ func New(cfg Config, p nvm.Params, scfg analog.SenseConfig, rowBits int, led *le
 		scfg:     scfg,
 		cell:     cell,
 		rowBits:  rowBits,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rand.New(newSource(cfg.Seed)),
 		margins:  make(map[marginKey]float64),
 		wear:     make(map[uint64]int64),
 		wearFrac: make(map[uint64]int64),
@@ -164,16 +163,10 @@ func New(cfg Config, p nvm.Params, scfg analog.SenseConfig, rowBits int, led *le
 // invisible to behaviour — and so does the ledger, which its owner
 // resets. Pooled shard sandboxes reset through here; the batch executor
 // then re-seeds per-row state and the substream position explicitly,
-// exactly as it does for a fresh sandbox.
-//
-// The rewind is deferred, so a reset costs no PRNG work: Reset only marks
-// the stream rewound, and the first draw applies the seed. A sandbox's
-// first op calls BeginOp, which reseeds to its substream anyway, so on
-// the window path the rewind never runs at all. Every draw goes through
-// src, so the stream any call sequence sees is the one an eager rewind
-// would have given.
+// exactly as it does for a fresh sandbox. The rewind is a constant-time
+// reseed, so a reset does no per-word PRNG work.
 func (in *Injector) Reset() {
-	in.rewound = true
+	in.rng.Seed(in.cfg.Seed)
 	in.seq = 0
 	for k := range in.wear {
 		delete(in.wear, k)
@@ -192,23 +185,11 @@ func (in *Injector) Reset() {
 // is what lets Batch run fault-injected shards concurrently and still
 // reproduce the exact flips sequential execution would have drawn.
 // Wear and stuck-at state are keyed per row and unaffected. The PRNG is
-// reseeded in place — the same stream a fresh rand.New(rand.NewSource(…))
-// would produce, without allocating a new source per operation — and the
-// reseed supersedes any rewind a Reset left pending.
+// reseeded in place, in constant time, to the same stream a fresh
+// rand.New(rand.NewSource(…)) would produce.
 func (in *Injector) BeginOp() {
 	in.seq++
 	in.rng.Seed(in.cfg.Seed ^ int64(splitmix64(uint64(in.seq))))
-	in.rewound = false
-}
-
-// src returns the transient-fault PRNG, first applying a rewind Reset
-// deferred. Every draw goes through here.
-func (in *Injector) src() *rand.Rand {
-	if in.rewound {
-		in.rng.Seed(in.cfg.Seed)
-		in.rewound = false
-	}
-	return in.rng
 }
 
 // OpSeq returns the per-operation substream sequence number: the number of
@@ -266,9 +247,8 @@ func (in *Injector) FlipSensed(op sense.Op, rows, bits int, words []uint64) int 
 		return 0
 	}
 	n := in.poisson(float64(bits) * p)
-	rng := in.src()
 	for k := 0; k < n; k++ {
-		pos := rng.Intn(bits)
+		pos := in.rng.Intn(bits)
 		words[pos/64] ^= 1 << uint(pos%64)
 	}
 	in.led.Count[ledger.SenseFlips] += int64(n)
@@ -283,9 +263,8 @@ func (in *Injector) poisson(lambda float64) int {
 	}
 	l := math.Exp(-lambda)
 	k, p := 0, 1.0
-	rng := in.src()
 	for {
-		p *= rng.Float64()
+		p *= in.rng.Float64()
 		if p <= l {
 			return k
 		}
@@ -303,7 +282,7 @@ func (in *Injector) ActivationFault(rows int) bool {
 	if p > 1 {
 		p = 1
 	}
-	if in.src().Float64() < p {
+	if in.rng.Float64() < p {
 		in.led.Count[ledger.ActivationFaults]++
 		return true
 	}

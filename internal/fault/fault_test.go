@@ -297,33 +297,33 @@ func sameDraws(t *testing.T, what string, got, want *rand.Rand) {
 }
 
 // TestReseedMatchesFreshSource pins that reseeding the injector's PRNG in
-// place yields exactly the stream a newly built source would: Reset
-// rewinds to the configured seed and BeginOp to the per-op substream.
-// It reads through src, the accessor every draw takes, so Reset's
-// deferred rewind is part of what it checks.
+// place yields exactly the stream a newly built math/rand source would:
+// Reset rewinds to the configured seed and BeginOp to the per-op
+// substream. It reads through the injector's *rand.Rand, the one every
+// draw takes.
 func TestReseedMatchesFreshSource(t *testing.T) {
 	const seed = 42
 	cfg := Config{SenseFlipRate: 1e-3, Seed: seed}
 	in := newPCM(t, cfg)
-	in.src().Int63() // advance the stream so the reseed has work to undo
+	in.rng.Int63() // advance the stream so the reseed has work to undo
 	in.Reset()
-	sameStream(t, "Reset", in.src(), seed)
+	sameStream(t, "Reset", in.rng, seed)
 	for op := int64(1); op <= 3; op++ {
-		in.src().Float64()
+		in.rng.Float64()
 		in.BeginOp()
-		sameStream(t, fmt.Sprintf("BeginOp %d", op), in.src(), seed^int64(splitmix64(uint64(op))))
+		sameStream(t, fmt.Sprintf("BeginOp %d", op), in.rng, seed^int64(splitmix64(uint64(op))))
 	}
 
 	// Against a freshly built injector: after Reset, a draw without
 	// BeginOp is the Seed stream ...
-	in.src().Int63()
+	in.rng.Int63()
 	in.Reset()
-	sameDraws(t, "Reset vs fresh injector", in.src(), newPCM(t, cfg).src())
+	sameDraws(t, "Reset vs fresh injector", in.rng, newPCM(t, cfg).rng)
 
 	// ... and Reset, SetOpSeq(k), BeginOp is substream k+1, whatever the
 	// stream held before.
 	for _, k := range []int64{0, 1, 7, 1000} {
-		in.src().Float64()
+		in.rng.Float64()
 		in.Reset()
 		in.SetOpSeq(k)
 		in.BeginOp()
@@ -333,12 +333,12 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 		if in.OpSeq() != k+1 || fresh.OpSeq() != k+1 {
 			t.Fatalf("SetOpSeq(%d)+BeginOp: OpSeq %d, fresh %d, want %d", k, in.OpSeq(), fresh.OpSeq(), k+1)
 		}
-		sameDraws(t, fmt.Sprintf("substream %d vs fresh injector", k+1), in.src(), fresh.src())
+		sameDraws(t, fmt.Sprintf("substream %d vs fresh injector", k+1), in.rng, fresh.rng)
 	}
 }
 
-// TestResetZeroAllocs pins the pooled-sandbox reset: it defers the
-// rewind, so it touches no PRNG state and allocates nothing.
+// TestResetZeroAllocs pins the pooled-sandbox reset: its rewind is a
+// constant-time reseed, and it allocates nothing.
 func TestResetZeroAllocs(t *testing.T) {
 	in := newPCM(t, Config{SenseFlipRate: 1e-3, Seed: 7})
 	if allocs := testing.AllocsPerRun(100, in.Reset); allocs != 0 {
@@ -346,9 +346,16 @@ func TestResetZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBeginOpZeroAllocs pins that an op's reseed and its first draws
+// allocate nothing.
 func TestBeginOpZeroAllocs(t *testing.T) {
 	in := newPCM(t, Config{SenseFlipRate: 1e-3, Seed: 7})
-	if allocs := testing.AllocsPerRun(100, in.BeginOp); allocs != 0 {
-		t.Errorf("BeginOp: %v allocs/op, want 0", allocs)
+	allocs := testing.AllocsPerRun(100, func() {
+		in.BeginOp()
+		in.rng.Float64()
+		in.rng.Intn(1 << 19)
+	})
+	if allocs != 0 {
+		t.Errorf("BeginOp + 2 draws: %v allocs/op, want 0", allocs)
 	}
 }
