@@ -70,7 +70,7 @@ func TestECCProgramAndVerifyCleanOp(t *testing.T) {
 	for _, a := range srcs {
 		fillRow(t, c, a, w, rng)
 	}
-	golden, err := c.Golden(sense.OpOR, srcs, bits)
+	golden, err := c.Golden(nil, sense.OpOR, srcs, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestECCProgramAndVerifyCleanOp(t *testing.T) {
 	}
 
 	// The linear fast path (XOR) must not touch the encoder trees.
-	xg, err := c.Golden(sense.OpXOR, srcs[:2], bits)
+	xg, err := c.Golden(nil, sense.OpXOR, srcs[:2], bits)
 	if err != nil {
 		t.Fatal(err)
 	}

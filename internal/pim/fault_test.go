@@ -66,7 +66,7 @@ func TestRejectionTable(t *testing.T) {
 			if _, err := c.Execute(sense.OpOR, tc.srcs, 64, nil); !errors.Is(err, tc.want) {
 				t.Errorf("Execute: err=%v, want %v", err, tc.want)
 			}
-			if _, err := c.Golden(sense.OpOR, tc.srcs, 64); err == nil && tc.want == ErrCrossRank {
+			if _, err := c.Golden(nil, sense.OpOR, tc.srcs, 64); err == nil && tc.want == ErrCrossRank {
 				// Golden has no placement constraint (pure math), but must
 				// still reject invalid addresses; nothing to assert here.
 				_ = err
@@ -155,23 +155,27 @@ func TestGoldenMatchesDigitalReference(t *testing.T) {
 		{sense.OpXOR, 2, ref(func(a, b uint64) uint64 { return a ^ b }, rows[0], rows[1])},
 		{sense.OpOR, 4, ref(func(a, b uint64) uint64 { return a | b }, rows...)},
 	}
+	// One buffer serves every case: Golden grows it from one word, then
+	// overwrites what the previous case left in it.
+	buf := []uint64{^uint64(0)}
 	for _, tc := range cases {
-		got, err := c.Golden(tc.op, srcs[:tc.n], bits)
+		got, err := c.Golden(buf, tc.op, srcs[:tc.n], bits)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.op, err)
 		}
+		buf = got
 		if !bitvec.FromWords(bits, got).Equal(bitvec.FromWords(bits, tc.want)) {
 			t.Errorf("%v: golden disagrees with the digital reference", tc.op)
 		}
 	}
 	// Arity misuse errors.
-	if _, err := c.Golden(sense.OpAND, srcs[:3], bits); err == nil {
+	if _, err := c.Golden(nil, sense.OpAND, srcs[:3], bits); err == nil {
 		t.Error("3-operand AND accepted")
 	}
-	if _, err := c.Golden(sense.OpINV, srcs[:2], bits); err == nil {
+	if _, err := c.Golden(nil, sense.OpINV, srcs[:2], bits); err == nil {
 		t.Error("2-operand INV accepted")
 	}
-	if _, err := c.Golden(sense.OpOR, nil, bits); err == nil {
+	if _, err := c.Golden(nil, sense.OpOR, nil, bits); err == nil {
 		t.Error("0-operand OR accepted")
 	}
 }

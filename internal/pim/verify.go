@@ -22,9 +22,13 @@ import (
 // with in-array ECC is an open item (ROADMAP).
 
 // Golden computes the digital reference result of op over the operand rows'
-// current contents. It is the simulator's oracle: no commands, no energy,
-// no injected faults. Bits beyond `bits` in the last word are zeroed.
-func (c *Controller) Golden(op sense.Op, srcs []memarch.RowAddr, bits int) ([]uint64, error) {
+// current contents into dst, growing it when it is shorter than the
+// vector, and returns the bitvec.WordsFor(bits) words it wrote. It is the
+// simulator's oracle: no commands, no energy, no injected faults. Bits
+// beyond `bits` in the last word are zeroed. dst is the caller's buffer:
+// the resilience scheduler keeps its references in buffers it owns, so a
+// verified request allocates nothing row-sized.
+func (c *Controller) Golden(dst []uint64, op sense.Op, srcs []memarch.RowAddr, bits int) ([]uint64, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
 		return nil, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
@@ -38,7 +42,7 @@ func (c *Controller) Golden(op sense.Op, srcs []memarch.RowAddr, bits int) ([]ui
 		}
 	}
 	w := bitvec.WordsFor(bits)
-	out := make([]uint64, w)
+	out := scratchWords(dst, w)
 	copy(out, c.mem.PeekRow(srcs[0])[:w])
 	switch op {
 	case sense.OpRead:

@@ -384,17 +384,22 @@ type Scheduler struct {
 	// resilience ladder (resilience.go).
 	Replicas func(a memarch.RowAddr) []memarch.RowAddr
 
-	// res, partial, groups, srcs and partials are scheduling scratch,
-	// reused across operations so a steady-state Execute allocates
-	// nothing of its own: res is the result Execute hands out, partial
-	// the target of a per-subarray OR partial, the rest operand grouping
-	// and request assembly. A Scheduler is owned by one System and never
-	// called reentrantly, so plain fields suffice.
+	// res, partial, groups, srcs, partials and goldens are scheduling
+	// scratch, reused across operations so a steady-state Execute
+	// allocates nothing of its own: res is the result Execute hands out,
+	// partial the target of a per-subarray OR partial, groups, srcs and
+	// partials operand grouping and request assembly, and goldens the
+	// resilience oracle's reference buffers, two per request nesting
+	// level, which level indexes (see golden in resilience.go). A
+	// Scheduler is owned by one System and never called reentrantly, so
+	// plain fields suffice.
 	res      ScheduleResult
 	partial  memarch.RowAddr
 	groups   [][]memarch.RowAddr
 	srcs     []memarch.RowAddr
 	partials []memarch.RowAddr
+	goldens  [][2][]uint64
+	level    int
 }
 
 // groupBySubarray is GroupBySubarray through the scheduler's reusable
@@ -412,10 +417,11 @@ type ScheduleResult struct {
 	Requests int
 	Cost     workload.Cost
 	// Words is the operation's result. With resilience on it is the
-	// verified golden reference, a buffer the result owns. With
-	// resilience off it is the final request's controller words, valid
-	// only until the controller's next execution (pim.Result.Words): copy
-	// them to keep them longer.
+	// verified golden reference, in a buffer the scheduler owns and
+	// reuses from its next Execute on. With resilience off it is the
+	// final request's controller words, valid only until the
+	// controller's next execution (pim.Result.Words). Copy them to keep
+	// them longer.
 	Words []uint64
 
 	// Program is the operation's lowered cmdstream program: everything it
@@ -526,8 +532,10 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 // each one is verified before the next consumes the accumulator; the
 // verified words double as the restore checkpoint for the following link.
 // Those are golden buffers the scheduler owns, so they survive the next
-// link's execution; with resilience off request hands back controller
-// words that the next link overwrites, but restore is then never read.
+// link's execution, and golden computes that link's own reference into
+// the level's other buffer; with resilience off request hands back
+// controller words that the next link overwrites, but restore is then
+// never read.
 func (s *Scheduler) chainedOR(rows []memarch.RowAddr, bits int, target *memarch.RowAddr, depth int, res *ScheduleResult) error {
 	take := len(rows)
 	if take > depth {

@@ -118,13 +118,14 @@ func (res *ScheduleResult) record(r *pim.Result) {
 // resilience off it is a plain controller call. With resilience on, the
 // result is verified and the degradation ladder walked until a verified
 // result lands in *target (possibly remapped); the verified words are
-// returned. Those are the golden reference, a fresh buffer from
-// Ctl.Golden that later executions never touch; with resilience off the
-// controller's words come back, valid until its next execution. restore
-// must hold the known-good contents of *target when the target is also an
-// operand (a chained accumulator), so failed attempts can rebuild it; nil
-// means the target is write-only for this request. It must own its buffer:
-// the attempts it guards execute before it is read.
+// returned. Those are the golden reference, in a buffer the scheduler
+// owns (golden) that controller executions never touch and that stays
+// valid until the next Execute; with resilience off the controller's
+// words come back, valid until its next execution. restore must hold the
+// known-good contents of *target when the target is also an operand (a
+// chained accumulator), so failed attempts can rebuild it; nil means the
+// target is write-only for this request. It must not be a controller
+// buffer: the attempts it guards execute before it is read.
 func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore []uint64, res *ScheduleResult) ([]uint64, error) {
 	if s.Res == nil {
 		r, err := s.Ctl.Execute(op, srcs, bits, target)
@@ -134,10 +135,14 @@ func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 		res.record(r)
 		return r.Words, nil
 	}
-	golden, err := s.Ctl.Golden(op, srcs, bits)
+	golden, err := s.golden(op, srcs, bits, restore)
 	if err != nil {
 		return nil, err
 	}
+	// A depth split below re-enters request; its links take the next
+	// level's buffers, so they cannot overwrite this request's golden.
+	s.level++
+	defer func() { s.level-- }()
 	// dirty tracks whether *target may hold garbage from a failed attempt
 	// and therefore needs restoring before a self-referencing re-execution.
 	dirty := false
@@ -190,6 +195,30 @@ func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 		return golden, nil
 	}
 	return nil, fmt.Errorf("pimrt: %v over %d rows into %v: %w", op, len(srcs), *target, ErrResilienceExhausted)
+}
+
+// golden computes a request's reference result into a buffer the
+// scheduler owns. Each request nesting level — request → ladder →
+// chunked → request — has two. A request takes the second only when its
+// restore is the first: chainedOR and chunked hand each link the previous
+// link's golden as restore, which a failed attempt may still have to
+// write back after the new reference is computed. The buffers stay valid
+// until the next Execute, as ScheduleResult.Words promises.
+func (s *Scheduler) golden(op sense.Op, srcs []memarch.RowAddr, bits int, restore []uint64) ([]uint64, error) {
+	if s.level == len(s.goldens) {
+		s.goldens = append(s.goldens, [2][]uint64{})
+	}
+	bufs := &s.goldens[s.level]
+	i := 0
+	if len(restore) > 0 && len(bufs[0]) > 0 && &restore[0] == &bufs[0][0] {
+		i = 1
+	}
+	g, err := s.Ctl.Golden(bufs[i], op, srcs, bits)
+	if err != nil {
+		return nil, err
+	}
+	bufs[i] = g
+	return g, nil
 }
 
 // ladder walks the read-back degradation ladder (rungs 1-4) until a

@@ -136,6 +136,42 @@ func TestChainedORUnderFlipsRestoresAccumulator(t *testing.T) {
 	}
 }
 
+// A request that takes the depth-split rung re-enters request once per
+// link. The links compute their references one nesting level down, so
+// they cannot overwrite the outer request's own reference, which it
+// returns and which the SECDED path re-encodes the destination from.
+// Each operand sets one bit of its own, so every partial OR of a link
+// differs from the whole.
+func TestDepthSplitKeepsOuterGolden(t *testing.T) {
+	s, ctl := newResilientSched(t, memarch.Default(),
+		fault.Config{Seed: 17, SenseFlipRate: 1})
+	const bits = 4096
+	want := make([]uint64, bitvec.WordsFor(bits))
+	rows := make([]memarch.RowAddr, 128)
+	for i := range rows {
+		rows[i] = memarch.RowAddr{Subarray: 3, Row: i}
+		words := make([]uint64, len(want))
+		pos := i * 31
+		words[pos/64] = 1 << (pos % 64)
+		want[pos/64] |= words[pos/64]
+		if err := ctl.Memory().WriteRow(rows[i], words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := memarch.RowAddr{Subarray: 3, Row: 900}
+	var res ScheduleResult
+	words, err := s.request(sense.OpOR, rows, bits, &dst, nil, &res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctl.Ledger().Count[ledger.DepthReductions] == 0 {
+		t.Fatal("a 128-row OR at flip rate 1 must take the depth-split rung")
+	}
+	if !bitvec.FromWords(bits, words).Equal(bitvec.FromWords(bits, want)) {
+		t.Fatal("the request returned a reference other than its own result")
+	}
+}
+
 // Fixed-arity ops have no depth to split; they must degrade straight to the
 // serial digital path, which senses one row at a time at the read margin.
 func TestResilientANDFallsBackToInterDigital(t *testing.T) {

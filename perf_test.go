@@ -545,6 +545,70 @@ func applyRound(t *testing.T, cfg Config) (*System, func() [3]Result) {
 	}
 }
 
+// TestVerifiedApplyRowSizedZeroAllocs pins that read-back verification
+// allocates nothing row-sized: with no faults injected (so the program
+// cache still serves every request), a 26-row OR over resident vectors
+// and a popcount, both verified, cost the same heap bytes per call at
+// 1 Ki-bit and 16 Ki-bit vectors, two widths that take the same number
+// of sense groups. The OR's reference lands in a buffer the scheduler
+// owns, and the popcount's verified read compares against the stored row
+// in place; a reference allocated per request or per read would show up
+// as the 1.9 KiB difference in row size.
+func TestVerifiedApplyRowSizedZeroAllocs(t *testing.T) {
+	const runs = 200
+	measure := func(bits int) (or, pop float64) {
+		cfg := DefaultConfig()
+		cfg.Resilience.Verify = VerifyReadback
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := s.AllocGroup(27, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		data := make([]uint64, bits/64)
+		for _, v := range vs[1:] {
+			for i := range data {
+				data[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+			if _, err := s.Write(v, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst, srcs := vs[0], vs[1:]
+		or = bytesPerCall(func() {
+			if _, err := s.Apply(OpOr, dst, srcs); err != nil {
+				t.Fatal(err)
+			}
+		}, runs)
+		pop = bytesPerCall(func() {
+			if _, err := s.Apply(OpPopcount, dst, nil); err != nil {
+				t.Fatal(err)
+			}
+		}, runs)
+		f := s.FaultStats()
+		if f.Verifies < 2*runs {
+			t.Fatalf("%d-bit run: %d verifies, want every measured call verified", bits, f.Verifies)
+		}
+		if p := s.PerfStats(); p.ProgramCacheHits < 2*runs {
+			t.Fatalf("%d-bit run: %d cache hits, want every measured call to hit", bits, p.ProgramCacheHits)
+		}
+		return or, pop
+	}
+	smallOr, smallPop := measure(1 << 10)
+	bigOr, bigPop := measure(1 << 14)
+	t.Logf("bytes/call: OR %.0f -> %.0f, popcount %.0f -> %.0f (1 Ki-bit -> 16 Ki-bit)",
+		smallOr, bigOr, smallPop, bigPop)
+	if d := bigOr - smallOr; d >= 64 || d <= -64 {
+		t.Errorf("verified OR allocates %.0f B/call at 16 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigOr, smallOr)
+	}
+	if d := bigPop - smallPop; d >= 64 || d <= -64 {
+		t.Errorf("verified popcount allocates %.0f B/call at 16 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigPop, smallPop)
+	}
+}
+
 // TestCachedApplyRowSizedZeroAllocs pins that a warm cache hit allocates
 // nothing row-sized: a 26-row OR over resident vectors and a popcount,
 // both with verification off, cost the same heap bytes per call at
