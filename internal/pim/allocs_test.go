@@ -32,8 +32,8 @@ func bytesPerCall(f func(), runs int) float64 {
 // the same bytes per call at 1,024 and 16,384 bits. Both widths take one
 // sense group on the default geometry, so their command sequences, and
 // hence every allocation that is not row-sized, are the same size. The
-// replay computes into the controller's result buffer and reads the
-// digital path's flipped operands into reused scratch.
+// replay computes into the controller's result buffer and senses the
+// digital path's flipped operands into one reused row.
 func TestUncachedExecuteRowSizedZeroAllocs(t *testing.T) {
 	const runs = 200
 	measure := func(bits int) (or, and float64) {
@@ -73,5 +73,46 @@ func TestUncachedExecuteRowSizedZeroAllocs(t *testing.T) {
 	}
 	if d := bigAnd - smallAnd; d >= 64 || d <= -64 {
 		t.Errorf("uncached digital AND allocates %.0f B/call at 16 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigAnd, smallAnd)
+	}
+}
+
+// TestDigitalSensingKeepsOneRow pins that the digital path under an
+// injector keeps one sensing row, not one per operand: after a
+// 128-operand ExecuteDigital OR at 2^16 bits, the controller's sensing
+// scratch holds at most one row's words, and the folded result is the OR
+// of the operands (at this rate a read-margin flip never fires).
+func TestDigitalSensingKeepsOneRow(t *testing.T) {
+	const bits = 1 << 16
+	c := newCtl(t, nvm.PCM)
+	attachInjector(t, c, fault.Config{Seed: 3, SenseFlipRate: 1e-12})
+	srcs := addrsInSubarray(129)
+	rng := rand.New(rand.NewSource(5))
+	want := make([]uint64, bits/64)
+	for _, a := range srcs[:128] {
+		words := make([]uint64, bits/64)
+		for i := range words {
+			words[i] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+			want[i] |= words[i]
+		}
+		if err := c.Memory().WriteRow(a, words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := srcs[128]
+	r, err := c.ExecuteDigital(sense.OpOR, srcs[:128], bits, &dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if r.Words[i] != want[i] {
+			t.Fatalf("word %d: %x, want %x", i, r.Words[i], want[i])
+		}
+	}
+	held := 0
+	for _, b := range c.senseBufs[:cap(c.senseBufs)] {
+		held += cap(b)
+	}
+	if held > bits/64 {
+		t.Errorf("sensing scratch holds %d words after a 128-operand digital OR, want at most one %d-word row", held, bits/64)
 	}
 }

@@ -138,10 +138,10 @@ type Controller struct {
 	// for it.
 	rowsScratch [][]uint64
 	// senseBufs holds per-pass sensing buffers — the replica passes of a
-	// voted execution, or the digital path's operand reads under an
-	// injector — reused so a steady-state request allocates nothing
-	// row-sized for them. It keeps the largest set a request has needed:
-	// up to one row per operand of a digital OR.
+	// voted execution, or the one row the digital path senses each
+	// operand into under an injector — reused so a steady-state request
+	// allocates nothing row-sized for them. It keeps the largest set a
+	// request has needed: one row per replica of a vote.
 	senseBufs [][]uint64
 	// words is the result buffer behind Result.Words, reused so a
 	// steady-state execution allocates nothing row-sized (see Result.Words
@@ -609,9 +609,9 @@ func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int,
 // produces them: MR4 is programmed and the operand rows sensed — on the
 // intra-subarray path one multi-row activation (senseIntra), on the
 // digital path one single-row read per operand, flipped under an injector
-// and folded by the add-on logic into the global row buffer or the I/O
-// buffer. The counters then tally and dst is programmed. The result lands
-// in the controller's result buffer (Result.Words).
+// (senseDigital) and folded by the add-on logic into the global row buffer
+// or the I/O buffer. The counters then tally and dst is programmed. The
+// result lands in the controller's result buffer (Result.Words).
 func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (*Result, error) {
 	if err := c.mrs.Write(ddr.PIMRegister, uint16(p.mr4)); err != nil {
 		return nil, err
@@ -626,16 +626,10 @@ func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, b
 		}
 	} else {
 		if c.inj != nil {
-			// The digital path senses each operand with an ordinary
-			// single-row read; flips are possible but read-margin rare.
-			reads := c.senseScratch(len(rows), w)
-			for i, r := range rows {
-				copy(reads[i], r)
-				c.inj.FlipSensed(sense.OpRead, 1, bits, reads[i])
-			}
-			rows = reads
+			c.senseDigital(out, op, rows, bits)
+		} else {
+			sense.Combine(out, op, rows)
 		}
-		sense.Combine(out, op, rows)
 		a := srcs[0]
 		buf := c.mem.GlobalBuffer(a.Channel, a.Rank, a.Bank)
 		if p.class == ClassInterBank {
@@ -670,6 +664,27 @@ func (c *Controller) senseIntra(out []uint64, op sense.Op, rows [][]uint64, bits
 		c.inj.FlipSensed(op, n, bits, out)
 	}
 	return nil
+}
+
+// senseDigital is the digital path under an injector. Each operand is
+// sensed with an ordinary single-row read, flipped at the read margin
+// (flips are possible but rare), and folded into out as it arrives, so
+// one sensing row serves any operand count. FlipSensed's draws depend
+// only on bits, never on the words, so they are the draws a fold after
+// the last read would see.
+func (c *Controller) senseDigital(out []uint64, op sense.Op, rows [][]uint64, bits int) {
+	copy(out, rows[0])
+	c.inj.FlipSensed(sense.OpRead, 1, bits, out)
+	if len(rows) == 1 {
+		sense.Combine(out, op, [][]uint64{out}) // READ keeps, INV inverts
+		return
+	}
+	read := c.senseScratch(1, len(out))[0]
+	for _, r := range rows[1:] {
+		copy(read, r)
+		c.inj.FlipSensed(sense.OpRead, 1, bits, read)
+		sense.Combine(out, op, [][]uint64{out, read})
+	}
 }
 
 // store programs a row, routing the write through the wear model: worn rows
