@@ -276,22 +276,30 @@ func TestDriftWidensMarginsReducesFlips(t *testing.T) {
 // rand.New(rand.NewSource(seed)) and reports the first disagreement.
 func sameStream(t *testing.T, what string, got *rand.Rand, seed int64) {
 	t.Helper()
-	sameDraws(t, what, got, rand.New(rand.NewSource(seed)))
+	sameDraws(t, what, 200, got, rand.New(rand.NewSource(seed)))
 }
 
-// sameDraws draws the same mixed sequence from got and want and reports
-// the first disagreement.
-func sameDraws(t *testing.T, what string, got, want *rand.Rand) {
+// sameDraws draws n values of mixed kinds from got and want and reports
+// the first disagreement. Every draw kind the injector makes is in the
+// mix, and the odd Intn bound forces Int31n's rejection loop.
+func sameDraws(t *testing.T, what string, n int, got, want *rand.Rand) {
 	t.Helper()
-	for i := 0; i < 64; i++ {
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("%s: draw %d Int63 %d, fresh source %d", what, i, g, w)
+	for i := 0; i < n; i++ {
+		var g, w any
+		switch i % 5 {
+		case 0:
+			g, w = got.Uint64(), want.Uint64()
+		case 1:
+			g, w = got.Int63(), want.Int63()
+		case 2:
+			g, w = got.Float64(), want.Float64()
+		case 3:
+			g, w = got.Intn(1<<19), want.Intn(1<<19)
+		case 4:
+			g, w = got.Intn(1_000_003), want.Intn(1_000_003)
 		}
-		if g, w := got.Float64(), want.Float64(); g != w {
-			t.Fatalf("%s: draw %d Float64 %v, fresh source %v", what, i, g, w)
-		}
-		if g, w := got.Intn(1000+i), want.Intn(1000+i); g != w {
-			t.Fatalf("%s: draw %d Intn %d, fresh source %d", what, i, g, w)
+		if g != w {
+			t.Fatalf("%s: draw %d %v, fresh source %v", what, i, g, w)
 		}
 	}
 }
@@ -318,7 +326,7 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 	// BeginOp is the Seed stream ...
 	in.rng.Int63()
 	in.Reset()
-	sameDraws(t, "Reset vs fresh injector", in.rng, newPCM(t, cfg).rng)
+	sameDraws(t, "Reset vs fresh injector", 200, in.rng, newPCM(t, cfg).rng)
 
 	// ... and Reset, SetOpSeq(k), BeginOp is substream k+1, whatever the
 	// stream held before.
@@ -333,7 +341,7 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 		if in.OpSeq() != k+1 || fresh.OpSeq() != k+1 {
 			t.Fatalf("SetOpSeq(%d)+BeginOp: OpSeq %d, fresh %d, want %d", k, in.OpSeq(), fresh.OpSeq(), k+1)
 		}
-		sameDraws(t, fmt.Sprintf("substream %d vs fresh injector", k+1), in.rng, fresh.rng)
+		sameDraws(t, fmt.Sprintf("substream %d vs fresh injector", k+1), 200, in.rng, fresh.rng)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,45 +18,19 @@ func sourceSeeds() []int64 {
 	return seeds
 }
 
-// mixedDraws draws n values of mixed kinds from got and want and reports
-// the first disagreement. Every draw kind the injector makes is in the
-// mix, and the odd Intn bound forces Int31n's rejection loop.
-func mixedDraws(t *testing.T, seed int64, n int, got, want *rand.Rand) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		var g, w any
-		switch i % 5 {
-		case 0:
-			g, w = got.Uint64(), want.Uint64()
-		case 1:
-			g, w = got.Int63(), want.Int63()
-		case 2:
-			g, w = got.Float64(), want.Float64()
-		case 3:
-			g, w = got.Intn(1<<19), want.Intn(1<<19)
-		case 4:
-			g, w = got.Intn(1_000_003), want.Intn(1_000_003)
-		}
-		if g != w {
-			t.Fatalf("seed %d draw %d: %v, math/rand %v", seed, i, g, w)
-		}
-	}
-}
-
 // TestSourceMatchesMathRand pins the O(1)-seeded source to math/rand's
 // stream: 5,000 mixed draws per seed wrap the 607-word register several
-// times, and a reseed halfway restarts both streams mid-register.
+// times, and a reseed after them restarts both streams mid-register.
 func TestSourceMatchesMathRand(t *testing.T) {
-	src := newSource(0)
-	got := rand.New(src)
+	got := rand.New(newSource(0))
 	for _, seed := range sourceSeeds() {
 		got.Seed(seed)
 		want := rand.New(rand.NewSource(seed))
-		mixedDraws(t, seed, 2500, got, want)
+		sameDraws(t, fmt.Sprintf("seed %d", seed), 5000, got, want)
 		reseed := ^seed
 		got.Seed(reseed)
 		want.Seed(reseed)
-		mixedDraws(t, reseed, 2500, got, want)
+		sameDraws(t, fmt.Sprintf("seed %d", reseed), 5000, got, want)
 	}
 }
 
@@ -68,7 +43,7 @@ func TestSourceGenerationWrap(t *testing.T) {
 	src.gen = math.MaxUint32
 	for _, seed := range []int64{5, 3} {
 		got.Seed(seed)
-		mixedDraws(t, seed, 5000, got, rand.New(rand.NewSource(seed)))
+		sameDraws(t, fmt.Sprintf("seed %d", seed), 5000, got, rand.New(rand.NewSource(seed)))
 	}
 }
 
@@ -77,6 +52,6 @@ func TestSourceGenerationWrap(t *testing.T) {
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
 		got := rand.New(newSource(seed))
-		mixedDraws(t, seed, int(draws), got, rand.New(rand.NewSource(seed)))
+		sameDraws(t, fmt.Sprintf("seed %d", seed), int(draws), got, rand.New(rand.NewSource(seed)))
 	})
 }
