@@ -125,6 +125,7 @@ func TestFormatAblations(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, s)
 		}
 	}
+	checkGolden(t, "ablation.txt", s)
 }
 
 func TestConcurrencyAblation(t *testing.T) {
@@ -154,7 +155,9 @@ func TestConcurrencyAblation(t *testing.T) {
 			t.Errorf("depth %d saturates at k=%d — no overlap at all?", r.Depth, r.Saturate)
 		}
 	}
-	if s := FormatConcurrency(rows); !strings.Contains(s, "Ablation D") {
+	s := FormatConcurrency(rows)
+	if !strings.Contains(s, "Ablation D") {
 		t.Error("format missing title")
 	}
+	checkGolden(t, "concurrency.txt", s)
 }

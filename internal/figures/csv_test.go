@@ -32,6 +32,7 @@ func TestWriteFig9CSV(t *testing.T) {
 	if recs[0][0] != "len_log2" || len(recs[1]) != 4 {
 		t.Errorf("header/shape wrong: %v", recs[0])
 	}
+	checkGolden(t, "fig9.csv", sb.String())
 }
 
 func TestWriteComparisonCSV(t *testing.T) {
@@ -47,15 +48,17 @@ func TestWriteComparisonCSV(t *testing.T) {
 	if recs[0][2] != "S-DRAM" || recs[0][5] != "Pinatubo-128" {
 		t.Errorf("header %v", recs[0])
 	}
+	checkGolden(t, "fig10.csv", sb.String())
+	sb.Reset()
+	if err := WriteComparisonCSV(&sb, fig11(t)); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig11.csv", sb.String())
 }
 
 func TestWriteFig12CSV(t *testing.T) {
-	rows, err := Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sb strings.Builder
-	if err := WriteFig12CSV(&sb, rows); err != nil {
+	if err := WriteFig12CSV(&sb, fig12(t)); err != nil {
 		t.Fatal(err)
 	}
 	recs := parseCSV(t, sb.String())
@@ -65,6 +68,7 @@ func TestWriteFig12CSV(t *testing.T) {
 	if recs[0][len(recs[0])-1] != "Ideal" {
 		t.Errorf("header %v", recs[0])
 	}
+	checkGolden(t, "fig12.csv", sb.String())
 }
 
 func TestWriteFig13CSV(t *testing.T) {

@@ -41,6 +41,7 @@ func TestExtendedWorkloads(t *testing.T) {
 	if !strings.Contains(s, "kmers") || !strings.Contains(s, "segmentation") {
 		t.Error("format incomplete")
 	}
+	checkGolden(t, "extended.txt", s)
 }
 
 func TestExtendedTracesValid(t *testing.T) {

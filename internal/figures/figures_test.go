@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,7 +11,21 @@ import (
 )
 
 // The figure tests assert the paper's qualitative claims — who wins, where
-// the crossovers fall — not absolute values (EXPERIMENTS.md records those).
+// the crossovers fall. The engine-priced figures' text and CSV are also
+// pinned byte for byte against testdata (checkGolden), so a change to how
+// an op is priced that moves a printed digit fails here.
+
+// checkGolden compares got with the file testdata/name byte for byte.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from testdata/%s\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
 
 func fig9Map(t *testing.T) map[[2]int]Fig9Row {
 	t.Helper()
@@ -90,11 +106,13 @@ func TestFig9Format(t *testing.T) {
 	if !strings.Contains(s, "2^19") || !strings.Contains(s, "128") {
 		t.Errorf("formatted table incomplete:\n%s", s)
 	}
+	checkGolden(t, "fig9.txt", s)
 }
 
-// fig10and11 runs the expensive comparison once for all dependent tests.
+// figCache runs each expensive comparison once for all dependent tests.
 var figCache struct {
 	f10, f11 []ComparisonRow
+	f12      []Fig12Row
 }
 
 func fig10(t *testing.T) []ComparisonRow {
@@ -119,6 +137,18 @@ func fig11(t *testing.T) []ComparisonRow {
 		figCache.f11 = rows
 	}
 	return figCache.f11
+}
+
+func fig12(t *testing.T) []Fig12Row {
+	t.Helper()
+	if figCache.f12 == nil {
+		rows, err := Fig12()
+		if err != nil {
+			t.Fatal(err)
+		}
+		figCache.f12 = rows
+	}
+	return figCache.f12
 }
 
 func TestFig10Shape(t *testing.T) {
@@ -227,17 +257,16 @@ func TestFig11AllSave(t *testing.T) {
 }
 
 func TestComparisonFormat(t *testing.T) {
-	s := FormatComparison("title", fig10(t))
+	s := FormatComparison("Fig. 10 — bitwise-operation speedup vs SIMD baseline", fig10(t))
 	if !strings.Contains(s, "gmean") || !strings.Contains(s, "Pinatubo-128") {
 		t.Errorf("format incomplete:\n%s", s)
 	}
+	checkGolden(t, "fig10.txt", s)
+	checkGolden(t, "fig11.txt", FormatComparison("Fig. 11 — bitwise-operation energy saving vs SIMD baseline", fig11(t)))
 }
 
 func TestFig12Shape(t *testing.T) {
-	rows, err := Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := fig12(t)
 	if len(rows) != 6 {
 		t.Fatalf("%d app workloads, want 6", len(rows))
 	}
@@ -282,10 +311,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig12Gmeans(t *testing.T) {
-	rows, err := Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := fig12(t)
 	sp := Fig12Gmeans(rows, "Graph", false)
 	if sp["Pinatubo-128"] < 1.05 || sp["Pinatubo-128"] > 1.4 {
 		t.Errorf("graph gmean speedup %.3f outside paper band (1.15x)", sp["Pinatubo-128"])
@@ -294,9 +320,11 @@ func TestFig12Gmeans(t *testing.T) {
 	if en["Pinatubo-128"] < 1.05 {
 		t.Errorf("overall energy gmean %.3f below paper band (~1.11x)", en["Pinatubo-128"])
 	}
-	if s := FormatFig12(rows); !strings.Contains(s, "Ideal") {
+	s := FormatFig12(rows)
+	if !strings.Contains(s, "Ideal") {
 		t.Error("Fig12 format missing Ideal column")
 	}
+	checkGolden(t, "fig12.txt", s)
 }
 
 func TestFig13MatchesPaper(t *testing.T) {
