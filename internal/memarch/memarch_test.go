@@ -239,6 +239,40 @@ func TestMemoryLazyMaterialisation(t *testing.T) {
 	}
 }
 
+// TestPeekRowDoesNotMaterialise pins PeekRow's read of a never-written
+// row: zeros, with no backing allocated, and a write to one row leaves
+// every other never-written row reading zero.
+func TestPeekRowDoesNotMaterialise(t *testing.T) {
+	m := newMem(t)
+	a, b := RowAddr{Row: 4}, RowAddr{Subarray: 2, Row: 9}
+	allZero := func(words []uint64) bool {
+		for _, w := range words {
+			if w != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if got := m.PeekRow(a); len(got) != m.Geometry().RowWords() || !allZero(got) {
+		t.Fatalf("never-written row peeks %d words, all zero %v", len(got), allZero(got))
+	}
+	if m.MaterializedRows() != 0 {
+		t.Fatalf("PeekRow materialised %d rows", m.MaterializedRows())
+	}
+	if err := m.WriteRow(a, []uint64{^uint64(0), 5}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.PeekRow(a); got[0] != ^uint64(0) || got[1] != 5 {
+		t.Errorf("written row peeks %v", got[:2])
+	}
+	if !allZero(m.PeekRow(b)) {
+		t.Error("a write to one row reached another never-written row")
+	}
+	if m.MaterializedRows() != 1 {
+		t.Errorf("materialised %d rows, want 1", m.MaterializedRows())
+	}
+}
+
 func TestMemoryCounters(t *testing.T) {
 	m := newMem(t)
 	m.ReadRow(RowAddr{})

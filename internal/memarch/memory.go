@@ -46,6 +46,9 @@ type Memory struct {
 	// freeRows recycles zeroed row storage from Reset, so a pooled shard
 	// memory re-materialises its working set without fresh allocations.
 	freeRows [][]uint64
+	// zero is the one all-zeros row PeekRow returns for every row never
+	// materialised; nothing ever writes it.
+	zero []uint64
 }
 
 // row is one materialised row.
@@ -190,10 +193,18 @@ func (m *Memory) Reset() {
 // slice is read-only outside this package — for a borrowed row it is the
 // lender's backing: mutate rows through WriteRow, CopyRow or MutableRow,
 // which keep the row's extent and copy a borrowed row before its first
-// write (pinlint's rowwrite analyzer enforces this).
+// write (pinlint's rowwrite analyzer enforces this). A never-written row
+// is not materialised: it reads as one zero row the memory shares among
+// all of them, so a slice peeked before the row's first write does not
+// follow that write. Peek again after writing.
 func (m *Memory) PeekRow(addr RowAddr) []uint64 {
-	_, r := m.row(addr)
-	return r.words
+	if r, ok := m.rows[m.geo.Encode(addr)]; ok {
+		return r.words
+	}
+	if m.zero == nil {
+		m.zero = make([]uint64, m.geo.RowWords())
+	}
+	return m.zero
 }
 
 // ReadRow returns a copy of the row's words.
