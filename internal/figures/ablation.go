@@ -10,6 +10,7 @@ import (
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/pim"
+	"pinatubo/internal/pimrt"
 	"pinatubo/internal/sense"
 	"pinatubo/internal/workload"
 )
@@ -46,7 +47,7 @@ func DepthAblation() ([]DepthAblationRow, error) {
 	}
 	var out []DepthAblationRow
 	for _, depth := range []int{2, 4, 8, 16, 32, 64, 128} {
-		eng, err := pim.NewEngine(nvm.PCM, depth)
+		eng, err := pimrt.NewEngine(nvm.PCM, depth)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +87,7 @@ func MuxAblation() ([]MuxAblationRow, error) {
 	for _, mux := range []int{8, 16, 32, 64} {
 		geo := memarch.Default()
 		geo.MuxRatio = mux
-		eng, err := pim.NewEngineWithGeometry(nvm.PCM, 128, geo)
+		eng, err := pimrt.NewEngineWithGeometry(nvm.PCM, 128, geo)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +142,7 @@ func TechAblation() ([]TechAblationRow, error) {
 	}
 	var out []TechAblationRow
 	for _, p := range nvm.All() {
-		eng, err := pim.NewEngine(p.Tech, 128) // clamped to the tech's limit
+		eng, err := pimrt.NewEngine(p.Tech, 128) // clamped to the tech's limit
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,7 @@ import (
 	"pinatubo/internal/area"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
-	"pinatubo/internal/pim"
+	"pinatubo/internal/pimrt"
 	"pinatubo/internal/sense"
 	"pinatubo/internal/workload"
 )
@@ -34,7 +34,7 @@ func Fig9() ([]Fig9Row, error) { return Fig9Tech(nvm.PCM) }
 // whole sweep at its 2-row cap, so its curves collapse onto one line —
 // the visual form of the paper's technology argument).
 func Fig9Tech(tech nvm.Tech) ([]Fig9Row, error) {
-	eng, err := pim.NewEngine(tech, 128)
+	eng, err := pimrt.NewEngine(tech, 128)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"pinatubo/internal/graph"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
-	"pinatubo/internal/pim"
 	"pinatubo/internal/pimrt"
 	"pinatubo/internal/workload"
 )
@@ -205,11 +204,11 @@ func Engines() (*EngineSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	p2, err := pim.NewEngine(nvm.PCM, 2)
+	p2, err := pimrt.NewEngine(nvm.PCM, 2)
 	if err != nil {
 		return nil, err
 	}
-	p128, err := pim.NewEngine(nvm.PCM, 128)
+	p128, err := pimrt.NewEngine(nvm.PCM, 128)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,10 @@
-package pim
+package pimrt
 
 import (
 	"testing"
 
 	"pinatubo/internal/nvm"
+	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
 	"pinatubo/internal/workload"
 )
@@ -147,7 +148,7 @@ func TestLongVectorBatchesOverRankRows(t *testing.T) {
 func TestDeepChunkedInterOR(t *testing.T) {
 	// More operands than the inter request cap must still price (chunked).
 	e := newEngine(t, 128)
-	spec := workload.OpSpec{Op: sense.OpOR, Operands: InterORLimit + 10, Bits: 4096, Placement: workload.PlaceInterSub}
+	spec := workload.OpSpec{Op: sense.OpOR, Operands: pim.InterORLimit + 10, Bits: 4096, Placement: workload.PlaceInterSub}
 	c, err := e.OpCost(spec)
 	if err != nil {
 		t.Fatal(err)
