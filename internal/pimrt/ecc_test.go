@@ -40,12 +40,10 @@ func newECCSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Schedule
 			t.Fatal(err)
 		}
 	}
-	res := DefaultResilience()
-	res.ECC = true
 	s := &Scheduler{
 		Ctl:     ctl,
 		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
-		Res:     res,
+		Res:     &Resilience{ECC: true},
 	}
 	return s, ctl
 }
@@ -98,11 +96,10 @@ func TestECCVerifyCheapOnCleanHardware(t *testing.T) {
 	}
 
 	plain, _ := run(func(s *Scheduler) {})
-	readback, rbStats := run(func(s *Scheduler) { s.Res = DefaultResilience() })
+	readback, rbStats := run(func(s *Scheduler) { s.Res = &Resilience{} })
 	eccTime, eccStats := run(func(s *Scheduler) {
 		s.Ctl.EnableECC(ecc.Default())
-		s.Res = DefaultResilience()
-		s.Res.ECC = true
+		s.Res = &Resilience{ECC: true}
 	})
 
 	if rbStats[ledger.Verifies] == 0 || rbStats[ledger.EccDecodes] != 0 {

@@ -42,35 +42,25 @@ var ErrResilienceExhausted = errors.New("pimrt: resilience ladder exhausted with
 // so callers can distinguish "ECC gave up" from plain ladder exhaustion.
 var ErrUncorrectable = errors.New("pimrt: detected-uncorrectable ECC syndrome")
 
-// Resilience configures the scheduler's verify-and-retry policy.
+// MaxRetries bounds the re-executions attempted on each rung of the
+// ladder before it degrades to the next one. The System's verified host
+// reads and writes retry as often.
+const MaxRetries = 3
+
+// minDepth floors the exponential depth reduction of rung 2: a 2-row OR is
+// the shallowest the hardware has.
+const minDepth = 2
+
+// Resilience configures the scheduler's verify-and-retry policy. Every
+// rung of the ladder is always on; the policy only picks how a request
+// is verified first.
 type Resilience struct {
-	// MaxRetries bounds the re-executions attempted on each rung of the
-	// ladder before degrading to the next one.
-	MaxRetries int
-	// MinDepth floors the exponential depth reduction of rung 2 (at least
-	// 2 — a 2-row OR is the shallowest the hardware has).
-	MinDepth int
-	// HostFallback enables the final CPU rung.
-	HostFallback bool
 	// ECC verifies through the controller's in-array SECDED path instead of
 	// leading with read-back: syndrome decode on the program-verify sense,
 	// single-bit errors fixed in place, and only detected-uncorrectable
 	// syndromes fall into the read-back degradation ladder. Requires the
 	// controller to have a codec attached (pim.Controller.EnableECC).
 	ECC bool
-}
-
-// DefaultResilience returns the policy used when faults are enabled without
-// explicit tuning: 3 retries per rung, depth floor 2, host fallback on.
-func DefaultResilience() *Resilience {
-	return &Resilience{MaxRetries: 3, MinDepth: 2, HostFallback: true}
-}
-
-func (s *Scheduler) minDepth() int {
-	if s.Res.MinDepth >= 2 {
-		return s.Res.MinDepth
-	}
-	return 2
 }
 
 // Reset empties the last result (keeping only its program buffer's
@@ -232,8 +222,8 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 	// Rung 2 — exponential depth reduction: a failing intra-subarray
 	// multi-row OR re-executes as a chain of shallower ORs whose sensing
 	// margins are wider.
-	if op == sense.OpOR && len(srcs) > s.minDepth() && memarch.SameSubarray(srcs...) {
-		for depth := len(srcs) / 2; depth >= s.minDepth(); depth /= 2 {
+	if op == sense.OpOR && len(srcs) > minDepth && memarch.SameSubarray(srcs...) {
+		for depth := len(srcs) / 2; depth >= minDepth; depth /= 2 {
 			s.Ctl.Ledger().Count[ledger.DepthReductions]++
 			res.noteDegraded(DegradedDepthSplit)
 			ok, err := s.chunked(srcs, bits, target, restore, depth, res, dirty)
@@ -251,15 +241,9 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 		return ok, err
 	}
 	// Rung 4 — the host CPU.
-	if s.Res.HostFallback {
-		s.Ctl.Ledger().Count[ledger.HostFallbacks]++
-		res.noteDegraded(DegradedHost)
-		ok, err = s.hostAttempt(srcs, bits, target, golden, res)
-		if err != nil || ok {
-			return ok, err
-		}
-	}
-	return false, nil
+	s.Ctl.Ledger().Count[ledger.HostFallbacks]++
+	res.noteDegraded(DegradedHost)
+	return s.hostAttempt(srcs, bits, target, golden, res)
 }
 
 // eccAttempt is the SECDED rung: execute once (reissuing transient
@@ -268,7 +252,7 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 // Single-bit errors are repaired in place and the request completes without
 // ever reading the row back; anything SECDED cannot fix escalates.
 func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, dirty *bool) (bool, error) {
-	for try := 0; try <= s.Res.MaxRetries; try++ {
+	for try := 0; try <= MaxRetries; try++ {
 		if try > 0 {
 			s.Ctl.Ledger().Count[ledger.Retries]++
 			res.Retries++
@@ -316,7 +300,7 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 // forced digital path), verify against golden, retire the destination on
 // evidence of cell damage. It reports whether a verified result landed.
 func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, digital bool, dirty *bool) (bool, error) {
-	for try := 0; try <= s.Res.MaxRetries; try++ {
+	for try := 0; try <= MaxRetries; try++ {
 		if try > 0 {
 			s.Ctl.Ledger().Count[ledger.Retries]++
 			res.Retries++
@@ -422,7 +406,7 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 		}
 		res.record(r)
 	}
-	for try := 0; try <= s.Res.MaxRetries; try++ {
+	for try := 0; try <= MaxRetries; try++ {
 		if try > 0 {
 			s.Ctl.Ledger().Count[ledger.Retries]++
 			res.Retries++

@@ -37,7 +37,7 @@ func newResilientSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Sc
 	s := &Scheduler{
 		Ctl:     ctl,
 		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
-		Res:     DefaultResilience(),
+		Res:     &Resilience{},
 	}
 	return s, ctl
 }

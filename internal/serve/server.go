@@ -25,8 +25,6 @@ type Config struct {
 	// becomes the live System's saturation point for deep ORs — the
 	// concurrency past which more in-flight ops stop paying.
 	WindowCap int
-	// PlanProbe is the concurrency the sizing plan explores (default 16).
-	PlanProbe int
 	// ReplanEvery re-derives WindowCap from a fresh Plan every N windows
 	// (0 keeps the startup cap; only used when WindowCap was auto-sized).
 	ReplanEvery int64
@@ -48,7 +46,6 @@ type Server struct {
 	arb         pinatubo.Arbiter
 	windowCap   int
 	autoCap     bool
-	planProbe   int
 	replanEvery int64
 	queueLimit  int
 
@@ -81,15 +78,11 @@ func New(cfg Config) (*Server, error) {
 		sys:         cfg.System,
 		arb:         cfg.Arb,
 		windowCap:   cfg.WindowCap,
-		planProbe:   cfg.PlanProbe,
 		replanEvery: cfg.ReplanEvery,
 		queueLimit:  cfg.QueueLimit,
 		reqCh:       make(chan envelope, 256),
 		now:         time.Now,
 		tenants:     make(map[string]*tenant),
-	}
-	if s.planProbe < 1 {
-		s.planProbe = 16
 	}
 	if s.windowCap < 1 {
 		s.autoCap = true
@@ -108,11 +101,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// planProbe is the concurrency the window-sizing plan explores.
+const planProbe = 16
+
 // planCap asks the live System's planner for the deep-OR saturation
 // point. Plan runs entirely on sandboxes, so sizing never disturbs the
 // simulator's state — the server can re-plan between windows.
 func (s *Server) planCap() (int, error) {
-	rep, err := s.sys.Plan(pinatubo.OpOr, s.planProbe, 0, pinatubo.WithArbiter(s.arb))
+	rep, err := s.sys.Plan(pinatubo.OpOr, planProbe, 0, pinatubo.WithArbiter(s.arb))
 	if err != nil {
 		return 0, fmt.Errorf("serve: sizing window: %w", err)
 	}

@@ -208,14 +208,6 @@ type ResilienceConfig struct {
 	// it with any other mode is a configuration error.
 	ECCWordBits int
 
-	// MaxRetries bounds re-executions per ladder rung (0 = default 3).
-	MaxRetries int
-	// MinSplitDepth floors the depth-reduction rung (0 = default 2).
-	MinSplitDepth int
-	// DisableHostFallback removes the final CPU rung; exhausting the
-	// ladder then returns an error instead.
-	DisableHostFallback bool
-
 	// Replicate enables the proactive replication + majority-vote rung:
 	// every allocated row gets Replicate-1 extra copies in its subarray,
 	// intra-subarray operations activate and sense each copy set in turn,
@@ -429,18 +421,7 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	if mode == VerifyReadback || mode == VerifyECC {
-		res := pimrt.DefaultResilience()
-		if cfg.Resilience.MaxRetries > 0 {
-			res.MaxRetries = cfg.Resilience.MaxRetries
-		}
-		if cfg.Resilience.MinSplitDepth > 0 {
-			res.MinDepth = cfg.Resilience.MinSplitDepth
-		}
-		if cfg.Resilience.DisableHostFallback {
-			res.HostFallback = false
-		}
-		res.ECC = mode == VerifyECC
-		s.sched.Res = res
+		s.sched.Res = &pimrt.Resilience{ECC: mode == VerifyECC}
 		s.sched.Remap = s.remapRow
 		s.sched.Release = s.alloc.Free
 		if cfg.Resilience.Replicate != 0 {
@@ -975,7 +956,7 @@ func (s *System) writeRow(addr *memarch.RowAddr, chunk []uint64, bitsHere int) (
 			return seconds, joules, nil
 		}
 		s.led.Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
-		if try >= s.sched.Res.MaxRetries {
+		if try >= pimrt.MaxRetries {
 			return seconds, joules, fmt.Errorf("pinatubo: writing row %v: %w",
 				*addr, ErrResilienceExhausted)
 		}
@@ -1014,7 +995,7 @@ func (s *System) writeRowECC(addr *memarch.RowAddr, chunk, golden []uint64, bits
 			return seconds, joules, nil
 		}
 		s.led.Count[ledger.EccUncorrectables]++
-		if try >= s.sched.Res.MaxRetries {
+		if try >= pimrt.MaxRetries {
 			return seconds, joules, fmt.Errorf("pinatubo: writing row %v: %w (%w)",
 				*addr, ErrResilienceExhausted, ErrUncorrectable)
 		}
@@ -1115,7 +1096,7 @@ func (s *System) readRow(addr memarch.RowAddr, bitsHere int) ([]uint64, float64,
 		s.led.Count[ledger.Verifies]++
 		if !bitvec.EqualWords(r.Words, stored, bitsHere) {
 			s.led.Count[ledger.BitsCorrected] += int64(bitvec.DiffCount(r.Words, stored, bitsHere))
-			if try >= s.sched.Res.MaxRetries {
+			if try >= pimrt.MaxRetries {
 				return nil, seconds, joules, fmt.Errorf("pinatubo: reading row %v: %w",
 					addr, ErrResilienceExhausted)
 			}
