@@ -6,9 +6,8 @@
 // cap. What voting buys is statistical: a per-bit misresolve of
 // probability p survives the vote only if at least ⌈R/2⌉ of the R
 // independent sensing steps misresolve the same bit, a binomial tail that
-// collapses p ≈ 1e-3 to ≈ 3e-6 for R = 3. This file prices that as an
-// *effective* margin so the fault injector and the figures can compare
-// replication against depth-splitting in the same currency.
+// collapses p ≈ 1e-3 to ≈ 3e-6 for R = 3. MajorityErrProb computes that
+// tail.
 package analog
 
 import (
@@ -56,36 +55,4 @@ func binomialPMF(n, k int, p float64) float64 {
 		c *= float64(n-i) / float64(i+1)
 	}
 	return c * math.Pow(p, float64(k)) * math.Pow(1-p, float64(n-k))
-}
-
-// VotedEffectiveMargin converts a raw sensing margin m into the margin a
-// single sensing step would need to match the voted error rate. The fault
-// injector maps margin to flip probability as p = exp(-(m-tol)/tol) times
-// the base rate; inverting that map on the voted tail probability gives
-//
-//	m_eff = tol·(1 − ln(MajorityErrProb(exp(−(m−tol)/tol), r)))
-//
-// so a 128-row PCM OR sitting near the margin floor reads as if it had
-// several offset tolerances of headroom once triple-voted. With r == 0 the
-// margin is returned unchanged. Margins at or below the floor clamp to the
-// floor before inversion (the injector saturates there too). Panics on an
-// invalid replication factor, like MajorityErrProb.
-func VotedEffectiveMargin(cfg SenseConfig, m float64, r int) float64 {
-	if !ValidReplication(r) {
-		panic(fmt.Sprintf("analog: invalid replication factor %d", r))
-	}
-	if r == 0 {
-		return m
-	}
-	tol := cfg.OffsetTol
-	x := m
-	if x < tol {
-		x = tol
-	}
-	p := math.Exp(-(x - tol) / tol)
-	pv := MajorityErrProb(p, r)
-	if pv <= 0 {
-		return math.Inf(1)
-	}
-	return tol * (1 - math.Log(pv))
 }

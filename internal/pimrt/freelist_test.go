@@ -183,7 +183,7 @@ func TestFreeListMatchesSetModel(t *testing.T) {
 // free list allocates only its result slice: taking the list's prefix and
 // putting rows back within its capacity allocate nothing.
 func TestAllocRowsFromFreeListAllocs(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	rows, err := a.AllocRows(8)
 	if err != nil {
 		t.Fatal(err)

@@ -41,22 +41,12 @@ type Allocator struct {
 	tail int
 }
 
-// NewAllocator builds an allocator over the whole memory. When
-// reserveScratch is true, the last row of every subarray is never handed
-// out — the driver library keeps it as the scheduler's partial-result row
-// (ScratchRow returns it).
-func NewAllocator(geo memarch.Geometry, reserveScratch bool) (*Allocator, error) {
-	tail := 0
-	if reserveScratch {
-		tail = 1
-	}
-	return NewAllocatorTail(geo, tail)
-}
-
-// NewAllocatorTail builds an allocator that keeps the last tail rows of
-// every subarray out of circulation. The System sizes the tail as one
-// scratch row plus the backend's reserved compute rows, so a backend that
-// claims designated rows (the DRAM TRA group) can never collide with data.
+// NewAllocatorTail builds an allocator over the whole memory that keeps
+// the last tail rows of every subarray out of circulation. The System
+// sizes the tail as one scratch row (the scheduler's partial-result row,
+// which ScratchRow returns) plus the backend's reserved compute rows, so
+// a backend that claims designated rows (the DRAM TRA group) can never
+// collide with data.
 func NewAllocatorTail(geo memarch.Geometry, tail int) (*Allocator, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -251,7 +241,7 @@ func (a *Allocator) Retire(r memarch.RowAddr) {
 	}
 }
 
-// Reset restores the allocator to its NewAllocator state: the frontier
+// Reset restores the allocator to its NewAllocatorTail state: the frontier
 // rewinds and free/retired sets empty, so a pooled shard sandbox hands out
 // exactly the row sequence a fresh allocator would.
 func (a *Allocator) Reset() {

@@ -14,9 +14,9 @@ import (
 	"pinatubo/internal/workload"
 )
 
-func newAlloc(t *testing.T, scratch bool) *Allocator {
+func newAlloc(t *testing.T, tail int) *Allocator {
 	t.Helper()
-	a, err := NewAllocator(memarch.Default(), scratch)
+	a, err := NewAllocatorTail(memarch.Default(), tail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func newAlloc(t *testing.T, scratch bool) *Allocator {
 }
 
 func TestAllocSequentialSharesSubarray(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	rows, err := a.AllocRows(100)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestAllocSequentialSharesSubarray(t *testing.T) {
 }
 
 func TestAllocNeverHandsOutScratch(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	geo := memarch.Default()
 	rows, err := a.AllocRows(3 * geo.RowsPerSubarray)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestAllocNeverHandsOutScratch(t *testing.T) {
 }
 
 func TestAllocWithoutScratchUsesAllRows(t *testing.T) {
-	a := newAlloc(t, false)
+	a := newAlloc(t, 0)
 	geo := memarch.Default()
 	rows, err := a.AllocRows(geo.RowsPerSubarray)
 	if err != nil {
@@ -68,7 +68,7 @@ func TestAllocWithoutScratchUsesAllRows(t *testing.T) {
 }
 
 func TestAllocGroupAffinity(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	// Burn part of a subarray so a big group must skip to the next.
 	if _, err := a.AllocRows(1000); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestAllocGroupAffinity(t *testing.T) {
 // rows are never handed back, and a group no subarray's free rows can
 // hold still comes from the frontier.
 func TestAllocGroupReusesFreedRows(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	per := memarch.Default().RowsPerSubarray
 	usable := per - 1
 	sub0, err := a.AllocGroupRows(usable)
@@ -128,14 +128,14 @@ func TestAllocGroupReusesFreedRows(t *testing.T) {
 }
 
 func TestAllocGroupTooBig(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	if _, err := a.AllocGroupRows(memarch.Default().RowsPerSubarray); err == nil {
 		t.Error("group equal to full subarray should fail with scratch reserved")
 	}
 }
 
 func TestAllocErrors(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	if _, err := a.AllocRows(0); err == nil {
 		t.Error("zero alloc accepted")
 	}
@@ -144,13 +144,13 @@ func TestAllocErrors(t *testing.T) {
 	}
 	bad := memarch.Default()
 	bad.Channels = 0
-	if _, err := NewAllocator(bad, true); err == nil {
+	if _, err := NewAllocatorTail(bad, 1); err == nil {
 		t.Error("bad geometry accepted")
 	}
 }
 
 func TestFreeAndReuse(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	rows, err := a.AllocRows(10)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestOutOfMemory(t *testing.T) {
 	small.BanksPerChip = 1
 	small.SubarraysPerBank = 1
 	small.RowsPerSubarray = 4
-	a, err := NewAllocator(small, true)
+	a, err := NewAllocatorTail(small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

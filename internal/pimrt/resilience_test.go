@@ -396,7 +396,7 @@ func TestChainingBoundaries(t *testing.T) {
 }
 
 func TestRetiredRowsStayOutOfCirculation(t *testing.T) {
-	a := newAlloc(t, true)
+	a := newAlloc(t, 1)
 	rows, err := a.AllocRows(4)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,7 @@ func TestOutOfMemoryWrapsContext(t *testing.T) {
 	small.BanksPerChip = 1
 	small.SubarraysPerBank = 1
 	small.RowsPerSubarray = 4
-	a, err := NewAllocator(small, true)
+	a, err := NewAllocatorTail(small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

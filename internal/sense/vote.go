@@ -14,27 +14,13 @@ import (
 	"pinatubo/internal/analog"
 )
 
-// MajorityWords votes bitwise across the replica outputs and returns the
-// majority words plus the number of bit positions (within the first
-// `bitCount` bits) where the replicas disagreed — every disagreeing
-// position is a sensing error that the vote either fixed or, for a lost
-// majority, kept. len(outs) must be a valid replication factor (odd,
-// 3..7) and all replicas must have equal width covering bitCount.
-func MajorityWords(outs [][]uint64, bitCount int) ([]uint64, int, error) {
-	if len(outs) == 0 {
-		return nil, 0, fmt.Errorf("sense: majority vote needs an odd replica count in 3..7, got 0")
-	}
-	maj := make([]uint64, len(outs[0]))
-	disagree, err := MajorityWordsInto(maj, outs, bitCount)
-	if err != nil {
-		return nil, 0, err
-	}
-	return maj, disagree, nil
-}
-
-// MajorityWordsInto is MajorityWords voting into a caller-owned buffer:
-// dst must hold exactly the replica width, and a steady-state call
-// allocates nothing — the zero-alloc form the voted execution loop uses.
+// MajorityWordsInto votes bitwise across the replica outputs into dst and
+// returns the number of bit positions (within the first `bitCount` bits)
+// where the replicas disagreed — every disagreeing position is a sensing
+// error that the vote either fixed or, for a lost majority, kept.
+// len(outs) must be a valid replication factor (odd, 3..7), all replicas
+// must have equal width covering bitCount, and dst must hold exactly that
+// width. A steady-state call allocates nothing.
 func MajorityWordsInto(dst []uint64, outs [][]uint64, bitCount int) (int, error) {
 	r := len(outs)
 	if !analog.ValidReplication(r) || r == 0 {
