@@ -4,7 +4,8 @@
 // share a subarray), the mapper that turns logical bit-vector IDs into row
 // addresses, and the scheduler that lowers a logical multi-operand request
 // into the per-subarray intra ops plus inter-subarray/bank combines the
-// hardware actually runs.
+// hardware actually runs. The evaluation's Pinatubo engines (Engine) price
+// every request through that same scheduler.
 package pimrt
 
 import (
