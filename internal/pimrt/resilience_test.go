@@ -302,6 +302,51 @@ func TestLadderExhaustsLoudlyWithoutRemap(t *testing.T) {
 	}
 }
 
+// A depth-split link that exhausts its own ladder does not end the
+// request: the split marks the destination dirty and tries the next
+// depth, and only then do the inter and host rungs run. Into a worn
+// destination with no Remap hook every link exhausts, so each nesting
+// level walks every depth and every rung, and the counts pin that walk.
+func TestSplitLinkExhaustionFallsThrough(t *testing.T) {
+	geo := memarch.Default()
+	s, ctl := newResilientSched(t, geo, fault.Config{Seed: 31, WearLimit: 2})
+	bits := geo.RowBits()
+	ones := make([]uint64, bitvec.WordsFor(bits))
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	srcs := make([]memarch.RowAddr, 16)
+	for i := range srcs {
+		srcs[i] = memarch.RowAddr{Subarray: 2, Row: i}
+		if err := ctl.Memory().WriteRow(srcs[i], ones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := memarch.RowAddr{Subarray: 2, Row: 500}
+	preWear(t, ctl, dst, bits, 20)
+
+	_, err := s.Execute(sense.OpOR, srcs, bits, dst)
+	if !errors.Is(err, ErrResilienceExhausted) {
+		t.Fatalf("err=%v, want ErrResilienceExhausted", err)
+	}
+	st := &ctl.Ledger().Count
+	for _, c := range []struct {
+		name string
+		got  int64
+		want int64
+	}{
+		{"DepthReductions", st[ledger.DepthReductions], 7},
+		{"InterFallbacks", st[ledger.InterFallbacks], 8},
+		{"HostFallbacks", st[ledger.HostFallbacks], 8},
+		{"Retries", st[ledger.Retries], 72},
+		{"Verifies", st[ledger.Verifies], 96},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 // Satellite: off-by-one boundaries of the scheduler's chaining, both at the
 // intra one-step depth (MaxORRows) and at the inter combine cap
 // (InterORLimit).
