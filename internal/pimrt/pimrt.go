@@ -4,8 +4,10 @@
 // share a subarray), the mapper that turns logical bit-vector IDs into row
 // addresses, and the scheduler that lowers a logical multi-operand request
 // into the per-subarray intra ops plus inter-subarray/bank combines the
-// hardware actually runs. The evaluation's Pinatubo engines (Engine) price
-// every request through that same scheduler.
+// hardware actually runs. The scheduler also carries the host's row reads
+// and writes (Scheduler.Read, Scheduler.Write), so it is the only code that
+// verifies, retries or retires a row. The evaluation's Pinatubo engines
+// (Engine) price every request through that same scheduler.
 package pimrt
 
 import (
@@ -375,20 +377,21 @@ type Scheduler struct {
 	// resilience ladder (resilience.go).
 	Replicas func(a memarch.RowAddr) []memarch.RowAddr
 
-	// res, partial, groups, srcs, partials and goldens are scheduling
-	// scratch, reused across operations so a steady-state Execute
-	// allocates nothing of its own: res is the result Execute hands out,
-	// partial the target of a per-subarray OR partial, groups, srcs and
-	// partials operand grouping and request assembly, and goldens the
-	// resilience oracle's reference buffers, two per request nesting
-	// level, which level indexes (see golden in resilience.go). A
-	// Scheduler is owned by one System and never called reentrantly, so
-	// plain fields suffice.
+	// res, partial, groups, partials, links and goldens are scheduling
+	// scratch, reused across operations so a steady-state Execute, Write
+	// or Read allocates nothing of its own: res is the result they hand
+	// out, partial the target of a per-subarray OR partial, groups and
+	// partials operand grouping, links the operand buffer of a chained
+	// OR's links, and goldens the resilience oracle's reference buffers.
+	// links has one buffer and goldens two per request nesting level,
+	// which level indexes (see golden in resilience.go). A Scheduler is
+	// owned by one System and never called reentrantly, so plain fields
+	// suffice.
 	res      ScheduleResult
 	partial  memarch.RowAddr
 	groups   [][]memarch.RowAddr
-	srcs     []memarch.RowAddr
 	partials []memarch.RowAddr
+	links    [][]memarch.RowAddr
 	goldens  [][2][]uint64
 	level    int
 }
@@ -400,10 +403,10 @@ func (s *Scheduler) groupBySubarray(rows []memarch.RowAddr) [][]memarch.RowAddr 
 	return s.groups
 }
 
-// ScheduleResult summarises one scheduled logical operation. The
-// scheduler owns it: it stays valid only until the scheduler's next
-// Execute, like pim.Result.Words. A holder that keeps the program longer
-// copies it (cmdstream.Program.Append).
+// ScheduleResult summarises one scheduled logical operation or host row
+// transfer. The scheduler owns it: it stays valid only until the
+// scheduler's next Execute, Write or Read, like pim.Result.Words. A holder
+// that keeps the program longer copies it (cmdstream.Program.Append).
 type ScheduleResult struct {
 	Requests int
 	Cost     workload.Cost
@@ -411,8 +414,8 @@ type ScheduleResult struct {
 	// verified golden reference, in a buffer the scheduler owns and
 	// reuses from its next Execute on. With resilience off it is the
 	// final request's controller words, valid only until the
-	// controller's next execution (pim.Result.Words). Copy them to keep
-	// them longer.
+	// controller's next execution (pim.Result.Words). A Read's words are
+	// always the sensed controller words. Copy them to keep them longer.
 	Words []uint64
 
 	// Program is the operation's lowered cmdstream program: everything it
@@ -455,9 +458,7 @@ func (res *ScheduleResult) finalize() {
 // row was retired. The result is the scheduler's own and is overwritten
 // by the next Execute.
 func (s *Scheduler) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst memarch.RowAddr) (*ScheduleResult, error) {
-	res := &s.res
-	res.Program.Reset()
-	*res = ScheduleResult{Program: res.Program, FinalDst: dst}
+	res := s.begin(dst)
 	var err error
 	switch {
 	case op != sense.OpOR:
@@ -477,6 +478,14 @@ func (s *Scheduler) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst m
 	return res, nil
 }
 
+// begin empties the scheduler's result for an operation into dst, keeping
+// only its program buffer's capacity.
+func (s *Scheduler) begin(dst memarch.RowAddr) *ScheduleResult {
+	s.res.Program.Reset()
+	s.res = ScheduleResult{Program: s.res.Program, FinalDst: dst}
+	return &s.res
+}
+
 // or executes the logical OR of two or more operand rows into
 // res.FinalDst.
 func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) error {
@@ -484,7 +493,8 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 	groups := s.groupBySubarray(rows)
 	if len(groups) == 1 {
 		// Collapse the group inside its subarray, chaining at the depth.
-		return s.chainedOR(rows, bits, &res.FinalDst, depth, res)
+		_, err := s.chainedOR(rows, bits, &res.FinalDst, nil, depth, res)
+		return err
 	}
 	partials := s.partials[:0]
 	var borrowed []memarch.RowAddr
@@ -495,7 +505,7 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 		}
 		s.partial = s.Scratch(g[0])
 		orig := s.partial
-		if err := s.chainedOR(g, bits, &s.partial, depth, res); err != nil {
+		if _, err := s.chainedOR(g, bits, &s.partial, nil, depth, res); err != nil {
 			return err
 		}
 		if s.partial != orig {
@@ -508,7 +518,7 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 	// Combine partials across subarrays/banks. The partials necessarily
 	// live in distinct subarrays, so this is one inter request (chunked at
 	// the request cap when enormous).
-	if err := s.chainedOR(partials, bits, &res.FinalDst, pim.InterORLimit, res); err != nil {
+	if _, err := s.chainedOR(partials, bits, &res.FinalDst, nil, pim.InterORLimit, res); err != nil {
 		return err
 	}
 	s.partials = partials[:0]
@@ -519,41 +529,42 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 }
 
 // chainedOR folds rows into *target with requests of at most depth
-// operands. Every link goes through request, so with resilience enabled
-// each one is verified before the next consumes the accumulator; the
-// verified words double as the restore checkpoint for the following link.
-// Those are golden buffers the scheduler owns, so they survive the next
-// link's execution, and golden computes that link's own reference into
-// the level's other buffer; with resilience off request hands back
-// controller words that the next link overwrites, but restore is then
-// never read.
-func (s *Scheduler) chainedOR(rows []memarch.RowAddr, bits int, target *memarch.RowAddr, depth int, res *ScheduleResult) error {
-	take := len(rows)
-	if take > depth {
-		take = depth
+// operands and returns the last link's words. It is the scheduler's one
+// way to split an OR: or chains at the controller's depth and at the
+// inter cap, and the ladder's depth split re-runs a failing request
+// through it at shallower depths. With acc nil the first link ORs only
+// rows; every later link, and with acc non-nil every link, is headed by
+// *target and restores it from the words before it, acc for the first.
+// Every link goes through request, so with resilience enabled each one is
+// verified before the next consumes the accumulator. Its verified words
+// are golden buffers the scheduler owns, so they survive the next link's
+// execution, and golden computes that link's own reference into the
+// level's other buffer; with resilience off request hands back controller
+// words that the next link overwrites, but restore is then never read.
+// The links are assembled in the level's link buffer: a link's own depth
+// split runs one level down while its operands are still live.
+func (s *Scheduler) chainedOR(rows []memarch.RowAddr, bits int, target *memarch.RowAddr, acc []uint64, depth int, res *ScheduleResult) ([]uint64, error) {
+	for len(s.links) <= s.level {
+		s.links = append(s.links, nil)
 	}
-	srcs := append(s.srcs[:0], rows[:take]...)
-	words, err := s.request(sense.OpOR, srcs, bits, target, nil, res)
-	if err != nil {
-		return err
-	}
-	done := take
-	for done < len(rows) {
-		take = len(rows) - done
-		if take > depth-1 {
-			take = depth - 1
+	level := s.level
+	chained := acc != nil
+	for done := 0; done < len(rows); {
+		srcs := s.links[level][:0]
+		if chained {
+			srcs = append(srcs, *target)
 		}
-		srcs = srcs[:0]
-		srcs = append(srcs, *target)
+		take := min(len(rows)-done, depth-len(srcs))
 		srcs = append(srcs, rows[done:done+take]...)
-		words, err = s.request(sense.OpOR, srcs, bits, target, words, res)
+		s.links[level] = srcs
+		words, err := s.request(sense.OpOR, srcs, bits, target, acc, res)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		acc, chained = words, true
 		done += take
 	}
-	s.srcs = srcs[:0]
-	return nil
+	return acc, nil
 }
 
 // --- logical-ID mapping ---

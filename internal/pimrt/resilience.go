@@ -23,8 +23,10 @@ package pimrt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pinatubo/internal/backend"
+	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
@@ -42,10 +44,10 @@ var ErrResilienceExhausted = errors.New("pimrt: resilience ladder exhausted with
 // so callers can distinguish "ECC gave up" from plain ladder exhaustion.
 var ErrUncorrectable = errors.New("pimrt: detected-uncorrectable ECC syndrome")
 
-// MaxRetries bounds the re-executions attempted on each rung of the
-// ladder before it degrades to the next one. The System's verified host
-// reads and writes retry as often.
-const MaxRetries = 3
+// maxRetries bounds the re-executions attempted on each rung of the
+// ladder before it degrades to the next one. Verified host reads and
+// writes retry as often.
+const maxRetries = 3
 
 // minDepth floors the exponential depth reduction of rung 2: a 2-row OR is
 // the shallowest the hardware has.
@@ -66,10 +68,7 @@ type Resilience struct {
 // Reset empties the last result (keeping only its program buffer's
 // capacity), so a pooled shard sandbox does not keep its last op's
 // commands and result words alive.
-func (s *Scheduler) Reset() {
-	s.res.Program.Reset()
-	s.res = ScheduleResult{Program: s.res.Program}
-}
+func (s *Scheduler) Reset() { s.begin(memarch.RowAddr{}) }
 
 // Degradation rungs reported in ScheduleResult.Degraded (worst one wins).
 const (
@@ -189,16 +188,13 @@ func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 
 // golden computes a request's reference result into a buffer the
 // scheduler owns. Each request nesting level — request → ladder →
-// chunked → request — has two. A request takes the second only when its
-// restore is the first: chainedOR and chunked hand each link the previous
-// link's golden as restore, which a failed attempt may still have to
-// write back after the new reference is computed. The buffers stay valid
-// until the next Execute, as ScheduleResult.Words promises.
+// chainedOR → request — has two. A request takes the second only when
+// its restore is the first: chainedOR hands each link the previous link's
+// golden as restore, which a failed attempt may still have to write back
+// after the new reference is computed. The buffers stay valid until the
+// next Execute, as ScheduleResult.Words promises.
 func (s *Scheduler) golden(op sense.Op, srcs []memarch.RowAddr, bits int, restore []uint64) ([]uint64, error) {
-	if s.level == len(s.goldens) {
-		s.goldens = append(s.goldens, [2][]uint64{})
-	}
-	bufs := &s.goldens[s.level]
+	bufs := s.levelGoldens()
 	i := 0
 	if len(restore) > 0 && len(bufs[0]) > 0 && &restore[0] == &bufs[0][0] {
 		i = 1
@@ -211,6 +207,14 @@ func (s *Scheduler) golden(op sense.Op, srcs []memarch.RowAddr, bits int, restor
 	return g, nil
 }
 
+// levelGoldens returns the current nesting level's two reference buffers.
+func (s *Scheduler) levelGoldens() *[2][]uint64 {
+	for len(s.goldens) <= s.level {
+		s.goldens = append(s.goldens, [2][]uint64{})
+	}
+	return &s.goldens[s.level]
+}
+
 // ladder walks the read-back degradation ladder (rungs 1-4) until a
 // verified result lands in *target. It reports whether one did.
 func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, dirty *bool) (bool, error) {
@@ -221,15 +225,29 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 	}
 	// Rung 2 — exponential depth reduction: a failing intra-subarray
 	// multi-row OR re-executes as a chain of shallower ORs whose sensing
-	// margins are wider.
+	// margins are wider. Every link is itself a fully resilient request
+	// (its own retries, further splits, inter and host rungs).
 	if op == sense.OpOR && len(srcs) > minDepth && memarch.SameSubarray(srcs...) {
+		// A chained request's first operand is its own accumulator, which
+		// restore holds: the split's links carry it at their head instead.
+		rows := srcs
+		if restore != nil {
+			rows = srcs[1:]
+		}
 		for depth := len(srcs) / 2; depth >= minDepth; depth /= 2 {
 			s.Ctl.Ledger().Count[ledger.DepthReductions]++
 			res.noteDegraded(DegradedDepthSplit)
-			ok, err := s.chunked(srcs, bits, target, restore, depth, res, dirty)
-			if err != nil || ok {
-				return ok, err
+			words, err := s.chainedOR(rows, bits, target, restore, depth, res)
+			if err == nil {
+				res.Words = words
+				return true, nil
 			}
+			if !errors.Is(err, ErrResilienceExhausted) {
+				return false, err
+			}
+			// A link exhausted its own ladder and may have left garbage in
+			// *target; shallower links, then the outer rungs, have a go.
+			*dirty = true
 		}
 	}
 	// Rung 3 — the serial digital datapath: single-row sensing only, no
@@ -252,10 +270,9 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 // Single-bit errors are repaired in place and the request completes without
 // ever reading the row back; anything SECDED cannot fix escalates.
 func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, dirty *bool) (bool, error) {
-	for try := 0; try <= MaxRetries; try++ {
+	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			s.Ctl.Ledger().Count[ledger.Retries]++
-			res.Retries++
+			s.noteRetry(res)
 		}
 		if *dirty && restore != nil {
 			if err := s.hostWrite(*target, restore, bits, res); err != nil {
@@ -300,10 +317,9 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 // forced digital path), verify against golden, retire the destination on
 // evidence of cell damage. It reports whether a verified result landed.
 func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, digital bool, dirty *bool) (bool, error) {
-	for try := 0; try <= MaxRetries; try++ {
+	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			s.Ctl.Ledger().Count[ledger.Retries]++
-			res.Retries++
+			s.noteRetry(res)
 		}
 		if *dirty && restore != nil {
 			// The accumulator operand was clobbered by a failed attempt;
@@ -346,55 +362,6 @@ func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 	return false, nil
 }
 
-// chunked re-executes an OR as a chain of at-most-depth-operand links
-// accumulating into *target. Every link is itself a fully resilient request
-// (its own retries, further splits, inter and host rungs).
-func (s *Scheduler) chunked(rows []memarch.RowAddr, bits int, target *memarch.RowAddr, restore []uint64, depth int, res *ScheduleResult, dirty *bool) (bool, error) {
-	ops := rows
-	acc := restore
-	if restore != nil {
-		// The accumulator rides along as the head of every link rather
-		// than as a chain operand.
-		trimmed := make([]memarch.RowAddr, 0, len(rows))
-		for _, r := range rows {
-			if r != *target {
-				trimmed = append(trimmed, r)
-			}
-		}
-		ops = trimmed
-	}
-	done := 0
-	for done < len(ops) {
-		var srcs []memarch.RowAddr
-		var take int
-		if acc == nil {
-			take = len(ops)
-			if take > depth {
-				take = depth
-			}
-			srcs = append([]memarch.RowAddr(nil), ops[:take]...)
-		} else {
-			take = len(ops) - done
-			if take > depth-1 {
-				take = depth - 1
-			}
-			srcs = append([]memarch.RowAddr{*target}, ops[done:done+take]...)
-		}
-		words, err := s.request(sense.OpOR, srcs, bits, target, acc, res)
-		if err != nil {
-			if errors.Is(err, ErrResilienceExhausted) {
-				*dirty = true
-				return false, nil // let the outer rungs have a go
-			}
-			return false, err
-		}
-		acc = words
-		done += take
-	}
-	res.Words = acc
-	return true, nil
-}
-
 // hostAttempt is the last rung: read every operand over the DDR bus,
 // compute on the host, write the verified result back — never wrong, never
 // fast (exactly the bus traffic Pinatubo exists to avoid).
@@ -406,10 +373,9 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 		}
 		res.record(r)
 	}
-	for try := 0; try <= MaxRetries; try++ {
+	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			s.Ctl.Ledger().Count[ledger.Retries]++
-			res.Retries++
+			s.noteRetry(res)
 		}
 		if err := s.hostWrite(*target, golden, bits, res); err != nil {
 			return false, err
@@ -433,6 +399,12 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 	return false, nil
 }
 
+// noteRetry counts one re-execution.
+func (s *Scheduler) noteRetry(res *ScheduleResult) {
+	s.Ctl.Ledger().Count[ledger.Retries]++
+	res.Retries++
+}
+
 // hostWrite programs a row from the host, charging the bus transfer.
 func (s *Scheduler) hostWrite(addr memarch.RowAddr, words []uint64, bits int, res *ScheduleResult) error {
 	r, err := s.Ctl.WriteRowFromHost(addr, words, bits)
@@ -441,6 +413,137 @@ func (s *Scheduler) hostWrite(addr memarch.RowAddr, words []uint64, bits int, re
 	}
 	res.Program.Emit(r.Instr())
 	return nil
+}
+
+// Write programs words, zero-filled to bits, into *target from the host.
+// With resilience off it is one host write. With it on, the stored row is
+// verified against the data: under read-back the write is the ladder's
+// host rung over no operands, whose reference is the data itself; under
+// SECDED the check bits the write stored are decoded (writeECC). A row
+// that will not hold the data is retired through Remap, which moves
+// *target, because data rows must hold true data or every reference built
+// on them is garbage. The result is the scheduler's, as Execute's is.
+func (s *Scheduler) Write(target *memarch.RowAddr, words []uint64, bits int) (*ScheduleResult, error) {
+	res := s.begin(*target)
+	var err error
+	switch {
+	case s.Res == nil:
+		err = s.hostWrite(*target, words, bits, res)
+	case s.Res.ECC:
+		err = s.writeECC(target, s.hostGolden(words, bits), bits, res)
+	default:
+		var ok bool
+		ok, err = s.hostAttempt(nil, bits, target, s.hostGolden(words, bits), res)
+		if err == nil && !ok {
+			err = fmt.Errorf("pimrt: writing row %v: %w", *target, ErrResilienceExhausted)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.FinalDst = *target
+	res.finalize()
+	return res, nil
+}
+
+// hostGolden copies a host write's words, zero-filled to bits, into the
+// level's first reference buffer. Overlong words pass through, for the
+// controller to refuse.
+func (s *Scheduler) hostGolden(words []uint64, bits int) []uint64 {
+	bufs := s.levelGoldens()
+	g := append(bufs[0][:0], words...)
+	if n, w := len(g), bitvec.WordsFor(bits); n < w {
+		g = slices.Grow(g, w-n)[:w]
+		clear(g[n:])
+	}
+	bufs[0] = g
+	return g
+}
+
+// writeECC writes golden into *target and verifies it through the row's
+// SECDED check bits: the syndrome decode rides the final program-verify
+// sense and single stuck bits are repaired in place. An uncorrectable
+// syndrome retires the row before the rewrite, because host writes fail
+// through worn cells, not sense flips, and rewriting the same row would
+// burn it further.
+func (s *Scheduler) writeECC(target *memarch.RowAddr, golden []uint64, bits int, res *ScheduleResult) error {
+	led := &s.Ctl.Ledger().Count
+	for try := 0; try <= maxRetries; try++ {
+		if try > 0 {
+			s.noteRetry(res)
+			s.retireTarget(nil, target)
+		}
+		if err := s.hostWrite(*target, golden, bits, res); err != nil {
+			return err
+		}
+		v, err := s.Ctl.CorrectOrEscalate(*target, bits, golden)
+		if err != nil {
+			return err
+		}
+		led[ledger.EccDecodes]++
+		res.Program.Emit(v.Instr(*target))
+		led[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
+		res.BitsCorrected += int64(v.CorrectedBits)
+		if v.OK {
+			return nil
+		}
+		led[ledger.EccUncorrectables]++
+	}
+	return fmt.Errorf("pimrt: writing row %v: %w (%w)", *target, ErrResilienceExhausted, ErrUncorrectable)
+}
+
+// Read bursts the row at addr to the host. The result's Words are the
+// sensed controller words, valid until the controller's next execution.
+// With resilience on they are checked against the row's true contents,
+// read in place, and the read is reissued on a flip; under SECDED they are
+// corrected through the row's check bits first, so the compare only
+// catches the uncorrectable residue. Plain reads run at the full read
+// margin, so this almost never loops, but a wrong word never escapes.
+func (s *Scheduler) Read(addr memarch.RowAddr, bits int) (*ScheduleResult, error) {
+	res := s.begin(addr)
+	led := &s.Ctl.Ledger().Count
+	for try := 0; ; try++ {
+		if try > 0 {
+			s.noteRetry(res)
+		}
+		r, err := s.Ctl.ReadRow(addr, bits)
+		if err != nil {
+			return nil, err
+		}
+		res.record(r)
+		if s.Res == nil {
+			break
+		}
+		if s.Res.ECC {
+			v, err := s.Ctl.ECCCorrectRead(addr, bits, r.Words)
+			if err != nil {
+				return nil, err
+			}
+			if v.Seconds > 0 { // a decode actually ran (the row was encoded)
+				led[ledger.EccDecodes]++
+			}
+			res.Program.Emit(v.Instr(addr))
+			led[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
+			if v.Uncorrectable {
+				led[ledger.EccUncorrectables]++
+			}
+		}
+		// A read's reference is the stored row itself; the compare masks
+		// the bits past bits.
+		stored := s.Ctl.Memory().PeekRow(addr)
+		led[ledger.Verifies]++
+		if bitvec.EqualWords(r.Words, stored, bits) {
+			break
+		}
+		n := int64(bitvec.DiffCount(r.Words, stored, bits))
+		led[ledger.BitsCorrected] += n
+		res.BitsCorrected += n
+		if try == maxRetries {
+			return nil, fmt.Errorf("pimrt: reading row %v: %w", addr, ErrResilienceExhausted)
+		}
+	}
+	res.finalize()
+	return res, nil
 }
 
 // retireTarget swaps a damaged destination row for a fresh one through the

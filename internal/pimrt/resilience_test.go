@@ -302,6 +302,48 @@ func TestLadderExhaustsLoudlyWithoutRemap(t *testing.T) {
 	}
 }
 
+// A verified host write into a worn row with no Remap hook must fail
+// with the sentinel, under read-back and under SECDED (which also reports
+// the uncorrectable syndrome), not leave a row that silently holds
+// corrupted bits.
+func TestHostWriteExhaustsLoudlyWithoutRemap(t *testing.T) {
+	geo := memarch.Default()
+	fc := fault.Config{Seed: 31, WearLimit: 2}
+	bits := geo.RowBits()
+	ones := make([]uint64, bitvec.WordsFor(bits))
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T, memarch.Geometry, fault.Config) (*Scheduler, *pim.Controller)
+		ecc   bool
+	}{
+		{"readback", newResilientSched, false},
+		{"ecc", newECCSched, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ctl := tc.build(t, geo, fc)
+			dst := memarch.RowAddr{Subarray: 2, Row: 500}
+			preWear(t, ctl, dst, bits, 20)
+			target := dst
+			_, err := s.Write(&target, ones, bits)
+			if !errors.Is(err, ErrResilienceExhausted) {
+				t.Fatalf("err=%v, want ErrResilienceExhausted", err)
+			}
+			if tc.ecc && !errors.Is(err, ErrUncorrectable) {
+				t.Fatalf("err=%v, want ErrUncorrectable too", err)
+			}
+			if target != dst {
+				t.Fatalf("target moved to %v with no Remap hook", target)
+			}
+			if n := ctl.Ledger().Count[ledger.Retries]; n != maxRetries {
+				t.Fatalf("%d retries, want %d", n, maxRetries)
+			}
+		})
+	}
+}
+
 // A depth-split link that exhausts its own ladder does not end the
 // request: the split marks the destination dirty and tries the next
 // depth, and only then do the inter and host rungs run. Into a worn

@@ -609,6 +609,47 @@ func TestVerifiedApplyRowSizedZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestVerifiedWriteRowSizedZeroAllocs pins that a verified host write
+// allocates nothing row-sized: with no faults injected, a warm one-row
+// Write under read-back verification costs the same heap bytes per call
+// at 1 Ki-bit and 16 Ki-bit vectors. The write's reference is its own
+// data, copied into a buffer the scheduler owns; a reference allocated
+// per row would show up as the 1.9 KiB difference in row size.
+func TestVerifiedWriteRowSizedZeroAllocs(t *testing.T) {
+	const runs = 200
+	measure := func(bits int) float64 {
+		cfg := DefaultConfig()
+		cfg.Resilience.Verify = VerifyReadback
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Alloc(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		data := make([]uint64, bits/64)
+		for i := range data {
+			data[i] = rng.Uint64()
+		}
+		b := bytesPerCall(func() {
+			if _, err := s.Write(v, data); err != nil {
+				t.Fatal(err)
+			}
+		}, runs)
+		if f := s.FaultStats(); f.Verifies < runs {
+			t.Fatalf("%d-bit run: %d verifies, want every measured write verified", bits, f.Verifies)
+		}
+		return b
+	}
+	small, big := measure(1<<10), measure(1<<14)
+	t.Logf("bytes/call: %.0f -> %.0f (1 Ki-bit -> 16 Ki-bit)", small, big)
+	if d := big - small; d >= 64 || d <= -64 {
+		t.Errorf("verified Write allocates %.0f B/call at 16 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", big, small)
+	}
+}
+
 // TestCachedApplyRowSizedZeroAllocs pins that a warm cache hit allocates
 // nothing row-sized: a 26-row OR over resident vectors and a popcount,
 // both with verification off, cost the same heap bytes per call at

@@ -261,8 +261,8 @@ type System struct {
 	alloc  *pimrt.Allocator
 	sched  *pimrt.Scheduler
 	// led is the controller's ledger, the one every counter this System
-	// reports lives in: the controller, scheduler and injector count into
-	// it, and so do the host paths and account below.
+	// reports lives in: the controller, scheduler (host reads and writes
+	// included) and injector count into it, and so does account below.
 	led *ledger.Ledger
 
 	// Proactive replication state (nil maps when the rung is inert):
@@ -887,19 +887,19 @@ func (s *System) Write(b *BitVector, words []uint64) (Result, error) {
 			bitsHere = b.bits - i*s.RowBits()
 		}
 		old := b.rows[i]
-		sec, j, err := s.writeRow(&b.rows[i], chunk, bitsHere)
+		res, err := s.sched.Write(&b.rows[i], chunk, bitsHere)
 		if err != nil {
 			return Result{}, err
 		}
-		seconds += sec
-		joules += j
+		seconds += res.Cost.Seconds
+		joules += res.Cost.Joules
 		if b.rows[i] != old {
 			// The write retired and remapped the row: the fresh row has no
 			// replicas, so it simply falls back to unreplicated execution
 			// (verification still guards it).
 			s.dropReplicas(old)
 		}
-		sec, j, err = s.programReplicas(b.rows[i], chunk, bitsHere)
+		sec, j, err := s.programReplicas(b.rows[i], chunk, bitsHere)
 		if err != nil {
 			return Result{}, err
 		}
@@ -924,93 +924,6 @@ func (s *System) programReplicas(primary memarch.RowAddr, chunk []uint64, bitsHe
 		joules += r.Energy.Total()
 	}
 	return seconds, joules, nil
-}
-
-// writeRow programs one row from the host. With resilience on, the stored
-// row is verified against the intended data; stuck cells retire the row to
-// a fresh one (updating *addr — data rows must hold true data, or the
-// runtime's digital reference would be built on garbage).
-func (s *System) writeRow(addr *memarch.RowAddr, chunk []uint64, bitsHere int) (float64, float64, error) {
-	r, err := s.ctl.WriteRowFromHost(*addr, chunk, bitsHere)
-	if err != nil {
-		return 0, 0, err
-	}
-	seconds, joules := r.Seconds, r.Energy.Total()
-	if s.sched.Res == nil {
-		return seconds, joules, nil
-	}
-	golden := make([]uint64, bitvec.WordsFor(bitsHere))
-	copy(golden, chunk)
-	if s.verify == VerifyECC {
-		return s.writeRowECC(addr, chunk, golden, bitsHere, seconds, joules)
-	}
-	for try := 0; ; try++ {
-		v, err := s.ctl.VerifyAgainst(0, bitsHere, *addr, golden, golden)
-		if err != nil {
-			return seconds, joules, err
-		}
-		s.led.Count[ledger.Verifies]++
-		seconds += v.Seconds
-		joules += v.Energy.Total()
-		if v.OK {
-			return seconds, joules, nil
-		}
-		s.led.Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
-		if try >= pimrt.MaxRetries {
-			return seconds, joules, fmt.Errorf("pinatubo: writing row %v: %w",
-				*addr, ErrResilienceExhausted)
-		}
-		s.led.Count[ledger.Retries]++
-		if v.WriteFault {
-			if fresh, err := s.remapRow(*addr); err == nil {
-				*addr = fresh
-				s.led.Count[ledger.RowsRetired]++
-			}
-		}
-		r, err := s.ctl.WriteRowFromHost(*addr, chunk, bitsHere)
-		if err != nil {
-			return seconds, joules, err
-		}
-		seconds += r.Seconds
-		joules += r.Energy.Total()
-	}
-}
-
-// writeRowECC verifies a host write through the row's SECDED check bits:
-// the syndrome decode rides the final program-verify sense, single stuck
-// bits are repaired in place, and an uncorrectable syndrome retires the row
-// (host writes fail through worn cells, not sense flips, so retrying the
-// same row would burn it further).
-func (s *System) writeRowECC(addr *memarch.RowAddr, chunk, golden []uint64, bitsHere int, seconds, joules float64) (float64, float64, error) {
-	for try := 0; ; try++ {
-		v, err := s.ctl.CorrectOrEscalate(*addr, bitsHere, golden)
-		if err != nil {
-			return seconds, joules, err
-		}
-		s.led.Count[ledger.EccDecodes]++
-		seconds += v.Seconds
-		joules += v.Energy.Total()
-		s.led.Count[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
-		if v.OK {
-			return seconds, joules, nil
-		}
-		s.led.Count[ledger.EccUncorrectables]++
-		if try >= pimrt.MaxRetries {
-			return seconds, joules, fmt.Errorf("pinatubo: writing row %v: %w (%w)",
-				*addr, ErrResilienceExhausted, ErrUncorrectable)
-		}
-		s.led.Count[ledger.Retries]++
-		if fresh, err := s.remapRow(*addr); err == nil {
-			*addr = fresh
-			s.led.Count[ledger.RowsRetired]++
-		}
-		r, err := s.ctl.WriteRowFromHost(*addr, chunk, bitsHere)
-		if err != nil {
-			return seconds, joules, err
-		}
-		seconds += r.Seconds
-		joules += r.Energy.Total()
-	}
 }
 
 // Read returns the vector contents through the host interface. The
@@ -1043,68 +956,16 @@ func (s *System) readInto(b *BitVector, visit func(row []uint64, bits int)) (Res
 		if i == len(b.rows)-1 {
 			bitsHere = b.bits - i*s.RowBits()
 		}
-		row, sec, j, err := s.readRow(addr, bitsHere)
+		res, err := s.sched.Read(addr, bitsHere)
 		if err != nil {
 			return Result{}, err
 		}
-		visit(row, bitsHere)
-		seconds += sec
-		joules += j
+		s.prog.Append(res.Program)
+		visit(res.Words, bitsHere)
+		seconds += res.Cost.Seconds
+		joules += res.Cost.Joules
 	}
 	return s.account(PlaceHostRead, len(b.rows), seconds, joules), nil
-}
-
-// readRow bursts one row to the host. With resilience on, the sensed words
-// are checked against the row's true contents, read in place, and the read
-// reissued on a flip (plain reads run at the full read margin, so this
-// almost never loops — but a wrong word never escapes).
-func (s *System) readRow(addr memarch.RowAddr, bitsHere int) ([]uint64, float64, float64, error) {
-	var seconds, joules float64
-	for try := 0; ; try++ {
-		r, err := s.ctl.ReadRow(addr, bitsHere)
-		if err != nil {
-			return nil, seconds, joules, err
-		}
-		s.prog.Emit(r.Instr())
-		seconds += r.Seconds
-		joules += r.Energy.Total()
-		if s.sched.Res == nil {
-			return r.Words, seconds, joules, nil
-		}
-		if s.verify == VerifyECC {
-			// Correct the sensed words through the row's check bits first;
-			// the golden compare below then only catches (and retries) the
-			// uncorrectable residue.
-			v, err := s.ctl.ECCCorrectRead(addr, bitsHere, r.Words)
-			if err != nil {
-				return nil, seconds, joules, err
-			}
-			if v.Seconds > 0 { // a decode actually ran (row was encoded)
-				s.led.Count[ledger.EccDecodes]++
-			}
-			s.prog.Emit(v.Instr(addr))
-			seconds += v.Seconds
-			joules += v.Energy.Total()
-			s.led.Count[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
-			if v.Uncorrectable {
-				s.led.Count[ledger.EccUncorrectables]++
-			}
-		}
-		// A read's oracle is the stored row itself; the compare masks
-		// the bits past bitsHere.
-		stored := s.mem.PeekRow(addr)
-		s.led.Count[ledger.Verifies]++
-		if !bitvec.EqualWords(r.Words, stored, bitsHere) {
-			s.led.Count[ledger.BitsCorrected] += int64(bitvec.DiffCount(r.Words, stored, bitsHere))
-			if try >= pimrt.MaxRetries {
-				return nil, seconds, joules, fmt.Errorf("pinatubo: reading row %v: %w",
-					addr, ErrResilienceExhausted)
-			}
-			s.led.Count[ledger.Retries]++
-			continue
-		}
-		return r.Words, seconds, joules, nil
-	}
 }
 
 // sameLength validates operand lengths.
