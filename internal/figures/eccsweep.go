@@ -4,12 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"strings"
 
 	"pinatubo"
-	"pinatubo/internal/bitvec"
 )
 
 // This file holds the ECC sweep: read-back verification and the in-array
@@ -50,67 +48,25 @@ type ECCSweepRow struct {
 // returns its bandwidth and outcome. VerifyOff at rate 0 is the unverified
 // baseline the Overhead column is normalised against.
 func eccSweepPoint(rate float64, mode pinatubo.VerifyMode) (ECCSweepRow, error) {
-	const (
-		bits = 1 << 16
-		ops  = 4
-	)
-	w := bitvec.WordsFor(bits)
-	cfg := pinatubo.DefaultConfig()
-	cfg.Fault = pinatubo.FaultConfig{Seed: 1, SenseFlipRate: rate}
+	cfg := sweepConfig(rate)
 	cfg.Resilience.Verify = mode
-	sys, err := pinatubo.New(cfg)
+	pt, err := measureDeepOR(cfg)
 	if err != nil {
 		return ECCSweepRow{}, err
 	}
-	srcs, err := sys.AllocGroup(128, bits)
-	if err != nil {
-		return ECCSweepRow{}, err
-	}
-	rng := rand.New(rand.NewSource(99))
-	golden := make([]uint64, w)
-	words := make([]uint64, w)
-	for _, v := range srcs {
-		for j := range words {
-			words[j] = rng.Uint64()
-			golden[j] |= words[j]
-		}
-		if _, err := sys.Write(v, words); err != nil {
-			return ECCSweepRow{}, err
-		}
-	}
-	dst, err := sys.Alloc(bits)
-	if err != nil {
-		return ECCSweepRow{}, err
-	}
-
-	row := ECCSweepRow{Rate: rate, Mode: mode.String()}
-	var seconds float64
-	for k := 0; k < ops; k++ {
-		res, err := sys.Or(dst, srcs...)
-		if err != nil {
-			return ECCSweepRow{}, err
-		}
-		seconds += res.Latency.Seconds()
-	}
-	got, _, err := sys.Read(dst)
-	if err != nil {
-		return ECCSweepRow{}, err
-	}
-	for j := range golden {
-		if got[j] != golden[j] {
-			row.WrongWords++
-		}
-	}
-	st := sys.FaultStats()
-	row.SenseFlips = st.SenseFlips
-	row.Verifies = st.Verifies
-	row.EccDecodes = st.EccDecodes
-	row.EccCorrected = st.EccCorrectedBits
-	row.EccUncorrectable = st.EccUncorrectables
-	row.Retries = st.Retries
-	row.HostFallbacks = st.HostFallbacks
-	row.GBps = float64(ops) * 128 * float64(bits) / 8 / seconds / 1e9
-	return row, nil
+	return ECCSweepRow{
+		Rate:             rate,
+		Mode:             mode.String(),
+		GBps:             pt.gbps,
+		SenseFlips:       pt.stats.SenseFlips,
+		Verifies:         pt.stats.Verifies,
+		EccDecodes:       pt.stats.EccDecodes,
+		EccCorrected:     pt.stats.EccCorrectedBits,
+		EccUncorrectable: pt.stats.EccUncorrectables,
+		Retries:          pt.stats.Retries,
+		HostFallbacks:    pt.stats.HostFallbacks,
+		WrongWords:       pt.wrongWords,
+	}, nil
 }
 
 // ECCSweep runs the deep-OR batch at each injected error rate under both

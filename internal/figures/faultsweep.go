@@ -49,66 +49,22 @@ type FaultSweepRow struct {
 // and measures throughput, ladder activity and (most importantly) that the
 // returned bits never go wrong.
 func FaultSweep(rates []float64) ([]FaultSweepRow, error) {
-	const (
-		bits = 1 << 16
-		ops  = 4
-	)
-	w := bitvec.WordsFor(bits)
 	var out []FaultSweepRow
 	for _, rate := range rates {
-		cfg := pinatubo.DefaultConfig()
-		cfg.Fault = pinatubo.FaultConfig{Seed: 1, SenseFlipRate: rate}
-		sys, err := pinatubo.New(cfg)
+		pt, err := measureDeepOR(sweepConfig(rate))
 		if err != nil {
 			return nil, err
 		}
-		srcs, err := sys.AllocGroup(128, bits)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(99))
-		golden := make([]uint64, w)
-		words := make([]uint64, w)
-		for _, v := range srcs {
-			for j := range words {
-				words[j] = rng.Uint64()
-				golden[j] |= words[j]
-			}
-			if _, err := sys.Write(v, words); err != nil {
-				return nil, err
-			}
-		}
-		dst, err := sys.Alloc(bits)
-		if err != nil {
-			return nil, err
-		}
-
-		row := FaultSweepRow{Rate: rate}
-		var seconds float64
-		for k := 0; k < ops; k++ {
-			res, err := sys.Or(dst, srcs...)
-			if err != nil {
-				return nil, err
-			}
-			seconds += res.Latency.Seconds()
-		}
-		got, _, err := sys.Read(dst)
-		if err != nil {
-			return nil, err
-		}
-		for j := range golden {
-			if got[j] != golden[j] {
-				row.WrongWords++
-			}
-		}
-		st := sys.FaultStats()
-		row.SenseFlips = st.SenseFlips
-		row.Retries = st.Retries
-		row.DepthSplits = st.DepthReductions
-		row.HostFallbacks = st.HostFallbacks
-		row.BitsCorrected = st.BitsCorrected
-		row.GBps = float64(ops) * 128 * float64(bits) / 8 / seconds / 1e9
-		out = append(out, row)
+		out = append(out, FaultSweepRow{
+			Rate:          rate,
+			GBps:          pt.gbps,
+			SenseFlips:    pt.stats.SenseFlips,
+			Retries:       pt.stats.Retries,
+			DepthSplits:   pt.stats.DepthReductions,
+			HostFallbacks: pt.stats.HostFallbacks,
+			BitsCorrected: pt.stats.BitsCorrected,
+			WrongWords:    pt.wrongWords,
+		})
 	}
 	for i := range out {
 		if out[0].GBps > 0 {
@@ -116,6 +72,79 @@ func FaultSweep(rates []float64) ([]FaultSweepRow, error) {
 		}
 	}
 	return out, nil
+}
+
+// sweepConfig is the evaluation configuration with sense flips injected at
+// rate (seed 1): the base every resilience sweep point starts from.
+func sweepConfig(rate float64) pinatubo.Config {
+	cfg := pinatubo.DefaultConfig()
+	cfg.Fault = pinatubo.FaultConfig{Seed: 1, SenseFlipRate: rate}
+	return cfg
+}
+
+// sweepPoint is one deep-OR measurement of a resilience sweep.
+type sweepPoint struct {
+	gbps       float64
+	stats      pinatubo.FaultStats
+	wrongWords int
+}
+
+// measureDeepOR runs the resilience sweeps' one workload on a system built
+// from cfg: four ORs of the same 128 64-Ki-bit operand rows (one group,
+// seed-99 payloads) into one vector, then a read of the result checked
+// against the host golden model. gbps is the effective operand bandwidth
+// including all verification, retry and degradation traffic.
+func measureDeepOR(cfg pinatubo.Config) (sweepPoint, error) {
+	const (
+		bits = 1 << 16
+		ops  = 4
+	)
+	sys, err := pinatubo.New(cfg)
+	if err != nil {
+		return sweepPoint{}, err
+	}
+	w := bitvec.WordsFor(bits)
+	srcs, err := sys.AllocGroup(128, bits)
+	if err != nil {
+		return sweepPoint{}, err
+	}
+	rng := rand.New(rand.NewSource(99))
+	golden := make([]uint64, w)
+	words := make([]uint64, w)
+	for _, v := range srcs {
+		for j := range words {
+			words[j] = rng.Uint64()
+			golden[j] |= words[j]
+		}
+		if _, err := sys.Write(v, words); err != nil {
+			return sweepPoint{}, err
+		}
+	}
+	dst, err := sys.Alloc(bits)
+	if err != nil {
+		return sweepPoint{}, err
+	}
+	var pt sweepPoint
+	var seconds float64
+	for k := 0; k < ops; k++ {
+		res, err := sys.Or(dst, srcs...)
+		if err != nil {
+			return sweepPoint{}, err
+		}
+		seconds += res.Latency.Seconds()
+	}
+	got, _, err := sys.Read(dst)
+	if err != nil {
+		return sweepPoint{}, err
+	}
+	for j := range golden {
+		if got[j] != golden[j] {
+			pt.wrongWords++
+		}
+	}
+	pt.stats = sys.FaultStats()
+	pt.gbps = float64(ops) * 128 * float64(bits) / 8 / seconds / 1e9
+	return pt, nil
 }
 
 // FormatFaultSweep renders the sweep as an aligned text table.

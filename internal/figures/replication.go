@@ -4,12 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"strings"
 
 	"pinatubo"
-	"pinatubo/internal/bitvec"
 )
 
 // This file holds the replication crossover: the reactive resilience
@@ -53,17 +51,18 @@ type ReplicationRow struct {
 }
 
 // ReplicationSweep measures both builds at each rate on a bank of deep
-// 128-row ORs, checking every result against the host golden model.
+// 128-row ORs, checking every result against the host golden model. Both
+// verify by read-back, pinned on even at rate 0 so the fault-free point
+// prices the replicated build's fixed tax instead of short-circuiting to
+// the raw path.
 func ReplicationSweep(rates []float64) ([]ReplicationRow, error) {
-	const (
-		bits = 1 << 16
-		ops  = 4
-	)
 	var out []ReplicationRow
 	for _, rate := range rates {
 		row := ReplicationRow{Rate: rate}
+		cfg := sweepConfig(rate)
+		cfg.Resilience.Verify = pinatubo.VerifyReadback
 
-		base, err := runReplicationPoint(rate, 0, bits, ops)
+		base, err := measureDeepOR(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +73,8 @@ func ReplicationSweep(rates []float64) ([]ReplicationRow, error) {
 		row.BaseDegraded = base.stats.DepthReductions + base.stats.InterFallbacks + base.stats.HostFallbacks
 		row.WrongWords += base.wrongWords
 
-		rep, err := runReplicationPoint(rate, 3, bits, ops)
+		cfg.Resilience.Replicate = 3
+		rep, err := measureDeepOR(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -91,73 +91,6 @@ func ReplicationSweep(rates []float64) ([]ReplicationRow, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-type replicationPoint struct {
-	gbps       float64
-	stats      pinatubo.FaultStats
-	wrongWords int
-}
-
-// runReplicationPoint runs the sweep workload on one build: PCM, read-back
-// verification, the given replication factor, ops deep ORs over 128
-// operand rows. Verification is pinned on even at rate 0 so the fault-free
-// point prices the replicated build's fixed tax instead of short-circuiting
-// to the raw path.
-func runReplicationPoint(rate float64, replicate, bits, ops int) (replicationPoint, error) {
-	cfg := pinatubo.DefaultConfig()
-	cfg.Fault = pinatubo.FaultConfig{Seed: 1, SenseFlipRate: rate}
-	cfg.Resilience = pinatubo.ResilienceConfig{
-		Verify:    pinatubo.VerifyReadback,
-		Replicate: replicate,
-	}
-	sys, err := pinatubo.New(cfg)
-	if err != nil {
-		return replicationPoint{}, err
-	}
-	w := bitvec.WordsFor(bits)
-	srcs, err := sys.AllocGroup(128, bits)
-	if err != nil {
-		return replicationPoint{}, err
-	}
-	rng := rand.New(rand.NewSource(99))
-	golden := make([]uint64, w)
-	words := make([]uint64, w)
-	for _, v := range srcs {
-		for j := range words {
-			words[j] = rng.Uint64()
-			golden[j] |= words[j]
-		}
-		if _, err := sys.Write(v, words); err != nil {
-			return replicationPoint{}, err
-		}
-	}
-	dst, err := sys.Alloc(bits)
-	if err != nil {
-		return replicationPoint{}, err
-	}
-
-	var pt replicationPoint
-	var seconds float64
-	for k := 0; k < ops; k++ {
-		res, err := sys.Or(dst, srcs...)
-		if err != nil {
-			return replicationPoint{}, err
-		}
-		seconds += res.Latency.Seconds()
-	}
-	got, _, err := sys.Read(dst)
-	if err != nil {
-		return replicationPoint{}, err
-	}
-	for j := range golden {
-		if got[j] != golden[j] {
-			pt.wrongWords++
-		}
-	}
-	pt.stats = sys.FaultStats()
-	pt.gbps = float64(ops) * 128 * float64(bits) / 8 / seconds / 1e9
-	return pt, nil
 }
 
 // FormatReplicationSweep renders the crossover as an aligned text table.
