@@ -516,7 +516,7 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 		partials = append(partials, s.partial)
 	}
 	// Combine partials across subarrays/banks. The partials necessarily
-	// live in distinct subarrays, so this is one inter request (chunked at
+	// live in distinct subarrays, so this is one inter request (chained at
 	// the request cap when enormous).
 	if _, err := s.chainedOR(partials, bits, &res.FinalDst, nil, pim.InterORLimit, res); err != nil {
 		return err
