@@ -351,8 +351,9 @@ func SpecForOR(rows []memarch.RowAddr, bits int) (workload.OpSpec, error) {
 // controller's depth (chained through scratch rows) plus an inter combine;
 // every other op is a single request — runs them on the controller, and
 // returns the operation's cmdstream program with the cost folded from it.
-// Its resilience activity (verifications, retries, rungs, retirements,
-// ECC decodes, votes) counts into Ctl's ledger.
+// Write and Read move one row between the host and the memory under the
+// same verification. Its resilience activity (verifications, retries,
+// rungs, retirements, ECC decodes, votes) counts into Ctl's ledger.
 //
 // Scratch must provide one free row in every subarray touched; the driver
 // library reserves these at init (the paper's run-time "schedule opt").

@@ -364,7 +364,8 @@ func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 
 // hostAttempt is the last rung: read every operand over the DDR bus,
 // compute on the host, write the verified result back — never wrong, never
-// fast (exactly the bus traffic Pinatubo exists to avoid).
+// fast (exactly the bus traffic Pinatubo exists to avoid). A verified host
+// Write is this rung over no operands.
 func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, golden []uint64, res *ScheduleResult) (bool, error) {
 	for _, a := range srcs {
 		r, err := s.Ctl.ReadRow(a, bits)

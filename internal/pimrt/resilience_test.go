@@ -302,6 +302,45 @@ func TestLadderExhaustsLoudlyWithoutRemap(t *testing.T) {
 	}
 }
 
+// A depth split runs its links one nesting level below the request it
+// splits, in that level's own link buffer, so the outer request's operands
+// survive for its later rungs. The destination's only stuck cell (bit 0,
+// stuck at 0) disagrees only with the last operand, so each split's early
+// links verify and its last exhausts; the inter rung must then re-run the
+// original 16 operands, not a buffer the split's links rewrote.
+func TestDepthSplitKeepsOuterOperands(t *testing.T) {
+	geo := memarch.Default()
+	s, ctl := newResilientSched(t, geo, fault.Config{Seed: 1})
+	const bits = 512
+	srcs := make([]memarch.RowAddr, 16)
+	for i := range srcs {
+		srcs[i] = memarch.RowAddr{Subarray: 2, Row: i}
+		words := make([]uint64, bitvec.WordsFor(bits))
+		words[1] = 1 << i
+		if i == len(srcs)-1 {
+			words[0] = 1
+		}
+		if err := ctl.Memory().WriteRow(srcs[i], words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := memarch.RowAddr{Subarray: 2, Row: 500}
+	ctl.Injector().SetRowState(geo.Encode(dst), fault.RowState{Stuck: []fault.StuckBit{{Pos: 0}}})
+
+	_, err := s.Execute(sense.OpOR, srcs, bits, dst)
+	if !errors.Is(err, ErrResilienceExhausted) {
+		t.Fatalf("err=%v, want ErrResilienceExhausted", err)
+	}
+	// Three outer splits, plus one inside the depth-4 split's last link
+	// (itself four operands); every exhausted link and the outer request
+	// walk the inter and host rungs.
+	st := &ctl.Ledger().Count
+	if st[ledger.DepthReductions] != 4 || st[ledger.InterFallbacks] != 5 || st[ledger.HostFallbacks] != 5 {
+		t.Fatalf("DepthReductions=%d InterFallbacks=%d HostFallbacks=%d, want 4, 5, 5",
+			st[ledger.DepthReductions], st[ledger.InterFallbacks], st[ledger.HostFallbacks])
+	}
+}
+
 // A verified host write into a worn row with no Remap hook must fail
 // with the sentinel, under read-back and under SECDED (which also reports
 // the uncorrectable syndrome), not leave a row that silently holds
