@@ -119,6 +119,48 @@ func TestFaultyOpsNeverReturnWrongBits(t *testing.T) {
 	}
 }
 
+// TestChainedSplitSparseOperands checks the never-wrong-answer contract
+// where dense operands cannot: each of 128 sources holds one bit, so a
+// dropped or spurious bit in the OR shows. A 128-row OR's own depth split
+// chains its second link, and when that link fails, its depth split must
+// not trust the accumulator row a failed attempt overwrote.
+func TestChainedSplitSparseOperands(t *testing.T) {
+	const bits = 1 << 16
+	w := bitvec.WordsFor(bits)
+	for _, rate := range []float64{1e-3, 1e-2} {
+		for seed := int64(1); seed <= 30; seed++ {
+			s := faultySys(t, FaultConfig{Seed: seed, SenseFlipRate: rate})
+			vs, err := s.AllocGroup(129, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs, dst := vs[:128], vs[128]
+			want := make([]uint64, w)
+			for i, v := range srcs {
+				words := make([]uint64, w)
+				bit := 509 * i
+				words[bit/64] = 1 << (bit % 64)
+				want[bit/64] |= words[bit/64]
+				if _, err := s.Write(v, words); err != nil {
+					t.Fatalf("rate %g seed %d: write %d: %v", rate, seed, i, err)
+				}
+			}
+			if _, err := s.Or(dst, srcs...); err != nil {
+				continue // an error is a permitted outcome; wrong bits are not
+			}
+			got, _, err := s.Read(dst)
+			if err != nil {
+				t.Fatalf("rate %g seed %d: read: %v", rate, seed, err)
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("rate %g seed %d: word %d = %#x, want %#x", rate, seed, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
 func TestFaultStatsReportDegradations(t *testing.T) {
 	// Flip rate 1 forces every deep OR down the depth-split rung and every
 	// AND onto the digital inter path.

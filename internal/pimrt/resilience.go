@@ -193,15 +193,31 @@ func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 // golden as restore, which a failed attempt may still have to write back
 // after the new reference is computed. The buffers stay valid until the
 // next Execute, as ScheduleResult.Words promises.
+//
+// A chained link's first operand is its accumulator row, which a failed
+// attempt of the enclosing request may have overwritten: its reference is
+// restore, the accumulator's known-good words, ORed with srcs[1:], never
+// the row as stored.
 func (s *Scheduler) golden(op sense.Op, srcs []memarch.RowAddr, bits int, restore []uint64) ([]uint64, error) {
 	bufs := s.levelGoldens()
 	i := 0
 	if len(restore) > 0 && len(bufs[0]) > 0 && &restore[0] == &bufs[0][0] {
 		i = 1
 	}
-	g, err := s.Ctl.Golden(bufs[i], op, srcs, bits)
+	if restore == nil {
+		g, err := s.Ctl.Golden(bufs[i], op, srcs, bits)
+		if err != nil {
+			return nil, err
+		}
+		bufs[i] = g
+		return g, nil
+	}
+	g, err := s.Ctl.Golden(bufs[i], op, srcs[1:], bits)
 	if err != nil {
 		return nil, err
+	}
+	for j := range g {
+		g[j] |= restore[j]
 	}
 	bufs[i] = g
 	return g, nil
