@@ -213,7 +213,7 @@ func (s *System) scheduleBatch(ops []BatchOp, progs []cmdstream.Program, results
 	reqs := make([]chansim.Request, len(ops))
 	var back float64
 	for i := range ops {
-		reqs[i] = progs[i].Request(fmt.Sprintf("%v#%d", ops[i].Op, i), timing, bus, banks)
+		reqs[i] = progs[i].Request(timing, bus, banks)
 		back += reqs[i].Duration()
 	}
 	sched, err := chansim.ScheduleWith(reqs, carb)

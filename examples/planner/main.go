@@ -101,7 +101,7 @@ func saturationTheLongWay(depth int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	req := chansim.FromDDR("or", res.Commands,
+	req := chansim.FromDDR(res.Commands,
 		nvm.Get(nvm.PCM).Timing, ddr.DefaultBus(), geo.BanksPerChip)
 	var ks []int
 	for k := 1; k < concurrency; k *= 2 {

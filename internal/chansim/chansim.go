@@ -13,14 +13,9 @@
 // every earlier command bound to it, and (c) the previous command of the
 // same request has completed (intra-request dependency). The bus is held
 // only for the issue slot; the resource is held for the command's full
-// execution time.
-//
-// Requests may grow mid-flight: a Request with a Grow hook is asked for
-// more commands whenever its queue drains, which is how stochastic
-// sequences (verify-and-retry, depth splits, ECC corrective reprograms)
-// are replayed — the scheduler discovers each expansion only after the
-// commands that triggered it have executed, exactly like a controller
-// reacting to a failed verify.
+// execution time. Stochastic sequences (verify-and-retry, depth splits,
+// ECC corrective reprograms) arrive already expanded: a caller samples a
+// trace, then schedules its fixed command list.
 package chansim
 
 import (
@@ -49,22 +44,14 @@ type Cmd struct {
 
 // Request is an ordered command sequence bound to one channel.
 type Request struct {
-	Name string
 	Cmds []Cmd
 	// Channel selects the command bus the request issues on (default 0).
 	// Banks are global resource IDs, so requests on different channels
 	// still serialise if they name the same resource.
 	Channel int
-	// Grow, if non-nil, is consulted when the queued commands are
-	// exhausted: it receives the number of commands executed so far and
-	// returns the next batch, or nil/empty when the request is finished.
-	// This is how stochastic traces (retries, depth splits, ECC
-	// reprograms) extend a request mid-flight.
-	Grow func(executed int) []Cmd
 }
 
-// Duration returns the request's standalone latency (no contention) over
-// the currently queued commands. Grow expansions are not included.
+// Duration returns the request's standalone latency (no contention).
 func (r Request) Duration() float64 {
 	t := 0.0
 	for _, c := range r.Cmds {
@@ -115,10 +102,8 @@ func (r Request) WithResourceOffset(off int) Request {
 func Replicate(template Request, k int) []Request {
 	stride := template.ResourceStride()
 	reqs := make([]Request, k)
-	for i := 0; i < k; i++ {
-		r := template.WithResourceOffset(i * stride)
-		r.Name = fmt.Sprintf("%s#%d", template.Name, i)
-		reqs[i] = r
+	for i := range reqs {
+		reqs[i] = template.WithResourceOffset(i * stride)
 	}
 	return reqs
 }
@@ -182,22 +167,28 @@ func Schedule(reqs []Request) (Result, error) {
 }
 
 // ScheduleWith runs the requests concurrently under the given arbitration
-// policy. Requests with Grow hooks are re-queried as their command queues
-// drain, so the schedule reflects expansions (retries, splits) that are
-// only discovered once earlier commands have executed.
+// policy.
+//
+// Each step scans the requests still in flight, in index order, for the
+// one whose next command the arbiter favours, issues that command, and
+// drops the request from the scan once its last command has issued.
+// Under ArbFIFO the scan stops at the first request whose command can
+// start when the earliest bus frees: no command starts sooner, and an
+// earlier request that could start that soon would have stopped the scan
+// first.
 func ScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 	if arb != ArbFIFO && arb != ArbOldestReady {
 		return Result{}, fmt.Errorf("chansim: unknown arbiter %d", int(arb))
 	}
+	// state is one in-flight request: the commands not yet issued, when
+	// its previous command completes, its bus and its index in reqs.
 	type state struct {
 		cmds     []Cmd
-		next     int     // next command index
-		executed int     // commands executed so far (passed to Grow)
-		prevDone float64 // completion of the previous command
-		grow     func(int) []Cmd
-		done     bool
+		prevDone float64
+		channel  int
+		index    int
 	}
-	states := make([]state, len(reqs))
+	active := make([]state, 0, len(reqs))
 	channels, resources := 1, 0
 	for i, r := range reqs {
 		for j, c := range r.Cmds {
@@ -209,109 +200,82 @@ func ScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 		if r.Channel < 0 {
 			return Result{}, fmt.Errorf("chansim: request %d has negative channel", i)
 		}
-		if r.Channel+1 > channels {
-			channels = r.Channel + 1
+		channels = max(channels, r.Channel+1)
+		if len(r.Cmds) > 0 {
+			active = append(active, state{cmds: r.Cmds, channel: r.Channel, index: i})
 		}
-		states[i] = state{cmds: r.Cmds, grow: r.Grow}
 	}
 
-	busFree := make([]float64, channels)
-	// resourceFree[id] is when resource id finishes its last command: a
-	// dense table over every ID queued at load, grown if a Grow hook
-	// names a larger one. A table of up to 64 IDs, the banks of one
-	// channel, lives in local and costs no allocation.
-	var local [64]float64
-	resourceFree := append(local[:0], make([]float64, resources)...)
+	// busFree[ch] is when channel ch's command bus frees, resourceFree[id]
+	// when resource id finishes its last command: dense tables over every
+	// channel and ID the requests name. Up to 4 buses and 64 IDs, the
+	// banks of one channel, live in local arrays and cost no allocation.
+	var localBus [4]float64
+	busFree := append(localBus[:0], make([]float64, channels)...)
+	var localRes [64]float64
+	resourceFree := append(localRes[:0], make([]float64, resources)...)
 	res := Result{Completion: make([]float64, len(reqs)), Channels: channels}
 
-	// refill tops up a drained request from its Grow hook and records the
-	// completion time once the request is truly finished.
-	refill := func(i int) error {
-		st := &states[i]
-		for !st.done && st.next >= len(st.cmds) {
-			if st.grow == nil {
-				st.done = true
-				break
-			}
-			more := st.grow(st.executed)
-			if len(more) == 0 {
-				st.grow = nil
-				st.done = true
-				break
-			}
-			for j, c := range more {
-				if c.Issue < 0 || c.Exec < 0 {
-					return fmt.Errorf("chansim: request %d grown command %d has negative time", i, j)
-				}
-				if c.Resource >= len(resourceFree) {
-					resourceFree = append(resourceFree, make([]float64, c.Resource+1-len(resourceFree))...)
-				}
-			}
-			st.cmds = append(st.cmds, more...)
-		}
-		if st.done && res.Completion[i] == 0 {
-			res.Completion[i] = st.prevDone
-			if st.prevDone > res.Makespan {
-				res.Makespan = st.prevDone
+	for len(active) > 0 {
+		floor := busFree[0]
+		for _, bf := range busFree[1:] {
+			if bf < floor {
+				floor = bf
 			}
 		}
-		return nil
-	}
-
-	for {
 		// Find the request whose next command the arbiter favours.
 		best := -1
 		bestStart, bestReady := 0.0, 0.0
-		for i := range reqs {
-			if err := refill(i); err != nil {
-				return Result{}, err
-			}
-			st := &states[i]
-			if st.done {
-				continue
-			}
-			c := st.cmds[st.next]
+		for k := range active {
+			st := &active[k]
+			c := st.cmds[0]
 			start := st.prevDone
-			if bf := busFree[reqs[i].Channel]; bf > start {
+			if bf := busFree[st.channel]; bf > start {
 				start = bf
 			}
 			if c.Resource >= 0 && resourceFree[c.Resource] > start {
 				start = resourceFree[c.Resource]
 			}
-			switch arb {
-			case ArbFIFO:
+			if arb == ArbFIFO {
 				if best == -1 || start < bestStart {
-					best, bestStart = i, start
+					best, bestStart = k, start
 				}
-			case ArbOldestReady:
-				// The tie-break compares event times for exact equality on
-				// purpose: both are copies of the same computed value, and an
-				// epsilon here would make arbitration depend on magnitudes.
-				if best == -1 || st.prevDone < bestReady ||
-					//pinlint:ignore floateq exact tie-break on identical event times keeps arbitration deterministic
-					(st.prevDone == bestReady && start < bestStart) {
-					best, bestStart, bestReady = i, start, st.prevDone
+				if start <= floor {
+					break // nothing can start sooner (start >= floor always)
 				}
+				continue
+			}
+			// ArbOldestReady. The tie-break compares event times for exact
+			// equality on purpose: both are copies of the same computed
+			// value, and an epsilon here would make arbitration depend on
+			// magnitudes.
+			if best == -1 || st.prevDone < bestReady ||
+				//pinlint:ignore floateq exact tie-break on identical event times keeps arbitration deterministic
+				(st.prevDone == bestReady && start < bestStart) {
+				best, bestStart, bestReady = k, start, st.prevDone
 			}
 		}
-		if best == -1 {
-			break // all done
-		}
-		st := &states[best]
-		c := st.cmds[st.next]
+		st := &active[best]
+		c := st.cmds[0]
 		issueEnd := bestStart + c.Issue
 		execEnd := bestStart + c.Exec
 		if issueEnd > execEnd {
 			execEnd = issueEnd
 		}
-		busFree[reqs[best].Channel] = issueEnd
+		busFree[st.channel] = issueEnd
 		res.BusBusy += c.Issue
 		if c.Resource >= 0 {
 			resourceFree[c.Resource] = execEnd
 		}
 		st.prevDone = execEnd
-		st.next++
-		st.executed++
+		st.cmds = st.cmds[1:]
+		if len(st.cmds) == 0 {
+			res.Completion[st.index] = execEnd
+			if execEnd > res.Makespan {
+				res.Makespan = execEnd
+			}
+			active = append(active[:best], active[best+1:]...)
+		}
 	}
 	return res, nil
 }
@@ -376,8 +340,13 @@ func BankResource(a memarch.RowAddr, geoBanks int) int {
 // time; execution occupies the command's target bank for its full
 // duration. geoBanks is the bank count used to flatten bank addresses into
 // resource IDs.
-func FromDDR(name string, cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geoBanks int) Request {
-	r := Request{Name: name}
+func FromDDR(cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geoBanks int) Request {
+	return Request{Cmds: AppendDDR(make([]Cmd, 0, len(cmds)), cmds, t, bus, geoBanks)}
+}
+
+// AppendDDR appends the scheduling footprint of every command in cmds to
+// dst, priced as FromDDR prices them, and returns the extended slice.
+func AppendDDR(dst []Cmd, cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geoBanks int) []Cmd {
 	for _, c := range cmds {
 		exec := ddr.CmdTime(c, t, bus)
 		issue := t.TCMD
@@ -389,7 +358,7 @@ func FromDDR(name string, cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geoBa
 		if c.Kind == ddr.CmdMRS {
 			resource = -1 // register write: bus only
 		}
-		r.Cmds = append(r.Cmds, Cmd{Issue: issue, Exec: exec, Resource: resource})
+		dst = append(dst, Cmd{Issue: issue, Exec: exec, Resource: resource})
 	}
-	return r
+	return dst
 }

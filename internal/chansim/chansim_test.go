@@ -15,7 +15,7 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSingleRequestMatchesDuration(t *testing.T) {
-	r := chansim.Request{Name: "one", Cmds: []chansim.Cmd{
+	r := chansim.Request{Cmds: []chansim.Cmd{
 		{Issue: 1, Exec: 10, Resource: 0},
 		{Issue: 1, Exec: 5, Resource: 0},
 		{Issue: 1, Exec: 0, Resource: -1},
@@ -166,7 +166,7 @@ func TestPinatuboOpConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	tech := nvm.Get(nvm.PCM)
-	req := chansim.FromDDR("or2", res.Commands, tech.Timing, ddr.DefaultBus(), 8)
+	req := chansim.FromDDR(res.Commands, tech.Timing, ddr.DefaultBus(), 8)
 
 	// Standalone duration must agree with the controller's own pricing.
 	if !approx(req.Duration(), res.Seconds, res.Seconds*0.05) {
@@ -191,7 +191,7 @@ func TestFromDDRMapsResources(t *testing.T) {
 		{Kind: ddr.CmdAct, Addr: memarch.RowAddr{Bank: 3}},
 		{Kind: ddr.CmdRd, Bits: 8192},
 	}
-	req := chansim.FromDDR("x", cmds, tech.Timing, ddr.DefaultBus(), 8)
+	req := chansim.FromDDR(cmds, tech.Timing, ddr.DefaultBus(), 8)
 	if req.Cmds[0].Resource != -1 {
 		t.Error("MRS should be bus-only")
 	}

@@ -104,8 +104,8 @@ func TestFIFOMatchesLegacyBitIdentical(t *testing.T) {
 
 // mapScheduleWith is the engine as it stood before its resource table
 // became a dense slice: ScheduleWith with resourceFree in a map, kept
-// verbatim as the reference the slice-backed engine must reproduce
-// bit-identically.
+// verbatim (minus the Grow hook, since deleted) as a reference the
+// engine must reproduce bit-identically.
 func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 	if arb != ArbFIFO && arb != ArbOldestReady {
 		return Result{}, fmt.Errorf("chansim: unknown arbiter %d", int(arb))
@@ -113,9 +113,7 @@ func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 	type state struct {
 		cmds     []Cmd
 		next     int     // next command index
-		executed int     // commands executed so far (passed to Grow)
 		prevDone float64 // completion of the previous command
-		grow     func(int) []Cmd
 		done     bool
 	}
 	states := make([]state, len(reqs))
@@ -132,34 +130,18 @@ func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 		if r.Channel+1 > channels {
 			channels = r.Channel + 1
 		}
-		states[i] = state{cmds: r.Cmds, grow: r.Grow}
+		states[i] = state{cmds: r.Cmds}
 	}
 
 	busFree := make([]float64, channels)
 	resourceFree := map[int]float64{}
 	res := Result{Completion: make([]float64, len(reqs)), Channels: channels}
 
-	// refill tops up a drained request from its Grow hook and records the
-	// completion time once the request is truly finished.
-	refill := func(i int) error {
+	// refill records the completion time once a request is finished.
+	refill := func(i int) {
 		st := &states[i]
-		for !st.done && st.next >= len(st.cmds) {
-			if st.grow == nil {
-				st.done = true
-				break
-			}
-			more := st.grow(st.executed)
-			if len(more) == 0 {
-				st.grow = nil
-				st.done = true
-				break
-			}
-			for j, c := range more {
-				if c.Issue < 0 || c.Exec < 0 {
-					return fmt.Errorf("chansim: request %d grown command %d has negative time", i, j)
-				}
-			}
-			st.cmds = append(st.cmds, more...)
+		if !st.done && st.next >= len(st.cmds) {
+			st.done = true
 		}
 		if st.done && res.Completion[i] == 0 {
 			res.Completion[i] = st.prevDone
@@ -167,7 +149,6 @@ func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 				res.Makespan = st.prevDone
 			}
 		}
-		return nil
 	}
 
 	for {
@@ -175,9 +156,7 @@ func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 		best := -1
 		bestStart, bestReady := 0.0, 0.0
 		for i := range reqs {
-			if err := refill(i); err != nil {
-				return Result{}, err
-			}
+			refill(i)
 			st := &states[i]
 			if st.done {
 				continue
@@ -196,9 +175,6 @@ func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 					best, bestStart = i, start
 				}
 			case ArbOldestReady:
-				// The tie-break compares event times for exact equality on
-				// purpose: both are copies of the same computed value, and an
-				// epsilon here would make arbitration depend on magnitudes.
 				if best == -1 || st.prevDone < bestReady ||
 					//pinlint:ignore floateq exact tie-break on identical event times keeps arbitration deterministic
 					(st.prevDone == bestReady && start < bestStart) {
@@ -223,57 +199,44 @@ func mapScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 		}
 		st.prevDone = execEnd
 		st.next++
-		st.executed++
 	}
 	return res, nil
 }
 
-// randomGrowingRequests extends randomRequests' shape to the engine's
-// full input space: up to three channels, bus-only commands, and Grow
-// hooks whose expansions name resource IDs up to 11, past the largest
-// (3) any request queues at load. Each hook is a pure function of the
-// executed count, so two engines replaying one request set see the same
-// expansions.
-func randomGrowingRequests(rng *rand.Rand) []Request {
-	randCmds := func(n, maxRes int) []Cmd {
-		cmds := make([]Cmd, n)
+// randomChannelRequests extends randomRequests' shape to the engine's
+// full input space: up to three channels, bus-only commands, and
+// resource IDs up to 11 shared across requests.
+func randomChannelRequests(rng *rand.Rand) []Request {
+	reqs := make([]Request, 1+rng.Intn(6))
+	for i := range reqs {
+		cmds := make([]Cmd, rng.Intn(12))
 		for j := range cmds {
 			cmds[j] = Cmd{
 				Issue:    float64(rng.Intn(5)) * 0.5,
 				Exec:     float64(rng.Intn(20)) * 0.5,
-				Resource: rng.Intn(maxRes+2) - 1, // -1..maxRes
+				Resource: rng.Intn(13) - 1, // -1..11
 			}
 		}
-		return cmds
-	}
-	reqs := make([]Request, 1+rng.Intn(6))
-	for i := range reqs {
-		r := Request{Channel: rng.Intn(3), Cmds: randCmds(rng.Intn(8), 3)}
-		if rng.Intn(2) == 0 {
-			// grow[k] is the expansion returned once k commands executed.
-			grow := map[int][]Cmd{}
-			at := len(r.Cmds)
-			for e := rng.Intn(4); e > 0; e-- {
-				more := randCmds(1+rng.Intn(4), 11)
-				grow[at] = more
-				at += len(more)
-			}
-			r.Grow = func(executed int) []Cmd { return grow[executed] }
-		}
-		reqs[i] = r
+		reqs[i] = Request{Channel: rng.Intn(3), Cmds: cmds}
 	}
 	return reqs
+}
+
+// sameSchedule reports whether two results agree under == on every
+// completion time, the makespan, the bus occupancy and the channel count.
+func sameSchedule(got, want Result) bool {
+	return slices.Equal(got.Completion, want.Completion) && got.Makespan == want.Makespan &&
+		got.BusBusy == want.BusBusy && got.Channels == want.Channels
 }
 
 // TestDenseResourcesMatchMapEngine requires the slice-backed engine to
 // reproduce the map-backed one exactly — == on every completion time,
 // the makespan and the bus occupancy — under both arbiters, across
-// channels, bus-only commands and Grow hooks that introduce resource IDs
-// beyond any seen at load.
+// channels, bus-only commands and shared resources.
 func TestDenseResourcesMatchMapEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 500; trial++ {
-		reqs := randomGrowingRequests(rng)
+		reqs := randomChannelRequests(rng)
 		for _, arb := range []Arbiter{ArbFIFO, ArbOldestReady} {
 			want, err := mapScheduleWith(reqs, arb)
 			if err != nil {
@@ -283,11 +246,214 @@ func TestDenseResourcesMatchMapEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Completion, want.Completion) || got.Makespan != want.Makespan ||
-				got.BusBusy != want.BusBusy || got.Channels != want.Channels {
+			if !sameSchedule(got, want) {
 				t.Fatalf("trial %d %v: dense engine diverged from the map engine:\n got %+v\nwant %+v",
 					trial, arb, got, want)
 			}
+		}
+	}
+}
+
+// referenceScheduleWith is ScheduleWith as it stood before the in-flight
+// scan, kept verbatim apart from its deleted Grow hook: every step
+// re-checks every request, finished or not, and scans all of them. The
+// scan must reproduce it bit-identically.
+func referenceScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
+	if arb != ArbFIFO && arb != ArbOldestReady {
+		return Result{}, fmt.Errorf("chansim: unknown arbiter %d", int(arb))
+	}
+	type state struct {
+		cmds     []Cmd
+		next     int     // next command index
+		prevDone float64 // completion of the previous command
+		done     bool
+	}
+	states := make([]state, len(reqs))
+	channels, resources := 1, 0
+	for i, r := range reqs {
+		for j, c := range r.Cmds {
+			if c.Issue < 0 || c.Exec < 0 {
+				return Result{}, fmt.Errorf("chansim: request %d command %d has negative time", i, j)
+			}
+			resources = max(resources, c.Resource+1)
+		}
+		if r.Channel < 0 {
+			return Result{}, fmt.Errorf("chansim: request %d has negative channel", i)
+		}
+		if r.Channel+1 > channels {
+			channels = r.Channel + 1
+		}
+		states[i] = state{cmds: r.Cmds}
+	}
+
+	busFree := make([]float64, channels)
+	var local [64]float64
+	resourceFree := append(local[:0], make([]float64, resources)...)
+	res := Result{Completion: make([]float64, len(reqs)), Channels: channels}
+
+	// refill records the completion time once a request is finished.
+	refill := func(i int) {
+		st := &states[i]
+		if !st.done && st.next >= len(st.cmds) {
+			st.done = true
+		}
+		if st.done && res.Completion[i] == 0 {
+			res.Completion[i] = st.prevDone
+			if st.prevDone > res.Makespan {
+				res.Makespan = st.prevDone
+			}
+		}
+	}
+
+	for {
+		// Find the request whose next command the arbiter favours.
+		best := -1
+		bestStart, bestReady := 0.0, 0.0
+		for i := range reqs {
+			refill(i)
+			st := &states[i]
+			if st.done {
+				continue
+			}
+			c := st.cmds[st.next]
+			start := st.prevDone
+			if bf := busFree[reqs[i].Channel]; bf > start {
+				start = bf
+			}
+			if c.Resource >= 0 && resourceFree[c.Resource] > start {
+				start = resourceFree[c.Resource]
+			}
+			switch arb {
+			case ArbFIFO:
+				if best == -1 || start < bestStart {
+					best, bestStart = i, start
+				}
+			case ArbOldestReady:
+				if best == -1 || st.prevDone < bestReady ||
+					//pinlint:ignore floateq exact tie-break on identical event times keeps arbitration deterministic
+					(st.prevDone == bestReady && start < bestStart) {
+					best, bestStart, bestReady = i, start, st.prevDone
+				}
+			}
+		}
+		if best == -1 {
+			break // all done
+		}
+		st := &states[best]
+		c := st.cmds[st.next]
+		issueEnd := bestStart + c.Issue
+		execEnd := bestStart + c.Exec
+		if issueEnd > execEnd {
+			execEnd = issueEnd
+		}
+		busFree[reqs[best].Channel] = issueEnd
+		res.BusBusy += c.Issue
+		if c.Resource >= 0 {
+			resourceFree[c.Resource] = execEnd
+		}
+		st.prevDone = execEnd
+		st.next++
+	}
+	return res, nil
+}
+
+// fuzzRequests decodes 1–24 requests on 1–3 channels from data: a
+// request count, then per request a channel and a command count, then
+// three bytes per command — issue and exec times in half units, so ties
+// are common, and a resource in -1..5, so bus-only commands and banks
+// shared between requests are common too. Bytes past the end read as 0.
+func fuzzRequests(data []byte) []Request {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	reqs := make([]Request, 1+next()%24)
+	for i := range reqs {
+		ch := next() % 3
+		cmds := make([]Cmd, next()%16)
+		for j := range cmds {
+			cmds[j] = Cmd{
+				Issue:    float64(next()%5) * 0.5,
+				Exec:     float64(next()%20) * 0.5,
+				Resource: next()%7 - 1,
+			}
+		}
+		reqs[i] = Request{Channel: ch, Cmds: cmds}
+	}
+	return reqs
+}
+
+// FuzzScheduleMatchesReference requires ScheduleWith to reproduce the
+// full-rescan reference engine exactly under both arbiters: == on every
+// completion time, the makespan, the bus occupancy and the channel count.
+func FuzzScheduleMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs := fuzzRequests(data)
+		for _, arb := range []Arbiter{ArbFIFO, ArbOldestReady} {
+			want, err := referenceScheduleWith(reqs, arb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ScheduleWith(reqs, arb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameSchedule(got, want) {
+				t.Fatalf("%v: engine diverged from the reference:\n got %+v\nwant %+v", arb, got, want)
+			}
+		}
+	})
+}
+
+// windowRequests builds n requests shaped like one batch window's: each
+// holds a 64-row OR's commands on its own bank (an MRS, the LWL reset,
+// 64 activations, 4 sense steps, the write-back and the precharge, at
+// PCM's timings) and all share one command bus.
+func windowRequests(n int) []Request {
+	const ns = 1e-9
+	reqs := make([]Request, n)
+	for i := range reqs {
+		cmds := []Cmd{{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: -1}, {Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: i}}
+		cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 18.3 * ns, Resource: i})
+		for k := 1; k < 64; k++ {
+			cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: i})
+		}
+		for k := 0; k < 4; k++ {
+			cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 8.9 * ns, Resource: i})
+		}
+		cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 151.1 * ns, Resource: i}, Cmd{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: i})
+		reqs[i] = Request{Cmds: cmds}
+	}
+	return reqs
+}
+
+// TestScheduleWithAllocs pins the scheduler's allocations: a 16-request
+// window allocates at most 3 times, under either arbiter.
+func TestScheduleWithAllocs(t *testing.T) {
+	reqs := windowRequests(16)
+	for _, arb := range []Arbiter{ArbFIFO, ArbOldestReady} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := ScheduleWith(reqs, arb); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%v: scheduling a 16-request window allocated %v times, want at most 3", arb, allocs)
+		}
+	}
+}
+
+// BenchmarkScheduleWindow times one schedule of a 16-request window.
+func BenchmarkScheduleWindow(b *testing.B) {
+	reqs := windowRequests(16)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ScheduleWith(reqs, ArbFIFO); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -328,43 +494,6 @@ func TestScheduleProperties(t *testing.T) {
 				t.Fatalf("trial %d %v: schedule not deterministic", trial, arb)
 			}
 		}
-	}
-}
-
-func TestGrowExtendsRequestMidFlight(t *testing.T) {
-	// A request that reveals one extra command after the first two have
-	// executed behaves exactly like the fully expanded fixed sequence.
-	base := []Cmd{{Issue: 1, Exec: 10, Resource: 0}, {Issue: 1, Exec: 10, Resource: 0}}
-	extra := Cmd{Issue: 1, Exec: 25, Resource: 1}
-	grown := 0
-	growing := Request{Cmds: base, Grow: func(executed int) []Cmd {
-		if executed == len(base) && grown == 0 {
-			grown++
-			return []Cmd{extra}
-		}
-		return nil
-	}}
-	fixed := Request{Cmds: append(append([]Cmd(nil), base...), extra)}
-
-	got, err := Schedule([]Request{growing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Schedule([]Request{fixed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan || got.BusBusy != want.BusBusy {
-		t.Errorf("grown schedule %+v != fixed schedule %+v", got, want)
-	}
-	if grown != 1 {
-		t.Errorf("grow hook called %d times at the expansion point, want 1", grown)
-	}
-
-	// Negative times from a Grow hook are rejected like queued ones.
-	bad := Request{Grow: func(int) []Cmd { return []Cmd{{Issue: -1}} }}
-	if _, err := Schedule([]Request{bad}); err == nil {
-		t.Error("negative grown command accepted")
 	}
 }
 
@@ -447,7 +576,7 @@ func TestOldestReadyInterleavesFairly(t *testing.T) {
 // resource to a single bank per copy (cc.Resource = i), erasing
 // intra-request bank distinctness. Replicate must offset per copy instead.
 func TestReplicatePreservesIntraRequestBanks(t *testing.T) {
-	template := Request{Name: "multi", Cmds: []Cmd{
+	template := Request{Cmds: []Cmd{
 		{Issue: 1, Exec: 10, Resource: 0},
 		{Issue: 1, Exec: 10, Resource: 3},
 		{Issue: 1, Exec: 0, Resource: -1},

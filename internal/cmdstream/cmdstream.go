@@ -198,17 +198,28 @@ func (p Program) Channel() int {
 }
 
 // Request lowers the program onto the channel scheduler: KindRequest
-// instructions through chansim.FromDDR's per-command pricing (issue slots,
+// instructions through chansim's per-command DDR pricing (issue slots,
 // exec times, bank resources), KindVerify passes as one command-bus issue
 // slot plus a bank-busy interval. Zero-second verify passes leave no
-// scheduling footprint.
-func (p Program) Request(name string, t nvm.Timing, bus ddr.BusParams, banks int) chansim.Request {
-	req := chansim.Request{Name: name, Channel: p.Channel()}
+// scheduling footprint. The request's commands are one slice, allocated
+// at its final length.
+func (p Program) Request(t nvm.Timing, bus ddr.BusParams, banks int) chansim.Request {
+	n := 0
 	for _, in := range p.Instrs {
 		switch in.Kind {
 		case KindRequest, KindVoted:
-			part := chansim.FromDDR(name, in.Cmds, t, bus, banks)
-			req.Cmds = append(req.Cmds, part.Cmds...)
+			n += len(in.Cmds)
+		case KindVerify:
+			if in.Seconds > 0 {
+				n++
+			}
+		}
+	}
+	req := chansim.Request{Cmds: make([]chansim.Cmd, 0, n), Channel: p.Channel()}
+	for _, in := range p.Instrs {
+		switch in.Kind {
+		case KindRequest, KindVoted:
+			req.Cmds = chansim.AppendDDR(req.Cmds, in.Cmds, t, bus, banks)
 		case KindVerify:
 			if in.Seconds <= 0 {
 				continue

@@ -82,11 +82,14 @@ func TestProgramRequestLowering(t *testing.T) {
 	p.Emit(Instr{Kind: KindVerify, Addr: memarch.RowAddr{Bank: 3}, Seconds: 5e-8})
 	p.Emit(Instr{Kind: KindVerify, Addr: memarch.RowAddr{Bank: 3}, Seconds: 0, Joules: 1e-9})
 
-	req := p.Request("op", timing, bus, banks)
-	if req.Name != "op" || req.Channel != 0 {
-		t.Errorf("req name/channel = %q/%d", req.Name, req.Channel)
+	req := p.Request(timing, bus, banks)
+	if req.Channel != 0 {
+		t.Errorf("req channel = %d", req.Channel)
 	}
-	ref := chansim.FromDDR("op", cmds, timing, bus, banks)
+	if cap(req.Cmds) != len(req.Cmds) {
+		t.Errorf("request commands allocated at %d, used %d: want one slice at its final length", cap(req.Cmds), len(req.Cmds))
+	}
+	ref := chansim.FromDDR(cmds, timing, bus, banks)
 	if len(req.Cmds) != len(ref.Cmds)+1 {
 		t.Fatalf("lowered %d cmds, want %d FromDDR cmds + 1 verify slot (zero-second verify must be skipped)",
 			len(req.Cmds), len(ref.Cmds))

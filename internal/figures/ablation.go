@@ -224,7 +224,7 @@ func ConcurrencyAblation() ([]ConcurrencyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		req := chansim.FromDDR(fmt.Sprintf("or%d", depth), res.Commands,
+		req := chansim.FromDDR(res.Commands,
 			tech.Timing, ddr.DefaultBus(), memarch.Default().BanksPerChip)
 		curve, err := chansim.ThroughputCurve(req, ks)
 		if err != nil {

@@ -281,7 +281,7 @@ func (s *System) sampleTraces(op Op, concurrency int, faultRate float64, rep int
 			return nil, fmt.Errorf("pinatubo: sampling plan trace %d: %w", i, err)
 		}
 		dst = sr.FinalDst
-		reqs[i] = sr.Program.Request(fmt.Sprintf("%v#%d", op, i), timing, bus, banks)
+		reqs[i] = sr.Program.Request(timing, bus, banks)
 	}
 	// Offset each copy into its own bank range with one uniform stride so
 	// in-flight operations never collide on a resource ID. In the
