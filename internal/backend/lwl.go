@@ -2,7 +2,7 @@ package backend
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // LWL models the modified local-wordline driver of one subarray (Fig. 7):
@@ -14,14 +14,16 @@ import (
 type LWL struct {
 	rowsPerSubarray int
 	armed           bool // a RESET has been issued since the last batch
-	latched         map[int]bool
+	// latched is one bit per wordline, high while latched; n counts them.
+	latched []uint64
+	n       int
 }
 
 // NewLWL builds the driver model for a subarray with the given row count.
 func NewLWL(rowsPerSubarray int) *LWL {
 	return &LWL{
 		rowsPerSubarray: rowsPerSubarray,
-		latched:         make(map[int]bool),
+		latched:         make([]uint64, (rowsPerSubarray+63)/64),
 	}
 }
 
@@ -29,9 +31,8 @@ func NewLWL(rowsPerSubarray int) *LWL {
 // for a new multi-row activation.
 func (l *LWL) Reset() {
 	l.armed = true
-	for k := range l.latched {
-		delete(l.latched, k)
-	}
+	clear(l.latched)
+	l.n = 0
 }
 
 // Latch decodes one row address; the selected wordline latches high. It is
@@ -45,22 +46,25 @@ func (l *LWL) Latch(row int) error {
 	if row < 0 || row >= l.rowsPerSubarray {
 		return fmt.Errorf("pim: LWL row %d out of range [0,%d)", row, l.rowsPerSubarray)
 	}
-	if l.latched[row] {
+	bit := uint64(1) << (row % 64)
+	if l.latched[row/64]&bit != 0 {
 		return fmt.Errorf("pim: LWL row %d latched twice in one batch", row)
 	}
-	l.latched[row] = true
+	l.latched[row/64] |= bit
+	l.n++
 	return nil
 }
 
 // Open returns the currently latched (open) rows in ascending order.
 func (l *LWL) Open() []int {
-	rows := make([]int, 0, len(l.latched))
-	for r := range l.latched {
-		rows = append(rows, r)
+	rows := make([]int, 0, l.n)
+	for w, word := range l.latched {
+		for ; word != 0; word &= word - 1 {
+			rows = append(rows, w*64+bits.TrailingZeros64(word))
+		}
 	}
-	sort.Ints(rows)
 	return rows
 }
 
 // OpenCount returns how many wordlines are currently high.
-func (l *LWL) OpenCount() int { return len(l.latched) }
+func (l *LWL) OpenCount() int { return l.n }

@@ -17,6 +17,9 @@ import (
 // result in a single analog step per column group.
 type SenseAmp struct {
 	sa *sense.Array
+	// lwl is the latch model every lowering replays, reset at its start;
+	// it is rebuilt only when a request's geometry changes its row count.
+	lwl *LWL
 }
 
 // NewSenseAmp builds the modified-SA backend for a resistive technology.
@@ -68,7 +71,10 @@ func (b *SenseAmp) LowerIntra(req *IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, err
 	e := b.sa.Params().Energy
 
 	// Multi-row activation through the LWL latches (protocol-checked).
-	lwl := NewLWL(geo.RowsPerSubarray)
+	if b.lwl == nil || b.lwl.rowsPerSubarray != geo.RowsPerSubarray {
+		b.lwl = NewLWL(geo.RowsPerSubarray)
+	}
+	lwl := b.lwl
 	lwl.Reset()
 	cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdLWLReset, Addr: srcs[0]})
 	for i, s := range srcs {

@@ -13,38 +13,107 @@ import (
 // emits against this model, so a lowering bug (sensing a closed row,
 // activating without RESET between batches, forgetting the precharge)
 // fails loudly rather than silently producing an optimistic latency.
+//
+// The state lives in slices it keeps across a precharge and a Reset, so
+// a checker reused for one sequence after another allocates nothing once
+// it has seen the largest.
 type BankState struct {
-	// open[subarray key] = set of open row indices.
-	open map[[4]int]map[int]bool
-	// armed marks subarrays whose LWL latches were RESET since the last
-	// batch and may accumulate activations.
-	armed map[[4]int]bool
+	// subs holds every subarray a command has named since the last
+	// precharge; a sequence names few, so a linear search finds one.
+	subs []subState
+}
+
+// subState is one subarray's row state.
+type subState struct {
+	key [4]int
+	// armed marks latches RESET since the last batch, which may
+	// accumulate activations.
+	armed bool
+	// n counts the open rows; open is their bitset, indexed by row.
+	n    int
+	open []uint64
 }
 
 // NewBankState returns an all-precharged state.
-func NewBankState() *BankState {
-	return &BankState{
-		open:  make(map[[4]int]map[int]bool),
-		armed: make(map[[4]int]bool),
-	}
-}
+func NewBankState() *BankState { return &BankState{} }
 
 func subKey(a memarch.RowAddr) [4]int {
 	return [4]int{a.Channel, a.Rank, a.Bank, a.Subarray}
 }
 
+// find returns the state of the subarray with key k, or nil if no command
+// named it since the last precharge.
+func (s *BankState) find(k [4]int) *subState {
+	for i := range s.subs {
+		if s.subs[i].key == k {
+			return &s.subs[i]
+		}
+	}
+	return nil
+}
+
+// sub returns the state of the subarray with key k, adding it closed and
+// disarmed if absent. An added entry reuses the bitset a precharge left.
+func (s *BankState) sub(k [4]int) *subState {
+	if st := s.find(k); st != nil {
+		return st
+	}
+	if len(s.subs) == cap(s.subs) {
+		s.subs = append(s.subs, subState{})
+	} else {
+		s.subs = s.subs[:len(s.subs)+1]
+	}
+	st := &s.subs[len(s.subs)-1]
+	st.key, st.armed = k, false
+	st.close()
+	return st
+}
+
+// close closes every open row of the subarray.
+func (st *subState) close() {
+	clear(st.open)
+	st.n = 0
+}
+
+// isOpen reports whether row is open.
+func (st *subState) isOpen(row int) bool {
+	w := row / 64
+	return w < len(st.open) && st.open[w]&(1<<(row%64)) != 0
+}
+
+// addOpen opens row, growing the bitset to cover it.
+func (st *subState) addOpen(row int) {
+	w := row / 64
+	for len(st.open) <= w {
+		st.open = append(st.open, 0)
+	}
+	st.open[w] |= 1 << (row % 64)
+	st.n++
+}
+
+// openRows returns how many rows the subarray with key k has open.
+func (s *BankState) openRows(k [4]int) int {
+	if st := s.find(k); st != nil {
+		return st.n
+	}
+	return 0
+}
+
 // OpenRows returns how many rows the subarray containing a has open.
-func (s *BankState) OpenRows(a memarch.RowAddr) int { return len(s.open[subKey(a)]) }
+func (s *BankState) OpenRows(a memarch.RowAddr) int { return s.openRows(subKey(a)) }
 
 // AnyOpen reports whether any subarray has open rows.
 func (s *BankState) AnyOpen() bool {
-	for _, rows := range s.open {
-		if len(rows) > 0 {
+	for i := range s.subs {
+		if s.subs[i].n > 0 {
 			return true
 		}
 	}
 	return false
 }
+
+// Reset returns the state to all-precharged, keeping its storage.
+func (s *BankState) Reset() { s.subs = s.subs[:0] }
 
 // Apply advances the state by one command, returning an error on protocol
 // violations.
@@ -53,37 +122,45 @@ func (s *BankState) Apply(c Cmd) error {
 	switch c.Kind {
 	case CmdLWLReset:
 		// RESET closes everything in the subarray and arms the latches.
-		delete(s.open, k)
-		s.armed[k] = true
+		st := s.sub(k)
+		st.close()
+		st.armed = true
 
 	case CmdAct, CmdActTRA:
 		// A triple-row activation opens the compute group in one command;
 		// the checker tracks it by the group's addressed first row — like
 		// CmdAct, it requires the subarray precharged.
-		if len(s.open[k]) > 0 {
+		if n := s.openRows(k); n > 0 {
 			return fmt.Errorf("ddr: %v %v with %d row(s) already open and no RESET",
-				c.Kind, c.Addr, len(s.open[k]))
+				c.Kind, c.Addr, n)
 		}
-		s.addOpen(k, c.Addr.Row)
+		if c.Addr.Row < 0 {
+			return fmt.Errorf("ddr: %v %v names a negative row", c.Kind, c.Addr)
+		}
+		s.sub(k).addOpen(c.Addr.Row)
 
 	case CmdActLatch:
-		if !s.armed[k] {
+		st := s.find(k)
+		if st == nil || !st.armed {
 			return fmt.Errorf("ddr: ACT-LATCH %v without a preceding LWL-RESET", c.Addr)
 		}
-		if len(s.open[k]) == 0 {
+		if st.n == 0 {
 			return fmt.Errorf("ddr: ACT-LATCH %v before the first ACT", c.Addr)
 		}
-		if s.open[k][c.Addr.Row] {
+		if c.Addr.Row < 0 {
+			return fmt.Errorf("ddr: %v %v names a negative row", c.Kind, c.Addr)
+		}
+		if st.isOpen(c.Addr.Row) {
 			return fmt.Errorf("ddr: ACT-LATCH %v latched the same row twice", c.Addr)
 		}
-		s.addOpen(k, c.Addr.Row)
+		st.addOpen(c.Addr.Row)
 
 	case CmdSense, CmdWBack, CmdGDLMove:
 		// These operate on the currently open rows of the addressed
 		// subarray — except moves into a *different* subarray's write
 		// drivers, which target buffers rather than open rows; those are
 		// permitted against closed subarrays.
-		if c.Kind == CmdSense && len(s.open[k]) == 0 {
+		if c.Kind == CmdSense && s.openRows(k) == 0 {
 			return fmt.Errorf("ddr: SENSE %v with no open rows", c.Addr)
 		}
 
@@ -98,8 +175,7 @@ func (s *BankState) Apply(c Cmd) error {
 	case CmdPre:
 		// Precharge closes every open row (the controller's sequences end
 		// with a global precharge) and disarms the latches.
-		s.open = make(map[[4]int]map[int]bool)
-		s.armed = make(map[[4]int]bool)
+		s.Reset()
 
 	default:
 		return fmt.Errorf("ddr: unknown command kind %d", int(c.Kind))
@@ -107,20 +183,12 @@ func (s *BankState) Apply(c Cmd) error {
 	return nil
 }
 
-func (s *BankState) addOpen(k [4]int, row int) {
-	m := s.open[k]
-	if m == nil {
-		m = make(map[int]bool)
-		s.open[k] = m
-	}
-	m[row] = true
-}
-
-// ValidateSequence replays a full command sequence against a fresh state
-// and additionally requires that the sequence leaves the memory precharged
-// (no dangling open rows).
-func ValidateSequence(cmds []Cmd) error {
-	s := NewBankState()
+// Validate resets s, replays a full command sequence against it and
+// additionally requires that the sequence leaves the memory precharged
+// (no dangling open rows). A checker reused across sequences this way
+// allocates nothing on a valid sequence once its storage has grown.
+func (s *BankState) Validate(cmds []Cmd) error {
+	s.Reset()
 	for i, c := range cmds {
 		if err := s.Apply(c); err != nil {
 			return fmt.Errorf("command %d (%v): %w", i, c.Kind, err)
@@ -130,4 +198,10 @@ func ValidateSequence(cmds []Cmd) error {
 		return fmt.Errorf("ddr: sequence ends with open rows (missing PRE)")
 	}
 	return nil
+}
+
+// ValidateSequence checks a full command sequence against a fresh state:
+// Validate on a new BankState.
+func ValidateSequence(cmds []Cmd) error {
+	return NewBankState().Validate(cmds)
 }

@@ -181,3 +181,34 @@ func TestActTRAProtocol(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 }
+
+// TestProtocolCheckZeroAllocs pins that a reused checker allocates
+// nothing: a warm Validate of a 128-row intra-subarray OR sequence (MRS,
+// LWL reset, 128 activations, sense steps, write-back, precharge).
+func TestProtocolCheckZeroAllocs(t *testing.T) {
+	a := memarch.RowAddr{Bank: 1, Subarray: 2}
+	cmds := []Cmd{{Kind: CmdMRS}, {Kind: CmdLWLReset, Addr: a}}
+	for row := 0; row < 128; row++ {
+		kind := CmdActLatch
+		if row == 0 {
+			kind = CmdAct
+		}
+		a.Row = row
+		cmds = append(cmds, Cmd{Kind: kind, Addr: a})
+	}
+	for g := 0; g < 4; g++ {
+		cmds = append(cmds, Cmd{Kind: CmdSense, Addr: a})
+	}
+	a.Row = 1000
+	cmds = append(cmds, Cmd{Kind: CmdWBack, Addr: a}, Cmd{Kind: CmdPre, Addr: a})
+
+	s := NewBankState()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Validate(cmds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm protocol check of a 128-row OR allocated %v times, want 0", allocs)
+	}
+}

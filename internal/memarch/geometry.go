@@ -13,7 +13,10 @@
 // active SAs (turning point A).
 package memarch
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Geometry describes the memory organisation. All counts must be powers of
 // two (address slicing relies on it).
@@ -206,14 +209,22 @@ func SameRank(addrs ...RowAddr) bool {
 
 // DistinctRows reports whether all addresses name pairwise distinct rows —
 // the paper notes Pinatubo cannot operate on bit-vectors sharing one row.
+// It sorts the encoded addresses and compares neighbours; up to 256
+// addresses, more than any operation takes, the keys live on the stack.
 func DistinctRows(g Geometry, addrs ...RowAddr) bool {
-	seen := make(map[uint64]bool, len(addrs))
+	var local [256]uint64
+	keys := local[:0]
+	if len(addrs) > len(local) {
+		keys = make([]uint64, 0, len(addrs))
+	}
 	for _, a := range addrs {
-		k := g.Encode(a)
-		if seen[k] {
+		keys = append(keys, g.Encode(a))
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
 			return false
 		}
-		seen[k] = true
 	}
 	return true
 }

@@ -76,6 +76,36 @@ func TestUncachedExecuteRowSizedZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestUncachedLoweringAllocs pins the lowering's allocations: with an
+// injector attached (so the program cache is ineligible), lowering an
+// n-row intra-subarray OR at 16 Ki-bit allocates exactly once, for the
+// command slice at its final length. Classification, the LWL latches and
+// the protocol check reuse controller- and backend-owned state.
+func TestUncachedLoweringAllocs(t *testing.T) {
+	const bits = 1 << 14
+	c := newCtl(t, nvm.PCM)
+	attachInjector(t, c, fault.Config{Seed: 3, SenseFlipRate: 1e-4})
+	for _, n := range []int{2, 8, 26, 64, 127} {
+		srcs := addrsInSubarray(n + 1)
+		dst := srcs[n]
+		srcs = srcs[:n]
+		var p progEntry
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if p, err = c.lower(sense.OpOR, srcs, bits, &dst, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%d-row OR: lowering allocated %v times, want 1", n, allocs)
+		}
+		if len(p.commands) != cap(p.commands) {
+			t.Errorf("%d-row OR: %d commands in a slice of capacity %d, want it allocated at its final length",
+				n, len(p.commands), cap(p.commands))
+		}
+	}
+}
+
 // TestDigitalSensingKeepsOneRow pins that the digital path under an
 // injector keeps one sensing row, not one per operand: after a
 // 128-operand ExecuteDigital OR at 2^16 bits, the controller's sensing

@@ -152,6 +152,16 @@ type Controller struct {
 	// steady-state verify-every-op loop reuses them.
 	eccData  []uint64
 	eccCheck []uint64
+	// cmdScratch, intra, lowerEn and proto are the lowering's working
+	// state: a sequence is built in cmdScratch (through the backend's
+	// LowerIntra for intra-subarray requests, which takes intra and
+	// charges lowerEn), checked by proto, then copied out once at its
+	// final length. Reusing them keeps an uncached lowering to that one
+	// allocation.
+	cmdScratch []ddr.Cmd
+	intra      backend.IntraRequest
+	lowerEn    energy.Meter
+	proto      ddr.BankState
 }
 
 // scratchWords returns buf resized to exactly n words (growing its backing
@@ -563,7 +573,8 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 		if !geo.Valid(*dst) {
 			return progEntry{}, fmt.Errorf("pim: destination %v outside geometry", *dst)
 		}
-		if !memarch.SameRank(append([]memarch.RowAddr{*dst}, srcs...)...) {
+		// Classify proved that the sources share one rank.
+		if !memarch.SameRank(*dst, srcs[0]) {
 			return progEntry{}, ErrCrossRank
 		}
 	}
@@ -573,17 +584,19 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 		return progEntry{}, err
 	}
 
-	cmds := []ddr.Cmd{{Kind: ddr.CmdMRS}}
-	var en energy.Meter
+	cmds := append(c.cmdScratch[:0], ddr.Cmd{Kind: ddr.CmdMRS})
+	c.lowerEn = energy.Meter{}
 	if class == ClassIntraSub {
-		req := backend.IntraRequest{Op: op, Srcs: srcs, Bits: bits, Geo: geo, Energy: &en}
-		if cmds, err = c.be.LowerIntra(&req, cmds); err != nil {
+		c.intra = backend.IntraRequest{Op: op, Srcs: srcs, Bits: bits, Geo: geo, Energy: &c.lowerEn}
+		cmds, err = c.be.LowerIntra(&c.intra, cmds)
+		c.intra = backend.IntraRequest{}
+		if err != nil {
 			return progEntry{}, err
 		}
 	} else {
-		cmds = c.lowerInter(op, srcs, bits, class == ClassInterBank, cmds, &en)
+		cmds = c.lowerInter(op, srcs, bits, class == ClassInterBank, cmds, &c.lowerEn)
 	}
-	return c.closeAndPrice(class, srcs[0], bits, dst, cmds, en, mr4), nil
+	return c.closeAndPrice(class, srcs[0], bits, dst, cmds, c.lowerEn, mr4), nil
 }
 
 // closeAndPrice finishes a lowered sequence whose result sits at locus:
@@ -591,18 +604,23 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 // on the destination's row, or the computing subarray's when the result
 // streamed to the host, so it lands on the bank the row occupies in the
 // channel schedule — then protocol-checks and prices the whole sequence.
-// Panics on a protocol violation: a controller bug, never a caller error.
+// cmds is the controller's scratch: the entry gets its own copy, allocated
+// at the sequence's final length. Panics on a protocol violation: a
+// controller bug, never a caller error.
 func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int, dst *memarch.RowAddr, cmds []ddr.Cmd, en energy.Meter, mr4 ddr.MR4) progEntry {
 	cmds = c.lowerWriteback(locus, bits, dst, class, cmds, &en)
 	if dst != nil {
 		locus = *dst
 	}
 	cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdPre, Addr: locus})
-	if err := ddr.ValidateSequence(cmds); err != nil {
+	c.cmdScratch = cmds[:0]
+	if err := c.proto.Validate(cmds); err != nil {
 		op, n := mr4.Decode()
 		panic(fmt.Sprintf("pim: invalid command sequence for %v over %d rows (%v): %v", op, n, class, err))
 	}
-	return newProgEntry(class, ddr.Duration(cmds, c.mem.Tech().Timing, c.bus), en, cmds, mr4)
+	out := make([]ddr.Cmd, len(cmds))
+	copy(out, cmds)
+	return newProgEntry(class, ddr.Duration(out, c.mem.Tech().Timing, c.bus), en, out, mr4)
 }
 
 // replay applies one lowering's data effects in the order the hardware
@@ -857,7 +875,7 @@ func (c *Controller) hostWriteProgram(addr memarch.RowAddr, bits int) progEntry 
 		{Kind: ddr.CmdWr, Addr: addr, Bits: bits},
 		{Kind: ddr.CmdPre, Addr: addr},
 	}
-	if err := ddr.ValidateSequence(cmds); err != nil {
+	if err := c.proto.Validate(cmds); err != nil {
 		panic(fmt.Sprintf("pim: invalid host-write sequence: %v", err))
 	}
 	var en energy.Meter
