@@ -3,7 +3,8 @@ package pinatubo
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 
 	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/memarch"
@@ -169,11 +170,11 @@ type shardState struct {
 	vecs map[*BitVector]*BitVector
 }
 
-// BatchRun is a batch in flight. Between Start and Wait the shard
-// goroutines touch only their sandboxes, never the live System — so the
-// owning goroutine is free to keep Adding to the next window's builder,
-// answer host reads of untouched vectors, or Plan. All live-state
-// mutation (the merge) happens inside Wait, on the caller's goroutine.
+// BatchRun is a batch in flight. Between Start and Wait its workers touch
+// only the shard sandboxes, never the live System — so the owning
+// goroutine is free to keep Adding to the next window's builder, answer
+// host reads of untouched vectors, or Plan. All live-state mutation (the
+// merge) happens inside Wait, on the caller's goroutine.
 type BatchRun struct {
 	sys       *System
 	ops       []BatchOp
@@ -183,14 +184,20 @@ type BatchRun struct {
 	ctx       context.Context
 	opSeqBase int64
 
+	// nextShard hands shard indices to the workers; running counts the
+	// workers still working, and the one that brings it to zero closes
+	// done.
+	nextShard atomic.Int64
+	running   atomic.Int64
+
 	results []Result
 	progs   []cmdstream.Program
 	errs    []error
 	ctxErrs []error
 	done    chan struct{}
 
-	// Owned by the caller's Wait: shard goroutines report through
-	// results/errs slots and done, never through these.
+	// Owned by the caller's Wait: workers report through the
+	// results/errs/ctxErrs slots and done, never through these.
 	waited bool        //pinlint:owned Wait
 	res    BatchResult //pinlint:owned Wait
 	err    error       //pinlint:owned Wait
@@ -198,11 +205,14 @@ type BatchRun struct {
 
 // Start launches the admitted batch: it lends the live rows every shard
 // needs to per-shard sandboxes (synchronously, on the calling goroutine;
-// a sandbox copies a row only when it first writes it) and starts one
-// goroutine per shard. After Start returns, the live System is not
+// a sandbox copies a row only when it first writes it) and starts
+// min(GOMAXPROCS, shards) workers, each of which takes the next unrun
+// shard until none is left. After Start returns, the live System is not
 // touched again until Wait — the window executes entirely on sandboxes,
 // which only read the lent rows, and that is what makes overlapping the
-// next window's admission race-free. The builder is reset to empty.
+// next window's admission race-free. Shards share nothing, so which
+// worker runs which shard changes no result. The builder is reset to
+// empty.
 //
 // Start always sandboxes, even a single-shard window: the point is
 // overlap, and the merge in Wait keeps every integer counter exact (float
@@ -250,48 +260,63 @@ func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 	}
 	b.ops, b.footprints, b.ss = nil, nil, newShardSet()
 
-	var wg sync.WaitGroup
-	for si := range shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			st := r.states[si]
-			inj := st.sys.ctl.Injector()
-			for _, i := range r.shards[si] {
-				if err := r.ctx.Err(); err != nil {
-					r.ctxErrs[si] = err
-					return
-				}
-				if inj != nil {
-					// Pin the sandbox to op i's substream: apply's beginOp
-					// advances it to opSeqBase+i+1, the exact stream the op
-					// would draw running sequentially on the live system.
-					inj.SetOpSeq(r.opSeqBase + int64(i))
-				}
-				srcs := make([]*BitVector, len(r.ops[i].Srcs))
-				for j, src := range r.ops[i].Srcs {
-					srcs[j] = st.vecs[src]
-				}
-				res, err := st.sys.applyOpts(r.ops[i].Op, st.vecs[r.ops[i].Dst], srcs, callOpts{})
-				if err != nil {
-					r.errs[i] = err
-					return
-				}
-				r.results[i] = res
-				r.progs[i].Append(st.sys.prog)
-			}
-		}(si)
+	workers := min(runtime.GOMAXPROCS(0), len(shards))
+	r.running.Store(int64(workers))
+	for w := 0; w < workers; w++ {
+		go r.work()
 	}
-	go func() {
-		wg.Wait()
-		close(r.done)
-	}()
 	return r, nil
 }
 
-// Done is closed when every shard goroutine has finished (or stopped on
-// cancellation). A service loop selects on it to know the window is ready
-// to Wait without blocking admission.
+// work is one worker: it runs shards, in the order it claims them, until
+// none is left; the last worker to finish closes done.
+func (r *BatchRun) work() {
+	for {
+		si := int(r.nextShard.Add(1)) - 1
+		if si >= len(r.shards) {
+			break
+		}
+		r.runShard(si)
+	}
+	if r.running.Add(-1) == 0 {
+		close(r.done)
+	}
+}
+
+// runShard executes shard si's ops in order on its sandbox. It stops at
+// the first failing op, recording its error, or when the run's context is
+// cancelled, recording that for the shard.
+func (r *BatchRun) runShard(si int) {
+	st := r.states[si]
+	inj := st.sys.ctl.Injector()
+	for _, i := range r.shards[si] {
+		if err := r.ctx.Err(); err != nil {
+			r.ctxErrs[si] = err
+			return
+		}
+		if inj != nil {
+			// Pin the sandbox to op i's substream: apply's beginOp
+			// advances it to opSeqBase+i+1, the exact stream the op
+			// would draw running sequentially on the live system.
+			inj.SetOpSeq(r.opSeqBase + int64(i))
+		}
+		srcs := make([]*BitVector, len(r.ops[i].Srcs))
+		for j, src := range r.ops[i].Srcs {
+			srcs[j] = st.vecs[src]
+		}
+		res, err := st.sys.applyOpts(r.ops[i].Op, st.vecs[r.ops[i].Dst], srcs, callOpts{})
+		if err != nil {
+			r.errs[i] = err
+			return
+		}
+		r.results[i] = res
+		r.progs[i].Append(st.sys.prog)
+	}
+}
+
+// Done is closed when every shard has finished (or stopped on
+// cancellation) and its worker has returned. A service loop selects on it
+// to know the window is ready to Wait without blocking admission.
 func (r *BatchRun) Done() <-chan struct{} {
 	return r.done
 }
@@ -319,7 +344,7 @@ func (r *BatchRun) Wait() (BatchResult, error) {
 }
 
 func (r *BatchRun) finish() (BatchResult, error) {
-	// Every shard goroutine has joined (Wait saw done close), so the
+	// Every worker has returned (Wait saw done close), so the
 	// sandboxes are quiescent; whatever path finish takes — merge, replay
 	// or discard — they go back to the pool on the way out.
 	defer r.release()
@@ -397,8 +422,8 @@ func (r *BatchRun) finish() (BatchResult, error) {
 }
 
 // release returns every shard sandbox to the pool and drops the run's
-// references to them. Called exactly once, from finish, after all shard
-// goroutines have joined.
+// references to them. Called exactly once, from finish, after every
+// worker has returned.
 func (r *BatchRun) release() {
 	for i := range r.states {
 		r.sys.putSandbox(r.states[i].sys)
