@@ -153,11 +153,10 @@ type Controller struct {
 	eccData  []uint64
 	eccCheck []uint64
 	// cmdScratch, intra, lowerEn and proto are the lowering's working
-	// state: a sequence is built in cmdScratch (through the backend's
-	// LowerIntra for intra-subarray requests, which takes intra and
-	// charges lowerEn), checked by proto, then copied out once at its
-	// final length. Reusing them keeps an uncached lowering to that one
-	// allocation.
+	// state: a sequence is built in cmdScratch (beginLowering; the
+	// backend's LowerIntra takes intra and charges lowerEn), checked by
+	// proto, then copied out once at its final length (closeAndPrice).
+	// Reusing them keeps an uncached lowering to that one allocation.
 	cmdScratch []ddr.Cmd
 	intra      backend.IntraRequest
 	lowerEn    energy.Meter
@@ -584,13 +583,9 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 		return progEntry{}, err
 	}
 
-	cmds := append(c.cmdScratch[:0], ddr.Cmd{Kind: ddr.CmdMRS})
-	c.lowerEn = energy.Meter{}
+	cmds := c.beginLowering()
 	if class == ClassIntraSub {
-		c.intra = backend.IntraRequest{Op: op, Srcs: srcs, Bits: bits, Geo: geo, Energy: &c.lowerEn}
-		cmds, err = c.be.LowerIntra(&c.intra, cmds)
-		c.intra = backend.IntraRequest{}
-		if err != nil {
+		if cmds, err = c.lowerIntra(op, srcs, bits, cmds); err != nil {
 			return progEntry{}, err
 		}
 	} else {
@@ -599,14 +594,31 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 	return c.closeAndPrice(class, srcs[0], bits, dst, cmds, c.lowerEn, mr4), nil
 }
 
+// beginLowering starts a sequence in the controller's command scratch with
+// the MR4 write and zeroes the lowering's energy meter.
+func (c *Controller) beginLowering() []ddr.Cmd {
+	c.lowerEn = energy.Meter{}
+	return append(c.cmdScratch[:0], ddr.Cmd{Kind: ddr.CmdMRS})
+}
+
+// lowerIntra appends the backend's lowering of one co-located operand set
+// to cmds, charging the lowering's energy meter. The request the backend
+// reads is controller-owned, so handing it over allocates nothing.
+func (c *Controller) lowerIntra(op sense.Op, srcs []memarch.RowAddr, bits int, cmds []ddr.Cmd) ([]ddr.Cmd, error) {
+	c.intra = backend.IntraRequest{Op: op, Srcs: srcs, Bits: bits, Geo: c.mem.Geometry(), Energy: &c.lowerEn}
+	cmds, err := c.be.LowerIntra(&c.intra, cmds)
+	c.intra = backend.IntraRequest{}
+	return cmds, err
+}
+
 // closeAndPrice finishes a lowered sequence whose result sits at locus:
 // it appends the write-back routing and the closing precharge —
 // on the destination's row, or the computing subarray's when the result
 // streamed to the host, so it lands on the bank the row occupies in the
 // channel schedule — then protocol-checks and prices the whole sequence.
-// cmds is the controller's scratch: the entry gets its own copy, allocated
-// at the sequence's final length. Panics on a protocol violation: a
-// controller bug, never a caller error.
+// cmds is the controller's scratch (beginLowering): the entry gets its own
+// copy, allocated at the sequence's final length. Panics on a protocol
+// violation: a controller bug, never a caller error.
 func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int, dst *memarch.RowAddr, cmds []ddr.Cmd, en energy.Meter, mr4 ddr.MR4) progEntry {
 	cmds = c.lowerWriteback(locus, bits, dst, class, cmds, &en)
 	if dst != nil {

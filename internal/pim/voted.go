@@ -3,7 +3,6 @@ package pim
 import (
 	"fmt"
 
-	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
@@ -68,7 +67,8 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 		if !geo.Valid(*dst) {
 			return nil, fmt.Errorf("pim: destination %v outside geometry", *dst)
 		}
-		if !memarch.SameRank(append([]memarch.RowAddr{*dst}, all...)...) {
+		// Classify proved that the operand rows share one rank.
+		if !memarch.SameRank(*dst, all[0]) {
 			return nil, ErrCrossRank
 		}
 	}
@@ -84,16 +84,14 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 	// protocol checker sees R well-formed groups in one sequence. The
 	// vote gate lives in the subarray's add-on logic, one pass per replica
 	// beyond the first (the carry-save counters fold R-1 times).
-	cmds := []ddr.Cmd{{Kind: ddr.CmdMRS}}
-	var en energy.Meter
+	cmds := c.beginLowering()
 	for _, set := range sets {
-		req := backend.IntraRequest{Op: op, Srcs: set, Bits: bits, Geo: geo, Energy: &en}
-		if cmds, err = c.be.LowerIntra(&req, cmds); err != nil {
+		if cmds, err = c.lowerIntra(op, set, bits, cmds); err != nil {
 			return nil, err
 		}
 	}
-	en.Add(energy.Logic, float64(r-1)*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
-	p := c.closeAndPrice(ClassIntraSub, sets[0][0], bits, dst, cmds, en, mr4)
+	c.lowerEn.Add(energy.Logic, float64(r-1)*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
+	p := c.closeAndPrice(ClassIntraSub, sets[0][0], bits, dst, cmds, c.lowerEn, mr4)
 
 	// Replay: every replica pass senses independently at the same margin
 	// — the independence the majority vote exploits.
