@@ -96,6 +96,9 @@ type Backend interface {
 	// still open — the controller appends the write-back routing and the
 	// closing precharge, exactly as for any other placement class.
 	LowerIntra(req *IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, error)
+	// IntraLen returns how many commands LowerIntra appends for req, so
+	// the controller can allocate a sequence once, at its final length.
+	IntraLen(req *IntraRequest) int
 	// ComputeInto resolves op over the operand rows functionally into
 	// dst, without emitting commands or energy. It is the backend's only
 	// compute entry: every intra-subarray execution and every replica

@@ -92,7 +92,7 @@ func (b *SenseAmp) LowerIntra(req *IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, err
 	}
 
 	// Sensing: one CmdSense per column group per micro-step.
-	steps := SenseGroups(geo, bits) * op.SenseSteps()
+	steps := senseSteps(req)
 	for i := 0; i < steps; i++ {
 		cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdSense, Addr: srcs[0]})
 	}
@@ -107,4 +107,15 @@ func (b *SenseAmp) LowerIntra(req *IntraRequest, cmds []ddr.Cmd) ([]ddr.Cmd, err
 	req.Energy.Add(energy.SenseAmp,
 		float64(op.SenseSteps())*fbits*(e.SensePerBit+n*e.SenseRowAdd))
 	return cmds, nil
+}
+
+// IntraLen counts LowerIntra's commands: the LWL reset, one activation
+// per operand and the sense steps.
+func (b *SenseAmp) IntraLen(req *IntraRequest) int {
+	return 1 + len(req.Srcs) + senseSteps(req)
+}
+
+// senseSteps is one sense per column group per micro-step of the op.
+func senseSteps(req *IntraRequest) int {
+	return SenseGroups(req.Geo, req.Bits) * req.Op.SenseSteps()
 }

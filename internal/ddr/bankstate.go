@@ -19,7 +19,8 @@ import (
 // it has seen the largest.
 type BankState struct {
 	// subs holds every subarray a command has named since the last
-	// precharge; a sequence names few, so a linear search finds one.
+	// precharge, closed or not; a sequence names few, so a linear
+	// search finds one.
 	subs []subState
 }
 
@@ -41,22 +42,14 @@ func subKey(a memarch.RowAddr) [4]int {
 	return [4]int{a.Channel, a.Rank, a.Bank, a.Subarray}
 }
 
-// find returns the state of the subarray with key k, or nil if no command
-// named it since the last precharge.
-func (s *BankState) find(k [4]int) *subState {
+// sub returns the state of the subarray with key k, adding it closed and
+// disarmed if no command named it since the last precharge. An added
+// entry reuses the bitset a precharge left behind.
+func (s *BankState) sub(k [4]int) *subState {
 	for i := range s.subs {
 		if s.subs[i].key == k {
 			return &s.subs[i]
 		}
-	}
-	return nil
-}
-
-// sub returns the state of the subarray with key k, adding it closed and
-// disarmed if absent. An added entry reuses the bitset a precharge left.
-func (s *BankState) sub(k [4]int) *subState {
-	if st := s.find(k); st != nil {
-		return st
 	}
 	if len(s.subs) == cap(s.subs) {
 		s.subs = append(s.subs, subState{})
@@ -64,15 +57,9 @@ func (s *BankState) sub(k [4]int) *subState {
 		s.subs = s.subs[:len(s.subs)+1]
 	}
 	st := &s.subs[len(s.subs)-1]
-	st.key, st.armed = k, false
-	st.close()
-	return st
-}
-
-// close closes every open row of the subarray.
-func (st *subState) close() {
+	st.key, st.armed, st.n = k, false, 0
 	clear(st.open)
-	st.n = 0
+	return st
 }
 
 // isOpen reports whether row is open.
@@ -91,16 +78,8 @@ func (st *subState) addOpen(row int) {
 	st.n++
 }
 
-// openRows returns how many rows the subarray with key k has open.
-func (s *BankState) openRows(k [4]int) int {
-	if st := s.find(k); st != nil {
-		return st.n
-	}
-	return 0
-}
-
 // OpenRows returns how many rows the subarray containing a has open.
-func (s *BankState) OpenRows(a memarch.RowAddr) int { return s.openRows(subKey(a)) }
+func (s *BankState) OpenRows(a memarch.RowAddr) int { return s.sub(subKey(a)).n }
 
 // AnyOpen reports whether any subarray has open rows.
 func (s *BankState) AnyOpen() bool {
@@ -118,30 +97,28 @@ func (s *BankState) Reset() { s.subs = s.subs[:0] }
 // Apply advances the state by one command, returning an error on protocol
 // violations.
 func (s *BankState) Apply(c Cmd) error {
-	k := subKey(c.Addr)
+	st := s.sub(subKey(c.Addr))
 	switch c.Kind {
 	case CmdLWLReset:
 		// RESET closes everything in the subarray and arms the latches.
-		st := s.sub(k)
-		st.close()
-		st.armed = true
+		clear(st.open)
+		st.n, st.armed = 0, true
 
 	case CmdAct, CmdActTRA:
 		// A triple-row activation opens the compute group in one command;
 		// the checker tracks it by the group's addressed first row — like
 		// CmdAct, it requires the subarray precharged.
-		if n := s.openRows(k); n > 0 {
+		if st.n > 0 {
 			return fmt.Errorf("ddr: %v %v with %d row(s) already open and no RESET",
-				c.Kind, c.Addr, n)
+				c.Kind, c.Addr, st.n)
 		}
 		if c.Addr.Row < 0 {
 			return fmt.Errorf("ddr: %v %v names a negative row", c.Kind, c.Addr)
 		}
-		s.sub(k).addOpen(c.Addr.Row)
+		st.addOpen(c.Addr.Row)
 
 	case CmdActLatch:
-		st := s.find(k)
-		if st == nil || !st.armed {
+		if !st.armed {
 			return fmt.Errorf("ddr: ACT-LATCH %v without a preceding LWL-RESET", c.Addr)
 		}
 		if st.n == 0 {
@@ -160,7 +137,7 @@ func (s *BankState) Apply(c Cmd) error {
 		// subarray — except moves into a *different* subarray's write
 		// drivers, which target buffers rather than open rows; those are
 		// permitted against closed subarrays.
-		if c.Kind == CmdSense && s.openRows(k) == 0 {
+		if c.Kind == CmdSense && st.n == 0 {
 			return fmt.Errorf("ddr: SENSE %v with no open rows", c.Addr)
 		}
 

@@ -250,6 +250,27 @@ func (b *Backend) LowerIntra(req *backend.IntraRequest, cmds []ddr.Cmd) ([]ddr.C
 	return l.cmds, nil
 }
 
+// IntraLen counts LowerIntra's commands from the primitives each op is
+// built of: an open is an ACT and a sense per column group, an AAP an
+// open plus its write-back and precharge, a TRA an ACT-TRA and a sense
+// per group (plus a precharge when an intermediate one closes).
+func (b *Backend) IntraLen(req *backend.IntraRequest) int {
+	g := backend.SenseGroups(req.Geo, req.Bits)
+	open, aap, tra := 1+g, 3+g, 1+g
+	switch req.Op {
+	case sense.OpRead:
+		return open
+	case sense.OpINV:
+		return aap + open
+	case sense.OpAND, sense.OpOR:
+		return 3*aap + tra
+	case sense.OpXOR:
+		return 11*aap + 3*tra + 2 // two intermediate TRAs close
+	default:
+		return 0 // LowerIntra rejects the op
+	}
+}
+
 // stageTRA copies the two operands and a control row into the TRA group.
 func (l *lowering) stageTRA(a, b memarch.RowAddr, ctrlOff int) {
 	l.aap(a, l.row(offT0))

@@ -198,6 +198,9 @@ func TestLowerIntraCommandShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", c.op, err)
 		}
+		if n := b.IntraLen(req); n != len(cmds) {
+			t.Errorf("%v: IntraLen %d, LowerIntra emitted %d commands", c.op, n, len(cmds))
+		}
 		got := kindCounts(cmds)
 		for k, n := range c.want {
 			if got[k] != n {

@@ -106,6 +106,60 @@ func TestUncachedLoweringAllocs(t *testing.T) {
 	}
 }
 
+// TestLoweringAtFinalLength checks that every lowering's command slice
+// is allocated at its final length — the backend's IntraLen and the
+// controller's body and write-back counts agree with what they emit —
+// on both backends, for every op, placement, digital flag and write-back
+// route.
+func TestLoweringAtFinalLength(t *testing.T) {
+	row := func(bank, sub, r int) memarch.RowAddr { return memarch.RowAddr{Bank: bank, Subarray: sub, Row: r} }
+	placements := map[string][]memarch.RowAddr{
+		"intra":      {row(1, 2, 0), row(1, 2, 1), row(1, 2, 2), row(1, 2, 3)},
+		"inter-sub":  {row(1, 2, 0), row(1, 3, 0), row(1, 4, 0), row(1, 5, 0)},
+		"inter-bank": {row(1, 2, 0), row(2, 2, 0), row(3, 2, 0), row(4, 2, 0)},
+	}
+	dsts := map[string]*memarch.RowAddr{
+		"host": nil, "in place": {Bank: 1, Subarray: 2, Row: 900},
+		"same bank": {Bank: 1, Subarray: 9, Row: 900}, "other bank": {Bank: 6, Subarray: 0, Row: 900},
+	}
+	ops := map[sense.Op]int{sense.OpRead: 1, sense.OpINV: 1, sense.OpAND: 2, sense.OpXOR: 2, sense.OpOR: 4}
+	for _, tech := range []nvm.Tech{nvm.PCM, nvm.DRAM} {
+		c := newCtl(t, tech)
+		lowered := 0
+		for pname, srcs := range placements {
+			for op, n := range ops {
+				for dname, dst := range dsts {
+					for _, digital := range []bool{false, true} {
+						for _, bits := range []int{64, 1 << 16} {
+							p, err := c.lower(op, srcs[:n], bits, dst, digital)
+							if err != nil {
+								continue // an operand count this backend or path refuses
+							}
+							lowered++
+							if len(p.commands) != cap(p.commands) {
+								t.Errorf("%v %v %s, %d bits, into %s, digital %v: %d commands in a slice of capacity %d",
+									tech, op, pname, bits, dname, digital, len(p.commands), cap(p.commands))
+							}
+						}
+					}
+				}
+			}
+		}
+		if lowered == 0 {
+			t.Fatalf("%v: nothing lowered", tech)
+		}
+	}
+	// A voted request lowers one operand set per replica into one slice.
+	sets := [][]memarch.RowAddr{{row(1, 2, 0), row(1, 2, 1)}, {row(1, 2, 2), row(1, 2, 3)}, {row(1, 2, 4), row(1, 2, 5)}}
+	res, err := newCtl(t, nvm.PCM).ExecuteVoted(sense.OpOR, sets, 1<<16, dsts["in place"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Commands) != cap(res.Commands) {
+		t.Errorf("voted OR: %d commands in a slice of capacity %d", len(res.Commands), cap(res.Commands))
+	}
+}
+
 // TestDigitalSensingKeepsOneRow pins that the digital path under an
 // injector keeps one sensing row, not one per operand: after a
 // 128-operand ExecuteDigital OR at 2^16 bits, the controller's sensing

@@ -152,15 +152,13 @@ type Controller struct {
 	// steady-state verify-every-op loop reuses them.
 	eccData  []uint64
 	eccCheck []uint64
-	// cmdScratch, intra, lowerEn and proto are the lowering's working
-	// state: a sequence is built in cmdScratch (beginLowering; the
-	// backend's LowerIntra takes intra and charges lowerEn), checked by
-	// proto, then copied out once at its final length (closeAndPrice).
-	// Reusing them keeps an uncached lowering to that one allocation.
-	cmdScratch []ddr.Cmd
-	intra      backend.IntraRequest
-	lowerEn    energy.Meter
-	proto      ddr.BankState
+	// intra, lowerEn and proto are the lowering's working state: the
+	// request handed to the backend, the meter it charges and the
+	// protocol checker. Reusing them keeps an uncached lowering to one
+	// allocation, its command slice at its final length.
+	intra   backend.IntraRequest
+	lowerEn energy.Meter
+	proto   ddr.BankState
 }
 
 // scratchWords returns buf resized to exactly n words (growing its backing
@@ -583,32 +581,45 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 		return progEntry{}, err
 	}
 
-	cmds := c.beginLowering()
+	var cmds []ddr.Cmd
 	if class == ClassIntraSub {
-		if cmds, err = c.lowerIntra(op, srcs, bits, cmds); err != nil {
+		cmds, err = c.lowerIntra(op, [][]memarch.RowAddr{srcs}, bits, dst)
+		if err != nil {
 			return progEntry{}, err
 		}
 	} else {
+		body := len(srcs) * (3 + senseGroups(geo, bits)) // see lowerInter
+		cmds = c.beginLowering(class, srcs[0], dst, body)
 		cmds = c.lowerInter(op, srcs, bits, class == ClassInterBank, cmds, &c.lowerEn)
 	}
 	return c.closeAndPrice(class, srcs[0], bits, dst, cmds, c.lowerEn, mr4), nil
 }
 
-// beginLowering starts a sequence in the controller's command scratch with
-// the MR4 write and zeroes the lowering's energy meter.
-func (c *Controller) beginLowering() []ddr.Cmd {
+// beginLowering zeroes the lowering's energy meter and starts a sequence
+// with the MR4 write, in a slice allocated at the length it will have
+// once body more commands, the write-back routing from locus to dst and
+// the closing precharge follow.
+func (c *Controller) beginLowering(class Class, locus memarch.RowAddr, dst *memarch.RowAddr, body int) []ddr.Cmd {
 	c.lowerEn = energy.Meter{}
-	return append(c.cmdScratch[:0], ddr.Cmd{Kind: ddr.CmdMRS})
+	n := 1 + body + writebackLen(class, locus, dst) + 1
+	return append(make([]ddr.Cmd, 0, n), ddr.Cmd{Kind: ddr.CmdMRS})
 }
 
-// lowerIntra appends the backend's lowering of one co-located operand set
-// to cmds, charging the lowering's energy meter. The request the backend
+// lowerIntra starts a sequence (beginLowering) and appends the backend's
+// lowering of each co-located operand set to it — one set for a plain
+// request, one per replica for a voted one. The request the backend
 // reads is controller-owned, so handing it over allocates nothing.
-func (c *Controller) lowerIntra(op sense.Op, srcs []memarch.RowAddr, bits int, cmds []ddr.Cmd) ([]ddr.Cmd, error) {
-	c.intra = backend.IntraRequest{Op: op, Srcs: srcs, Bits: bits, Geo: c.mem.Geometry(), Energy: &c.lowerEn}
-	cmds, err := c.be.LowerIntra(&c.intra, cmds)
-	c.intra = backend.IntraRequest{}
-	return cmds, err
+func (c *Controller) lowerIntra(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) ([]ddr.Cmd, error) {
+	c.intra = backend.IntraRequest{Op: op, Srcs: sets[0], Bits: bits, Geo: c.mem.Geometry(), Energy: &c.lowerEn}
+	cmds := c.beginLowering(ClassIntraSub, sets[0][0], dst, len(sets)*c.be.IntraLen(&c.intra))
+	for _, set := range sets {
+		c.intra.Srcs = set
+		var err error
+		if cmds, err = c.be.LowerIntra(&c.intra, cmds); err != nil {
+			return nil, err
+		}
+	}
+	return cmds, nil
 }
 
 // closeAndPrice finishes a lowered sequence whose result sits at locus:
@@ -616,23 +627,18 @@ func (c *Controller) lowerIntra(op sense.Op, srcs []memarch.RowAddr, bits int, c
 // on the destination's row, or the computing subarray's when the result
 // streamed to the host, so it lands on the bank the row occupies in the
 // channel schedule — then protocol-checks and prices the whole sequence.
-// cmds is the controller's scratch (beginLowering): the entry gets its own
-// copy, allocated at the sequence's final length. Panics on a protocol
-// violation: a controller bug, never a caller error.
+// Panics on a protocol violation: a controller bug, never a caller error.
 func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int, dst *memarch.RowAddr, cmds []ddr.Cmd, en energy.Meter, mr4 ddr.MR4) progEntry {
 	cmds = c.lowerWriteback(locus, bits, dst, class, cmds, &en)
 	if dst != nil {
 		locus = *dst
 	}
 	cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdPre, Addr: locus})
-	c.cmdScratch = cmds[:0]
 	if err := c.proto.Validate(cmds); err != nil {
 		op, n := mr4.Decode()
 		panic(fmt.Sprintf("pim: invalid command sequence for %v over %d rows (%v): %v", op, n, class, err))
 	}
-	out := make([]ddr.Cmd, len(cmds))
-	copy(out, cmds)
-	return newProgEntry(class, ddr.Duration(out, c.mem.Tech().Timing, c.bus), en, out, mr4)
+	return newProgEntry(class, ddr.Duration(cmds, c.mem.Tech().Timing, c.bus), en, cmds, mr4)
 }
 
 // replay applies one lowering's data effects in the order the hardware
@@ -790,6 +796,29 @@ func (c *Controller) lowerInter(op sense.Op, srcs []memarch.RowAddr, bits int, i
 	return cmds
 }
 
+// writebackMoves returns how many buffer moves carry a result at locus to
+// dst's write drivers: none for an in-place update, one GDL move within a
+// bank, and GDL, I/O and GDL moves across banks.
+func writebackMoves(class Class, locus, dst memarch.RowAddr) int {
+	switch {
+	case class == ClassIntraSub && memarch.SameSubarray(locus, dst):
+		return 0
+	case memarch.SameBank(locus, dst):
+		return 1
+	default:
+		return 3
+	}
+}
+
+// writebackLen counts lowerWriteback's commands: a burst to the host, or
+// the moves to dst and its write-back.
+func writebackLen(class Class, locus memarch.RowAddr, dst *memarch.RowAddr) int {
+	if dst == nil {
+		return 1
+	}
+	return writebackMoves(class, locus, *dst) + 1
+}
+
 // lowerWriteback appends the routing of the result to dst (or to the host
 // when dst is nil) and charges its energy. locus is where the result
 // currently sits: the computing subarray's SAs (intra) or a buffer.
@@ -801,12 +830,10 @@ func (c *Controller) lowerWriteback(locus memarch.RowAddr, bits int, dst *memarc
 		en.Add(energy.IOBus, fbits*e.IOBusPerBit)
 		return append(cmds, ddr.Cmd{Kind: ddr.CmdRd, Addr: locus, Bits: bits})
 	}
-	sameSub := memarch.SameSubarray(locus, *dst)
-	sameBank := memarch.SameBank(locus, *dst)
-	switch {
-	case class == ClassIntraSub && sameSub:
+	switch writebackMoves(class, locus, *dst) {
+	case 0:
 		// Pure in-place update: SA output feeds the WDs directly.
-	case sameBank:
+	case 1:
 		// Move over the bank's GDLs to the destination subarray's WDs.
 		cmds = append(cmds, ddr.Cmd{Kind: ddr.CmdGDLMove, Addr: *dst, Bits: bits})
 		en.Add(energy.GDL, fbits*e.GDLPerBit)

@@ -84,11 +84,9 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 	// protocol checker sees R well-formed groups in one sequence. The
 	// vote gate lives in the subarray's add-on logic, one pass per replica
 	// beyond the first (the carry-save counters fold R-1 times).
-	cmds := c.beginLowering()
-	for _, set := range sets {
-		if cmds, err = c.lowerIntra(op, set, bits, cmds); err != nil {
-			return nil, err
-		}
+	cmds, err := c.lowerIntra(op, sets, bits, dst)
+	if err != nil {
+		return nil, err
 	}
 	c.lowerEn.Add(energy.Logic, float64(r-1)*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
 	p := c.closeAndPrice(ClassIntraSub, sets[0][0], bits, dst, cmds, c.lowerEn, mr4)
