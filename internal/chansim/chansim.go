@@ -211,9 +211,9 @@ func ScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 	// channel and ID the requests name. Up to 4 buses and 64 IDs, the
 	// banks of one channel, live in local arrays and cost no allocation.
 	var localBus [4]float64
-	busFree := append(localBus[:0], make([]float64, channels)...)
+	busFree := zeroed(localBus[:], channels)
 	var localRes [64]float64
-	resourceFree := append(localRes[:0], make([]float64, resources)...)
+	resourceFree := zeroed(localRes[:], resources)
 	res := Result{Completion: make([]float64, len(reqs)), Channels: channels}
 
 	for len(active) > 0 {
@@ -278,6 +278,15 @@ func ScheduleWith(reqs []Request, arb Arbiter) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// zeroed returns n zeroed values: the front of buf, which must be zero,
+// when it holds n, else a new slice.
+func zeroed(buf []float64, n int) []float64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 // ThroughputCurve schedules k copies of a template request for every k in
