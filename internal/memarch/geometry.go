@@ -209,22 +209,24 @@ func SameRank(addrs ...RowAddr) bool {
 
 // DistinctRows reports whether all addresses name pairwise distinct rows —
 // the paper notes Pinatubo cannot operate on bit-vectors sharing one row.
-// It sorts the encoded addresses and compares neighbours; up to 256
-// addresses, more than any operation takes, the keys live on the stack.
 func DistinctRows(g Geometry, addrs ...RowAddr) bool {
-	var local [256]uint64
-	keys := local[:0]
-	if len(addrs) > len(local) {
-		keys = make([]uint64, 0, len(addrs))
-	}
+	ok, _ := DistinctRowsBuf(g, nil, addrs)
+	return ok
+}
+
+// DistinctRowsBuf is DistinctRows that sorts the encoded addresses in
+// buf, growing it as needed, and returns it for reuse: a caller that
+// keeps the buffer allocates nothing once it has held its largest set.
+func DistinctRowsBuf(g Geometry, buf []uint64, addrs []RowAddr) (bool, []uint64) {
+	keys := buf[:0]
 	for _, a := range addrs {
 		keys = append(keys, g.Encode(a))
 	}
 	slices.Sort(keys)
 	for i := 1; i < len(keys); i++ {
 		if keys[i] == keys[i-1] {
-			return false
+			return false, keys
 		}
 	}
-	return true
+	return true, keys
 }

@@ -152,10 +152,12 @@ type Controller struct {
 	// steady-state verify-every-op loop reuses them.
 	eccData  []uint64
 	eccCheck []uint64
-	// intra, lowerEn and proto are the lowering's working state: the
-	// request handed to the backend, the meter it charges and the
+	// rowKeys, intra, lowerEn and proto are the lowering's working state:
+	// the encoded operand addresses Classify sorts to find a shared row,
+	// the request handed to the backend, the meter it charges and the
 	// protocol checker. Reusing them keeps an uncached lowering to one
 	// allocation, its command slice at its final length.
+	rowKeys []uint64
 	intra   backend.IntraRequest
 	lowerEn energy.Meter
 	proto   ddr.BankState
@@ -372,7 +374,9 @@ func (c *Controller) Classify(srcs []memarch.RowAddr) (Class, error) {
 			return 0, fmt.Errorf("pim: operand address %v outside geometry", a)
 		}
 	}
-	if !memarch.DistinctRows(geo, srcs...) {
+	distinct, keys := memarch.DistinctRowsBuf(geo, c.rowKeys, srcs)
+	c.rowKeys = keys
+	if !distinct {
 		return 0, fmt.Errorf("pim: classifying %d operand rows: %w", len(srcs), ErrSharedRow)
 	}
 	switch {
