@@ -6,7 +6,8 @@
 // routing, the program cache, fault injection, counters, ECC — and
 // delegates exactly three things to the backend: how a co-located operand
 // set is lowered inside the array (LowerIntra: the command sequence and
-// its energy, a pure function of the request), how its result is computed
+// its energy, a pure function of the request; IntraLen: how many
+// commands that is), how its result is computed
 // (ComputeInto, the backend's one compute entry) and what the technology
 // is capable of (operand depth, voted sensing, reserved rows, whether the
 // resistive fault model applies).
