@@ -14,7 +14,7 @@ import (
 // activating without RESET between batches, forgetting the precharge)
 // fails loudly rather than silently producing an optimistic latency.
 //
-// The state lives in slices it keeps across a precharge and a Reset, so
+// The state lives in slices it keeps across a precharge, so
 // a checker reused for one sequence after another allocates nothing once
 // it has seen the largest.
 type BankState struct {
@@ -91,8 +91,8 @@ func (s *BankState) AnyOpen() bool {
 	return false
 }
 
-// Reset returns the state to all-precharged, keeping its storage.
-func (s *BankState) Reset() { s.subs = s.subs[:0] }
+// reset returns the state to all-precharged, keeping its storage.
+func (s *BankState) reset() { s.subs = s.subs[:0] }
 
 // Apply advances the state by one command, returning an error on protocol
 // violations.
@@ -152,7 +152,7 @@ func (s *BankState) Apply(c Cmd) error {
 	case CmdPre:
 		// Precharge closes every open row (the controller's sequences end
 		// with a global precharge) and disarms the latches.
-		s.Reset()
+		s.reset()
 
 	default:
 		return fmt.Errorf("ddr: unknown command kind %d", int(c.Kind))
@@ -165,7 +165,7 @@ func (s *BankState) Apply(c Cmd) error {
 // (no dangling open rows). A checker reused across sequences this way
 // allocates nothing on a valid sequence once its storage has grown.
 func (s *BankState) Validate(cmds []Cmd) error {
-	s.Reset()
+	s.reset()
 	for i, c := range cmds {
 		if err := s.Apply(c); err != nil {
 			return fmt.Errorf("command %d (%v): %w", i, c.Kind, err)

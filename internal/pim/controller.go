@@ -601,11 +601,15 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 
 // beginLowering zeroes the lowering's energy meter and starts a sequence
 // with the MR4 write, in a slice allocated at the length it will have
-// once body more commands, the write-back routing from locus to dst and
-// the closing precharge follow.
+// once body more commands, the write-back routing from locus to dst (a
+// burst to the host, or the buffer moves and the write-back) and the
+// closing precharge follow.
 func (c *Controller) beginLowering(class Class, locus memarch.RowAddr, dst *memarch.RowAddr, body int) []ddr.Cmd {
 	c.lowerEn = energy.Meter{}
-	n := 1 + body + writebackLen(class, locus, dst) + 1
+	n := body + 3 // the MR4 write, the burst or write-back, the precharge
+	if dst != nil {
+		n += writebackMoves(class, locus, *dst)
+	}
 	return append(make([]ddr.Cmd, 0, n), ddr.Cmd{Kind: ddr.CmdMRS})
 }
 
@@ -812,15 +816,6 @@ func writebackMoves(class Class, locus, dst memarch.RowAddr) int {
 	default:
 		return 3
 	}
-}
-
-// writebackLen counts lowerWriteback's commands: a burst to the host, or
-// the moves to dst and its write-back.
-func writebackLen(class Class, locus memarch.RowAddr, dst *memarch.RowAddr) int {
-	if dst == nil {
-		return 1
-	}
-	return writebackMoves(class, locus, *dst) + 1
 }
 
 // lowerWriteback appends the routing of the result to dst (or to the host
