@@ -209,11 +209,11 @@ func (s *System) scheduleBatch(ops []BatchOp, progs []cmdstream.Program, results
 	}
 	timing := s.mem.Tech().Timing
 	bus := s.ctl.Bus()
-	banks := s.mem.Geometry().BanksPerChip
+	geo := s.mem.Geometry()
 	reqs := make([]chansim.Request, len(ops))
 	var back float64
 	for i := range ops {
-		reqs[i] = progs[i].Request(timing, bus, banks)
+		reqs[i] = progs[i].Request(timing, bus, geo)
 		back += reqs[i].Duration()
 	}
 	sched, err := chansim.ScheduleWith(reqs, carb)

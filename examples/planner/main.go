@@ -102,7 +102,7 @@ func saturationTheLongWay(depth int) (int, error) {
 		return 0, err
 	}
 	req := chansim.FromDDR(res.Commands,
-		nvm.Get(nvm.PCM).Timing, ddr.DefaultBus(), geo.BanksPerChip)
+		nvm.Get(nvm.PCM).Timing, ddr.DefaultBus(), geo)
 	var ks []int
 	for k := 1; k < concurrency; k *= 2 {
 		ks = append(ks, k)

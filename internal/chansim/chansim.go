@@ -337,25 +337,25 @@ func SaturationOf(ks []int, curve []float64, frac float64) int {
 }
 
 // BankResource flattens a row address into the global scheduler resource
-// ID used by FromDDR: channel, rank and bank are packed so distinct banks
-// anywhere in the system never collide.
-func BankResource(a memarch.RowAddr, geoBanks int) int {
-	return (a.Channel*64+a.Rank)*geoBanks + a.Bank
+// ID used by FromDDR: the bank's index among every bank of geo, so
+// distinct banks anywhere in the system never collide and the IDs stay
+// dense (a system's banks number 0 to Channels·RanksPerChannel·BanksPerChip-1).
+func BankResource(a memarch.RowAddr, geo memarch.Geometry) int {
+	return (a.Channel*geo.RanksPerChannel+a.Rank)*geo.BanksPerChip + a.Bank
 }
 
 // FromDDR converts a controller-emitted DDR command sequence into a
 // schedulable request. Every command occupies one command-bus slot except
 // the data bursts (CmdRd/CmdWr), which hold the bus for their transfer
 // time; execution occupies the command's target bank for its full
-// duration. geoBanks is the bank count used to flatten bank addresses into
-// resource IDs.
-func FromDDR(cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geoBanks int) Request {
-	return Request{Cmds: AppendDDR(make([]Cmd, 0, len(cmds)), cmds, t, bus, geoBanks)}
+// duration. geo numbers the banks as resource IDs (BankResource).
+func FromDDR(cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geo memarch.Geometry) Request {
+	return Request{Cmds: AppendDDR(make([]Cmd, 0, len(cmds)), cmds, t, bus, geo)}
 }
 
 // AppendDDR appends the scheduling footprint of every command in cmds to
 // dst, priced as FromDDR prices them, and returns the extended slice.
-func AppendDDR(dst []Cmd, cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geoBanks int) []Cmd {
+func AppendDDR(dst []Cmd, cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geo memarch.Geometry) []Cmd {
 	for _, c := range cmds {
 		exec := ddr.CmdTime(c, t, bus)
 		issue := t.TCMD
@@ -363,7 +363,7 @@ func AppendDDR(dst []Cmd, cmds []ddr.Cmd, t nvm.Timing, bus ddr.BusParams, geoBa
 			// Bursts occupy the data bus; model as bus occupancy too.
 			issue = exec
 		}
-		resource := BankResource(c.Addr, geoBanks)
+		resource := BankResource(c.Addr, geo)
 		if c.Kind == ddr.CmdMRS {
 			resource = -1 // register write: bus only
 		}

@@ -166,7 +166,7 @@ func TestPinatuboOpConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	tech := nvm.Get(nvm.PCM)
-	req := chansim.FromDDR(res.Commands, tech.Timing, ddr.DefaultBus(), 8)
+	req := chansim.FromDDR(res.Commands, tech.Timing, ddr.DefaultBus(), memarch.Default())
 
 	// Standalone duration must agree with the controller's own pricing.
 	if !approx(req.Duration(), res.Seconds, res.Seconds*0.05) {
@@ -191,7 +191,7 @@ func TestFromDDRMapsResources(t *testing.T) {
 		{Kind: ddr.CmdAct, Addr: memarch.RowAddr{Bank: 3}},
 		{Kind: ddr.CmdRd, Bits: 8192},
 	}
-	req := chansim.FromDDR(cmds, tech.Timing, ddr.DefaultBus(), 8)
+	req := chansim.FromDDR(cmds, tech.Timing, ddr.DefaultBus(), memarch.Default())
 	if req.Cmds[0].Resource != -1 {
 		t.Error("MRS should be bus-only")
 	}

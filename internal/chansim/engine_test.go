@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"pinatubo/internal/memarch"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -409,47 +411,61 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 	})
 }
 
-// windowRequests builds n requests shaped like one batch window's: each
-// holds a 64-row OR's commands on its own bank (an MRS, the LWL reset,
-// 64 activations, 4 sense steps, the write-back and the precharge, at
-// PCM's timings) and all share one command bus.
-func windowRequests(n int) []Request {
+// windowRequests builds n requests shaped like one batch window's on the
+// given channel of a 4-channel, 16-bank geometry: each holds a 64-row
+// OR's commands on its own bank (an MRS, the LWL reset, 64 activations,
+// 4 sense steps, the write-back and the precharge, at PCM's timings),
+// with BankResource's IDs, and all share the channel's command bus.
+func windowRequests(channel, n int) []Request {
 	const ns = 1e-9
+	geo := memarch.Default()
+	geo.BanksPerChip = 16
 	reqs := make([]Request, n)
 	for i := range reqs {
-		cmds := []Cmd{{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: -1}, {Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: i}}
-		cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 18.3 * ns, Resource: i})
+		bank := BankResource(memarch.RowAddr{Channel: channel, Bank: i % geo.BanksPerChip}, geo)
+		cmds := []Cmd{{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: -1}, {Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: bank}}
+		cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 18.3 * ns, Resource: bank})
 		for k := 1; k < 64; k++ {
-			cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: i})
+			cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: bank})
 		}
 		for k := 0; k < 4; k++ {
-			cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 8.9 * ns, Resource: i})
+			cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 8.9 * ns, Resource: bank})
 		}
-		cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 151.1 * ns, Resource: i}, Cmd{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: i})
-		reqs[i] = Request{Cmds: cmds}
+		cmds = append(cmds, Cmd{Issue: 1.25 * ns, Exec: 151.1 * ns, Resource: bank}, Cmd{Issue: 1.25 * ns, Exec: 1.25 * ns, Resource: bank})
+		reqs[i] = Request{Cmds: cmds, Channel: channel}
 	}
 	return reqs
 }
 
 // TestScheduleWithAllocs pins the scheduler's allocations: a 16-request
-// window allocates at most 3 times, under either arbiter.
+// window allocates at most 3 times, under either arbiter, and a window on
+// channel 3 allocates no more than the same window on channel 0. (While
+// BankResource packed channels 64 ranks apart, channel 3's IDs sized the
+// resource table to 3,088 entries and cost one more allocation.)
 func TestScheduleWithAllocs(t *testing.T) {
-	reqs := windowRequests(16)
 	for _, arb := range []Arbiter{ArbFIFO, ArbOldestReady} {
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := ScheduleWith(reqs, arb); err != nil {
-				t.Fatal(err)
+		var perChannel [2]float64
+		for i, channel := range []int{0, 3} {
+			reqs := windowRequests(channel, 16)
+			perChannel[i] = testing.AllocsPerRun(50, func() {
+				if _, err := ScheduleWith(reqs, arb); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perChannel[i] > 3 {
+				t.Errorf("%v: scheduling a 16-request window on channel %d allocated %v times, want at most 3",
+					arb, channel, perChannel[i])
 			}
-		})
-		if allocs > 3 {
-			t.Errorf("%v: scheduling a 16-request window allocated %v times, want at most 3", arb, allocs)
+		}
+		if perChannel[1] > perChannel[0] {
+			t.Errorf("%v: a channel-3 window allocates %v times, a channel-0 window %v", arb, perChannel[1], perChannel[0])
 		}
 	}
 }
 
 // BenchmarkScheduleWindow times one schedule of a 16-request window.
 func BenchmarkScheduleWindow(b *testing.B) {
-	reqs := windowRequests(16)
+	reqs := windowRequests(0, 16)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := ScheduleWith(reqs, ArbFIFO); err != nil {

@@ -203,7 +203,7 @@ func (p Program) Channel() int {
 // slot plus a bank-busy interval. Zero-second verify passes leave no
 // scheduling footprint. The request's commands are one slice, allocated
 // at its final length.
-func (p Program) Request(t nvm.Timing, bus ddr.BusParams, banks int) chansim.Request {
+func (p Program) Request(t nvm.Timing, bus ddr.BusParams, geo memarch.Geometry) chansim.Request {
 	n := 0
 	for _, in := range p.Instrs {
 		switch in.Kind {
@@ -219,7 +219,7 @@ func (p Program) Request(t nvm.Timing, bus ddr.BusParams, banks int) chansim.Req
 	for _, in := range p.Instrs {
 		switch in.Kind {
 		case KindRequest, KindVoted:
-			req.Cmds = chansim.AppendDDR(req.Cmds, in.Cmds, t, bus, banks)
+			req.Cmds = chansim.AppendDDR(req.Cmds, in.Cmds, t, bus, geo)
 		case KindVerify:
 			if in.Seconds <= 0 {
 				continue
@@ -227,7 +227,7 @@ func (p Program) Request(t nvm.Timing, bus ddr.BusParams, banks int) chansim.Req
 			req.Cmds = append(req.Cmds, chansim.Cmd{
 				Issue:    t.TCMD,
 				Exec:     in.Seconds,
-				Resource: chansim.BankResource(in.Addr, banks),
+				Resource: chansim.BankResource(in.Addr, geo),
 			})
 		}
 	}

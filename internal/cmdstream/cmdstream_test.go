@@ -71,7 +71,7 @@ func TestProgramChannel(t *testing.T) {
 func TestProgramRequestLowering(t *testing.T) {
 	timing := nvm.Get(nvm.PCM).Timing
 	bus := ddr.DefaultBus()
-	const banks = 8
+	geo := memarch.Default()
 	cmds := []ddr.Cmd{
 		{Kind: ddr.CmdMRS},
 		{Kind: ddr.CmdAct, Addr: memarch.RowAddr{Bank: 3}},
@@ -82,14 +82,14 @@ func TestProgramRequestLowering(t *testing.T) {
 	p.Emit(Instr{Kind: KindVerify, Addr: memarch.RowAddr{Bank: 3}, Seconds: 5e-8})
 	p.Emit(Instr{Kind: KindVerify, Addr: memarch.RowAddr{Bank: 3}, Seconds: 0, Joules: 1e-9})
 
-	req := p.Request(timing, bus, banks)
+	req := p.Request(timing, bus, geo)
 	if req.Channel != 0 {
 		t.Errorf("req channel = %d", req.Channel)
 	}
 	if cap(req.Cmds) != len(req.Cmds) {
 		t.Errorf("request commands allocated at %d, used %d: want one slice at its final length", cap(req.Cmds), len(req.Cmds))
 	}
-	ref := chansim.FromDDR(cmds, timing, bus, banks)
+	ref := chansim.FromDDR(cmds, timing, bus, geo)
 	if len(req.Cmds) != len(ref.Cmds)+1 {
 		t.Fatalf("lowered %d cmds, want %d FromDDR cmds + 1 verify slot (zero-second verify must be skipped)",
 			len(req.Cmds), len(ref.Cmds))
@@ -103,7 +103,7 @@ func TestProgramRequestLowering(t *testing.T) {
 	want := chansim.Cmd{
 		Issue:    timing.TCMD,
 		Exec:     5e-8,
-		Resource: chansim.BankResource(memarch.RowAddr{Bank: 3}, banks),
+		Resource: chansim.BankResource(memarch.RowAddr{Bank: 3}, geo),
 	}
 	if last != want {
 		t.Errorf("verify slot = %+v want %+v", last, want)

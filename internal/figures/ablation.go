@@ -225,7 +225,7 @@ func ConcurrencyAblation() ([]ConcurrencyRow, error) {
 			return nil, err
 		}
 		req := chansim.FromDDR(res.Commands,
-			tech.Timing, ddr.DefaultBus(), memarch.Default().BanksPerChip)
+			tech.Timing, ddr.DefaultBus(), memarch.Default())
 		curve, err := chansim.ThroughputCurve(req, ks)
 		if err != nil {
 			return nil, err

@@ -19,7 +19,7 @@ import (
 // verification passes at their recorded latency.
 func requestSeconds(ctl *pim.Controller, p cmdstream.Program) float64 {
 	mem := ctl.Memory()
-	return p.Request(mem.Tech().Timing, ctl.Bus(), mem.Geometry().BanksPerChip).Duration()
+	return p.Request(mem.Tech().Timing, ctl.Bus(), mem.Geometry()).Duration()
 }
 
 // With resilience off the program is exactly the plain controller command

@@ -272,7 +272,6 @@ func (s *System) sampleTraces(op Op, concurrency int, faultRate float64, rep int
 	bits := sb.RowBits()
 	timing := sb.mem.Tech().Timing
 	bus := sb.ctl.Bus()
-	banks := geo.BanksPerChip
 
 	reqs := make([]chansim.Request, concurrency)
 	for i := 0; i < concurrency; i++ {
@@ -281,7 +280,7 @@ func (s *System) sampleTraces(op Op, concurrency int, faultRate float64, rep int
 			return nil, fmt.Errorf("pinatubo: sampling plan trace %d: %w", i, err)
 		}
 		dst = sr.FinalDst
-		reqs[i] = sr.Program.Request(timing, bus, banks)
+		reqs[i] = sr.Program.Request(timing, bus, geo)
 	}
 	// Offset each copy into its own bank range with one uniform stride so
 	// in-flight operations never collide on a resource ID. In the

@@ -27,7 +27,7 @@ func planReference(t *testing.T) chansim.Request {
 	if sr.Program.Len() != 1 || sr.Program.Instrs[0].Cmds == nil {
 		t.Fatalf("zero-fault OR program has %d instructions, want 1 command request", sr.Program.Len())
 	}
-	tmpl := chansim.FromDDR(sr.Program.Instrs[0].Cmds, ref.mem.Tech().Timing, ref.ctl.Bus(), geo.BanksPerChip)
+	tmpl := chansim.FromDDR(sr.Program.Instrs[0].Cmds, ref.mem.Tech().Timing, ref.ctl.Bus(), geo)
 	if d := tmpl.Duration(); d != sr.Cost.Seconds {
 		t.Fatalf("template duration %g != scheduled cost %g", d, sr.Cost.Seconds)
 	}
