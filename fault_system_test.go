@@ -1,6 +1,7 @@
 package pinatubo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,22 @@ func faultySys(t testing.TB, fc FaultConfig) *System {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestNewRejectsInvalidFaultRates pins that New refuses a fault rate that
+// is negative, above 1 or NaN. NaN compares false with every bound, so a
+// range test written as "r < 0 || r > 1" let it through, and a System
+// built with it ran fault-free.
+func TestNewRejectsInvalidFaultRates(t *testing.T) {
+	for _, r := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1)} {
+		for _, fc := range []FaultConfig{{SenseFlipRate: r}, {ActivationFailRate: r}} {
+			cfg := DefaultConfig()
+			cfg.Fault = fc
+			if _, err := New(cfg); err == nil {
+				t.Errorf("New accepted fault config %+v", fc)
+			}
+		}
+	}
 }
 
 // The issue's acceptance criterion: at a sense-flip rate that corrupts the

@@ -73,20 +73,21 @@ func (c Config) Enabled() bool {
 
 // Validate rejects out-of-range knobs. New calls it, but callers that
 // gate injector construction on Enabled() should call it themselves so a
-// nonsense config (negative rate, rate above 1) fails loudly instead of
-// silently meaning "disabled".
+// nonsense config (negative rate, rate above 1, NaN) fails loudly instead
+// of silently meaning "disabled". The comparisons are written so that NaN,
+// which compares false with everything, fails them.
 func (c Config) Validate() error {
-	if c.SenseFlipRate < 0 || c.SenseFlipRate > 1 {
+	if !(c.SenseFlipRate >= 0 && c.SenseFlipRate <= 1) {
 		return fmt.Errorf("fault: SenseFlipRate %g outside 0..1", c.SenseFlipRate)
 	}
-	if c.ActivationFailRate < 0 || c.ActivationFailRate > 1 {
+	if !(c.ActivationFailRate >= 0 && c.ActivationFailRate <= 1) {
 		return fmt.Errorf("fault: ActivationFailRate %g outside 0..1", c.ActivationFailRate)
 	}
 	if c.WearLimit < 0 {
 		return fmt.Errorf("fault: WearLimit %d negative", c.WearLimit)
 	}
-	if c.DriftSeconds < 0 {
-		return fmt.Errorf("fault: DriftSeconds %g negative", c.DriftSeconds)
+	if !(c.DriftSeconds >= 0) {
+		return fmt.Errorf("fault: DriftSeconds %g negative or NaN", c.DriftSeconds)
 	}
 	return nil
 }

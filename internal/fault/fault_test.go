@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,6 +48,9 @@ func TestValidate(t *testing.T) {
 		{ActivationFailRate: 2},
 		{WearLimit: -1},
 		{DriftSeconds: -1},
+		{SenseFlipRate: math.NaN()},
+		{ActivationFailRate: math.NaN()},
+		{DriftSeconds: math.NaN()},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg, nvm.Get(nvm.PCM), analog.DefaultSenseConfig(), 64, new(ledger.Ledger)); err == nil {

@@ -151,7 +151,7 @@ func (s *System) Plan(op Op, concurrency int, faultRate float64, opts ...Option)
 	if concurrency < 1 {
 		return PlanReport{}, fmt.Errorf("pinatubo: planning concurrency %d", concurrency)
 	}
-	if faultRate < 0 || faultRate > 1 {
+	if !(faultRate >= 0 && faultRate <= 1) { // NaN fails too
 		return PlanReport{}, fmt.Errorf("pinatubo: fault rate %g outside 0..1", faultRate)
 	}
 	if op == OpPopcount {

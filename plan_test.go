@@ -1,6 +1,7 @@
 package pinatubo
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -181,6 +182,9 @@ func TestPlanRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := s.Plan(OpOr, 4, 1.5); err == nil {
 		t.Error("fault rate > 1 accepted")
+	}
+	if _, err := s.Plan(OpOr, 4, math.NaN()); err == nil {
+		t.Error("NaN fault rate accepted")
 	}
 	if _, err := s.Plan(OpPopcount, 4, 0); err == nil {
 		t.Error("OpPopcount accepted as a channel operation")
