@@ -3,10 +3,10 @@ package pinatubo
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"pinatubo/internal/chansim"
-	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pimrt"
 )
@@ -52,10 +52,11 @@ type BatchResult struct {
 // exactly NewBatchBuilder, one Add per op, Start and Wait:
 //
 //  1. lower — every op is executed through the normal pipeline and its
-//     full cmdstream program (requests, verification passes) captured;
-//  2. schedule — the programs are converted to per-bank-resource requests
-//     and run through the event-driven channel scheduler under the
-//     arbiter selected by WithArbiter (ArbFIFO by default);
+//     full cmdstream program (requests, verification passes) converted
+//     to a per-bank-resource channel request as soon as the op returns;
+//  2. schedule — the requests run through the event-driven channel
+//     scheduler under the arbiter selected by WithArbiter (ArbFIFO by
+//     default);
 //  3. execute — the data-side effects run concurrently across independent
 //     shards: ops whose footprints (rows, scratch rows, global row
 //     buffers, I/O buffers) are disjoint execute on isolated shard
@@ -111,59 +112,70 @@ type fpKey struct {
 	addr memarch.RowAddr
 }
 
-// opFootprint computes the key set of one op, conservatively: every
-// operand and destination row, the scratch row of every multi-row OR
-// group, and — whenever the rows leave a single subarray — the global row
-// buffer of every touched bank plus, across banks, the rank's I/O buffer.
-// Over-approximation only costs concurrency, never correctness.
-func (s *System) opFootprint(op BatchOp) ([]fpKey, error) {
-	var keys []fpKey
+// opFootprint appends op's key set to the builder's key buffer,
+// conservatively: every operand and destination row, the scratch row of
+// every subarray holding more than one OR source, and — whenever the rows
+// leave a single subarray — the global row buffer of every touched bank
+// plus, across banks, the rank's I/O buffer. Over-approximation only costs
+// concurrency, never correctness. Each row batch's operand rows go to the
+// builder's row scratch, and a scratch row or bank already keyed is found
+// among the keys just appended, so a warm builder allocates nothing here.
+func (b *BatchBuilder) opFootprint(op BatchOp) error {
+	s := b.sys
 	if op.Op == OpPopcount {
 		for _, r := range op.Dst.rows {
-			keys = s.appendRowKeys(keys, r)
+			b.keys = s.appendRowKeys(b.keys, r)
 		}
-		return keys, nil
+		return nil
 	}
 	geo := s.mem.Geometry()
 	for batch := range op.Dst.rows {
-		all := make([]memarch.RowAddr, 0, len(op.Srcs)+1)
+		all := b.rows[:0]
 		for _, src := range op.Srcs {
 			all = append(all, src.rows[batch])
 		}
-		srcRows := all
 		all = append(all, op.Dst.rows[batch])
+		b.rows = all
 		if !memarch.SameRank(all...) {
-			return nil, fmt.Errorf("operands span ranks; split the batch at the rank boundary")
+			return fmt.Errorf("operands span ranks; split the batch at the rank boundary")
 		}
 		for _, r := range all {
-			keys = s.appendRowKeys(keys, r)
+			b.keys = s.appendRowKeys(b.keys, r)
 		}
 		if op.Op == OpOr {
-			for _, g := range pimrt.GroupBySubarray(srcRows) {
-				if len(g) > 1 {
-					keys = append(keys, fpKey{kind: 'r', addr: pimrt.ScratchRow(geo, g[0])})
+			// Two rows share a subarray exactly when they share its
+			// scratch row. Key it at the subarray's first source.
+			srcRows := all[:len(op.Srcs)]
+			from := len(b.keys)
+			for j, r := range srcRows {
+				k := fpKey{kind: 'r', addr: pimrt.ScratchRow(geo, r)}
+				if slices.Contains(b.keys[from:], k) {
+					continue
+				}
+				for _, q := range srcRows[j+1:] {
+					if pimrt.ScratchRow(geo, q) == k.addr {
+						b.keys = append(b.keys, k)
+						break
+					}
 				}
 			}
 		}
 		if memarch.SameSubarray(all...) {
 			continue
 		}
-		banks := make(map[[3]int]bool)
+		from := len(b.keys)
 		for _, r := range all {
-			b := [3]int{r.Channel, r.Rank, r.Bank}
-			if banks[b] {
-				continue
+			k := fpKey{kind: 'g', addr: memarch.RowAddr{Channel: r.Channel, Rank: r.Rank, Bank: r.Bank}}
+			if !slices.Contains(b.keys[from:], k) {
+				b.keys = append(b.keys, k)
 			}
-			banks[b] = true
-			keys = append(keys, fpKey{kind: 'g',
-				addr: memarch.RowAddr{Channel: r.Channel, Rank: r.Rank, Bank: r.Bank}})
 		}
-		if len(banks) > 1 {
-			keys = append(keys, fpKey{kind: 'i',
+		if len(b.keys)-from > 1 {
+			b.keys = append(b.keys, fpKey{kind: 'i',
 				addr: memarch.RowAddr{Channel: all[0].Channel, Rank: all[0].Rank}})
 		}
 	}
-	return keys, nil
+	return nil
 }
 
 // appendRowKeys adds one row's footprint key plus — with the replication
@@ -179,11 +191,11 @@ func (s *System) appendRowKeys(keys []fpKey, r memarch.RowAddr) []fpKey {
 }
 
 // runSequential is the fault-retirement replay of a batch run: it
-// executes the ops in order on the live system, capturing each op's
-// program. Cancellation is observed between ops: the completed prefix
-// stays applied (Apply-sequence semantics) and the context's error is
-// returned.
-func (s *System) runSequential(ctx context.Context, ops []BatchOp, results []Result, progs []cmdstream.Program) error {
+// executes the ops in order on the live system, turning each op's program
+// into its channel request as the workers do. Cancellation is observed
+// between ops: the completed prefix stays applied (Apply-sequence
+// semantics) and the context's error is returned.
+func (s *System) runSequential(ctx context.Context, ops []BatchOp, results []Result, reqs []chansim.Request) error {
 	for i, op := range ops {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -193,28 +205,27 @@ func (s *System) runSequential(ctx context.Context, ops []BatchOp, results []Res
 			return fmt.Errorf("pinatubo: batch op %d (%v): %w", i, op.Op, err)
 		}
 		results[i] = res
-		progs[i] = cmdstream.Program{}
-		progs[i].Append(s.prog)
+		reqs[i] = s.opRequest()
 	}
 	return nil
 }
 
-// scheduleBatch converts the captured per-op programs into per-resource
-// requests, runs them through the event-driven channel scheduler under
-// arb, and assembles the BatchResult.
-func (s *System) scheduleBatch(ops []BatchOp, progs []cmdstream.Program, results []Result, nshards int, arb Arbiter) (BatchResult, error) {
+// opRequest converts the program of the op s just ran into its channel
+// request.
+func (s *System) opRequest() chansim.Request {
+	return s.prog.Request(s.mem.Tech().Timing, s.ctl.Bus(), s.mem.Geometry())
+}
+
+// scheduleBatch runs the ops' channel requests through the event-driven
+// channel scheduler under arb and assembles the BatchResult.
+func (s *System) scheduleBatch(reqs []chansim.Request, results []Result, nshards int, arb Arbiter) (BatchResult, error) {
 	carb, err := arb.internal()
 	if err != nil {
 		return BatchResult{}, err
 	}
-	timing := s.mem.Tech().Timing
-	bus := s.ctl.Bus()
-	geo := s.mem.Geometry()
-	reqs := make([]chansim.Request, len(ops))
 	var back float64
-	for i := range ops {
-		reqs[i] = progs[i].Request(timing, bus, geo)
-		back += reqs[i].Duration()
+	for _, r := range reqs {
+		back += r.Duration()
 	}
 	sched, err := chansim.ScheduleWith(reqs, carb)
 	if err != nil {
@@ -223,7 +234,7 @@ func (s *System) scheduleBatch(ops []BatchOp, progs []cmdstream.Program, results
 	out := BatchResult{
 		Results:    results,
 		Makespan:   seconds(sched.Makespan),
-		Completion: make([]time.Duration, len(ops)),
+		Completion: make([]time.Duration, len(reqs)),
 		Sequential: seconds(back),
 		Shards:     nshards,
 		Arb:        arb,

@@ -2,7 +2,7 @@ package memarch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pinatubo/internal/nvm"
 )
@@ -49,6 +49,8 @@ type Memory struct {
 	// zero is the one all-zeros row PeekRow returns for every row never
 	// materialised; nothing ever writes it.
 	zero []uint64
+	// ownedKeys is AppendOwnedAddrs' sort buffer.
+	ownedKeys []uint64
 }
 
 // row is one materialised row.
@@ -272,23 +274,26 @@ func (m *Memory) unborrow(r row) row {
 // MaterializedRows reports how many rows have backing storage (testing aid).
 func (m *Memory) MaterializedRows() int { return len(m.rows) }
 
-// OwnedAddrs returns the addresses of every materialised row that is not
-// borrowed, in ascending row-key order (deterministic regardless of map
-// iteration order). The batch executor uses it to copy the rows a shard
-// wrote back into the live memory.
-func (m *Memory) OwnedAddrs() []RowAddr {
-	keys := make([]uint64, 0, len(m.rows))
+// AppendOwnedAddrs appends the address of every materialised row that
+// is not borrowed to buf, in ascending row-key order (deterministic
+// regardless of map iteration order), and returns the extended buffer.
+// The batch executor uses it to copy the rows a shard wrote back into the
+// live memory. The keys are sorted in a buffer the memory keeps, so a
+// caller that keeps buf allocates nothing once both have held the largest
+// set.
+func (m *Memory) AppendOwnedAddrs(buf []RowAddr) []RowAddr {
+	keys := m.ownedKeys[:0]
 	for k, r := range m.rows {
 		if !r.borrowed {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]RowAddr, len(keys))
-	for i, k := range keys {
-		out[i] = m.geo.Decode(k)
+	slices.Sort(keys)
+	m.ownedKeys = keys
+	for _, k := range keys {
+		buf = append(buf, m.geo.Decode(k))
 	}
-	return out
+	return buf
 }
 
 // AbsorbCounters folds another memory's access counters into this one.

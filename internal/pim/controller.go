@@ -299,9 +299,7 @@ func OpsCounter(class Class) ledger.Counter { return ledger.HwIntraSub + ledger.
 // System resets both itself.
 func (c *Controller) ResetForReuse() {
 	c.mrs = ddr.ModeRegisters{}
-	if c.checks != nil {
-		c.checks = make(map[uint64]eccEntry)
-	}
+	clear(c.checks)
 	if c.cache != nil {
 		c.cache.ResetStats()
 	}

@@ -705,3 +705,49 @@ func TestCachedApplyRowSizedZeroAllocs(t *testing.T) {
 		t.Errorf("cached popcount allocates %.0f B/call at 64 Ki-bit vs %.0f at 1 Ki-bit: a row-sized allocation", bigPop, smallPop)
 	}
 }
+
+// TestWindowBookkeepingAllocs pins the host-side allocations of a warm
+// batch window: buildBatchOps' six ops on spreadGeometry, each in its own
+// bank, admitted with Add, started and waited. Once the builder's key
+// buffer and partition, the pooled sandboxes' mirrors and check maps and
+// the merge buffer have held one window, the next allocates only what it
+// hands out or cannot reuse: the run, its results and per-op requests,
+// the ops' lowerings and, under SECDED, the check words each op stores.
+// (Before the bookkeeping was reused a window cost 152 allocations, 181
+// under VerifyECC.)
+func TestWindowBookkeepingAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		verify VerifyMode
+		max    float64
+	}{{"verify-off", VerifyOff, 55}, {"ecc", VerifyECC, 75}} {
+		s, err := New(Config{Tech: PCM, Geometry: spreadGeometry(),
+			Resilience: ResilienceConfig{Verify: c.verify}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := buildBatchOps(t, s, 4096)
+		b := s.NewBatchBuilder()
+		window := func() {
+			for _, op := range ops {
+				if err := b.Add(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run, err := b.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		window()
+		window()
+		got := testing.AllocsPerRun(50, window)
+		t.Logf("%s: %.1f allocs per window", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: a warm window allocates %.1f times, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}

@@ -285,8 +285,8 @@ type System struct {
 	rowScratch []memarch.RowAddr
 	// prog is the lowered cmdstream program of the operation in progress:
 	// every scheduled row chunk of an Apply and every host read, in
-	// execution order. beginOp empties it; the batch executor copies it
-	// out after each op to schedule the batch on the channel.
+	// execution order. beginOp empties it; the batch executor converts it
+	// to the op's channel request after each op (opRequest).
 	prog cmdstream.Program
 
 	// sandboxPool recycles shard-sandbox Systems across batch windows
@@ -301,6 +301,17 @@ type System struct {
 	// cacheAbsorbed accumulates program-cache traffic merged back from
 	// released sandboxes, so PerfStats covers shard executions too.
 	cacheAbsorbed cmdstream.CacheStats
+	// ownedRows is a window merge's buffer: the rows one shard sandbox
+	// owns (Memory.AppendOwnedAddrs).
+	ownedRows []memarch.RowAddr
+
+	// A shard sandbox's stand-ins for the live vectors its window's ops
+	// name (window.go's mirror): mirrorOf maps a live vector to its
+	// mirror, the first mirrorsBound entries of mirrors. Both stay with
+	// the pooled sandbox; putSandbox unbinds them.
+	mirrorOf     map[*BitVector]*BitVector
+	mirrors      []*BitVector
+	mirrorsBound int
 }
 
 // VerifyMode returns the effective verification mode the system runs under
@@ -638,13 +649,16 @@ func (s *System) getSandbox() (*System, error) {
 // whether or not the window merged; its ledger was absorbed by the merge,
 // if any, and is cleared with one Reset on the sandbox's next get. Its
 // last op's program and scheduler result are emptied now, so the pool
-// does not keep that op's command sequences and result words alive.
+// does not keep that op's command sequences and result words alive, and
+// its mirrors are unbound, so it keeps no live vector reachable.
 func (s *System) putSandbox(sb *System) {
 	if sb == nil {
 		return
 	}
 	sb.prog.Reset()
 	sb.sched.Reset()
+	clear(sb.mirrorOf)
+	sb.mirrorsBound = 0
 	cs := sb.ctl.CacheStats()
 	s.poolMu.Lock()
 	s.cacheAbsorbed.Hits += cs.Hits

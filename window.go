@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
-	"pinatubo/internal/cmdstream"
+	"pinatubo/internal/chansim"
 	"pinatubo/internal/memarch"
 )
 
@@ -14,19 +15,23 @@ import (
 // any footprint key coalesce into one shard. Unlike a from-scratch
 // partition, adding op N is O(|footprint(N)|·α) — the structure a
 // batch-window admission loop grows one request at a time while the
-// previous window is still executing.
+// previous window is still executing. reset empties it and keeps its
+// storage, so a builder's steady windows grow nothing.
 type shardSet struct {
 	parent []int
 	owner  map[fpKey]int
-}
-
-func newShardSet() *shardSet {
-	return &shardSet{owner: make(map[fpKey]int)}
+	// slot and sizes are shards' scratch: slot[root] is the shard index
+	// of the ops under root, sizes[si] shard si's op count.
+	slot  []int
+	sizes []int
 }
 
 // add appends the next op (index len(parent) before the call) and unions
 // it with every earlier op it shares a key with.
 func (ss *shardSet) add(fp []fpKey) {
+	if ss.owner == nil {
+		ss.owner = make(map[fpKey]int)
+	}
 	i := len(ss.parent)
 	ss.parent = append(ss.parent, i)
 	for _, k := range fp {
@@ -36,6 +41,12 @@ func (ss *shardSet) add(fp []fpKey) {
 			ss.owner[k] = i
 		}
 	}
+}
+
+// reset empties the partition for the next window.
+func (ss *shardSet) reset() {
+	clear(ss.owner)
+	ss.parent = ss.parent[:0]
 }
 
 // find returns x's root with path halving.
@@ -66,18 +77,34 @@ func (ss *shardSet) count() int {
 }
 
 // shards returns the partition as op-index lists, each ascending, ordered
-// by first op — the same deterministic shape the batch merge relies on.
+// by first op — the same deterministic shape the batch merge relies on. A
+// shard takes its index at its first op, which need not be its root: a
+// union can hang an earlier root under a later one. The lists share one
+// new backing array, so they outlive a reset.
 func (ss *shardSet) shards() [][]int {
-	index := make(map[int]int)
-	var shards [][]int
-	for i := range ss.parent {
+	n := len(ss.parent)
+	ss.slot = slices.Grow(ss.slot[:0], n)[:n]
+	for i := range ss.slot {
+		ss.slot[i] = -1
+	}
+	ss.sizes = ss.sizes[:0]
+	for i := range n {
 		root := ss.find(i)
-		si, ok := index[root]
-		if !ok {
-			si = len(shards)
-			index[root] = si
-			shards = append(shards, nil)
+		if ss.slot[root] < 0 {
+			ss.slot[root] = len(ss.sizes)
+			ss.sizes = append(ss.sizes, 0)
 		}
+		ss.sizes[ss.slot[root]]++
+	}
+	ops := make([]int, n)
+	shards := make([][]int, len(ss.sizes))
+	off := 0
+	for si, size := range ss.sizes {
+		shards[si] = ops[off : off : off+size]
+		off += size
+	}
+	for i := range n {
+		si := ss.slot[ss.find(i)]
 		shards[si] = append(shards[si], i)
 	}
 	return shards
@@ -91,17 +118,27 @@ func (ss *shardSet) shards() [][]int {
 // computed. Builders are not goroutine-safe: Add, Start and Wait must all
 // run on the goroutine that owns the System (the shard execution inside a
 // BatchRun is what parallelises, not the builder).
+//
+// A builder keeps its bookkeeping from window to window: the footprint
+// key buffer, the operand-row scratch and the partition are emptied by
+// Start, not rebuilt, so a steady stream of windows stops allocating
+// them.
 type BatchBuilder struct {
-	sys        *System
-	ops        []BatchOp
-	footprints [][]fpKey
-	ss         *shardSet
-	gen        uint64
+	sys *System
+	ops []BatchOp
+	// keys holds every admitted op's footprint back to back: op i's keys
+	// end at ends[i] and start where op i-1's end.
+	keys []fpKey
+	ends []int
+	// rows is opFootprint's operand-row scratch.
+	rows []memarch.RowAddr
+	ss   shardSet
+	gen  uint64
 }
 
 // NewBatchBuilder returns an empty builder bound to s.
 func (s *System) NewBatchBuilder() *BatchBuilder {
-	return &BatchBuilder{sys: s, ss: newShardSet(), gen: s.layoutGen}
+	return &BatchBuilder{sys: s, gen: s.layoutGen}
 }
 
 // Add validates one op and admits it to the pending batch, growing the
@@ -110,18 +147,37 @@ func (b *BatchBuilder) Add(op BatchOp) error {
 	if err := b.refresh(); err != nil {
 		return err
 	}
-	i := len(b.ops)
+	if err := b.admit(len(b.ops), op); err != nil {
+		return err
+	}
+	b.ops = append(b.ops, op)
+	return nil
+}
+
+// admit validates op, the batch's op i, appends its footprint to the key
+// buffer and adds it to the partition. A rejected op leaves both as they
+// were.
+func (b *BatchBuilder) admit(i int, op BatchOp) error {
 	if err := b.sys.validateOp(op.Op, op.Dst, op.Srcs); err != nil {
 		return fmt.Errorf("pinatubo: batch op %d (%v): %w", i, op.Op, err)
 	}
-	fp, err := b.sys.opFootprint(op)
-	if err != nil {
+	start := len(b.keys)
+	if err := b.opFootprint(op); err != nil {
+		b.keys = b.keys[:start]
 		return fmt.Errorf("pinatubo: batch op %d (%v): %w", i, op.Op, err)
 	}
-	b.ops = append(b.ops, op)
-	b.footprints = append(b.footprints, fp)
-	b.ss.add(fp)
+	b.ends = append(b.ends, len(b.keys))
+	b.ss.add(b.keys[start:])
 	return nil
+}
+
+// footprint returns op i's keys.
+func (b *BatchBuilder) footprint(i int) []fpKey {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.keys[start:b.ends[i]]
 }
 
 // Len returns the number of ops admitted so far.
@@ -145,41 +201,39 @@ func (b *BatchBuilder) refresh() error {
 	if b.gen == b.sys.layoutGen {
 		return nil
 	}
-	ss := newShardSet()
+	b.keys, b.ends = b.keys[:0], b.ends[:0]
+	b.ss.reset()
 	for i, op := range b.ops {
-		if err := b.sys.validateOp(op.Op, op.Dst, op.Srcs); err != nil {
-			return fmt.Errorf("pinatubo: batch op %d (%v): %w", i, op.Op, err)
+		if err := b.admit(i, op); err != nil {
+			return err
 		}
-		fp, err := b.sys.opFootprint(op)
-		if err != nil {
-			return fmt.Errorf("pinatubo: batch op %d (%v): %w", i, op.Op, err)
-		}
-		b.footprints[i] = fp
-		ss.add(fp)
 	}
-	b.ss = ss
 	b.gen = b.sys.layoutGen
 	return nil
 }
 
-// shardState is one shard's sandboxed execution environment: an isolated
-// System seeded with the shard's footprint rows, plus mirrors of the live
-// operand vectors bound to it.
-type shardState struct {
-	sys  *System
-	vecs map[*BitVector]*BitVector
+// reset empties the builder for the next window, keeping its buffers. The
+// admitted ops are cleared first, so the builder holds no vector of a
+// window that has left it.
+func (b *BatchBuilder) reset() {
+	clear(b.ops)
+	b.ops = b.ops[:0]
+	b.keys, b.ends = b.keys[:0], b.ends[:0]
+	b.ss.reset()
 }
 
 // BatchRun is a batch in flight. Between Start and Wait its workers touch
 // only the shard sandboxes, never the live System — so the owning
 // goroutine is free to keep Adding to the next window's builder, answer
 // host reads of untouched vectors, or Plan. All live-state mutation (the
-// merge) happens inside Wait, on the caller's goroutine.
+// merge) happens inside Wait, on the caller's goroutine. A run keeps its
+// own copy of the ops and its own partition, because the builder admits
+// the next window into its buffers while this one runs.
 type BatchRun struct {
 	sys       *System
 	ops       []BatchOp
 	shards    [][]int
-	states    []shardState
+	sandboxes []*System
 	arb       Arbiter
 	ctx       context.Context
 	opSeqBase int64
@@ -191,13 +245,15 @@ type BatchRun struct {
 	running   atomic.Int64
 
 	results []Result
-	progs   []cmdstream.Program
+	// reqs[i] is op i's channel request, built from its program by the
+	// worker that ran it (or by the sequential replay).
+	reqs    []chansim.Request
 	errs    []error
 	ctxErrs []error
 	done    chan struct{}
 
 	// Owned by the caller's Wait: workers report through the
-	// results/errs/ctxErrs slots and done, never through these.
+	// results/reqs/errs/ctxErrs slots and done, never through these.
 	waited bool        //pinlint:owned Wait
 	res    BatchResult //pinlint:owned Wait
 	err    error       //pinlint:owned Wait
@@ -236,29 +292,29 @@ func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 		return nil, err
 	}
 	s := b.sys
-	ops := b.ops
 	shards := b.ss.shards()
-	states, err := s.prepareShards(ops, b.footprints, shards)
+	sandboxes, err := b.prepareShards(shards)
 	if err != nil {
 		return nil, err
 	}
+	n := len(b.ops)
 	r := &BatchRun{
-		sys:     s,
-		ops:     ops,
-		shards:  shards,
-		states:  states,
-		arb:     o.arb,
-		ctx:     o.ctx,
-		results: make([]Result, len(ops)),
-		progs:   make([]cmdstream.Program, len(ops)),
-		errs:    make([]error, len(ops)),
-		ctxErrs: make([]error, len(shards)),
-		done:    make(chan struct{}),
+		sys:       s,
+		ops:       slices.Clone(b.ops),
+		shards:    shards,
+		sandboxes: sandboxes,
+		arb:       o.arb,
+		ctx:       o.ctx,
+		results:   make([]Result, n),
+		reqs:      make([]chansim.Request, n),
+		errs:      make([]error, n),
+		ctxErrs:   make([]error, len(shards)),
+		done:      make(chan struct{}),
 	}
 	if liveInj := s.ctl.Injector(); liveInj != nil {
 		r.opSeqBase = liveInj.OpSeq()
 	}
-	b.ops, b.footprints, b.ss = nil, nil, newShardSet()
+	b.reset()
 
 	workers := min(runtime.GOMAXPROCS(0), len(shards))
 	r.running.Store(int64(workers))
@@ -269,30 +325,36 @@ func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 }
 
 // work is one worker: it runs shards, in the order it claims them, until
-// none is left; the last worker to finish closes done.
+// none is left, with one operand buffer for every op it runs; the last
+// worker to finish closes done.
 func (r *BatchRun) work() {
+	var srcs []*BitVector
 	for {
 		si := int(r.nextShard.Add(1)) - 1
 		if si >= len(r.shards) {
 			break
 		}
-		r.runShard(si)
+		srcs = r.runShard(si, srcs)
 	}
 	if r.running.Add(-1) == 0 {
 		close(r.done)
 	}
 }
 
-// runShard executes shard si's ops in order on its sandbox. It stops at
-// the first failing op, recording its error, or when the run's context is
+// runShard executes shard si's ops in order on its sandbox, with srcs as
+// the operand buffer, and returns the buffer for the worker's next shard.
+// Each op's program becomes its channel request as soon as the op
+// returns, on the worker: the sandbox prices it with its own timing, bus
+// and geometry, which are the live System's. runShard stops at the first
+// failing op, recording its error, or when the run's context is
 // cancelled, recording that for the shard.
-func (r *BatchRun) runShard(si int) {
-	st := r.states[si]
-	inj := st.sys.ctl.Injector()
+func (r *BatchRun) runShard(si int, srcs []*BitVector) []*BitVector {
+	sb := r.sandboxes[si]
+	inj := sb.ctl.Injector()
 	for _, i := range r.shards[si] {
 		if err := r.ctx.Err(); err != nil {
 			r.ctxErrs[si] = err
-			return
+			return srcs
 		}
 		if inj != nil {
 			// Pin the sandbox to op i's substream: apply's beginOp
@@ -300,18 +362,20 @@ func (r *BatchRun) runShard(si int) {
 			// would draw running sequentially on the live system.
 			inj.SetOpSeq(r.opSeqBase + int64(i))
 		}
-		srcs := make([]*BitVector, len(r.ops[i].Srcs))
-		for j, src := range r.ops[i].Srcs {
-			srcs[j] = st.vecs[src]
+		op := r.ops[i]
+		srcs = srcs[:0]
+		for _, src := range op.Srcs {
+			srcs = append(srcs, sb.mirrorOf[src])
 		}
-		res, err := st.sys.applyOpts(r.ops[i].Op, st.vecs[r.ops[i].Dst], srcs, callOpts{})
+		res, err := sb.applyOpts(op.Op, sb.mirrorOf[op.Dst], srcs, callOpts{})
 		if err != nil {
 			r.errs[i] = err
-			return
+			return srcs
 		}
 		r.results[i] = res
-		r.progs[i].Append(st.sys.prog)
+		r.reqs[i] = sb.opRequest()
 	}
+	return srcs
 }
 
 // Done is closed when every shard has finished (or stopped on
@@ -357,56 +421,34 @@ func (r *BatchRun) finish() (BatchResult, error) {
 	}
 	s := r.sys
 	liveInj := s.ctl.Injector()
-	if liveInj != nil {
-		// A sandbox that touched its allocator hit a row retirement (remap,
-		// replica teardown) or failed an op outright: its side effects
-		// cannot merge into the live allocator's address space. The live
-		// system was never touched, so replaying sequentially here yields
-		// exactly the sequential execution — same substreams, same faults,
-		// same remaps — at the cost of the concurrency.
-		replay := false
-		for i := range r.ops {
-			if r.errs[i] != nil {
-				replay = true
-			}
+	if r.replay(liveInj != nil) {
+		clear(r.results)
+		if err := s.runSequential(r.ctx, r.ops, r.results, r.reqs); err != nil {
+			return BatchResult{}, err
 		}
-		for si := range r.shards {
-			sh := r.states[si].sys
-			if sh.alloc.AllocatedRows() != 0 || sh.alloc.RetiredRows() != 0 {
-				replay = true
-			}
-		}
-		if replay {
-			for i := range r.results {
-				r.results[i] = Result{}
-			}
-			if err := s.runSequential(r.ctx, r.ops, r.results, r.progs); err != nil {
-				return BatchResult{}, err
-			}
-			return s.scheduleBatch(r.ops, r.progs, r.results, 1, r.arb)
-		}
+		return s.scheduleBatch(r.reqs, r.results, 1, r.arb)
 	}
 
+	// The merge copies rows, check words and wear, never a vector's row
+	// list: a sandbox moves a mirror's row only through remapRow, which
+	// retires and allocates, and that sends the window to the replay.
 	geo := s.mem.Geometry()
-	for si := range r.shards {
-		sh := r.states[si].sys
+	for _, sb := range r.sandboxes {
 		// A row still borrowed was only read, so the live row, its check
 		// words and its wear are current. A row the shard programmed comes
 		// back with the check words and the wear programming it left.
-		for _, a := range sh.mem.OwnedAddrs() {
-			s.mem.CopyRow(a, sh.mem)
-			if bits, words, ok := sh.ctl.ECCState(a); ok {
+		s.ownedRows = sb.mem.AppendOwnedAddrs(s.ownedRows[:0])
+		for _, a := range s.ownedRows {
+			s.mem.CopyRow(a, sb.mem)
+			if bits, words, ok := sb.ctl.ECCState(a); ok {
 				s.ctl.SetECCState(a, bits, words)
 			}
-			if st, ok := sh.ctl.Injector().RowState(geo.Encode(a)); ok {
+			if st, ok := sb.ctl.Injector().RowState(geo.Encode(a)); ok {
 				liveInj.SetRowState(geo.Encode(a), st)
 			}
 		}
-		s.mem.AbsorbCounters(sh.mem)
-		s.led.Absorb(sh.led)
-		for live, mirror := range r.states[si].vecs {
-			copy(live.rows, mirror.rows)
-		}
+		s.mem.AbsorbCounters(sb.mem)
+		s.led.Absorb(sb.led)
 	}
 	if liveInj != nil {
 		// Leave the live injector where sequential execution would have:
@@ -418,43 +460,68 @@ func (r *BatchRun) finish() (BatchResult, error) {
 			return BatchResult{}, fmt.Errorf("pinatubo: batch op %d (%v): %w", i, r.ops[i].Op, r.errs[i])
 		}
 	}
-	return s.scheduleBatch(r.ops, r.progs, r.results, len(r.shards), r.arb)
+	return s.scheduleBatch(r.reqs, r.results, len(r.shards), r.arb)
+}
+
+// replay reports whether the window must run again, sequentially, on the
+// live system instead of merging. A sandbox that touched its allocator
+// hit a row retirement (remap, replica teardown): its side effects cannot
+// merge into the live allocator's address space. Under fault injection a
+// shard that failed an op outright replays too, so its error is the one
+// sequential execution returns. The live system was never touched, so
+// the replay yields exactly the sequential execution — same substreams,
+// same faults, same remaps — at the cost of the concurrency.
+func (r *BatchRun) replay(injected bool) bool {
+	for _, sb := range r.sandboxes {
+		if sb.alloc.AllocatedRows() != 0 || sb.alloc.RetiredRows() != 0 {
+			return true
+		}
+	}
+	if injected {
+		for _, err := range r.errs {
+			if err != nil {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // release returns every shard sandbox to the pool and drops the run's
 // references to them. Called exactly once, from finish, after every
 // worker has returned.
 func (r *BatchRun) release() {
-	for i := range r.states {
-		r.sys.putSandbox(r.states[i].sys)
-		r.states[i] = shardState{}
+	for _, sb := range r.sandboxes {
+		r.sys.putSandbox(sb)
 	}
-	r.states = nil
+	r.sandboxes = nil
 }
 
 // prepareShards lends the live state every shard's ops can touch to
 // per-shard sandbox Systems: each footprint row is borrowed from the live
 // memory (copied only when the shard first writes it) with its ECC check
 // words shared, replica registrations and per-row fault-injector state are
-// copied in, and mirror BitVectors are bound to the sandbox. The live
-// System is untouched between Start and Wait, so the lent words cannot
-// change under a shard. Sandboxes come from the System's pool — a reused
-// one is reset to fresh-construction state first — and go back to it when
-// the run finishes.
-func (s *System) prepareShards(ops []BatchOp, footprints [][]fpKey, shards [][]int) ([]shardState, error) {
+// copied in, and every vector an op names is mirrored in the sandbox. The
+// live System is untouched between Start and Wait, so the lent words
+// cannot change under a shard. Sandboxes come from the System's pool — a
+// reused one is reset to fresh-construction state first, and keeps its
+// mirrors and their lookup map from earlier windows — and go back to it
+// when the run finishes.
+func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
+	s := b.sys
 	geo := s.mem.Geometry()
-	states := make([]shardState, len(shards))
+	sandboxes := make([]*System, len(shards))
 	for si, shard := range shards {
 		sh, err := s.getSandbox()
 		if err != nil {
-			for _, st := range states {
-				s.putSandbox(st.sys)
+			for _, sb := range sandboxes[:si] {
+				s.putSandbox(sb)
 			}
 			return nil, err
 		}
-		states[si].sys = sh
+		sandboxes[si] = sh
 		for _, i := range shard {
-			for _, k := range footprints[i] {
+			for _, k := range b.footprint(i) {
 				if k.kind != 'r' || sh.mem.Borrowed(k.addr) {
 					continue
 				}
@@ -469,24 +536,32 @@ func (s *System) prepareShards(ops []BatchOp, footprints [][]fpKey, shards [][]i
 					sh.ctl.Injector().SetRowState(geo.Encode(k.addr), st)
 				}
 			}
-		}
-		vecs := make(map[*BitVector]*BitVector)
-		mirror := func(b *BitVector) *BitVector {
-			v, ok := vecs[b]
-			if !ok {
-				v = &BitVector{sys: sh, bits: b.bits,
-					rows: append([]memarch.RowAddr(nil), b.rows...)}
-				vecs[b] = v
-			}
-			return v
-		}
-		for _, i := range shard {
-			mirror(ops[i].Dst)
-			for _, src := range ops[i].Srcs {
-				mirror(src)
+			op := b.ops[i]
+			sh.mirror(op.Dst)
+			for _, src := range op.Srcs {
+				sh.mirror(src)
 			}
 		}
-		states[si].vecs = vecs
 	}
-	return states, nil
+	return sandboxes, nil
+}
+
+// mirror binds the sandbox's stand-in for the live vector v, once per
+// window: a BitVector of the sandbox over a copy of v's rows, found
+// through mirrorOf. Mirrors stay with the pooled sandbox and are rebound
+// window after window; putSandbox unbinds them.
+func (s *System) mirror(v *BitVector) {
+	if _, ok := s.mirrorOf[v]; ok {
+		return
+	}
+	if s.mirrorOf == nil {
+		s.mirrorOf = make(map[*BitVector]*BitVector)
+	}
+	if s.mirrorsBound == len(s.mirrors) {
+		s.mirrors = append(s.mirrors, new(BitVector))
+	}
+	m := s.mirrors[s.mirrorsBound]
+	s.mirrorsBound++
+	m.sys, m.bits, m.rows = s, v.bits, append(m.rows[:0], v.rows...)
+	s.mirrorOf[v] = m
 }

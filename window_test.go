@@ -3,11 +3,15 @@ package pinatubo
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pinatubo/internal/memarch"
 )
 
 // TestPipelinedWindowsDifferential pins the batch-window executor to the
@@ -175,6 +179,79 @@ func TestBatchBuilderIncrementalSharding(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("builder not reset after Start: Len=%d", b.Len())
 	}
+}
+
+// TestShardSetMatchesReference checks the incremental partition against
+// a brute-force one: ops whose footprints share a key are connected, and
+// the shards are the connected components, each ascending and ordered by
+// first op. Footprints are drawn at random over small key spaces, which
+// makes chains that hang an earlier root under a later one (the fixed
+// case first: op 2 joins op 0's shard to op 1's, so op 1 is op 0's root),
+// so a shard's first op is often not its root. One set serves every
+// trial through reset, and count must agree with the partition's length.
+func TestShardSetMatchesReference(t *testing.T) {
+	key := func(k int) fpKey { return fpKey{kind: 'r', addr: memarch.RowAddr{Row: k}} }
+	var ss shardSet
+	check := func(trial int, fps [][]fpKey) {
+		t.Helper()
+		ss.reset()
+		for _, fp := range fps {
+			ss.add(fp)
+		}
+		want := referenceShards(fps)
+		if n := ss.count(); n != len(want) {
+			t.Fatalf("trial %d: count()=%d, reference has %d shards (footprints %v)", trial, n, len(want), fps)
+		}
+		if got := ss.shards(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: shards()=%v, reference %v (footprints %v)", trial, got, want, fps)
+		}
+	}
+	check(-1, [][]fpKey{{key(0)}, {key(1)}, {key(0), key(1)}})
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		nkeys := 1 + rng.Intn(12)
+		fps := make([][]fpKey, 1+rng.Intn(16))
+		for i := range fps {
+			for n := rng.Intn(4); n > 0; n-- {
+				fps[i] = append(fps[i], key(rng.Intn(nkeys)))
+			}
+		}
+		check(trial, fps)
+	}
+}
+
+// referenceShards partitions ops by brute force: a search from each op
+// not yet placed, in op order, collects every op reachable through shared
+// keys.
+func referenceShards(fps [][]fpKey) [][]int {
+	shares := func(a, b []fpKey) bool {
+		for _, k := range a {
+			if slices.Contains(b, k) {
+				return true
+			}
+		}
+		return false
+	}
+	placed := make([]bool, len(fps))
+	var shards [][]int
+	for first := range fps {
+		if placed[first] {
+			continue
+		}
+		placed[first] = true
+		shard := []int{first}
+		for q := 0; q < len(shard); q++ {
+			for j := range fps {
+				if !placed[j] && shares(fps[shard[q]], fps[j]) {
+					placed[j] = true
+					shard = append(shard, j)
+				}
+			}
+		}
+		slices.Sort(shard)
+		shards = append(shards, shard)
+	}
+	return shards
 }
 
 // countdownCtx is a deterministic context: Err() reports Canceled from
