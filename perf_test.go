@@ -712,7 +712,8 @@ func TestCachedApplyRowSizedZeroAllocs(t *testing.T) {
 // buffer and partition, the pooled sandboxes' mirrors and check maps and
 // the merge buffer have held one window, the next allocates only what it
 // hands out or cannot reuse: the run, its results and per-op requests,
-// the ops' lowerings and, under SECDED, the check words each op stores.
+// each op's heap Result and, under SECDED, where the program cache is
+// off, each op's lowering and the check words it stores.
 // (Before the bookkeeping was reused a window cost 152 allocations, 181
 // under VerifyECC.)
 func TestWindowBookkeepingAllocs(t *testing.T) {
