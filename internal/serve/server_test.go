@@ -621,6 +621,141 @@ func TestServeOversizedAlloc(t *testing.T) {
 	}
 }
 
+// TestServeDeadConnection checks that a connection whose writer has
+// failed costs the state loop nothing: requests still arriving on it are
+// answered into its discarded outbox without blocking, and another
+// connection's request is answered after them.
+func TestServeDeadConnection(t *testing.T) {
+	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := newDriver(t, Config{System: sys, WindowCap: 4})
+	dead := newOutbox()
+	dead.discard()
+	live := &collector{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.send(dead, Request{Type: "stats"})
+		d.send(dead, Request{Type: "alloc", Name: "v", Bits: 64})
+		d.send(dead, Request{Type: "bogus"})
+		d.send(live, Request{Type: "stats"})
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("requests on a dead connection stalled the state loop for 20s")
+	}
+	if len(live.resps) != 1 || !live.resps[0].OK {
+		t.Fatalf("live connection got %+v, want one OK stats response", live.resps)
+	}
+}
+
+// TestServeListener drives Serve over an in-memory listener: two
+// connections each answer a stats request, Serve keeps accepting until
+// its context is cancelled, and then returns context.Canceled.
+func TestServeListener(t *testing.T) {
+	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{System: sys, WindowCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+	ln := newPipeListener()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ctx, ln) }()
+
+	const deadline = 20 * time.Second
+	for c := 0; c < 2; c++ {
+		conn, err := ln.dial(deadline)
+		if err != nil {
+			t.Fatalf("connection %d: %v", c, err)
+		}
+		if err := conn.SetDeadline(time.Now().Add(deadline)); err != nil {
+			t.Fatal(err)
+		}
+		st, err := newTestClient(conn).call(Request{Type: "stats"})
+		conn.Close()
+		if err != nil {
+			t.Fatalf("connection %d stats: %v", c, err)
+		}
+		if st.Stats == nil {
+			t.Fatalf("connection %d: stats response without stats", c)
+		}
+	}
+	select {
+	case err := <-serveDone:
+		t.Fatalf("Serve returned %v before cancellation", err)
+	default:
+	}
+	cancel()
+	select {
+	case err := <-serveDone:
+		if err != context.Canceled {
+			t.Errorf("Serve returned %v after cancellation, want context.Canceled", err)
+		}
+	case <-time.After(deadline):
+		t.Fatal("Serve did not return after cancellation")
+	}
+	select {
+	case <-runDone:
+	case <-time.After(deadline):
+		t.Fatal("Run did not return after cancellation")
+	}
+}
+
+// pipeListener is an in-memory net.Listener: dial hands the server end
+// of a net.Pipe to Accept.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// dial returns the client end of a new connection once Accept has taken
+// the server end, or an error if the listener closes or the wait passes
+// timeout first.
+func (l *pipeListener) dial(timeout time.Duration) (net.Conn, error) {
+	cli, srv := net.Pipe()
+	select {
+	case l.conns <- srv:
+		return cli, nil
+	case <-l.closed:
+		cli.Close()
+		return nil, net.ErrClosed
+	case <-time.After(timeout):
+		cli.Close()
+		return nil, fmt.Errorf("no Accept within %v", timeout)
+	}
+}
+
 // bits_OnesCount64 keeps the math/bits dependency in one place.
 func bits_OnesCount64(x uint64) int { return bits.OnesCount64(x) }
 

@@ -496,3 +496,65 @@ func TestBatchRunDoneSignal(t *testing.T) {
 		t.Fatalf("Makespan=%v outside (0, %v]", br.Makespan, br.Sequential)
 	}
 }
+
+// TestWindowWiderThanSandboxPool runs a window of more disjoint ops than
+// the sandbox pool keeps, twice. The first run builds one sandbox per
+// shard and returns sandboxPoolCap of them to the pool, dropping the
+// rest; the second reuses the pooled ones and builds the others. Both
+// runs and the PerfStats that follows must finish within the deadline:
+// a release that kept the pool's lock on its full-pool path would hang
+// the next release.
+func TestWindowWiderThanSandboxPool(t *testing.T) {
+	sys, err := New(Config{Tech: PCM, Geometry: spreadGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]BatchOp, sandboxPoolCap+2)
+	for i := range ops {
+		g, err := sys.AllocGroup(3, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = BatchOp{Op: OpAnd, Dst: g[2], Srcs: g[:2]}
+	}
+	type outcome struct {
+		shards [2]int
+		perf   PerfStats
+		err    error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var out outcome
+		for round := range out.shards {
+			br, err := sys.Batch(ops)
+			if err != nil {
+				out.err = err
+				done <- out
+				return
+			}
+			out.shards[round] = br.Shards
+		}
+		out.perf = sys.PerfStats()
+		done <- out
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("two windows wider than the sandbox pool did not finish in 20s")
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	for round, n := range out.shards {
+		if n != len(ops) {
+			t.Errorf("run %d: %d shards, want one per op (%d)", round, n, len(ops))
+		}
+	}
+	if want := int64(2 * len(ops)); out.perf.SandboxPoolGets != want {
+		t.Errorf("SandboxPoolGets = %d, want %d", out.perf.SandboxPoolGets, want)
+	}
+	if out.perf.SandboxPoolReuses != sandboxPoolCap {
+		t.Errorf("SandboxPoolReuses = %d, want the pool's cap %d", out.perf.SandboxPoolReuses, sandboxPoolCap)
+	}
+}
