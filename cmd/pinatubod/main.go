@@ -143,7 +143,6 @@ func runListen(srv *serve.Server, addr string) error {
 	}
 	fmt.Fprintf(os.Stderr, "pinatubod: listening on %s\n", ln.Addr())
 	ctx := context.Background()
-	//pinlint:ignore joinall Serve's accept loop joins on listener close (cross-package body the callgraph cannot see); the process exits with Run
 	go srv.Serve(ctx, ln)
 	return srv.Run(ctx)
 }

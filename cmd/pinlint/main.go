@@ -1,13 +1,14 @@
 // Command pinlint is the project's invariant checker: a multichecker over
 // the internal/lint analyzer suite, built on the standard library alone so
-// the repo stays dependency-free. It machine-checks the conventions the
-// simulator's bit-exactness claims rest on — seeded randomness only, no
-// wall clock, no map-iteration order in results, no exact float comparison
-// in cost math, %w-wrapped sentinels, exhaustive enum switches, trace/cost
-// pairing — and, through the CFG/dataflow suite, the concurrency
-// discipline of the batch and server hot paths: state-loop field
-// ownership, program-cache immutability, alias-guarded row writes,
-// goroutine join points and lock pairing.
+// the repo stays dependency-free. Its eleven analyzers machine-check the
+// conventions the simulator's bit-exactness claims rest on — seeded
+// randomness only, no wall clock, no map-iteration order in results, no
+// exact float comparison in cost math, %w-wrapped sentinels, exhaustive
+// enum switches, documented panics, unit-explicit time conversions, no
+// internal types in public signatures, reasoned ignore directives — and
+// two disciplines of the batch and server hot paths: state-loop field
+// ownership, checked through a callgraph, and row writes only through the
+// memory model's mutators.
 //
 // Usage:
 //

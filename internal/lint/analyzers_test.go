@@ -52,18 +52,6 @@ func TestLoopOwner(t *testing.T) {
 	linttest.Run(t, lint.LoopOwner, "testdata/src/loopowner")
 }
 
-func TestFrozenProg(t *testing.T) {
-	linttest.Run(t, lint.FrozenProg, "testdata/src/frozenprog")
-}
-
 func TestRowWrite(t *testing.T) {
 	linttest.Run(t, lint.RowWrite, "testdata/src/rowwrite")
-}
-
-func TestJoinAll(t *testing.T) {
-	linttest.Run(t, lint.JoinAll, "testdata/src/joinall")
-}
-
-func TestLockPair(t *testing.T) {
-	linttest.Run(t, lint.LockPair, "testdata/src/lockpair")
 }

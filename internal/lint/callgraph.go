@@ -1,46 +1,29 @@
 package lint
 
-// This file is the interprocedural half of the engine: a module-internal
-// direct-call callgraph over one type-checked package. Edges are static
-// calls whose callee resolves to a function or method declared in the
-// package; calls through function values, interfaces, or other packages
-// are not edges (the analyzers that consume the graph are conservative in
-// the direction that matters to them). The graph distinguishes calls made
-// on the spawning goroutine from code launched via go statements, which is
-// what lets loopowner answer "which goroutine can reach this statement"
-// and joinall find a goroutine's join evidence through helper calls.
+// This file is loopowner's engine: a module-internal direct-call
+// callgraph over one type-checked package. Edges are static calls whose
+// callee resolves to a function or method declared in the package; calls
+// through function values, interfaces, or other packages are not edges.
+// The graph distinguishes calls made on the calling goroutine from code
+// launched via go statements, which is what lets loopowner answer "which
+// goroutine can reach this statement".
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-// GoSite is one go statement: the spawned function literal or named
-// callee, plus the direct same-package calls the spawned body makes on its
-// own goroutine (for literals; named callees contribute their Calls edge
-// through the graph).
-type GoSite struct {
-	Stmt *ast.GoStmt
-	// Lit is the spawned literal (nil when the go statement calls a named
-	// function or method).
-	Lit *ast.FuncLit
-	// Fn is the named callee when it resolves to a package-local
-	// declaration (nil for literals and unresolvable callees).
-	Fn *types.Func
-	// Calls are the direct package-local calls made from Lit's body,
-	// excluding code inside further nested go statements (those are their
-	// own sites).
-	Calls []*types.Func
-}
-
 // CallGraph is the package's direct-call graph.
 type CallGraph struct {
 	decls map[*types.Func]*ast.FuncDecl
 	// calls[f] are the package-local functions f calls directly on its own
 	// goroutine (code inside go-launched literals is excluded — it runs
-	// elsewhere and is accounted to the GoSite instead).
+	// elsewhere and is accounted to spawned instead).
 	calls map[*types.Func][]*types.Func
-	sites []GoSite
+	// spawned are the package-local functions go statements run on new
+	// goroutines: named go targets and the direct calls of go-launched
+	// literals.
+	spawned []*types.Func
 }
 
 // BuildCallGraph constructs the callgraph of the package under analysis.
@@ -76,27 +59,18 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 	return cg
 }
 
-// Decl returns the declaration of a package-local function, or nil.
-func (cg *CallGraph) Decl(fn *types.Func) *ast.FuncDecl { return cg.decls[fn] }
-
 // Decls returns every package-local declared function with a body. The map
 // is the graph's own index — callers must not mutate it.
 func (cg *CallGraph) Decls() map[*types.Func]*ast.FuncDecl { return cg.decls }
 
-// Calls returns fn's direct same-goroutine callees.
-func (cg *CallGraph) Calls(fn *types.Func) []*types.Func { return cg.calls[fn] }
-
-// GoSites returns every go statement in the package, in file order.
-func (cg *CallGraph) GoSites() []GoSite { return cg.sites }
-
-// walkBody collects call edges and go sites from one function body. owner
+// walkBody collects call edges and spawned functions from one body. owner
 // is the declared function the synchronous code belongs to.
 func (cg *CallGraph) walkBody(pass *Pass, owner *types.Func, body ast.Node) {
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			cg.addGoSite(pass, n)
+			cg.spawn(pass, n)
 			// The call expression's arguments evaluate on the spawning
 			// goroutine; the spawned body does not.
 			for _, arg := range n.Call.Args {
@@ -120,29 +94,29 @@ func (cg *CallGraph) walkBody(pass *Pass, owner *types.Func, body ast.Node) {
 	ast.Inspect(body, walk)
 }
 
-// addGoSite records one go statement, collecting the spawned literal's
-// direct calls (stopping at nested go statements, which recurse into their
-// own sites via the enclosing walk).
-func (cg *CallGraph) addGoSite(pass *Pass, g *ast.GoStmt) {
-	site := GoSite{Stmt: g}
-	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-		site.Lit = lit
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if inner, ok := n.(*ast.GoStmt); ok {
-				cg.addGoSite(pass, inner)
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := cg.resolve(pass, call); callee != nil {
-					site.Calls = append(site.Calls, callee)
-				}
-			}
-			return true
-		})
-	} else if callee := cg.resolve(pass, g.Call); callee != nil {
-		site.Fn = callee
+// spawn records what one go statement runs on its new goroutine: the
+// named callee, or the direct calls of the spawned literal (a go
+// statement nested in the literal is recorded in turn).
+func (cg *CallGraph) spawn(pass *Pass, g *ast.GoStmt) {
+	lit, ok := g.Call.Fun.(*ast.FuncLit)
+	if !ok {
+		if callee := cg.resolve(pass, g.Call); callee != nil {
+			cg.spawned = append(cg.spawned, callee)
+		}
+		return
 	}
-	cg.sites = append(cg.sites, site)
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if inner, ok := n.(*ast.GoStmt); ok {
+			cg.spawn(pass, inner)
+			return false
+		}
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := cg.resolve(pass, call); callee != nil {
+				cg.spawned = append(cg.spawned, callee)
+			}
+		}
+		return true
+	})
 }
 
 // resolve returns the package-local declared function a call statically
@@ -192,34 +166,5 @@ func (cg *CallGraph) Reachable(seed ...*types.Func) map[*types.Func]bool {
 // a spawned goroutine: named go targets, direct calls from go-launched
 // literals, and the direct-call closure of both.
 func (cg *CallGraph) GoroutineReachable() map[*types.Func]bool {
-	var seed []*types.Func
-	for _, site := range cg.sites {
-		if site.Fn != nil {
-			seed = append(seed, site.Fn)
-		}
-		seed = append(seed, site.Calls...)
-	}
-	return cg.Reachable(seed...)
-}
-
-// funcBodies calls fn for every function body in the package: each
-// declared function and each function literal, with the literal's
-// enclosing declaration. Analyzers that build per-body CFGs iterate
-// through here so literal bodies are not skipped.
-func funcBodies(files []*ast.File, fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
-	for _, file := range files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn(fd, nil, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					fn(fd, lit, lit.Body)
-				}
-				return true
-			})
-		}
-	}
+	return cg.Reachable(cg.spawned...)
 }

@@ -203,9 +203,6 @@ func All() []*Analyzer {
 		APILeak,
 		IgnoreReason,
 		LoopOwner,
-		FrozenProg,
 		RowWrite,
-		JoinAll,
-		LockPair,
 	}
 }
