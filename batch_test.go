@@ -403,3 +403,53 @@ func TestBatchRejects(t *testing.T) {
 		last = v
 	}
 }
+
+// TestBatchRepeatedSource checks that an op naming one source vector
+// twice is refused before anything runs: Apply returns the error, and a
+// Batch holding it ahead of a valid op returns the error with every
+// vector unchanged, as a sequence of Apply calls stopped at the failing
+// op would leave them.
+func TestBatchRepeatedSource(t *testing.T) {
+	sys, err := New(Config{Tech: PCM, Geometry: spreadGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 512
+	bad, err := sys.AllocGroup(2, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := sys.AllocGroup(3, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := append(append([]*BitVector{}, bad...), good...)
+	rng := rand.New(rand.NewSource(13))
+	want := make([][]uint64, len(vecs))
+	for i, v := range vecs {
+		want[i] = make([]uint64, bits/64)
+		for j := range want[i] {
+			want[i][j] = rng.Uint64()
+		}
+		if _, err := sys.Write(v, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repeated := BatchOp{Op: OpAnd, Dst: bad[1], Srcs: []*BitVector{bad[0], bad[0]}}
+	if _, err := sys.Apply(repeated.Op, repeated.Dst, repeated.Srcs); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("Apply naming a source twice: err = %v, want a repeated-source error", err)
+	}
+	_, err = sys.Batch([]BatchOp{repeated, {Op: OpXor, Dst: good[2], Srcs: good[:2]}})
+	if err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("Batch with a source named twice: err = %v, want a repeated-source error", err)
+	}
+	for i, v := range vecs {
+		got, _, err := sys.Read(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("vector %d changed by a batch that failed at its first op", i)
+		}
+	}
+}

@@ -621,6 +621,62 @@ func TestServeOversizedAlloc(t *testing.T) {
 	}
 }
 
+// TestServeRepeatedSourceOwnError checks that an op naming one source
+// vector twice is refused at admission with its own error, so it cannot
+// fail the window it would have joined: another tenant's op admitted to
+// that window is answered OK with the right bits.
+func TestServeRepeatedSourceOwnError(t *testing.T) {
+	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := newDriver(t, Config{System: sys, WindowCap: 8})
+	out := &collector{}
+	const bits = 4096
+	rng := rand.New(rand.NewSource(5))
+	words := map[string][]string{}
+	for _, v := range []struct{ tenant, name string }{
+		{"bad", "x"}, {"bad", "y"}, {"good", "a"}, {"good", "b"}, {"good", "first"}, {"good", "out"},
+	} {
+		d.mustOK(out, Request{Tenant: v.tenant, Type: "alloc", Name: v.name, Bits: bits})
+		words[v.name] = hexWords(rng, bits/64)
+		d.mustOK(out, Request{Tenant: v.tenant, Type: "write", Name: v.name, Words: words[v.name]})
+	}
+
+	// The first op opens a window; the next two are admitted while it runs.
+	d.send(out, Request{Tenant: "good", Type: "op", Op: "or", Dst: "first", Srcs: []string{"a", "b"}})
+	badID := d.send(out, Request{Tenant: "bad", Type: "op", Op: "and", Dst: "x", Srcs: []string{"y", "y"}})
+	bad, answered := out.byID(badID)
+	goodID := d.send(out, Request{Tenant: "good", Type: "op", Op: "xor", Dst: "out", Srcs: []string{"a", "b"}})
+	d.land()
+
+	if !answered {
+		t.Error("op naming a source twice was admitted to a window")
+		bad, _ = out.byID(badID)
+	}
+	if bad.OK || !strings.Contains(bad.Error, "twice") {
+		t.Errorf("op naming a source twice: %+v, want an error saying so", bad)
+	}
+	if good, _ := out.byID(goodID); !good.OK {
+		t.Fatalf("other tenant's op in the same window: %+v, want OK", good)
+	}
+	a, _ := decodeWords(words["a"])
+	b, _ := decodeWords(words["b"])
+	got, err := decodeWords(d.mustOK(out, Request{Tenant: "good", Type: "read", Name: "out"}).Words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if got[i] != a[i]^b[i] {
+			t.Fatalf("out word %d = %x, want %x", i, got[i], a[i]^b[i])
+		}
+	}
+	x := d.mustOK(out, Request{Tenant: "bad", Type: "read", Name: "x"}).Words
+	if !reflect.DeepEqual(x, words["x"]) {
+		t.Error("rejected op changed its destination")
+	}
+}
+
 // TestServeDeadConnection checks that a connection whose writer has
 // failed costs the state loop nothing: requests still arriving on it are
 // answered into its discarded outbox without blocking, and another

@@ -1161,6 +1161,16 @@ func (s *System) validateOp(op Op, dst *BitVector, srcs []*BitVector) error {
 	if err := b0check(s, dst, srcs); err != nil {
 		return err
 	}
+	// A vector named twice would activate one row twice, which the
+	// controller refuses only after the op has begun; refuse it here, so
+	// a Batch or window never admits an op that cannot run.
+	for i, src := range srcs {
+		for j, prev := range srcs[:i] {
+			if prev == src {
+				return fmt.Errorf("pinatubo: %v names one source vector twice (operands %d and %d)", op, j, i)
+			}
+		}
+	}
 	return sameLength(dst, srcs...)
 }
 
