@@ -31,12 +31,9 @@ type pipelineRecord struct {
 func runPipeline(t *testing.T) []byte {
 	t.Helper()
 	sys, err := New(Config{
-		Tech:  PCM,
-		Fault: FaultConfig{Seed: 7, SenseFlipRate: 1e-5, ActivationFailRate: 1e-6},
-		Resilience: ResilienceConfig{
-			Verify:      VerifyECC,
-			ECCWordBits: 64,
-		},
+		Tech:       PCM,
+		Fault:      FaultConfig{Seed: 7, SenseFlipRate: 1e-5, ActivationFailRate: 1e-6},
+		Resilience: ResilienceConfig{Verify: VerifyECC},
 	})
 	if err != nil {
 		t.Fatal(err)

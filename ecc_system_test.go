@@ -114,11 +114,6 @@ func TestVerifyModeResolution(t *testing.T) {
 			fault: FaultConfig{Seed: 1, SenseFlipRate: 1e-4}, want: VerifyOff},
 		{name: "explicit readback", rc: ResilienceConfig{Verify: VerifyReadback}, want: VerifyReadback},
 		{name: "explicit ecc", rc: ResilienceConfig{Verify: VerifyECC}, want: VerifyECC},
-		{name: "ecc with word width", rc: ResilienceConfig{Verify: VerifyECC, ECCWordBits: 16}, want: VerifyECC},
-		{name: "bad word width", rc: ResilienceConfig{Verify: VerifyECC, ECCWordBits: 7},
-			wantErr: "not one of"},
-		{name: "word width without ecc", rc: ResilienceConfig{Verify: VerifyReadback, ECCWordBits: 8},
-			wantErr: "requires Verify=VerifyECC"},
 		{name: "out of range mode", rc: ResilienceConfig{Verify: VerifyMode(99)},
 			wantErr: "unknown VerifyMode"},
 	}

@@ -201,12 +201,9 @@ func (m VerifyMode) String() string {
 type ResilienceConfig struct {
 	// Verify selects the verification mode. VerifyAuto defers to the
 	// fault configuration; VerifyECC stores SECDED check bits in spare
-	// columns and verifies by syndrome decode instead of read-back.
+	// columns, one (72,64) code word per 64 data bits as on ECC DIMMs,
+	// and verifies by syndrome decode instead of read-back.
 	Verify VerifyMode
-	// ECCWordBits is the SECDED word-group width for VerifyECC: 8, 16, 32
-	// or 64 (0 = the default 64, the (72,64) code of ECC DIMMs). Setting
-	// it with any other mode is a configuration error.
-	ECCWordBits int
 
 	// Replicate enables the proactive replication + majority-vote rung:
 	// every allocated row gets Replicate-1 extra copies in its subarray,
@@ -231,17 +228,6 @@ func (rc ResilienceConfig) mode() (VerifyMode, error) {
 	}
 	if !analog.ValidReplication(rc.Replicate) {
 		return 0, fmt.Errorf("pinatubo: Replicate=%d not 0 or an odd count in 3..7", rc.Replicate)
-	}
-	if rc.Verify == VerifyECC {
-		switch rc.ECCWordBits {
-		case 0, 8, 16, 32, 64:
-		default:
-			return 0, fmt.Errorf("pinatubo: ECCWordBits %d not one of 8, 16, 32, 64", rc.ECCWordBits)
-		}
-		return VerifyECC, nil
-	}
-	if rc.ECCWordBits != 0 {
-		return 0, fmt.Errorf("pinatubo: ECCWordBits=%d requires Verify=VerifyECC", rc.ECCWordBits)
 	}
 	return rc.Verify, nil
 }
@@ -410,11 +396,7 @@ func New(cfg Config) (*System, error) {
 	s.verify = mode
 	rowBits := geo.RowBits()
 	if mode == VerifyECC {
-		wb := cfg.Resilience.ECCWordBits
-		if wb == 0 {
-			wb = 64
-		}
-		codec, err := ecc.New(wb)
+		codec, err := ecc.New(64)
 		if err != nil {
 			return nil, err
 		}
