@@ -214,7 +214,7 @@ func NewController(mem *memarch.Memory, checkBits int) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewControllerWith(mem, be)
+	return &Controller{mem: mem, be: be, bus: ddr.DefaultBus()}, nil
 }
 
 // defaultBackend maps a technology to its compute backend.
@@ -228,15 +228,6 @@ func defaultBackend(mem *memarch.Memory, checkBits int) (backend.Backend, error)
 	default:
 		return nil, fmt.Errorf("pim: no compute backend for technology %s", p.Tech)
 	}
-}
-
-// NewControllerWith builds a controller over mem with an explicit compute
-// backend — the pluggable entry point behind NewController's selection.
-func NewControllerWith(mem *memarch.Memory, be backend.Backend) (*Controller, error) {
-	if be == nil {
-		return nil, errors.New("pim: nil compute backend")
-	}
-	return &Controller{mem: mem, be: be, bus: ddr.DefaultBus()}, nil
 }
 
 // Backend returns the controller's compute backend.
