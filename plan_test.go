@@ -1,6 +1,8 @@
 package pinatubo
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -191,5 +193,323 @@ func TestPlanRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := s.Plan(OpOr, 4, 0, WithArbiter(Arbiter(99))); err == nil {
 		t.Error("unknown arbiter accepted")
+	}
+}
+
+// TestPlanRemembered pins what lets Plan remember its last answer: a plan
+// is a function of the Config and the question alone. Twin Systems, one
+// fresh and one that has allocated, written, applied, batched, run a
+// pipelined window and freed, get the same reports on the first and the
+// second asking; a caller's edits to a report never reach the next one; a
+// cancelled context fails a remembered question exactly as a new one; a
+// plan cancelled partway is not remembered; and a different question
+// after a remembered one gets a fresh twin's answer.
+func TestPlanRemembered(t *testing.T) {
+	cfg := Config{Tech: PCM, Geometry: spreadGeometry()}
+	twin := func() *System {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	fresh, used := twin(), twin()
+
+	const bits = 4096
+	ops := buildBatchOps(t, used, bits)
+	if _, err := used.Apply(ops[0].Op, ops[0].Dst, ops[0].Srcs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := used.Batch(ops[1:3]); err != nil {
+		t.Fatal(err)
+	}
+	b := used.NewBatchBuilder()
+	for _, op := range ops[3:] {
+		if err := b.Add(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := b.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := used.Free(ops[0].Dst); err != nil {
+		t.Fatal(err)
+	}
+
+	plan := func(s *System, op Op, k int, rate float64, arb Arbiter) PlanReport {
+		t.Helper()
+		rep, err := s.Plan(op, k, rate, WithArbiter(arb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for call := 1; call <= 2; call++ {
+		a, b := plan(fresh, OpOr, 16, 0, ArbFIFO), plan(used, OpOr, 16, 0, ArbFIFO)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("call %d: the fresh twin's plan\n%+v\ndiffers from the used twin's\n%+v", call, a, b)
+		}
+	}
+
+	edited := plan(used, OpOr, 16, 0, ArbFIFO)
+	want := plan(fresh, OpOr, 16, 0, ArbFIFO)
+	edited.Points[0].Throughput = -1
+	edited.Points = edited.Points[:1]
+	if got := plan(used, OpOr, 16, 0, ArbFIFO); !reflect.DeepEqual(got, want) {
+		t.Errorf("editing a returned report changed the next one:\n%+v\nwant\n%+v", got, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := used.Plan(OpOr, 16, 0, WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Errorf("remembered question under a cancelled context: err %v, want context.Canceled", err)
+	}
+	// Cancelled in its concurrency sweep, after the traces are sampled: the
+	// partial plan must not be remembered for the first question below.
+	if _, err := used.Plan(OpOr, 4, 0, WithContext(newCountdownCtx(2))); !errors.Is(err, context.Canceled) {
+		t.Errorf("plan cancelled partway: err %v, want context.Canceled", err)
+	}
+
+	for _, q := range []struct {
+		name string
+		op   Op
+		k    int
+		rate float64
+		arb  Arbiter
+	}{
+		{"concurrency", OpOr, 4, 0, ArbFIFO},
+		{"op", OpXor, 4, 0, ArbFIFO},
+		{"fault rate", OpXor, 4, 1e-5, ArbFIFO},
+		{"arbiter", OpXor, 4, 1e-5, ArbOldestReady},
+		{"first question again", OpOr, 16, 0, ArbFIFO},
+	} {
+		got := plan(used, q.op, q.k, q.rate, q.arb)
+		if want := plan(twin(), q.op, q.k, q.rate, q.arb); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: after a remembered question the plan is\n%+v\nwant a fresh twin's\n%+v", q.name, got, want)
+		}
+	}
+}
+
+// everyCopyTraces is the reference for sampleTraces: it executes the
+// planned op once per copy, each into the previous copy's destination,
+// and offsets every copy by the widest stride.
+func everyCopyTraces(t *testing.T, s *System, op Op, concurrency int, faultRate float64, rep int) []chansim.Request {
+	t.Helper()
+	cfg := s.cfg
+	cfg.Fault = FaultConfig{Seed: s.cfg.Fault.Seed + int64(rep), SenseFlipRate: faultRate}
+	sb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sop, err := op.internal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsrc := sb.MaxORRows()
+	if _, hi := op.arity(); hi >= 0 {
+		nsrc = hi
+	}
+	rows, err := sb.alloc.AllocGroupRows(nsrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := sb.mem.Geometry()
+	dst := pimrt.ScratchRow(geo, rows[0])
+	reqs := make([]chansim.Request, concurrency)
+	for i := range reqs {
+		sr, err := sb.sched.Execute(sop, rows, sb.RowBits(), dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = sr.FinalDst
+		reqs[i] = sr.Program.Request(sb.mem.Tech().Timing, sb.ctl.Bus(), geo)
+	}
+	stride := 1
+	for _, r := range reqs {
+		stride = max(stride, r.ResourceStride())
+	}
+	for i := range reqs {
+		reqs[i] = reqs[i].WithResourceOffset(i * stride)
+	}
+	return reqs
+}
+
+// TestPlanFaultFreeSamplesOnce pins the fault-free plan's single sample:
+// copying one execution's request into every slot gives exactly the
+// traces of executing every copy, for every technology, verification
+// mode, replication and a live fault model the plan's sandbox drops.
+func TestPlanFaultFreeSamplesOnce(t *testing.T) {
+	geo := DefaultGeometry()
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"pcm", Config{Tech: PCM, Geometry: geo}},
+		{"stt-mram", Config{Tech: STTMRAM, Geometry: geo}},
+		{"reram", Config{Tech: ReRAM, Geometry: geo}},
+		{"dram", Config{Tech: DRAM, Geometry: geo}},
+		{"pcm-ecc", Config{Tech: PCM, Geometry: geo,
+			Resilience: ResilienceConfig{Verify: VerifyECC}}},
+		{"pcm-readback", Config{Tech: PCM, Geometry: geo,
+			Resilience: ResilienceConfig{Verify: VerifyReadback}}},
+		{"pcm-replicated", Config{Tech: PCM, Geometry: geo,
+			Resilience: ResilienceConfig{Verify: VerifyReadback, Replicate: 3}}},
+		{"pcm-live-flips-and-wear", Config{Tech: PCM, Geometry: geo,
+			Fault: FaultConfig{Seed: 5, SenseFlipRate: 1e-3, WearLimit: 1}}},
+	}
+	const concurrency = 16
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range []Op{OpOr, OpAnd, OpXor, OpNot} {
+				got, err := s.sampleTraces(op, concurrency, 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := everyCopyTraces(t, s, op, concurrency, 0, 0); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v: the single sample's traces differ from executing every copy", op)
+				}
+			}
+		})
+	}
+}
+
+// TestPlanFaultySamplesEveryCopy pins the other side of the single
+// sample: with faults each copy draws its own trace, so a faulty plan's
+// traces are those of executing every copy, and they differ.
+func TestPlanFaultySamplesEveryCopy(t *testing.T) {
+	const concurrency, rate = 4, 1e-3
+	s := newSys(t)
+	got, err := s.sampleTraces(OpOr, concurrency, rate, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := everyCopyTraces(t, s, OpOr, concurrency, rate, 0); !reflect.DeepEqual(got, want) {
+		t.Error("a faulty sample's traces differ from executing every copy")
+	}
+	stride := 1
+	for _, r := range got {
+		stride = max(stride, r.ResourceStride())
+	}
+	for i := 1; i < len(got); i++ {
+		if reflect.DeepEqual(got[0].WithResourceOffset(i*stride), got[i]) {
+			t.Errorf("faulty copy %d repeats copy 0's trace", i)
+		}
+	}
+}
+
+// TestPlanRememberedAllocs pins a remembered plan's cost: asking the last
+// question again allocates exactly once, the caller's copy of Points.
+func TestPlanRememberedAllocs(t *testing.T) {
+	s := newSys(t)
+	if _, err := s.Plan(OpOr, 16, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := s.Plan(OpOr, 16, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("a remembered Plan allocates %.1f times, want 1 (the Points copy)", got)
+	}
+}
+
+// TestPlanDuringWindow plans on the owning goroutine between a window's
+// Start and Wait, as BatchRun allows: a new question, then the same one
+// again, while the window's workers run. The window must end exactly as a
+// twin's that did not plan, and both reports must equal a fresh
+// System's.
+func TestPlanDuringWindow(t *testing.T) {
+	cfg := Config{Tech: PCM, Geometry: spreadGeometry()}
+	systems := make([]*System, 3)
+	for i := range systems {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems[i] = s
+	}
+	sys, twin, fresh := systems[0], systems[1], systems[2]
+	const bits = 4096
+	ops := buildBatchOps(t, sys, bits)
+	twinOps := buildBatchOps(t, twin, bits)
+
+	window := func(s *System, ops []BatchOp, between func()) BatchResult {
+		t.Helper()
+		b := s.NewBatchBuilder()
+		for _, op := range ops {
+			if err := b.Add(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run, err := b.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		between()
+		br, err := run.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return br
+	}
+	var reps [2]PlanReport
+	got := window(sys, ops, func() {
+		for i := range reps {
+			rep, err := sys.Plan(OpOr, 16, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps[i] = rep
+		}
+	})
+	want := window(twin, twinOps, func() {})
+
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("window that planned:\n%+v\ntwin's:\n%+v", got, want)
+	}
+	if a, b := sys.Stats(), twin.Stats(); !reflect.DeepEqual(a, b) {
+		t.Errorf("Stats %+v, twin %+v", a, b)
+	}
+	if a, b := sys.HardwareCounters(), twin.HardwareCounters(); !reflect.DeepEqual(a, b) {
+		t.Errorf("HardwareCounters %+v, twin %+v", a, b)
+	}
+	if a, b := sys.FaultStats(), twin.FaultStats(); a != b {
+		t.Errorf("FaultStats %+v, twin %+v", a, b)
+	}
+	for i := range ops {
+		vecs := append([]*BitVector{ops[i].Dst}, ops[i].Srcs...)
+		twinVecs := append([]*BitVector{twinOps[i].Dst}, twinOps[i].Srcs...)
+		for j := range vecs {
+			wa, _, err := sys.Read(vecs[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, _, err := twin.Read(twinVecs[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wa, wb) {
+				t.Errorf("op %d (%v) vector %d diverges from the twin", i, ops[i].Op, j)
+			}
+		}
+	}
+
+	wantRep, err := fresh.Plan(OpOr, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reps {
+		if !reflect.DeepEqual(rep, wantRep) {
+			t.Errorf("plan %d during the window:\n%+v\nwant a fresh System's\n%+v", i, rep, wantRep)
+		}
 	}
 }
