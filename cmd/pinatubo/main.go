@@ -49,6 +49,17 @@ func main() {
 	batch := flag.Int("batch", 0, "execute this many -op operations as one scheduled batch on a bank-spread geometry, instead of one at a time")
 	flag.Parse()
 
+	// 0 leaves planning or batching off; a negative count is a typo, not
+	// a request to run one plain op.
+	if *plan < 0 {
+		fmt.Fprintf(os.Stderr, "pinatubo: -plan %d is negative\n", *plan)
+		os.Exit(1)
+	}
+	if *batch < 0 {
+		fmt.Fprintf(os.Stderr, "pinatubo: -batch %d is negative\n", *batch)
+		os.Exit(1)
+	}
+
 	fc := pinatubo.FaultConfig{
 		Seed:               *faultSeed,
 		SenseFlipRate:      *faultRate,
