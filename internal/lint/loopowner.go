@@ -10,10 +10,14 @@ package lint
 //
 // on a struct field: the field may be touched only by the named owner
 // function/method and the functions it dominates in the direct-call
-// callgraph — never from a go statement's subtree, and never from a
-// function reachable from one. Functions whose results mention the
+// callgraph — never from a go statement's subtree, never from a function
+// reachable from one, and never from an exported function other than the
+// owner, which other packages call from their own goroutines whether or
+// not the owner calls it too. Functions whose results mention the
 // annotated struct's type are constructors and exempt (they initialize the
-// value before the owner's loop starts).
+// value before the owner's loop starts). An unexported helper that both
+// the owner's tree and such an exported function call is not flagged: the
+// callgraph says who calls it, not on which goroutine.
 
 import (
 	"go/ast"
@@ -56,10 +60,7 @@ func runLoopOwner(pass *Pass) error {
 		f := &fields[i]
 		var seed []*types.Func
 		for fn := range cg.Decls() {
-			if !containsName(f.owners, fn.Name()) {
-				continue
-			}
-			if r := recvNamed(fn); r == nil || r == f.strct {
+			if f.isOwner(fn) {
 				//pinlint:ignore maporder seed feeds Reachable's set closure; collection order cannot reach the output
 				seed = append(seed, fn)
 			}
@@ -130,9 +131,25 @@ func checkOwnedAccesses(pass *Pass, body ast.Node, fn *types.Func,
 			pass.Reportf(sel.Pos(),
 				"state-loop-owned field %s (owner %s) accessed in %s, outside the owner's call tree",
 				fieldName, owner, fn.Name())
+		case fn.Exported() && !f.isOwner(fn) && !f.ctors[fn]:
+			// The owner calling an exported function does not make it
+			// loop-only: other packages call it from their own goroutines.
+			pass.Reportf(sel.Pos(),
+				"state-loop-owned field %s (owner %s) accessed in exported %s, which other packages may call from any goroutine",
+				fieldName, owner, fn.Name())
 		}
 		return true
 	})
+}
+
+// isOwner reports whether fn is one of the field's named owners: a plain
+// function or a method of the annotated struct.
+func (f *ownedField) isOwner(fn *types.Func) bool {
+	if !containsName(f.owners, fn.Name()) {
+		return false
+	}
+	r := recvNamed(fn)
+	return r == nil || r == f.strct
 }
 
 // collectOwnedFields parses //pinlint:owned directives on struct fields.

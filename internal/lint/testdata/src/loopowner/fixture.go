@@ -1,7 +1,8 @@
 // Package loopownertest exercises the loopowner analyzer: accesses to
-// //pinlint:owned fields from goroutines, goroutine-reachable functions
-// and functions outside the owner's call tree are positives; the owner's
-// own call tree and constructors are negatives.
+// //pinlint:owned fields from goroutines, goroutine-reachable functions,
+// functions outside the owner's call tree and exported functions other
+// than the owner are positives; the owner itself (exported here), its
+// unexported call tree and constructors are negatives.
 package loopownertest
 
 type loop struct {
@@ -32,6 +33,13 @@ func (l *loop) Run() {
 // step is in Run's call tree.
 func (l *loop) step() {
 	l.state += l.other
+	_ = l.Gauge()
+}
+
+// Gauge is in Run's call tree, but it is exported: other packages call it
+// from their own goroutines too.
+func (l *loop) Gauge() int {
+	return l.gauge // want `accessed in exported Gauge`
 }
 
 // Peek is neither the owner, reachable from it, nor a constructor.

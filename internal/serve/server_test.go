@@ -421,7 +421,8 @@ func TestServeShedding(t *testing.T) {
 // TestServeConcurrentClients is the end-to-end smoke under -race: a live
 // Run loop, real connections (net.Pipe), concurrent clients in separate
 // goroutines issuing allocs, writes, pipelined ops and reads — every
-// response OK and every OR result verified against a host-side model.
+// response OK and every OR result verified against a host-side model —
+// while another goroutine polls Metrics.
 func TestServeConcurrentClients(t *testing.T) {
 	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
 	if err != nil {
@@ -434,6 +435,23 @@ func TestServeConcurrentClients(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- srv.Run(ctx) }()
+
+	// Poll Metrics from a goroutine of its own while the clients run, as
+	// pinatubod -demo and pinbench do, so the race detector sees any
+	// loop-owned state Metrics reads.
+	stopPoll := make(chan struct{})
+	pollDone := make(chan struct{})
+	go func() {
+		defer close(pollDone)
+		for {
+			select {
+			case <-stopPoll:
+				return
+			default:
+				srv.Metrics()
+			}
+		}
+	}()
 
 	const clients = 8
 	const bits = 2048
@@ -516,6 +534,8 @@ func TestServeConcurrentClients(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	close(stopPoll)
+	<-pollDone
 	close(errs)
 	for err := range errs {
 		t.Error(err)
