@@ -25,8 +25,12 @@ type Config struct {
 	// becomes the live System's saturation point for deep ORs — the
 	// concurrency past which more in-flight ops stop paying.
 	WindowCap int
-	// ReplanEvery re-derives WindowCap from a fresh Plan every N windows
-	// (0 keeps the startup cap; only used when WindowCap was auto-sized).
+	// ReplanEvery re-derives WindowCap from Plan every N windows (0
+	// keeps the startup cap; only used when WindowCap was auto-sized).
+	// The plan depends only on the System's configuration and Plan
+	// remembers its last answer, so a replan returns the startup cap
+	// again, as a lookup; the field stays only while callers still set
+	// it.
 	ReplanEvery int64
 	// QueueLimit bounds the total backlog (queued requests across
 	// tenants) before the admission controller sheds load. 0 defaults to
