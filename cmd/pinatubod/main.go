@@ -113,11 +113,10 @@ func run(listen string, stdin bool, demo int, tech, verify string,
 		queue = demo * (2*demoOps + 8)
 	}
 	srv, err := serve.New(serve.Config{
-		System:      sys,
-		Arb:         arb,
-		WindowCap:   window,
-		QueueLimit:  queue,
-		ReplanEvery: 256,
+		System:     sys,
+		Arb:        arb,
+		WindowCap:  window,
+		QueueLimit: queue,
 	})
 	if err != nil {
 		return err

@@ -25,12 +25,10 @@ type Config struct {
 	// becomes the live System's saturation point for deep ORs — the
 	// concurrency past which more in-flight ops stop paying.
 	WindowCap int
-	// ReplanEvery re-derives WindowCap from Plan every N windows (0
-	// keeps the startup cap; only used when WindowCap was auto-sized).
-	// The plan depends only on the System's configuration and Plan
-	// remembers its last answer, so a replan returns the startup cap
-	// again, as a lookup; the field stays only while callers still set
-	// it.
+	// ReplanEvery is ignored. It once re-derived an auto-sized WindowCap
+	// from Plan every N windows, but a plan depends only on the System's
+	// configuration, so every replan returned the startup cap again. The
+	// field stays only while callers still set it.
 	ReplanEvery int64
 	// QueueLimit bounds the total backlog (queued requests across
 	// tenants) before the admission controller sheds load. 0 defaults to
@@ -46,12 +44,10 @@ type Config struct {
 // goroutines never touch the System — they only move Requests in and
 // Responses out.
 type Server struct {
-	sys         *pinatubo.System
-	arb         pinatubo.Arbiter
-	windowCap   int
-	autoCap     bool
-	replanEvery int64
-	queueLimit  int
+	sys        *pinatubo.System
+	arb        pinatubo.Arbiter
+	windowCap  int
+	queueLimit int
 
 	reqCh chan envelope
 	now   func() time.Time
@@ -79,17 +75,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.System is nil")
 	}
 	s := &Server{
-		sys:         cfg.System,
-		arb:         cfg.Arb,
-		windowCap:   cfg.WindowCap,
-		replanEvery: cfg.ReplanEvery,
-		queueLimit:  cfg.QueueLimit,
-		reqCh:       make(chan envelope, 256),
-		now:         time.Now,
-		tenants:     make(map[string]*tenant),
+		sys:        cfg.System,
+		arb:        cfg.Arb,
+		windowCap:  cfg.WindowCap,
+		queueLimit: cfg.QueueLimit,
+		reqCh:      make(chan envelope, 256),
+		now:        time.Now,
+		tenants:    make(map[string]*tenant),
 	}
 	if s.windowCap < 1 {
-		s.autoCap = true
 		cap, err := s.planCap()
 		if err != nil {
 			return nil, err
@@ -110,7 +104,8 @@ const planProbe = 16
 
 // planCap asks the live System's planner for the deep-OR saturation
 // point. Plan runs entirely on sandboxes, so sizing never disturbs the
-// simulator's state — the server can re-plan between windows.
+// simulator's state, and it reads only the System's configuration, so
+// New sizes the window once.
 func (s *Server) planCap() (int, error) {
 	rep, err := s.sys.Plan(pinatubo.OpOr, planProbe, 0, pinatubo.WithArbiter(s.arb))
 	if err != nil {
@@ -391,8 +386,7 @@ func (s *Server) startWindow(ctx context.Context) {
 }
 
 // boundary lands a finished window: merge (inside Wait), answer its ops,
-// optionally re-plan the cap, drain the queues fairly into the next
-// builder and launch it.
+// drain the queues fairly into the next builder and launch it.
 func (s *Server) boundary(ctx context.Context) {
 	br, err := s.run.Wait()
 	s.run = nil
@@ -427,12 +421,6 @@ func (s *Server) boundary(ctx context.Context) {
 			}
 			m.perf = perf
 		})
-		if s.autoCap && s.replanEvery > 0 && s.windowID%s.replanEvery == 0 {
-			if cap, err := s.planCap(); err == nil {
-				s.windowCap = cap
-				s.metric(func(m *metricsState) { m.windowCap = cap })
-			}
-		}
 	}
 	s.drain(ctx)
 	s.startWindow(ctx)

@@ -275,12 +275,6 @@ type System struct {
 	// to the op's channel request after each op (opRequest).
 	prog cmdstream.Program
 
-	// planAsked and planned are the question Plan last answered and its
-	// report (plan.go). The zero key asks for concurrency 0, which Plan
-	// refuses, so a fresh System remembers nothing.
-	planAsked planKey
-	planned   PlanReport
-
 	// sandboxPool recycles shard-sandbox Systems across batch windows
 	// (window.go): reset-on-get, capped, guarded by poolMu because Start
 	// and Wait may run while shard goroutines of an earlier window are

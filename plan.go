@@ -2,9 +2,7 @@ package pinatubo
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"slices"
 	"time"
 
 	"pinatubo/internal/chansim"
@@ -143,15 +141,13 @@ type PlanReport struct {
 // ArbOldestReady for quantifying the tail-latency gap between arbiters,
 // and WithContext attaches cancellation — a cancelled Plan returns the
 // context's error and, because every sample ran on a sandbox, has no
-// side effects on the live system; nor is its partial answer remembered.
+// side effects on the live system.
 //
 // A plan depends only on the System's Config and the four arguments
 // (op, concurrency, fault rate, arbiter), never on the live contents,
-// allocator or counters, so Plan remembers its last answer: asking the
-// same question again returns a copy of that report without sampling or
-// scheduling anything. Only the last question is kept. Like every other
-// method, Plan runs on the goroutine that owns the System (between a
-// BatchRun's Start and Wait included).
+// allocator or counters. Like every other method, Plan runs on the
+// goroutine that owns the System (between a BatchRun's Start and Wait
+// included).
 func (s *System) Plan(op Op, concurrency int, faultRate float64, opts ...Option) (PlanReport, error) {
 	o, err := resolveOpts(opts)
 	if err != nil {
@@ -173,13 +169,6 @@ func (s *System) Plan(op Op, concurrency int, faultRate float64, opts ...Option)
 	carb, err := arb.internal()
 	if err != nil {
 		return PlanReport{}, err
-	}
-	if err := o.ctx.Err(); err != nil {
-		return PlanReport{}, err
-	}
-	key := planKey{op: op, concurrency: concurrency, rate: math.Float64bits(faultRate), arb: arb}
-	if key == s.planAsked {
-		return s.planned.clone(), nil
 	}
 
 	reps := planReplications
@@ -242,24 +231,7 @@ func (s *System) Plan(op Op, concurrency int, faultRate float64, opts ...Option)
 			report.Headroom = curve[i] / curve[0]
 		}
 	}
-	s.planAsked, s.planned = key, report
-	return report.clone(), nil
-}
-
-// planKey is the question a plan answers. The fault rate is kept as its
-// bits, so the key compares exactly what the report records.
-type planKey struct {
-	op          Op
-	concurrency int
-	rate        uint64
-	arb         Arbiter
-}
-
-// clone returns a copy of r that owns its Points, so a caller's edits
-// never reach the report Plan remembers.
-func (r PlanReport) clone() PlanReport {
-	r.Points = slices.Clone(r.Points)
-	return r
+	return report, nil
 }
 
 // planKs returns the concurrency levels to explore: powers of two up to

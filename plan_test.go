@@ -1,8 +1,6 @@
 package pinatubo
 
 import (
-	"context"
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -196,104 +194,6 @@ func TestPlanRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestPlanRemembered pins what lets Plan remember its last answer: a plan
-// is a function of the Config and the question alone. Twin Systems, one
-// fresh and one that has allocated, written, applied, batched, run a
-// pipelined window and freed, get the same reports on the first and the
-// second asking; a caller's edits to a report never reach the next one; a
-// cancelled context fails a remembered question exactly as a new one; a
-// plan cancelled partway is not remembered; and a different question
-// after a remembered one gets a fresh twin's answer.
-func TestPlanRemembered(t *testing.T) {
-	cfg := Config{Tech: PCM, Geometry: spreadGeometry()}
-	twin := func() *System {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	fresh, used := twin(), twin()
-
-	const bits = 4096
-	ops := buildBatchOps(t, used, bits)
-	if _, err := used.Apply(ops[0].Op, ops[0].Dst, ops[0].Srcs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := used.Batch(ops[1:3]); err != nil {
-		t.Fatal(err)
-	}
-	b := used.NewBatchBuilder()
-	for _, op := range ops[3:] {
-		if err := b.Add(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run, err := b.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := used.Free(ops[0].Dst); err != nil {
-		t.Fatal(err)
-	}
-
-	plan := func(s *System, op Op, k int, rate float64, arb Arbiter) PlanReport {
-		t.Helper()
-		rep, err := s.Plan(op, k, rate, WithArbiter(arb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	for call := 1; call <= 2; call++ {
-		a, b := plan(fresh, OpOr, 16, 0, ArbFIFO), plan(used, OpOr, 16, 0, ArbFIFO)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("call %d: the fresh twin's plan\n%+v\ndiffers from the used twin's\n%+v", call, a, b)
-		}
-	}
-
-	edited := plan(used, OpOr, 16, 0, ArbFIFO)
-	want := plan(fresh, OpOr, 16, 0, ArbFIFO)
-	edited.Points[0].Throughput = -1
-	edited.Points = edited.Points[:1]
-	if got := plan(used, OpOr, 16, 0, ArbFIFO); !reflect.DeepEqual(got, want) {
-		t.Errorf("editing a returned report changed the next one:\n%+v\nwant\n%+v", got, want)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := used.Plan(OpOr, 16, 0, WithContext(ctx)); !errors.Is(err, context.Canceled) {
-		t.Errorf("remembered question under a cancelled context: err %v, want context.Canceled", err)
-	}
-	// Cancelled in its concurrency sweep, after the traces are sampled: the
-	// partial plan must not be remembered for the first question below.
-	if _, err := used.Plan(OpOr, 4, 0, WithContext(newCountdownCtx(2))); !errors.Is(err, context.Canceled) {
-		t.Errorf("plan cancelled partway: err %v, want context.Canceled", err)
-	}
-
-	for _, q := range []struct {
-		name string
-		op   Op
-		k    int
-		rate float64
-		arb  Arbiter
-	}{
-		{"concurrency", OpOr, 4, 0, ArbFIFO},
-		{"op", OpXor, 4, 0, ArbFIFO},
-		{"fault rate", OpXor, 4, 1e-5, ArbFIFO},
-		{"arbiter", OpXor, 4, 1e-5, ArbOldestReady},
-		{"first question again", OpOr, 16, 0, ArbFIFO},
-	} {
-		got := plan(used, q.op, q.k, q.rate, q.arb)
-		if want := plan(twin(), q.op, q.k, q.rate, q.arb); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: after a remembered question the plan is\n%+v\nwant a fresh twin's\n%+v", q.name, got, want)
-		}
-	}
-}
-
 // everyCopyTraces is the reference for sampleTraces: it executes the
 // planned op once per copy, each into the previous copy's destination,
 // and offsets every copy by the widest stride.
@@ -405,28 +305,10 @@ func TestPlanFaultySamplesEveryCopy(t *testing.T) {
 	}
 }
 
-// TestPlanRememberedAllocs pins a remembered plan's cost: asking the last
-// question again allocates exactly once, the caller's copy of Points.
-func TestPlanRememberedAllocs(t *testing.T) {
-	s := newSys(t)
-	if _, err := s.Plan(OpOr, 16, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(50, func() {
-		if _, err := s.Plan(OpOr, 16, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got != 1 {
-		t.Errorf("a remembered Plan allocates %.1f times, want 1 (the Points copy)", got)
-	}
-}
-
 // TestPlanDuringWindow plans on the owning goroutine between a window's
-// Start and Wait, as BatchRun allows: a new question, then the same one
-// again, while the window's workers run. The window must end exactly as a
-// twin's that did not plan, and both reports must equal a fresh
-// System's.
+// Start and Wait, as BatchRun allows, while the window's workers run. The
+// window must end exactly as a twin's that did not plan, and the report
+// must equal a fresh System's.
 func TestPlanDuringWindow(t *testing.T) {
 	cfg := Config{Tech: PCM, Geometry: spreadGeometry()}
 	systems := make([]*System, 3)
@@ -461,14 +343,11 @@ func TestPlanDuringWindow(t *testing.T) {
 		}
 		return br
 	}
-	var reps [2]PlanReport
+	var rep PlanReport
 	got := window(sys, ops, func() {
-		for i := range reps {
-			rep, err := sys.Plan(OpOr, 16, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps[i] = rep
+		var err error
+		if rep, err = sys.Plan(OpOr, 16, 0); err != nil {
+			t.Fatal(err)
 		}
 	})
 	want := window(twin, twinOps, func() {})
@@ -507,9 +386,7 @@ func TestPlanDuringWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rep := range reps {
-		if !reflect.DeepEqual(rep, wantRep) {
-			t.Errorf("plan %d during the window:\n%+v\nwant a fresh System's\n%+v", i, rep, wantRep)
-		}
+	if !reflect.DeepEqual(rep, wantRep) {
+		t.Errorf("plan during the window:\n%+v\nwant a fresh System's\n%+v", rep, wantRep)
 	}
 }
