@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,12 @@ func TestBatchDifferential(t *testing.T) {
 		{"pcm-replicated-faulty", Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: VerifyReadback, Replicate: 3},
 			Fault:      FaultConfig{Seed: 3, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}},
+		// Wear accrues on every program but never reaches a stuck bit, so
+		// the window still runs one op per shard and merges wear and
+		// check words.
+		{"pcm-ecc-wear", Config{Tech: PCM, Geometry: spreadGeometry(),
+			Resilience: ResilienceConfig{Verify: VerifyECC},
+			Fault:      FaultConfig{Seed: 5, WearLimit: 1000}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,7 +178,58 @@ func TestBatchDifferential(t *testing.T) {
 					}
 				}
 			}
+			checkRowRecords(t, batched, serial, opsB)
 		})
+	}
+}
+
+// checkRowRecords compares the row records a windowed twin and a serial
+// twin left: the hottest row, and every footprint row's program count,
+// check words and wear. The twins allocate identically, so the serial
+// twin's footprints name the windowed twin's rows too. Under ECC some row
+// must hold check words and under a wear limit some row must have worn,
+// or the comparison would be vacuous.
+func checkRowRecords(t *testing.T, windowed, serial *System, ops []BatchOp) {
+	t.Helper()
+	a, n := windowed.HottestRow()
+	b, m := serial.HottestRow()
+	if a != b || n != m {
+		t.Errorf("HottestRow: windowed %q/%d, sequential %q/%d", a, n, b, m)
+	}
+	fp := serial.NewBatchBuilder()
+	for _, op := range ops {
+		if err := fp.Add(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checked, worn := false, false
+	for i := range ops {
+		for _, k := range fp.footprint(i) {
+			if k.kind != 'r' {
+				continue
+			}
+			a := k.addr
+			if got, want := windowed.mem.RowWriteCount(a), serial.mem.RowWriteCount(a); got != want {
+				t.Errorf("op %d row %v: windowed programs %d, sequential %d", i, a, got, want)
+			}
+			gb, gw, gok := windowed.mem.Check(a)
+			wb, ww, wok := serial.mem.Check(a)
+			if gb != wb || gok != wok || !slices.Equal(gw, ww) {
+				t.Errorf("op %d row %v: windowed check words %d/%x, sequential %d/%x", i, a, gb, gw, wb, ww)
+			}
+			if got, want := windowed.mem.Wear(a), serial.mem.Wear(a); !reflect.DeepEqual(got, want) {
+				t.Errorf("op %d row %v: windowed wear %+v, sequential %+v", i, a, got, want)
+			}
+			checked = checked || wok
+			worn = worn || serial.mem.Wear(a).Events > 0
+		}
+	}
+	cfg := serial.cfg
+	if cfg.Resilience.Verify == VerifyECC && !checked {
+		t.Error("no footprint row holds check words under VerifyECC")
+	}
+	if cfg.Fault.WearLimit > 0 && !worn {
+		t.Error("no footprint row wore under a wear limit")
 	}
 }
 

@@ -2,7 +2,6 @@ package chansim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -22,35 +21,29 @@ func PercentilesOf(xs []float64) Percentiles {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	rank := func(p float64) float64 {
-		// Nearest-rank: the smallest value with at least p of the mass
-		// at or below it.
-		i := int(p*float64(len(sorted))+0.9999999999) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
 	sum := 0.0
 	for _, x := range sorted {
 		sum += x
 	}
 	return Percentiles{
-		P50:  rank(0.50),
-		P99:  rank(0.99),
+		P50:  sorted[NearestRank(0.50, len(sorted))],
+		P99:  sorted[NearestRank(0.99, len(sorted))],
 		Mean: sum / float64(len(sorted)),
 		Max:  sorted[len(sorted)-1],
 	}
 }
 
+// NearestRank returns the index of the nearest-rank p-quantile in an
+// ascending sample of n >= 1 values: the smallest value with at least p
+// of the mass at or below it, which is the ⌈p·n⌉-th smallest. The
+// epsilon absorbs float error: 0.07·100 evaluates to 7.000000000000001,
+// and its rank is still the 7th.
+func NearestRank(p float64, n int) int {
+	return min(max(int(p*float64(n)+0.9999999999)-1, 0), n-1)
+}
+
 // MCConfig drives a Monte Carlo scheduling experiment.
 type MCConfig struct {
-	// Seed is the base RNG seed; replication r uses Seed+r, so the whole
-	// experiment is reproducible and replications are independent.
-	Seed int64
 	// Replications is the number of independent trace samples (>= 1).
 	Replications int
 	// Arb is the arbitration policy to schedule under.
@@ -69,19 +62,17 @@ type MCResult struct {
 	BusUtilisation Percentiles
 }
 
-// MonteCarlo samples gen once per replication (with a seeded, replication
-// private RNG), schedules each sample under cfg.Arb and aggregates
-// latency/makespan/throughput percentiles. gen may ignore the RNG when the
-// caller's traces carry their own randomness (e.g. pre-sampled fault
-// expansions keyed off the replication index).
-func MonteCarlo(cfg MCConfig, gen func(rng *rand.Rand, rep int) ([]Request, error)) (MCResult, error) {
+// MonteCarlo samples gen once per replication, schedules each sample under
+// cfg.Arb and aggregates latency/makespan/throughput percentiles. The
+// randomness is gen's own: a caller's traces carry it (e.g. pre-sampled
+// fault expansions keyed off the replication index).
+func MonteCarlo(cfg MCConfig, gen func(rep int) ([]Request, error)) (MCResult, error) {
 	if cfg.Replications < 1 {
 		return MCResult{}, fmt.Errorf("chansim: replications=%d", cfg.Replications)
 	}
 	var latencies, makespans, throughputs, utils []float64
 	for rep := 0; rep < cfg.Replications; rep++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(rep)))
-		reqs, err := gen(rng, rep)
+		reqs, err := gen(rep)
 		if err != nil {
 			return MCResult{}, fmt.Errorf("chansim: replication %d: %w", rep, err)
 		}

@@ -15,7 +15,9 @@
 //   - Write-endurance wear. PCM cells endure a bounded number of programs;
 //     rows written past Config.WearLimit develop permanent stuck-at bits
 //     (one more per further WearLimit programs) that corrupt every
-//     subsequent write to the row until the allocator retires it.
+//     subsequent write to the row until the allocator retires it. The
+//     injector is the wear policy only: each row's wear record lives in
+//     the memory model (memarch.Wear), and the controller hands it over.
 //
 //   - Transient activation faults. Multi-row activation through the LWL
 //     latches can fail outright (a latch misses its address slot); the
@@ -35,6 +37,7 @@ import (
 
 	"pinatubo/internal/analog"
 	"pinatubo/internal/ledger"
+	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
 )
@@ -92,12 +95,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// stuckBit is one permanently-failed cell of a worn row.
-type stuckBit struct {
-	pos int  // bit position within the row
-	val bool // the value the cell is stuck at
-}
-
 // Injector draws faults for one memory. Not safe for concurrent use, like
 // the controller that owns it.
 type Injector struct {
@@ -108,12 +105,6 @@ type Injector struct {
 	rng     *rand.Rand
 	seq     int64
 	margins map[marginKey]float64
-	wear    map[uint64]int64
-	// wearFrac accumulates partial wear for rows written as one of R
-	// replicas of a logical row: each replicated program adds 1/R of a
-	// wear event, so replicated rows age R× slower per logical write.
-	wearFrac map[uint64]int64
-	stuck    map[uint64][]stuckBit
 	// led receives the injector's ground truth — flips, activation
 	// faults, stuck rows, forced bits, row writes — the activity a
 	// resilience layer is measured against.
@@ -145,39 +136,26 @@ func New(cfg Config, p nvm.Params, scfg analog.SenseConfig, rowBits int, led *le
 		cell = drifted
 	}
 	return &Injector{
-		cfg:      cfg,
-		scfg:     scfg,
-		cell:     cell,
-		rowBits:  rowBits,
-		rng:      rand.New(newSource(cfg.Seed)),
-		margins:  make(map[marginKey]float64),
-		wear:     make(map[uint64]int64),
-		wearFrac: make(map[uint64]int64),
-		stuck:    make(map[uint64][]stuckBit),
-		led:      led,
+		cfg:     cfg,
+		scfg:    scfg,
+		cell:    cell,
+		rowBits: rowBits,
+		rng:     rand.New(newSource(cfg.Seed)),
+		margins: make(map[marginKey]float64),
+		led:     led,
 	}, nil
 }
 
-// Reset restores the injector to its New state: wear, stuck-at bits and
-// the substream counter clear, and the PRNG rewinds to the seed. The
-// margin memo survives — it caches pure analog math, so keeping it is
-// invisible to behaviour — and so does the ledger, which its owner
-// resets. Pooled shard sandboxes reset through here; the batch executor
-// then re-seeds per-row state and the substream position explicitly,
-// exactly as it does for a fresh sandbox. The rewind is a constant-time
-// reseed, so a reset does no per-word PRNG work.
+// Reset restores the injector to its New state: the substream counter
+// clears and the PRNG rewinds to the seed. The margin memo survives — it
+// caches pure analog math, so keeping it is invisible to behaviour — and
+// so does the ledger, which its owner resets. Pooled shard sandboxes
+// reset through here; the batch executor then positions the substream
+// explicitly, exactly as it does for a fresh sandbox. The rewind is a
+// constant-time reseed, so a reset does no per-word PRNG work.
 func (in *Injector) Reset() {
 	in.rng.Seed(in.cfg.Seed)
 	in.seq = 0
-	for k := range in.wear {
-		delete(in.wear, k)
-	}
-	for k := range in.wearFrac {
-		delete(in.wearFrac, k)
-	}
-	for k := range in.stuck {
-		delete(in.stuck, k)
-	}
 }
 
 // BeginOp reseeds the transient-fault stream (sense flips, activation
@@ -185,9 +163,9 @@ func (in *Injector) Reset() {
 // number). Operations then draw faults independently of each other, which
 // is what lets Batch run fault-injected shards concurrently and still
 // reproduce the exact flips sequential execution would have drawn.
-// Wear and stuck-at state are keyed per row and unaffected. The PRNG is
-// reseeded in place, in constant time, to the same stream a fresh
-// rand.New(rand.NewSource(…)) would produce.
+// Wear draws nothing from the stream: a stuck bit hashes its row and
+// event. The PRNG is reseeded in place, in constant time, to the same
+// stream a fresh rand.New(rand.NewSource(…)) would produce.
 func (in *Injector) BeginOp() {
 	in.seq++
 	in.rng.Seed(in.cfg.Seed ^ int64(splitmix64(uint64(in.seq))))
@@ -290,98 +268,75 @@ func (in *Injector) ActivationFault(rows int) bool {
 	return false
 }
 
-// RecordWrite advances the wear counter of the row identified by its encoded
-// address. Crossing a multiple of WearLimit mints one new stuck-at bit whose
-// position and polarity derive from a hash of (seed, row, event) — the same
-// row always fails the same way, independent of operation order.
-func (in *Injector) RecordWrite(key uint64) {
-	in.RecordWriteShared(key, 1)
-}
-
-// RecordWriteShared records a program of a row that stores one of `share`
-// replicas of a logical row: the physical program counts in full toward
-// RowWrites, but only 1/share of a wear event accrues, so a row holding one
-// of R copies ages R× slower per logical write — the capacity spent on
-// replication is simultaneously wear levelling. share == 1 is RecordWrite.
-func (in *Injector) RecordWriteShared(key uint64, share int) {
+// RecordWriteShared applies one program of the row key names to its wear
+// record w, and reports whether it changed the record. The program counts
+// in full toward RowWrites, but a row that stores one of `share` replicas
+// of a logical row accrues only 1/share of a wear event, so it ages
+// share× slower per logical write — the capacity spent on replication is
+// simultaneously wear levelling. Crossing a multiple of WearLimit mints
+// one new stuck-at bit whose position and polarity derive from a hash of
+// (seed, row, event) — the same row always fails the same way,
+// independent of operation order. The stuck list is replaced, never
+// grown in place, because a borrowed row shares it with its lender.
+func (in *Injector) RecordWriteShared(key uint64, w *memarch.Wear, share int) bool {
 	in.led.Count[ledger.RowWrites]++
 	if in.cfg.WearLimit == 0 {
-		return
-	}
-	if share < 1 {
-		share = 1
+		return false
 	}
 	if share > 1 {
-		in.wearFrac[key]++
-		if in.wearFrac[key] < int64(share) {
-			return
+		w.Frac++
+		if w.Frac < int64(share) {
+			return true
 		}
-		in.wearFrac[key] = 0
+		w.Frac = 0
 	}
-	in.wear[key]++
-	if in.wear[key]%in.cfg.WearLimit != 0 {
-		return
+	w.Events++
+	if w.Events%in.cfg.WearLimit != 0 {
+		return true
 	}
-	event := in.wear[key] / in.cfg.WearLimit
+	event := w.Events / in.cfg.WearLimit
 	h := splitmix64(uint64(in.cfg.Seed) ^ key*0x9e3779b97f4a7c15 ^ uint64(event))
-	b := stuckBit{
-		pos: int(h % uint64(in.rowBits)),
-		val: h&(1<<63) != 0,
-	}
-	if len(in.stuck[key]) == 0 {
+	if len(w.Stuck) == 0 {
 		in.led.Count[ledger.StuckRows]++
 	}
-	in.stuck[key] = append(in.stuck[key], b)
+	w.Stuck = append(w.Stuck[:len(w.Stuck):len(w.Stuck)], memarch.StuckBit{
+		Pos: int(h % uint64(in.rowBits)),
+		Val: h&(1<<63) != 0,
+	})
+	return true
 }
 
-// Wear returns the program count the wear model has seen for the row.
-func (in *Injector) Wear(key uint64) int64 { return in.wear[key] }
-
-// Worn reports whether the row has developed stuck-at bits.
-func (in *Injector) Worn(key uint64) bool { return len(in.stuck[key]) > 0 }
-
-// StuckPositions returns the bit positions of the row's stuck-at cells —
-// diagnostics for tests and sweeps (positions at or past the data row width
-// are spare-column cells when the injector covers an ECC stripe).
-func (in *Injector) StuckPositions(key uint64) []int {
-	out := make([]int, 0, len(in.stuck[key]))
-	for _, b := range in.stuck[key] {
-		out = append(out, b.pos)
-	}
-	return out
-}
-
-// CorruptStored forces the row's stuck-at bits into freshly-programmed row
+// CorruptStored forces a row's stuck-at cells into freshly-programmed row
 // words in place, modelling the cells that no longer accept the write. It
 // returns how many bits were actually overridden (a write agreeing with the
 // stuck value is unharmed).
-func (in *Injector) CorruptStored(key uint64, row []uint64) int {
-	return in.CorruptStoredOffset(key, row, 0)
+func (in *Injector) CorruptStored(stuck []memarch.StuckBit, row []uint64) int {
+	return in.CorruptStoredOffset(stuck, row, 0)
 }
 
-// CorruptStoredOffset applies the row's stuck-at bits whose positions fall
-// at or beyond offsetBits to `row`, rebased so position offsetBits lands on
+// CorruptStoredOffset applies the stuck-at cells whose positions fall at
+// or beyond offsetBits to `row`, rebased so position offsetBits lands on
 // bit 0. The controller uses it for the ECC spare columns: the injector is
 // constructed with rowBits covering data plus spare cells, positions below
 // the data width corrupt the data row (offset 0) and positions at or above
 // it corrupt the packed check words (offset = data row bits) — the spare
 // columns wear and stick exactly like the cells they protect.
-func (in *Injector) CorruptStoredOffset(key uint64, row []uint64, offsetBits int) int {
+func (in *Injector) CorruptStoredOffset(stuck []memarch.StuckBit, row []uint64, offsetBits int) int {
 	forced := 0
-	for _, b := range in.stuck[key] {
-		if b.pos < offsetBits {
+	for _, b := range stuck {
+		if b.Pos < offsetBits {
 			continue
 		}
-		pos := b.pos - offsetBits
+		pos := b.Pos - offsetBits
 		wi, mask := pos/64, uint64(1)<<uint(pos%64)
 		if wi >= len(row) {
 			continue
 		}
 		was := row[wi]&mask != 0
-		if was == b.val {
+		if was == b.Val {
 			continue
 		}
-		if b.val {
+		if b.Val {
 			row[wi] |= mask
 		} else {
 			row[wi] &^= mask
@@ -390,69 +345,6 @@ func (in *Injector) CorruptStoredOffset(key uint64, row []uint64, offsetBits int
 	}
 	in.led.Count[ledger.StuckBitsForced] += int64(forced)
 	return forced
-}
-
-// StuckBit is the exported form of one permanently-failed cell: its bit
-// position within the row and the value it is stuck at.
-type StuckBit struct {
-	Pos int
-	Val bool
-}
-
-// RowState is the complete per-row state of the wear model for one row:
-// the program count, the fractional (replica-shared) wear accumulator, and
-// the minted stuck-at bits. Batch execution exports it from the live
-// injector to seed shard sandboxes, and imports the sandbox state back on
-// merge — the split/merge is lossless because faults are keyed per row.
-type RowState struct {
-	Wear     int64
-	WearFrac int64
-	Stuck    []StuckBit
-}
-
-// RowState snapshots the wear state of one row. The second return is false
-// when the injector holds no state for the row (a fresh row), or is nil —
-// a System with no injector attached has no wear.
-func (in *Injector) RowState(key uint64) (RowState, bool) {
-	if in == nil {
-		return RowState{}, false
-	}
-	w, okW := in.wear[key]
-	f, okF := in.wearFrac[key]
-	s := in.stuck[key]
-	if !okW && !okF && len(s) == 0 {
-		return RowState{}, false
-	}
-	st := RowState{Wear: w, WearFrac: f, Stuck: make([]StuckBit, len(s))}
-	for i, b := range s {
-		st.Stuck[i] = StuckBit{Pos: b.pos, Val: b.val}
-	}
-	return st, true
-}
-
-// SetRowState installs per-row wear state, replacing whatever the injector
-// held for the row. It does not count into the ledger — imported stuck
-// bits are history, not new faults.
-func (in *Injector) SetRowState(key uint64, st RowState) {
-	if st.Wear == 0 {
-		delete(in.wear, key)
-	} else {
-		in.wear[key] = st.Wear
-	}
-	if st.WearFrac == 0 {
-		delete(in.wearFrac, key)
-	} else {
-		in.wearFrac[key] = st.WearFrac
-	}
-	if len(st.Stuck) == 0 {
-		delete(in.stuck, key)
-		return
-	}
-	bits := make([]stuckBit, len(st.Stuck))
-	for i, b := range st.Stuck {
-		bits[i] = stuckBit{pos: b.Pos, val: b.Val}
-	}
-	in.stuck[key] = bits
 }
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed hash.

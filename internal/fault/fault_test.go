@@ -8,6 +8,7 @@ import (
 
 	"pinatubo/internal/analog"
 	"pinatubo/internal/ledger"
+	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/sense"
 )
@@ -139,28 +140,37 @@ func TestActivationFault(t *testing.T) {
 	}
 }
 
+// program applies one unshared program of row key to its wear record w.
+func program(in *Injector, key uint64, w *memarch.Wear) {
+	in.RecordWriteShared(key, w, 1)
+}
+
 func TestWearMintsStuckBits(t *testing.T) {
 	in := newPCM(t, Config{Seed: 1, WearLimit: 10})
 	const key = 12345
+	var w memarch.Wear
 	for i := 0; i < 9; i++ {
-		in.RecordWrite(key)
+		program(in, key, &w)
 	}
-	if in.Worn(key) {
+	if len(w.Stuck) != 0 {
 		t.Fatal("row worn before reaching the limit")
 	}
-	in.RecordWrite(key)
-	if !in.Worn(key) {
+	program(in, key, &w)
+	if len(w.Stuck) == 0 {
 		t.Fatal("row not worn after WearLimit programs")
 	}
-	if got := in.Wear(key); got != 10 {
-		t.Fatalf("wear counter %d, want 10", got)
+	if w.Events != 10 {
+		t.Fatalf("wear events %d, want 10", w.Events)
 	}
-	// Another WearLimit programs mint a second stuck bit.
+	// Another WearLimit programs mint a second stuck bit, in a new list:
+	// the first one, which a borrowed row may share, stays as it was.
+	first := w.Stuck
 	for i := 0; i < 10; i++ {
-		in.RecordWrite(key)
+		program(in, key, &w)
 	}
-	if got := len(in.stuck[key]); got != 2 {
-		t.Fatalf("%d stuck bits after 2x WearLimit programs, want 2", got)
+	if len(w.Stuck) != 2 || len(first) != 1 || cap(first) != 1 {
+		t.Fatalf("%d stuck bits after 2x WearLimit programs (first list %d/%d), want 2 in a new list",
+			len(w.Stuck), len(first), cap(first))
 	}
 	if got := in.led.Count[ledger.StuckRows]; got != 1 {
 		t.Fatalf("StuckRows = %d, want 1", got)
@@ -170,21 +180,50 @@ func TestWearMintsStuckBits(t *testing.T) {
 	}
 }
 
+// A row holding one of R replicas accrues one wear event per R programs,
+// and a policy without a wear limit leaves the record alone.
+func TestSharedProgramsWearSlower(t *testing.T) {
+	in := newPCM(t, Config{Seed: 1, WearLimit: 2})
+	var w memarch.Wear
+	for i := 0; i < 5; i++ {
+		if !in.RecordWriteShared(7, &w, 3) {
+			t.Fatalf("program %d left the record unchanged", i)
+		}
+	}
+	if w.Events != 1 || w.Frac != 2 || len(w.Stuck) != 0 {
+		t.Fatalf("5 programs at share 3: %+v, want 1 event, 2 toward the next, no stuck bit", w)
+	}
+	in.RecordWriteShared(7, &w, 3)
+	if w.Events != 2 || w.Frac != 0 || len(w.Stuck) != 1 {
+		t.Fatalf("6 programs at share 3: %+v, want 2 events and one stuck bit", w)
+	}
+	free := newPCM(t, Config{SenseFlipRate: 1e-3})
+	var none memarch.Wear
+	if free.RecordWriteShared(7, &none, 1) || none.Events != 0 {
+		t.Fatalf("no wear limit: record changed to %+v", none)
+	}
+	if got := free.led.Count[ledger.RowWrites]; got != 1 {
+		t.Fatalf("RowWrites = %d, want 1", got)
+	}
+}
+
 func TestStuckBitsDeterministicPerRow(t *testing.T) {
 	// The same (seed, row, event) must always fail the same way, regardless
 	// of what else happened in between — tests and sweeps rely on it.
-	mint := func(extraTraffic bool) []stuckBit {
+	mint := func(extraTraffic bool) []memarch.StuckBit {
 		in := newPCM(t, Config{Seed: 9, WearLimit: 3})
 		if extraTraffic {
+			var other memarch.Wear
 			for i := 0; i < 50; i++ {
-				in.RecordWrite(777)
+				program(in, 777, &other)
 				in.ActivationFault(64)
 			}
 		}
+		var w memarch.Wear
 		for i := 0; i < 3; i++ {
-			in.RecordWrite(42)
+			program(in, 42, &w)
 		}
-		return in.stuck[42]
+		return w.Stuck
 	}
 	a, b := mint(false), mint(true)
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
@@ -194,23 +233,23 @@ func TestStuckBitsDeterministicPerRow(t *testing.T) {
 
 func TestCorruptStored(t *testing.T) {
 	in := newPCM(t, Config{Seed: 3, WearLimit: 1})
-	const key = 7
-	in.RecordWrite(key)
-	b := in.stuck[key][0]
+	var w memarch.Wear
+	program(in, 7, &w)
+	b := w.Stuck[0]
 	row := make([]uint64, 1<<13)
 	// Program the complement of the stuck value: the cell must override it.
-	if !b.val {
-		row[b.pos/64] |= 1 << uint(b.pos%64)
+	if !b.Val {
+		row[b.Pos/64] |= 1 << uint(b.Pos%64)
 	}
-	if forced := in.CorruptStored(key, row); forced != 1 {
+	if forced := in.CorruptStored(w.Stuck, row); forced != 1 {
 		t.Fatalf("forced %d bits, want 1", forced)
 	}
-	got := row[b.pos/64]&(1<<uint(b.pos%64)) != 0
-	if got != b.val {
+	got := row[b.Pos/64]&(1<<uint(b.Pos%64)) != 0
+	if got != b.Val {
 		t.Fatal("stored bit does not match the stuck value")
 	}
 	// Writing the stuck value itself is unharmed.
-	if forced := in.CorruptStored(key, row); forced != 0 {
+	if forced := in.CorruptStored(w.Stuck, row); forced != 0 {
 		t.Fatalf("agreeing write forced %d bits, want 0", forced)
 	}
 	if got := in.led.Count[ledger.StuckBitsForced]; got != 1 {
@@ -224,15 +263,16 @@ func TestCorruptStoredOffset(t *testing.T) {
 	in := newPCM(t, Config{Seed: 5, WearLimit: 1})
 	const key = 11
 	const dataBits = 1 << 18 // injector rowBits 1<<19 leaves a huge spare tail
-	var spare, data *stuckBit
+	var w memarch.Wear
+	var spare, data *memarch.StuckBit
 	for i := 0; i < 4096 && (spare == nil || data == nil); i++ {
-		in.RecordWrite(key)
-		b := &in.stuck[key][len(in.stuck[key])-1]
-		if b.pos >= dataBits && spare == nil {
-			spare = b
+		program(in, key, &w)
+		b := w.Stuck[len(w.Stuck)-1]
+		if b.Pos >= dataBits && spare == nil {
+			spare = &b
 		}
-		if b.pos < dataBits && data == nil {
-			data = b
+		if b.Pos < dataBits && data == nil {
+			data = &b
 		}
 	}
 	if spare == nil || data == nil {
@@ -247,23 +287,23 @@ func TestCorruptStoredOffset(t *testing.T) {
 			row[pos/64] |= 1 << uint(pos%64)
 		}
 	}
-	flip(dataRow, data.pos, data.val)
-	flip(spareRow, spare.pos-dataBits, spare.val)
+	flip(dataRow, data.Pos, data.Val)
+	flip(spareRow, spare.Pos-dataBits, spare.Val)
 
-	if forced := in.CorruptStoredOffset(key, spareRow, dataBits); forced < 1 {
+	if forced := in.CorruptStoredOffset(w.Stuck, spareRow, dataBits); forced < 1 {
 		t.Fatalf("spare region forced %d bits, want >= 1", forced)
 	}
-	got := spareRow[(spare.pos-dataBits)/64]&(1<<uint((spare.pos-dataBits)%64)) != 0
-	if got != spare.val {
+	got := spareRow[(spare.Pos-dataBits)/64]&(1<<uint((spare.Pos-dataBits)%64)) != 0
+	if got != spare.Val {
 		t.Fatal("spare bit does not match the stuck value")
 	}
 	// A data-region row sized dataBits must be untouched by spare positions:
 	// CorruptStored skips positions past len(row).
-	if forced := in.CorruptStored(key, dataRow); forced < 1 {
+	if forced := in.CorruptStored(w.Stuck, dataRow); forced < 1 {
 		t.Fatalf("data region forced %d bits, want >= 1", forced)
 	}
-	got = dataRow[data.pos/64]&(1<<uint(data.pos%64)) != 0
-	if got != data.val {
+	got = dataRow[data.Pos/64]&(1<<uint(data.Pos%64)) != 0
+	if got != data.Val {
 		t.Fatal("data bit does not match the stuck value")
 	}
 }

@@ -3,8 +3,9 @@ package lint
 // RowWrite keeps every row mutation inside the memory model. Memory keeps,
 // for each materialised row, the extent of the words it holds (every word
 // beyond it is zero) and copies a row borrowed from another memory through
-// BorrowRow before its first write. Both hold only if rows change through
-// its mutators (WriteRow, CopyRow, MutableRow). PeekRow hands out the raw
+// BorrowRow before its first change. Both hold only if a row's record
+// changes through its mutators (WriteRow, CopyRow and MutableRow for the
+// words, SetCheck and SetWear for the rest). PeekRow hands out the raw
 // backing — the lender's, for a borrowed row — so the PIM datapath can
 // read it without copying; outside the package that declares PeekRow, a
 // copy into or an element store through its result is a row write that
@@ -43,7 +44,7 @@ func runRowWrite(pass *Pass) error {
 			for _, t := range targets {
 				if foreignPeekRow(pass, t) {
 					pass.Reportf(t.Pos(),
-						"row write through PeekRow outside its package; use WriteRow, CopyRow or MutableRow, which keep the row's extent and copy a borrowed row before writing it")
+						"row write through PeekRow outside its package; use the memory's word mutators (WriteRow, CopyRow, MutableRow), which keep the row's extent and copy a borrowed row before changing it")
 				}
 			}
 			return true

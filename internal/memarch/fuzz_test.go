@@ -1,6 +1,8 @@
 package memarch
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"pinatubo/internal/nvm"
@@ -15,30 +17,51 @@ func fuzzGeometry() Geometry {
 		RowsPerSubarray: 4, MatRowBits: 1024, MuxRatio: 32}
 }
 
-// refRows is the naive full-row reference for one Memory: every row is
-// a full-width slice that each write overwrites whole, and a borrowed row
-// reads the lender's words until a mutator gives it words of its own.
+// refRecord is the naive reference of one row's record: full-width words
+// that each write overwrites whole, the program count, the check words
+// and the wear. Its check words and stuck list are the reference's own
+// copies, so a memory that modified a stored slice in place would
+// disagree with them.
+type refRecord struct {
+	words     []uint64
+	programs  int64
+	checkBits int
+	check     []uint64
+	wear      Wear
+}
+
+// clone returns the record with words of its own; the check words and
+// stuck list are shared, because the reference only ever replaces them.
+func (r refRecord) clone() refRecord {
+	r.words = slices.Clone(r.words)
+	return r
+}
+
+// refRows is the reference for one Memory: a borrowed row reads the
+// lender's record until a mutator gives it a record of its own.
 type refRows struct {
-	rows     [][]uint64
+	rows     []refRecord
 	borrowed []bool
 }
 
 func newRefRows(rows, words int) *refRows {
-	r := &refRows{rows: make([][]uint64, rows), borrowed: make([]bool, rows)}
+	r := &refRows{rows: make([]refRecord, rows), borrowed: make([]bool, rows)}
 	for i := range r.rows {
-		r.rows[i] = make([]uint64, words)
+		r.rows[i].words = make([]uint64, words)
 	}
 	return r
 }
 
 // FuzzRowExtent drives random sequences of WriteRow, CopyRow between two
-// memories, bit sets through MutableRow, BorrowRow, ReadRow and Reset, and
-// after every step checks each materialised row word for word against the
-// full-row reference, together with the extent invariant (every word at
-// or beyond a row's extent is zero). A third memory lends rows of every
-// extent through BorrowRow and must never change: a mutator on a borrowed
-// row copies it first, and the row then holds the lent words with the
-// mutation applied and is no longer borrowed.
+// memories, bit sets through MutableRow, BorrowRow, ReadRow, Reset,
+// SetCheck and SetWear, and after every step checks each row's whole
+// record — words, program count, check words and wear — against the
+// reference, together with the extent invariant (every word at or beyond
+// a row's extent is zero). A third memory lends rows of every extent,
+// with and without check words and wear, through BorrowRow and must never
+// change, its check words and stuck lists included: any change to a
+// borrowed row's record gives it a record of its own first, which holds
+// the lent record with the change applied and is no longer borrowed.
 //
 // Each step reads an op byte, a byte selecting the memory and the row,
 // and the op's operands.
@@ -54,6 +77,13 @@ func FuzzRowExtent(f *testing.F) {
 	f.Add([]byte{3, 6, 4, 6, 0, 6, 2, 9, 4, 6, 3, 6, 2, 6, 1, 7, 4, 6, 3, 5, 1, 4, 1, 5, 0, 4, 6})
 	// Copies between the memories in both directions and from the lender.
 	f.Add([]byte{0, 1, 16, 5, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 2, 1, 4, 1, 2, 3, 1, 5, 0})
+	// Borrow the lent row with check words and wear, replace its check
+	// words, borrow it again and replace its wear, copy it into the other
+	// memory, then Reset.
+	f.Add([]byte{3, 6, 6, 6, 2, 40, 9, 3, 6, 7, 6, 5, 2, 2, 17, 200, 1, 7, 0, 5, 0})
+	// Check words and wear on a fresh row, a write over them, a copy from
+	// the lender, and a borrowed row merged back with CopyRow.
+	f.Add([]byte{6, 0, 1, 64, 3, 7, 0, 9, 1, 1, 30, 0, 0, 4, 2, 1, 0, 2, 3, 7, 0, 2, 1, 1, 7, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		geo := fuzzGeometry()
 		nw, nr := geo.RowWords(), geo.RowsPerSubarray
@@ -65,21 +95,31 @@ func FuzzRowExtent(f *testing.F) {
 			return m
 		}
 		// Two memories under test and a lender whose rows hold 0, 5, 10
-		// and 16 words.
+		// and 16 words; row 1 has check words, row 2 wear, row 3 both.
 		mems := []*Memory{newMem(), newMem(), newMem()}
 		lender, lent := mems[2], newRefRows(nr, nw)
 		refs := []*refRows{newRefRows(nr, nw), newRefRows(nr, nw), lent}
 		for r := range lent.rows {
+			a, rec := RowAddr{Row: r}, &lent.rows[r]
 			n := r * nw / (nr - 1)
 			for j := 0; j < n; j++ {
-				lent.rows[r][j] = uint64(r+1)<<32 | uint64(j+1)
+				rec.words[j] = uint64(r+1)<<32 | uint64(j+1)
 			}
-			if err := lender.WriteRow(RowAddr{Row: r}, lent.rows[r][:n]); err != nil {
+			if err := lender.WriteRow(a, rec.words[:n]); err != nil {
 				t.Fatal(err)
 			}
+			rec.programs = 1
+			if r&1 != 0 {
+				rec.checkBits, rec.check = 64*r, []uint64{uint64(r), ^uint64(r)}
+				lender.SetCheck(a, rec.checkBits, slices.Clone(rec.check))
+			}
+			if r&2 != 0 {
+				rec.wear = Wear{Events: int64(r), Frac: 1, Stuck: []StuckBit{{Pos: r, Val: true}, {Pos: 7 * r}}}
+				lender.SetWear(a, Wear{Events: rec.wear.Events, Frac: rec.wear.Frac, Stuck: slices.Clone(rec.wear.Stuck)})
+			}
 		}
-		// content is what a reference memory's row reads as.
-		content := func(ref *refRows, r int) []uint64 {
+		// content is the record a reference memory's row reads.
+		content := func(ref *refRows, r int) refRecord {
 			if ref.borrowed[r] {
 				return lent.rows[r]
 			}
@@ -95,16 +135,17 @@ func FuzzRowExtent(f *testing.F) {
 			return int(b)
 		}
 		for step := 0; len(prog) > 0 && step < 256; step++ {
-			op, sel := next()%6, next()
+			op, sel := next()%8, next()
 			mi, r := sel&1, (sel>>1)%nr
 			m, ref, a := mems[mi], refs[mi], RowAddr{Row: r}
-			// own gives the reference row the words it reads before a
-			// mutator: a borrowed row becomes a copy of the lent words.
-			own := func() {
+			// own gives the reference row the record it reads before a
+			// mutator: a borrowed row becomes a copy of the lent record.
+			own := func() *refRecord {
 				if ref.borrowed[r] {
-					copy(ref.rows[r], lent.rows[r])
+					ref.rows[r] = lent.rows[r].clone()
 					ref.borrowed[r] = false
 				}
+				return &ref.rows[r]
 			}
 			switch op {
 			case 0:
@@ -116,25 +157,25 @@ func FuzzRowExtent(f *testing.F) {
 				if err := m.WriteRow(a, words); err != nil {
 					t.Fatalf("step %d: WriteRow memory %d row %d: %v", step, mi, r, err)
 				}
-				own()
-				clear(ref.rows[r])
-				copy(ref.rows[r], words)
+				rec := own()
+				clear(rec.words)
+				copy(rec.words, words)
+				rec.programs++
 			case 1:
 				si := next() % 3
-				want := append([]uint64(nil), content(refs[si], r)...)
+				want := content(refs[si], r).clone()
 				m.CopyRow(a, mems[si])
 				own()
-				copy(ref.rows[r], want)
+				ref.rows[r] = want
 			case 2:
 				pos := (next()<<8 | next()) % (nw * 64)
 				m.MutableRow(a)[pos/64] |= 1 << (pos % 64)
-				own()
-				ref.rows[r][pos/64] |= 1 << (pos % 64)
+				own().words[pos/64] |= 1 << (pos % 64)
 			case 3:
 				m.BorrowRow(a, lender)
 				ref.borrowed[r] = true
 			case 4:
-				got, want := m.ReadRow(a), content(ref, r)
+				got, want := m.ReadRow(a), content(ref, r).words
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("step %d: ReadRow memory %d row %d word %d = %#x, want %#x",
@@ -144,19 +185,45 @@ func FuzzRowExtent(f *testing.F) {
 			case 5:
 				m.Reset()
 				*ref = *newRefRows(nr, nw)
+			case 6:
+				bits, n, seed := next()+1, next()%3+1, next()
+				words := make([]uint64, n)
+				for j := range words {
+					words[j] = uint64(seed)<<16 ^ uint64(step)<<8 ^ uint64(j)
+				}
+				m.SetCheck(a, bits, words)
+				rec := own()
+				rec.checkBits, rec.check = bits, slices.Clone(words)
+			case 7:
+				w := Wear{Events: int64(next()), Frac: int64(next() % 4)}
+				for range next() % 3 {
+					w.Stuck = append(w.Stuck, StuckBit{Pos: next(), Val: next()&1 != 0})
+				}
+				m.SetWear(a, w)
+				w.Stuck = slices.Clone(w.Stuck)
+				own().wear = w
 			}
 
 			for i, mem := range mems {
 				want := refs[i]
 				for r := 0; r < nr; r++ {
-					row, ok := mem.rows[geo.Encode(RowAddr{Row: r})]
-					words := content(want, r)
+					a := RowAddr{Row: r}
+					key := geo.Encode(a)
+					row, ok := mem.rows[key]
+					rec := content(want, r)
 					if !ok {
-						for j, w := range words {
+						if _, has := mem.cells[key]; has {
+							t.Fatalf("step %d: memory %d row %d unmaterialised but has cell state", step, i, r)
+						}
+						for j, w := range rec.words {
 							if w != 0 {
 								t.Fatalf("step %d: memory %d row %d unmaterialised, reference word %d = %#x",
 									step, i, r, j, w)
 							}
+						}
+						if rec.programs != 0 || rec.check != nil || !reflect.DeepEqual(rec.wear, Wear{}) {
+							t.Fatalf("step %d: memory %d row %d unmaterialised, reference record %+v",
+								step, i, r, rec)
 						}
 						continue
 					}
@@ -164,7 +231,7 @@ func FuzzRowExtent(f *testing.F) {
 						t.Fatalf("step %d: memory %d row %d borrowed %v, want %v",
 							step, i, r, row.borrowed, want.borrowed[r])
 					}
-					if lent := lender.rows[geo.Encode(RowAddr{Row: r})]; row.borrowed && row.extent != lent.extent {
+					if lent := lender.rows[key]; row.borrowed && row.extent != lent.extent {
 						t.Fatalf("step %d: memory %d row %d borrowed with extent %d, lender's is %d",
 							step, i, r, row.extent, lent.extent)
 					}
@@ -172,14 +239,27 @@ func FuzzRowExtent(f *testing.F) {
 						t.Fatalf("step %d: memory %d row %d extent %d outside 0..%d", step, i, r, row.extent, nw)
 					}
 					for j, w := range row.words {
-						if w != words[j] {
+						if w != rec.words[j] {
 							t.Fatalf("step %d: memory %d row %d word %d = %#x, want %#x",
-								step, i, r, j, w, words[j])
+								step, i, r, j, w, rec.words[j])
 						}
 						if j >= row.extent && w != 0 {
 							t.Fatalf("step %d: memory %d row %d word %d = %#x beyond extent %d",
 								step, i, r, j, w, row.extent)
 						}
+					}
+					if got := mem.RowWriteCount(a); got != rec.programs {
+						t.Fatalf("step %d: memory %d row %d programmed %d times, want %d",
+							step, i, r, got, rec.programs)
+					}
+					bits, check, ok := mem.Check(a)
+					if ok != (rec.check != nil) || bits != rec.checkBits || !slices.Equal(check, rec.check) {
+						t.Fatalf("step %d: memory %d row %d check %d/%#x (ok %v), want %d/%#x",
+							step, i, r, bits, check, ok, rec.checkBits, rec.check)
+					}
+					if w := mem.Wear(a); w.Events != rec.wear.Events || w.Frac != rec.wear.Frac ||
+						!slices.Equal(w.Stuck, rec.wear.Stuck) {
+						t.Fatalf("step %d: memory %d row %d wear %+v, want %+v", step, i, r, w, rec.wear)
 					}
 				}
 			}

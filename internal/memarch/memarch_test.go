@@ -273,23 +273,6 @@ func TestPeekRowDoesNotMaterialise(t *testing.T) {
 	}
 }
 
-func TestMemoryCounters(t *testing.T) {
-	m := newMem(t)
-	m.ReadRow(RowAddr{})
-	m.ReadRow(RowAddr{})
-	if err := m.WriteRow(RowAddr{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if m.RowReads() != 2 || m.RowWrites() != 1 {
-		t.Errorf("counters %d/%d want 2/1", m.RowReads(), m.RowWrites())
-	}
-	// PeekRow must not count.
-	m.PeekRow(RowAddr{})
-	if m.RowReads() != 2 {
-		t.Error("PeekRow counted as a read")
-	}
-}
-
 func TestBuffersPersistAndSize(t *testing.T) {
 	m := newMem(t)
 	gb := m.GlobalBuffer(0, 0, 3)

@@ -13,14 +13,22 @@ import (
 // and unwritten rows read as all zeros — the RESET (high-resistance, logic
 // "0") state a fresh PCM array powers up in.
 //
-// Every materialised row keeps its full-width backing and a written
-// extent: every word at or beyond the extent is zero. Rows change only
-// through Memory's mutators (WriteRow, CopyRow, MutableRow), which keep
-// the extent current, so writes, copies and Reset touch only the words
-// below it — a row holding an 8,192-bit vector costs 128 words to
-// rewrite, not the 8,192 of a 524,288-bit row. A row borrowed from
-// another Memory (BorrowRow) reads the lender's words until a mutator
-// copies it.
+// It is the one owner of each physical row's record: its words and
+// written extent, its program count, the check words its spare columns
+// store and its wear (see Wear). Every word at or beyond a row's extent
+// is zero. A record changes only through Memory's mutators (WriteRow,
+// CopyRow, MutableRow, SetCheck, SetWear), which keep the extent current,
+// so writes, copies and Reset touch only the words below it — a row
+// holding an 8,192-bit vector costs 128 words to rewrite, not the 8,192
+// of a 524,288-bit row.
+//
+// A row borrowed from another Memory (BorrowRow) reads the lender's whole
+// record until it changes. The one rule the batch merge relies on: any
+// change to a row's record first gives a borrowed row backing of its own,
+// and every mutator enforces it, so AppendOwnedAddrs lists every row a
+// borrower changed and CopyRow carries the whole record back. Stored check
+// words and stuck lists are replaced, never modified in place, so a
+// borrowed row shares them with its lender.
 //
 // Memory also owns the two buffer levels Pinatubo's inter-subarray and
 // inter-bank datapaths latch results in: one global row buffer per bank and
@@ -29,19 +37,14 @@ type Memory struct {
 	geo  Geometry
 	tech nvm.Params
 	rows map[uint64]row
+	// cells holds the rest of each row's record (see cellState), keyed
+	// like rows.
+	cells map[uint64]cellState
 
 	// globalBuf[channel][rank][bank] is the bank's global row buffer.
 	globalBuf map[[3]int][]uint64
 	// ioBuf[channel][rank] is the rank's I/O buffer.
 	ioBuf map[[2]int][]uint64
-
-	// Counters for verification and reporting.
-	rowReads  int64
-	rowWrites int64
-	// writeCounts tracks per-row write totals — PCM endurance is finite
-	// (~10^8 writes), so the evaluation's chained designs must be
-	// auditable for write amplification.
-	writeCounts map[uint64]int64
 
 	// freeRows recycles zeroed row storage from Reset, so a pooled shard
 	// memory re-materialises its working set without fresh allocations.
@@ -62,8 +65,46 @@ type row struct {
 	extent int
 	// borrowed marks backing lent by another Memory (BorrowRow). Reset
 	// detaches it instead of zeroing and recycling it, and a mutator gives
-	// the row backing of its own before its first write.
+	// the row backing of its own before its first change.
 	borrowed bool
+	// programs counts WriteRow's programs of the row — PCM endurance is
+	// finite (~10^8 writes), so the evaluation's chained designs must be
+	// auditable for write amplification.
+	programs int64
+}
+
+// cellState is the rest of a row's record, which only the ECC and wear
+// paths read: the check words its spare columns store, the data-bit
+// count they were encoded over, and its wear. It lives in a map of its
+// own so the row value PeekRow and WriteRow copy stays small; BorrowRow,
+// CopyRow and Reset handle both maps.
+type cellState struct {
+	checkBits int
+	check     []uint64
+	wear      Wear
+}
+
+// Wear is a row's wear record. A fault injector decides when a program
+// wears the row and where a cell sticks (internal/fault); the record only
+// keeps the outcome.
+type Wear struct {
+	// Events counts the wear events the row's programs accrued.
+	Events int64
+	// Frac counts the programs toward the next event of a row that stores
+	// one of R replicas of a logical row: each such program is 1/R of an
+	// event.
+	Frac int64
+	// Stuck lists the row's permanently failed cells, in the order they
+	// failed. A new list replaces the old one; neither is modified.
+	Stuck []StuckBit
+}
+
+// StuckBit is one permanently failed cell of a row: its bit position
+// (positions at or past the data row width are spare-column cells) and
+// the value it is stuck at.
+type StuckBit struct {
+	Pos int
+	Val bool
 }
 
 // fill overwrites the row with src and zeroes only the old words src does
@@ -83,12 +124,12 @@ func NewMemory(geo Geometry, tech nvm.Params) (*Memory, error) {
 		return nil, err
 	}
 	return &Memory{
-		geo:         geo,
-		tech:        tech,
-		rows:        make(map[uint64]row),
-		globalBuf:   make(map[[3]int][]uint64),
-		ioBuf:       make(map[[2]int][]uint64),
-		writeCounts: make(map[uint64]int64),
+		geo:       geo,
+		tech:      tech,
+		rows:      make(map[uint64]row),
+		cells:     make(map[uint64]cellState),
+		globalBuf: make(map[[3]int][]uint64),
+		ioBuf:     make(map[[2]int][]uint64),
 	}, nil
 }
 
@@ -97,10 +138,6 @@ func (m *Memory) Geometry() Geometry { return m.geo }
 
 // Tech returns the technology parameters.
 func (m *Memory) Tech() nvm.Params { return m.tech }
-
-// RowReads and RowWrites expose access counters for tests and stats.
-func (m *Memory) RowReads() int64  { return m.rowReads }
-func (m *Memory) RowWrites() int64 { return m.rowWrites }
 
 // row returns addr's key and row, materialising it (zeroed, extent 0) if
 // needed.
@@ -130,19 +167,30 @@ func (m *Memory) newWords() []uint64 {
 func (m *Memory) writable(addr RowAddr) (uint64, row) {
 	key, r := m.row(addr)
 	if r.borrowed {
-		r = row{words: m.newWords()}
+		r = row{words: m.newWords(), programs: r.programs}
 	}
 	return key, r
 }
 
-// BorrowRow makes addr read the lender's row at the same address, words
-// and extent, without copying them. A mutator gives the row backing of
-// its own before its first write, so the lender never changes, and Reset
-// detaches the row without zeroing or recycling it.
+// BorrowRow makes addr read the lender's record of the row at the same
+// address — words, extent, program count, check words and wear — without
+// copying the words. A mutator gives the row backing of its own before
+// its first change, so the lender never changes, and Reset detaches the
+// row without zeroing or recycling it.
 func (m *Memory) BorrowRow(addr RowAddr, lender *Memory) {
 	key, r := lender.row(addr)
 	r.borrowed = true
 	m.rows[key] = r
+	m.setCells(key, lender)
+}
+
+// setCells makes key's cell state src's.
+func (m *Memory) setCells(key uint64, src *Memory) {
+	if c, ok := src.cells[key]; ok {
+		m.cells[key] = c
+	} else {
+		delete(m.cells, key)
+	}
 }
 
 // Borrowed reports whether addr reads a row borrowed via BorrowRow.
@@ -150,8 +198,8 @@ func (m *Memory) Borrowed(addr RowAddr) bool {
 	return m.rows[m.geo.Encode(addr)].borrowed
 }
 
-// Reset restores the memory to its fresh all-zeros state: every
-// materialised row, buffer and counter is cleared. A row is zeroed up to
+// Reset restores the memory to its fresh all-zeros state: every row's
+// record and every buffer is cleared. A row is zeroed up to
 // its extent only and kept on a freelist, so a pooled shard memory that
 // re-materialises a similar working set on its next window allocates
 // nothing for it. Borrowed rows are detached untouched — their storage
@@ -182,20 +230,16 @@ func (m *Memory) Reset() {
 		m.freeRows = append(m.freeRows, b)
 		delete(m.ioBuf, k)
 	}
-	for k := range m.writeCounts {
-		delete(m.writeCounts, k)
-	}
-	m.rowReads = 0
-	m.rowWrites = 0
+	clear(m.cells)
 }
 
-// PeekRow returns the full-width words of a row without copying and
-// without counting a read access. Intended for the PIM datapath, which
-// accounts for accesses itself; ordinary clients should use ReadRow. The
+// PeekRow returns the full-width words of a row without copying them.
+// Intended for the PIM datapath; ordinary clients should use ReadRow. The
 // slice is read-only outside this package — for a borrowed row it is the
-// lender's backing: mutate rows through WriteRow, CopyRow or MutableRow,
-// which keep the row's extent and copy a borrowed row before its first
-// write (pinlint's rowwrite analyzer enforces this). A never-written row
+// lender's backing: change a row only through the mutators (WriteRow,
+// CopyRow, MutableRow, SetCheck, SetWear), which keep the row's extent
+// and copy a borrowed row before its first change (pinlint's rowwrite
+// analyzer enforces this for the words). A never-written row
 // is not materialised: it reads as one zero row the memory shares among
 // all of them, so a slice peeked before the row's first write does not
 // follow that write. Peek again after writing.
@@ -211,7 +255,6 @@ func (m *Memory) PeekRow(addr RowAddr) []uint64 {
 
 // ReadRow returns a copy of the row's words.
 func (m *Memory) ReadRow(addr RowAddr) []uint64 {
-	m.rowReads++
 	_, r := m.row(addr)
 	dst := make([]uint64, len(r.words))
 	copy(dst, r.words[:r.extent])
@@ -222,28 +265,33 @@ func (m *Memory) ReadRow(addr RowAddr) []uint64 {
 // of the row zero, and longer slices are an error. It copies len(words)
 // words and clears only the words the row held beyond them, so its cost
 // is proportional to the old and new extents, not to the row width. A
-// borrowed row gets backing of its own first.
+// borrowed row gets backing of its own first. Each call counts one
+// program of the row.
 func (m *Memory) WriteRow(addr RowAddr, words []uint64) error {
 	if len(words) > m.geo.RowWords() {
 		return fmt.Errorf("memarch: writing %d words into a %d-word row %v",
 			len(words), m.geo.RowWords(), addr)
 	}
 	key, r := m.writable(addr)
-	m.rowWrites++
-	m.writeCounts[key]++
-	m.rows[key] = r.fill(words)
+	r = r.fill(words)
+	r.programs++
+	m.rows[key] = r
 	return nil
 }
 
-// CopyRow overwrites addr with src's row at the same address. The batch
+// CopyRow overwrites addr's record with src's record of the row at the
+// same address: words, program count, check words and wear. The batch
 // executor uses it to merge a shard's rows back. Like WriteRow it touches
 // only the two extents and gives a borrowed destination backing of its
-// own; unlike WriteRow it counts no access, because it models no hardware
-// write (AbsorbCounters merges the wear ledger).
+// own; unlike WriteRow it models no hardware write, so the program count
+// is src's, not one more.
 func (m *Memory) CopyRow(addr RowAddr, src *Memory) {
 	key, r := m.writable(addr)
 	_, s := src.row(addr)
-	m.rows[key] = r.fill(s.words[:s.extent])
+	r = r.fill(s.words[:s.extent])
+	r.programs = s.programs
+	m.rows[key] = r
+	m.setCells(key, src)
 }
 
 // MutableRow returns addr's full-width words for an in-place update that
@@ -262,13 +310,56 @@ func (m *Memory) MutableRow(addr RowAddr) []uint64 {
 	return r.words
 }
 
-// unborrow returns a borrowed row's words and extent in backing of its
-// own. It stays out of MutableRow's body so the owned-row path stays
-// small.
+// unborrow returns a borrowed row's record in backing of its own. It
+// stays out of MutableRow's body so the owned-row path stays small.
 func (m *Memory) unborrow(r row) row {
 	words := m.newWords()
 	copy(words, r.words[:r.extent])
-	return row{words: words, extent: r.extent}
+	r.words, r.borrowed = words, false
+	return r
+}
+
+// Check returns the check words addr's spare columns store and the
+// data-bit count they were encoded over; ok is false when none are
+// stored. The words are shared with the record, and with every memory
+// that borrowed the row: the caller must not modify them.
+func (m *Memory) Check(addr RowAddr) (bits int, words []uint64, ok bool) {
+	c := m.cells[m.geo.Encode(addr)]
+	return c.checkBits, c.check, c.check != nil
+}
+
+// SetCheck replaces addr's check words with words, encoded over bits data
+// bits. The record keeps words itself: the caller must not modify them
+// afterwards. A borrowed row gets backing of its own first.
+func (m *Memory) SetCheck(addr RowAddr, bits int, words []uint64) {
+	key, c := m.ownCells(addr)
+	c.checkBits, c.check = bits, words
+	m.cells[key] = c
+}
+
+// Wear returns addr's wear record. Its stuck list is shared with the
+// record: the caller must not modify it.
+func (m *Memory) Wear(addr RowAddr) Wear {
+	return m.cells[m.geo.Encode(addr)].wear
+}
+
+// SetWear replaces addr's wear record with w, whose stuck list the record
+// keeps: the caller must not modify it afterwards. A borrowed row gets
+// backing of its own first.
+func (m *Memory) SetWear(addr RowAddr, w Wear) {
+	key, c := m.ownCells(addr)
+	c.wear = w
+	m.cells[key] = c
+}
+
+// ownCells returns addr's key and cell state for a setter, first giving a
+// borrowed row backing of its own.
+func (m *Memory) ownCells(addr RowAddr) (uint64, cellState) {
+	key, r := m.row(addr)
+	if r.borrowed {
+		m.rows[key] = m.unborrow(r)
+	}
+	return key, m.cells[key]
 }
 
 // MaterializedRows reports how many rows have backing storage (testing aid).
@@ -296,22 +387,9 @@ func (m *Memory) AppendOwnedAddrs(buf []RowAddr) []RowAddr {
 	return buf
 }
 
-// AbsorbCounters folds another memory's access counters into this one.
-// Shard memories of the batch executor count reads, writes and per-row
-// programs while running concurrently; merging them here (in shard order,
-// after all shards join) keeps the live memory's wear ledger exact — the
-// adds are integer, so no count is dropped or double-applied.
-func (m *Memory) AbsorbCounters(o *Memory) {
-	m.rowReads += o.rowReads
-	m.rowWrites += o.rowWrites
-	for k, v := range o.writeCounts {
-		m.writeCounts[k] += v
-	}
-}
-
 // RowWriteCount returns how many times addr has been programmed.
 func (m *Memory) RowWriteCount(addr RowAddr) int64 {
-	return m.writeCounts[m.geo.Encode(addr)]
+	return m.rows[m.geo.Encode(addr)].programs
 }
 
 // HottestRow returns the most-written row and its write count — the
@@ -320,9 +398,9 @@ func (m *Memory) RowWriteCount(addr RowAddr) int64 {
 func (m *Memory) HottestRow() (RowAddr, int64) {
 	var bestKey uint64
 	var best int64
-	for k, n := range m.writeCounts {
-		if n > best || (n == best && k < bestKey) {
-			bestKey, best = k, n
+	for k, r := range m.rows {
+		if r.programs > best || (r.programs == best && k < bestKey) {
+			bestKey, best = k, r.programs
 		}
 	}
 	if best == 0 {

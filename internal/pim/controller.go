@@ -119,11 +119,10 @@ type Controller struct {
 	// wear event each (internal/fault.RecordWriteShared). nil or a return
 	// of <= 1 means normal wear.
 	wearShare func(memarch.RowAddr) int
-	// codec and checks model the in-array SECDED spare columns — see ecc.go.
-	// codec nil means no ECC; checks maps encoded row address to that row's
-	// stored check bits.
-	codec  *ecc.Codec
-	checks map[uint64]eccEntry
+	// codec models the in-array SECDED spare columns — see ecc.go; nil
+	// means no ECC. The check words they store are part of each row's
+	// record in the memory.
+	codec *ecc.Codec
 
 	// cache memoises lowerings — placement class, command sequence,
 	// latency, energy, MR4, counter deltas — keyed by the operation shape
@@ -281,8 +280,9 @@ func OpsCounter(class Class) ledger.Counter { return ledger.HwIntraSub + ledger.
 
 // ResetForReuse restores the controller to its just-built state so a
 // pooled shard sandbox is indistinguishable from a fresh one: mode
-// registers, ECC check-bit state, the program-cache traffic counters and
-// the SA model's sampling stream all return to their New values. Cached
+// registers, the program-cache traffic counters and the SA model's
+// sampling stream all return to their New values (the check words reset
+// with the memory's row records). Cached
 // lowered programs deliberately survive — they are pure functions of
 // operand addresses and geometry, so a reused sandbox replaying a
 // same-shaped window hits instead of re-lowering. The attached injector
@@ -290,7 +290,6 @@ func OpsCounter(class Class) ledger.Counter { return ledger.HwIntraSub + ledger.
 // System resets both itself.
 func (c *Controller) ResetForReuse() {
 	c.mrs = ddr.ModeRegisters{}
-	clear(c.checks)
 	if c.cache != nil {
 		c.cache.ResetStats()
 	}
@@ -720,26 +719,27 @@ func (c *Controller) senseDigital(out []uint64, op sense.Op, rows [][]uint64, bi
 	}
 }
 
-// store programs a row, routing the write through the wear model: worn rows
+// store programs a row, routing the write through the wear model: the
+// injector applies the program to the row's wear record, and worn rows
 // keep their stuck-at bits regardless of what the write drivers deliver.
 func (c *Controller) store(addr memarch.RowAddr, words []uint64) error {
 	if err := c.mem.WriteRow(addr, words); err != nil {
 		return err
 	}
 	if c.inj != nil {
-		key := c.mem.Geometry().Encode(addr)
 		share := 1
 		if c.wearShare != nil {
-			if s := c.wearShare(addr); s > 1 {
-				share = s
-			}
+			share = c.wearShare(addr)
 		}
-		c.inj.RecordWriteShared(key, share)
-		if c.inj.Worn(key) {
+		w := c.mem.Wear(addr)
+		if c.inj.RecordWriteShared(c.mem.Geometry().Encode(addr), &w, share) {
+			c.mem.SetWear(addr, w)
+		}
+		if len(w.Stuck) > 0 {
 			// Stuck cells can sit anywhere in the row, beyond the words
 			// just written, so they are forced through the full-row
 			// mutator.
-			c.inj.CorruptStored(key, c.mem.MutableRow(addr))
+			c.inj.CorruptStored(w.Stuck, c.mem.MutableRow(addr))
 		}
 	}
 	return nil

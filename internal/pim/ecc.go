@@ -29,6 +29,12 @@ package pim
 // its comparison value; the spare columns' own failure modes stay honest
 // because stuck-at wear and sense flips are injected on them exactly as on
 // data columns (fault.CorruptStoredOffset / FlipSensed).
+//
+// The stored check words are part of the row's record in the memory
+// (memarch.Memory.Check / SetCheck). They are never modified once stored:
+// every program stores the fresh slice ecc.EncodeRow returns, and every
+// decode works on a scratch copy, so a batch sandbox that borrows the row
+// shares them with the live memory.
 
 import (
 	"fmt"
@@ -41,49 +47,13 @@ import (
 	"pinatubo/internal/sense"
 )
 
-// eccEntry is the stored spare-column state of one row: the packed check
-// words and the data-bit count they were encoded over. An entry's words
-// are never modified once stored: every program stores the fresh slice
-// ecc.EncodeRow returns, and every decode works on a scratch copy. That
-// is what lets ECCState and SetECCState share entries between the live
-// controller and the batch executor's sandboxes instead of copying them.
-type eccEntry struct {
-	bits  int
-	words []uint64
-}
-
 // EnableECC attaches a SECDED codec to the controller: every subsequent
 // host write and ECCProgram call maintains spare-column check bits for the
 // written row. Passing nil disables the path.
-func (c *Controller) EnableECC(codec *ecc.Codec) {
-	c.codec = codec
-	if codec != nil && c.checks == nil {
-		c.checks = make(map[uint64]eccEntry)
-	}
-}
+func (c *Controller) EnableECC(codec *ecc.Codec) { c.codec = codec }
 
 // ECCCodec returns the attached codec (nil when ECC is off).
 func (c *Controller) ECCCodec() *ecc.Codec { return c.codec }
-
-// ECCState returns the stored check-bit entry for addr's row, reporting
-// ok=false when the row has never been ECC-programmed. The batch executor
-// uses it (with SetECCState) to carry spare-column state into and out of
-// per-shard controller stacks. The words are shared, not copied: the
-// caller must not modify them (see eccEntry).
-func (c *Controller) ECCState(addr memarch.RowAddr) (bits int, words []uint64, ok bool) {
-	entry, ok := c.checks[c.eccSpareKey(addr)]
-	return entry.bits, entry.words, ok
-}
-
-// SetECCState installs (or replaces) the check-bit entry for addr's row,
-// sharing words, which neither side may modify afterwards. A no-op when
-// ECC is off.
-func (c *Controller) SetECCState(addr memarch.RowAddr, bits int, words []uint64) {
-	if c.codec == nil {
-		return
-	}
-	c.checks[c.eccSpareKey(addr)] = eccEntry{bits: bits, words: words}
-}
 
 // ECCCost is the latency/energy bill of one check-bit maintenance step.
 type ECCCost struct {
@@ -111,22 +81,16 @@ type ECCVerification struct {
 	Energy  energy.Meter
 }
 
-// eccSpareKey returns the injector row key of addr (spare columns share the
-// data row's wear identity: one physical row, one program pulse).
-func (c *Controller) eccSpareKey(addr memarch.RowAddr) uint64 {
-	return c.mem.Geometry().Encode(addr)
-}
-
 // eccCorruptSpare forces worn spare-column cells into freshly-programmed
-// check words. Spare stuck positions are injector positions at or past the
-// data row width.
+// check words. The spare columns share the data row's wear record (one
+// physical row, one program pulse); their stuck positions are those at or
+// past the data row width.
 func (c *Controller) eccCorruptSpare(addr memarch.RowAddr, check []uint64) {
 	if c.inj == nil {
 		return
 	}
-	key := c.eccSpareKey(addr)
-	if c.inj.Worn(key) {
-		c.inj.CorruptStoredOffset(key, check, c.mem.Geometry().RowBits())
+	if stuck := c.mem.Wear(addr).Stuck; len(stuck) > 0 {
+		c.inj.CorruptStoredOffset(stuck, check, c.mem.Geometry().RowBits())
 	}
 }
 
@@ -145,7 +109,7 @@ func (c *Controller) eccProgramHost(addr memarch.RowAddr, data []uint64, bits in
 	res.Energy.Add(energy.ECCLogic, float64(bits)*e.ECCPerBit)
 	res.Energy.Add(energy.WriteDriver, float64(c.codec.CheckRowBits(bits))*e.WritePerBit)
 	c.eccCorruptSpare(addr, check)
-	c.checks[c.eccSpareKey(addr)] = eccEntry{bits: bits, words: check}
+	c.mem.SetCheck(addr, bits, check)
 }
 
 // ECCProgram regenerates the spare-column check bits of a just-written op
@@ -209,7 +173,7 @@ func (c *Controller) ECCProgram(dst memarch.RowAddr, golden []uint64, bits int, 
 	}
 	cost.Energy.Add(energy.WriteDriver, cb*e.WritePerBit)
 	c.eccCorruptSpare(dst, check)
-	c.checks[c.eccSpareKey(dst)] = eccEntry{bits: bits, words: check}
+	c.mem.SetCheck(dst, bits, check)
 	return cost, nil
 }
 
@@ -235,8 +199,8 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 	if len(golden) < w {
 		return nil, fmt.Errorf("pim: reference of %d words for a %d-bit check", len(golden), bits)
 	}
-	entry, ok := c.checks[c.eccSpareKey(dst)]
-	if !ok || entry.bits != bits {
+	checkBits, checkWords, ok := c.mem.Check(dst)
+	if !ok || checkBits != bits {
 		return nil, fmt.Errorf("pim: no %d-bit check bits stored for %v (ECCProgram not run?)", bits, dst)
 	}
 
@@ -259,9 +223,9 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 	c.eccData = scratchWords(c.eccData, w)
 	data := c.eccData
 	copy(data, stored)
-	c.eccCheck = scratchWords(c.eccCheck, len(entry.words))
+	c.eccCheck = scratchWords(c.eccCheck, len(checkWords))
 	check := c.eccCheck
-	copy(check, entry.words)
+	copy(check, checkWords)
 	if c.inj != nil {
 		c.inj.FlipSensed(sense.OpRead, 1, bits, data)
 		c.inj.FlipSensed(sense.OpRead, 1, cbBits, check)
@@ -321,8 +285,8 @@ func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uin
 	if len(sensed) < w {
 		return nil, fmt.Errorf("pim: %d sensed words for a %d-bit read", len(sensed), bits)
 	}
-	entry, ok := c.checks[c.eccSpareKey(addr)]
-	if !ok || entry.bits != bits {
+	checkBits, checkWords, ok := c.mem.Check(addr)
+	if !ok || checkBits != bits {
 		return &ECCVerification{OK: true}, nil
 	}
 	v := &ECCVerification{}
@@ -333,9 +297,9 @@ func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uin
 	v.Energy.Add(energy.SenseAmp, float64(cbBits)*e.SensePerBit)
 	v.Energy.Add(energy.ECCLogic, float64(bits)*e.ECCPerBit)
 
-	c.eccCheck = scratchWords(c.eccCheck, len(entry.words))
+	c.eccCheck = scratchWords(c.eccCheck, len(checkWords))
 	check := c.eccCheck
-	copy(check, entry.words)
+	copy(check, checkWords)
 	if c.inj != nil {
 		c.inj.FlipSensed(sense.OpRead, 1, cbBits, check)
 	}

@@ -51,11 +51,11 @@ func TestECCHostWriteEncodesCheckBits(t *testing.T) {
 	if extra <= 0 || extra > 1.01*want {
 		t.Errorf("spare write energy %g, want ~%g", extra, want)
 	}
-	entry, ok := eccd.checks[eccd.eccSpareKey(addr)]
-	if !ok || entry.bits != bits {
-		t.Fatal("no check entry stored for the written row")
+	checkBits, check, ok := eccd.mem.Check(addr)
+	if !ok || checkBits != bits {
+		t.Fatal("no check words stored for the written row")
 	}
-	if got := eccd.ECCCodec().DecodeRow(append([]uint64(nil), words...), entry.words, bits); got != (ecc.RowResult{}) {
+	if got := eccd.ECCCodec().DecodeRow(append([]uint64(nil), words...), check, bits); got != (ecc.RowResult{}) {
 		t.Fatalf("stored check bits inconsistent with data: %+v", got)
 	}
 }
@@ -206,12 +206,12 @@ func TestECCCorrectReadFixesSensedFlip(t *testing.T) {
 	}
 }
 
-// TestECCStoredEntryNeverChanges pins the invariant that lets ECCState
-// and SetECCState share check words with batch sandboxes instead of
-// copying them: once stored, an entry's words are never modified. The
-// decodes inject sense flips into their own copy, an in-place repair
-// leaves the check words alone, and a later program of the row stores a
-// new slice.
+// TestECCStoredEntryNeverChanges pins the invariant that lets a batch
+// sandbox that borrows a row share its check words with the live memory
+// instead of copying them: once stored, a row's check words are never
+// modified. The decodes inject sense flips into their own copy, an
+// in-place repair leaves the check words alone, and a later program of
+// the row stores a new slice.
 func TestECCStoredEntryNeverChanges(t *testing.T) {
 	c := newECCCtl(t)
 	// An offset tolerance above every read margin makes single-row reads
@@ -236,7 +236,7 @@ func TestECCStoredEntryNeverChanges(t *testing.T) {
 	if _, err := c.WriteRowFromHost(dst, words, bits); err != nil {
 		t.Fatal(err)
 	}
-	_, stored, ok := c.ECCState(dst)
+	_, stored, ok := c.mem.Check(dst)
 	if !ok {
 		t.Fatal("no check words stored for the written row")
 	}
@@ -259,7 +259,7 @@ func TestECCStoredEntryNeverChanges(t *testing.T) {
 	if _, err := c.WriteRowFromHost(dst, invert(words), bits); err != nil {
 		t.Fatal(err)
 	}
-	if _, now, _ := c.ECCState(dst); &now[0] == &stored[0] || !bitvec.EqualWords(stored, want, len(want)*64) {
+	if _, now, _ := c.mem.Check(dst); &now[0] == &stored[0] || !bitvec.EqualWords(stored, want, len(want)*64) {
 		t.Fatal("reprogramming the row wrote into the previously stored check words")
 	}
 }
@@ -293,11 +293,10 @@ func TestECCStuckSpareColumnStaysHonest(t *testing.T) {
 		if _, err := c.WriteRowFromHost(addr, words, bits); err != nil {
 			t.Fatal(err)
 		}
-		key := c.eccSpareKey(addr)
-		for _, b := range in.StuckPositions(key) {
+		for _, b := range c.mem.Wear(addr).Stuck {
 			// Only spare positions inside the packed check words of this
 			// vector length are observable.
-			if b >= dataBits && b < dataBits+c.ECCCodec().CheckRowBits(bits) {
+			if b.Pos >= dataBits && b.Pos < dataBits+c.ECCCodec().CheckRowBits(bits) {
 				found = true
 			}
 		}

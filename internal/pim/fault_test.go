@@ -267,7 +267,7 @@ func TestExecuteDigitalForcesInterPath(t *testing.T) {
 
 func TestWearCorruptsStoredRowAfterLimit(t *testing.T) {
 	c := newCtl(t, nvm.PCM)
-	inj := attachInjector(t, c, fault.Config{Seed: 2, WearLimit: 3})
+	attachInjector(t, c, fault.Config{Seed: 2, WearLimit: 3})
 	dst := memarch.RowAddr{Row: 5}
 	w := c.mem.Geometry().RowBits() / 64
 	words := make([]uint64, w) // all zero
@@ -276,8 +276,8 @@ func TestWearCorruptsStoredRowAfterLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !inj.Worn(c.mem.Geometry().Encode(dst)) {
-		t.Fatal("row not worn after 5 > WearLimit programs")
+	if w := c.mem.Wear(dst); w.Events != 5 || len(w.Stuck) != 1 {
+		t.Fatalf("wear record %+v after 5 programs at WearLimit 3, want 5 events and one stuck bit", w)
 	}
 	// The stuck bit must be visible in memory if its stuck value is 1
 	// (all-zero writes disagree with a stuck-at-1 cell), and stats must
@@ -305,14 +305,12 @@ func TestWearCorruptsStoredRowAfterLimit(t *testing.T) {
 // op result.
 func TestStuckBitBeyondNarrowWriteShows(t *testing.T) {
 	c := newCtl(t, nvm.PCM)
-	inj := attachInjector(t, c, fault.Config{Seed: 2})
-	geo := c.mem.Geometry()
+	attachInjector(t, c, fault.Config{Seed: 2})
 	const bits = 8192
 	src := memarch.RowAddr{Row: 4}
 	dst := memarch.RowAddr{Row: 5}
-	pos := geo.RowBits() - 3
-	inj.SetRowState(geo.Encode(dst), fault.RowState{Wear: 1,
-		Stuck: []fault.StuckBit{{Pos: pos, Val: true}}})
+	pos := c.mem.Geometry().RowBits() - 3
+	c.mem.SetWear(dst, memarch.Wear{Events: 1, Stuck: []memarch.StuckBit{{Pos: pos, Val: true}}})
 	if pos/64 < bits/64 {
 		t.Fatal("stuck cell inside the narrow write; the test is vacuous")
 	}

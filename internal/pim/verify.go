@@ -18,16 +18,17 @@ import (
 // destination row against it. The check models streaming the operand rows
 // through the add-on digital logic once more while the destination row is
 // burst to the checker — conservative single-row sensing end to end, which
-// the fault model treats as reliable. Replacing this read-everything check
-// with in-array ECC is an open item (ROADMAP).
+// the fault model treats as reliable. The in-array SECDED alternative to
+// this read-everything check lives in ecc.go.
 
 // Golden computes the digital reference result of op over the operand rows'
 // current contents into dst, growing it when it is shorter than the
 // vector, and returns the bitvec.WordsFor(bits) words it wrote. It is the
-// simulator's oracle: no commands, no energy, no injected faults. Bits
-// beyond `bits` in the last word are zeroed. dst is the caller's buffer:
-// the resilience scheduler keeps its references in buffers it owns, so a
-// verified request allocates nothing row-sized.
+// simulator's oracle: no commands, no energy, no injected faults — the
+// word math of sense.Combine over the stored rows. Bits beyond `bits` in
+// the last word are zeroed. dst is the caller's buffer: the resilience
+// scheduler keeps its references in buffers it owns, so a verified
+// request allocates nothing row-sized.
 func (c *Controller) Golden(dst []uint64, op sense.Op, srcs []memarch.RowAddr, bits int) ([]uint64, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
@@ -41,47 +42,22 @@ func (c *Controller) Golden(dst []uint64, op sense.Op, srcs []memarch.RowAddr, b
 			return nil, fmt.Errorf("pim: operand address %v outside geometry", a)
 		}
 	}
-	w := bitvec.WordsFor(bits)
-	out := scratchWords(dst, w)
-	copy(out, c.mem.PeekRow(srcs[0])[:w])
 	switch op {
-	case sense.OpRead:
+	case sense.OpRead, sense.OpINV:
 		if len(srcs) != 1 {
-			return nil, fmt.Errorf("pim: golden READ of %d rows", len(srcs))
+			return nil, fmt.Errorf("pim: golden %v of %d rows", op, len(srcs))
 		}
-	case sense.OpINV:
-		if len(srcs) != 1 {
-			return nil, fmt.Errorf("pim: golden INV of %d rows", len(srcs))
-		}
-		for i := range out {
-			out[i] = ^out[i]
-		}
-	case sense.OpAND:
+	case sense.OpAND, sense.OpXOR:
 		if len(srcs) != 2 {
-			return nil, fmt.Errorf("pim: golden AND of %d rows", len(srcs))
-		}
-		row := c.mem.PeekRow(srcs[1])[:w]
-		for i := range out {
-			out[i] &= row[i]
-		}
-	case sense.OpXOR:
-		if len(srcs) != 2 {
-			return nil, fmt.Errorf("pim: golden XOR of %d rows", len(srcs))
-		}
-		row := c.mem.PeekRow(srcs[1])[:w]
-		for i := range out {
-			out[i] ^= row[i]
+			return nil, fmt.Errorf("pim: golden %v of %d rows", op, len(srcs))
 		}
 	case sense.OpOR:
-		for _, s := range srcs[1:] {
-			row := c.mem.PeekRow(s)[:w]
-			for i := range out {
-				out[i] |= row[i]
-			}
-		}
 	default:
 		return nil, fmt.Errorf("pim: golden of unknown op %d", int(op))
 	}
+	w := bitvec.WordsFor(bits)
+	out := scratchWords(dst, w)
+	sense.Combine(out, op, c.operandRows(srcs, w))
 	maskTail(out, bits)
 	return out, nil
 }

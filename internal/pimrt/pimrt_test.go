@@ -489,15 +489,13 @@ func TestWriteAmplificationOfChaining(t *testing.T) {
 	}
 	dst := memarch.RowAddr{Subarray: 4, Row: 900}
 
-	before := mem.RowWrites()
 	if _, err := s.Execute(sense.OpOR, rows, 64, dst); err != nil {
 		t.Fatal(err)
 	}
-	oneStepWrites := mem.RowWrites() - before
+	oneStepWrites := mem.RowWriteCount(dst)
 
 	// Manual 2-row chain over the same operands.
 	acc := memarch.RowAddr{Subarray: 4, Row: 901}
-	before = mem.RowWrites()
 	if _, err := ctl.Execute(sense.OpOR, rows[:2], 64, &acc); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +504,7 @@ func TestWriteAmplificationOfChaining(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chainWrites := mem.RowWrites() - before
+	chainWrites := mem.RowWriteCount(acc)
 
 	if oneStepWrites != 1 {
 		t.Errorf("one-step OR wrote %d rows, want 1", oneStepWrites)

@@ -325,7 +325,7 @@ func TestDepthSplitKeepsOuterOperands(t *testing.T) {
 		}
 	}
 	dst := memarch.RowAddr{Subarray: 2, Row: 500}
-	ctl.Injector().SetRowState(geo.Encode(dst), fault.RowState{Stuck: []fault.StuckBit{{Pos: 0}}})
+	ctl.Memory().SetWear(dst, memarch.Wear{Stuck: []memarch.StuckBit{{Pos: 0}}})
 
 	_, err := s.Execute(sense.OpOR, srcs, bits, dst)
 	if !errors.Is(err, ErrResilienceExhausted) {

@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"pinatubo"
+	"pinatubo/internal/chansim"
 )
 
 // TenantMetrics is one tenant's share of the server's work.
@@ -118,30 +119,20 @@ func (m *metricsState) snapshot(now time.Time) Metrics {
 }
 
 // latencyStats pools samples into nearest-rank percentiles, the same
-// summary shape the planner reports.
+// summary shape and rank rule (chansim.NearestRank) the planner reports.
 func latencyStats(samples []time.Duration) pinatubo.LatencyStats {
 	if len(samples) == 0 {
 		return pinatubo.LatencyStats{}
 	}
 	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := func(p float64) time.Duration {
-		i := int(p*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
+	slices.Sort(sorted)
 	var sum time.Duration
 	for _, s := range sorted {
 		sum += s
 	}
 	return pinatubo.LatencyStats{
-		P50:  rank(0.50),
-		P99:  rank(0.99),
+		P50:  sorted[chansim.NearestRank(0.50, len(sorted))],
+		P99:  sorted[chansim.NearestRank(0.99, len(sorted))],
 		Mean: sum / time.Duration(len(sorted)),
 		Max:  sorted[len(sorted)-1],
 	}

@@ -868,3 +868,19 @@ func (c *testClient) call(req Request) (Response, error) {
 		return resp, nil
 	}
 }
+
+// TestLatencyStatsNearestRank pins the server's percentiles to the
+// planner's nearest-rank rule: with 51 samples p99 is the ⌈0.99·51⌉ = 51st
+// smallest, where rounding p·n would pick the 50th.
+func TestLatencyStatsNearestRank(t *testing.T) {
+	samples := make([]time.Duration, 51)
+	for i := range samples {
+		samples[i] = time.Duration(51-i) * time.Millisecond
+	}
+	got := latencyStats(samples)
+	want := pinatubo.LatencyStats{P50: 26 * time.Millisecond, P99: 51 * time.Millisecond,
+		Mean: 26 * time.Millisecond, Max: 51 * time.Millisecond}
+	if got != want {
+		t.Fatalf("latencyStats of 1..51 ms = %+v, want %+v", got, want)
+	}
+}

@@ -2,7 +2,6 @@ package pinatubo
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"pinatubo/internal/chansim"
@@ -204,8 +203,8 @@ func (s *System) Plan(op Op, concurrency int, faultRate float64, opts ...Option)
 			return PlanReport{}, err
 		}
 		mc, err := chansim.MonteCarlo(
-			chansim.MCConfig{Seed: s.cfg.Fault.Seed, Replications: reps, Arb: carb},
-			func(_ *rand.Rand, rep int) ([]chansim.Request, error) {
+			chansim.MCConfig{Replications: reps, Arb: carb},
+			func(rep int) ([]chansim.Request, error) {
 				return traceSets[rep][:k], nil
 			})
 		if err != nil {

@@ -429,25 +429,17 @@ func (r *BatchRun) finish() (BatchResult, error) {
 		return s.scheduleBatch(r.reqs, r.results, 1, r.arb)
 	}
 
-	// The merge copies rows, check words and wear, never a vector's row
-	// list: a sandbox moves a mirror's row only through remapRow, which
-	// retires and allocates, and that sends the window to the replay.
-	geo := s.mem.Geometry()
+	// The merge copies row records, never a vector's row list: a sandbox
+	// moves a mirror's row only through remapRow, which retires and
+	// allocates, and that sends the window to the replay.
 	for _, sb := range r.sandboxes {
-		// A row still borrowed was only read, so the live row, its check
-		// words and its wear are current. A row the shard programmed comes
-		// back with the check words and the wear programming it left.
+		// A row still borrowed was only read, so the live record is
+		// current. A row the shard changed comes back whole: words,
+		// program count, check words and wear.
 		s.ownedRows = sb.mem.AppendOwnedAddrs(s.ownedRows[:0])
 		for _, a := range s.ownedRows {
 			s.mem.CopyRow(a, sb.mem)
-			if bits, words, ok := sb.ctl.ECCState(a); ok {
-				s.ctl.SetECCState(a, bits, words)
-			}
-			if st, ok := sb.ctl.Injector().RowState(geo.Encode(a)); ok {
-				liveInj.SetRowState(geo.Encode(a), st)
-			}
 		}
-		s.mem.AbsorbCounters(sb.mem)
 		s.led.Absorb(sb.led)
 	}
 	if liveInj != nil {
@@ -498,18 +490,16 @@ func (r *BatchRun) release() {
 }
 
 // prepareShards lends the live state every shard's ops can touch to
-// per-shard sandbox Systems: each footprint row is borrowed from the live
-// memory (copied only when the shard first writes it) with its ECC check
-// words shared, replica registrations and per-row fault-injector state are
-// copied in, and every vector an op names is mirrored in the sandbox. The
-// live System is untouched between Start and Wait, so the lent words
-// cannot change under a shard. Sandboxes come from the System's pool — a
+// per-shard sandbox Systems: each footprint row's record is borrowed from
+// the live memory (its words copied only when the shard first changes the
+// row), its replica registration is copied in, and every vector an op
+// names is mirrored in the sandbox. The live System is untouched between
+// Start and Wait, so the lent records cannot change under a shard. Sandboxes come from the System's pool — a
 // reused one is reset to fresh-construction state first, and keeps its
 // mirrors and their lookup map from earlier windows — and go back to it
 // when the run finishes.
 func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
 	s := b.sys
-	geo := s.mem.Geometry()
 	sandboxes := make([]*System, len(shards))
 	for si, shard := range shards {
 		sh, err := s.getSandbox()
@@ -526,14 +516,8 @@ func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
 					continue
 				}
 				sh.mem.BorrowRow(k.addr, s.mem)
-				if bits, words, ok := s.ctl.ECCState(k.addr); ok {
-					sh.ctl.SetECCState(k.addr, bits, words)
-				}
 				if reps := s.replicaRows(k.addr); reps != nil {
 					sh.registerReplicas(k.addr, reps)
-				}
-				if st, ok := s.ctl.Injector().RowState(geo.Encode(k.addr)); ok {
-					sh.ctl.Injector().SetRowState(geo.Encode(k.addr), st)
 				}
 			}
 			op := b.ops[i]

@@ -35,6 +35,9 @@ func TestPipelinedWindowsDifferential(t *testing.T) {
 		{"pcm-faulty-readback", Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: VerifyReadback},
 			Fault:      FaultConfig{Seed: 9, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}},
+		{"pcm-ecc-wear", Config{Tech: PCM, Geometry: spreadGeometry(),
+			Resilience: ResilienceConfig{Verify: VerifyECC},
+			Fault:      FaultConfig{Seed: 5, WearLimit: 1000}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +129,7 @@ func TestPipelinedWindowsDifferential(t *testing.T) {
 					}
 				}
 			}
+			checkRowRecords(t, piped, serial, opsB)
 		})
 	}
 }
