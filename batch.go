@@ -192,10 +192,12 @@ func (s *System) appendRowKeys(keys []fpKey, r memarch.RowAddr) []fpKey {
 
 // runSequential is the fault-retirement replay of a batch run: it
 // executes the ops in order on the live system, turning each op's program
-// into its channel request as the workers do. Cancellation is observed
+// into its channel request as the workers do, in the live System's
+// request buffer, which it rewinds first. Cancellation is observed
 // between ops: the completed prefix stays applied (Apply-sequence
 // semantics) and the context's error is returned.
 func (s *System) runSequential(ctx context.Context, ops []BatchOp, results []Result, reqs []chansim.Request) error {
+	s.reqCmds = s.reqCmds[:0]
 	for i, op := range ops {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -211,9 +213,13 @@ func (s *System) runSequential(ctx context.Context, ops []BatchOp, results []Res
 }
 
 // opRequest converts the program of the op s just ran into its channel
-// request.
+// request, appending its commands to s's request buffer: they stay valid
+// until the buffer is rewound (reqCmds), which outlives the op's program
+// and the controller's command arena.
 func (s *System) opRequest() chansim.Request {
-	return s.prog.Request(s.mem.Tech().Timing, s.ctl.Bus(), s.mem.Geometry())
+	req, buf := s.prog.AppendRequest(s.reqCmds, s.mem.Tech().Timing, s.ctl.Bus(), s.mem.Geometry())
+	s.reqCmds = buf
+	return req
 }
 
 // scheduleBatch runs the ops' channel requests through the event-driven

@@ -12,6 +12,7 @@ package bitvec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -85,20 +86,15 @@ func PopcountWords(words []uint64, nbits int) int {
 
 // EqualWords reports whether the first nbits bits of two raw word slices
 // agree, ignoring tail garbage past nbits. Both slices must cover nbits
-// bits. Zero-alloc counterpart of comparing FromWords vectors.
+// bits. Zero-alloc counterpart of comparing FromWords vectors. The whole
+// words compare as slices, and only a partial last word is masked.
 func EqualWords(a, b []uint64, nbits int) bool {
-	w := WordsFor(nbits)
 	idx, mask, partial := tailWordMask(nbits)
-	for i := 0; i < w; i++ {
-		x := a[i] ^ b[i]
-		if partial && i == idx {
-			x &= mask
-		}
-		if x != 0 {
-			return false
-		}
+	if !partial {
+		w := WordsFor(nbits)
+		return slices.Equal(a[:w], b[:w])
 	}
-	return true
+	return slices.Equal(a[:idx], b[:idx]) && (a[idx]^b[idx])&mask == 0
 }
 
 // DiffCount counts the bit positions within the first nbits bits where

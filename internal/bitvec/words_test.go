@@ -56,6 +56,49 @@ func TestEqualWordsIgnoresTail(t *testing.T) {
 	}
 }
 
+// TestEqualWordsMatchesWordLoop checks EqualWords against the per-word
+// masked loop it replaced, at every width from 1 to 200 bits: the padding
+// past nbits always differs between the two slices, and every other trial
+// also flips one random bit anywhere in the covered words, in range or in
+// the padding.
+func TestEqualWordsMatchesWordLoop(t *testing.T) {
+	loop := func(a, b []uint64, nbits int) bool {
+		w := WordsFor(nbits)
+		tail := uint(nbits % 64)
+		for i := 0; i < w; i++ {
+			mask := ^uint64(0)
+			if i == w-1 && tail != 0 {
+				mask = 1<<tail - 1
+			}
+			if (a[i]^b[i])&mask != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(11))
+	for nbits := 1; nbits <= 200; nbits++ {
+		w := WordsFor(nbits)
+		for trial := 0; trial < 50; trial++ {
+			a := make([]uint64, w)
+			for i := range a {
+				a[i] = rng.Uint64()
+			}
+			b := append([]uint64(nil), a...)
+			if pad := nbits % 64; pad != 0 {
+				b[w-1] ^= (rng.Uint64() | 1<<63) &^ (1<<pad - 1)
+			}
+			if trial%2 == 1 {
+				pos := rng.Intn(w * 64)
+				b[pos/64] ^= 1 << (pos % 64)
+			}
+			if got, want := EqualWords(a, b, nbits), loop(a, b, nbits); got != want {
+				t.Fatalf("nbits=%d trial %d: EqualWords=%v, word loop %v (a=%x b=%x)", nbits, trial, got, want, a, b)
+			}
+		}
+	}
+}
+
 func TestDiffCountMatchesXorPopcount(t *testing.T) {
 	for _, nbits := range []int{1, 63, 64, 65, 300, 4096} {
 		a := randVec(nbits, int64(nbits))

@@ -24,6 +24,8 @@
 package cmdstream
 
 import (
+	"slices"
+
 	"pinatubo/internal/chansim"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/memarch"
@@ -201,9 +203,45 @@ func (p Program) Channel() int {
 // instructions through chansim's per-command DDR pricing (issue slots,
 // exec times, bank resources), KindVerify passes as one command-bus issue
 // slot plus a bank-busy interval. Zero-second verify passes leave no
-// scheduling footprint. The request's commands are one slice, allocated
-// at its final length.
+// scheduling footprint. The request's commands are one fresh slice,
+// allocated at its final length, so the request outlives the program and
+// every command buffer.
 func (p Program) Request(t nvm.Timing, bus ddr.BusParams, geo memarch.Geometry) chansim.Request {
+	req, _ := p.AppendRequest(nil, t, bus, geo)
+	return req
+}
+
+// AppendRequest is Request with the commands appended to buf, for a
+// caller that keeps one command buffer for many requests: it returns the
+// request, whose Cmds are the appended tail of buf capped at their length,
+// and the extended buffer. The request's commands stay valid while the
+// caller leaves that part of the buffer alone; appending more requests
+// never moves them, because a buffer that must grow is copied into a new
+// backing array and the old one stays with the requests already built.
+func (p Program) AppendRequest(buf []chansim.Cmd, t nvm.Timing, bus ddr.BusParams, geo memarch.Geometry) (chansim.Request, []chansim.Cmd) {
+	start := len(buf)
+	buf = slices.Grow(buf, p.requestLen())
+	for _, in := range p.Instrs {
+		switch in.Kind {
+		case KindRequest, KindVoted:
+			buf = chansim.AppendDDR(buf, in.Cmds, t, bus, geo)
+		case KindVerify:
+			if in.Seconds <= 0 {
+				continue
+			}
+			buf = append(buf, chansim.Cmd{
+				Issue:    t.TCMD,
+				Exec:     in.Seconds,
+				Resource: chansim.BankResource(in.Addr, geo),
+			})
+		}
+	}
+	return chansim.Request{Cmds: buf[start:len(buf):len(buf)], Channel: p.Channel()}, buf
+}
+
+// requestLen counts the channel commands AppendRequest emits for the
+// program.
+func (p Program) requestLen() int {
 	n := 0
 	for _, in := range p.Instrs {
 		switch in.Kind {
@@ -215,21 +253,5 @@ func (p Program) Request(t nvm.Timing, bus ddr.BusParams, geo memarch.Geometry) 
 			}
 		}
 	}
-	req := chansim.Request{Cmds: make([]chansim.Cmd, 0, n), Channel: p.Channel()}
-	for _, in := range p.Instrs {
-		switch in.Kind {
-		case KindRequest, KindVoted:
-			req.Cmds = chansim.AppendDDR(req.Cmds, in.Cmds, t, bus, geo)
-		case KindVerify:
-			if in.Seconds <= 0 {
-				continue
-			}
-			req.Cmds = append(req.Cmds, chansim.Cmd{
-				Issue:    t.TCMD,
-				Exec:     in.Seconds,
-				Resource: chansim.BankResource(in.Addr, geo),
-			})
-		}
-	}
-	return req
+	return n
 }

@@ -61,7 +61,9 @@ func newRefRows(rows, words int) *refRows {
 // with and without check words and wear, through BorrowRow and must never
 // change, its check words and stuck lists included: any change to a
 // borrowed row's record gives it a record of its own first, which holds
-// the lent record with the change applied and is no longer borrowed.
+// the lent record with the change applied and is no longer borrowed. A
+// fourth memory holds no row at all: borrowing from it lends nothing, so
+// the borrower's row reads zeros unmaterialised, and it must stay empty.
 //
 // Each step reads an op byte, a byte selecting the memory and the row,
 // and the op's operands.
@@ -84,6 +86,10 @@ func FuzzRowExtent(f *testing.F) {
 	// Check words and wear on a fresh row, a write over them, a copy from
 	// the lender, and a borrowed row merged back with CopyRow.
 	f.Add([]byte{6, 0, 1, 64, 3, 7, 0, 9, 1, 1, 30, 0, 0, 4, 2, 1, 0, 2, 3, 7, 0, 2, 1, 1, 7, 0})
+	// Borrow a row the empty memory never materialised over a borrowed
+	// row, over an owned row with check words and wear, and on a fresh
+	// row; write one of them, then merge it into the other memory.
+	f.Add([]byte{3, 4, 8, 4, 0, 2, 5, 1, 6, 2, 9, 1, 3, 7, 2, 1, 0, 1, 8, 2, 8, 2, 8, 6, 0, 6, 3, 7, 1, 7, 0, 4, 7})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		geo := fuzzGeometry()
 		nw, nr := geo.RowWords(), geo.RowsPerSubarray
@@ -97,7 +103,7 @@ func FuzzRowExtent(f *testing.F) {
 		// Two memories under test and a lender whose rows hold 0, 5, 10
 		// and 16 words; row 1 has check words, row 2 wear, row 3 both.
 		mems := []*Memory{newMem(), newMem(), newMem()}
-		lender, lent := mems[2], newRefRows(nr, nw)
+		lender, lent, empty := mems[2], newRefRows(nr, nw), newMem()
 		refs := []*refRows{newRefRows(nr, nw), newRefRows(nr, nw), lent}
 		for r := range lent.rows {
 			a, rec := RowAddr{Row: r}, &lent.rows[r]
@@ -135,7 +141,7 @@ func FuzzRowExtent(f *testing.F) {
 			return int(b)
 		}
 		for step := 0; len(prog) > 0 && step < 256; step++ {
-			op, sel := next()%8, next()
+			op, sel := next()%9, next()
 			mi, r := sel&1, (sel>>1)%nr
 			m, ref, a := mems[mi], refs[mi], RowAddr{Row: r}
 			// own gives the reference row the record it reads before a
@@ -202,6 +208,13 @@ func FuzzRowExtent(f *testing.F) {
 				m.SetWear(a, w)
 				w.Stuck = slices.Clone(w.Stuck)
 				own().wear = w
+			case 8:
+				m.BorrowRow(a, empty)
+				ref.rows[r] = refRecord{words: make([]uint64, nw)}
+				ref.borrowed[r] = false
+				if n := empty.MaterializedRows(); n != 0 || len(empty.cells) != 0 {
+					t.Fatalf("step %d: borrowing row %d from the empty memory materialised %d of its rows", step, r, n)
+				}
 			}
 
 			for i, mem := range mems {

@@ -176,9 +176,18 @@ func (m *Memory) writable(addr RowAddr) (uint64, row) {
 // address — words, extent, program count, check words and wear — without
 // copying the words. A mutator gives the row backing of its own before
 // its first change, so the lender never changes, and Reset detaches the
-// row without zeroing or recycling it.
+// row without zeroing or recycling it. A row the lender never
+// materialised has no record to lend (cell state exists only for a
+// materialised row): the borrower drops its own, so the row reads zeros
+// through PeekRow, and the lender stays as it was.
 func (m *Memory) BorrowRow(addr RowAddr, lender *Memory) {
-	key, r := lender.row(addr)
+	key := m.geo.Encode(addr)
+	r, ok := lender.rows[key]
+	if !ok {
+		delete(m.rows, key)
+		delete(m.cells, key)
+		return
+	}
 	r.borrowed = true
 	m.rows[key] = r
 	m.setCells(key, lender)

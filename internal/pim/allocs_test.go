@@ -78,39 +78,51 @@ func TestUncachedExecuteRowSizedZeroAllocs(t *testing.T) {
 
 // TestUncachedLoweringAllocs pins the lowering's allocations: with an
 // injector attached (so the program cache is ineligible), lowering an
-// n-row intra-subarray OR at 16 Ki-bit allocates exactly once, for the
-// command slice at its final length. Classification, the LWL latches and
-// the protocol check reuse controller- and backend-owned state.
+// n-row intra-subarray OR at 16 Ki-bit allocates nothing once the command
+// arena has served one such lowering and is released between them, as a
+// System releases it between operations. Its command slice is carved at
+// its final length; classification, the LWL latches and the protocol
+// check reuse controller- and backend-owned state. (Before the arena,
+// every lowering allocated its command slice once.) Without releases each
+// lowering allocates one block the size of the largest operation served,
+// here its own, so a controller nobody releases keeps no more than that.
 func TestUncachedLoweringAllocs(t *testing.T) {
 	const bits = 1 << 14
-	c := newCtl(t, nvm.PCM)
-	attachInjector(t, c, fault.Config{Seed: 3, SenseFlipRate: 1e-4})
 	for _, n := range []int{2, 8, 26, 64, 127} {
+		c := newCtl(t, nvm.PCM)
+		attachInjector(t, c, fault.Config{Seed: 3, SenseFlipRate: 1e-4})
 		srcs := addrsInSubarray(n + 1)
 		dst := srcs[n]
 		srcs = srcs[:n]
 		var p progEntry
-		allocs := testing.AllocsPerRun(20, func() {
+		lower := func() {
 			var err error
-			if p, err = c.lower(sense.OpOR, srcs, bits, &dst, false); err != nil {
+			if p, err = c.lower(sense.OpOR, srcs, bits, &dst, false, false); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 1 {
-			t.Errorf("%d-row OR: lowering allocated %v times, want 1", n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { c.ReleaseCommands(); lower() }); allocs != 0 {
+			t.Errorf("%d-row OR: lowering allocated %v times, want 0", n, allocs)
 		}
 		if len(p.commands) != cap(p.commands) {
-			t.Errorf("%d-row OR: %d commands in a slice of capacity %d, want it allocated at its final length",
+			t.Errorf("%d-row OR: %d commands in a slice of capacity %d, want it carved at its final length",
 				n, len(p.commands), cap(p.commands))
+		}
+		if allocs := testing.AllocsPerRun(20, lower); allocs != 1 {
+			t.Errorf("%d-row OR without releases: lowering allocated %v times, want 1", n, allocs)
+		}
+		if cap(c.cmds) != len(p.commands) {
+			t.Errorf("%d-row OR without releases: the arena holds a block of %d commands, want %d",
+				n, cap(c.cmds), len(p.commands))
 		}
 	}
 }
 
 // TestLoweringAtFinalLength checks that every lowering's command slice
-// is allocated at its final length — the backend's IntraLen and the
+// is sized at its final length — the backend's IntraLen and the
 // controller's body and write-back counts agree with what they emit —
 // on both backends, for every op, placement, digital flag and write-back
-// route.
+// route, whether it is carved from the arena or kept by the cache.
 func TestLoweringAtFinalLength(t *testing.T) {
 	row := func(bank, sub, r int) memarch.RowAddr { return memarch.RowAddr{Bank: bank, Subarray: sub, Row: r} }
 	placements := map[string][]memarch.RowAddr{
@@ -131,14 +143,16 @@ func TestLoweringAtFinalLength(t *testing.T) {
 				for dname, dst := range dsts {
 					for _, digital := range []bool{false, true} {
 						for _, bits := range []int{64, 1 << 16} {
-							p, err := c.lower(op, srcs[:n], bits, dst, digital)
-							if err != nil {
-								continue // an operand count this backend or path refuses
-							}
-							lowered++
-							if len(p.commands) != cap(p.commands) {
-								t.Errorf("%v %v %s, %d bits, into %s, digital %v: %d commands in a slice of capacity %d",
-									tech, op, pname, bits, dname, digital, len(p.commands), cap(p.commands))
+							for _, keep := range []bool{false, true} {
+								p, err := c.lower(op, srcs[:n], bits, dst, digital, keep)
+								if err != nil {
+									continue // an operand count this backend or path refuses
+								}
+								lowered++
+								if len(p.commands) != cap(p.commands) {
+									t.Errorf("%v %v %s, %d bits, into %s, digital %v, keep %v: %d commands in a slice of capacity %d",
+										tech, op, pname, bits, dname, digital, keep, len(p.commands), cap(p.commands))
+								}
 							}
 						}
 					}

@@ -44,28 +44,28 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 			dst := srcs[8]
 			// The backend senses at most MaxORRows rows at once (2 on
 			// DRAM), so a deeper OR takes the digital path.
-			or7 := func(c *Controller) (*Result, error) {
+			or7 := func(c *Controller) (Result, error) {
 				return c.execute(sense.OpOR, srcs[:7], 256, &dst, c.MaxORRows() < 7)
 			}
-			read := func(c *Controller) (*Result, error) { return c.ReadRow(dst, 256) }
-			interBank := func(c *Controller) (*Result, error) {
+			read := func(c *Controller) (Result, error) { return c.ReadRow(dst, 256) }
+			interBank := func(c *Controller) (Result, error) {
 				return c.Execute(sense.OpXOR, []memarch.RowAddr{srcs[1], otherBank}, 256, nil)
 			}
 			steps := []struct {
 				name string
-				run  func(c *Controller) (*Result, error)
+				run  func(c *Controller) (Result, error)
 			}{
 				{"or7", or7},
-				{"and2", func(c *Controller) (*Result, error) { return c.Execute(sense.OpAND, srcs[:2], 256, &dst) }},
+				{"and2", func(c *Controller) (Result, error) { return c.Execute(sense.OpAND, srcs[:2], 256, &dst) }},
 				{"or7-again", or7},
-				{"host-write", func(c *Controller) (*Result, error) { return c.WriteRowFromHost(srcs[7], []uint64{5, 6}, 128) }},
-				{"host-write-again", func(c *Controller) (*Result, error) { return c.WriteRowFromHost(srcs[7], []uint64{7, 8}, 128) }},
+				{"host-write", func(c *Controller) (Result, error) { return c.WriteRowFromHost(srcs[7], []uint64{5, 6}, 128) }},
+				{"host-write-again", func(c *Controller) (Result, error) { return c.WriteRowFromHost(srcs[7], []uint64{7, 8}, 128) }},
 				{"read", read},
-				{"xor2", func(c *Controller) (*Result, error) { return c.Execute(sense.OpXOR, srcs[6:8], 256, nil) }},
+				{"xor2", func(c *Controller) (Result, error) { return c.Execute(sense.OpXOR, srcs[6:8], 256, nil) }},
 				{"inter-bank", interBank},
 				{"inter-bank-again", interBank},
 				{"read-again", read},
-				{"reserved-row", func(c *Controller) (*Result, error) {
+				{"reserved-row", func(c *Controller) (Result, error) {
 					return c.Execute(sense.OpAND, []memarch.RowAddr{srcs[0], reserved}, 256, &dst)
 				}},
 			}

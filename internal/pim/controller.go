@@ -80,7 +80,12 @@ type Result struct {
 	Seconds float64
 	// Energy is the per-component energy of the operation.
 	Energy energy.Meter
-	// Commands is the DDR command sequence the controller issued.
+	// Commands is the DDR command sequence the controller issued. It
+	// stays valid only until the controller's command arena is released
+	// (ReleaseCommands, which a System calls as each public operation
+	// begins): a lowering the program cache does not keep is carved from
+	// that arena, and later ones reuse its space. A holder that keeps the
+	// commands longer copies them, as cmdstream.Program.Request does.
 	Commands []ddr.Cmd
 	// Words is the result vector (bitvec.WordsFor(Bits) words). It stays
 	// valid only until the controller's next execution: every execution
@@ -154,12 +159,54 @@ type Controller struct {
 	// rowKeys, intra, lowerEn and proto are the lowering's working state:
 	// the encoded operand addresses Classify sorts to find a shared row,
 	// the request handed to the backend, the meter it charges and the
-	// protocol checker. Reusing them keeps an uncached lowering to one
-	// allocation, its command slice at its final length.
+	// protocol checker. readSrc is ReadRow's one-operand list. Reusing
+	// them, and carving the command slice from the arena, keeps a warm
+	// uncached lowering free of allocations.
 	rowKeys []uint64
 	intra   backend.IntraRequest
 	lowerEn energy.Meter
 	proto   ddr.BankState
+	readSrc [1]memarch.RowAddr
+	// cmds is the command arena uncached lowerings are carved from
+	// (carve). cmdsOp counts the commands carved since the last
+	// ReleaseCommands, and cmdsSize is the largest such count: the size
+	// of the block the arena starts when its current one is full. All
+	// three start empty, so a controller nobody releases allocates each
+	// uncached lowering's commands at their final length, as if there
+	// were no arena.
+	cmds     []ddr.Cmd
+	cmdsOp   int
+	cmdsSize int
+}
+
+// carve returns an empty command slice of capacity exactly n from the
+// arena. When the current block cannot hold n more commands, a fresh one
+// is started, sized to the larger of n and the largest operation the
+// arena has served; the full block stays alive only while commands carved
+// from it are referenced.
+func (c *Controller) carve(n int) []ddr.Cmd {
+	used := len(c.cmds)
+	if cap(c.cmds)-used < n {
+		c.cmds = make([]ddr.Cmd, 0, max(n, c.cmdsSize))
+		used = 0
+	}
+	c.cmds = c.cmds[:used+n]
+	c.cmdsOp += n
+	return c.cmds[used : used : used+n]
+}
+
+// ReleaseCommands ends the lifetime of every command slice carved since
+// the last release (Result.Commands), so the arena reuses its block. The
+// block is sized to the largest operation served so far, so once every
+// operation between two releases fits, lowering allocates nothing.
+func (c *Controller) ReleaseCommands() {
+	c.cmdsSize = max(c.cmdsSize, c.cmdsOp)
+	c.cmdsOp = 0
+	if cap(c.cmds) < c.cmdsSize {
+		c.cmds = nil // the next carve starts a block of cmdsSize
+		return
+	}
+	c.cmds = c.cmds[:0]
 }
 
 // scratchWords returns buf resized to exactly n words (growing its backing
@@ -408,8 +455,10 @@ func (c *Controller) validateOperandCount(op sense.Op, class Class, n int) error
 // Execute runs op over the operand rows on their first `bits` bits. If dst
 // is non-nil the result is written to that row (in place when possible);
 // otherwise the result is burst onto the DDR bus for the host. The result
-// words are returned either way so callers can verify functionally.
-func (c *Controller) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (*Result, error) {
+// words are returned either way so callers can verify functionally. The
+// Result is the caller's value; its Words and Commands are views with the
+// lifetimes Result states.
+func (c *Controller) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
 	return c.execute(op, srcs, bits, dst, false)
 }
 
@@ -418,20 +467,20 @@ func (c *Controller) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst 
 // reads every operand with single-row sensing — the widest margin the chip
 // has — so the resilience layer uses it when multi-row analog sensing keeps
 // failing: slower, never deep-margin-limited.
-func (c *Controller) ExecuteDigital(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (*Result, error) {
+func (c *Controller) ExecuteDigital(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
 	return c.execute(op, srcs, bits, dst, true)
 }
 
 // execute runs one operation: it looks up the operation's lowering in the
 // program cache or lowers it afresh, then replays the lowering's data
 // effects. The replay is the same on a hit and on a miss.
-func (c *Controller) execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (*Result, error) {
+func (c *Controller) execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (Result, error) {
 	keyed := c.opKey(op, srcs, bits, dst, digital)
 	p := c.lookup(keyed)
 	if p == nil {
-		fresh, err := c.lower(op, srcs, bits, dst, digital)
+		fresh, err := c.lower(op, srcs, bits, dst, digital, keyed)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		c.remember(keyed, fresh)
 		p = &fresh
@@ -440,8 +489,9 @@ func (c *Controller) execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst 
 }
 
 // progEntry is one lowering: everything an execution derives from the
-// operation shape alone. A cached entry's command slice is shared by
-// every hit and by the miss that built it — a copy-on-write view that no
+// operation shape alone. An uncached lowering's command slice is carved
+// from the controller's arena; a cached entry's is a slice of its own,
+// shared by every hit and by the miss that built it — a view that no
 // consumer mutates (Result.Instr and Program.Request only read it). Words
 // are never part of a lowering: they depend on memory contents and are
 // recomputed by every replay.
@@ -530,7 +580,9 @@ func (c *Controller) lookup(keyed bool) *progEntry {
 }
 
 // remember caches a fresh lowering under the key in keyBuf. The cache gets
-// its own copy, so an uncached execution allocates no entry.
+// its own copy of the entry, so an uncached execution allocates none. A
+// lowering made to be kept (lower's keep) holds a command slice of its
+// own, never an arena carve: an entry outlives every release.
 func (c *Controller) remember(keyed bool, p progEntry) {
 	if keyed {
 		ent := p
@@ -541,9 +593,11 @@ func (c *Controller) remember(keyed bool, p progEntry) {
 // lower validates one operation and builds its priced command sequence: a
 // pure function of the op, its addresses, the bit count, the digital flag
 // and the geometry. It reads no memory, draws no fault and leaves MR4
-// alone. Panics if the sequence it built violates the DDR protocol — a
+// alone. keep says the program cache will keep the lowering, whose
+// commands then get a slice of their own instead of an arena carve
+// (newCmds). Panics if the sequence it built violates the DDR protocol — a
 // controller bug, never a caller error.
-func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (progEntry, error) {
+func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital, keep bool) (progEntry, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
 		return progEntry{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
@@ -575,39 +629,50 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 
 	var cmds []ddr.Cmd
 	if class == ClassIntraSub {
-		cmds, err = c.lowerIntra(op, [][]memarch.RowAddr{srcs}, bits, dst)
+		cmds, err = c.lowerIntra(op, [][]memarch.RowAddr{srcs}, bits, dst, keep)
 		if err != nil {
 			return progEntry{}, err
 		}
 	} else {
 		body := len(srcs) * (3 + senseGroups(geo, bits)) // see lowerInter
-		cmds = c.beginLowering(class, srcs[0], dst, body)
+		cmds = c.beginLowering(class, srcs[0], dst, body, keep)
 		cmds = c.lowerInter(op, srcs, bits, class == ClassInterBank, cmds, &c.lowerEn)
 	}
 	return c.closeAndPrice(class, srcs[0], bits, dst, cmds, c.lowerEn, mr4), nil
 }
 
 // beginLowering zeroes the lowering's energy meter and starts a sequence
-// with the MR4 write, in a slice allocated at the length it will have
-// once body more commands, the write-back routing from locus to dst (a
-// burst to the host, or the buffer moves and the write-back) and the
-// closing precharge follow.
-func (c *Controller) beginLowering(class Class, locus memarch.RowAddr, dst *memarch.RowAddr, body int) []ddr.Cmd {
+// with the MR4 write, in a slice (newCmds) at the length it will have once
+// body more commands, the write-back routing from locus to dst (a burst to
+// the host, or the buffer moves and the write-back) and the closing
+// precharge follow.
+func (c *Controller) beginLowering(class Class, locus memarch.RowAddr, dst *memarch.RowAddr, body int, keep bool) []ddr.Cmd {
 	c.lowerEn = energy.Meter{}
 	n := body + 3 // the MR4 write, the burst or write-back, the precharge
 	if dst != nil {
 		n += writebackMoves(class, locus, *dst)
 	}
-	return append(make([]ddr.Cmd, 0, n), ddr.Cmd{Kind: ddr.CmdMRS})
+	return append(c.newCmds(n, keep), ddr.Cmd{Kind: ddr.CmdMRS})
+}
+
+// newCmds returns an empty command slice of capacity n for a lowering: a
+// slice of its own when the program cache will keep the lowering (keep),
+// because an entry outlives every release of the arena, and a carve from
+// the arena otherwise.
+func (c *Controller) newCmds(n int, keep bool) []ddr.Cmd {
+	if keep {
+		return make([]ddr.Cmd, 0, n)
+	}
+	return c.carve(n)
 }
 
 // lowerIntra starts a sequence (beginLowering) and appends the backend's
 // lowering of each co-located operand set to it — one set for a plain
 // request, one per replica for a voted one. The request the backend
 // reads is controller-owned, so handing it over allocates nothing.
-func (c *Controller) lowerIntra(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) ([]ddr.Cmd, error) {
+func (c *Controller) lowerIntra(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr, keep bool) ([]ddr.Cmd, error) {
 	c.intra = backend.IntraRequest{Op: op, Srcs: sets[0], Bits: bits, Geo: c.mem.Geometry(), Energy: &c.lowerEn}
-	cmds := c.beginLowering(ClassIntraSub, sets[0][0], dst, len(sets)*c.be.IntraLen(&c.intra))
+	cmds := c.beginLowering(ClassIntraSub, sets[0][0], dst, len(sets)*c.be.IntraLen(&c.intra), keep)
 	for _, set := range sets {
 		c.intra.Srcs = set
 		var err error
@@ -644,9 +709,9 @@ func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int,
 // (senseDigital) and folded by the add-on logic into the global row buffer
 // or the I/O buffer. The counters then tally and dst is programmed. The
 // result lands in the controller's result buffer (Result.Words).
-func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (*Result, error) {
+func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
 	if err := c.mrs.Write(ddr.PIMRegister, uint16(p.mr4)); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	w := bitvec.WordsFor(bits)
 	rows := c.operandRows(srcs, w)
@@ -654,7 +719,7 @@ func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, b
 	out := c.words
 	if p.class == ClassIntraSub {
 		if err := c.senseIntra(out, op, rows, bits); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	} else {
 		if c.inj != nil {
@@ -672,10 +737,10 @@ func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, b
 	c.tally(p)
 	if dst != nil {
 		if err := c.store(*dst, out); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
-	return &Result{Op: op, Class: p.class, Rows: len(srcs), Bits: bits,
+	return Result{Op: op, Class: p.class, Rows: len(srcs), Bits: bits,
 		Seconds: p.seconds, Energy: p.energy, Commands: p.commands, Words: out}, nil
 }
 
@@ -843,34 +908,35 @@ func (c *Controller) lowerWriteback(locus memarch.RowAddr, bits int, dst *memarc
 // host, returning latency/energy like Execute (used by baselines and the
 // public API's Read). Like Execute's, the returned words are valid only
 // until the controller's next execution.
-func (c *Controller) ReadRow(addr memarch.RowAddr, bits int) (*Result, error) {
-	return c.Execute(sense.OpRead, []memarch.RowAddr{addr}, bits, nil)
+func (c *Controller) ReadRow(addr memarch.RowAddr, bits int) (Result, error) {
+	c.readSrc[0] = addr
+	return c.Execute(sense.OpRead, c.readSrc[:], bits, nil)
 }
 
 // WriteRowFromHost performs a conventional write of `bits` bits from the
 // host into a row, pricing the bus transfer and cell programming. Like an
 // operation, it looks up or lowers its program (hostWriteProgram), then
 // replays the write.
-func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits int) (*Result, error) {
+func (c *Controller) WriteRowFromHost(addr memarch.RowAddr, words []uint64, bits int) (Result, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
-		return nil, fmt.Errorf("pim: bits=%d outside 1..%d", bits, geo.RowBits())
+		return Result{}, fmt.Errorf("pim: bits=%d outside 1..%d", bits, geo.RowBits())
 	}
 	if !geo.Valid(addr) {
-		return nil, fmt.Errorf("pim: address %v outside geometry", addr)
+		return Result{}, fmt.Errorf("pim: address %v outside geometry", addr)
 	}
 	if want := bitvec.WordsFor(bits); len(words) > want {
-		return nil, fmt.Errorf("pim: %d words exceed %d-bit vector", len(words), bits)
+		return Result{}, fmt.Errorf("pim: %d words exceed %d-bit vector", len(words), bits)
 	}
 	p := c.hostWriteProgram(addr, bits)
-	res := &Result{Op: sense.OpRead, Class: p.class, Rows: 1, Bits: bits,
+	res := Result{Op: sense.OpRead, Class: p.class, Rows: 1, Bits: bits,
 		Seconds: p.seconds, Energy: p.energy, Commands: p.commands}
 	c.tally(&p)
 	if err := c.store(addr, words); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if c.codec != nil {
-		c.eccProgramHost(addr, words, bits, res)
+		c.eccProgramHost(addr, words, bits, &res)
 	}
 	res.Words = words
 	return res, nil
@@ -897,11 +963,10 @@ func (c *Controller) hostWriteProgram(addr memarch.RowAddr, bits int) progEntry 
 	if p := c.lookup(keyed); p != nil {
 		return *p
 	}
-	cmds := []ddr.Cmd{
-		{Kind: ddr.CmdAct, Addr: addr},
-		{Kind: ddr.CmdWr, Addr: addr, Bits: bits},
-		{Kind: ddr.CmdPre, Addr: addr},
-	}
+	cmds := append(c.newCmds(3, keyed),
+		ddr.Cmd{Kind: ddr.CmdAct, Addr: addr},
+		ddr.Cmd{Kind: ddr.CmdWr, Addr: addr, Bits: bits},
+		ddr.Cmd{Kind: ddr.CmdPre, Addr: addr})
 	if err := c.proto.Validate(cmds); err != nil {
 		panic(fmt.Sprintf("pim: invalid host-write sequence: %v", err))
 	}

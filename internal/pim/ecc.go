@@ -184,27 +184,27 @@ func (c *Controller) ECCProgram(dst memarch.RowAddr, golden []uint64, bits int, 
 // escalate to the read-back degradation ladder. golden is the digital
 // reference; a decoded row that still disagrees with it (aliased multi-bit
 // error) also escalates rather than being trusted.
-func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []uint64) (*ECCVerification, error) {
+func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []uint64) (ECCVerification, error) {
 	if c.codec == nil {
-		return nil, fmt.Errorf("pim: CorrectOrEscalate with ECC disabled")
+		return ECCVerification{}, fmt.Errorf("pim: CorrectOrEscalate with ECC disabled")
 	}
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
-		return nil, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
+		return ECCVerification{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
 	}
 	if !geo.Valid(dst) {
-		return nil, fmt.Errorf("pim: destination %v outside geometry", dst)
+		return ECCVerification{}, fmt.Errorf("pim: destination %v outside geometry", dst)
 	}
 	w := bitvec.WordsFor(bits)
 	if len(golden) < w {
-		return nil, fmt.Errorf("pim: reference of %d words for a %d-bit check", len(golden), bits)
+		return ECCVerification{}, fmt.Errorf("pim: reference of %d words for a %d-bit check", len(golden), bits)
 	}
 	checkBits, checkWords, ok := c.mem.Check(dst)
 	if !ok || checkBits != bits {
-		return nil, fmt.Errorf("pim: no %d-bit check bits stored for %v (ECCProgram not run?)", bits, dst)
+		return ECCVerification{}, fmt.Errorf("pim: no %d-bit check bits stored for %v (ECCProgram not run?)", bits, dst)
 	}
 
-	v := &ECCVerification{}
+	var v ECCVerification
 	e := c.mem.Tech().Energy
 	t := c.mem.Tech().Timing
 	groups := senseGroups(geo, bits)
@@ -241,23 +241,23 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 	// answer. An aliased multi-bit error that decodes "clean" is caught
 	// here and escalated instead of silently accepted.
 	maskTail(data, bits)
-	if !equalMasked(data, golden[:w], bits) {
+	if !bitvec.EqualWords(data, golden[:w], bits) {
 		v.Uncorrectable = true
 		return v, nil
 	}
 	// Repair the stored row when the corrections were real cell errors (not
 	// flips of this verify pass's own sensing): one extra program pulse.
-	if r.CorrectedData > 0 && !equalMasked(stored, data, bits) {
+	if r.CorrectedData > 0 && !bitvec.EqualWords(stored, data, bits) {
 		v.Rewritten = true
 		v.Seconds += t.TWR
 		v.Energy.Add(energy.WriteDriver, float64(bits)*e.WritePerBit)
 		c.led.Count[ledger.Writebacks]++
 		if err := c.store(dst, data); err != nil {
-			return nil, err
+			return ECCVerification{}, err
 		}
 		// Stuck data cells force themselves back; SECDED cannot hold this
 		// row and the caller must escalate (retire / ladder).
-		if !equalMasked(c.mem.PeekRow(dst)[:w], golden[:w], bits) {
+		if !bitvec.EqualWords(c.mem.PeekRow(dst)[:w], golden[:w], bits) {
 			v.Uncorrectable = true
 			return v, nil
 		}
@@ -273,23 +273,23 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 // sensing, the decode trees, and one command slot per group. Rows without
 // stored check bits (never written through the ECC path, or written at a
 // different vector length) pass through untouched at zero cost.
-func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uint64) (*ECCVerification, error) {
+func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uint64) (ECCVerification, error) {
 	if c.codec == nil {
-		return nil, fmt.Errorf("pim: ECCCorrectRead with ECC disabled")
+		return ECCVerification{}, fmt.Errorf("pim: ECCCorrectRead with ECC disabled")
 	}
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
-		return nil, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
+		return ECCVerification{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
 	}
 	w := bitvec.WordsFor(bits)
 	if len(sensed) < w {
-		return nil, fmt.Errorf("pim: %d sensed words for a %d-bit read", len(sensed), bits)
+		return ECCVerification{}, fmt.Errorf("pim: %d sensed words for a %d-bit read", len(sensed), bits)
 	}
 	checkBits, checkWords, ok := c.mem.Check(addr)
 	if !ok || checkBits != bits {
-		return &ECCVerification{OK: true}, nil
+		return ECCVerification{OK: true}, nil
 	}
-	v := &ECCVerification{}
+	var v ECCVerification
 	e := c.mem.Tech().Energy
 	cbBits := c.codec.CheckRowBits(bits)
 	groups := senseGroups(geo, bits)
@@ -308,22 +308,6 @@ func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uin
 	v.Uncorrectable = !r.Clean()
 	v.OK = r.Clean()
 	return v, nil
-}
-
-// equalMasked compares the first `bits` bits of two word slices.
-func equalMasked(a, b []uint64, bits int) bool {
-	w := bitvec.WordsFor(bits)
-	tail := uint(bits % 64)
-	for i := 0; i < w; i++ {
-		mask := ^uint64(0)
-		if i == w-1 && tail != 0 {
-			mask = 1<<tail - 1
-		}
-		if (a[i]^b[i])&mask != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ECCRowBits returns the injector row width covering data plus spare

@@ -376,7 +376,7 @@ func TestXORTakesTwoMicroSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nSense := func(r *Result) int {
+	nSense := func(r Result) int {
 		n := 0
 		for _, cmd := range r.Commands {
 			if cmd.Kind == ddr.CmdSense {

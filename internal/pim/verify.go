@@ -86,21 +86,21 @@ type Verification struct {
 // reference is already host-resident, e.g. after a host write). claimed,
 // when non-nil, is what the writeback believed it stored; a stored/claimed
 // disagreement is attributed to cell damage via Verification.WriteFault.
-func (c *Controller) VerifyAgainst(nsrc, bitCount int, dst memarch.RowAddr, golden, claimed []uint64) (*Verification, error) {
+func (c *Controller) VerifyAgainst(nsrc, bitCount int, dst memarch.RowAddr, golden, claimed []uint64) (Verification, error) {
 	geo := c.mem.Geometry()
 	if bitCount < 1 || bitCount > geo.RowBits() {
-		return nil, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bitCount, geo.RowBits())
+		return Verification{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bitCount, geo.RowBits())
 	}
 	if !geo.Valid(dst) {
-		return nil, fmt.Errorf("pim: destination %v outside geometry", dst)
+		return Verification{}, fmt.Errorf("pim: destination %v outside geometry", dst)
 	}
 	w := bitvec.WordsFor(bitCount)
 	if len(golden) < w {
-		return nil, fmt.Errorf("pim: reference of %d words for a %d-bit check", len(golden), bitCount)
+		return Verification{}, fmt.Errorf("pim: reference of %d words for a %d-bit check", len(golden), bitCount)
 	}
 	stored := c.mem.PeekRow(dst)[:w]
 
-	v := &Verification{}
+	var v Verification
 	tail := uint(bitCount % 64)
 	for i := 0; i < w; i++ {
 		mask := ^uint64(0)

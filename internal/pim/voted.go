@@ -32,50 +32,50 @@ import (
 // cached: only replicated Systems issue them, and those always have an
 // injector attached. Panics if the command sequence it built violates the
 // extended-DDR protocol (a controller bug by construction, like Execute).
-func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) (*Result, error) {
+func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
 	if !c.be.Caps().VotedSensing {
-		return nil, fmt.Errorf("pim: voted execution requires a backend that can re-sense an operand set at full margin; the %s backend cannot",
+		return Result{}, fmt.Errorf("pim: voted execution requires a backend that can re-sense an operand set at full margin; the %s backend cannot",
 			c.be.Params().Tech)
 	}
 	r := len(sets)
 	if r%2 == 0 || r < 3 || r > 7 {
-		return nil, fmt.Errorf("pim: voted execution needs an odd replica count in 3..7, got %d", r)
+		return Result{}, fmt.Errorf("pim: voted execution needs an odd replica count in 3..7, got %d", r)
 	}
 	n := len(sets[0])
 	var all []memarch.RowAddr
 	for i, set := range sets {
 		if len(set) != n {
-			return nil, fmt.Errorf("pim: replica set %d has %d rows, primary has %d", i, len(set), n)
+			return Result{}, fmt.Errorf("pim: replica set %d has %d rows, primary has %d", i, len(set), n)
 		}
 		all = append(all, set...)
 	}
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
-		return nil, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
+		return Result{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
 	}
 	class, err := c.Classify(all)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if class != ClassIntraSub {
-		return nil, fmt.Errorf("pim: voted execution requires intra-subarray placement, got %s", class)
+		return Result{}, fmt.Errorf("pim: voted execution requires intra-subarray placement, got %s", class)
 	}
 	if err := c.validateOperandCount(op, ClassIntraSub, n); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if dst != nil {
 		if !geo.Valid(*dst) {
-			return nil, fmt.Errorf("pim: destination %v outside geometry", *dst)
+			return Result{}, fmt.Errorf("pim: destination %v outside geometry", *dst)
 		}
 		// Classify proved that the operand rows share one rank.
 		if !memarch.SameRank(*dst, all[0]) {
-			return nil, ErrCrossRank
+			return Result{}, ErrCrossRank
 		}
 	}
 
 	mr4, err := ddr.EncodeMR4(op, n)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
 	// Lower: each replica group is its own multi-row activation, lowered
@@ -84,9 +84,9 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 	// protocol checker sees R well-formed groups in one sequence. The
 	// vote gate lives in the subarray's add-on logic, one pass per replica
 	// beyond the first (the carry-save counters fold R-1 times).
-	cmds, err := c.lowerIntra(op, sets, bits, dst)
+	cmds, err := c.lowerIntra(op, sets, bits, dst, false)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	c.lowerEn.Add(energy.Logic, float64(r-1)*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
 	p := c.closeAndPrice(ClassIntraSub, sets[0][0], bits, dst, cmds, c.lowerEn, mr4)
@@ -94,13 +94,13 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 	// Replay: every replica pass senses independently at the same margin
 	// — the independence the majority vote exploits.
 	if err := c.mrs.Write(ddr.PIMRegister, uint16(mr4)); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	w := bitvec.WordsFor(bits)
 	outs := c.senseScratch(r, w)
 	for i, set := range sets {
 		if err := c.senseIntra(outs[i], op, c.operandRows(set, w), bits); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
 	// The majority words get a fresh buffer, which the caller owns past
@@ -108,14 +108,14 @@ func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits in
 	maj := make([]uint64, w)
 	disagree, err := sense.MajorityWordsInto(maj, outs, bits)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	c.tally(&p)
 	if dst != nil {
 		if err := c.store(*dst, maj); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
-	return &Result{Op: op, Class: ClassIntraSub, Rows: n, Bits: bits, Seconds: p.seconds,
+	return Result{Op: op, Class: ClassIntraSub, Rows: n, Bits: bits, Seconds: p.seconds,
 		Energy: p.energy, Commands: p.commands, Words: maj, Voted: r, Outvoted: int64(disagree)}, nil
 }

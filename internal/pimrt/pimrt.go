@@ -407,7 +407,9 @@ func (s *Scheduler) groupBySubarray(rows []memarch.RowAddr) [][]memarch.RowAddr 
 // ScheduleResult summarises one scheduled logical operation or host row
 // transfer. The scheduler owns it: it stays valid only until the
 // scheduler's next Execute, Write or Read, like pim.Result.Words. A holder
-// that keeps the program longer copies it (cmdstream.Program.Append).
+// that keeps the program longer copies it (cmdstream.Program.Append); the
+// copy's command sequences stay valid until the controller's command
+// arena is released (pim.Result.Commands).
 type ScheduleResult struct {
 	Requests int
 	Cost     workload.Cost

@@ -62,11 +62,11 @@ func (s *Scheduler) votedSets(srcs []memarch.RowAddr) [][]memarch.RowAddr {
 // voted when every operand is replicated, plain otherwise. The vote
 // counters accrue only on completed requests — a transient activation
 // fault aborts before anything was sensed to vote on.
-func (s *Scheduler) nativeExec(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (*pim.Result, error) {
+func (s *Scheduler) nativeExec(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (pim.Result, error) {
 	if sets := s.votedSets(srcs); sets != nil {
 		r, err := s.Ctl.ExecuteVoted(op, sets, bits, dst)
 		if err != nil {
-			return nil, err
+			return pim.Result{}, err
 		}
 		s.Ctl.Ledger().Count[ledger.Votes]++
 		s.Ctl.Ledger().Count[ledger.BitsOutvoted] += r.Outvoted

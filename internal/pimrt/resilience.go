@@ -98,7 +98,7 @@ func (r *ScheduleResult) noteDegraded(d string) {
 // record lowers one executed controller request into the running program.
 // Requests and Cost are derived from the program by finalize — nothing is
 // accounted by hand here.
-func (res *ScheduleResult) record(r *pim.Result) {
+func (res *ScheduleResult) record(r pim.Result) {
 	res.Program.Emit(r.Instr())
 	res.Words = r.Words
 }

@@ -432,11 +432,14 @@ func bytesPerCall(f func(), runs int) float64 {
 // TestApplyOnePathAllocs pins the per-call allocation count of every Op
 // on a warm cached system with verification off. Every in-memory op runs
 // through the one scheduler entry, which must add no allocation of its
-// own, so each costs exactly the controller's heap Result; popcount pays
-// for its per-row reads instead. (Before the scheduler took over every op
-// the counts were OR 7, AND/XOR/NOT/Copy 2 and popcount 4.) The same
-// holds for applyRound's repeated-op round on the default config and on
-// DRAM, which must also run without a program-cache miss once warm.
+// own, and the controller returns its Result by value, so each allocates
+// nothing; popcount allocates only the count its Result points to.
+// (Before the scheduler took over every op the counts were OR 7,
+// AND/XOR/NOT/Copy 2 and popcount 4, and before results were values 1
+// each and popcount 3.) The same holds for applyRound's repeated-op round
+// on the default config and on DRAM (3 and 4 allocations while results
+// were on the heap), which must also run without a program-cache miss
+// once warm.
 func TestApplyOnePathAllocs(t *testing.T) {
 	const bits = 1 << 16
 	cfg := DefaultConfig()
@@ -464,12 +467,12 @@ func TestApplyOnePathAllocs(t *testing.T) {
 		srcs []*BitVector
 		max  float64
 	}{
-		{OpOr, vs[1:], 1},
-		{OpAnd, vs[1:3], 1},
-		{OpXor, vs[1:3], 1},
-		{OpNot, vs[1:2], 1},
-		{OpCopy, vs[1:2], 1},
-		{OpPopcount, nil, 3},
+		{OpOr, vs[1:], 0},
+		{OpAnd, vs[1:3], 0},
+		{OpXor, vs[1:3], 0},
+		{OpNot, vs[1:2], 0},
+		{OpCopy, vs[1:2], 0},
+		{OpPopcount, nil, 1},
 	}
 	for _, c := range cases {
 		call := func() {
@@ -490,13 +493,13 @@ func TestApplyOnePathAllocs(t *testing.T) {
 	}
 
 	// The repeated-op round, verification at its default: after one
-	// lowering round every lookup hits the program cache and each op costs
-	// the controller's one heap Result. DRAM chains the 3-source OR as two
-	// pairwise activations, one more hit and one more Result.
+	// lowering round every lookup hits the program cache and no op
+	// allocates. DRAM chains the 3-source OR as two pairwise activations,
+	// one more hit.
 	for _, rc := range []struct {
 		cfg Config
 		max float64
-	}{{DefaultConfig(), 3}, {Config{Tech: DRAM}, 4}} {
+	}{{DefaultConfig(), 0}, {Config{Tech: DRAM}, 0}} {
 		s, round := applyRound(t, rc.cfg)
 		round()
 		warm := s.PerfStats()
@@ -706,22 +709,80 @@ func TestCachedApplyRowSizedZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestECCApplyAllocatesOnlyCheckWords pins that a warm Apply under
+// SECDED, where the program cache is off so every request lowers afresh,
+// allocates only the check words it stores: one slice per destination
+// row, which the row's record keeps (they are never modified, so a
+// window's sandbox can share them). On scheduleGeometry a 10,000-bit
+// vector has three rows, whose 4,096, 4,096 and 1,808 bits take 8, 8 and
+// 4 check words: three allocations of 160 bytes in all for every op but
+// popcount, which stores none and allocates only its count (8 bytes, 16
+// under the race detector). (Before the lowering arena and results by
+// value, each op allocated 12 times and about 7 KB.)
+func TestECCApplyAllocatesOnlyCheckWords(t *testing.T) {
+	const bits = 10000
+	s, err := New(Config{Tech: PCM, Geometry: scheduleGeometry(),
+		Resilience: ResilienceConfig{Verify: VerifyECC}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	vs := make([]*BitVector, 4)
+	for i := range vs {
+		if vs[i], err = s.Alloc(bits); err != nil {
+			t.Fatal(err)
+		}
+		seedVector(t, s, rng, vs[i], bits)
+	}
+	cases := []struct {
+		op               Op
+		srcs             []*BitVector
+		allocs, maxBytes float64
+	}{
+		{OpOr, vs[1:], 3, 160},
+		{OpAnd, vs[1:3], 3, 160},
+		{OpXor, vs[1:3], 3, 160},
+		{OpNot, vs[1:2], 3, 160},
+		{OpCopy, vs[1:2], 3, 160},
+		{OpPopcount, nil, 1, 16},
+	}
+	for _, c := range cases {
+		call := func() {
+			if _, err := s.Apply(c.op, vs[0], c.srcs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call()
+		allocs := testing.AllocsPerRun(100, call)
+		bytes := bytesPerCall(call, 100)
+		t.Logf("%v: %.1f allocs, %.0f B per call", c.op, allocs, bytes)
+		if allocs != c.allocs || bytes > c.maxBytes {
+			t.Errorf("%v allocates %.1f times, %.0f B per call; want %.0f times, at most %.0f B",
+				c.op, allocs, bytes, c.allocs, c.maxBytes)
+		}
+	}
+	if p := s.PerfStats(); p.ProgramCacheHits+p.ProgramCacheMisses != 0 {
+		t.Errorf("the program cache served a SECDED system: %+v", p)
+	}
+}
+
 // TestWindowBookkeepingAllocs pins the host-side allocations of a warm
 // batch window: buildBatchOps' six ops on spreadGeometry, each in its own
 // bank, admitted with Add, started and waited. Once the builder's key
-// buffer and partition, the pooled sandboxes' mirrors and check maps and
-// the merge buffer have held one window, the next allocates only what it
-// hands out or cannot reuse: the run, its results and per-op requests,
-// each op's heap Result and, under SECDED, where the program cache is
-// off, each op's lowering and the check words it stores.
-// (Before the bookkeeping was reused a window cost 152 allocations, 181
-// under VerifyECC.)
+// buffer and partition, the pooled sandboxes' mirrors, request buffers
+// and command arenas and the merge buffer have held one window, the next
+// allocates only what it hands out or cannot reuse: the run and its
+// per-window slices, the worker goroutines, the popcount's count and,
+// under SECDED, the check words each op stores. The pins are the measured
+// 18 and 23 allocations plus a margin of two. (Before the bookkeeping was
+// reused a window cost 152 allocations, 181 under VerifyECC; before the
+// lowerings, requests and results stopped allocating, 31 and 48.)
 func TestWindowBookkeepingAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		verify VerifyMode
 		max    float64
-	}{{"verify-off", VerifyOff, 55}, {"ecc", VerifyECC, 75}} {
+	}{{"verify-off", VerifyOff, 20}, {"ecc", VerifyECC, 25}} {
 		s, err := New(Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: c.verify}})
 		if err != nil {

@@ -30,6 +30,7 @@ import (
 
 	"pinatubo/internal/analog"
 	"pinatubo/internal/bitvec"
+	"pinatubo/internal/chansim"
 	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/fault"
@@ -274,6 +275,12 @@ type System struct {
 	// execution order. beginOp empties it; the batch executor converts it
 	// to the op's channel request after each op (opRequest).
 	prog cmdstream.Program
+	// reqCmds holds the commands of the channel requests opRequest built
+	// for the window in progress, back to back: each request's Cmds are a
+	// capped view of it. A pooled sandbox rewinds it when it is reset, and
+	// the live System when a sequential replay starts, after the window
+	// before has been scheduled.
+	reqCmds []chansim.Cmd
 
 	// sandboxPool recycles shard-sandbox Systems across batch windows
 	// (window.go): reset-on-get, capped, guarded by poolMu because Start
@@ -495,13 +502,16 @@ func (s *System) forgetReplicas(primary memarch.RowAddr) []memarch.RowAddr {
 func (s *System) bumpLayout() { s.layoutGen++ }
 
 // beginOp starts a public operation: it empties the operation's program
-// buffer and opens a fresh per-operation fault substream. Every public
-// operation (Apply/Batch op, Write, Read) draws its faults from a stream
-// seeded by (Seed, operation sequence number), which is what lets Batch
-// run fault-injected shards concurrently yet produce exactly the faults
-// sequential execution would have drawn.
+// buffer, releases the controller's command arena the previous
+// operation's program was lowered into, and opens a fresh per-operation
+// fault substream. Every public operation (Apply/Batch op, Write, Read)
+// draws its faults from a stream seeded by (Seed, operation sequence
+// number), which is what lets Batch run fault-injected shards
+// concurrently yet produce exactly the faults sequential execution would
+// have drawn.
 func (s *System) beginOp() {
 	s.prog.Reset()
+	s.ctl.ReleaseCommands()
 	if inj := s.ctl.Injector(); inj != nil {
 		inj.BeginOp()
 	}
@@ -657,8 +667,10 @@ func (s *System) putSandbox(sb *System) {
 // mode registers, analog-check sampling stream, fault state and scheduler
 // all rewind, and the one counter ledger clears with a single Reset, so a
 // reused sandbox replays a shard bit-identically to a fresh one.
-// Differential tests pin that.
+// Differential tests pin that. Its request buffer rewinds too: the window
+// that last used the sandbox scheduled its requests before releasing it.
 func (s *System) resetForReuse() {
+	s.reqCmds = s.reqCmds[:0]
 	s.mem.Reset()
 	s.alloc.Reset()
 	s.ctl.ResetForReuse()
