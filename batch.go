@@ -191,18 +191,19 @@ func (s *System) appendRowKeys(keys []fpKey, r memarch.RowAddr) []fpKey {
 }
 
 // runSequential is the fault-retirement replay of a batch run: it
-// executes the ops in order on the live system, turning each op's program
-// into its channel request as the workers do, in the live System's
-// request buffer, which it rewinds first. Cancellation is observed
-// between ops: the completed prefix stays applied (Apply-sequence
-// semantics) and the context's error is returned.
+// executes the ops, validated at admission, in order on the live system
+// and on the live vectors' own rows, turning each op's program into its
+// channel request as the workers do, in the live System's request buffer,
+// which it rewinds first. Cancellation is observed between ops: the
+// completed prefix stays applied (Apply-sequence semantics) and the
+// context's error is returned.
 func (s *System) runSequential(ctx context.Context, ops []BatchOp, results []Result, reqs []chansim.Request) error {
 	s.reqCmds = s.reqCmds[:0]
 	for i, op := range ops {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := s.applyOpts(op.Op, op.Dst, op.Srcs, callOpts{})
+		res, err := s.applyRows(op.Op, op.Dst.rows, op.Dst.bits, op.Srcs, callOpts{})
 		if err != nil {
 			return fmt.Errorf("pinatubo: batch op %d (%v): %w", i, op.Op, err)
 		}

@@ -67,33 +67,39 @@ func buildBatchOps(t *testing.T, s *System, bits int) []BatchOp {
 // TestBatchDifferential checks the batch executor against the sequential
 // path it must be indistinguishable from: for every technology and verify
 // mode, Batch of N ops on one system and N Apply calls on an identically
-// seeded twin produce bit-identical per-op Results, memory contents, and
-// statistics ledgers.
+// seeded twin produce bit-identical per-op Results, memory contents, row
+// lists and statistics ledgers.
 func TestBatchDifferential(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		// replay says a shard retires a destination row, so the window
+		// replays sequentially on the live system (Shards 1).
+		replay bool
 	}{
-		{"pcm", Config{Tech: PCM, Geometry: spreadGeometry()}},
-		{"stt-mram", Config{Tech: STTMRAM, Geometry: spreadGeometry()}},
-		{"reram", Config{Tech: ReRAM, Geometry: spreadGeometry()}},
+		{"pcm", Config{Tech: PCM, Geometry: spreadGeometry()}, false},
+		{"stt-mram", Config{Tech: STTMRAM, Geometry: spreadGeometry()}, false},
+		{"reram", Config{Tech: ReRAM, Geometry: spreadGeometry()}, false},
 		{"pcm-readback", Config{Tech: PCM, Geometry: spreadGeometry(),
-			Resilience: ResilienceConfig{Verify: VerifyReadback}}},
+			Resilience: ResilienceConfig{Verify: VerifyReadback}}, false},
 		{"pcm-ecc", Config{Tech: PCM, Geometry: spreadGeometry(),
-			Resilience: ResilienceConfig{Verify: VerifyECC}}},
+			Resilience: ResilienceConfig{Verify: VerifyECC}}, false},
 		{"pcm-faulty", Config{Tech: PCM, Geometry: spreadGeometry(),
-			Fault: FaultConfig{Seed: 3, SenseFlipRate: 1e-4, ActivationFailRate: 1e-4}}},
+			Fault: FaultConfig{Seed: 3, SenseFlipRate: 1e-4, ActivationFailRate: 1e-4}}, false},
 		{"pcm-faulty-hot", Config{Tech: PCM, Geometry: spreadGeometry(),
-			Fault: FaultConfig{Seed: 9, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}},
+			Fault: FaultConfig{Seed: 9, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}, false},
 		{"pcm-replicated-faulty", Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: VerifyReadback, Replicate: 3},
-			Fault:      FaultConfig{Seed: 3, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}},
+			Fault:      FaultConfig{Seed: 3, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}, false},
 		// Wear accrues on every program but never reaches a stuck bit, so
 		// the window still runs one op per shard and merges wear and
 		// check words.
 		{"pcm-ecc-wear", Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: VerifyECC},
-			Fault:      FaultConfig{Seed: 5, WearLimit: 1000}}},
+			Fault:      FaultConfig{Seed: 5, WearLimit: 1000}}, false},
+		// Rows wear out after two programs: a shard retires a destination
+		// row, which must move only the sandbox's copy of the row list.
+		{"pcm-readback-worn", wornConfig(), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,7 +111,7 @@ func TestBatchDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const bits = 4096
+			bits := wornBits(batched, tc.replay)
 			opsA := buildBatchOps(t, batched, bits)
 			opsB := buildBatchOps(t, serial, bits)
 
@@ -130,10 +136,13 @@ func TestBatchDifferential(t *testing.T) {
 			}
 			// Per-op fault substreams let even fault-injected batches shard:
 			// these ops are bank-disjoint, so every case runs one op per
-			// shard (a mid-batch row retirement would replay sequentially,
-			// but none of these configs wears a row out).
-			if br.Shards != len(opsA) {
-				t.Errorf("Shards=%d, want %d (bank-disjoint ops)", br.Shards, len(opsA))
+			// shard, except that a mid-batch row retirement replays
+			// sequentially.
+			if want := len(opsA); !tc.replay && br.Shards != want {
+				t.Errorf("Shards=%d, want %d (bank-disjoint ops)", br.Shards, want)
+			}
+			if tc.replay && br.Shards != 1 {
+				t.Errorf("Shards=%d, want 1 (a shard retired a row and the batch replayed)", br.Shards)
 			}
 			if br.Makespan <= 0 || br.Makespan > br.Sequential {
 				t.Errorf("Makespan=%v outside (0, Sequential=%v]", br.Makespan, br.Sequential)
@@ -178,8 +187,47 @@ func TestBatchDifferential(t *testing.T) {
 					}
 				}
 			}
+			checkRowLists(t, opsA, opsB)
 			checkRowRecords(t, batched, serial, opsB)
 		})
+	}
+}
+
+// wornConfig wears a row's first stuck bit on its second program, under
+// read-back verification: buildBatchOps seeds every row once, so over
+// full-row vectors (wornBits) the window's destination writes stick bits
+// that verification catches, and shards retire destination rows. A stuck
+// bit lands anywhere in the row, so a narrower vector rarely sees one.
+func wornConfig() Config {
+	return Config{Tech: PCM, Geometry: spreadGeometry(),
+		Resilience: ResilienceConfig{Verify: VerifyReadback},
+		Fault:      FaultConfig{Seed: 1, WearLimit: 2}}
+}
+
+// wornBits returns the vector length the replaying cases run at: full
+// rows for wornConfig, 4,096 bits otherwise.
+func wornBits(s *System, replay bool) int {
+	if replay {
+		return s.RowBits()
+	}
+	return 4096
+}
+
+// checkRowLists compares the row list of every vector the windowed twin's
+// ops name with the serial twin's. The twins allocate identically, so a
+// list that differs means a shard moved a live vector's row, which only
+// the sequential replay of a window may do.
+func checkRowLists(t *testing.T, windowed, serial []BatchOp) {
+	t.Helper()
+	for i := range windowed {
+		vecsA := append([]*BitVector{windowed[i].Dst}, windowed[i].Srcs...)
+		vecsB := append([]*BitVector{serial[i].Dst}, serial[i].Srcs...)
+		for j := range vecsA {
+			if !slices.Equal(vecsA[j].rows, vecsB[j].rows) {
+				t.Errorf("op %d (%v) vector %d: windowed rows %v, sequential %v",
+					i, windowed[i].Op, j, vecsA[j].rows, vecsB[j].rows)
+			}
+		}
 	}
 }
 

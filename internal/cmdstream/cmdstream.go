@@ -40,6 +40,9 @@ const (
 	// KindRequest is one controller-executed hardware request: an extended
 	// DDR command sequence (MRS mode write, multi-row activation, sense
 	// steps, buffer moves, write-back, precharge) with its end-to-end cost.
+	// A replicated request is one too: its Cmds carry one
+	// LWL-reset/activate/sense group per replica copy, and Votes its
+	// replica count.
 	KindRequest Kind = iota
 	// KindVerify is a lump-sum verification or ECC pass (read-back verify,
 	// syndrome decode, check-bit reprogram) that occupies the destination's
@@ -47,15 +50,6 @@ const (
 	// verify (the linear ECC fast path) carries energy only and leaves no
 	// scheduling footprint.
 	KindVerify
-	// KindVoted is a replicated controller request: the operand set is
-	// activated and sensed once per replica copy (R sequential
-	// LWL-reset/activate/sense groups inside one command sequence) and the
-	// sensed results majority-voted before write-back. It schedules and
-	// prices exactly like KindRequest — the Cmds carry the full R-group
-	// sequence — but stays distinguishable so vote accounting is derived
-	// from the program, not tracked beside it. Votes holds the replica
-	// count, Outvoted the disagreeing bit positions the vote overrode.
-	KindVoted
 )
 
 // String names the kind.
@@ -65,8 +59,6 @@ func (k Kind) String() string {
 		return "request"
 	case KindVerify:
 		return "verify"
-	case KindVoted:
-		return "voted"
 	default:
 		return "Kind(" + itoa(int(k)) + ")"
 	}
@@ -111,11 +103,13 @@ type Instr struct {
 	Seconds float64
 	// Joules is the instruction's simulated energy.
 	Joules float64
-	// Votes is the replica count of a KindVoted instruction (0 otherwise).
+	// Votes is the replica count of a majority-voted KindRequest: its
+	// operand set was activated and sensed once per replica copy and the
+	// senses voted before write-back (0 for a plain request).
 	Votes int
-	// Outvoted is the number of bit positions where a KindVoted
-	// instruction's replicas disagreed and the majority overrode the
-	// minority (0 otherwise).
+	// Outvoted is the number of bit positions where a voted request's
+	// replicas disagreed and the majority overrode the minority (0
+	// otherwise).
 	Outvoted int64
 }
 
@@ -160,7 +154,7 @@ func (p Program) Cost() workload.Cost {
 func (p Program) Requests() int {
 	n := 0
 	for _, in := range p.Instrs {
-		if in.Kind == KindRequest || in.Kind == KindVoted {
+		if in.Kind == KindRequest {
 			n++
 		}
 	}
@@ -171,7 +165,7 @@ func (p Program) Requests() int {
 // requests ran and how many disagreeing bits their majorities overrode.
 func (p Program) Votes() (votes int, outvoted int64) {
 	for _, in := range p.Instrs {
-		if in.Kind == KindVoted {
+		if in.Votes > 0 {
 			votes++
 			outvoted += in.Outvoted
 		}
@@ -186,7 +180,7 @@ func (p Program) Votes() (votes int, outvoted int64) {
 func (p Program) Channel() int {
 	for _, in := range p.Instrs {
 		switch in.Kind {
-		case KindRequest, KindVoted:
+		case KindRequest:
 			for _, c := range in.Cmds {
 				if c.Kind != ddr.CmdMRS {
 					return c.Addr.Channel
@@ -223,7 +217,7 @@ func (p Program) AppendRequest(buf []chansim.Cmd, t nvm.Timing, bus ddr.BusParam
 	buf = slices.Grow(buf, p.requestLen())
 	for _, in := range p.Instrs {
 		switch in.Kind {
-		case KindRequest, KindVoted:
+		case KindRequest:
 			buf = chansim.AppendDDR(buf, in.Cmds, t, bus, geo)
 		case KindVerify:
 			if in.Seconds <= 0 {
@@ -245,7 +239,7 @@ func (p Program) requestLen() int {
 	n := 0
 	for _, in := range p.Instrs {
 		switch in.Kind {
-		case KindRequest, KindVoted:
+		case KindRequest:
 			n += len(in.Cmds)
 		case KindVerify:
 			if in.Seconds > 0 {

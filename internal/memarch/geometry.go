@@ -207,16 +207,11 @@ func SameRank(addrs ...RowAddr) bool {
 	return true
 }
 
-// DistinctRows reports whether all addresses name pairwise distinct rows —
-// the paper notes Pinatubo cannot operate on bit-vectors sharing one row.
-func DistinctRows(g Geometry, addrs ...RowAddr) bool {
-	ok, _ := DistinctRowsBuf(g, nil, addrs)
-	return ok
-}
-
-// DistinctRowsBuf is DistinctRows that sorts the encoded addresses in
-// buf, growing it as needed, and returns it for reuse: a caller that
-// keeps the buffer allocates nothing once it has held its largest set.
+// DistinctRowsBuf reports whether all addresses name pairwise distinct
+// rows — the paper notes Pinatubo cannot operate on bit-vectors sharing
+// one row. It sorts the encoded addresses in buf, growing it as needed,
+// and returns it for reuse: a caller that keeps the buffer allocates
+// nothing once it has held its largest set.
 func DistinctRowsBuf(g Geometry, buf []uint64, addrs []RowAddr) (bool, []uint64) {
 	keys := buf[:0]
 	for _, a := range addrs {

@@ -132,10 +132,10 @@ func TestDistinctRows(t *testing.T) {
 	g := Default()
 	a := RowAddr{Row: 1}
 	b := RowAddr{Row: 2}
-	if !DistinctRows(g, a, b) {
+	if ok, _ := DistinctRowsBuf(g, nil, []RowAddr{a, b}); !ok {
 		t.Error("distinct rows reported as shared")
 	}
-	if DistinctRows(g, a, b, a) {
+	if ok, _ := DistinctRowsBuf(g, nil, []RowAddr{a, b, a}); ok {
 		t.Error("duplicate row not detected")
 	}
 }

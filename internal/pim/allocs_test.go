@@ -97,7 +97,7 @@ func TestUncachedLoweringAllocs(t *testing.T) {
 		var p progEntry
 		lower := func() {
 			var err error
-			if p, err = c.lower(sense.OpOR, srcs, bits, &dst, false, false); err != nil {
+			if p, err = c.lower(sense.OpOR, srcs, nil, bits, &dst, false, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestLoweringAtFinalLength(t *testing.T) {
 					for _, digital := range []bool{false, true} {
 						for _, bits := range []int{64, 1 << 16} {
 							for _, keep := range []bool{false, true} {
-								p, err := c.lower(op, srcs[:n], bits, dst, digital, keep)
+								p, err := c.lower(op, srcs[:n], nil, bits, dst, digital, keep)
 								if err != nil {
 									continue // an operand count this backend or path refuses
 								}

@@ -45,7 +45,7 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 			// The backend senses at most MaxORRows rows at once (2 on
 			// DRAM), so a deeper OR takes the digital path.
 			or7 := func(c *Controller) (Result, error) {
-				return c.execute(sense.OpOR, srcs[:7], 256, &dst, c.MaxORRows() < 7)
+				return c.execute(sense.OpOR, srcs[:7], nil, 256, &dst, c.MaxORRows() < 7)
 			}
 			read := func(c *Controller) (Result, error) { return c.ReadRow(dst, 256) }
 			interBank := func(c *Controller) (Result, error) {

@@ -90,10 +90,10 @@ type Result struct {
 	// Words is the result vector (bitvec.WordsFor(Bits) words). It stays
 	// valid only until the controller's next execution: every execution
 	// (and the OpRead behind ReadRow) computes into one controller-owned
-	// buffer that the next overwrites. A holder that keeps the words
-	// across a later execution must copy them or own its buffer — as the
-	// voted-majority result, the scheduler's golden and restore
-	// checkpoints, and ScheduleResult.Words do.
+	// buffer that the next overwrites, a voted execution's majority
+	// included. A holder that keeps the words across a later execution
+	// must copy them or own its buffer — as the scheduler's golden and
+	// restore checkpoints, and ScheduleResult.Words, do.
 	Words []uint64
 	// Voted is the replica count of a majority-voted execution (0 for a
 	// plain request). Outvoted counts the bit positions where the replica
@@ -156,17 +156,19 @@ type Controller struct {
 	// steady-state verify-every-op loop reuses them.
 	eccData  []uint64
 	eccCheck []uint64
-	// rowKeys, intra, lowerEn and proto are the lowering's working state:
-	// the encoded operand addresses Classify sorts to find a shared row,
-	// the request handed to the backend, the meter it charges and the
-	// protocol checker. readSrc is ReadRow's one-operand list. Reusing
-	// them, and carving the command slice from the arena, keeps a warm
-	// uncached lowering free of allocations.
-	rowKeys []uint64
-	intra   backend.IntraRequest
-	lowerEn energy.Meter
-	proto   ddr.BankState
-	readSrc [1]memarch.RowAddr
+	// rowKeys, voteRows, intra, lowerEn and proto are the lowering's
+	// working state: the encoded operand addresses Classify sorts to find
+	// a shared row, every row of a voted request (votedRows), the request
+	// handed to the backend, the meter it charges and the protocol
+	// checker. readSrc is ReadRow's one-operand list. Reusing them, and
+	// carving the command slice from the arena, keeps a warm uncached
+	// lowering free of allocations.
+	rowKeys  []uint64
+	voteRows []memarch.RowAddr
+	intra    backend.IntraRequest
+	lowerEn  energy.Meter
+	proto    ddr.BankState
+	readSrc  [1]memarch.RowAddr
 	// cmds is the command arena uncached lowerings are carved from
 	// (carve). cmdsOp counts the commands carved since the last
 	// ReleaseCommands, and cmdsSize is the largest such count: the size
@@ -459,7 +461,7 @@ func (c *Controller) validateOperandCount(op sense.Op, class Class, n int) error
 // Result is the caller's value; its Words and Commands are views with the
 // lifetimes Result states.
 func (c *Controller) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
-	return c.execute(op, srcs, bits, dst, false)
+	return c.execute(op, srcs, nil, bits, dst, false)
 }
 
 // ExecuteDigital forces the serial digital datapath (global row buffer /
@@ -468,24 +470,27 @@ func (c *Controller) Execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst 
 // has — so the resilience layer uses it when multi-row analog sensing keeps
 // failing: slower, never deep-margin-limited.
 func (c *Controller) ExecuteDigital(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
-	return c.execute(op, srcs, bits, dst, true)
+	return c.execute(op, srcs, nil, bits, dst, true)
 }
 
 // execute runs one operation: it looks up the operation's lowering in the
 // program cache or lowers it afresh, then replays the lowering's data
-// effects. The replay is the same on a hit and on a miss.
-func (c *Controller) execute(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (Result, error) {
-	keyed := c.opKey(op, srcs, bits, dst, digital)
+// effects. The replay is the same on a hit and on a miss. reps holds the
+// replica operand sets of a voted request (ExecuteVoted) and is nil on
+// the plain path; a voted lowering is never keyed, so the cache serves
+// plain requests only.
+func (c *Controller) execute(op sense.Op, srcs []memarch.RowAddr, reps [][]memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) (Result, error) {
+	keyed := reps == nil && c.opKey(op, srcs, bits, dst, digital)
 	p := c.lookup(keyed)
 	if p == nil {
-		fresh, err := c.lower(op, srcs, bits, dst, digital, keyed)
+		fresh, err := c.lower(op, srcs, reps, bits, dst, digital, keyed)
 		if err != nil {
 			return Result{}, err
 		}
 		c.remember(keyed, fresh)
 		p = &fresh
 	}
-	return c.replay(p, op, srcs, bits, dst)
+	return c.replay(p, op, srcs, reps, bits, dst)
 }
 
 // progEntry is one lowering: everything an execution derives from the
@@ -591,23 +596,37 @@ func (c *Controller) remember(keyed bool, p progEntry) {
 }
 
 // lower validates one operation and builds its priced command sequence: a
-// pure function of the op, its addresses, the bit count, the digital flag
-// and the geometry. It reads no memory, draws no fault and leaves MR4
-// alone. keep says the program cache will keep the lowering, whose
-// commands then get a slice of their own instead of an arena carve
-// (newCmds). Panics if the sequence it built violates the DDR protocol — a
-// controller bug, never a caller error.
-func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital, keep bool) (progEntry, error) {
+// pure function of the op, its addresses (srcs and any replica sets reps),
+// the bit count, the digital flag and the geometry. It reads no memory,
+// draws no fault and leaves MR4 alone. A voted request's rows, every set's
+// together, must be distinct and share one subarray; each set lowers as
+// its own multi-row activation, and the vote gate in the subarray's
+// add-on logic folds once per replica beyond the first. keep says the
+// program cache will keep the lowering, whose commands then get a slice of
+// their own instead of an arena carve (newCmds). Panics if the sequence it
+// built violates the DDR protocol — a controller bug, never a caller
+// error.
+func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, reps [][]memarch.RowAddr, bits int, dst *memarch.RowAddr, digital, keep bool) (progEntry, error) {
 	geo := c.mem.Geometry()
 	if bits < 1 || bits > geo.RowBits() {
 		return progEntry{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
 	}
-	class, err := c.Classify(srcs)
+	rows := srcs
+	if reps != nil {
+		var err error
+		if rows, err = c.votedRows(srcs, reps); err != nil {
+			return progEntry{}, err
+		}
+	}
+	class, err := c.Classify(rows)
 	if err != nil {
 		return progEntry{}, err
 	}
 	if digital && class == ClassIntraSub {
 		class = ClassInterSub
+	}
+	if reps != nil && class != ClassIntraSub {
+		return progEntry{}, fmt.Errorf("pim: voted execution requires intra-subarray placement, got %s", class)
 	}
 	if err := c.validateOperandCount(op, class, len(srcs)); err != nil {
 		return progEntry{}, err
@@ -629,9 +648,12 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, bits int, dst *m
 
 	var cmds []ddr.Cmd
 	if class == ClassIntraSub {
-		cmds, err = c.lowerIntra(op, [][]memarch.RowAddr{srcs}, bits, dst, keep)
+		cmds, err = c.lowerIntra(op, srcs, reps, bits, dst, keep)
 		if err != nil {
 			return progEntry{}, err
+		}
+		if reps != nil {
+			c.lowerEn.Add(energy.Logic, float64(len(reps))*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
 		}
 	} else {
 		body := len(srcs) * (3 + senseGroups(geo, bits)) // see lowerInter
@@ -667,18 +689,21 @@ func (c *Controller) newCmds(n int, keep bool) []ddr.Cmd {
 }
 
 // lowerIntra starts a sequence (beginLowering) and appends the backend's
-// lowering of each co-located operand set to it — one set for a plain
-// request, one per replica for a voted one. The request the backend
-// reads is controller-owned, so handing it over allocates nothing.
-func (c *Controller) lowerIntra(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr, keep bool) ([]ddr.Cmd, error) {
-	c.intra = backend.IntraRequest{Op: op, Srcs: sets[0], Bits: bits, Geo: c.mem.Geometry(), Energy: &c.lowerEn}
-	cmds := c.beginLowering(ClassIntraSub, sets[0][0], dst, len(sets)*c.be.IntraLen(&c.intra), keep)
-	for _, set := range sets {
-		c.intra.Srcs = set
-		var err error
-		if cmds, err = c.be.LowerIntra(&c.intra, cmds); err != nil {
-			return nil, err
-		}
+// lowering of each co-located operand set to it — srcs, then each replica
+// set of a voted request. The backend's LWL reset closes the previous
+// set's rows and re-arms the latches, so the protocol checker sees one
+// well-formed group per set. The request the backend reads is
+// controller-owned, so handing it over allocates nothing.
+func (c *Controller) lowerIntra(op sense.Op, srcs []memarch.RowAddr, reps [][]memarch.RowAddr, bits int, dst *memarch.RowAddr, keep bool) ([]ddr.Cmd, error) {
+	c.intra = backend.IntraRequest{Op: op, Srcs: srcs, Bits: bits, Geo: c.mem.Geometry(), Energy: &c.lowerEn}
+	cmds := c.beginLowering(ClassIntraSub, srcs[0], dst, (1+len(reps))*c.be.IntraLen(&c.intra), keep)
+	cmds, err := c.be.LowerIntra(&c.intra, cmds)
+	for i := 0; err == nil && i < len(reps); i++ {
+		c.intra.Srcs = reps[i]
+		cmds, err = c.be.LowerIntra(&c.intra, cmds)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return cmds, nil
 }
@@ -704,20 +729,27 @@ func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int,
 
 // replay applies one lowering's data effects in the order the hardware
 // produces them: MR4 is programmed and the operand rows sensed — on the
-// intra-subarray path one multi-row activation (senseIntra), on the
+// intra-subarray path one multi-row activation (senseIntra), or one per
+// operand set of a voted request, majority-voted (senseVoted); on the
 // digital path one single-row read per operand, flipped under an injector
 // (senseDigital) and folded by the add-on logic into the global row buffer
 // or the I/O buffer. The counters then tally and dst is programmed. The
 // result lands in the controller's result buffer (Result.Words).
-func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
+func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, reps [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
 	if err := c.mrs.Write(ddr.PIMRegister, uint16(p.mr4)); err != nil {
 		return Result{}, err
 	}
 	w := bitvec.WordsFor(bits)
-	rows := c.operandRows(srcs, w)
 	c.words = scratchWords(c.words, w)
 	out := c.words
-	if p.class == ClassIntraSub {
+	voted, outvoted := 0, 0
+	if reps != nil {
+		var err error
+		if outvoted, err = c.senseVoted(out, op, srcs, reps, bits); err != nil {
+			return Result{}, err
+		}
+		voted = 1 + len(reps)
+	} else if rows := c.operandRows(srcs, w); p.class == ClassIntraSub {
 		if err := c.senseIntra(out, op, rows, bits); err != nil {
 			return Result{}, err
 		}
@@ -740,8 +772,8 @@ func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, b
 			return Result{}, err
 		}
 	}
-	return Result{Op: op, Class: p.class, Rows: len(srcs), Bits: bits,
-		Seconds: p.seconds, Energy: p.energy, Commands: p.commands, Words: out}, nil
+	return Result{Op: op, Class: p.class, Rows: len(srcs), Bits: bits, Seconds: p.seconds,
+		Energy: p.energy, Commands: p.commands, Words: out, Voted: voted, Outvoted: int64(outvoted)}, nil
 }
 
 // senseIntra resolves one multi-row activation of the operand rows into

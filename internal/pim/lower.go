@@ -12,16 +12,12 @@ import (
 
 // Instr lowers a controller request to a KindRequest instruction carrying
 // its full extended-DDR command sequence and end-to-end cost. A
-// majority-voted request lowers to KindVoted instead, carrying its replica
-// count and outvoted-bit tally so vote accounting is derived from the
-// program like every other cost.
+// majority-voted request carries its replica count and outvoted-bit tally
+// too, so vote accounting is derived from the program like every other
+// cost.
 func (r *Result) Instr() cmdstream.Instr {
-	kind := cmdstream.KindRequest
-	if r.Voted > 0 {
-		kind = cmdstream.KindVoted
-	}
 	return cmdstream.Instr{
-		Kind:     kind,
+		Kind:     cmdstream.KindRequest,
 		Cmds:     r.Commands,
 		Seconds:  r.Seconds,
 		Joules:   r.Energy.Total(),

@@ -575,7 +575,7 @@ func TestPropExecuteORMatchesReference(t *testing.T) {
 			rowUsed[memarch.Default().Encode(a)] = true
 			srcs[i] = a
 		}
-		if !memarch.DistinctRows(memarch.Default(), srcs...) {
+		if ok, _ := memarch.DistinctRowsBuf(memarch.Default(), nil, srcs); !ok {
 			return true // skip rare residual collisions
 		}
 		const bits = 2048

@@ -3,9 +3,6 @@ package pim
 import (
 	"fmt"
 
-	"pinatubo/internal/bitvec"
-	"pinatubo/internal/ddr"
-	"pinatubo/internal/energy"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/sense"
 )
@@ -22,100 +19,57 @@ import (
 // destination row is written: replica refresh is the runtime's job, where
 // it is priced as explicit copy requests.
 //
-// All rows of all sets must share a subarray (the analog vote has no
-// meaning on the serial digital path). Like Execute, a voted request is a
-// pure lowering — the backend's LowerIntra once per replica group — and
-// one replay, which senses the groups in order (activation-fault draw,
-// compute, flips). A transient activation fault in any replica group
-// fails the whole request, exactly like a plain multi-row activation —
-// nothing was written, so the caller may reissue. Voted lowerings are not
-// cached: only replicated Systems issue them, and those always have an
-// injector attached. Panics if the command sequence it built violates the
-// extended-DDR protocol (a controller bug by construction, like Execute).
+// A voted request is a plain request with replica sets: it checks only
+// what is voted-only here — a backend that can re-sense at full margin
+// and an odd replica count in 3..7 — and runs through execute, whose
+// lowering validates every set (equal sizes, all rows distinct and in one
+// subarray) and whose replay senses the sets in order (activation-fault
+// draw, compute, flips) and votes into the controller's result buffer. A
+// transient activation fault in any replica group fails the whole
+// request, exactly like a plain multi-row activation — nothing was
+// written, so the caller may reissue. Voted lowerings are never cached
+// (execute keys only requests without replica sets), so the program
+// cache's entries and counters are those of the plain requests alone.
 func (c *Controller) ExecuteVoted(op sense.Op, sets [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
 	if !c.be.Caps().VotedSensing {
 		return Result{}, fmt.Errorf("pim: voted execution requires a backend that can re-sense an operand set at full margin; the %s backend cannot",
 			c.be.Params().Tech)
 	}
-	r := len(sets)
-	if r%2 == 0 || r < 3 || r > 7 {
+	if r := len(sets); r%2 == 0 || r < 3 || r > 7 {
 		return Result{}, fmt.Errorf("pim: voted execution needs an odd replica count in 3..7, got %d", r)
 	}
-	n := len(sets[0])
-	var all []memarch.RowAddr
-	for i, set := range sets {
-		if len(set) != n {
-			return Result{}, fmt.Errorf("pim: replica set %d has %d rows, primary has %d", i, len(set), n)
+	return c.execute(op, sets[0], sets[1:], bits, dst, false)
+}
+
+// votedRows lists every row of a voted request — srcs, then each replica
+// set, which must name as many rows as srcs — in the controller's buffer,
+// for Classify to check them as one co-located, pairwise distinct group.
+func (c *Controller) votedRows(srcs []memarch.RowAddr, reps [][]memarch.RowAddr) ([]memarch.RowAddr, error) {
+	all := append(c.voteRows[:0], srcs...)
+	for i, set := range reps {
+		if len(set) != len(srcs) {
+			return nil, fmt.Errorf("pim: replica set %d has %d rows, primary has %d", i+1, len(set), len(srcs))
 		}
 		all = append(all, set...)
 	}
-	geo := c.mem.Geometry()
-	if bits < 1 || bits > geo.RowBits() {
-		return Result{}, fmt.Errorf("pim: bits=%d outside 1..%d (row length)", bits, geo.RowBits())
-	}
-	class, err := c.Classify(all)
-	if err != nil {
-		return Result{}, err
-	}
-	if class != ClassIntraSub {
-		return Result{}, fmt.Errorf("pim: voted execution requires intra-subarray placement, got %s", class)
-	}
-	if err := c.validateOperandCount(op, ClassIntraSub, n); err != nil {
-		return Result{}, err
-	}
-	if dst != nil {
-		if !geo.Valid(*dst) {
-			return Result{}, fmt.Errorf("pim: destination %v outside geometry", *dst)
-		}
-		// Classify proved that the operand rows share one rank.
-		if !memarch.SameRank(*dst, all[0]) {
-			return Result{}, ErrCrossRank
-		}
-	}
+	c.voteRows = all
+	return all, nil
+}
 
-	mr4, err := ddr.EncodeMR4(op, n)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Lower: each replica group is its own multi-row activation, lowered
-	// by the backend exactly as a plain request's. The backend's LWL reset
-	// closes the previous group's rows and re-arms the latches, so the
-	// protocol checker sees R well-formed groups in one sequence. The
-	// vote gate lives in the subarray's add-on logic, one pass per replica
-	// beyond the first (the carry-save counters fold R-1 times).
-	cmds, err := c.lowerIntra(op, sets, bits, dst, false)
-	if err != nil {
-		return Result{}, err
-	}
-	c.lowerEn.Add(energy.Logic, float64(r-1)*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
-	p := c.closeAndPrice(ClassIntraSub, sets[0][0], bits, dst, cmds, c.lowerEn, mr4)
-
-	// Replay: every replica pass senses independently at the same margin
-	// — the independence the majority vote exploits.
-	if err := c.mrs.Write(ddr.PIMRegister, uint16(mr4)); err != nil {
-		return Result{}, err
-	}
-	w := bitvec.WordsFor(bits)
-	outs := c.senseScratch(r, w)
-	for i, set := range sets {
-		if err := c.senseIntra(outs[i], op, c.operandRows(set, w), bits); err != nil {
-			return Result{}, err
+// senseVoted is a voted replay's sensing: srcs and then every replica set
+// are sensed as their own multi-row activations (senseIntra), each into
+// its own pass buffer, and the passes are majority-voted into out. It
+// returns the bit positions where the passes disagreed.
+func (c *Controller) senseVoted(out []uint64, op sense.Op, srcs []memarch.RowAddr, reps [][]memarch.RowAddr, bits int) (int, error) {
+	outs := c.senseScratch(1+len(reps), len(out))
+	set := srcs
+	for i := range outs {
+		if i > 0 {
+			set = reps[i-1]
+		}
+		if err := c.senseIntra(outs[i], op, c.operandRows(set, len(out)), bits); err != nil {
+			return 0, err
 		}
 	}
-	// The majority words get a fresh buffer, which the caller owns past
-	// the next execution (the scheduler verifies and stores through it).
-	maj := make([]uint64, w)
-	disagree, err := sense.MajorityWordsInto(maj, outs, bits)
-	if err != nil {
-		return Result{}, err
-	}
-	c.tally(&p)
-	if dst != nil {
-		if err := c.store(*dst, maj); err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{Op: op, Class: ClassIntraSub, Rows: n, Bits: bits, Seconds: p.seconds,
-		Energy: p.energy, Commands: p.commands, Words: maj, Voted: r, Outvoted: int64(disagree)}, nil
+	return sense.MajorityWordsInto(out, outs, bits)
 }

@@ -41,9 +41,8 @@ func newECCSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Schedule
 		}
 	}
 	s := &Scheduler{
-		Ctl:     ctl,
-		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
-		Res:     &Resilience{ECC: true},
+		Ctl: ctl,
+		Res: &Resilience{ECC: true},
 	}
 	return s, ctl
 }
@@ -73,8 +72,7 @@ func TestECCVerifyCheapOnCleanHardware(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := &Scheduler{
-			Ctl:     ctl,
-			Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
+			Ctl: ctl,
 		}
 		configure(s)
 		r := rand.New(rand.NewSource(3))

@@ -84,10 +84,7 @@ func NewEngineWithGeometry(tech nvm.Tech, maxRows int, geo memarch.Geometry) (*E
 	}
 	ctl.SetProgramCache(true)
 	return &Engine{
-		sched: Scheduler{
-			Ctl:     ctl,
-			Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
-		},
+		sched: Scheduler{Ctl: ctl},
 		geo:   geo,
 		cache: make(map[costKey]workload.Cost),
 	}, nil

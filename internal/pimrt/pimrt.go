@@ -355,13 +355,11 @@ func SpecForOR(rows []memarch.RowAddr, bits int) (workload.OpSpec, error) {
 // same verification. Its resilience activity (verifications, retries,
 // rungs, retirements, ECC decodes, votes) counts into Ctl's ledger.
 //
-// Scratch must provide one free row in every subarray touched; the driver
-// library reserves these at init (the paper's run-time "schedule opt").
+// A per-subarray OR partial lands in that subarray's ScratchRow, which
+// the allocator must never hand out; the driver library reserves these at
+// init (the paper's run-time "schedule opt").
 type Scheduler struct {
 	Ctl *pim.Controller
-	// Scratch returns a scratch row in the given subarray for partial
-	// results.
-	Scratch func(sub memarch.RowAddr) memarch.RowAddr
 	// Res enables the verify-and-retry resilience ladder (resilience.go);
 	// nil schedules plainly, trusting the hardware.
 	Res *Resilience
@@ -385,9 +383,11 @@ type Scheduler struct {
 	// partials operand grouping, links the operand buffer of a chained
 	// OR's links, and goldens the resilience oracle's reference buffers.
 	// links has one buffer and goldens two per request nesting level,
-	// which level indexes (see golden in resilience.go). A Scheduler is
-	// owned by one System and never called reentrantly, so plain fields
-	// suffice.
+	// which level indexes (see golden in resilience.go). voteRows and
+	// voteSets hold a voted request's operand sets (votedSets), copySrc
+	// and copyDst a replica refresh's operand and destination
+	// (syncReplicas). A Scheduler is owned by one System and never called
+	// reentrantly, so plain fields suffice.
 	res      ScheduleResult
 	partial  memarch.RowAddr
 	groups   [][]memarch.RowAddr
@@ -395,6 +395,10 @@ type Scheduler struct {
 	links    [][]memarch.RowAddr
 	goldens  [][2][]uint64
 	level    int
+	voteRows []memarch.RowAddr
+	voteSets [][]memarch.RowAddr
+	copySrc  [1]memarch.RowAddr
+	copyDst  memarch.RowAddr
 }
 
 // groupBySubarray is GroupBySubarray through the scheduler's reusable
@@ -506,7 +510,7 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 			partials = append(partials, g[0])
 			continue
 		}
-		s.partial = s.Scratch(g[0])
+		s.partial = ScratchRow(s.Ctl.Memory().Geometry(), g[0])
 		orig := s.partial
 		if _, err := s.chainedOR(g, bits, &s.partial, nil, depth, res); err != nil {
 			return err

@@ -35,7 +35,7 @@ func TestAllocSequentialSharesSubarray(t *testing.T) {
 	if !memarch.SameSubarray(rows...) {
 		t.Error("first 100 sequential rows should share a subarray")
 	}
-	if !memarch.DistinctRows(memarch.Default(), rows...) {
+	if ok, _ := memarch.DistinctRowsBuf(memarch.Default(), nil, rows); !ok {
 		t.Error("rows not distinct")
 	}
 }
@@ -270,12 +270,7 @@ func newSched(t *testing.T) (*Scheduler, *pim.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo := memarch.Default()
-	s := &Scheduler{
-		Ctl:     ctl,
-		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
-	}
-	return s, ctl
+	return &Scheduler{Ctl: ctl}, ctl
 }
 
 func TestSchedulerORSingleSubarray(t *testing.T) {

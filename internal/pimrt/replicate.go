@@ -12,6 +12,8 @@ package pimrt
 // clean first-try result.
 
 import (
+	"slices"
+
 	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
@@ -23,38 +25,38 @@ import (
 // replicas, mismatched replica counts, or a placement the analog vote
 // cannot serve (all copies of all operands must share one subarray).
 // sets[0] is srcs itself; sets[k] holds the k-th copy of every operand.
+// The sets are cut from the scheduler's voteRows, which also holds a copy
+// of srcs for the subarray check, and listed in its voteSets: both live
+// until the next request, which is all ExecuteVoted needs.
 func (s *Scheduler) votedSets(srcs []memarch.RowAddr) [][]memarch.RowAddr {
 	if s.Replicas == nil || len(srcs) == 0 {
 		return nil
 	}
-	reps := make([][]memarch.RowAddr, len(srcs))
-	r := 0
-	for i, a := range srcs {
-		rep := s.Replicas(a)
-		if len(rep) == 0 {
-			return nil
-		}
-		if i == 0 {
-			r = len(rep)
-		} else if len(rep) != r {
-			return nil
-		}
-		reps[i] = rep
-	}
-	sets := make([][]memarch.RowAddr, r+1)
-	sets[0] = srcs
-	all := append([]memarch.RowAddr(nil), srcs...)
-	for k := 0; k < r; k++ {
-		set := make([]memarch.RowAddr, len(srcs))
-		for i := range srcs {
-			set[i] = reps[i][k]
-		}
-		sets[k+1] = set
-		all = append(all, set...)
-	}
-	if !memarch.SameSubarray(all...) {
+	r, n := len(s.Replicas(srcs[0])), len(srcs)
+	if r == 0 {
 		return nil
 	}
+	// rows holds copy k of operand i at k*n+i, copy 0 being srcs.
+	rows := slices.Grow(s.voteRows[:0], (r+1)*n)[:(r+1)*n]
+	s.voteRows = rows
+	copy(rows, srcs)
+	for i, a := range srcs {
+		rep := s.Replicas(a)
+		if len(rep) != r {
+			return nil
+		}
+		for k, row := range rep {
+			rows[(k+1)*n+i] = row
+		}
+	}
+	if !memarch.SameSubarray(rows...) {
+		return nil
+	}
+	sets := append(s.voteSets[:0], srcs)
+	for k := 1; k <= r; k++ {
+		sets = append(sets, rows[k*n:(k+1)*n:(k+1)*n])
+	}
+	s.voteSets = sets
 	return sets
 }
 
@@ -81,13 +83,16 @@ func (s *Scheduler) nativeExec(op sense.Op, srcs []memarch.RowAddr, bits int, ds
 // activation sees R coherent copies. Voted execution writes only the
 // primary destination; this is where the replicas catch up — priced as
 // the explicit requests they are, recorded into the operation's program.
+// Each copy's operand list and destination are the scheduler's copySrc and
+// copyDst.
 func (s *Scheduler) syncReplicas(target memarch.RowAddr, bits int, res *ScheduleResult) error {
 	if s.Replicas == nil {
 		return nil
 	}
+	s.copySrc[0] = target
 	for _, rep := range s.Replicas(target) {
-		rep := rep
-		r, err := s.Ctl.Execute(sense.OpRead, []memarch.RowAddr{target}, bits, &rep)
+		s.copyDst = rep
+		r, err := s.Ctl.Execute(sense.OpRead, s.copySrc[:], bits, &s.copyDst)
 		if err != nil {
 			return err
 		}

@@ -35,9 +35,8 @@ func newResilientSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Sc
 		t.Fatal(err)
 	}
 	s := &Scheduler{
-		Ctl:     ctl,
-		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
-		Res:     &Resilience{},
+		Ctl: ctl,
+		Res: &Resilience{},
 	}
 	return s, ctl
 }
@@ -496,8 +495,7 @@ func TestChainingBoundaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := &Scheduler{
-				Ctl:     ctl,
-				Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
+				Ctl: ctl,
 			}
 			rng := rand.New(rand.NewSource(int64(tc.subs)))
 			const bits = 64

@@ -35,8 +35,7 @@ func TestTracePlainPathMatchesController(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Scheduler{
-		Ctl:     ctl,
-		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return ScratchRow(geo, sub) },
+		Ctl: ctl,
 	}
 	rows := []memarch.RowAddr{{Subarray: 0, Row: 0}, {Subarray: 0, Row: 1}}
 	dst := memarch.RowAddr{Subarray: 0, Row: 5}

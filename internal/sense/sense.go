@@ -88,7 +88,7 @@ type Array struct {
 	params nvm.Params
 	cfg    analog.SenseConfig
 	// checkEvery > 0 enables analog cross-checking of that many sampled
-	// bit positions per ComputeWords call.
+	// bit positions per ComputeWordsInto call.
 	checkEvery int
 	// pcg drives rng, the stream that picks the bit positions the analog
 	// cross-check re-resolves. It only chooses what to check and never
@@ -164,27 +164,14 @@ func (a *Array) Reset() {
 	a.pcg.Seed(analogCheckSeed, 0)
 }
 
-// ComputeWords resolves the operation over word-parallel operand rows and
-// returns the result words. Every row must have the same length. The word
-// math is the functional model; if analog checking is enabled, sampled bit
-// positions are re-resolved through the analog current comparison and any
-// disagreement panics (it would be a modelling bug, never a data error).
-func (a *Array) ComputeWords(op Op, rows [][]uint64) ([]uint64, error) {
-	if len(rows) == 0 {
-		return nil, a.ValidateOperands(op, 0)
-	}
-	out := make([]uint64, len(rows[0]))
-	if err := a.ComputeWordsInto(out, op, rows); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ComputeWordsInto is ComputeWords resolving into a caller-owned buffer:
-// dst must hold exactly len(rows[0]) words, and a steady-state call
-// allocates nothing (the analog cross-check included). This is the
-// zero-alloc hot path every intra-subarray execution and the voted
-// sensing loop run on.
+// ComputeWordsInto resolves the operation over word-parallel operand rows
+// into dst. Every row must have the same length, and dst must hold exactly
+// len(rows[0]) words. The word math is the functional model; if analog
+// checking is enabled, sampled bit positions are re-resolved through the
+// analog current comparison and any disagreement panics (it would be a
+// modelling bug, never a data error). A steady-state call allocates
+// nothing (the analog cross-check included): this is the hot path every
+// intra-subarray execution and the voted sensing loop run on.
 func (a *Array) ComputeWordsInto(dst []uint64, op Op, rows [][]uint64) error {
 	if err := a.ValidateOperands(op, len(rows)); err != nil {
 		return err

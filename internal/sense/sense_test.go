@@ -141,8 +141,8 @@ func TestComputeWordsTruthTables(t *testing.T) {
 		{OpXOR, [][]uint64{r0, r1}, 0b0110},
 	}
 	for _, c := range cases {
-		out, err := a.ComputeWords(c.op, c.rows)
-		if err != nil {
+		out := make([]uint64, 1)
+		if err := a.ComputeWordsInto(out, c.op, c.rows); err != nil {
 			t.Fatalf("%v: %v", c.op, err)
 		}
 		if out[0] != c.want {
@@ -159,8 +159,8 @@ func TestComputeWordsMultiRowOR(t *testing.T) {
 	}
 	rows[17][0] = 1 << 5
 	rows[99][1] = 1 << 63
-	out, err := a.ComputeWords(OpOR, rows)
-	if err != nil {
+	out := make([]uint64, 2)
+	if err := a.ComputeWordsInto(out, OpOR, rows); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 1<<5 || out[1] != 1<<63 {
@@ -170,14 +170,14 @@ func TestComputeWordsMultiRowOR(t *testing.T) {
 
 func TestComputeWordsRowWidthMismatch(t *testing.T) {
 	a := newPCM(t)
-	if _, err := a.ComputeWords(OpAND, [][]uint64{{1, 2}, {3}}); err == nil {
+	if err := a.ComputeWordsInto(make([]uint64, 2), OpAND, [][]uint64{{1, 2}, {3}}); err == nil {
 		t.Error("width mismatch should error")
 	}
 }
 
 func TestComputeWordsOperandCountError(t *testing.T) {
 	a := newPCM(t)
-	if _, err := a.ComputeWords(OpAND, [][]uint64{{1}, {2}, {3}}); err == nil {
+	if err := a.ComputeWordsInto(make([]uint64, 1), OpAND, [][]uint64{{1}, {2}, {3}}); err == nil {
 		t.Error("3-operand AND should error")
 	}
 }
@@ -187,13 +187,14 @@ func TestAnalogCrossCheckRuns(t *testing.T) {
 	// pass without panicking.
 	a := newPCM(t)
 	rng := rand.New(rand.NewSource(5))
+	out := make([]uint64, 2)
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(127) + 2
 		rows := make([][]uint64, n)
 		for i := range rows {
 			rows[i] = []uint64{rng.Uint64(), rng.Uint64()}
 		}
-		if _, err := a.ComputeWords(OpOR, rows); err != nil {
+		if err := a.ComputeWordsInto(out, OpOR, rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +266,7 @@ func TestResetMatchesFreshSource(t *testing.T) {
 	}
 	same("after NewArray")
 	rows := randRows(3, 4, 9)
-	if _, err := a.ComputeWords(OpOR, rows); err != nil { // advance the stream
+	if err := a.ComputeWordsInto(make([]uint64, len(rows[0])), OpOR, rows); err != nil { // advance the stream
 		t.Fatal(err)
 	}
 	a.Reset()

@@ -766,23 +766,79 @@ func TestECCApplyAllocatesOnlyCheckWords(t *testing.T) {
 	}
 }
 
+// TestReplicatedApplyAllocs pins that a warm replicated Apply allocates
+// what an unreplicated one does: with Replicate 3 on a 4,096-bit vector,
+// every voted AND, OR, XOR and NOT allocates nothing under read-back
+// verification, and under SECDED only the destination's 8 check words (64
+// bytes). A voted request lowers and replays through the controller's one
+// execute path into its result buffer, and the scheduler builds the
+// replica operand sets and refresh copies in buffers it owns. (When voting
+// was a pipeline of its own, each op allocated 13 times and 2,016 B under
+// read-back, 14 times and 2,080 B under SECDED.)
+func TestReplicatedApplyAllocs(t *testing.T) {
+	const bits = 4096
+	for _, c := range []struct {
+		name             string
+		verify           VerifyMode
+		allocs, maxBytes float64
+	}{{"readback", VerifyReadback, 0, 0}, {"ecc", VerifyECC, 1, 64}} {
+		s, err := New(Config{Tech: PCM, Geometry: DefaultGeometry(),
+			Resilience: ResilienceConfig{Verify: c.verify, Replicate: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := s.AllocGroup(5, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		for _, v := range vs[1:] {
+			seedVector(t, s, rng, v, bits)
+		}
+		for _, op := range []struct {
+			op   Op
+			srcs []*BitVector
+		}{{OpAnd, vs[1:3]}, {OpOr, vs[1:]}, {OpXor, vs[1:3]}, {OpNot, vs[1:2]}} {
+			votes := s.FaultStats().Votes
+			call := func() {
+				if _, err := s.Apply(op.op, vs[0], op.srcs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			call()
+			if s.FaultStats().Votes == votes {
+				t.Fatalf("%s %v: the op was not voted", c.name, op.op)
+			}
+			allocs := testing.AllocsPerRun(100, call)
+			bytes := bytesPerCall(call, 100)
+			t.Logf("%s %v: %.1f allocs, %.0f B per call", c.name, op.op, allocs, bytes)
+			if allocs != c.allocs || bytes > c.maxBytes {
+				t.Errorf("%s %v allocates %.1f times, %.0f B per call; want %.0f times, at most %.0f B",
+					c.name, op.op, allocs, bytes, c.allocs, c.maxBytes)
+			}
+		}
+	}
+}
+
 // TestWindowBookkeepingAllocs pins the host-side allocations of a warm
 // batch window: buildBatchOps' six ops on spreadGeometry, each in its own
 // bank, admitted with Add, started and waited. Once the builder's key
-// buffer and partition, the pooled sandboxes' mirrors, request buffers
-// and command arenas and the merge buffer have held one window, the next
-// allocates only what it hands out or cannot reuse: the run and its
-// per-window slices, the worker goroutines, the popcount's count and,
-// under SECDED, the check words each op stores. The pins are the measured
-// 18 and 23 allocations plus a margin of two. (Before the bookkeeping was
-// reused a window cost 152 allocations, 181 under VerifyECC; before the
-// lowerings, requests and results stopped allocating, 31 and 48.)
+// buffer and partition, the pooled sandboxes' destination-row copies,
+// request buffers and command arenas and the merge buffer have held one
+// window, the next allocates only what it hands out or cannot reuse: the
+// run and its per-window slices, the worker goroutines, the popcount's
+// count and, under SECDED, the check words each op stores. The pins are
+// the measured 15 and 20 allocations plus a margin of two. (Before the
+// bookkeeping was reused a window cost 152 allocations, 181 under
+// VerifyECC; before the lowerings, requests and results stopped
+// allocating, 31 and 48; while shards ran on mirror vectors, whose
+// operand buffer each fresh worker grew, 18 and 23.)
 func TestWindowBookkeepingAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		verify VerifyMode
 		max    float64
-	}{{"verify-off", VerifyOff, 20}, {"ecc", VerifyECC, 25}} {
+	}{{"verify-off", VerifyOff, 17}, {"ecc", VerifyECC, 22}} {
 		s, err := New(Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: c.verify}})
 		if err != nil {

@@ -297,14 +297,10 @@ type System struct {
 	// ownedRows is a window merge's buffer: the rows one shard sandbox
 	// owns (Memory.AppendOwnedAddrs).
 	ownedRows []memarch.RowAddr
-
-	// A shard sandbox's stand-ins for the live vectors its window's ops
-	// name (window.go's mirror): mirrorOf maps a live vector to its
-	// mirror, the first mirrorsBound entries of mirrors. Both stay with
-	// the pooled sandbox; putSandbox unbinds them.
-	mirrorOf     map[*BitVector]*BitVector
-	mirrors      []*BitVector
-	mirrorsBound int
+	// shardDst is a shard sandbox's copy of the destination rows of the
+	// op it is running (window.go's runShard), so a remap inside the
+	// shard moves the copy, never the live vector's rows.
+	shardDst []memarch.RowAddr
 }
 
 // VerifyMode returns the effective verification mode the system runs under
@@ -371,10 +367,7 @@ func New(cfg Config) (*System, error) {
 		led:   ctl.Ledger(),
 	}
 	ctl.SetProgramCache(true)
-	s.sched = &pimrt.Scheduler{
-		Ctl:     ctl,
-		Scratch: func(sub memarch.RowAddr) memarch.RowAddr { return pimrt.ScratchRow(geo, sub) },
-	}
+	s.sched = &pimrt.Scheduler{Ctl: ctl}
 	faultCfg := cfg.Fault.internal()
 	if err := faultCfg.Validate(); err != nil {
 		return nil, err
@@ -641,16 +634,13 @@ func (s *System) getSandbox() (*System, error) {
 // whether or not the window merged; its ledger was absorbed by the merge,
 // if any, and is cleared with one Reset on the sandbox's next get. Its
 // last op's program and scheduler result are emptied now, so the pool
-// does not keep that op's command sequences and result words alive, and
-// its mirrors are unbound, so it keeps no live vector reachable.
+// does not keep that op's command sequences and result words alive.
 func (s *System) putSandbox(sb *System) {
 	if sb == nil {
 		return
 	}
 	sb.prog.Reset()
 	sb.sched.Reset()
-	clear(sb.mirrorOf)
-	sb.mirrorsBound = 0
 	cs := sb.ctl.CacheStats()
 	s.poolMu.Lock()
 	s.cacheAbsorbed.Hits += cs.Hits
@@ -942,27 +932,27 @@ func (s *System) Read(b *BitVector) ([]uint64, Result, error) {
 	}
 	s.beginOp()
 	words := make([]uint64, 0, bitvec.WordsFor(b.bits))
-	res, err := s.readInto(b, func(row []uint64, _ int) { words = append(words, row...) })
+	res, err := s.readInto(b.rows, b.bits, func(row []uint64, _ int) { words = append(words, row...) })
 	if err != nil {
 		return nil, Result{}, err
 	}
 	return words[:bitvec.WordsFor(b.bits)], res, nil
 }
 
-// readInto reads b through the host interface row by row and hands each
-// row's sensed words, with the row's bit count, to visit before the next
-// row is read. The words are the controller's (pim.Result.Words) and the
-// next read overwrites them, so visit copies whatever it keeps. Every
-// controller request and verification pass of the read is lowered into
-// the operation's program, so the batch executor schedules host reads
-// (OpPopcount) on the channel like any other operation. The caller has
-// checked b.
-func (s *System) readInto(b *BitVector, visit func(row []uint64, bits int)) (Result, error) {
+// readInto reads a vector of bits bits stored in rows through the host
+// interface row by row and hands each row's sensed words, with the row's
+// bit count, to visit before the next row is read. The words are the
+// controller's (pim.Result.Words) and the next read overwrites them, so
+// visit copies whatever it keeps. Every controller request and
+// verification pass of the read is lowered into the operation's program,
+// so the batch executor schedules host reads (OpPopcount) on the channel
+// like any other operation. The caller has checked the vector.
+func (s *System) readInto(rows []memarch.RowAddr, bits int, visit func(row []uint64, bits int)) (Result, error) {
 	var seconds, joules float64
-	for i, addr := range b.rows {
+	for i, addr := range rows {
 		bitsHere := s.RowBits()
-		if i == len(b.rows)-1 {
-			bitsHere = b.bits - i*s.RowBits()
+		if i == len(rows)-1 {
+			bitsHere = bits - i*s.RowBits()
 		}
 		res, err := s.sched.Read(addr, bitsHere)
 		if err != nil {
@@ -973,7 +963,7 @@ func (s *System) readInto(b *BitVector, visit func(row []uint64, bits int)) (Res
 		seconds += res.Cost.Seconds
 		joules += res.Cost.Joules
 	}
-	return s.account(PlaceHostRead, len(b.rows), seconds, joules), nil
+	return s.account(PlaceHostRead, len(rows), seconds, joules), nil
 }
 
 // sameLength validates operand lengths.
@@ -1185,16 +1175,22 @@ func (s *System) Apply(op Op, dst *BitVector, srcs []*BitVector, opts ...Option)
 	if err != nil {
 		return Result{}, err
 	}
-	return s.applyOpts(op, dst, srcs, o)
-}
-
-// applyOpts is the Apply implementation with resolved per-call options.
-// The batch executor calls it with zero options (no cancellation between
-// row chunks) and copies the operation's program out of s.prog.
-func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, o callOpts) (Result, error) {
 	if err := s.validateOp(op, dst, srcs); err != nil {
 		return Result{}, err
 	}
+	return s.applyRows(op, dst.rows, dst.bits, srcs, o)
+}
+
+// applyRows is Apply's row executor, the one way an op runs: it executes
+// a validated op over the source vectors' rows into dst, the rows of a
+// bits-bit destination, with resolved per-call options. A destination row
+// the resilience layer retires is replaced in dst. Apply passes the
+// destination vector's own rows. A window shard passes its sandbox's copy
+// of them and the live source vectors, whose rows nothing moves between
+// Start and Wait (window.go); the batch executors call it with zero
+// options (no cancellation between row chunks) and copy the operation's
+// program out of s.prog.
+func (s *System) applyRows(op Op, dst []memarch.RowAddr, bits int, srcs []*BitVector, o callOpts) (Result, error) {
 	s.beginOp()
 	if op == OpPopcount {
 		// Host-side reduction over dst itself: read the vector out and
@@ -1202,7 +1198,7 @@ func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, o callOpts)
 		// counted as it arrives (masking its partial tail word), so no
 		// vector is assembled.
 		n := 0
-		res, err := s.readInto(dst, func(row []uint64, bits int) { n += bitvec.PopcountWords(row, bits) })
+		res, err := s.readInto(dst, bits, func(row []uint64, bits int) { n += bitvec.PopcountWords(row, bits) })
 		if err != nil {
 			return Result{}, err
 		}
@@ -1220,7 +1216,7 @@ func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, o callOpts)
 	if cap(s.rowScratch) < len(srcs) {
 		s.rowScratch = make([]memarch.RowAddr, len(srcs))
 	}
-	for batch := 0; batch < len(dst.rows); batch++ {
+	for batch := 0; batch < len(dst); batch++ {
 		if batch > 0 && o.ctx != nil {
 			// Cancellation is observed between row chunks: the completed
 			// prefix stays applied, the remainder never starts.
@@ -1233,21 +1229,21 @@ func (s *System) applyOpts(op Op, dst *BitVector, srcs []*BitVector, o callOpts)
 			rows[i] = src.rows[batch]
 		}
 		bitsHere := s.RowBits()
-		if batch == len(dst.rows)-1 {
-			bitsHere = dst.bits - batch*s.RowBits()
+		if batch == len(dst)-1 {
+			bitsHere = bits - batch*s.RowBits()
 		}
 		p, err := pimrt.PlacementOf(rows)
 		if err != nil {
 			return Result{}, err
 		}
 		class = worseClass(class, placementClass(p))
-		res, err := s.sched.Execute(sop, rows, bitsHere, dst.rows[batch])
+		res, err := s.sched.Execute(sop, rows, bitsHere, dst[batch])
 		if err != nil {
 			return Result{}, err
 		}
-		if res.FinalDst != dst.rows[batch] {
-			s.dropReplicas(dst.rows[batch])
-			dst.rows[batch] = res.FinalDst
+		if res.FinalDst != dst[batch] {
+			s.dropReplicas(dst[batch])
+			dst[batch] = res.FinalDst
 		}
 		s.prog.Append(res.Program)
 		seconds += res.Cost.Seconds

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pinatubo/internal/chansim"
+	"pinatubo/internal/memarch"
 	"pinatubo/internal/pimrt"
 )
 
@@ -124,8 +125,11 @@ type PlanReport struct {
 // (technology, geometry, resilience policy — with the fault model replaced
 // by faultRate alone), so planning never disturbs the live system's
 // memory, allocator or statistics. Operand vectors are row-resident and
-// maximally deep: OpOr plans a MaxORRows-operand one-step OR, the
-// fixed-arity ops their natural operand count, each over a full row.
+// maximally deep: OpOr plans a MaxORRows-operand one-step OR (shallower
+// only when a subarray cannot hold that many rows with their replicas),
+// the fixed-arity ops their natural operand count, each over a full row.
+// On a replicated System the operands are allocated with their replicas,
+// so the plan prices the voted requests Apply would issue.
 // Command traces are captured through the resilience ladder — retries,
 // depth splits, verification passes and ECC reprograms all widen the
 // trace — and replayed through the event-driven channel scheduler. With
@@ -264,11 +268,7 @@ func (s *System) sampleTraces(op Op, concurrency int, faultRate float64, rep int
 	if err != nil {
 		return nil, err
 	}
-	nsrc := sb.MaxORRows()
-	if _, hi := op.arity(); hi >= 0 {
-		nsrc = hi
-	}
-	rows, err := sb.alloc.AllocGroupRows(nsrc)
+	rows, err := sb.planOperands(op)
 	if err != nil {
 		return nil, err
 	}
@@ -311,4 +311,26 @@ func (s *System) sampleTraces(op Op, concurrency int, faultRate float64, rep int
 		reqs[i] = reqs[i].WithResourceOffset(i * stride)
 	}
 	return reqs, nil
+}
+
+// planOperands allocates the operand rows of a planned op on a plan
+// sandbox, as one group through AllocGroup, so a replicated System plans
+// voted requests exactly as its Apply executes them: each operand row is
+// registered with its replicas. The fixed-arity ops take their natural
+// operand count; OpOr the deepest one-step group that fits one subarray
+// together with its replicas, MaxORRows at most.
+func (s *System) planOperands(op Op) ([]memarch.RowAddr, error) {
+	n := min(s.MaxORRows(), s.UsableRowsPerSubarray()/max(1, s.replicate))
+	if _, hi := op.arity(); hi >= 0 {
+		n = hi
+	}
+	vs, err := s.AllocGroup(n, s.RowBits())
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]memarch.RowAddr, n)
+	for i, v := range vs {
+		rows[i] = v.rows[0]
+	}
+	return rows, nil
 }

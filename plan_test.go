@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"pinatubo/internal/chansim"
 	"pinatubo/internal/pimrt"
@@ -209,11 +210,7 @@ func everyCopyTraces(t *testing.T, s *System, op Op, concurrency int, faultRate 
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsrc := sb.MaxORRows()
-	if _, hi := op.arity(); hi >= 0 {
-		nsrc = hi
-	}
-	rows, err := sb.alloc.AllocGroupRows(nsrc)
+	rows, err := sb.planOperands(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,5 +385,34 @@ func TestPlanDuringWindow(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep, wantRep) {
 		t.Errorf("plan during the window:\n%+v\nwant a fresh System's\n%+v", rep, wantRep)
+	}
+}
+
+// TestPlanPricesReplication pins that a replicated System plans the voted
+// requests its Apply issues: with read-back verification on and no
+// faults, Replicate 3 lengthens every op's one-in-flight makespan over an
+// unreplicated twin's, by the extra activation group per replica and the
+// replica refreshes. (A plan that took its operands without replicas
+// priced both alike: an AND read 7.516 µs either way.)
+func TestPlanPricesReplication(t *testing.T) {
+	plan := func(replicate int, op Op) time.Duration {
+		t.Helper()
+		s, err := New(Config{Tech: PCM, Geometry: DefaultGeometry(),
+			Resilience: ResilienceConfig{Verify: VerifyReadback, Replicate: replicate}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Plan(op, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Points[0].Makespan
+	}
+	for _, op := range []Op{OpOr, OpAnd, OpXor, OpNot} {
+		plain, voted := plan(0, op), plan(3, op)
+		t.Logf("%v: k=1 makespan %v unreplicated, %v with Replicate 3", op, plain, voted)
+		if voted <= plain {
+			t.Errorf("%v: a replicated plan's makespan %v does not exceed the unreplicated %v", op, voted, plain)
+		}
 	}
 }

@@ -325,57 +325,56 @@ func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 }
 
 // work is one worker: it runs shards, in the order it claims them, until
-// none is left, with one operand buffer for every op it runs; the last
-// worker to finish closes done.
+// none is left; the last worker to finish closes done.
 func (r *BatchRun) work() {
-	var srcs []*BitVector
 	for {
 		si := int(r.nextShard.Add(1)) - 1
 		if si >= len(r.shards) {
 			break
 		}
-		srcs = r.runShard(si, srcs)
+		r.runShard(si)
 	}
 	if r.running.Add(-1) == 0 {
 		close(r.done)
 	}
 }
 
-// runShard executes shard si's ops in order on its sandbox, with srcs as
-// the operand buffer, and returns the buffer for the worker's next shard.
-// Each op's program becomes its channel request as soon as the op
-// returns, on the worker: the sandbox prices it with its own timing, bus
-// and geometry, which are the live System's. runShard stops at the first
-// failing op, recording its error, or when the run's context is
-// cancelled, recording that for the shard.
-func (r *BatchRun) runShard(si int, srcs []*BitVector) []*BitVector {
+// runShard executes shard si's ops in order on its sandbox, through the
+// row executor Apply uses (applyRows). The ops were validated at
+// admission. Each reads its sources through the live vectors' rows, which
+// nothing moves between Start and Wait, and writes through the sandbox's
+// copy of its destination rows (shardDst), so a remap inside the shard
+// never reaches a live vector: it touches the sandbox's allocator, which
+// sends the window to the sequential replay. Each op's program becomes
+// its channel request as soon as the op returns, on the worker: the
+// sandbox prices it with its own timing, bus and geometry, which are the
+// live System's. runShard stops at the first failing op, recording its
+// error, or when the run's context is cancelled, recording that for the
+// shard.
+func (r *BatchRun) runShard(si int) {
 	sb := r.sandboxes[si]
 	inj := sb.ctl.Injector()
 	for _, i := range r.shards[si] {
 		if err := r.ctx.Err(); err != nil {
 			r.ctxErrs[si] = err
-			return srcs
+			return
 		}
 		if inj != nil {
-			// Pin the sandbox to op i's substream: apply's beginOp
+			// Pin the sandbox to op i's substream: applyRows' beginOp
 			// advances it to opSeqBase+i+1, the exact stream the op
 			// would draw running sequentially on the live system.
 			inj.SetOpSeq(r.opSeqBase + int64(i))
 		}
 		op := r.ops[i]
-		srcs = srcs[:0]
-		for _, src := range op.Srcs {
-			srcs = append(srcs, sb.mirrorOf[src])
-		}
-		res, err := sb.applyOpts(op.Op, sb.mirrorOf[op.Dst], srcs, callOpts{})
+		sb.shardDst = append(sb.shardDst[:0], op.Dst.rows...)
+		res, err := sb.applyRows(op.Op, sb.shardDst, op.Dst.bits, op.Srcs, callOpts{})
 		if err != nil {
 			r.errs[i] = err
-			return srcs
+			return
 		}
 		r.results[i] = res
 		r.reqs[i] = sb.opRequest()
 	}
-	return srcs
 }
 
 // Done is closed when every shard has finished (or stopped on
@@ -429,9 +428,10 @@ func (r *BatchRun) finish() (BatchResult, error) {
 		return s.scheduleBatch(r.reqs, r.results, 1, r.arb)
 	}
 
-	// The merge copies row records, never a vector's row list: a sandbox
-	// moves a mirror's row only through remapRow, which retires and
-	// allocates, and that sends the window to the replay.
+	// The merge copies row records, never a vector's row list: a shard
+	// moves a destination row only in its sandbox's copy, through
+	// remapRow, which retires and allocates, and that sends the window to
+	// the replay.
 	for _, sb := range r.sandboxes {
 		// A row still borrowed was only read, so the live record is
 		// current. A row the shard changed comes back whole: words,
@@ -492,12 +492,12 @@ func (r *BatchRun) release() {
 // prepareShards lends the live state every shard's ops can touch to
 // per-shard sandbox Systems: each footprint row's record is borrowed from
 // the live memory (its words copied only when the shard first changes the
-// row), its replica registration is copied in, and every vector an op
-// names is mirrored in the sandbox. The live System is untouched between
-// Start and Wait, so the lent records cannot change under a shard. Sandboxes come from the System's pool — a
-// reused one is reset to fresh-construction state first, and keeps its
-// mirrors and their lookup map from earlier windows — and go back to it
-// when the run finishes.
+// row) and its replica registration is copied in. The live System is
+// untouched between Start and Wait, so the lent records, and the live
+// vectors' rows the shards run on, cannot change under a shard. Sandboxes
+// come from the System's pool — a reused one is reset to
+// fresh-construction state first — and go back to it when the run
+// finishes.
 func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
 	s := b.sys
 	sandboxes := make([]*System, len(shards))
@@ -520,32 +520,7 @@ func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
 					sh.registerReplicas(k.addr, reps)
 				}
 			}
-			op := b.ops[i]
-			sh.mirror(op.Dst)
-			for _, src := range op.Srcs {
-				sh.mirror(src)
-			}
 		}
 	}
 	return sandboxes, nil
-}
-
-// mirror binds the sandbox's stand-in for the live vector v, once per
-// window: a BitVector of the sandbox over a copy of v's rows, found
-// through mirrorOf. Mirrors stay with the pooled sandbox and are rebound
-// window after window; putSandbox unbinds them.
-func (s *System) mirror(v *BitVector) {
-	if _, ok := s.mirrorOf[v]; ok {
-		return
-	}
-	if s.mirrorOf == nil {
-		s.mirrorOf = make(map[*BitVector]*BitVector)
-	}
-	if s.mirrorsBound == len(s.mirrors) {
-		s.mirrors = append(s.mirrors, new(BitVector))
-	}
-	m := s.mirrors[s.mirrorsBound]
-	s.mirrorsBound++
-	m.sys, m.bits, m.rows = s, v.bits, append(m.rows[:0], v.rows...)
-	s.mirrorOf[v] = m
 }

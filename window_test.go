@@ -18,26 +18,29 @@ import (
 // sequential baseline: the same ops executed as a sequence of pipelined
 // windows — each next window admitted (validated, footprinted, sharded)
 // WHILE the previous window's shards are still running — produce memory
-// contents, per-op Results and statistics ledgers bit-identical to one
-// Apply call per op on an identically seeded twin. Runs with and without
-// a fault injector attached; the per-operation fault substreams are what
-// make window boundaries invisible to the fault sequence.
+// contents, row lists, per-op Results and statistics ledgers bit-identical
+// to one Apply call per op on an identically seeded twin. Runs with and
+// without a fault injector attached; the per-operation fault substreams
+// are what make window boundaries invisible to the fault sequence. In the
+// worn case shards retire destination rows and their windows replay.
 func TestPipelinedWindowsDifferential(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		worn bool
 	}{
-		{"pcm", Config{Tech: PCM, Geometry: spreadGeometry()}},
+		{"pcm", Config{Tech: PCM, Geometry: spreadGeometry()}, false},
 		{"pcm-readback", Config{Tech: PCM, Geometry: spreadGeometry(),
-			Resilience: ResilienceConfig{Verify: VerifyReadback}}},
+			Resilience: ResilienceConfig{Verify: VerifyReadback}}, false},
 		{"pcm-faulty", Config{Tech: PCM, Geometry: spreadGeometry(),
-			Fault: FaultConfig{Seed: 3, SenseFlipRate: 1e-4, ActivationFailRate: 1e-4}}},
+			Fault: FaultConfig{Seed: 3, SenseFlipRate: 1e-4, ActivationFailRate: 1e-4}}, false},
 		{"pcm-faulty-readback", Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: VerifyReadback},
-			Fault:      FaultConfig{Seed: 9, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}},
+			Fault:      FaultConfig{Seed: 9, SenseFlipRate: 1e-3, ActivationFailRate: 1e-4}}, false},
 		{"pcm-ecc-wear", Config{Tech: PCM, Geometry: spreadGeometry(),
 			Resilience: ResilienceConfig{Verify: VerifyECC},
-			Fault:      FaultConfig{Seed: 5, WearLimit: 1000}}},
+			Fault:      FaultConfig{Seed: 5, WearLimit: 1000}}, false},
+		{"pcm-readback-worn", wornConfig(), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,7 +52,7 @@ func TestPipelinedWindowsDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const bits = 4096
+			bits := wornBits(piped, tc.worn)
 			opsA := buildBatchOps(t, piped, bits)
 			opsB := buildBatchOps(t, serial, bits)
 
@@ -68,6 +71,7 @@ func TestPipelinedWindowsDifferential(t *testing.T) {
 			// -race build checks is sound.
 			const windowLen = 2
 			var got []Result
+			replays := 0
 			builder := piped.NewBatchBuilder()
 			var run *BatchRun
 			for i := 0; i < len(opsA); i += windowLen {
@@ -77,6 +81,9 @@ func TestPipelinedWindowsDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					got = append(got, br.Results...)
+					if br.Shards == 1 {
+						replays++ // two bank-disjoint ops shard in two
+					}
 				}
 				for j := i; j < i+windowLen && j < len(opsA); j++ {
 					if err := builder.Add(opsA[j]); err != nil {
@@ -93,6 +100,12 @@ func TestPipelinedWindowsDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			got = append(got, br.Results...)
+			if br.Shards == 1 {
+				replays++
+			}
+			if tc.worn && replays == 0 {
+				t.Error("no window replayed: no shard retired a destination row")
+			}
 
 			if len(got) != len(want) {
 				t.Fatalf("windows returned %d results, want %d", len(got), len(want))
@@ -129,6 +142,7 @@ func TestPipelinedWindowsDifferential(t *testing.T) {
 					}
 				}
 			}
+			checkRowLists(t, opsA, opsB)
 			checkRowRecords(t, piped, serial, opsB)
 		})
 	}
