@@ -121,6 +121,48 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestProgramCacheSkipsVotedRequests pins the cache rule for voted
+// requests: execute keys a lowering only when it has no replica sets. On
+// a cache-eligible controller (no injector and no codec, as a fault-free
+// replicated System under read-back verification has), a voted OR
+// repeated over the same sets causes no cache traffic, and a plain OR over
+// its primary set then misses and lowers one activation group, exactly as
+// on an uncached twin. A key that ignored the replica sets would serve one
+// shape's lowering to the other.
+func TestProgramCacheSkipsVotedRequests(t *testing.T) {
+	cached, plain := newCtl(t, nvm.PCM), newCtl(t, nvm.PCM)
+	cached.SetProgramCache(true)
+	rows := addrsInSubarray(7)
+	rng := rand.New(rand.NewSource(5))
+	for _, a := range rows {
+		words := fillRow(t, cached, a, 4, rng)
+		if err := plain.Memory().WriteRow(a, words); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sets := [][]memarch.RowAddr{rows[0:2], rows[2:4], rows[4:6]}
+	dst := rows[6]
+	voted := func(c *Controller) (Result, error) { return c.ExecuteVoted(sense.OpOR, sets, 256, &dst) }
+	steps := []func(c *Controller) (Result, error){
+		voted,
+		voted,
+		func(c *Controller) (Result, error) { return c.Execute(sense.OpOR, sets[0], 256, &dst) },
+	}
+	for i, step := range steps {
+		got, gerr := step(cached)
+		want, werr := step(plain)
+		if gerr != nil || werr != nil {
+			t.Fatalf("step %d: cached err %v, uncached err %v", i, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("step %d: cached result %+v != uncached %+v", i, got, want)
+		}
+	}
+	if cs := cached.CacheStats(); cs.Hits != 0 || cs.Misses != 1 || cs.Entries != 1 {
+		t.Errorf("cache traffic %+v, want only the plain OR's miss", cs)
+	}
+}
+
 // TestAttachInjectorRefusesDRAM pins the one configuration-time refusal of
 // fault injection on a backend whose sensing the resistive fault model
 // does not describe: the DRAM controller rejects an injector (and keeps
