@@ -393,26 +393,31 @@ func TestPlanDuringWindow(t *testing.T) {
 // faults, Replicate 3 lengthens every op's one-in-flight makespan over an
 // unreplicated twin's, by the extra activation group per replica and the
 // replica refreshes. (A plan that took its operands without replicas
-// priced both alike: an AND read 7.516 µs either way.)
+// priced both alike: an AND read 7.516 µs either way.) On spreadGeometry,
+// whose subarrays hold 255 usable rows, a replicated OR plans the deepest
+// group that fits with its replicas instead of failing to allocate.
 func TestPlanPricesReplication(t *testing.T) {
-	plan := func(replicate int, op Op) time.Duration {
+	plan := func(geo Geometry, replicate int, op Op) time.Duration {
 		t.Helper()
-		s, err := New(Config{Tech: PCM, Geometry: DefaultGeometry(),
+		s, err := New(Config{Tech: PCM, Geometry: geo,
 			Resilience: ResilienceConfig{Verify: VerifyReadback, Replicate: replicate}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep, err := s.Plan(op, 4, 0)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Replicate %d %v: %v", replicate, op, err)
 		}
 		return rep.Points[0].Makespan
 	}
 	for _, op := range []Op{OpOr, OpAnd, OpXor, OpNot} {
-		plain, voted := plan(0, op), plan(3, op)
+		plain, voted := plan(DefaultGeometry(), 0, op), plan(DefaultGeometry(), 3, op)
 		t.Logf("%v: k=1 makespan %v unreplicated, %v with Replicate 3", op, plain, voted)
 		if voted <= plain {
 			t.Errorf("%v: a replicated plan's makespan %v does not exceed the unreplicated %v", op, voted, plain)
 		}
+	}
+	for _, r := range []int{3, 5, 7} {
+		plan(spreadGeometry(), r, OpOr)
 	}
 }
