@@ -184,7 +184,7 @@ func (b *BatchBuilder) opFootprint(op BatchOp) error {
 // exclusive data path.
 func (s *System) appendRowKeys(keys []fpKey, r memarch.RowAddr) []fpKey {
 	keys = append(keys, fpKey{kind: 'r', addr: r})
-	for _, rep := range s.replicaRows(r) {
+	for _, rep := range s.mem.Replicas(r) {
 		keys = append(keys, fpKey{kind: 'r', addr: rep})
 	}
 	return keys

@@ -8,87 +8,6 @@ import (
 	"pinatubo/internal/workload"
 )
 
-func TestCacheBasics(t *testing.T) {
-	c, err := NewCache(1024, 2, 64) // 8 sets, 2 ways
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Access(0) {
-		t.Error("cold access hit")
-	}
-	if !c.Access(0) || !c.Access(63) {
-		t.Error("warm line missed")
-	}
-	if c.Access(64) {
-		t.Error("different line hit")
-	}
-	acc, miss := c.Stats()
-	if acc != 4 || miss != 2 {
-		t.Errorf("stats %d/%d want 4/2", acc, miss)
-	}
-	if c.MissRate() != 0.5 {
-		t.Errorf("miss rate %g", c.MissRate())
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	c, err := NewCache(2*64, 2, 64) // 1 set, 2 ways
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Access(0 * 64)
-	c.Access(1 * 64)
-	c.Access(0 * 64) // 0 becomes MRU
-	c.Access(2 * 64) // evicts 1 (LRU)
-	if !c.Access(0 * 64) {
-		t.Error("line 0 should have survived")
-	}
-	if c.Access(1 * 64) {
-		t.Error("line 1 should have been evicted")
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	c, _ := NewCache(1024, 2, 64)
-	c.Access(0)
-	c.Reset()
-	if acc, _ := c.Stats(); acc != 0 {
-		t.Error("reset did not clear counters")
-	}
-	if c.Access(0) {
-		t.Error("reset did not clear contents")
-	}
-	if c.MissRate() == 0 {
-		t.Error("miss after reset should count")
-	}
-}
-
-func TestCacheErrors(t *testing.T) {
-	if _, err := NewCache(0, 2, 64); err == nil {
-		t.Error("zero size accepted")
-	}
-	if _, err := NewCache(100, 3, 64); err == nil {
-		t.Error("non-divisible size accepted")
-	}
-}
-
-func TestHierarchyLevels(t *testing.T) {
-	h := NewHierarchy()
-	if lvl := h.Access(4096); lvl != 4 {
-		t.Errorf("cold access hit level %d", lvl)
-	}
-	if lvl := h.Access(4096); lvl != 1 {
-		t.Errorf("hot access hit level %d want 1 (L1)", lvl)
-	}
-	// Stream 64 KB: too big for L1 (32 KB), fits L2.
-	for addr := uint64(0); addr < 64<<10; addr += 64 {
-		h.Access(addr)
-	}
-	if lvl := h.Access(0); lvl != 2 {
-		t.Errorf("64KB working set re-access hit level %d want 2 (L2)", lvl)
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
@@ -205,13 +124,5 @@ func TestOpCostRejectsInvalid(t *testing.T) {
 	e, _ := New(HaswellConfig(nvm.PCM))
 	if _, err := e.OpCost(workload.OpSpec{Op: sense.OpOR, Operands: 1, Bits: 64}); err == nil {
 		t.Error("invalid spec accepted")
-	}
-}
-
-func BenchmarkHierarchyStream(b *testing.B) {
-	h := NewHierarchy()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i) * 64)
 	}
 }

@@ -176,9 +176,3 @@ func (s *BankState) Validate(cmds []Cmd) error {
 	}
 	return nil
 }
-
-// ValidateSequence checks a full command sequence against a fresh state:
-// Validate on a new BankState.
-func ValidateSequence(cmds []Cmd) error {
-	return NewBankState().Validate(cmds)
-}

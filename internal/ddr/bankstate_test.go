@@ -22,7 +22,7 @@ func TestValidMultiRowSequence(t *testing.T) {
 		{Kind: CmdWBack, Addr: addr(0, 5)},
 		{Kind: CmdPre},
 	}
-	if err := ValidateSequence(cmds); err != nil {
+	if err := NewBankState().Validate(cmds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -34,7 +34,7 @@ func TestActWithoutPreRejected(t *testing.T) {
 		{Kind: CmdAct, Addr: addr(0, 1)}, // second full ACT, no PRE
 		{Kind: CmdPre},
 	}
-	err := ValidateSequence(cmds)
+	err := NewBankState().Validate(cmds)
 	if err == nil || !strings.Contains(err.Error(), "already open") {
 		t.Fatalf("err=%v", err)
 	}
@@ -46,7 +46,7 @@ func TestLatchWithoutResetRejected(t *testing.T) {
 		{Kind: CmdActLatch, Addr: addr(0, 1)},
 		{Kind: CmdPre},
 	}
-	if err := ValidateSequence(cmds); err == nil {
+	if err := NewBankState().Validate(cmds); err == nil {
 		t.Fatal("latch without RESET accepted")
 	}
 }
@@ -56,7 +56,7 @@ func TestLatchBeforeActRejected(t *testing.T) {
 		{Kind: CmdLWLReset, Addr: addr(0, 0)},
 		{Kind: CmdActLatch, Addr: addr(0, 1)},
 	}
-	if err := ValidateSequence(cmds); err == nil {
+	if err := NewBankState().Validate(cmds); err == nil {
 		t.Fatal("latch before the biasing ACT accepted")
 	}
 }
@@ -67,14 +67,14 @@ func TestDoubleLatchRejected(t *testing.T) {
 		{Kind: CmdAct, Addr: addr(0, 0)},
 		{Kind: CmdActLatch, Addr: addr(0, 0)},
 	}
-	if err := ValidateSequence(cmds); err == nil {
+	if err := NewBankState().Validate(cmds); err == nil {
 		t.Fatal("double latch accepted")
 	}
 }
 
 func TestSenseWithoutOpenRowsRejected(t *testing.T) {
 	cmds := []Cmd{{Kind: CmdSense, Addr: addr(0, 0)}}
-	if err := ValidateSequence(cmds); err == nil {
+	if err := NewBankState().Validate(cmds); err == nil {
 		t.Fatal("sense on closed subarray accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestDanglingOpenRowsRejected(t *testing.T) {
 		{Kind: CmdSense, Addr: addr(0, 0)},
 		// no PRE
 	}
-	err := ValidateSequence(cmds)
+	err := NewBankState().Validate(cmds)
 	if err == nil || !strings.Contains(err.Error(), "open rows") {
 		t.Fatalf("err=%v", err)
 	}
@@ -104,7 +104,7 @@ func TestIndependentSubarrays(t *testing.T) {
 		{Kind: CmdSense, Addr: addr(1, 0)},
 		{Kind: CmdPre},
 	}
-	if err := ValidateSequence(cmds); err != nil {
+	if err := NewBankState().Validate(cmds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -120,13 +120,13 @@ func TestResetReopensSubarray(t *testing.T) {
 		{Kind: CmdSense, Addr: addr(0, 7)},
 		{Kind: CmdPre},
 	}
-	if err := ValidateSequence(cmds); err != nil {
+	if err := NewBankState().Validate(cmds); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnknownCommandRejected(t *testing.T) {
-	if err := ValidateSequence([]Cmd{{Kind: CmdKind(42)}}); err == nil {
+	if err := NewBankState().Validate([]Cmd{{Kind: CmdKind(42)}}); err == nil {
 		t.Fatal("unknown command accepted")
 	}
 }
@@ -168,7 +168,7 @@ func TestActTRAProtocol(t *testing.T) {
 		{Kind: CmdWBack, Addr: addr(0, 5)},
 		{Kind: CmdPre},
 	}
-	if err := ValidateSequence(cmds); err != nil {
+	if err := NewBankState().Validate(cmds); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Cmd{
@@ -176,7 +176,7 @@ func TestActTRAProtocol(t *testing.T) {
 		{Kind: CmdActTRA, Addr: addr(0, 30)}, // subarray still open
 		{Kind: CmdPre},
 	}
-	err := ValidateSequence(bad)
+	err := NewBankState().Validate(bad)
 	if err == nil || !strings.Contains(err.Error(), "already open") {
 		t.Fatalf("err=%v", err)
 	}

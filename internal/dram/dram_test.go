@@ -219,7 +219,7 @@ func TestLowerIntraCommandShapes(t *testing.T) {
 		closed := append(append([]ddr.Cmd{}, cmds...),
 			ddr.Cmd{Kind: ddr.CmdWBack, Addr: memarch.RowAddr{Row: 20}},
 			ddr.Cmd{Kind: ddr.CmdPre})
-		if err := ddr.ValidateSequence(closed); err != nil {
+		if err := ddr.NewBankState().Validate(closed); err != nil {
 			t.Errorf("%v: lowered sequence violates the DDR protocol: %v", c.op, err)
 		}
 		if req.Energy.Total() <= 0 {

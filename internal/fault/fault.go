@@ -306,21 +306,16 @@ func (in *Injector) RecordWriteShared(key uint64, w *memarch.Wear, share int) bo
 	return true
 }
 
-// CorruptStored forces a row's stuck-at cells into freshly-programmed row
-// words in place, modelling the cells that no longer accept the write. It
-// returns how many bits were actually overridden (a write agreeing with the
-// stuck value is unharmed).
-func (in *Injector) CorruptStored(stuck []memarch.StuckBit, row []uint64) int {
-	return in.CorruptStoredOffset(stuck, row, 0)
-}
-
-// CorruptStoredOffset applies the stuck-at cells whose positions fall at
-// or beyond offsetBits to `row`, rebased so position offsetBits lands on
-// bit 0. The controller uses it for the ECC spare columns: the injector is
-// constructed with rowBits covering data plus spare cells, positions below
-// the data width corrupt the data row (offset 0) and positions at or above
-// it corrupt the packed check words (offset = data row bits) — the spare
-// columns wear and stick exactly like the cells they protect.
+// CorruptStoredOffset forces a row's stuck-at cells into freshly
+// programmed words in place, modelling the cells that no longer accept
+// the write. It applies the cells whose positions fall at or beyond
+// offsetBits to `row`, rebased so position offsetBits lands on bit 0, and
+// returns how many bits were actually overridden (a write agreeing with
+// the stuck value is unharmed). The injector is constructed with rowBits
+// covering data plus spare cells: the controller corrupts a data row with
+// offset 0, and the packed ECC check words with offset = data row bits,
+// so the spare columns wear and stick exactly like the cells they
+// protect. Positions past the end of row are skipped.
 func (in *Injector) CorruptStoredOffset(stuck []memarch.StuckBit, row []uint64, offsetBits int) int {
 	forced := 0
 	for _, b := range stuck {

@@ -241,7 +241,7 @@ func TestCorruptStored(t *testing.T) {
 	if !b.Val {
 		row[b.Pos/64] |= 1 << uint(b.Pos%64)
 	}
-	if forced := in.CorruptStored(w.Stuck, row); forced != 1 {
+	if forced := in.CorruptStoredOffset(w.Stuck, row, 0); forced != 1 {
 		t.Fatalf("forced %d bits, want 1", forced)
 	}
 	got := row[b.Pos/64]&(1<<uint(b.Pos%64)) != 0
@@ -249,7 +249,7 @@ func TestCorruptStored(t *testing.T) {
 		t.Fatal("stored bit does not match the stuck value")
 	}
 	// Writing the stuck value itself is unharmed.
-	if forced := in.CorruptStored(w.Stuck, row); forced != 0 {
+	if forced := in.CorruptStoredOffset(w.Stuck, row, 0); forced != 0 {
 		t.Fatalf("agreeing write forced %d bits, want 0", forced)
 	}
 	if got := in.led.Count[ledger.StuckBitsForced]; got != 1 {
@@ -298,8 +298,8 @@ func TestCorruptStoredOffset(t *testing.T) {
 		t.Fatal("spare bit does not match the stuck value")
 	}
 	// A data-region row sized dataBits must be untouched by spare positions:
-	// CorruptStored skips positions past len(row).
-	if forced := in.CorruptStored(w.Stuck, dataRow); forced < 1 {
+	// Offset 0 skips positions past len(row).
+	if forced := in.CorruptStoredOffset(w.Stuck, dataRow, 0); forced < 1 {
 		t.Fatalf("data region forced %d bits, want >= 1", forced)
 	}
 	got = dataRow[data.Pos/64]&(1<<uint(data.Pos%64)) != 0

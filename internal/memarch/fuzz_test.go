@@ -37,33 +37,63 @@ func (r refRecord) clone() refRecord {
 	return r
 }
 
+// refGroup is the reference of one replica group: its primary row and
+// the rows that store its copies.
+type refGroup struct {
+	primary  int
+	replicas []int
+}
+
 // refRows is the reference for one Memory: a borrowed row reads the
-// lender's record until a mutator gives it a record of its own.
+// lender's record until a mutator gives it a record of its own. A row's
+// replica group is copied, not read through, so groups[r] is the group
+// row r's record holds (nil for none) whether or not r is borrowed.
 type refRows struct {
 	rows     []refRecord
 	borrowed []bool
+	groups   []*refGroup
 }
 
 func newRefRows(rows, words int) *refRows {
-	r := &refRows{rows: make([]refRecord, rows), borrowed: make([]bool, rows)}
+	r := &refRows{rows: make([]refRecord, rows), borrowed: make([]bool, rows), groups: make([]*refGroup, rows)}
 	for i := range r.rows {
 		r.rows[i].words = make([]uint64, words)
 	}
 	return r
 }
 
+// setGroup makes g the group of every one of its members.
+func (r *refRows) setGroup(g *refGroup) {
+	r.groups[g.primary] = g
+	for _, m := range g.replicas {
+		r.groups[m] = g
+	}
+}
+
+// rowAddrs returns the addresses of rows.
+func rowAddrs(rows []int) []RowAddr {
+	var out []RowAddr
+	for _, r := range rows {
+		out = append(out, RowAddr{Row: r})
+	}
+	return out
+}
+
 // FuzzRowExtent drives random sequences of WriteRow, CopyRow between two
 // memories, bit sets through MutableRow, BorrowRow, ReadRow, Reset,
-// SetCheck and SetWear, and after every step checks each row's whole
-// record — words, program count, check words and wear — against the
-// reference, together with the extent invariant (every word at or beyond
-// a row's extent is zero). A third memory lends rows of every extent,
-// with and without check words and wear, through BorrowRow and must never
-// change, its check words and stuck lists included: any change to a
-// borrowed row's record gives it a record of its own first, which holds
-// the lent record with the change applied and is no longer borrowed. A
-// fourth memory holds no row at all: borrowing from it lends nothing, so
-// the borrower's row reads zeros unmaterialised, and it must stay empty.
+// SetCheck, SetWear, SetGroup and DropGroup, and after every step checks
+// each row's whole record — words, program count, check words, wear and
+// replica group (Replicas and GroupSize) — against the reference,
+// together with the extent invariant (every word at or beyond a row's
+// extent is zero). A third memory lends rows of every extent, with and
+// without check words, wear and a replica group, through BorrowRow and
+// must never change, its check words, stuck lists and groups included:
+// any change to a borrowed row's words, check words or wear gives it a
+// record of its own first, which holds the lent record with the change
+// applied and is no longer borrowed. A fourth memory holds no row at all,
+// only a replica group: borrowing from it lends that group and nothing
+// else, so the borrower's row reads zeros unmaterialised, and it must stay
+// as it was. Setting or dropping a group materialises no row.
 //
 // Each step reads an op byte, a byte selecting the memory and the row,
 // and the op's operands.
@@ -90,6 +120,13 @@ func FuzzRowExtent(f *testing.F) {
 	// row, over an owned row with check words and wear, and on a fresh
 	// row; write one of them, then merge it into the other memory.
 	f.Add([]byte{3, 4, 8, 4, 0, 2, 5, 1, 6, 2, 9, 1, 3, 7, 2, 1, 0, 1, 8, 2, 8, 2, 8, 6, 0, 6, 3, 7, 1, 7, 0, 4, 7})
+	// Borrow a replicated row the empty memory never wrote; set a group
+	// on rows never written, replace one member's group by borrowing, and
+	// drop groups through a non-primary and a replaced member (nothing
+	// changes); write the borrowed row, merge it into the other memory
+	// and drop its group there; borrow the lender's replicated row, then
+	// Reset.
+	f.Add([]byte{8, 2, 9, 7, 5, 8, 7, 10, 7, 10, 1, 0, 2, 5, 9, 1, 3, 0, 10, 3, 3, 4, 5, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		geo := fuzzGeometry()
 		nw, nr := geo.RowWords(), geo.RowsPerSubarray
@@ -101,10 +138,18 @@ func FuzzRowExtent(f *testing.F) {
 			return m
 		}
 		// Two memories under test and a lender whose rows hold 0, 5, 10
-		// and 16 words; row 1 has check words, row 2 wear, row 3 both.
-		mems := []*Memory{newMem(), newMem(), newMem()}
-		lender, lent, empty := mems[2], newRefRows(nr, nw), newMem()
-		refs := []*refRows{newRefRows(nr, nw), newRefRows(nr, nw), lent}
+		// and 16 words; row 1 has check words, row 2 wear, row 3 both, and
+		// row 2 heads a replica group whose copy is row 0. The empty
+		// memory's row 1 heads a group whose copy is row 3.
+		mems := []*Memory{newMem(), newMem(), newMem(), newMem()}
+		lender, lent, empty := mems[2], newRefRows(nr, nw), mems[3]
+		refs := []*refRows{newRefRows(nr, nw), newRefRows(nr, nw), lent, newRefRows(nr, nw)}
+		for i, g := range []refGroup{2: {primary: 2, replicas: []int{0}}, 3: {primary: 1, replicas: []int{3}}} {
+			if g.replicas != nil {
+				mems[i].SetGroup(RowAddr{Row: g.primary}, rowAddrs(g.replicas))
+				refs[i].setGroup(&g)
+			}
+		}
 		for r := range lent.rows {
 			a, rec := RowAddr{Row: r}, &lent.rows[r]
 			n := r * nw / (nr - 1)
@@ -141,7 +186,7 @@ func FuzzRowExtent(f *testing.F) {
 			return int(b)
 		}
 		for step := 0; len(prog) > 0 && step < 256; step++ {
-			op, sel := next()%9, next()
+			op, sel := next()%11, next()
 			mi, r := sel&1, (sel>>1)%nr
 			m, ref, a := mems[mi], refs[mi], RowAddr{Row: r}
 			// own gives the reference row the record it reads before a
@@ -173,6 +218,7 @@ func FuzzRowExtent(f *testing.F) {
 				m.CopyRow(a, mems[si])
 				own()
 				ref.rows[r] = want
+				ref.groups[r] = refs[si].groups[r]
 			case 2:
 				pos := (next()<<8 | next()) % (nw * 64)
 				m.MutableRow(a)[pos/64] |= 1 << (pos % 64)
@@ -180,6 +226,7 @@ func FuzzRowExtent(f *testing.F) {
 			case 3:
 				m.BorrowRow(a, lender)
 				ref.borrowed[r] = true
+				ref.groups[r] = lent.groups[r]
 			case 4:
 				got, want := m.ReadRow(a), content(ref, r).words
 				for j := range want {
@@ -212,12 +259,63 @@ func FuzzRowExtent(f *testing.F) {
 				m.BorrowRow(a, empty)
 				ref.rows[r] = refRecord{words: make([]uint64, nw)}
 				ref.borrowed[r] = false
+				ref.groups[r] = refs[3].groups[r]
 				if n := empty.MaterializedRows(); n != 0 || len(empty.cells) != 0 {
 					t.Fatalf("step %d: borrowing row %d from the empty memory materialised %d of its rows", step, r, n)
+				}
+			case 9:
+				g, mask, rows := &refGroup{primary: r}, next(), m.MaterializedRows()
+				for j := range nr {
+					if j != r && mask>>j&1 != 0 {
+						g.replicas = append(g.replicas, j)
+					}
+				}
+				m.SetGroup(a, rowAddrs(g.replicas))
+				ref.setGroup(g)
+				if n := m.MaterializedRows(); n != rows {
+					t.Fatalf("step %d: SetGroup on memory %d row %d materialised %d rows", step, mi, r, n-rows)
+				}
+			case 10:
+				rows := m.MaterializedRows()
+				got := m.DropGroup(a)
+				var want []RowAddr
+				if g := ref.groups[r]; g != nil && g.primary == r {
+					want = rowAddrs(g.replicas)
+					for _, k := range append([]int{r}, g.replicas...) {
+						if h := ref.groups[k]; h != nil && h.primary == r {
+							ref.groups[k] = nil
+						}
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: DropGroup memory %d row %d returned %v, want %v", step, mi, r, got, want)
+				}
+				if n := m.MaterializedRows(); n != rows {
+					t.Fatalf("step %d: DropGroup on memory %d row %d materialised %d rows", step, mi, r, n-rows)
 				}
 			}
 
 			for i, mem := range mems {
+				for r := 0; r < nr; r++ {
+					a := RowAddr{Row: r}
+					var reps []RowAddr
+					size := 1
+					if g := refs[i].groups[r]; g != nil {
+						size += len(g.replicas)
+						if g.primary == r {
+							reps = rowAddrs(g.replicas)
+						}
+					}
+					if got := mem.Replicas(a); !slices.Equal(got, reps) {
+						t.Fatalf("step %d: memory %d row %d replicas %v, want %v", step, i, r, got, reps)
+					}
+					if got := mem.GroupSize(a); got != size {
+						t.Fatalf("step %d: memory %d row %d group size %d, want %d", step, i, r, got, size)
+					}
+				}
+			}
+
+			for i, mem := range mems[:3] {
 				want := refs[i]
 				for r := 0; r < nr; r++ {
 					a := RowAddr{Row: r}

@@ -15,20 +15,25 @@ import (
 //
 // It is the one owner of each physical row's record: its words and
 // written extent, its program count, the check words its spare columns
-// store and its wear (see Wear). Every word at or beyond a row's extent
-// is zero. A record changes only through Memory's mutators (WriteRow,
-// CopyRow, MutableRow, SetCheck, SetWear), which keep the extent current,
+// store, its wear (see Wear) and the replica group it belongs to (see
+// SetGroup). Every word at or beyond a row's extent is zero. A record
+// changes only through Memory's mutators (WriteRow, CopyRow, MutableRow,
+// SetCheck, SetWear, SetGroup, DropGroup), which keep the extent current,
 // so writes, copies and Reset touch only the words below it — a row
 // holding an 8,192-bit vector costs 128 words to rewrite, not the 8,192
 // of a 524,288-bit row.
 //
 // A row borrowed from another Memory (BorrowRow) reads the lender's whole
 // record until it changes. The one rule the batch merge relies on: any
-// change to a row's record first gives a borrowed row backing of its own,
-// and every mutator enforces it, so AppendOwnedAddrs lists every row a
-// borrower changed and CopyRow carries the whole record back. Stored check
-// words and stuck lists are replaced, never modified in place, so a
-// borrowed row shares them with its lender.
+// change to a row's words, check words or wear first gives a borrowed row
+// backing of its own, and every such mutator enforces it, so
+// AppendOwnedAddrs lists every row a borrower changed and CopyRow carries
+// the whole record back. A replica group needs no materialised row:
+// BorrowRow lends it also for a row the lender never wrote, and SetGroup
+// and DropGroup change it without giving a borrowed row backing of its
+// own, so a merge does not carry a borrower's group change back. Stored
+// check words, stuck lists and replica groups are replaced, never
+// modified in place, so a borrowed row shares them with its lender.
 //
 // Memory also owns the two buffer levels Pinatubo's inter-subarray and
 // inter-bank datapaths latch results in: one global row buffer per bank and
@@ -40,6 +45,10 @@ type Memory struct {
 	// cells holds the rest of each row's record (see cellState), keyed
 	// like rows.
 	cells map[uint64]cellState
+	// groups holds the replica group of every row in one, keyed like rows
+	// by each member. It is made on first use: only a replicated System
+	// sets groups.
+	groups map[uint64]group
 
 	// globalBuf[channel][rank][bank] is the bank's global row buffer.
 	globalBuf map[[3]int][]uint64
@@ -73,15 +82,23 @@ type row struct {
 	programs int64
 }
 
-// cellState is the rest of a row's record, which only the ECC and wear
+// cellState is the part of a row's record that only the ECC and wear
 // paths read: the check words its spare columns store, the data-bit
 // count they were encoded over, and its wear. It lives in a map of its
 // own so the row value PeekRow and WriteRow copy stays small; BorrowRow,
-// CopyRow and Reset handle both maps.
+// CopyRow and Reset handle it with the rows and the replica groups.
 type cellState struct {
 	checkBits int
 	check     []uint64
 	wear      Wear
+}
+
+// group is one replica group: a primary row, keyed like Memory.rows, and
+// the rows that store copies of it. Every member's record holds the same
+// group, whose replicas slice nothing modifies.
+type group struct {
+	primary  uint64
+	replicas []RowAddr
 }
 
 // Wear is a row's wear record. A fault injector decides when a program
@@ -173,15 +190,17 @@ func (m *Memory) writable(addr RowAddr) (uint64, row) {
 }
 
 // BorrowRow makes addr read the lender's record of the row at the same
-// address — words, extent, program count, check words and wear — without
-// copying the words. A mutator gives the row backing of its own before
-// its first change, so the lender never changes, and Reset detaches the
-// row without zeroing or recycling it. A row the lender never
-// materialised has no record to lend (cell state exists only for a
-// materialised row): the borrower drops its own, so the row reads zeros
-// through PeekRow, and the lender stays as it was.
+// address — words, extent, program count, check words, wear and replica
+// group — without copying the words. A mutator gives the row backing of
+// its own before its first change, so the lender never changes, and Reset
+// detaches the row without zeroing or recycling it. A row the lender
+// never materialised has no words, check words or wear to lend (cell
+// state exists only for a materialised row): the borrower drops its own,
+// so the row reads zeros through PeekRow, and the lender stays as it was.
+// Its replica group is lent all the same.
 func (m *Memory) BorrowRow(addr RowAddr, lender *Memory) {
 	key := m.geo.Encode(addr)
+	m.setGroup(key, lender)
 	r, ok := lender.rows[key]
 	if !ok {
 		delete(m.rows, key)
@@ -202,14 +221,28 @@ func (m *Memory) setCells(key uint64, src *Memory) {
 	}
 }
 
+// setGroup makes key's replica group src's.
+func (m *Memory) setGroup(key uint64, src *Memory) {
+	g, ok := src.groups[key]
+	if !ok {
+		delete(m.groups, key)
+		return
+	}
+	if m.groups == nil {
+		m.groups = make(map[uint64]group)
+	}
+	m.groups[key] = g
+}
+
 // Borrowed reports whether addr reads a row borrowed via BorrowRow.
 func (m *Memory) Borrowed(addr RowAddr) bool {
 	return m.rows[m.geo.Encode(addr)].borrowed
 }
 
 // Reset restores the memory to its fresh all-zeros state: every row's
-// record and every buffer is cleared. A row is zeroed up to
-// its extent only and kept on a freelist, so a pooled shard memory that
+// record, replica group included, and every buffer is cleared. A row is
+// zeroed up to its extent only and kept on a freelist, so a pooled shard
+// memory that
 // re-materialises a similar working set on its next window allocates
 // nothing for it. Borrowed rows are detached untouched — their storage
 // belongs to the lending memory.
@@ -240,6 +273,7 @@ func (m *Memory) Reset() {
 		delete(m.ioBuf, k)
 	}
 	clear(m.cells)
+	clear(m.groups)
 }
 
 // PeekRow returns the full-width words of a row without copying them.
@@ -289,8 +323,9 @@ func (m *Memory) WriteRow(addr RowAddr, words []uint64) error {
 }
 
 // CopyRow overwrites addr's record with src's record of the row at the
-// same address: words, program count, check words and wear. The batch
-// executor uses it to merge a shard's rows back. Like WriteRow it touches
+// same address: words, program count, check words, wear and replica
+// group. The batch executor uses it to merge a shard's rows back. Like
+// WriteRow it touches
 // only the two extents and gives a borrowed destination backing of its
 // own; unlike WriteRow it models no hardware write, so the program count
 // is src's, not one more.
@@ -301,6 +336,7 @@ func (m *Memory) CopyRow(addr RowAddr, src *Memory) {
 	r.programs = s.programs
 	m.rows[key] = r
 	m.setCells(key, src)
+	m.setGroup(key, src)
 }
 
 // MutableRow returns addr's full-width words for an in-place update that
@@ -369,6 +405,68 @@ func (m *Memory) ownCells(addr RowAddr) (uint64, cellState) {
 		m.rows[key] = m.unborrow(r)
 	}
 	return key, m.cells[key]
+}
+
+// SetGroup makes primary and its replicas one replica group: the
+// replicas store copies of primary, a majority vote senses them all, and
+// each member's programs wear it 1/GroupSize as fast. Every member's
+// record is set to the group, replacing any group it was in. The group
+// keeps replicas itself: the caller must not modify it afterwards.
+func (m *Memory) SetGroup(primary RowAddr, replicas []RowAddr) {
+	if m.groups == nil {
+		m.groups = make(map[uint64]group)
+	}
+	g := group{primary: m.geo.Encode(primary), replicas: replicas}
+	m.groups[g.primary] = g
+	for _, r := range replicas {
+		m.groups[m.geo.Encode(r)] = g
+	}
+}
+
+// groupOf returns addr's key and replica group; ok is false for a row in
+// no group. A memory that holds no group returns before encoding addr.
+func (m *Memory) groupOf(addr RowAddr) (key uint64, g group, ok bool) {
+	if len(m.groups) == 0 {
+		return 0, group{}, false
+	}
+	key = m.geo.Encode(addr)
+	g, ok = m.groups[key]
+	return key, g, ok
+}
+
+// Replicas returns the replicas of addr's group when addr is its primary,
+// and nil otherwise. The slice is shared with the record: the caller must
+// not modify it.
+func (m *Memory) Replicas(addr RowAddr) []RowAddr {
+	if key, g, ok := m.groupOf(addr); ok && g.primary == key {
+		return g.replicas
+	}
+	return nil
+}
+
+// GroupSize returns how many rows addr's replica group holds, primary
+// included, and 1 for a row in no group: the share of a logical row's
+// wear each of its copies takes.
+func (m *Memory) GroupSize(addr RowAddr) int {
+	_, g, _ := m.groupOf(addr)
+	return 1 + len(g.replicas)
+}
+
+// DropGroup forgets the replica group primary heads, from every member
+// whose record still holds it, and returns its replicas; it returns nil
+// and changes nothing when primary heads no group.
+func (m *Memory) DropGroup(primary RowAddr) []RowAddr {
+	key, g, ok := m.groupOf(primary)
+	if !ok || g.primary != key {
+		return nil
+	}
+	delete(m.groups, key)
+	for _, r := range g.replicas {
+		if k := m.geo.Encode(r); m.groups[k].primary == key {
+			delete(m.groups, k)
+		}
+	}
+	return g.replicas
 }
 
 // MaterializedRows reports how many rows have backing storage (testing aid).

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pinatubo/internal/backend"
 	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
@@ -12,8 +13,11 @@ import (
 )
 
 // bytesPerCall reports the heap bytes one call of f allocates, averaged
-// over runs calls after two warm-up calls.
+// over runs calls after two warm-up calls. Like testing.AllocsPerRun it
+// measures on one P, so no other goroutine allocates during the measured
+// calls.
 func bytesPerCall(f func(), runs int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	f()
 	var before, after runtime.MemStats
@@ -61,8 +65,8 @@ func TestUncachedExecuteRowSizedZeroAllocs(t *testing.T) {
 		return or, and
 	}
 	geo := memarch.Default()
-	if g := senseGroups(geo, 1<<14); g != senseGroups(geo, 1<<10) {
-		t.Fatalf("widths need %d vs %d sense groups; the comparison needs equal command counts", g, senseGroups(geo, 1<<10))
+	if g := backend.SenseGroups(geo, 1<<14); g != backend.SenseGroups(geo, 1<<10) {
+		t.Fatalf("widths need %d vs %d sense groups; the comparison needs equal command counts", g, backend.SenseGroups(geo, 1<<10))
 	}
 	smallOr, smallAnd := measure(1 << 10)
 	bigOr, bigAnd := measure(1 << 14)

@@ -119,11 +119,6 @@ type Controller struct {
 	// inj, when attached, corrupts sensing and cell writes — see
 	// internal/fault. nil means the ideal-hardware model.
 	inj *fault.Injector
-	// wearShare, when set, reports how many replicas of a logical row the
-	// given physical row stores; programs of such rows accrue 1/share of a
-	// wear event each (internal/fault.RecordWriteShared). nil or a return
-	// of <= 1 means normal wear.
-	wearShare func(memarch.RowAddr) int
 	// codec models the in-array SECDED spare columns — see ecc.go; nil
 	// means no ECC. The check words they store are part of each row's
 	// record in the memory.
@@ -314,11 +309,6 @@ func (c *Controller) CacheStats() cmdstream.CacheStats {
 
 // Injector returns the attached fault injector (nil when none).
 func (c *Controller) Injector() *fault.Injector { return c.inj }
-
-// SetWearSpread installs the replica-share lookup consulted on every cell
-// write: rows reported as storing one of R replicas age R× slower per
-// logical write. Passing nil restores normal wear.
-func (c *Controller) SetWearSpread(f func(memarch.RowAddr) int) { c.wearShare = f }
 
 // Ledger returns the controller's counter ledger. The scheduler, the
 // injector and the owning System count into it too.
@@ -656,7 +646,7 @@ func (c *Controller) lower(op sense.Op, srcs []memarch.RowAddr, reps [][]memarch
 			c.lowerEn.Add(energy.Logic, float64(len(reps))*float64(bits)*c.mem.Tech().Energy.LogicPerBit)
 		}
 	} else {
-		body := len(srcs) * (3 + senseGroups(geo, bits)) // see lowerInter
+		body := len(srcs) * (3 + backend.SenseGroups(geo, bits)) // see lowerInter
 		cmds = c.beginLowering(class, srcs[0], dst, body, keep)
 		cmds = c.lowerInter(op, srcs, bits, class == ClassInterBank, cmds, &c.lowerEn)
 	}
@@ -819,33 +809,25 @@ func (c *Controller) senseDigital(out []uint64, op sense.Op, rows [][]uint64, bi
 // store programs a row, routing the write through the wear model: the
 // injector applies the program to the row's wear record, and worn rows
 // keep their stuck-at bits regardless of what the write drivers deliver.
+// A row that stores one of R copies of a logical row (its replica group
+// holds R rows) accrues 1/R of a wear event per program.
 func (c *Controller) store(addr memarch.RowAddr, words []uint64) error {
 	if err := c.mem.WriteRow(addr, words); err != nil {
 		return err
 	}
 	if c.inj != nil {
-		share := 1
-		if c.wearShare != nil {
-			share = c.wearShare(addr)
-		}
 		w := c.mem.Wear(addr)
-		if c.inj.RecordWriteShared(c.mem.Geometry().Encode(addr), &w, share) {
+		if c.inj.RecordWriteShared(c.mem.Geometry().Encode(addr), &w, c.mem.GroupSize(addr)) {
 			c.mem.SetWear(addr, w)
 		}
 		if len(w.Stuck) > 0 {
 			// Stuck cells can sit anywhere in the row, beyond the words
 			// just written, so they are forced through the full-row
 			// mutator.
-			c.inj.CorruptStored(w.Stuck, c.mem.MutableRow(addr))
+			c.inj.CorruptStoredOffset(w.Stuck, c.mem.MutableRow(addr), 0)
 		}
 	}
 	return nil
-}
-
-// senseGroups returns how many serial column-group sensing steps cover
-// `bits` bits.
-func senseGroups(geo memarch.Geometry, bits int) int {
-	return backend.SenseGroups(geo, bits)
 }
 
 // lowerInter appends the serial global-buffer sequence (inter-subarray
@@ -854,7 +836,7 @@ func senseGroups(geo memarch.Geometry, bits int) int {
 // the add-on digital logic folds it in.
 func (c *Controller) lowerInter(op sense.Op, srcs []memarch.RowAddr, bits int, interBank bool, cmds []ddr.Cmd, en *energy.Meter) []ddr.Cmd {
 	e := c.mem.Tech().Energy
-	groups := senseGroups(c.mem.Geometry(), bits)
+	groups := backend.SenseGroups(c.mem.Geometry(), bits)
 	moveKind := ddr.CmdGDLMove
 	moveEnergy := e.GDLPerBit
 	moveComp := energy.GDL

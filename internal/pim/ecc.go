@@ -39,6 +39,7 @@ package pim
 import (
 	"fmt"
 
+	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/energy"
@@ -166,7 +167,7 @@ func (c *Controller) ECCProgram(dst memarch.RowAddr, golden []uint64, bits int, 
 		}
 	case sense.OpOR, sense.OpAND:
 		// Nonlinear: regenerate at the row-buffer encoder trees.
-		cost.Seconds = float64(senseGroups(geo, bits)) * c.mem.Tech().Timing.TCMD
+		cost.Seconds = float64(backend.SenseGroups(geo, bits)) * c.mem.Tech().Timing.TCMD
 		cost.Energy.Add(energy.ECCLogic, float64(bits)*e.ECCPerBit)
 	default:
 		return cost, fmt.Errorf("pim: ECCProgram of unknown op %d", int(op))
@@ -207,7 +208,7 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 	var v ECCVerification
 	e := c.mem.Tech().Energy
 	t := c.mem.Tech().Timing
-	groups := senseGroups(geo, bits)
+	groups := backend.SenseGroups(geo, bits)
 	cbBits := c.codec.CheckRowBits(bits)
 	// Cost: the data and spare columns are already on the SAs for the final
 	// program-verify pass; ECC adds the syndrome pipeline (one command slot
@@ -292,7 +293,7 @@ func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uin
 	var v ECCVerification
 	e := c.mem.Tech().Energy
 	cbBits := c.codec.CheckRowBits(bits)
-	groups := senseGroups(geo, bits)
+	groups := backend.SenseGroups(geo, bits)
 	v.Seconds = float64(groups) * c.mem.Tech().Timing.TCMD
 	v.Energy.Add(energy.SenseAmp, float64(cbBits)*e.SensePerBit)
 	v.Energy.Add(energy.ECCLogic, float64(bits)*e.ECCPerBit)

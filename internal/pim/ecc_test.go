@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pinatubo/internal/analog"
+	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ecc"
 	"pinatubo/internal/energy"
@@ -86,7 +87,7 @@ func TestECCProgramAndVerifyCleanOp(t *testing.T) {
 		t.Error("nonlinear regen charged no encoder energy")
 	}
 	t0 := nvm.Get(nvm.PCM).Timing
-	groups := senseGroups(c.mem.Geometry(), bits)
+	groups := backend.SenseGroups(c.mem.Geometry(), bits)
 	if want := float64(groups) * t0.TCMD; cost.Seconds != want {
 		t.Errorf("nonlinear regen latency %g, want %g", cost.Seconds, want)
 	}
@@ -150,7 +151,7 @@ func TestCorrectOrEscalateFixesSingleBitAndRepairsRow(t *testing.T) {
 		t.Fatalf("stored word not repaired: %#x != %#x", got, words[1])
 	}
 	tm := nvm.Get(nvm.PCM).Timing
-	groups := senseGroups(c.mem.Geometry(), bits)
+	groups := backend.SenseGroups(c.mem.Geometry(), bits)
 	if want := float64(groups)*tm.TCMD + tm.TWR; v.Seconds != want {
 		t.Errorf("repair latency %g, want %g (pipeline + reprogram)", v.Seconds, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
@@ -119,7 +120,7 @@ func (c *Controller) VerifyAgainst(nsrc, bitCount int, dst memarch.RowAddr, gold
 	// (ACT + sensing + GDL move + compare logic each). All single-row reads.
 	t := c.mem.Tech().Timing
 	e := c.mem.Tech().Energy
-	groups := senseGroups(geo, bitCount)
+	groups := backend.SenseGroups(geo, bitCount)
 	fbits := float64(bitCount)
 	cmdTime := func(k ddr.CmdKind, payload int) float64 {
 		return ddr.CmdTime(ddr.Cmd{Kind: k, Bits: payload}, t, c.bus)

@@ -41,8 +41,8 @@ func newECCSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Schedule
 		}
 	}
 	s := &Scheduler{
-		Ctl: ctl,
-		Res: &Resilience{ECC: true},
+		Ctl:    ctl,
+		Verify: true,
 	}
 	return s, ctl
 }
@@ -94,10 +94,10 @@ func TestECCVerifyCheapOnCleanHardware(t *testing.T) {
 	}
 
 	plain, _ := run(func(s *Scheduler) {})
-	readback, rbStats := run(func(s *Scheduler) { s.Res = &Resilience{} })
+	readback, rbStats := run(func(s *Scheduler) { s.Verify = true })
 	eccTime, eccStats := run(func(s *Scheduler) {
 		s.Ctl.EnableECC(ecc.Default())
-		s.Res = &Resilience{ECC: true}
+		s.Verify = true
 	})
 
 	if rbStats[ledger.Verifies] == 0 || rbStats[ledger.EccDecodes] != 0 {

@@ -42,6 +42,8 @@ type Allocator struct {
 	// never handed out: the scheduler's scratch row plus whatever the
 	// technology backend claims as compute rows (Caps().ComputeRows).
 	tail int
+	// gen is the layout generation (Gen).
+	gen uint64
 }
 
 // NewAllocatorTail builds an allocator over the whole memory that keeps
@@ -222,8 +224,16 @@ func (a *Allocator) Rollback(start uint64, rows []memarch.RowAddr) {
 	a.next = start
 }
 
+// Gen returns the layout generation, which every Free and Retire
+// advances: a caller that computed something from rows the allocator had
+// handed out (a batch builder's footprints) compares generations to learn
+// whether a row may have been freed or retired since. Allocations do not
+// advance it, because they move no row already handed out.
+func (a *Allocator) Gen() uint64 { return a.gen }
+
 // Free returns rows to the allocator. Retired rows stay out of circulation.
 func (a *Allocator) Free(rows []memarch.RowAddr) {
+	a.gen++
 	for _, r := range rows {
 		key := a.geo.Encode(r)
 		if a.retired[key] {
@@ -237,6 +247,7 @@ func (a *Allocator) Free(rows []memarch.RowAddr) {
 // longer store what the write drivers deliver). A retired row is never
 // handed out again, even if Free is later called on it.
 func (a *Allocator) Retire(r memarch.RowAddr) {
+	a.gen++
 	key := a.geo.Encode(r)
 	a.retired[key] = true
 	if i, found := slices.BinarySearch(a.free, key); found {
@@ -244,13 +255,25 @@ func (a *Allocator) Retire(r memarch.RowAddr) {
 	}
 }
 
+// Remap retires a worn-out row and allocates a fresh one in its place.
+func (a *Allocator) Remap(old memarch.RowAddr) (memarch.RowAddr, error) {
+	a.Retire(old)
+	rows, err := a.AllocRows(1)
+	if err != nil {
+		return memarch.RowAddr{}, err
+	}
+	return rows[0], nil
+}
+
 // Reset restores the allocator to its NewAllocatorTail state: the frontier
-// rewinds and free/retired sets empty, so a pooled shard sandbox hands out
-// exactly the row sequence a fresh allocator would.
+// rewinds, free/retired sets empty and the generation returns to zero, so
+// a pooled shard sandbox hands out exactly the row sequence a fresh
+// allocator would.
 func (a *Allocator) Reset() {
 	a.free = a.free[:0]
 	clear(a.retired)
 	a.next = 0
+	a.gen = 0
 }
 
 // AllocatedRows reports how many rows are currently live (retired rows
@@ -358,23 +381,24 @@ func SpecForOR(rows []memarch.RowAddr, bits int) (workload.OpSpec, error) {
 // A per-subarray OR partial lands in that subarray's ScratchRow, which
 // the allocator must never hand out; the driver library reserves these at
 // init (the paper's run-time "schedule opt").
+//
+// When every operand of an intra-subarray request heads a replica group
+// in Ctl's memory (memarch.Memory.SetGroup), a verified request executes
+// as a majority-voted activation over all copies — the proactive rung of
+// the resilience ladder (replicate.go).
 type Scheduler struct {
 	Ctl *pim.Controller
-	// Res enables the verify-and-retry resilience ladder (resilience.go);
-	// nil schedules plainly, trusting the hardware.
-	Res *Resilience
-	// Remap, when set, supplies a replacement row for a destination whose
-	// cells are damaged (the old row should be retired by the provider).
-	Remap func(old memarch.RowAddr) (memarch.RowAddr, error)
-	// Release, when set, takes back rows the scheduler borrowed through
-	// Remap for internal partials it no longer needs.
-	Release func(rows []memarch.RowAddr)
-	// Replicas, when set, supplies the replica rows holding extra copies of
-	// a logical row (nil/empty for unreplicated rows). When every operand
-	// of an intra-subarray request is replicated, the request executes as a
-	// majority-voted activation over all copies — the proactive rung of the
-	// resilience ladder (resilience.go).
-	Replicas func(a memarch.RowAddr) []memarch.RowAddr
+	// Verify enables the verify-and-retry resilience ladder
+	// (resilience.go); false schedules plainly, trusting the hardware.
+	// The ladder leads with Ctl's in-array SECDED path exactly when Ctl
+	// has a codec attached (pim.Controller.EnableECC), and with read-back
+	// otherwise.
+	Verify bool
+	// Alloc, when set, retires a destination whose cells are damaged and
+	// supplies its replacement (Allocator.Remap), and takes back the
+	// replacements the scheduler used for internal partials. With none,
+	// the ladder keeps a damaged row and fails loudly.
+	Alloc *Allocator
 
 	// res, partial, groups, partials, links and goldens are scheduling
 	// scratch, reused across operations so a steady-state Execute, Write
@@ -529,8 +553,9 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 		return err
 	}
 	s.partials = partials[:0]
-	if s.Release != nil && len(borrowed) > 0 {
-		s.Release(borrowed)
+	if len(borrowed) > 0 {
+		// Only Alloc.Remap moves a partial off its scratch row.
+		s.Alloc.Free(borrowed)
 	}
 	return nil
 }

@@ -2,10 +2,10 @@ package pimrt
 
 // This file is the proactive rung of the resilience ladder: replication +
 // majority-vote sensing (the PULSAR trade — capacity for reliability).
-// When the Replicas hook reports that every operand of an intra-subarray
-// request has R-1 coherent copies, the request executes as one
-// majority-voted activation: R sequential multi-row groups sensed at the
-// native depth, voted bitwise before write-back. The reactive rungs
+// When the memory's replica groups show that every operand of an
+// intra-subarray request has R-1 coherent copies, the request executes as
+// one majority-voted activation: R sequential multi-row groups sensed at
+// the native depth, voted bitwise before write-back. The reactive rungs
 // (retry, depth-split, inter-digital, host) only engage when the vote is
 // not unanimous *and* verification still fails — at realistic fault rates
 // the binomial vote tail turns nearly every would-be degradation into a
@@ -21,18 +21,19 @@ import (
 )
 
 // votedSets assembles the replica operand sets for a request, or returns
-// nil when voting does not apply: no Replicas hook, an operand without
-// replicas, mismatched replica counts, or a placement the analog vote
-// cannot serve (all copies of all operands must share one subarray).
+// nil when voting does not apply: an operand that heads no replica group,
+// mismatched replica counts, or a placement the analog vote cannot serve
+// (all copies of all operands must share one subarray).
 // sets[0] is srcs itself; sets[k] holds the k-th copy of every operand.
 // The sets are cut from the scheduler's voteRows, which also holds a copy
 // of srcs for the subarray check, and listed in its voteSets: both live
 // until the next request, which is all ExecuteVoted needs.
 func (s *Scheduler) votedSets(srcs []memarch.RowAddr) [][]memarch.RowAddr {
-	if s.Replicas == nil || len(srcs) == 0 {
+	if len(srcs) == 0 {
 		return nil
 	}
-	r, n := len(s.Replicas(srcs[0])), len(srcs)
+	mem := s.Ctl.Memory()
+	r, n := len(mem.Replicas(srcs[0])), len(srcs)
 	if r == 0 {
 		return nil
 	}
@@ -41,7 +42,7 @@ func (s *Scheduler) votedSets(srcs []memarch.RowAddr) [][]memarch.RowAddr {
 	s.voteRows = rows
 	copy(rows, srcs)
 	for i, a := range srcs {
-		rep := s.Replicas(a)
+		rep := mem.Replicas(a)
 		if len(rep) != r {
 			return nil
 		}
@@ -86,11 +87,8 @@ func (s *Scheduler) nativeExec(op sense.Op, srcs []memarch.RowAddr, bits int, ds
 // Each copy's operand list and destination are the scheduler's copySrc and
 // copyDst.
 func (s *Scheduler) syncReplicas(target memarch.RowAddr, bits int, res *ScheduleResult) error {
-	if s.Replicas == nil {
-		return nil
-	}
 	s.copySrc[0] = target
-	for _, rep := range s.Replicas(target) {
+	for _, rep := range s.Ctl.Memory().Replicas(target) {
 		s.copyDst = rep
 		r, err := s.Ctl.Execute(sense.OpRead, s.copySrc[:], bits, &s.copyDst)
 		if err != nil {

@@ -17,8 +17,8 @@ package pimrt
 //
 // Destination rows whose cells no longer hold what the write drivers
 // deliver (stuck-at wear) are detected by the stored/claimed comparison and
-// retired through the Remap hook, so the ladder terminates even on damaged
-// silicon.
+// retired through the scheduler's allocator (Allocator.Remap), so the
+// ladder terminates even on damaged silicon.
 
 import (
 	"errors"
@@ -52,18 +52,6 @@ const maxRetries = 3
 // minDepth floors the exponential depth reduction of rung 2: a 2-row OR is
 // the shallowest the hardware has.
 const minDepth = 2
-
-// Resilience configures the scheduler's verify-and-retry policy. Every
-// rung of the ladder is always on; the policy only picks how a request
-// is verified first.
-type Resilience struct {
-	// ECC verifies through the controller's in-array SECDED path instead of
-	// leading with read-back: syndrome decode on the program-verify sense,
-	// single-bit errors fixed in place, and only detected-uncorrectable
-	// syndromes fall into the read-back degradation ladder. Requires the
-	// controller to have a codec attached (pim.Controller.EnableECC).
-	ECC bool
-}
 
 // Reset empties the last result (keeping only its program buffer's
 // capacity), so a pooled shard sandbox does not keep its last op's
@@ -116,7 +104,7 @@ func (res *ScheduleResult) record(r pim.Result) {
 // target is write-only for this request. It must not be a controller
 // buffer: the attempts it guards execute before it is read.
 func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore []uint64, res *ScheduleResult) ([]uint64, error) {
-	if s.Res == nil {
+	if !s.Verify {
 		r, err := s.Ctl.Execute(op, srcs, bits, target)
 		if err != nil {
 			return nil, err
@@ -136,7 +124,7 @@ func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 	// and therefore needs restoring before a self-referencing re-execution.
 	dirty := false
 
-	if s.Res.ECC {
+	if s.Ctl.ECCCodec() != nil {
 		// Rung 0 — in-array SECDED: syndrome decode on the program-verify
 		// sense, single-bit repair in place. Only a detected-uncorrectable
 		// syndrome falls through to the read-back ladder.
@@ -437,16 +425,16 @@ func (s *Scheduler) hostWrite(addr memarch.RowAddr, words []uint64, bits int, re
 // verified against the data: under read-back the write is the ladder's
 // host rung over no operands, whose reference is the data itself; under
 // SECDED the check bits the write stored are decoded (writeECC). A row
-// that will not hold the data is retired through Remap, which moves
+// that will not hold the data is retired through Alloc, which moves
 // *target, because data rows must hold true data or every reference built
 // on them is garbage. The result is the scheduler's, as Execute's is.
 func (s *Scheduler) Write(target *memarch.RowAddr, words []uint64, bits int) (*ScheduleResult, error) {
 	res := s.begin(*target)
 	var err error
 	switch {
-	case s.Res == nil:
+	case !s.Verify:
 		err = s.hostWrite(*target, words, bits, res)
-	case s.Res.ECC:
+	case s.Ctl.ECCCodec() != nil:
 		err = s.writeECC(target, s.hostGolden(words, bits), bits, res)
 	default:
 		var ok bool
@@ -528,10 +516,10 @@ func (s *Scheduler) Read(addr memarch.RowAddr, bits int) (*ScheduleResult, error
 			return nil, err
 		}
 		res.record(r)
-		if s.Res == nil {
+		if !s.Verify {
 			break
 		}
-		if s.Res.ECC {
+		if s.Ctl.ECCCodec() != nil {
 			v, err := s.Ctl.ECCCorrectRead(addr, bits, r.Words)
 			if err != nil {
 				return nil, err
@@ -563,15 +551,15 @@ func (s *Scheduler) Read(addr memarch.RowAddr, bits int) (*ScheduleResult, error
 	return res, nil
 }
 
-// retireTarget swaps a damaged destination row for a fresh one through the
-// Remap hook, patching any self-reference in srcs. With no hook — or no
-// spare rows left — the ladder keeps going with the damaged row and fails
-// loudly at the end rather than returning wrong bits.
+// retireTarget swaps a damaged destination row for a fresh one through
+// the allocator, patching any self-reference in srcs. With no allocator —
+// or no spare rows left — the ladder keeps going with the damaged row and
+// fails loudly at the end rather than returning wrong bits.
 func (s *Scheduler) retireTarget(srcs []memarch.RowAddr, target *memarch.RowAddr) {
-	if s.Remap == nil {
+	if s.Alloc == nil {
 		return
 	}
-	fresh, err := s.Remap(*target)
+	fresh, err := s.Alloc.Remap(*target)
 	if err != nil {
 		return
 	}

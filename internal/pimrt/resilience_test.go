@@ -35,8 +35,8 @@ func newResilientSched(t *testing.T, geo memarch.Geometry, fc fault.Config) (*Sc
 		t.Fatal(err)
 	}
 	s := &Scheduler{
-		Ctl: ctl,
-		Res: &Resilience{},
+		Ctl:    ctl,
+		Verify: true,
 	}
 	return s, ctl
 }
@@ -246,12 +246,11 @@ func TestWornDestinationRetiredAndRemapped(t *testing.T) {
 	dst := memarch.RowAddr{Subarray: 2, Row: 500}
 	preWear(t, ctl, dst, bits, 20)
 
-	nextSpare := 600
-	s.Remap = func(old memarch.RowAddr) (memarch.RowAddr, error) {
-		fresh := memarch.RowAddr{Subarray: 2, Row: nextSpare}
-		nextSpare++
-		return fresh, nil
+	alloc, err := NewAllocatorTail(geo, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	s.Alloc = alloc
 	res, err := s.Execute(sense.OpAND, srcs, bits, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +292,7 @@ func TestLadderExhaustsLoudlyWithoutRemap(t *testing.T) {
 	dst := memarch.RowAddr{Subarray: 2, Row: 500}
 	preWear(t, ctl, dst, bits, 20)
 
-	// No Remap hook: the ladder must fail with the sentinel, not return a
+	// No allocator: the ladder must fail with the sentinel, not return a
 	// row that silently holds corrupted bits.
 	_, err := s.Execute(sense.OpAND, srcs, bits, dst)
 	if !errors.Is(err, ErrResilienceExhausted) {
@@ -340,7 +339,7 @@ func TestDepthSplitKeepsOuterOperands(t *testing.T) {
 	}
 }
 
-// A verified host write into a worn row with no Remap hook must fail
+// A verified host write into a worn row with no allocator must fail
 // with the sentinel, under read-back and under SECDED (which also reports
 // the uncorrectable syndrome), not leave a row that silently holds
 // corrupted bits.
@@ -373,7 +372,7 @@ func TestHostWriteExhaustsLoudlyWithoutRemap(t *testing.T) {
 				t.Fatalf("err=%v, want ErrUncorrectable too", err)
 			}
 			if target != dst {
-				t.Fatalf("target moved to %v with no Remap hook", target)
+				t.Fatalf("target moved to %v with no allocator", target)
 			}
 			if n := ctl.Ledger().Count[ledger.Retries]; n != maxRetries {
 				t.Fatalf("%d retries, want %d", n, maxRetries)
@@ -385,7 +384,7 @@ func TestHostWriteExhaustsLoudlyWithoutRemap(t *testing.T) {
 // A depth-split link that exhausts its own ladder does not end the
 // request: the split marks the destination dirty and tries the next
 // depth, and only then do the inter and host rungs run. Into a worn
-// destination with no Remap hook every link exhausts, so each nesting
+// destination with no allocator every link exhausts, so each nesting
 // level walks every depth and every rung, and the counts pin that walk.
 func TestSplitLinkExhaustionFallsThrough(t *testing.T) {
 	geo := memarch.Default()

@@ -416,8 +416,11 @@ func TestSandboxPoolReuseBitIdentical(t *testing.T) {
 
 // bytesPerCall reports the heap bytes one call of f allocates, averaged
 // over runs calls after two warm-up calls: the first lowers the program
-// (a cache miss), the second grows the controller's hit buffer.
+// (a cache miss), the second grows the controller's hit buffer. Like
+// testing.AllocsPerRun it measures on one P, so a goroutine another test
+// left running cannot allocate during the measured calls.
 func bytesPerCall(f func(), runs int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	f()
 	var before, after runtime.MemStats

@@ -252,19 +252,10 @@ type System struct {
 	// included) and injector count into it, and so does account below.
 	led *ledger.Ledger
 
-	// Proactive replication state (nil maps when the rung is inert):
-	// replicate is the effective factor, repRows maps an encoded primary
-	// row to its replica rows, repMember marks every participating row
-	// (primary and replica) for the wear-spread hook.
+	// replicate is the effective replication factor, 0 when the rung is
+	// inert. Each replicated row's group is part of its record in mem
+	// (memarch.Memory.SetGroup).
 	replicate int
-	repRows   map[uint64][]memarch.RowAddr
-	repMember map[uint64]bool
-
-	// layoutGen counts row-layout mutations (remaps, frees, replica
-	// teardowns). A BatchBuilder records the generation its footprints were
-	// computed against and recomputes them at Start when the layout moved
-	// underneath it.
-	layoutGen uint64
 
 	// rowScratch is Apply's per-row-batch operand address buffer, reused
 	// across calls so a steady-state fixed-arity Apply allocates nothing
@@ -367,7 +358,6 @@ func New(cfg Config) (*System, error) {
 		led:   ctl.Ledger(),
 	}
 	ctl.SetProgramCache(true)
-	s.sched = &pimrt.Scheduler{Ctl: ctl}
 	faultCfg := cfg.Fault.internal()
 	if err := faultCfg.Validate(); err != nil {
 		return nil, err
@@ -413,86 +403,30 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	if mode == VerifyReadback || mode == VerifyECC {
-		s.sched.Res = &pimrt.Resilience{ECC: mode == VerifyECC}
-		s.sched.Remap = s.remapRow
-		s.sched.Release = s.alloc.Free
-		if cfg.Resilience.Replicate != 0 {
-			// The proactive rung: replicate rows at allocation, majority-vote
-			// intra-subarray requests, spread wear across the copies. Gated
-			// on the resilience layer being active so that a fault-free
-			// system with Replicate set stays bit-identical to the baseline.
-			s.replicate = cfg.Resilience.Replicate
-			s.repRows = make(map[uint64][]memarch.RowAddr)
-			s.repMember = make(map[uint64]bool)
-			s.sched.Replicas = s.replicaRows
-			ctl.SetWearSpread(func(a memarch.RowAddr) int {
-				if s.repMember[geo.Encode(a)] {
-					return s.replicate
-				}
-				return 1
-			})
-		}
+	// The scheduler verifies exactly under VerifyReadback and VerifyECC,
+	// leading with SECDED when the controller has the codec attached
+	// above, and retires damaged rows through the allocator.
+	verified := mode == VerifyReadback || mode == VerifyECC
+	s.sched = &pimrt.Scheduler{Ctl: ctl, Verify: verified, Alloc: alloc}
+	if verified && cfg.Resilience.Replicate != 0 {
+		// The proactive rung: replicate rows at allocation, majority-vote
+		// intra-subarray requests, spread wear across the copies. Gated on
+		// the resilience layer being active so that a fault-free system
+		// with Replicate set stays bit-identical to the baseline.
+		s.replicate = cfg.Resilience.Replicate
 	}
 	return s, nil
 }
 
-// replicaRows returns the replica rows of a primary row (nil when the row
-// is not replicated or replication is inert).
-func (s *System) replicaRows(a memarch.RowAddr) []memarch.RowAddr {
-	if s.repRows == nil {
-		return nil
-	}
-	return s.repRows[s.mem.Geometry().Encode(a)]
-}
-
-// registerReplicas records a primary row's replica copies for the voting
-// and wear-spread hooks.
-func (s *System) registerReplicas(primary memarch.RowAddr, reps []memarch.RowAddr) {
-	geo := s.mem.Geometry()
-	s.repRows[geo.Encode(primary)] = reps
-	s.repMember[geo.Encode(primary)] = true
-	for _, r := range reps {
-		s.repMember[geo.Encode(r)] = true
-	}
-}
-
 // dropReplicas releases a row's replicas back to the allocator and forgets
-// them — used when a primary row is retired and remapped mid-operation
-// (the fresh row starts life unreplicated; voting simply stops applying to
-// requests that touch it).
+// its replica group — used when a primary row is retired and remapped
+// mid-operation (the fresh row starts life unreplicated; voting simply
+// stops applying to requests that touch it).
 func (s *System) dropReplicas(primary memarch.RowAddr) {
-	if reps := s.forgetReplicas(primary); reps != nil {
+	if reps := s.mem.DropGroup(primary); reps != nil {
 		s.alloc.Free(reps)
-		s.bumpLayout()
 	}
 }
-
-// forgetReplicas removes a primary row's replica registration and returns
-// its replica rows (nil when the row has none).
-func (s *System) forgetReplicas(primary memarch.RowAddr) []memarch.RowAddr {
-	if s.repRows == nil {
-		return nil
-	}
-	geo := s.mem.Geometry()
-	key := geo.Encode(primary)
-	reps, ok := s.repRows[key]
-	if !ok {
-		return nil
-	}
-	delete(s.repRows, key)
-	delete(s.repMember, key)
-	for _, r := range reps {
-		delete(s.repMember, geo.Encode(r))
-	}
-	return reps
-}
-
-// bumpLayout records a row-layout mutation, so in-flight BatchBuilders
-// re-footprint at Start. The lowered-program cache keeps its entries: a
-// key names every physical row its lowering read, and a row keeps its
-// address through a free, a retirement or a reallocation.
-func (s *System) bumpLayout() { s.layoutGen++ }
 
 // beginOp starts a public operation: it empties the operation's program
 // buffer, releases the controller's command arena the previous
@@ -508,17 +442,6 @@ func (s *System) beginOp() {
 	if inj := s.ctl.Injector(); inj != nil {
 		inj.BeginOp()
 	}
-}
-
-// remapRow retires a worn-out row and hands back a fresh one.
-func (s *System) remapRow(old memarch.RowAddr) (memarch.RowAddr, error) {
-	s.alloc.Retire(old)
-	rows, err := s.alloc.AllocRows(1)
-	if err != nil {
-		return memarch.RowAddr{}, err
-	}
-	s.bumpLayout()
-	return rows[0], nil
 }
 
 // MaxORRows returns the one-step OR depth of the configured technology
@@ -669,13 +592,6 @@ func (s *System) resetForReuse() {
 	}
 	s.sched.Reset()
 	s.led.Reset()
-	for k := range s.repRows {
-		delete(s.repRows, k)
-	}
-	for k := range s.repMember {
-		delete(s.repMember, k)
-	}
-	s.layoutGen = 0
 }
 
 // BitVector is a handle to a bit-vector stored in the PIM memory.
@@ -744,12 +660,12 @@ func (s *System) Alloc(bits int) (*BitVector, error) {
 				// All or nothing: hand back every group taken so far.
 				var taken []memarch.RowAddr
 				for _, p := range rows {
-					taken = append(append(taken, p), s.forgetReplicas(p)...)
+					taken = append(append(taken, p), s.mem.DropGroup(p)...)
 				}
 				s.alloc.Rollback(start, taken)
 				return nil, err
 			}
-			s.registerReplicas(grp[0], grp[1:])
+			s.mem.SetGroup(grp[0], grp[1:])
 			rows = append(rows, grp[0])
 		}
 		return &BitVector{sys: s, bits: bits, rows: rows}, nil
@@ -786,7 +702,7 @@ func (s *System) AllocGroup(count, bits int) ([]*BitVector, error) {
 	if s.replicate >= 3 {
 		per := s.replicate - 1
 		for i := 0; i < count; i++ {
-			s.registerReplicas(rows[i], rows[count+i*per:count+(i+1)*per])
+			s.mem.SetGroup(rows[i], rows[count+i*per:count+(i+1)*per])
 		}
 	}
 	out := make([]*BitVector, count)
@@ -805,7 +721,6 @@ func (s *System) Free(b *BitVector) error {
 		s.dropReplicas(row)
 	}
 	s.alloc.Free(b.rows)
-	s.bumpLayout()
 	b.sys = nil
 	return nil
 }
@@ -913,7 +828,7 @@ func (s *System) Write(b *BitVector, words []uint64) (Result, error) {
 // The cost of keeping R copies is priced as the R-1 extra programs it is.
 func (s *System) programReplicas(primary memarch.RowAddr, chunk []uint64, bitsHere int) (float64, float64, error) {
 	var seconds, joules float64
-	for _, rep := range s.replicaRows(primary) {
+	for _, rep := range s.mem.Replicas(primary) {
 		r, err := s.ctl.WriteRowFromHost(rep, chunk, bitsHere)
 		if err != nil {
 			return seconds, joules, err

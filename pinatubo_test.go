@@ -128,9 +128,9 @@ func TestFailedAllocTakesNoRows(t *testing.T) {
 				break
 			}
 			if !reflect.DeepEqual(a.rows, b.rows) ||
-				!reflect.DeepEqual(failed.replicaRows(a.rows[0]), twin.replicaRows(b.rows[0])) {
+				!reflect.DeepEqual(failed.mem.Replicas(a.rows[0]), twin.mem.Replicas(b.rows[0])) {
 				t.Fatalf("replicate %d vector %d: rows %v (replicas %v), twin %v (replicas %v)", rep, n,
-					a.rows, failed.replicaRows(a.rows[0]), b.rows, twin.replicaRows(b.rows[0]))
+					a.rows, failed.mem.Replicas(a.rows[0]), b.rows, twin.mem.Replicas(b.rows[0]))
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func TestAllocGroupFreeLoopReusesRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
-			reps := s.replicaRows(v.rows[0])
+			reps := s.mem.Replicas(v.rows[0])
 			if len(reps) != 2 {
 				t.Fatalf("iteration %d: %d replicas, want 2", i, len(reps))
 			}

@@ -138,7 +138,7 @@ type BatchBuilder struct {
 
 // NewBatchBuilder returns an empty builder bound to s.
 func (s *System) NewBatchBuilder() *BatchBuilder {
-	return &BatchBuilder{sys: s, gen: s.layoutGen}
+	return &BatchBuilder{sys: s, gen: s.alloc.Gen()}
 }
 
 // Add validates one op and admits it to the pending batch, growing the
@@ -195,10 +195,11 @@ func (b *BatchBuilder) Shards() int {
 }
 
 // refresh recomputes every footprint when the system's row layout moved
-// (a remap, Free or replica teardown) since they were computed. Rare:
-// only fault-induced retirements and frees bump the generation.
+// since they were computed: the allocator's generation advances on every
+// Free and retirement (a remap, Free or replica teardown). Rare: only
+// those move a row an admitted op names.
 func (b *BatchBuilder) refresh() error {
-	if b.gen == b.sys.layoutGen {
+	if b.gen == b.sys.alloc.Gen() {
 		return nil
 	}
 	b.keys, b.ends = b.keys[:0], b.ends[:0]
@@ -208,7 +209,7 @@ func (b *BatchBuilder) refresh() error {
 			return err
 		}
 	}
-	b.gen = b.sys.layoutGen
+	b.gen = b.sys.alloc.Gen()
 	return nil
 }
 
@@ -429,13 +430,13 @@ func (r *BatchRun) finish() (BatchResult, error) {
 	}
 
 	// The merge copies row records, never a vector's row list: a shard
-	// moves a destination row only in its sandbox's copy, through
-	// remapRow, which retires and allocates, and that sends the window to
-	// the replay.
+	// moves a destination row only in its sandbox's copy, through its
+	// allocator's Remap, which retires and allocates, and that sends the
+	// window to the replay.
 	for _, sb := range r.sandboxes {
 		// A row still borrowed was only read, so the live record is
 		// current. A row the shard changed comes back whole: words,
-		// program count, check words and wear.
+		// program count, check words, wear and replica group.
 		s.ownedRows = sb.mem.AppendOwnedAddrs(s.ownedRows[:0])
 		for _, a := range s.ownedRows {
 			s.mem.CopyRow(a, sb.mem)
@@ -490,9 +491,9 @@ func (r *BatchRun) release() {
 }
 
 // prepareShards lends the live state every shard's ops can touch to
-// per-shard sandbox Systems: each footprint row's record is borrowed from
-// the live memory (its words copied only when the shard first changes the
-// row) and its replica registration is copied in. The live System is
+// per-shard sandbox Systems: each footprint row's record, replica group
+// included, is borrowed from the live memory (its words copied only when
+// the shard first changes the row). The live System is
 // untouched between Start and Wait, so the lent records, and the live
 // vectors' rows the shards run on, cannot change under a shard. Sandboxes
 // come from the System's pool — a reused one is reset to
@@ -516,9 +517,6 @@ func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
 					continue
 				}
 				sh.mem.BorrowRow(k.addr, s.mem)
-				if reps := s.replicaRows(k.addr); reps != nil {
-					sh.registerReplicas(k.addr, reps)
-				}
 			}
 		}
 	}

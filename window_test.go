@@ -477,6 +477,106 @@ func TestBatchBuilderStaleAfterFree(t *testing.T) {
 	}
 }
 
+// TestBatchBuilderRefootprintsAfterRemap pins the layout-generation guard
+// for a retirement: a verified host write into a worn source row, made
+// after its op was admitted, retires the row and moves the vector to a
+// fresh one, so Start must footprint the op again. A stale footprint
+// lends the shard the retired row and not the fresh one, and the window's
+// OR reads the source as zeros. The window must instead match a twin
+// that runs the same writes and then the op through Apply.
+func TestBatchBuilderRefootprintsAfterRemap(t *testing.T) {
+	newVecs := func(t *testing.T) (*System, *BitVector, *BitVector, *BitVector) {
+		t.Helper()
+		s, err := New(wornConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vs [3]*BitVector
+		for i := range vs {
+			if vs[i], err = s.Alloc(s.RowBits()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(38))
+		for _, v := range vs[:2] {
+			words := make([]uint64, v.Len()/64)
+			for j := range words {
+				words[j] = rng.Uint64()
+			}
+			if _, err := s.Write(v, words); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, vs[0], vs[1], vs[2]
+	}
+	// wear rewrites a with random rows until a write retires its row:
+	// wornConfig sticks a cell on a row's second program, and each write
+	// disagrees with it at even odds. The data a holds then is not zero,
+	// so an OR that reads it as zeros is wrong.
+	wear := func(t *testing.T, s *System, a *BitVector) int {
+		t.Helper()
+		old := a.rows[0]
+		rng := rand.New(rand.NewSource(3801))
+		words := make([]uint64, a.Len()/64)
+		for n := 1; n <= 16; n++ {
+			for i := range words {
+				words[i] = rng.Uint64()
+			}
+			if _, err := s.Write(a, words); err != nil {
+				t.Fatal(err)
+			}
+			if a.rows[0] != old {
+				return n
+			}
+		}
+		t.Fatalf("16 writes into %v retired no row", old)
+		return 0
+	}
+
+	sys, a, b, dst := newVecs(t)
+	twin, ta, tb, tdst := newVecs(t)
+	ops := []BatchOp{{Op: OpOr, Dst: dst, Srcs: []*BitVector{a, b}}}
+	tops := []BatchOp{{Op: OpOr, Dst: tdst, Srcs: []*BitVector{ta, tb}}}
+	bb := sys.NewBatchBuilder()
+	if err := bb.Add(ops[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := wear(t, sys, a), wear(t, twin, ta); n != m {
+		t.Fatalf("the twins retired after %d and %d writes", n, m)
+	}
+	run, err := bb.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := run.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Apply(tops[0].Op, tdst, tops[0].Srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(br.Results[0], want) {
+		t.Errorf("window result %+v, sequential %+v", br.Results[0], want)
+	}
+	got, _, err := sys.Read(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWords, _, err := twin.Read(tdst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, wantWords) {
+		t.Error("window OR over the remapped source differs from the sequential twin's")
+	}
+	checkRowLists(t, ops, tops)
+	checkRowRecords(t, sys, twin, tops)
+	if !reflect.DeepEqual(sys.FaultStats(), twin.FaultStats()) {
+		t.Errorf("FaultStats %+v, sequential %+v", sys.FaultStats(), twin.FaultStats())
+	}
+}
+
 // TestBatchRunDoneSignal checks Done() closes and Wait returns a
 // schedule consistent with the admitted ops.
 func TestBatchRunDoneSignal(t *testing.T) {
