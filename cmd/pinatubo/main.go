@@ -155,19 +155,20 @@ func run(opName string, rows, bits int, techName string, inspect bool, seed int6
 		return out, nil
 	}
 
-	var nops int
-	switch strings.ToLower(opName) {
-	case "or":
-		nops = rows
+	op, err := parseOp(opName)
+	if err != nil {
+		return err
+	}
+	nops := rows
+	switch op {
+	case pinatubo.OpAnd, pinatubo.OpXor:
+		nops = 2
+	case pinatubo.OpNot:
+		nops = 1
+	default:
 		if nops < 1 {
 			return fmt.Errorf("or needs at least 1 row")
 		}
-	case "and", "xor":
-		nops = 2
-	case "not":
-		nops = 1
-	default:
-		return fmt.Errorf("unknown op %q", opName)
 	}
 
 	srcs, err := alloc(nops)
@@ -188,17 +189,7 @@ func run(opName string, rows, bits int, techName string, inspect bool, seed int6
 		return err
 	}
 
-	var res pinatubo.Result
-	switch strings.ToLower(opName) {
-	case "or":
-		res, err = sys.Or(dst, srcs...)
-	case "and":
-		res, err = sys.And(dst, srcs[0], srcs[1])
-	case "xor":
-		res, err = sys.Xor(dst, srcs[0], srcs[1])
-	case "not":
-		res, err = sys.Not(dst, srcs[0])
-	}
+	res, err := sys.Apply(op, dst, srcs)
 	if err != nil {
 		return err
 	}

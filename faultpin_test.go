@@ -12,13 +12,37 @@ import (
 )
 
 // faultPin is everything TestFaultyProgramPinned pins for one
-// configuration: the three counter snapshots and a SHA-256 over the words
-// of every read, in program order.
+// configuration: the three counter snapshots, the resilience outcome its
+// Apply calls reported, and a SHA-256 over the words of every read, in
+// program order.
 type faultPin struct {
-	stats  Stats
-	hw     HardwareCounters
-	faults FaultStats
-	reads  string
+	stats   Stats
+	hw      HardwareCounters
+	faults  FaultStats
+	applies applyPin
+	reads   string
+}
+
+// applyPin sums the resilience outcome of a program's Apply Results:
+// their retries, corrected bits, votes and outvoted bits, and how many
+// Results named each degradation rung ("" for none).
+type applyPin struct {
+	retries       int
+	bitsCorrected int64
+	votes         int
+	bitsOutvoted  int64
+	degraded      map[string]int
+}
+
+func (p *applyPin) add(r Result) {
+	p.retries += r.Retries
+	p.bitsCorrected += r.BitsCorrected
+	p.votes += r.Votes
+	p.bitsOutvoted += r.BitsOutvoted
+	if p.degraded == nil {
+		p.degraded = map[string]int{}
+	}
+	p.degraded[r.Degraded]++
 }
 
 // pinGeometry is a small organisation with two banks of two subarrays, so
@@ -72,6 +96,7 @@ func runFaultPinProgram(t *testing.T, rc ResilienceConfig) faultPin {
 	a, b, c := groups[0], groups[1], groups[2]
 
 	model := map[*BitVector][]uint64{}
+	var applies applyPin
 	rng := rand.New(rand.NewSource(29))
 	write := func(v *BitVector) {
 		t.Helper()
@@ -87,9 +112,11 @@ func runFaultPinProgram(t *testing.T, rc ResilienceConfig) faultPin {
 	}
 	apply := func(op Op, dst *BitVector, srcs ...*BitVector) {
 		t.Helper()
-		if _, err := s.Apply(op, dst, srcs); err != nil {
+		res, err := s.Apply(op, dst, srcs)
+		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
+		applies.add(res)
 		out := make([]uint64, w)
 		copy(out, model[srcs[0]])
 		for _, src := range srcs[1:] {
@@ -156,19 +183,23 @@ func runFaultPinProgram(t *testing.T, rc ResilienceConfig) faultPin {
 		write(c[1+round%2])
 	}
 	return faultPin{
-		stats:  s.Stats(),
-		hw:     s.HardwareCounters(),
-		faults: s.FaultStats(),
-		reads:  hex.EncodeToString(digest.Sum(nil)),
+		stats:   s.Stats(),
+		hw:      s.HardwareCounters(),
+		faults:  s.FaultStats(),
+		applies: applies,
+		reads:   hex.EncodeToString(digest.Sum(nil)),
 	}
 }
 
 // TestFaultyProgramPinned pins, exactly, what one fault-injected program
 // leaves behind under read-back verification, SECDED and R=3 replication:
-// Stats, HardwareCounters, FaultStats and a digest of every read. The
-// counters depend on every injector draw, so this fails if any execution
-// path draws its faults in a different order, skips a draw, or prices a
-// request differently.
+// Stats, HardwareCounters, FaultStats, the resilience outcome its Apply
+// Results reported and a digest of every read. The counters depend on
+// every injector draw, so this fails if any execution path draws its
+// faults in a different order, skips a draw, or prices a request
+// differently. The Apply sums fail if a Result stops reporting what its
+// op did: the R=3 case reaches the depth-split rung and the vote, the ECC
+// case SECDED corrections, all three the inter-digital rung.
 func TestFaultyProgramPinned(t *testing.T) {
 	// Every read returns the model's words, so all three share one digest.
 	const pinReads = "fe32c638d5b79af5c362752050de189de2580c6e3d68a3eb7de5c232348d47f1"
@@ -189,6 +220,8 @@ func TestFaultyProgramPinned(t *testing.T) {
 				RowsRetired: 15, BitsCorrected: 454, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
 				Votes: 0, BitsOutvoted: 0,
 			},
+			applies: applyPin{retries: 46, bitsCorrected: 453,
+				degraded: map[string]int{"": 30, "inter-digital": 12}},
 			reads: pinReads,
 		}},
 		{"ecc", ResilienceConfig{Verify: VerifyECC}, faultPin{
@@ -202,6 +235,8 @@ func TestFaultyProgramPinned(t *testing.T) {
 				RowsRetired: 11, BitsCorrected: 355, EccDecodes: 125, EccCorrectedBits: 89, EccUncorrectables: 17,
 				Votes: 0, BitsOutvoted: 0,
 			},
+			applies: applyPin{retries: 43, bitsCorrected: 437,
+				degraded: map[string]int{"": 31, "inter-digital": 11}},
 			reads: pinReads,
 		}},
 		{"replicate3", ResilienceConfig{Verify: VerifyReadback, Replicate: 3}, faultPin{
@@ -215,6 +250,8 @@ func TestFaultyProgramPinned(t *testing.T) {
 				RowsRetired: 1, BitsCorrected: 7, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
 				Votes: 38, BitsOutvoted: 488,
 			},
+			applies: applyPin{retries: 29, bitsCorrected: 7, votes: 38, bitsOutvoted: 488,
+				degraded: map[string]int{"": 36, "depth-split": 5, "inter-digital": 1}},
 			reads: pinReads,
 		}},
 	}
@@ -272,10 +309,13 @@ func runChainedRestoreProgram(t *testing.T) faultPin {
 		write(i)
 	}
 	digest := sha256.New()
+	var applies applyPin
 	for round := 0; round < 12; round++ {
-		if _, err := s.Apply(OpOr, dst, srcs); err != nil {
+		res, err := s.Apply(OpOr, dst, srcs)
+		if err != nil {
 			t.Fatalf("round %d OR: %v", round, err)
 		}
+		applies.add(res)
 		got, _, err := s.Read(dst)
 		if err != nil {
 			t.Fatalf("round %d read: %v", round, err)
@@ -293,10 +333,11 @@ func runChainedRestoreProgram(t *testing.T) faultPin {
 		write(round % len(srcs))
 	}
 	return faultPin{
-		stats:  s.Stats(),
-		hw:     s.HardwareCounters(),
-		faults: s.FaultStats(),
-		reads:  hex.EncodeToString(digest.Sum(nil)),
+		stats:   s.Stats(),
+		hw:      s.HardwareCounters(),
+		faults:  s.FaultStats(),
+		applies: applies,
+		reads:   hex.EncodeToString(digest.Sum(nil)),
 	}
 }
 
@@ -304,7 +345,8 @@ func runChainedRestoreProgram(t *testing.T) faultPin {
 // runChainedRestoreProgram leaves behind. Every link after the first
 // hands the previous link's verified words to the next as its restore
 // checkpoint, so this fails if a link's own reference ever overwrites
-// the checkpoint it may still have to write back.
+// the checkpoint it may still have to write back. It is the pin whose
+// Apply Results reach the host-cpu rung.
 func TestChainedRestorePinned(t *testing.T) {
 	want := faultPin{
 		stats: Stats{Ops: map[string]int64{"host-read": 12, "host-write": 21, "intra-subarray": 12},
@@ -317,6 +359,8 @@ func TestChainedRestorePinned(t *testing.T) {
 			RowsRetired: 43, BitsCorrected: 366, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
 			Votes: 0, BitsOutvoted: 0,
 		},
+		applies: applyPin{retries: 156, bitsCorrected: 366,
+			degraded: map[string]int{"": 1, "host-cpu": 4, "inter-digital": 7}},
 		reads: "8902373e53dd3e13d69e0090d3d85d0b33d751117d28d1319d1ee996f1f06857",
 	}
 	if got := runChainedRestoreProgram(t); !reflect.DeepEqual(got, want) {

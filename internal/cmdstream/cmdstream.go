@@ -15,8 +15,7 @@
 //	           executor;
 //	execute  — internal/pimrt records the program of everything a
 //	           scheduled operation put on the channel and derives its
-//	           Cost, request count and votes from it in exactly one
-//	           place.
+//	           Cost and request count from it in exactly one place.
 //
 // Each instruction carries its cost annotation (Seconds, Joules) as priced
 // by the controller's architectural model, so accounting is a fold over
@@ -40,9 +39,8 @@ const (
 	// KindRequest is one controller-executed hardware request: an extended
 	// DDR command sequence (MRS mode write, multi-row activation, sense
 	// steps, buffer moves, write-back, precharge) with its end-to-end cost.
-	// A replicated request is one too: its Cmds carry one
-	// LWL-reset/activate/sense group per replica copy, and Votes its
-	// replica count.
+	// A majority-voted request is one too: its Cmds carry one
+	// LWL-reset/activate/sense group per replica copy.
 	KindRequest Kind = iota
 	// KindVerify is a lump-sum verification or ECC pass (read-back verify,
 	// syndrome decode, check-bit reprogram) that occupies the destination's
@@ -103,14 +101,6 @@ type Instr struct {
 	Seconds float64
 	// Joules is the instruction's simulated energy.
 	Joules float64
-	// Votes is the replica count of a majority-voted KindRequest: its
-	// operand set was activated and sensed once per replica copy and the
-	// senses voted before write-back (0 for a plain request).
-	Votes int
-	// Outvoted is the number of bit positions where a voted request's
-	// replicas disagreed and the majority overrode the minority (0
-	// otherwise).
-	Outvoted int64
 }
 
 // Program is an ordered sequence of instructions — the lowered form of one
@@ -159,18 +149,6 @@ func (p Program) Requests() int {
 		}
 	}
 	return n
-}
-
-// Votes folds the program's majority-vote accounting: how many voted
-// requests ran and how many disagreeing bits their majorities overrode.
-func (p Program) Votes() (votes int, outvoted int64) {
-	for _, in := range p.Instrs {
-		if in.Votes > 0 {
-			votes++
-			outvoted += in.Outvoted
-		}
-	}
-	return votes, outvoted
 }
 
 // Channel returns the memory channel the program runs on: the channel of

@@ -95,11 +95,6 @@ type Result struct {
 	// must copy them or own its buffer — as the scheduler's golden and
 	// restore checkpoints, and ScheduleResult.Words, do.
 	Words []uint64
-	// Voted is the replica count of a majority-voted execution (0 for a
-	// plain request). Outvoted counts the bit positions where the replica
-	// senses disagreed and the majority overrode the minority.
-	Voted    int
-	Outvoted int64
 }
 
 // Controller drives one PIM-extended main memory. The technology-specific
@@ -723,8 +718,9 @@ func (c *Controller) closeAndPrice(class Class, locus memarch.RowAddr, bits int,
 // operand set of a voted request, majority-voted (senseVoted); on the
 // digital path one single-row read per operand, flipped under an injector
 // (senseDigital) and folded by the add-on logic into the global row buffer
-// or the I/O buffer. The counters then tally and dst is programmed. The
-// result lands in the controller's result buffer (Result.Words).
+// or the I/O buffer. The counters then tally and dst is programmed; a
+// voted request that completes counts its vote and the bits it overruled.
+// The result lands in the controller's result buffer (Result.Words).
 func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, reps [][]memarch.RowAddr, bits int, dst *memarch.RowAddr) (Result, error) {
 	if err := c.mrs.Write(ddr.PIMRegister, uint16(p.mr4)); err != nil {
 		return Result{}, err
@@ -732,13 +728,12 @@ func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, r
 	w := bitvec.WordsFor(bits)
 	c.words = scratchWords(c.words, w)
 	out := c.words
-	voted, outvoted := 0, 0
+	outvoted := 0
 	if reps != nil {
 		var err error
 		if outvoted, err = c.senseVoted(out, op, srcs, reps, bits); err != nil {
 			return Result{}, err
 		}
-		voted = 1 + len(reps)
 	} else if rows := c.operandRows(srcs, w); p.class == ClassIntraSub {
 		if err := c.senseIntra(out, op, rows, bits); err != nil {
 			return Result{}, err
@@ -762,8 +757,12 @@ func (c *Controller) replay(p *progEntry, op sense.Op, srcs []memarch.RowAddr, r
 			return Result{}, err
 		}
 	}
+	if reps != nil {
+		c.led.Count[ledger.Votes]++
+		c.led.Count[ledger.BitsOutvoted] += int64(outvoted)
+	}
 	return Result{Op: op, Class: p.class, Rows: len(srcs), Bits: bits, Seconds: p.seconds,
-		Energy: p.energy, Commands: p.commands, Words: out, Voted: voted, Outvoted: int64(outvoted)}, nil
+		Energy: p.energy, Commands: p.commands, Words: out}, nil
 }
 
 // senseIntra resolves one multi-row activation of the operand rows into

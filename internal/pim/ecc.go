@@ -184,7 +184,9 @@ func (c *Controller) ECCProgram(dst memarch.RowAddr, golden []uint64, bits int, 
 // and report anything SECDED cannot fix as Uncorrectable so the caller can
 // escalate to the read-back degradation ladder. golden is the digital
 // reference; a decoded row that still disagrees with it (aliased multi-bit
-// error) also escalates rather than being trusted.
+// error) also escalates rather than being trusted. A pass that returns no
+// error counts into the ledger as one decode, its corrected bits, and an
+// uncorrectable syndrome when it escalates.
 func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []uint64) (ECCVerification, error) {
 	if c.codec == nil {
 		return ECCVerification{}, fmt.Errorf("pim: CorrectOrEscalate with ECC disabled")
@@ -234,21 +236,19 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 
 	r := c.codec.DecodeRow(data, check, bits)
 	v.CorrectedBits = r.CorrectedData + r.CorrectedCheck
-	if !r.Clean() {
-		v.Uncorrectable = true
-		return v, nil
-	}
-	// The decode produced a valid codeword; it must also be the oracle's
-	// answer. An aliased multi-bit error that decodes "clean" is caught
-	// here and escalated instead of silently accepted.
 	maskTail(data, bits)
-	if !bitvec.EqualWords(data, golden[:w], bits) {
+	switch {
+	case !r.Clean():
 		v.Uncorrectable = true
-		return v, nil
-	}
-	// Repair the stored row when the corrections were real cell errors (not
-	// flips of this verify pass's own sensing): one extra program pulse.
-	if r.CorrectedData > 0 && !bitvec.EqualWords(stored, data, bits) {
+	case !bitvec.EqualWords(data, golden[:w], bits):
+		// The decode produced a valid codeword; it must also be the
+		// oracle's answer. An aliased multi-bit error that decodes "clean"
+		// is caught here and escalated instead of silently accepted.
+		v.Uncorrectable = true
+	case r.CorrectedData > 0 && !bitvec.EqualWords(stored, data, bits):
+		// Repair the stored row when the corrections were real cell errors
+		// (not flips of this verify pass's own sensing): one extra program
+		// pulse.
 		v.Rewritten = true
 		v.Seconds += t.TWR
 		v.Energy.Add(energy.WriteDriver, float64(bits)*e.WritePerBit)
@@ -258,13 +258,21 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 		}
 		// Stuck data cells force themselves back; SECDED cannot hold this
 		// row and the caller must escalate (retire / ladder).
-		if !bitvec.EqualWords(c.mem.PeekRow(dst)[:w], golden[:w], bits) {
-			v.Uncorrectable = true
-			return v, nil
-		}
+		v.Uncorrectable = !bitvec.EqualWords(c.mem.PeekRow(dst)[:w], golden[:w], bits)
 	}
-	v.OK = true
+	v.OK = !v.Uncorrectable
+	c.countDecode(&v)
 	return v, nil
+}
+
+// countDecode counts one syndrome decode into the ledger: the decode, the
+// bits it corrected, and an uncorrectable syndrome when it escalated.
+func (c *Controller) countDecode(v *ECCVerification) {
+	c.led.Count[ledger.EccDecodes]++
+	c.led.Count[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
+	if v.Uncorrectable {
+		c.led.Count[ledger.EccUncorrectables]++
+	}
 }
 
 // ECCCorrectRead decodes a host read's sensed words against the row's
@@ -273,7 +281,8 @@ func (c *Controller) CorrectOrEscalate(dst memarch.RowAddr, bits int, golden []u
 // spare columns ride the read's own activation; the marginal cost is their
 // sensing, the decode trees, and one command slot per group. Rows without
 // stored check bits (never written through the ECC path, or written at a
-// different vector length) pass through untouched at zero cost.
+// different vector length) pass through untouched at zero cost and count
+// nothing; every other read counts its decode as CorrectOrEscalate does.
 func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uint64) (ECCVerification, error) {
 	if c.codec == nil {
 		return ECCVerification{}, fmt.Errorf("pim: ECCCorrectRead with ECC disabled")
@@ -308,6 +317,7 @@ func (c *Controller) ECCCorrectRead(addr memarch.RowAddr, bits int, sensed []uin
 	v.CorrectedBits = r.CorrectedData + r.CorrectedCheck
 	v.Uncorrectable = !r.Clean()
 	v.OK = r.Clean()
+	c.countDecode(&v)
 	return v, nil
 }
 

@@ -11,18 +11,13 @@ import (
 // program instead of maintaining cost and trace side channels.
 
 // Instr lowers a controller request to a KindRequest instruction carrying
-// its full extended-DDR command sequence and end-to-end cost. A
-// majority-voted request carries its replica count and outvoted-bit tally
-// too, so vote accounting is derived from the program like every other
-// cost.
+// its full extended-DDR command sequence and end-to-end cost.
 func (r *Result) Instr() cmdstream.Instr {
 	return cmdstream.Instr{
-		Kind:     cmdstream.KindRequest,
-		Cmds:     r.Commands,
-		Seconds:  r.Seconds,
-		Joules:   r.Energy.Total(),
-		Votes:    r.Voted,
-		Outvoted: r.Outvoted,
+		Kind:    cmdstream.KindRequest,
+		Cmds:    r.Commands,
+		Seconds: r.Seconds,
+		Joules:  r.Energy.Total(),
 	}
 }
 

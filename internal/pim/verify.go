@@ -87,6 +87,9 @@ type Verification struct {
 // reference is already host-resident, e.g. after a host write). claimed,
 // when non-nil, is what the writeback believed it stored; a stored/claimed
 // disagreement is attributed to cell damage via Verification.WriteFault.
+// The pass counts into the ledger as one verify, its mismatched bits as
+// bits corrected (the wrong answers it kept from the caller), and its
+// reads as hardware activity.
 func (c *Controller) VerifyAgainst(nsrc, bitCount int, dst memarch.RowAddr, golden, claimed []uint64) (Verification, error) {
 	geo := c.mem.Geometry()
 	if bitCount < 1 || bitCount > geo.RowBits() {
@@ -142,6 +145,8 @@ func (c *Controller) VerifyAgainst(nsrc, bitCount int, dst memarch.RowAddr, gold
 	c.led.Count[ledger.Activations] += int64(1 + nsrc)
 	c.led.Count[ledger.SenseSteps] += int64(groups * (1 + nsrc))
 	c.led.Count[ledger.BusBits] += int64(bitCount)
+	c.led.Count[ledger.Verifies]++
+	c.led.Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
 	return v, nil
 }
 

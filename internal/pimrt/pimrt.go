@@ -375,8 +375,10 @@ func SpecForOR(rows []memarch.RowAddr, bits int) (workload.OpSpec, error) {
 // every other op is a single request — runs them on the controller, and
 // returns the operation's cmdstream program with the cost folded from it.
 // Write and Read move one row between the host and the memory under the
-// same verification. Its resilience activity (verifications, retries,
-// rungs, retirements, ECC decodes, votes) counts into Ctl's ledger.
+// same verification. Its own decisions (retries, rungs, retirements) count
+// into Ctl's ledger, and so does everything Ctl's passes do (votes,
+// read-back verifies, syndrome decodes); a caller that wants one
+// operation's share reads the ledger's difference across it.
 //
 // A per-subarray OR partial lands in that subarray's ScratchRow, which
 // the allocator must never hand out; the driver library reserves these at
@@ -441,43 +443,33 @@ func (s *Scheduler) groupBySubarray(rows []memarch.RowAddr) [][]memarch.RowAddr 
 type ScheduleResult struct {
 	Requests int
 	Cost     workload.Cost
-	// Words is the operation's result. With resilience on it is the
-	// verified golden reference, in a buffer the scheduler owns and
-	// reuses from its next Execute on. With resilience off it is the
-	// final request's controller words, valid only until the
-	// controller's next execution (pim.Result.Words). A Read's words are
-	// always the sensed controller words. Copy them to keep them longer.
+	// Words is a Read's sensed controller words, valid only until the
+	// controller's next execution (pim.Result.Words); Execute and Write
+	// leave it nil. Copy them to keep them longer.
 	Words []uint64
 
 	// Program is the operation's lowered cmdstream program: everything it
 	// put on the channel in execution order, including resilience
 	// expansions (retries, depth splits, ECC reprograms and verification
-	// passes). Requests, Cost and Votes are all derived from it by
-	// finalize — the program is the single source of truth. With
-	// resilience off it is exactly the plain controller command sequence;
-	// Program.Request lowers it onto the channel scheduler.
+	// passes). Requests and Cost are both derived from it by finalize —
+	// the program is the single source of truth. With resilience off it
+	// is exactly the plain controller command sequence; Program.Request
+	// lowers it onto the channel scheduler.
 	Program cmdstream.Program
 
-	// Resilience outcome — all zero when the ladder is off or never needed.
-	Retries       int    // hardware re-executions
-	Degraded      string // worst degradation rung taken ("" = native path)
-	BitsCorrected int64  // wrong bits intercepted by verification
-	Votes         int    // majority-voted requests executed
-	BitsOutvoted  int64  // replica-disagreeing bits the vote overrode
 	// FinalDst is where the result actually lives; it differs from the
 	// requested destination only when that row was retired mid-operation.
 	FinalDst memarch.RowAddr
 }
 
-// finalize derives the result's accounting — request count, accumulated
-// Cost, votes — from the lowered program. This is the only place in the
-// runtime that computes them. The cost fold replays the program's
+// finalize derives the result's accounting — request count and
+// accumulated Cost — from the lowered program. This is the only place in
+// the runtime that computes them. The cost fold replays the program's
 // annotations in emission order, so it is bit-identical to accumulating
 // during execution.
 func (res *ScheduleResult) finalize() {
 	res.Requests = res.Program.Requests()
 	res.Cost = res.Program.Cost()
-	res.Votes, res.BitsOutvoted = res.Program.Votes()
 }
 
 // Execute runs op over the operand rows into dst — the runtime's one op
@@ -529,6 +521,7 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 	}
 	partials := s.partials[:0]
 	var borrowed []memarch.RowAddr
+	var err error
 	for _, g := range groups {
 		if len(g) == 1 {
 			partials = append(partials, g[0])
@@ -536,28 +529,30 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 		}
 		s.partial = ScratchRow(s.Ctl.Memory().Geometry(), g[0])
 		orig := s.partial
-		if _, err := s.chainedOR(g, bits, &s.partial, nil, depth, res); err != nil {
-			return err
-		}
+		_, err = s.chainedOR(g, bits, &s.partial, nil, depth, res)
 		if s.partial != orig {
 			// The scratch row wore out mid-chain and the partial now lives
-			// in a row on loan from the allocator; return it once combined.
+			// in a row on loan from the allocator.
 			borrowed = append(borrowed, s.partial)
+		}
+		if err != nil {
+			break
 		}
 		partials = append(partials, s.partial)
 	}
-	// Combine partials across subarrays/banks. The partials necessarily
-	// live in distinct subarrays, so this is one inter request (chained at
-	// the request cap when enormous).
-	if _, err := s.chainedOR(partials, bits, &res.FinalDst, nil, pim.InterORLimit, res); err != nil {
-		return err
+	if err == nil {
+		// Combine partials across subarrays/banks. The partials necessarily
+		// live in distinct subarrays, so this is one inter request (chained
+		// at the request cap when enormous).
+		_, err = s.chainedOR(partials, bits, &res.FinalDst, nil, pim.InterORLimit, res)
 	}
 	s.partials = partials[:0]
 	if len(borrowed) > 0 {
-		// Only Alloc.Remap moves a partial off its scratch row.
+		// Only Alloc.Remap moves a partial off its scratch row; the loan
+		// ends with the OR, whether or not it succeeded.
 		s.Alloc.Free(borrowed)
 	}
-	return nil
+	return err
 }
 
 // chainedOR folds rows into *target with requests of at most depth

@@ -14,7 +14,6 @@ package pimrt
 import (
 	"slices"
 
-	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
@@ -62,18 +61,11 @@ func (s *Scheduler) votedSets(srcs []memarch.RowAddr) [][]memarch.RowAddr {
 }
 
 // nativeExec executes one request on the native analog path, majority
-// voted when every operand is replicated, plain otherwise. The vote
-// counters accrue only on completed requests — a transient activation
-// fault aborts before anything was sensed to vote on.
+// voted when every operand is replicated, plain otherwise. The controller
+// counts the vote of a voted request that completes.
 func (s *Scheduler) nativeExec(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr) (pim.Result, error) {
 	if sets := s.votedSets(srcs); sets != nil {
-		r, err := s.Ctl.ExecuteVoted(op, sets, bits, dst)
-		if err != nil {
-			return pim.Result{}, err
-		}
-		s.Ctl.Ledger().Count[ledger.Votes]++
-		s.Ctl.Ledger().Count[ledger.BitsOutvoted] += r.Outvoted
-		return r, nil
+		return s.Ctl.ExecuteVoted(op, sets, bits, dst)
 	}
 	return s.Ctl.Execute(op, srcs, bits, dst)
 }

@@ -29,7 +29,6 @@ import (
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ledger"
 	"pinatubo/internal/memarch"
-	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
 )
 
@@ -58,39 +57,6 @@ const minDepth = 2
 // commands and result words alive.
 func (s *Scheduler) Reset() { s.begin(memarch.RowAddr{}) }
 
-// Degradation rungs reported in ScheduleResult.Degraded (worst one wins).
-const (
-	DegradedDepthSplit = "depth-split"
-	DegradedInter      = "inter-digital"
-	DegradedHost       = "host-cpu"
-)
-
-var degradedRank = map[string]int{
-	"": 0, DegradedDepthSplit: 1, DegradedInter: 2, DegradedHost: 3,
-}
-
-// WorseDegraded returns the worse of two degradation rungs.
-func WorseDegraded(a, b string) string {
-	if degradedRank[b] > degradedRank[a] {
-		return b
-	}
-	return a
-}
-
-func (r *ScheduleResult) noteDegraded(d string) {
-	if degradedRank[d] > degradedRank[r.Degraded] {
-		r.Degraded = d
-	}
-}
-
-// record lowers one executed controller request into the running program.
-// Requests and Cost are derived from the program by finalize — nothing is
-// accounted by hand here.
-func (res *ScheduleResult) record(r pim.Result) {
-	res.Program.Emit(r.Instr())
-	res.Words = r.Words
-}
-
 // request executes one hardware request (op over srcs into *target). With
 // resilience off it is a plain controller call. With resilience on, the
 // result is verified and the degradation ladder walked until a verified
@@ -109,7 +75,7 @@ func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 		if err != nil {
 			return nil, err
 		}
-		res.record(r)
+		res.Program.Emit(r.Instr())
 		return r.Words, nil
 	}
 	golden, err := s.golden(op, srcs, bits, restore)
@@ -180,7 +146,7 @@ func (s *Scheduler) request(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 // its restore is the first: chainedOR hands each link the previous link's
 // golden as restore, which a failed attempt may still have to write back
 // after the new reference is computed. The buffers stay valid until the
-// next Execute, as ScheduleResult.Words promises.
+// next Execute.
 //
 // A chained link's first operand is its accumulator row, which a failed
 // attempt of the enclosing request may have overwritten: its reference is
@@ -240,10 +206,8 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 		}
 		for depth := len(srcs) / 2; depth >= minDepth; depth /= 2 {
 			s.Ctl.Ledger().Count[ledger.DepthReductions]++
-			res.noteDegraded(DegradedDepthSplit)
-			words, err := s.chainedOR(rows, bits, target, restore, depth, res)
+			_, err := s.chainedOR(rows, bits, target, restore, depth, res)
 			if err == nil {
-				res.Words = words
 				return true, nil
 			}
 			if !errors.Is(err, ErrResilienceExhausted) {
@@ -257,14 +221,12 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 	// Rung 3 — the serial digital datapath: single-row sensing only, no
 	// multi-row margin to lose.
 	s.Ctl.Ledger().Count[ledger.InterFallbacks]++
-	res.noteDegraded(DegradedInter)
 	ok, err = s.attempt(op, srcs, bits, target, restore, golden, res, true, dirty)
 	if err != nil || ok {
 		return ok, err
 	}
 	// Rung 4 — the host CPU.
 	s.Ctl.Ledger().Count[ledger.HostFallbacks]++
-	res.noteDegraded(DegradedHost)
 	return s.hostAttempt(srcs, bits, target, golden, res)
 }
 
@@ -276,7 +238,7 @@ func (s *Scheduler) ladder(op sense.Op, srcs []memarch.RowAddr, bits int, target
 func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, dirty *bool) (bool, error) {
 	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			s.noteRetry(res)
+			s.noteRetry()
 		}
 		if *dirty && restore != nil {
 			if err := s.hostWrite(*target, restore, bits, res); err != nil {
@@ -290,7 +252,7 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 			}
 			return false, err
 		}
-		res.record(r)
+		res.Program.Emit(r.Instr())
 		*dirty = true
 		cost, err := s.Ctl.ECCProgram(*target, golden, bits, op, len(srcs))
 		if err != nil {
@@ -301,18 +263,11 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 		if err != nil {
 			return false, err
 		}
-		s.Ctl.Ledger().Count[ledger.EccDecodes]++
 		res.Program.Emit(v.Instr(*target))
-		s.Ctl.Ledger().Count[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
-		res.BitsCorrected += int64(v.CorrectedBits)
-		if v.OK {
-			res.Words = golden
-			return true, nil
-		}
-		// Detected-uncorrectable (or a repair the cells would not hold):
-		// no blind retry — the ladder's read-back rungs take over.
-		s.Ctl.Ledger().Count[ledger.EccUncorrectables]++
-		return false, nil
+		// A clean or repaired row completes the request. A
+		// detected-uncorrectable syndrome (or a repair the cells would not
+		// hold) gets no blind retry: the ladder's read-back rungs take over.
+		return v.OK, nil
 	}
 	return false, nil
 }
@@ -323,7 +278,7 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, target *memarch.RowAddr, restore, golden []uint64, res *ScheduleResult, digital bool, dirty *bool) (bool, error) {
 	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			s.noteRetry(res)
+			s.noteRetry()
 		}
 		if *dirty && restore != nil {
 			// The accumulator operand was clobbered by a failed attempt;
@@ -345,20 +300,16 @@ func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 			}
 			return false, err
 		}
-		res.record(r)
+		res.Program.Emit(r.Instr())
 		*dirty = true
 		v, err := s.Ctl.VerifyAgainst(len(srcs), bits, *target, golden, r.Words)
 		if err != nil {
 			return false, err
 		}
-		s.Ctl.Ledger().Count[ledger.Verifies]++
 		res.Program.Emit(v.Instr(*target))
 		if v.OK {
-			res.Words = golden
 			return true, nil
 		}
-		s.Ctl.Ledger().Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
-		res.BitsCorrected += int64(v.MismatchedBits)
 		if v.WriteFault {
 			s.retireTarget(srcs, target)
 		}
@@ -376,11 +327,11 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 		if err != nil {
 			return false, err
 		}
-		res.record(r)
+		res.Program.Emit(r.Instr())
 	}
 	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			s.noteRetry(res)
+			s.noteRetry()
 		}
 		if err := s.hostWrite(*target, golden, bits, res); err != nil {
 			return false, err
@@ -389,14 +340,10 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 		if err != nil {
 			return false, err
 		}
-		s.Ctl.Ledger().Count[ledger.Verifies]++
 		res.Program.Emit(v.Instr(*target))
 		if v.OK {
-			res.Words = golden
 			return true, nil
 		}
-		s.Ctl.Ledger().Count[ledger.BitsCorrected] += int64(v.MismatchedBits)
-		res.BitsCorrected += int64(v.MismatchedBits)
 		if v.WriteFault {
 			s.retireTarget(srcs, target)
 		}
@@ -405,10 +352,7 @@ func (s *Scheduler) hostAttempt(srcs []memarch.RowAddr, bits int, target *memarc
 }
 
 // noteRetry counts one re-execution.
-func (s *Scheduler) noteRetry(res *ScheduleResult) {
-	s.Ctl.Ledger().Count[ledger.Retries]++
-	res.Retries++
-}
+func (s *Scheduler) noteRetry() { s.Ctl.Ledger().Count[ledger.Retries]++ }
 
 // hostWrite programs a row from the host, charging the bus transfer.
 func (s *Scheduler) hostWrite(addr memarch.RowAddr, words []uint64, bits int, res *ScheduleResult) error {
@@ -472,10 +416,9 @@ func (s *Scheduler) hostGolden(words []uint64, bits int) []uint64 {
 // through worn cells, not sense flips, and rewriting the same row would
 // burn it further.
 func (s *Scheduler) writeECC(target *memarch.RowAddr, golden []uint64, bits int, res *ScheduleResult) error {
-	led := &s.Ctl.Ledger().Count
 	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
-			s.noteRetry(res)
+			s.noteRetry()
 			s.retireTarget(nil, target)
 		}
 		if err := s.hostWrite(*target, golden, bits, res); err != nil {
@@ -485,14 +428,10 @@ func (s *Scheduler) writeECC(target *memarch.RowAddr, golden []uint64, bits int,
 		if err != nil {
 			return err
 		}
-		led[ledger.EccDecodes]++
 		res.Program.Emit(v.Instr(*target))
-		led[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
-		res.BitsCorrected += int64(v.CorrectedBits)
 		if v.OK {
 			return nil
 		}
-		led[ledger.EccUncorrectables]++
 	}
 	return fmt.Errorf("pimrt: writing row %v: %w (%w)", *target, ErrResilienceExhausted, ErrUncorrectable)
 }
@@ -509,13 +448,14 @@ func (s *Scheduler) Read(addr memarch.RowAddr, bits int) (*ScheduleResult, error
 	led := &s.Ctl.Ledger().Count
 	for try := 0; ; try++ {
 		if try > 0 {
-			s.noteRetry(res)
+			s.noteRetry()
 		}
 		r, err := s.Ctl.ReadRow(addr, bits)
 		if err != nil {
 			return nil, err
 		}
-		res.record(r)
+		res.Program.Emit(r.Instr())
+		res.Words = r.Words
 		if !s.Verify {
 			break
 		}
@@ -524,25 +464,17 @@ func (s *Scheduler) Read(addr memarch.RowAddr, bits int) (*ScheduleResult, error
 			if err != nil {
 				return nil, err
 			}
-			if v.Seconds > 0 { // a decode actually ran (the row was encoded)
-				led[ledger.EccDecodes]++
-			}
 			res.Program.Emit(v.Instr(addr))
-			led[ledger.EccCorrectedBits] += int64(v.CorrectedBits)
-			if v.Uncorrectable {
-				led[ledger.EccUncorrectables]++
-			}
 		}
 		// A read's reference is the stored row itself; the compare masks
-		// the bits past bits.
+		// the bits past bits. It is the scheduler's own compare, not a
+		// controller pass, so it counts its verify and wrong bits here.
 		stored := s.Ctl.Memory().PeekRow(addr)
 		led[ledger.Verifies]++
 		if bitvec.EqualWords(r.Words, stored, bits) {
 			break
 		}
-		n := int64(bitvec.DiffCount(r.Words, stored, bits))
-		led[ledger.BitsCorrected] += n
-		res.BitsCorrected += n
+		led[ledger.BitsCorrected] += int64(bitvec.DiffCount(r.Words, stored, bits))
 		if try == maxRetries {
 			return nil, fmt.Errorf("pimrt: reading row %v: %w", addr, ErrResilienceExhausted)
 		}

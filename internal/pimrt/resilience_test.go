@@ -82,18 +82,12 @@ func TestResilientORMatchesGoldenUnderHeavyFlips(t *testing.T) {
 			t.Fatalf("word %d wrong despite resilience", j)
 		}
 	}
-	if !bitvec.FromWords(bits, res.Words).Equal(bitvec.FromWords(bits, want)) {
-		t.Fatal("reported words disagree with memory")
-	}
 	st := &ctl.Ledger().Count
 	if st[ledger.Retries] == 0 || st[ledger.Verifies] == 0 {
 		t.Fatalf("a flip rate of 1 must force retries and verifies: %v", st)
 	}
 	if st[ledger.DepthReductions] == 0 {
 		t.Fatalf("a 128-row OR at flip rate 1 must take the depth-split rung: %v", st)
-	}
-	if res.Degraded == "" || res.Retries == 0 {
-		t.Fatalf("result does not report its degradation: %+v", res)
 	}
 	if st[ledger.BitsCorrected] == 0 {
 		t.Fatalf("no corrected bits recorded: %v", st)
@@ -129,8 +123,8 @@ func TestChainedORUnderFlipsRestoresAccumulator(t *testing.T) {
 			}
 		}
 		if bad > 0 {
-			t.Errorf("seed %d: %d/%d words wrong in stored dst despite resilience (degraded=%q retries=%d)",
-				seed, bad, w, res.Degraded, res.Retries)
+			t.Errorf("seed %d: %d/%d words wrong in stored dst despite resilience (ledger %v)",
+				seed, bad, w, ctl.Ledger().Count)
 		}
 	}
 }
@@ -202,11 +196,10 @@ func TestResilientANDFallsBackToInterDigital(t *testing.T) {
 			t.Fatalf("word %d wrong despite resilience", j)
 		}
 	}
-	if res.Degraded != DegradedInter {
-		t.Fatalf("Degraded=%q, want %q", res.Degraded, DegradedInter)
-	}
-	if ctl.Ledger().Count[ledger.InterFallbacks] == 0 {
-		t.Fatal("no inter fallback recorded")
+	st := &ctl.Ledger().Count
+	if st[ledger.InterFallbacks] == 0 || st[ledger.HostFallbacks] != 0 {
+		t.Fatalf("InterFallbacks=%d HostFallbacks=%d, want the inter rung and no host rung",
+			st[ledger.InterFallbacks], st[ledger.HostFallbacks])
 	}
 }
 
@@ -264,10 +257,11 @@ func TestWornDestinationRetiredAndRemapped(t *testing.T) {
 			t.Fatalf("word %d wrong after remap", j)
 		}
 	}
-	if st := &ctl.Ledger().Count; st[ledger.RowsRetired] == 0 {
+	st := &ctl.Ledger().Count
+	if st[ledger.RowsRetired] == 0 {
 		t.Fatalf("no rows retired: %v", st)
 	}
-	if res.BitsCorrected == 0 {
+	if st[ledger.BitsCorrected] == 0 {
 		t.Fatal("the intercepted stuck bits were not counted")
 	}
 }
@@ -571,5 +565,83 @@ func TestOutOfMemoryWrapsContext(t *testing.T) {
 	}
 	if _, err := a.AllocGroupRows(3); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("AllocGroupRows err=%v, want wrapped ErrOutOfMemory", err)
+	}
+}
+
+// An OR across subarrays whose partial moved off its worn scratch row
+// onto a row borrowed from the allocator must give that row back when
+// the OR fails. The first group's scratch row is worn. When the combine
+// fails, the allocator lends one healthy row, which takes the partial,
+// and the worn destination has none left to remap onto. When the group
+// itself fails, the allocator lends twelve worn rows, one per attempt of
+// the group's three rungs, so its last attempt leaves the partial on a
+// borrowed row that was never retired.
+func TestFailedORReturnsBorrowedPartials(t *testing.T) {
+	geo := memarch.Geometry{
+		Channels: 1, RanksPerChannel: 1, ChipsPerRank: 1,
+		BanksPerChip: 2, SubarraysPerBank: 2, MatsPerSubarray: 1,
+		RowsPerSubarray: 32, MatRowBits: 1024, MuxRatio: 8,
+	}
+	bits := geo.RowBits()
+	ones := make([]uint64, bitvec.WordsFor(bits))
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	srcs := []memarch.RowAddr{
+		{Subarray: 0, Row: 0}, {Subarray: 0, Row: 1},
+		{Subarray: 1, Row: 0}, {Subarray: 1, Row: 1},
+	}
+	dst := memarch.RowAddr{Bank: 1, Subarray: 0, Row: 0}
+	for _, tc := range []struct {
+		name       string
+		spares     int  // rows the allocator has left
+		wornSpares bool // whether those rows are worn too
+		wornDst    bool
+		retired    int64
+	}{
+		{"combine fails", 1, false, true, 1},
+		{"group fails", 3 * (maxRetries + 1), true, false, 3 * (maxRetries + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ctl := newResilientSched(t, geo, fault.Config{Seed: 31, WearLimit: 2})
+			for _, a := range srcs {
+				if err := ctl.Memory().WriteRow(a, ones); err != nil {
+					t.Fatal(err)
+				}
+			}
+			preWear(t, ctl, ScratchRow(geo, srcs[0]), bits, 20)
+			if tc.wornDst {
+				preWear(t, ctl, dst, bits, 20)
+			}
+			alloc, err := NewAllocatorTail(geo, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := alloc.AllocRows(alloc.RowsLeft() - tc.spares); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wornSpares {
+				// The frontier hands the spares out in address order.
+				mark := alloc.Mark()
+				rows, err := alloc.AllocRows(tc.spares)
+				if err != nil {
+					t.Fatal(err)
+				}
+				alloc.Rollback(mark, rows)
+				for _, r := range rows {
+					preWear(t, ctl, r, bits, 20)
+				}
+			}
+			s.Alloc = alloc
+			if _, err := s.Execute(sense.OpOR, srcs, bits, dst); !errors.Is(err, ErrResilienceExhausted) {
+				t.Fatalf("err=%v, want ErrResilienceExhausted", err)
+			}
+			if n := ctl.Ledger().Count[ledger.RowsRetired]; n != tc.retired {
+				t.Fatalf("%d rows retired, want %d", n, tc.retired)
+			}
+			if n := alloc.RowsLeft(); n != 1 {
+				t.Fatalf("RowsLeft()=%d after the failed OR, want the borrowed row back (1)", n)
+			}
+		})
 	}
 }

@@ -105,8 +105,9 @@ type Array struct {
 }
 
 // NewArray builds an SA array for the technology. Analog cross-checking
-// samples 16 bit positions per operation by default; pass checkBits = 0 to
-// disable (e.g. in throughput benchmarks) or another count to tune it.
+// samples checkBits bit positions per operation; 0 disables it (e.g. in
+// throughput benchmarks). There is no default here: the System passes its
+// Config.AnalogCheckBits, 8 in DefaultConfig.
 func NewArray(p nvm.Params, cfg analog.SenseConfig, checkBits int) (*Array, error) {
 	if !p.Tech.Resistive() {
 		return nil, analog.ErrNotResistive

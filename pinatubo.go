@@ -742,12 +742,16 @@ type Result struct {
 	Count *int
 
 	// Resilience outcome — all zero unless faults were injected and the
-	// verify-and-retry layer had to intervene.
+	// verify-and-retry layer had to intervene. This and the replication
+	// outcome below are the op's share of FaultStats: what the System's
+	// ledger counted while the op ran (zero for Write, Read and
+	// Popcount).
 	//
 	// Retries counts hardware re-executions; Degraded names the worst
 	// degradation rung taken ("", "depth-split", "inter-digital",
 	// "host-cpu"); BitsCorrected counts wrong bits the verification layer
-	// intercepted before they could reach the caller.
+	// intercepted before they could reach the caller, read-back and
+	// SECDED alike.
 	Retries       int
 	Degraded      string
 	BitsCorrected int64
@@ -1099,12 +1103,14 @@ func (s *System) Apply(op Op, dst *BitVector, srcs []*BitVector, opts ...Option)
 // applyRows is Apply's row executor, the one way an op runs: it executes
 // a validated op over the source vectors' rows into dst, the rows of a
 // bits-bit destination, with resolved per-call options. A destination row
-// the resilience layer retires is replaced in dst. Apply passes the
-// destination vector's own rows. A window shard passes its sandbox's copy
-// of them and the live source vectors, whose rows nothing moves between
-// Start and Wait (window.go); the batch executors call it with zero
-// options (no cancellation between row chunks) and copy the operation's
-// program out of s.prog.
+// the resilience layer retires is replaced in dst. The Result's
+// resilience outcome is what the ledger counted while the op ran
+// (resilienceSince), so it is exactly the op's share of FaultStats. Apply
+// passes the destination vector's own rows. A window shard passes its
+// sandbox's copy of them and the live source vectors, whose rows nothing
+// moves between Start and Wait (window.go); the batch executors call it
+// with zero options (no cancellation between row chunks) and copy the
+// operation's program out of s.prog.
 func (s *System) applyRows(op Op, dst []memarch.RowAddr, bits int, srcs []*BitVector, o callOpts) (Result, error) {
 	s.beginOp()
 	if op == OpPopcount {
@@ -1124,10 +1130,10 @@ func (s *System) applyRows(op Op, dst []memarch.RowAddr, bits int, srcs []*BitVe
 	if err != nil {
 		return Result{}, err
 	}
+	before := s.led.Count
 	var seconds, joules float64
 	requests := 0
 	class := PlaceNone
-	var resil resilienceTally
 	if cap(s.rowScratch) < len(srcs) {
 		s.rowScratch = make([]memarch.RowAddr, len(srcs))
 	}
@@ -1164,9 +1170,37 @@ func (s *System) applyRows(op Op, dst []memarch.RowAddr, bits int, srcs []*BitVe
 		seconds += res.Cost.Seconds
 		joules += res.Cost.Joules
 		requests += res.Requests
-		resil.add(res)
 	}
-	return resil.fill(s.account(class, requests, seconds, joules)), nil
+	return s.resilienceSince(&before, s.account(class, requests, seconds, joules)), nil
+}
+
+// The degradation rungs a Result names, mildest first.
+const (
+	degradedDepthSplit = "depth-split"
+	degradedInter      = "inter-digital"
+	degradedHost       = "host-cpu"
+)
+
+// resilienceSince returns r with its resilience outcome set from what the
+// ledger counted since it held the counts in before: the retries, the
+// wrong bits read-back verification and SECDED intercepted, the votes and
+// the bits they overruled, and the worst rung whose counter moved.
+func (s *System) resilienceSince(before *[ledger.NumCounters]int64, r Result) Result {
+	now := &s.led.Count
+	delta := func(c ledger.Counter) int64 { return now[c] - before[c] }
+	r.Retries = int(delta(ledger.Retries))
+	r.BitsCorrected = delta(ledger.BitsCorrected) + delta(ledger.EccCorrectedBits)
+	r.Votes = int(delta(ledger.Votes))
+	r.BitsOutvoted = delta(ledger.BitsOutvoted)
+	switch {
+	case delta(ledger.HostFallbacks) > 0:
+		r.Degraded = degradedHost
+	case delta(ledger.InterFallbacks) > 0:
+		r.Degraded = degradedInter
+	case delta(ledger.DepthReductions) > 0:
+		r.Degraded = degradedDepthSplit
+	}
+	return r
 }
 
 // Or computes dst = OR of all srcs inside the memory. Any number of
@@ -1174,32 +1208,6 @@ func (s *System) applyRows(op Op, dst []memarch.RowAddr, bits int, srcs []*BitVe
 // multi-row ORs (up to MaxORRows) and combines partial results.
 func (s *System) Or(dst *BitVector, srcs ...*BitVector) (Result, error) {
 	return s.Apply(OpOr, dst, srcs)
-}
-
-// resilienceTally folds per-batch schedule outcomes into one Result.
-type resilienceTally struct {
-	retries       int
-	degraded      string
-	bitsCorrected int64
-	votes         int
-	bitsOutvoted  int64
-}
-
-func (t *resilienceTally) add(res *pimrt.ScheduleResult) {
-	t.retries += res.Retries
-	t.degraded = pimrt.WorseDegraded(t.degraded, res.Degraded)
-	t.bitsCorrected += res.BitsCorrected
-	t.votes += res.Votes
-	t.bitsOutvoted += res.BitsOutvoted
-}
-
-func (t *resilienceTally) fill(r Result) Result {
-	r.Retries = t.retries
-	r.Degraded = t.degraded
-	r.BitsCorrected = t.bitsCorrected
-	r.Votes = t.votes
-	r.BitsOutvoted = t.bitsOutvoted
-	return r
 }
 
 // b0check validates dst and srcs handles.
