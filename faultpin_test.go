@@ -211,47 +211,47 @@ func TestFaultyProgramPinned(t *testing.T) {
 	}{
 		{"readback", ResilienceConfig{Verify: VerifyReadback}, faultPin{
 			stats: Stats{Ops: map[string]int64{"host-read": 42, "host-write": 34, "inter-bank": 19, "inter-subarray": 4, "intra-subarray": 19},
-				Requests: 177, BusySeconds: 7.609121093750002e-05, EnergyJoules: 6.449468000000003e-06},
-			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 21, "inter-subarray": 18, "intra-subarray": 139},
-				Activations: 669, SenseSteps: 4600, Writebacks: 136, BusBits: 213000},
+				Requests: 175, BusySeconds: 7.502426093750002e-05, EnergyJoules: 6.355248000000004e-06},
+			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 21, "inter-subarray": 18, "intra-subarray": 137},
+				Activations: 659, SenseSteps: 4536, Writebacks: 134, BusBits: 211000},
 			faults: FaultStats{
-				SenseFlips: 441, ActivationFaults: 6, StuckRows: 15, StuckBitsForced: 15, RowWrites: 136,
-				Verifies: 178, Retries: 47, DepthReductions: 0, InterFallbacks: 12, HostFallbacks: 0,
-				RowsRetired: 15, BitsCorrected: 454, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
+				SenseFlips: 321, ActivationFaults: 17, StuckRows: 14, StuckBitsForced: 14, RowWrites: 134,
+				Verifies: 176, Retries: 56, DepthReductions: 0, InterFallbacks: 12, HostFallbacks: 0,
+				RowsRetired: 14, BitsCorrected: 331, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
 				Votes: 0, BitsOutvoted: 0,
 			},
-			applies: applyPin{retries: 46, bitsCorrected: 453,
+			applies: applyPin{retries: 55, bitsCorrected: 330,
 				degraded: map[string]int{"": 30, "inter-digital": 12}},
 			reads: pinReads,
 		}},
 		{"ecc", ResilienceConfig{Verify: VerifyECC}, faultPin{
-			stats: Stats{Ops: map[string]int64{"host-read": 42, "host-write": 34, "inter-bank": 16, "inter-subarray": 6, "intra-subarray": 20},
-				Requests: 183, BusySeconds: 6.313758125e-05, EnergyJoules: 5.174497600000003e-06},
-			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 22, "inter-subarray": 19, "intra-subarray": 143},
-				Activations: 492, SenseSteps: 3880, Writebacks: 149, BusBits: 136000},
+			stats: Stats{Ops: map[string]int64{"host-read": 42, "host-write": 34, "inter-bank": 17, "inter-subarray": 6, "intra-subarray": 19},
+				Requests: 187, BusySeconds: 6.472987031250002e-05, EnergyJoules: 5.333447600000004e-06},
+			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 25, "inter-subarray": 18, "intra-subarray": 145},
+				Activations: 502, SenseSteps: 3936, Writebacks: 157, BusBits: 135000},
 			faults: FaultStats{
-				SenseFlips: 477, ActivationFaults: 11, StuckRows: 12, StuckBitsForced: 28, RowWrites: 149,
-				Verifies: 101, Retries: 44, DepthReductions: 0, InterFallbacks: 11, HostFallbacks: 0,
-				RowsRetired: 11, BitsCorrected: 355, EccDecodes: 125, EccCorrectedBits: 89, EccUncorrectables: 17,
+				SenseFlips: 402, ActivationFaults: 16, StuckRows: 14, StuckBitsForced: 31, RowWrites: 157,
+				Verifies: 100, Retries: 49, DepthReductions: 1, InterFallbacks: 10, HostFallbacks: 0,
+				RowsRetired: 13, BitsCorrected: 320, EccDecodes: 130, EccCorrectedBits: 78, EccUncorrectables: 17,
 				Votes: 0, BitsOutvoted: 0,
 			},
-			applies: applyPin{retries: 43, bitsCorrected: 437,
-				degraded: map[string]int{"": 31, "inter-digital": 11}},
+			applies: applyPin{retries: 48, bitsCorrected: 393,
+				degraded: map[string]int{"": 31, "depth-split": 1, "inter-digital": 10}},
 			reads: pinReads,
 		}},
 		{"replicate3", ResilienceConfig{Verify: VerifyReadback, Replicate: 3}, faultPin{
 			stats: Stats{Ops: map[string]int64{"host-read": 42, "host-write": 34, "inter-bank": 12, "inter-subarray": 6, "intra-subarray": 24},
-				Requests: 244, BusySeconds: 9.737059062500001e-05, EnergyJoules: 6.701148000000007e-06},
-			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 14, "inter-subarray": 7, "intra-subarray": 291},
-				Activations: 802, SenseSteps: 4560, Writebacks: 270, BusBits: 238000},
+				Requests: 239, BusySeconds: 9.420999218750001e-05, EnergyJoules: 6.601384000000007e-06},
+			hw: HardwareCounters{OpsByClass: map[string]int64{"inter-bank": 16, "inter-subarray": 8, "intra-subarray": 283},
+				Activations: 745, SenseSteps: 4344, Writebacks: 265, BusBits: 235000},
 			faults: FaultStats{
-				SenseFlips: 518, ActivationFaults: 28, StuckRows: 3, StuckBitsForced: 9, RowWrites: 270,
-				Verifies: 135, Retries: 29, DepthReductions: 5, InterFallbacks: 1, HostFallbacks: 0,
-				RowsRetired: 1, BitsCorrected: 7, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
-				Votes: 38, BitsOutvoted: 488,
+				SenseFlips: 321, ActivationFaults: 44, StuckRows: 4, StuckBitsForced: 8, RowWrites: 265,
+				Verifies: 132, Retries: 38, DepthReductions: 6, InterFallbacks: 2, HostFallbacks: 0,
+				RowsRetired: 1, BitsCorrected: 2, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
+				Votes: 32, BitsOutvoted: 287,
 			},
-			applies: applyPin{retries: 29, bitsCorrected: 7, votes: 38, bitsOutvoted: 488,
-				degraded: map[string]int{"": 36, "depth-split": 5, "inter-digital": 1}},
+			applies: applyPin{retries: 38, bitsCorrected: 2, votes: 32, bitsOutvoted: 287,
+				degraded: map[string]int{"": 36, "depth-split": 4, "inter-digital": 2}},
 			reads: pinReads,
 		}},
 	}
@@ -350,17 +350,17 @@ func runChainedRestoreProgram(t *testing.T) faultPin {
 func TestChainedRestorePinned(t *testing.T) {
 	want := faultPin{
 		stats: Stats{Ops: map[string]int64{"host-read": 12, "host-write": 21, "intra-subarray": 12},
-			Requests: 424, BusySeconds: 6.686296875000002e-05, EnergyJoules: 1.3011920999999987e-05},
-		hw: HardwareCounters{OpsByClass: map[string]int64{"inter-subarray": 140, "intra-subarray": 284},
-			Activations: 1427, SenseSteps: 9352, Writebacks: 398, BusBits: 459000},
+			Requests: 401, BusySeconds: 6.344018750000003e-05, EnergyJoules: 1.2320610999999992e-05},
+		hw: HardwareCounters{OpsByClass: map[string]int64{"inter-subarray": 130, "intra-subarray": 271},
+			Activations: 1357, SenseSteps: 8880, Writebacks: 377, BusBits: 433000},
 		faults: FaultStats{
-			SenseFlips: 263, ActivationFaults: 32, StuckRows: 44, StuckBitsForced: 123, RowWrites: 398,
-			Verifies: 289, Retries: 156, DepthReductions: 0, InterFallbacks: 29, HostFallbacks: 7,
-			RowsRetired: 43, BitsCorrected: 366, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
+			SenseFlips: 240, ActivationFaults: 30, StuckRows: 40, StuckBitsForced: 109, RowWrites: 377,
+			Verifies: 275, Retries: 143, DepthReductions: 0, InterFallbacks: 27, HostFallbacks: 6,
+			RowsRetired: 40, BitsCorrected: 324, EccDecodes: 0, EccCorrectedBits: 0, EccUncorrectables: 0,
 			Votes: 0, BitsOutvoted: 0,
 		},
-		applies: applyPin{retries: 156, bitsCorrected: 366,
-			degraded: map[string]int{"": 1, "host-cpu": 4, "inter-digital": 7}},
+		applies: applyPin{retries: 143, bitsCorrected: 324,
+			degraded: map[string]int{"": 3, "host-cpu": 4, "inter-digital": 5}},
 		reads: "8902373e53dd3e13d69e0090d3d85d0b33d751117d28d1319d1ee996f1f06857",
 	}
 	if got := runChainedRestoreProgram(t); !reflect.DeepEqual(got, want) {

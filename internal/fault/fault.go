@@ -25,15 +25,15 @@
 //
 // Everything is driven by a single seeded PRNG plus per-row hashes, so a
 // given seed and operation sequence reproduces the exact same faults —
-// tests and the fault-sweep figure rely on that. The PRNG emits math/rand's
-// stream for its seed, and it reseeds in constant time (source.go), so
-// reseeding once per operation costs next to nothing.
+// tests and the fault-sweep figure rely on that. The PRNG is a math/rand/v2
+// PCG, the generator the SA model's analog check uses: it reseeds in place
+// in two words, so reseeding once per operation costs next to nothing.
 package fault
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"pinatubo/internal/analog"
 	"pinatubo/internal/ledger"
@@ -102,6 +102,9 @@ type Injector struct {
 	scfg    analog.SenseConfig
 	cell    nvm.CellParams
 	rowBits int
+	// pcg drives rng, the stream every transient fault is drawn from.
+	// Reset and BeginOp reseed it in place.
+	pcg     *rand.PCG
 	rng     *rand.Rand
 	seq     int64
 	margins map[marginKey]float64
@@ -135,40 +138,42 @@ func New(cfg Config, p nvm.Params, scfg analog.SenseConfig, rowBits int, led *le
 		}
 		cell = drifted
 	}
+	pcg := rand.NewPCG(uint64(cfg.Seed), 0)
 	return &Injector{
 		cfg:     cfg,
 		scfg:    scfg,
 		cell:    cell,
 		rowBits: rowBits,
-		rng:     rand.New(newSource(cfg.Seed)),
+		pcg:     pcg,
+		rng:     rand.New(pcg),
 		margins: make(map[marginKey]float64),
 		led:     led,
 	}, nil
 }
 
 // Reset restores the injector to its New state: the substream counter
-// clears and the PRNG rewinds to the seed. The margin memo survives — it
-// caches pure analog math, so keeping it is invisible to behaviour — and
-// so does the ledger, which its owner resets. Pooled shard sandboxes
-// reset through here; the batch executor then positions the substream
-// explicitly, exactly as it does for a fresh sandbox. The rewind is a
-// constant-time reseed, so a reset does no per-word PRNG work.
+// clears and the PCG rewinds to its (Seed, 0) stream. The margin memo
+// survives — it caches pure analog math, so keeping it is invisible to
+// behaviour — and so does the ledger, which its owner resets. Pooled
+// shard sandboxes reset through here; the batch executor then positions
+// the substream explicitly, exactly as it does for a fresh sandbox. The
+// rewind reseeds two words in place and allocates nothing.
 func (in *Injector) Reset() {
-	in.rng.Seed(in.cfg.Seed)
+	in.pcg.Seed(uint64(in.cfg.Seed), 0)
 	in.seq = 0
 }
 
 // BeginOp reseeds the transient-fault stream (sense flips, activation
-// faults) from a per-operation substream derived from (Seed, sequence
-// number). Operations then draw faults independently of each other, which
-// is what lets Batch run fault-injected shards concurrently and still
-// reproduce the exact flips sequential execution would have drawn.
-// Wear draws nothing from the stream: a stuck bit hashes its row and
-// event. The PRNG is reseeded in place, in constant time, to the same
-// stream a fresh rand.New(rand.NewSource(…)) would produce.
+// faults) to operation k's substream, the PCG stream
+// (Seed, splitmix64(k)) for sequence number k. Operations then draw faults
+// independently of each other, which is what lets Batch run fault-injected
+// shards concurrently and still reproduce the exact flips sequential
+// execution would have drawn. Wear draws nothing from the stream: a stuck
+// bit hashes its row and event. The reseed is in place, in constant time,
+// and allocates nothing.
 func (in *Injector) BeginOp() {
 	in.seq++
-	in.rng.Seed(in.cfg.Seed ^ int64(splitmix64(uint64(in.seq))))
+	in.pcg.Seed(uint64(in.cfg.Seed), splitmix64(uint64(in.seq)))
 }
 
 // OpSeq returns the per-operation substream sequence number: the number of
@@ -227,7 +232,7 @@ func (in *Injector) FlipSensed(op sense.Op, rows, bits int, words []uint64) int 
 	}
 	n := in.poisson(float64(bits) * p)
 	for k := 0; k < n; k++ {
-		pos := in.rng.Intn(bits)
+		pos := in.rng.IntN(bits)
 		words[pos/64] ^= 1 << uint(pos%64)
 	}
 	in.led.Count[ledger.SenseFlips] += int64(n)

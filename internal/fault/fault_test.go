@@ -3,7 +3,7 @@ package fault
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"pinatubo/internal/analog"
@@ -316,16 +316,16 @@ func TestDriftWidensMarginsReducesFlips(t *testing.T) {
 	}
 }
 
-// sameStream draws a mixed sequence from got and from a fresh
-// rand.New(rand.NewSource(seed)) and reports the first disagreement.
-func sameStream(t *testing.T, what string, got *rand.Rand, seed int64) {
+// sameStream draws a mixed sequence from got and from a fresh PCG seeded
+// (seed1, seed2) and reports the first disagreement.
+func sameStream(t *testing.T, what string, got *rand.Rand, seed1, seed2 uint64) {
 	t.Helper()
-	sameDraws(t, what, 200, got, rand.New(rand.NewSource(seed)))
+	sameDraws(t, what, 200, got, rand.New(rand.NewPCG(seed1, seed2)))
 }
 
 // sameDraws draws n values of mixed kinds from got and want and reports
 // the first disagreement. Every draw kind the injector makes is in the
-// mix, and the odd Intn bound forces Int31n's rejection loop.
+// mix, and the odd IntN bound forces its rejection loop.
 func sameDraws(t *testing.T, what string, n int, got, want *rand.Rand) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -334,41 +334,40 @@ func sameDraws(t *testing.T, what string, n int, got, want *rand.Rand) {
 		case 0:
 			g, w = got.Uint64(), want.Uint64()
 		case 1:
-			g, w = got.Int63(), want.Int63()
+			g, w = got.Int64(), want.Int64()
 		case 2:
 			g, w = got.Float64(), want.Float64()
 		case 3:
-			g, w = got.Intn(1<<19), want.Intn(1<<19)
+			g, w = got.IntN(1<<19), want.IntN(1<<19)
 		case 4:
-			g, w = got.Intn(1_000_003), want.Intn(1_000_003)
+			g, w = got.IntN(1_000_003), want.IntN(1_000_003)
 		}
 		if g != w {
-			t.Fatalf("%s: draw %d %v, fresh source %v", what, i, g, w)
+			t.Fatalf("%s: draw %d %v, fresh PCG %v", what, i, g, w)
 		}
 	}
 }
 
-// TestReseedMatchesFreshSource pins that reseeding the injector's PRNG in
-// place yields exactly the stream a newly built math/rand source would:
-// Reset rewinds to the configured seed and BeginOp to the per-op
-// substream. It reads through the injector's *rand.Rand, the one every
-// draw takes.
+// TestReseedMatchesFreshSource pins that reseeding the injector's PCG in
+// place yields exactly the stream a newly built PCG would: Reset rewinds
+// to (Seed, 0) and BeginOp k to (Seed, splitmix64(k)). It reads through
+// the injector's *rand.Rand, the one every draw takes.
 func TestReseedMatchesFreshSource(t *testing.T) {
 	const seed = 42
 	cfg := Config{SenseFlipRate: 1e-3, Seed: seed}
 	in := newPCM(t, cfg)
-	in.rng.Int63() // advance the stream so the reseed has work to undo
+	in.rng.Int64() // advance the stream so the reseed has work to undo
 	in.Reset()
-	sameStream(t, "Reset", in.rng, seed)
-	for op := int64(1); op <= 3; op++ {
+	sameStream(t, "Reset", in.rng, seed, 0)
+	for op := uint64(1); op <= 3; op++ {
 		in.rng.Float64()
 		in.BeginOp()
-		sameStream(t, fmt.Sprintf("BeginOp %d", op), in.rng, seed^int64(splitmix64(uint64(op))))
+		sameStream(t, fmt.Sprintf("BeginOp %d", op), in.rng, seed, splitmix64(op))
 	}
 
 	// Against a freshly built injector: after Reset, a draw without
-	// BeginOp is the Seed stream ...
-	in.rng.Int63()
+	// BeginOp is the (Seed, 0) stream ...
+	in.rng.Int64()
 	in.Reset()
 	sameDraws(t, "Reset vs fresh injector", 200, in.rng, newPCM(t, cfg).rng)
 
@@ -389,8 +388,8 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 	}
 }
 
-// TestResetZeroAllocs pins the pooled-sandbox reset: its rewind is a
-// constant-time reseed, and it allocates nothing.
+// TestResetZeroAllocs pins the pooled-sandbox reset: its rewind reseeds
+// the PCG in place, and it allocates nothing.
 func TestResetZeroAllocs(t *testing.T) {
 	in := newPCM(t, Config{SenseFlipRate: 1e-3, Seed: 7})
 	if allocs := testing.AllocsPerRun(100, in.Reset); allocs != 0 {
@@ -405,7 +404,7 @@ func TestBeginOpZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		in.BeginOp()
 		in.rng.Float64()
-		in.rng.Intn(1 << 19)
+		in.rng.IntN(1 << 19)
 	})
 	if allocs != 0 {
 		t.Errorf("BeginOp + 2 draws: %v allocs/op, want 0", allocs)

@@ -18,8 +18,8 @@ func TestFaultSweepPinned(t *testing.T) {
 		{Rate: 1e-07, GBps: 64.27855084901613, Slowdown: 44.44959128065395, SenseFlips: 0, Retries: 0, DepthSplits: 0, HostFallbacks: 0, BitsCorrected: 0, WrongWords: 0},
 		{Rate: 1e-06, GBps: 64.27855084901613, Slowdown: 44.44959128065395, SenseFlips: 0, Retries: 0, DepthSplits: 0, HostFallbacks: 0, BitsCorrected: 0, WrongWords: 0},
 		{Rate: 1e-05, GBps: 51.422210234656596, Slowdown: 55.56267029972752, SenseFlips: 1, Retries: 1, DepthSplits: 0, HostFallbacks: 0, BitsCorrected: 1, WrongWords: 0},
-		{Rate: 0.0001, GBps: 13.268914900347992, Slowdown: 215.3269754768392, SenseFlips: 54, Retries: 12, DepthSplits: 3, HostFallbacks: 0, BitsCorrected: 54, WrongWords: 0},
-		{Rate: 0.001, GBps: 10.244376870000611, Slowdown: 278.89986376021795, SenseFlips: 545, Retries: 19, DepthSplits: 5, HostFallbacks: 0, BitsCorrected: 545, WrongWords: 0},
+		{Rate: 0.0001, GBps: 12.225867757995498, Slowdown: 233.69754768392372, SenseFlips: 52, Retries: 13, DepthSplits: 4, HostFallbacks: 0, BitsCorrected: 52, WrongWords: 0},
+		{Rate: 0.001, GBps: 8.680372686746939, Slowdown: 329.1512261580381, SenseFlips: 543, Retries: 25, DepthSplits: 7, HostFallbacks: 0, BitsCorrected: 543, WrongWords: 0},
 	}
 	got, err := FaultSweep(DefaultFaultRates)
 	if err != nil {
@@ -40,10 +40,10 @@ func TestECCSweepPinned(t *testing.T) {
 		{Rate: 1e-06, Mode: "ecc", GBps: 2781.368700265252, Overhead: 1.0272479564032697, SenseFlips: 0, Verifies: 1, EccDecodes: 133, EccCorrected: 0, EccUncorrectable: 0, Retries: 0, HostFallbacks: 0, WrongWords: 0},
 		{Rate: 1e-05, Mode: "readback", GBps: 51.422210234656596, Overhead: 55.56267029972752, SenseFlips: 1, Verifies: 134, EccDecodes: 0, EccCorrected: 0, EccUncorrectable: 0, Retries: 1, HostFallbacks: 0, WrongWords: 0},
 		{Rate: 1e-05, Mode: "ecc", GBps: 2528.2121760096447, Overhead: 1.1301089918256129, SenseFlips: 1, Verifies: 1, EccDecodes: 133, EccCorrected: 1, EccUncorrectable: 0, Retries: 0, HostFallbacks: 0, WrongWords: 0},
-		{Rate: 0.0001, Mode: "readback", GBps: 13.268914900347992, Overhead: 215.3269754768392, SenseFlips: 54, Verifies: 154, EccDecodes: 0, EccCorrected: 0, EccUncorrectable: 0, Retries: 12, HostFallbacks: 0, WrongWords: 0},
-		{Rate: 0.0001, Mode: "ecc", GBps: 1985.939393939394, Overhead: 1.438692098092643, SenseFlips: 9, Verifies: 1, EccDecodes: 133, EccCorrected: 9, EccUncorrectable: 0, Retries: 0, HostFallbacks: 0, WrongWords: 0},
-		{Rate: 0.001, Mode: "readback", GBps: 10.244376870000611, Overhead: 278.89986376021795, SenseFlips: 545, Verifies: 167, EccDecodes: 0, EccCorrected: 0, EccUncorrectable: 0, Retries: 19, HostFallbacks: 0, WrongWords: 0},
-		{Rate: 0.001, Mode: "ecc", GBps: 20.92016100473338, Overhead: 136.5742506811989, SenseFlips: 531, Verifies: 13, EccDecodes: 142, EccCorrected: 123, EccUncorrectable: 3, Retries: 9, HostFallbacks: 0, WrongWords: 0},
+		{Rate: 0.0001, Mode: "readback", GBps: 12.225867757995498, Overhead: 233.69754768392372, SenseFlips: 52, Verifies: 158, EccDecodes: 0, EccCorrected: 0, EccUncorrectable: 0, Retries: 13, HostFallbacks: 0, WrongWords: 0},
+		{Rate: 0.0001, Mode: "ecc", GBps: 1985.939393939394, Overhead: 1.438692098092643, SenseFlips: 14, Verifies: 1, EccDecodes: 133, EccCorrected: 14, EccUncorrectable: 0, Retries: 0, HostFallbacks: 0, WrongWords: 0},
+		{Rate: 0.001, Mode: "readback", GBps: 8.680372686746939, Overhead: 329.1512261580381, SenseFlips: 543, Verifies: 179, EccDecodes: 0, EccCorrected: 0, EccUncorrectable: 0, Retries: 25, HostFallbacks: 0, WrongWords: 0},
+		{Rate: 0.001, Mode: "ecc", GBps: 61.64830383914398, Overhead: 46.346049046321525, SenseFlips: 263, Verifies: 5, EccDecodes: 136, EccCorrected: 138, EccUncorrectable: 1, Retries: 3, HostFallbacks: 0, WrongWords: 0},
 	}
 	got, err := ECCSweep(DefaultFaultRates)
 	if err != nil {
@@ -58,10 +58,10 @@ func TestReplicationSweepPinned(t *testing.T) {
 	want := []ReplicationRow{
 		{Rate: 0, BaseGBps: 64.27855084901613, BaseRetries: 0, BaseSplits: 0, BaseHost: 0, BaseDegraded: 0, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 0, RepRetries: 0, RepDegraded: 0, Speedup: 0.9506964275307418, WrongWords: 0},
 		{Rate: 1e-07, BaseGBps: 64.27855084901613, BaseRetries: 0, BaseSplits: 0, BaseHost: 0, BaseDegraded: 0, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 0, RepRetries: 0, RepDegraded: 0, Speedup: 0.9506964275307418, WrongWords: 0},
-		{Rate: 1e-06, BaseGBps: 64.27855084901613, BaseRetries: 0, BaseSplits: 0, BaseHost: 0, BaseDegraded: 0, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 0, RepRetries: 0, RepDegraded: 0, Speedup: 0.9506964275307418, WrongWords: 0},
+		{Rate: 1e-06, BaseGBps: 64.27855084901613, BaseRetries: 0, BaseSplits: 0, BaseHost: 0, BaseDegraded: 0, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 1, RepRetries: 0, RepDegraded: 0, Speedup: 0.9506964275307418, WrongWords: 0},
 		{Rate: 1e-05, BaseGBps: 51.422210234656596, BaseRetries: 1, BaseSplits: 0, BaseHost: 0, BaseDegraded: 0, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 4, RepRetries: 0, RepDegraded: 0, Speedup: 1.1883851040270412, WrongWords: 0},
-		{Rate: 0.0001, BaseGBps: 13.268914900347992, BaseRetries: 12, BaseSplits: 3, BaseHost: 0, BaseDegraded: 3, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 42, RepRetries: 0, RepDegraded: 0, Speedup: 4.605454863337024, WrongWords: 0},
-		{Rate: 0.001, BaseGBps: 10.244376870000611, BaseRetries: 19, BaseSplits: 5, BaseHost: 0, BaseDegraded: 5, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 397, RepRetries: 0, RepDegraded: 0, Speedup: 5.965164053849292, WrongWords: 0},
+		{Rate: 0.0001, BaseGBps: 12.225867757995498, BaseRetries: 13, BaseSplits: 4, BaseHost: 0, BaseDegraded: 4, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 42, RepRetries: 0, RepDegraded: 0, Speedup: 4.99836820327525, WrongWords: 0},
+		{Rate: 0.001, BaseGBps: 8.680372686746939, BaseRetries: 25, BaseSplits: 7, BaseHost: 0, BaseDegraded: 7, RepGBps: 61.109388659012765, RepVotes: 4, RepOutvoted: 400, RepRetries: 0, RepDegraded: 0, Speedup: 7.039949880529168, WrongWords: 0},
 	}
 	got, err := ReplicationSweep(DefaultFaultRates)
 	if err != nil {
