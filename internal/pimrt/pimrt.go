@@ -255,13 +255,16 @@ func (a *Allocator) Retire(r memarch.RowAddr) {
 	}
 }
 
-// Remap retires a worn-out row and allocates a fresh one in its place.
+// Remap allocates a fresh row and retires the worn-out row it replaces.
+// With no row left it returns the error and retires nothing: the caller
+// keeps the old row. AllocRows never hands out a row in use, so the fresh
+// row is never old itself.
 func (a *Allocator) Remap(old memarch.RowAddr) (memarch.RowAddr, error) {
-	a.Retire(old)
 	rows, err := a.AllocRows(1)
 	if err != nil {
 		return memarch.RowAddr{}, err
 	}
+	a.Retire(old)
 	return rows[0], nil
 }
 

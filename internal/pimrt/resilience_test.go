@@ -639,6 +639,11 @@ func TestFailedORReturnsBorrowedPartials(t *testing.T) {
 			if n := ctl.Ledger().Count[ledger.RowsRetired]; n != tc.retired {
 				t.Fatalf("%d rows retired, want %d", n, tc.retired)
 			}
+			// A row is retired only when a fresh one replaced it, so the
+			// allocator and the ledger agree.
+			if n, led := alloc.RetiredRows(), ctl.Ledger().Count[ledger.RowsRetired]; int64(n) != led {
+				t.Fatalf("allocator retired %d rows, ledger counted %d", n, led)
+			}
 			if n := alloc.RowsLeft(); n != 1 {
 				t.Fatalf("RowsLeft()=%d after the failed OR, want the borrowed row back (1)", n)
 			}
