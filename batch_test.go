@@ -1,12 +1,15 @@
 package pinatubo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"pinatubo/internal/pimrt"
 )
 
 // spreadGeometry is a single-channel, single-rank organisation with one
@@ -278,6 +281,93 @@ func checkRowRecords(t *testing.T, windowed, serial *System, ops []BatchOp) {
 	}
 	if cfg.Fault.WearLimit > 0 && !worn {
 		t.Error("no footprint row wore under a wear limit")
+	}
+}
+
+// TestBatchSkipsRetiredScratchRow wears out the scratch row of an OR
+// across two subarrays, then runs that OR once more as a one-op batch on
+// one twin and through Apply on the other. Once the scratch row is
+// retired, sequential execution puts the partial in a row on loan, so a
+// shard must not write it into the retired row: its sandbox sees the
+// retirement, and the window replays sequentially. The operands are
+// zeros while the row wears out and ones after, so on some seeds the
+// retired row's stuck bits agree with the partial and a shard that wrote
+// it there would verify; only the row records would then differ.
+func TestBatchSkipsRetiredScratchRow(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			cfg := Config{Tech: PCM, Geometry: pinGeometry(),
+				Resilience: ResilienceConfig{Verify: VerifyReadback},
+				Fault:      FaultConfig{Seed: seed, WearLimit: 2}}
+			build := func() (*System, []BatchOp) {
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bits := s.RowBits()
+				// Two sources fill the head of subarray 0, a filler group
+				// the rest of it, and the next group lands in subarray 1.
+				var gs [][]*BitVector
+				for _, n := range []int{2, s.UsableRowsPerSubarray() - 2, 3} {
+					g, err := s.AllocGroup(n, bits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gs = append(gs, g)
+				}
+				srcs := []*BitVector{gs[0][0], gs[0][1], gs[2][0], gs[2][1]}
+				return s, []BatchOp{{Op: OpOr, Dst: gs[2][2], Srcs: srcs}}
+			}
+			fill := func(s *System, op BatchOp, v uint64) {
+				words := make([]uint64, s.RowBits()/64)
+				for i := range words {
+					words[i] = v
+				}
+				for _, x := range op.Srcs {
+					if _, err := s.Write(x, words); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			batched, opsA := build()
+			serial, opsB := build()
+			scratch := pimrt.ScratchRow(batched.mem.Geometry(), opsA[0].Srcs[0].rows[0])
+			for _, tw := range []struct {
+				s  *System
+				op BatchOp
+			}{{batched, opsA[0]}, {serial, opsB[0]}} {
+				fill(tw.s, tw.op, 0)
+				for i := 0; !tw.s.alloc.Retired(scratch); i++ {
+					if i == 20 {
+						t.Fatal("20 ORs did not retire the scratch row")
+					}
+					if _, err := tw.s.Apply(tw.op.Op, tw.op.Dst, tw.op.Srcs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fill(tw.s, tw.op, ^uint64(0))
+			}
+
+			br, err := batched.Batch(opsA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := serial.Apply(opsB[0].Op, opsB[0].Dst, opsB[0].Srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(br.Results[0], want) {
+				t.Errorf("batch result %+v != sequential %+v", br.Results[0], want)
+			}
+			if a, b := batched.FaultStats(), serial.FaultStats(); a != b {
+				t.Errorf("FaultStats diverge: batch %+v, sequential %+v", a, b)
+			}
+			if a, b := batched.Stats(), serial.Stats(); !reflect.DeepEqual(a, b) {
+				t.Errorf("Stats diverge: batch %+v, sequential %+v", a, b)
+			}
+			checkRowLists(t, opsA, opsB)
+			checkRowRecords(t, batched, serial, opsB)
+		})
 	}
 }
 

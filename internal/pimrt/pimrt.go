@@ -286,6 +286,12 @@ func (a *Allocator) AllocatedRows() int { return int(a.next) - len(a.free) }
 // RetiredRows reports how many rows have been retired.
 func (a *Allocator) RetiredRows() int { return len(a.retired) }
 
+// Retired reports whether r has been retired. While nothing is, it
+// returns without a map lookup, so a fault-free caller pays nothing.
+func (a *Allocator) Retired(r memarch.RowAddr) bool {
+	return len(a.retired) > 0 && a.retired[a.geo.Encode(r)]
+}
+
 // --- scheduling ---
 
 // subarrayKey identifies one subarray.
@@ -385,7 +391,9 @@ func SpecForOR(rows []memarch.RowAddr, bits int) (workload.OpSpec, error) {
 //
 // A per-subarray OR partial lands in that subarray's ScratchRow, which
 // the allocator must never hand out; the driver library reserves these at
-// init (the paper's run-time "schedule opt").
+// init (the paper's run-time "schedule opt"). A scratch row that wore out
+// is retired like any other row, and from then on each partial it would
+// hold lands in a row on loan from Alloc for the length of the OR.
 //
 // When every operand of an intra-subarray request heads a replica group
 // in Ctl's memory (memarch.Memory.SetGroup), a verified request executes
@@ -532,10 +540,18 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 		}
 		s.partial = ScratchRow(s.Ctl.Memory().Geometry(), g[0])
 		orig := s.partial
+		if s.Alloc != nil && s.Alloc.Retired(s.partial) {
+			// An earlier OR wore the scratch row out: put the partial in a
+			// row on loan rather than fail on the worn row first. With no
+			// row left, the ladder keeps the worn one, as for a target.
+			if rows, aerr := s.Alloc.AllocRows(1); aerr == nil {
+				s.partial = rows[0]
+			}
+		}
 		_, err = s.chainedOR(g, bits, &s.partial, nil, depth, res)
 		if s.partial != orig {
-			// The scratch row wore out mid-chain and the partial now lives
-			// in a row on loan from the allocator.
+			// The partial lives in a row on loan from the allocator: the
+			// scratch row was retired before this OR or wore out mid-chain.
 			borrowed = append(borrowed, s.partial)
 		}
 		if err != nil {
@@ -551,7 +567,7 @@ func (s *Scheduler) or(rows []memarch.RowAddr, bits int, res *ScheduleResult) er
 	}
 	s.partials = partials[:0]
 	if len(borrowed) > 0 {
-		// Only Alloc.Remap moves a partial off its scratch row; the loan
+		// Only the allocator moves a partial off its scratch row; the loan
 		// ends with the OR, whether or not it succeeded.
 		s.Alloc.Free(borrowed)
 	}

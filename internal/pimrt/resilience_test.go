@@ -650,3 +650,67 @@ func TestFailedORReturnsBorrowedPartials(t *testing.T) {
 		})
 	}
 }
+
+// TestORSkipsRetiredScratchRow runs four identical ORs across two
+// subarrays, each into the previous one's destination, after the first
+// subarray's scratch row wore out. The first OR retires that row; every
+// later one must put its partial in a row on loan instead of failing on
+// the worn row, retiring it again and borrowing a stand-in. So the worn
+// row takes no further program, and the allocator retires exactly the
+// rows the ledger counts.
+func TestORSkipsRetiredScratchRow(t *testing.T) {
+	geo := memarch.Geometry{
+		Channels: 1, RanksPerChannel: 1, ChipsPerRank: 1,
+		BanksPerChip: 2, SubarraysPerBank: 2, MatsPerSubarray: 1,
+		RowsPerSubarray: 32, MatRowBits: 1024, MuxRatio: 8,
+	}
+	bits := geo.RowBits()
+	ones := make([]uint64, bitvec.WordsFor(bits))
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	srcs := []memarch.RowAddr{
+		{Subarray: 0, Row: 0}, {Subarray: 0, Row: 1},
+		{Subarray: 1, Row: 0}, {Subarray: 1, Row: 1},
+	}
+	s, ctl := newResilientSched(t, geo, fault.Config{Seed: 31, WearLimit: 2})
+	for _, a := range srcs {
+		if err := ctl.Memory().WriteRow(a, ones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scratch := ScratchRow(geo, srcs[0])
+	preWear(t, ctl, scratch, bits, 20)
+	alloc, err := NewAllocatorTail(geo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alloc.AllocRows(10); err != nil {
+		t.Fatal(err)
+	}
+	s.Alloc = alloc
+	dst := memarch.RowAddr{Bank: 1, Subarray: 0, Row: 0}
+	var programs int64
+	for op := 0; op < 4; op++ {
+		res, err := s.Execute(sense.OpOR, srcs, bits, dst)
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		dst = res.FinalDst
+		n := ctl.Memory().RowWriteCount(scratch)
+		if op == 0 {
+			if !alloc.Retired(scratch) {
+				t.Fatal("the first OR did not retire the worn scratch row")
+			}
+			programs = n
+		} else if n != programs {
+			t.Fatalf("op %d: worn scratch row programmed %d times, %d after the op that retired it", op, n, programs)
+		}
+		if n, led := alloc.RetiredRows(), ctl.Ledger().Count[ledger.RowsRetired]; int64(n) != led {
+			t.Fatalf("op %d: allocator retired %d rows, ledger counted %d", op, n, led)
+		}
+		if got := ctl.Memory().PeekRow(dst); !bitvec.EqualWords(got, ones, bits) {
+			t.Fatalf("op %d: destination does not hold the OR", op)
+		}
+	}
+}

@@ -458,8 +458,9 @@ func (r *BatchRun) finish() (BatchResult, error) {
 
 // replay reports whether the window must run again, sequentially, on the
 // live system instead of merging. A sandbox that touched its allocator
-// hit a row retirement (remap, replica teardown): its side effects cannot
-// merge into the live allocator's address space. Under fault injection a
+// hit a row retirement (remap, replica teardown) or was lent a retired
+// scratch row (prepareShards): its side effects cannot merge into the
+// live allocator's address space. Under fault injection a
 // shard that failed an op outright replays too, so its error is the one
 // sequential execution returns. The live system was never touched, so
 // the replay yields exactly the sequential execution — same substreams,
@@ -517,6 +518,13 @@ func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
 					continue
 				}
 				sh.mem.BorrowRow(k.addr, s.mem)
+				if s.alloc.Retired(k.addr) {
+					// A retired scratch row: sequential execution puts the
+					// partial in a row on loan from the live allocator,
+					// which a shard cannot do. The sandbox's allocator
+					// records the retirement, so the window replays.
+					sh.alloc.Retire(k.addr)
+				}
 			}
 		}
 	}
