@@ -114,17 +114,6 @@ func DiffCount(a, b []uint64, nbits int) int {
 	return n
 }
 
-// FromBits builds a Vector from a slice of booleans, one per bit.
-func FromBits(bitvals []bool) *Vector {
-	v := New(len(bitvals))
-	for i, b := range bitvals {
-		if b {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
 // Len returns the logical length of the vector in bits.
 func (v *Vector) Len() int { return v.nbits }
 
@@ -143,9 +132,6 @@ func (v *Vector) SetWord(i int, w uint64) {
 		v.clearTail()
 	}
 }
-
-// Word returns word i.
-func (v *Vector) Word(i int) uint64 { return v.words[i] }
 
 func (v *Vector) clearTail() {
 	if tail := uint(v.nbits) & wordMask; tail != 0 && len(v.words) > 0 {
@@ -322,9 +308,6 @@ func (v *Vector) Any() bool {
 	return false
 }
 
-// None reports whether no bit is set.
-func (v *Vector) None() bool { return !v.Any() }
-
 // Equal reports whether v and o have identical length and contents.
 func (v *Vector) Equal(o *Vector) bool {
 	if v.nbits != o.nbits {
@@ -338,50 +321,6 @@ func (v *Vector) Equal(o *Vector) bool {
 	return true
 }
 
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (v *Vector) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= v.nbits {
-		return -1
-	}
-	wi := i >> wordLog
-	w := v.words[wi] >> (uint(i) & wordMask)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(v.words); wi++ {
-		if v.words[wi] != 0 {
-			return wi<<wordLog + bits.TrailingZeros64(v.words[wi])
-		}
-	}
-	return -1
-}
-
-// NextClear returns the index of the first clear bit at or after i, or -1
-// if every bit in [i, Len) is set.
-func (v *Vector) NextClear(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	for ; i < v.nbits; i++ {
-		wi := i >> wordLog
-		w := ^v.words[wi] >> (uint(i) & wordMask)
-		if w == 0 {
-			i = (wi+1)<<wordLog - 1
-			continue
-		}
-		j := i + bits.TrailingZeros64(w)
-		if j >= v.nbits {
-			return -1
-		}
-		return j
-	}
-	return -1
-}
-
 // ForEachSet calls fn for every set bit index, in ascending order.
 func (v *Vector) ForEachSet(fn func(i int)) {
 	for wi, w := range v.words {
@@ -390,63 +329,6 @@ func (v *Vector) ForEachSet(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// SetRange sets bits [lo, hi) to 1.
-func (v *Vector) SetRange(lo, hi int) {
-	v.rangeOp(lo, hi, func(i int, mask uint64) { v.words[i] |= mask })
-}
-
-// ClearRange sets bits [lo, hi) to 0.
-func (v *Vector) ClearRange(lo, hi int) {
-	v.rangeOp(lo, hi, func(i int, mask uint64) { v.words[i] &^= mask })
-}
-
-// rangeOp applies a masked word operation over bits [lo, hi). Panics on a
-// bad range, mirroring slice-expression semantics.
-func (v *Vector) rangeOp(lo, hi int, apply func(i int, mask uint64)) {
-	if lo < 0 || hi > v.nbits || lo > hi {
-		panic(fmt.Sprintf("bitvec: bad range [%d,%d) for length %d", lo, hi, v.nbits))
-	}
-	if lo == hi {
-		return
-	}
-	loW, hiW := lo>>wordLog, (hi-1)>>wordLog
-	loMask := ^uint64(0) << (uint(lo) & wordMask)
-	hiMask := ^uint64(0) >> (wordMask - (uint(hi-1) & wordMask))
-	if loW == hiW {
-		apply(loW, loMask&hiMask)
-		return
-	}
-	apply(loW, loMask)
-	for i := loW + 1; i < hiW; i++ {
-		apply(i, ^uint64(0))
-	}
-	apply(hiW, hiMask)
-}
-
-// CountRange returns the number of set bits in [lo, hi). Panics on a bad
-// range, mirroring slice-expression semantics.
-func (v *Vector) CountRange(lo, hi int) int {
-	if lo < 0 || hi > v.nbits || lo > hi {
-		panic(fmt.Sprintf("bitvec: bad range [%d,%d) for length %d", lo, hi, v.nbits))
-	}
-	n := 0
-	for i := lo; i < hi; {
-		wi := i >> wordLog
-		w := v.words[wi]
-		// Mask off bits below i.
-		w >>= uint(i) & wordMask
-		remaining := hi - i
-		inWord := WordBits - int(uint(i)&wordMask)
-		if remaining < inWord {
-			w &= (uint64(1) << uint(remaining)) - 1
-			inWord = remaining
-		}
-		n += bits.OnesCount64(w)
-		i += inWord
-	}
-	return n
 }
 
 // String renders the vector as a 0/1 string, bit 0 first. Long vectors are

@@ -111,16 +111,6 @@ func TestFromWordsClearsTail(t *testing.T) {
 	}
 }
 
-func TestFromBits(t *testing.T) {
-	bitsIn := []bool{true, false, true, true, false}
-	v := FromBits(bitsIn)
-	for i, b := range bitsIn {
-		if v.Get(i) != b {
-			t.Fatalf("bit %d = %v want %v", i, v.Get(i), b)
-		}
-	}
-}
-
 func TestBinaryOps(t *testing.T) {
 	a := FromWords(128, []uint64{0xF0F0, 0xAAAA})
 	b := FromWords(128, []uint64{0x0FF0, 0x5555})
@@ -129,17 +119,17 @@ func TestBinaryOps(t *testing.T) {
 	or.Or(a, b)
 	xor.Xor(a, b)
 	andnot.AndNot(a, b)
-	if and.Word(0) != 0x00F0 || and.Word(1) != 0 {
-		t.Errorf("AND wrong: %x %x", and.Word(0), and.Word(1))
+	if and.Words()[0] != 0x00F0 || and.Words()[1] != 0 {
+		t.Errorf("AND wrong: %x %x", and.Words()[0], and.Words()[1])
 	}
-	if or.Word(0) != 0xFFF0 || or.Word(1) != 0xFFFF {
-		t.Errorf("OR wrong: %x %x", or.Word(0), or.Word(1))
+	if or.Words()[0] != 0xFFF0 || or.Words()[1] != 0xFFFF {
+		t.Errorf("OR wrong: %x %x", or.Words()[0], or.Words()[1])
 	}
-	if xor.Word(0) != 0xFF00 || xor.Word(1) != 0xFFFF {
-		t.Errorf("XOR wrong: %x %x", xor.Word(0), xor.Word(1))
+	if xor.Words()[0] != 0xFF00 || xor.Words()[1] != 0xFFFF {
+		t.Errorf("XOR wrong: %x %x", xor.Words()[0], xor.Words()[1])
 	}
-	if andnot.Word(0) != 0xF000 || andnot.Word(1) != 0xAAAA {
-		t.Errorf("ANDNOT wrong: %x %x", andnot.Word(0), andnot.Word(1))
+	if andnot.Words()[0] != 0xF000 || andnot.Words()[1] != 0xAAAA {
+		t.Errorf("ANDNOT wrong: %x %x", andnot.Words()[0], andnot.Words()[1])
 	}
 }
 
@@ -147,8 +137,8 @@ func TestOpsAliasing(t *testing.T) {
 	a := FromWords(64, []uint64{0xF0F0})
 	b := FromWords(64, []uint64{0x0FF0})
 	a.And(a, b)
-	if a.Word(0) != 0x00F0 {
-		t.Errorf("aliased AND wrong: %x", a.Word(0))
+	if a.Words()[0] != 0x00F0 {
+		t.Errorf("aliased AND wrong: %x", a.Words()[0])
 	}
 }
 
@@ -205,44 +195,6 @@ func TestAndAllEmptyPanics(t *testing.T) {
 	New(8).AndAll()
 }
 
-func TestNextSetNextClear(t *testing.T) {
-	v := New(200)
-	v.Set(3)
-	v.Set(64)
-	v.Set(199)
-	if got := v.NextSet(0); got != 3 {
-		t.Errorf("NextSet(0)=%d want 3", got)
-	}
-	if got := v.NextSet(4); got != 64 {
-		t.Errorf("NextSet(4)=%d want 64", got)
-	}
-	if got := v.NextSet(65); got != 199 {
-		t.Errorf("NextSet(65)=%d want 199", got)
-	}
-	if got := v.NextSet(200); got != -1 {
-		t.Errorf("NextSet(200)=%d want -1", got)
-	}
-	w := New(130)
-	w.SetAll()
-	w.Clear(129)
-	if got := w.NextClear(0); got != 129 {
-		t.Errorf("NextClear(0)=%d want 129", got)
-	}
-	w.Set(129)
-	if got := w.NextClear(0); got != -1 {
-		t.Errorf("NextClear full=%d want -1", got)
-	}
-}
-
-func TestNextClearSkipsFullWords(t *testing.T) {
-	v := New(256)
-	v.SetAll()
-	v.Clear(200)
-	if got := v.NextClear(5); got != 200 {
-		t.Errorf("NextClear(5)=%d want 200", got)
-	}
-}
-
 func TestForEachSet(t *testing.T) {
 	v := New(300)
 	want := []int{0, 5, 63, 64, 128, 299}
@@ -257,65 +209,6 @@ func TestForEachSet(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
-func TestSetClearRange(t *testing.T) {
-	v := New(300)
-	v.SetRange(10, 200)
-	if v.Popcount() != 190 {
-		t.Fatalf("popcount=%d want 190", v.Popcount())
-	}
-	if v.Get(9) || !v.Get(10) || !v.Get(199) || v.Get(200) {
-		t.Fatal("range boundaries wrong")
-	}
-	v.ClearRange(50, 60)
-	if v.Popcount() != 180 {
-		t.Fatalf("popcount=%d want 180", v.Popcount())
-	}
-	v.SetRange(5, 5) // empty range is a no-op
-	if v.Get(5) {
-		t.Fatal("empty range set a bit")
-	}
-}
-
-func TestRangeWithinOneWord(t *testing.T) {
-	v := New(64)
-	v.SetRange(3, 9)
-	if v.Popcount() != 6 || !v.Get(3) || !v.Get(8) || v.Get(9) {
-		t.Fatal("single-word range wrong")
-	}
-}
-
-func TestBadRangePanics(t *testing.T) {
-	v := New(10)
-	for _, r := range [][2]int{{-1, 5}, {0, 11}, {7, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetRange(%d,%d) did not panic", r[0], r[1])
-				}
-			}()
-			v.SetRange(r[0], r[1])
-		}()
-	}
-}
-
-func TestCountRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	v := randomVector(rng, 500)
-	for trial := 0; trial < 100; trial++ {
-		lo := rng.Intn(500)
-		hi := lo + rng.Intn(500-lo+1)
-		want := 0
-		for i := lo; i < hi; i++ {
-			if v.Get(i) {
-				want++
-			}
-		}
-		if got := v.CountRange(lo, hi); got != want {
-			t.Fatalf("CountRange(%d,%d)=%d want %d", lo, hi, got, want)
 		}
 	}
 }
@@ -348,12 +241,12 @@ func TestCopyFrom(t *testing.T) {
 
 func TestAnyNone(t *testing.T) {
 	v := New(100)
-	if v.Any() || !v.None() {
-		t.Fatal("empty vector Any/None wrong")
+	if v.Any() {
+		t.Fatal("empty vector reports a set bit")
 	}
 	v.Set(99)
-	if !v.Any() || v.None() {
-		t.Fatal("nonempty vector Any/None wrong")
+	if !v.Any() {
+		t.Fatal("nonempty vector reports no set bit")
 	}
 }
 
@@ -452,26 +345,6 @@ func TestPropInclusionExclusion(t *testing.T) {
 		return a.Popcount()+b.Popcount() == and.Popcount()+or.Popcount()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// prop: NextSet enumerates exactly the set bits.
-func TestPropNextSetEnumeration(t *testing.T) {
-	f := func(seed int64, nSeed uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nSeed)%300 + 1
-		v := randomVector(rng, n)
-		count := 0
-		for i := v.NextSet(0); i != -1; i = v.NextSet(i + 1) {
-			if !v.Get(i) {
-				return false
-			}
-			count++
-		}
-		return count == v.Popcount()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
