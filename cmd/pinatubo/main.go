@@ -99,6 +99,36 @@ func main() {
 	}
 }
 
+// newConfig builds the default configuration with the fault knobs and
+// the -verify and -tech flags applied.
+func newConfig(techName, verifyName string, fc pinatubo.FaultConfig) (pinatubo.Config, error) {
+	cfg := pinatubo.DefaultConfig()
+	cfg.Fault = fc
+	mode, err := parseVerify(verifyName)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Resilience.Verify = mode
+	cfg.Tech, err = parseTech(techName)
+	return cfg, err
+}
+
+// operandCount returns how many source rows op reads: two for AND and
+// XOR, one for NOT, and the -rows count, at least 1, for OR.
+func operandCount(op pinatubo.Op, rows int) (int, error) {
+	switch op {
+	case pinatubo.OpAnd, pinatubo.OpXor:
+		return 2, nil
+	case pinatubo.OpNot:
+		return 1, nil
+	default:
+		if rows < 1 {
+			return 0, fmt.Errorf("or needs at least 1 row")
+		}
+		return rows, nil
+	}
+}
+
 // parseVerify maps the -verify flag onto the public mode enum.
 func parseVerify(name string) (pinatubo.VerifyMode, error) {
 	switch strings.ToLower(name) {
@@ -121,14 +151,7 @@ func run(opName string, rows, bits int, techName string, inspect bool, seed int6
 		return nil
 	}
 
-	cfg := pinatubo.DefaultConfig()
-	cfg.Fault = fc
-	mode, err := parseVerify(verifyName)
-	if err != nil {
-		return err
-	}
-	cfg.Resilience.Verify = mode
-	cfg.Tech, err = parseTech(techName)
+	cfg, err := newConfig(techName, verifyName, fc)
 	if err != nil {
 		return err
 	}
@@ -159,16 +182,9 @@ func run(opName string, rows, bits int, techName string, inspect bool, seed int6
 	if err != nil {
 		return err
 	}
-	nops := rows
-	switch op {
-	case pinatubo.OpAnd, pinatubo.OpXor:
-		nops = 2
-	case pinatubo.OpNot:
-		nops = 1
-	default:
-		if nops < 1 {
-			return fmt.Errorf("or needs at least 1 row")
-		}
+	nops, err := operandCount(op, rows)
+	if err != nil {
+		return err
 	}
 
 	srcs, err := alloc(nops)
@@ -279,14 +295,7 @@ func parseArb(name string) (pinatubo.Arbiter, error) {
 // expansions at the requested fault rate) replayed through the channel
 // scheduler at increasing concurrency.
 func runPlan(opName string, concurrency int, techName string, fc pinatubo.FaultConfig, verifyName, arbName string) error {
-	cfg := pinatubo.DefaultConfig()
-	cfg.Fault = fc
-	mode, err := parseVerify(verifyName)
-	if err != nil {
-		return err
-	}
-	cfg.Resilience.Verify = mode
-	cfg.Tech, err = parseTech(techName)
+	cfg, err := newConfig(techName, verifyName, fc)
 	if err != nil {
 		return err
 	}
@@ -328,14 +337,7 @@ func runPlan(opName string, concurrency int, techName string, fc pinatubo.FaultC
 // with one subarray per bank so each operation's rows land in their own
 // bank and the event-driven scheduler can overlap them.
 func runBatch(opName string, rows, n int, techName string, seed int64, fc pinatubo.FaultConfig, verifyName, arbName string) error {
-	cfg := pinatubo.DefaultConfig()
-	cfg.Fault = fc
-	mode, err := parseVerify(verifyName)
-	if err != nil {
-		return err
-	}
-	cfg.Resilience.Verify = mode
-	cfg.Tech, err = parseTech(techName)
+	cfg, err := newConfig(techName, verifyName, fc)
 	if err != nil {
 		return err
 	}
@@ -363,19 +365,13 @@ func runBatch(opName string, rows, n int, techName string, seed int64, fc pinatu
 		return err
 	}
 
-	nsrc := rows
-	switch op {
-	case pinatubo.OpAnd, pinatubo.OpXor:
-		nsrc = 2
-	case pinatubo.OpNot:
-		nsrc = 1
-	default:
-		if nsrc < 1 {
-			return fmt.Errorf("or needs at least 1 row")
-		}
-		if nsrc > sys.MaxORRows() {
-			nsrc = sys.MaxORRows()
-		}
+	nsrc, err := operandCount(op, rows)
+	if err != nil {
+		return err
+	}
+	if op == pinatubo.OpOr {
+		// Each op's sources share a subarray: cap an OR at one step's depth.
+		nsrc = min(nsrc, sys.MaxORRows())
 	}
 
 	bits := sys.RowBits()
