@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 
 // TestGolden runs the command on fixed arguments and compares its stdout
 // and exit status with testdata/<name>.golden: the fault-path runs CI
-// smokes, the invalid knobs that must exit 1, and one run for each rung
+// smokes, the invalid knobs that must exit 1, and a run for each rung
 // an op's Result can report. Every figure is seeded, so the output is
 // byte-stable; go test -update rewrites the goldens.
 func TestGolden(t *testing.T) {
@@ -46,7 +46,15 @@ func TestGolden(t *testing.T) {
 		{"invalid-plan", "-plan -3 -op or"},
 		{"invalid-batch", "-batch -2 -op or"},
 		{"rung-depth-split", "-op or -rows 128 -bits 65536 -faultrate 1e-2 -verify readback"},
+		// rung-host-cpu names its rung and then exits 1: Scheduler.Read
+		// has no rung past retry, so the run's final verified 65,536-bit
+		// read exhausts its attempts (the FOUND line on Scheduler.Read in
+		// CHANGES.md). A fix there re-records this golden on purpose.
+		// rung-host-cpu-read is the same op on a fault seed whose read
+		// completes, so a finished host-cpu run's popcount and fault
+		// stats stay pinned.
 		{"rung-host-cpu", "-op or -rows 300 -bits 65536 -faultrate 5e-3 -tech stt"},
+		{"rung-host-cpu-read", "-op or -rows 300 -bits 65536 -faultrate 5e-3 -tech stt -faultseed 2"},
 		{"rung-inter-digital-ecc", "-op xor -bits 4096 -faultrate 1e-1 -wearlimit 2 -verify ecc"},
 	}
 	for _, r := range runs {
