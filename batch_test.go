@@ -1,6 +1,8 @@
 package pinatubo
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pinatubo/internal/memarch"
 	"pinatubo/internal/pimrt"
 )
 
@@ -288,12 +291,18 @@ func checkRowRecords(t *testing.T, windowed, serial *System, ops []BatchOp) {
 // across two subarrays, then runs that OR once more as a one-op batch on
 // one twin and through Apply on the other. Once the scratch row is
 // retired, sequential execution puts the partial in a row on loan, so a
-// shard must not write it into the retired row: its sandbox sees the
-// retirement, and the window replays sequentially. The operands are
+// shard must not write it into the retired row: Start sees the
+// retirement in the window's footprint, takes no sandbox and runs no
+// shard, and the window replays sequentially (cancelled before Wait, it
+// applies none of its ops). The operands are
 // zeros while the row wears out and ones after, so on some seeds the
 // retired row's stuck bits agree with the partial and a shard that wrote
-// it there would verify; only the row records would then differ.
+// it there would verify; only the row records would then differ. Sources
+// wear out and move too, so on some seeds the last OR no longer needs a
+// retired scratch row and its window runs its shard; the no-sandbox check
+// applies to the others.
 func TestBatchSkipsRetiredScratchRow(t *testing.T) {
+	replayed := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			cfg := Config{Tech: PCM, Geometry: pinGeometry(),
@@ -348,9 +357,44 @@ func TestBatchSkipsRetiredScratchRow(t *testing.T) {
 				fill(tw.s, tw.op, ^uint64(0))
 			}
 
+			// The OR puts a partial in the scratch row of every subarray
+			// that holds two of its sources.
+			needsRetired := false
+			perScratch := map[memarch.RowAddr]int{}
+			for _, x := range opsA[0].Srcs {
+				sc := pimrt.ScratchRow(batched.mem.Geometry(), x.rows[0])
+				if perScratch[sc]++; perScratch[sc] == 2 && batched.alloc.Retired(sc) {
+					needsRetired = true
+				}
+			}
+			if needsRetired {
+				// The replay stops between ops: cancelled before Wait,
+				// the window applies none, which the comparisons with
+				// the twin below would show.
+				ctx, cancel := context.WithCancel(context.Background())
+				b := batched.NewBatchBuilder()
+				if err := b.Add(opsA[0]); err != nil {
+					t.Fatal(err)
+				}
+				run, err := b.Start(WithContext(ctx))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cancel()
+				if _, err := run.Wait(); !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled replaying window returned %v, want context.Canceled", err)
+				}
+			}
+			gets := batched.PerfStats().SandboxPoolGets
 			br, err := batched.Batch(opsA)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := batched.PerfStats().SandboxPoolGets; needsRetired {
+				replayed++
+				if got != gets {
+					t.Errorf("a window over a retired row took %d sandboxes; want it replayed without one", got-gets)
+				}
 			}
 			want, err := serial.Apply(opsB[0].Op, opsB[0].Dst, opsB[0].Srcs)
 			if err != nil {
@@ -368,6 +412,9 @@ func TestBatchSkipsRetiredScratchRow(t *testing.T) {
 			checkRowLists(t, opsA, opsB)
 			checkRowRecords(t, batched, serial, opsB)
 		})
+	}
+	if replayed == 0 {
+		t.Error("no seed's last OR needed a retired scratch row")
 	}
 }
 

@@ -290,7 +290,7 @@ func TestDRAMCachedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached.ctl.SetProgramCache(false)
+	uncached.ctl.SetProgramCache(nil)
 	const bits = 4096
 	run := func(s *System) ([]Result, [][]uint64) {
 		var results []Result

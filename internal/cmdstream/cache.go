@@ -1,5 +1,7 @@
 package cmdstream
 
+import "sync"
+
 // This file holds the lowered-program cache. Lowering one bulk bitwise
 // operation — classifying its placement, building and protocol-checking
 // the DDR command sequence, pricing latency and energy — is a pure
@@ -17,7 +19,8 @@ package cmdstream
 // MaxEntries caps a cache's population. Store empties a full cache before
 // inserting, so the population never exceeds it; a steady workload's
 // working set of shapes (hundreds for the bitmap-index queries, a handful
-// for a BFS frontier) sits far below it.
+// for a BFS frontier) sits far below it. A System's window sandboxes share
+// its cache, so the cap bounds the System and its sandboxes together.
 const MaxEntries = 4096
 
 // CacheStats counts cache traffic. Hits+Misses is the number of eligible
@@ -33,9 +36,12 @@ type CacheStats struct {
 // Cache is a keyed store of lowered-program entries. The value type is
 // opaque to this package (the controller stores its own entry struct);
 // the cache owns keying, hit/miss accounting and the population bound.
-// Not safe for concurrent use — each controller owns exactly one, and a
-// controller is single-goroutine by the System's ownership rules.
+// It is safe for concurrent use: a System's controller and the
+// controllers of its window sandboxes share one, so shard workers look
+// up and store while the owning goroutine may do so too. One mutex
+// guards the map and the counters; a lookup holds it for one map index.
 type Cache struct {
+	mu        sync.Mutex
 	entries   map[string]any
 	hits      int64
 	misses    int64
@@ -51,38 +57,37 @@ func NewCache() *Cache {
 // in the map index compiles to an alloc-free lookup, so a hit costs no
 // allocations.
 func (c *Cache) Lookup(key []byte) (any, bool) {
+	c.mu.Lock()
 	e, ok := c.entries[string(key)]
 	if ok {
 		c.hits++
 	} else {
 		c.misses++
 	}
+	c.mu.Unlock()
 	return e, ok
 }
 
 // Store inserts an entry under key (copying the key), first dropping
 // every entry when the cache already holds MaxEntries. The entry must be
-// immutable from this point on: every later Lookup returns the same
-// value, concurrently with whatever the first execution still holds.
+// immutable from this point on: every later Lookup, on any goroutine,
+// returns the same value, concurrently with whatever the first execution
+// still holds. Two lookups that miss the same key at once both lower and
+// store it; the entries are equal, so the second replaces the first.
 func (c *Cache) Store(key []byte, entry any) {
+	c.mu.Lock()
 	if len(c.entries) >= MaxEntries {
 		c.evictions += int64(len(c.entries))
 		clear(c.entries)
 	}
 	c.entries[string(key)] = entry
+	c.mu.Unlock()
 }
-
-// ResetStats zeroes the traffic counters without touching the stored
-// programs. This is the sandbox-reuse reset: the pool absorbs a
-// sandbox's counters when it is returned, so a reused sandbox must
-// start counting from zero — but its lowered programs stay valid
-// across a memory reset, because they depend only on operand addresses
-// and geometry, never on cell contents. Keeping them is what turns the
-// second window of a repeated workload into all cache hits.
-func (c *Cache) ResetStats() { c.hits, c.misses, c.evictions = 0, 0, 0 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
 }
 

@@ -1,6 +1,7 @@
 package cmdstream
 
 import (
+	"sync"
 	"testing"
 
 	"pinatubo/internal/chansim"
@@ -139,8 +140,48 @@ func TestCacheBoundedByMaxEntries(t *testing.T) {
 	if _, ok := c.Lookup(k.Bytes()); ok {
 		t.Error("an evicted entry was still served")
 	}
-	c.ResetStats()
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Entries != 1 {
-		t.Errorf("ResetStats left %+v, want zero traffic and the 1 entry kept", st)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("after one hit and one miss: %+v", st)
+	}
+}
+
+// TestCacheConcurrentUse looks up and stores from several goroutines at
+// once, as a System's shard workers and its owner do, with enough
+// distinct keys between them to empty the cache on the way. Every lookup
+// must be counted once, a hit must return the value stored under its key,
+// and the population must stay within MaxEntries. Under -race it is the
+// cache's own lock check.
+func TestCacheConcurrentUse(t *testing.T) {
+	const workers, perWorker = 4, MaxEntries / 2
+	c := NewCache()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var k KeyBuffer
+			for i := 0; i < perWorker; i++ {
+				// Half the keys are shared with the next worker.
+				key := w*perWorker/2 + i
+				k.Reset()
+				k.Int(key)
+				if e, ok := c.Lookup(k.Bytes()); ok {
+					if e.(int) != key {
+						t.Errorf("key %d served %v", key, e)
+						return
+					}
+					continue
+				}
+				c.Store(k.Bytes(), key)
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Hits+st.Misses != workers*perWorker {
+		t.Errorf("%+v: %d lookups counted, want %d", st, st.Hits+st.Misses, workers*perWorker)
+	}
+	if st.Entries > MaxEntries || st.Evictions == 0 {
+		t.Errorf("%+v: want at most %d entries after at least one eviction", st, MaxEntries)
 	}
 }

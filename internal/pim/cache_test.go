@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pinatubo/internal/analog"
+	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
@@ -25,7 +26,7 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 	for _, tech := range []nvm.Tech{nvm.PCM, nvm.DRAM} {
 		t.Run(tech.String(), func(t *testing.T) {
 			cached, plain := newCtl(t, tech), newCtl(t, tech)
-			cached.SetProgramCache(true)
+			cached.SetProgramCache(cmdstream.NewCache())
 			srcs := addrsInSubarray(9)
 			// otherBank sits in another bank of the same rank: an op over it
 			// and srcs[1] runs on the inter-bank digital path.
@@ -131,7 +132,7 @@ func TestCachedControllerMatchesUncached(t *testing.T) {
 // shape's lowering to the other.
 func TestProgramCacheSkipsVotedRequests(t *testing.T) {
 	cached, plain := newCtl(t, nvm.PCM), newCtl(t, nvm.PCM)
-	cached.SetProgramCache(true)
+	cached.SetProgramCache(cmdstream.NewCache())
 	rows := addrsInSubarray(7)
 	rng := rand.New(rand.NewSource(5))
 	for _, a := range rows {

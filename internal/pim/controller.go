@@ -122,11 +122,12 @@ type Controller struct {
 	// cache memoises lowerings — placement class, command sequence,
 	// latency, energy, MR4, counter deltas — keyed by the operation shape
 	// (see execute). A hit and a miss run the same replay, so the cache
-	// cannot change a result. cacheOn gates it, and it serves only the
-	// ideal-hardware path (cacheEligible).
-	cache   *cmdstream.Cache
-	cacheOn bool
-	keyBuf  cmdstream.KeyBuffer
+	// cannot change a result, under faults and ECC as on ideal hardware.
+	// nil turns it off. It may be shared with other controllers of the
+	// same configuration (a System's window sandboxes use the System's);
+	// keyBuf is this controller's own.
+	cache  *cmdstream.Cache
+	keyBuf cmdstream.KeyBuffer
 	// rowsScratch is reused for the per-execute operand row-slice header
 	// list, so steady-state executions of a fixed arity allocate nothing
 	// for it.
@@ -284,17 +285,19 @@ func (c *Controller) AttachInjector(in *fault.Injector) error {
 	return nil
 }
 
-// SetProgramCache turns the lowered-program cache on or off. Entries
-// survive a disable: the cached views are pure functions of the
-// operation shape, so re-enabling may serve them again.
-func (c *Controller) SetProgramCache(enabled bool) {
-	if enabled && c.cache == nil {
-		c.cache = cmdstream.NewCache()
-	}
-	c.cacheOn = enabled
-}
+// SetProgramCache serves lowerings from cache, which nil turns off. A
+// cache may be shared by controllers of one configuration, on any
+// goroutines: a lowering is a pure function of the operation shape and
+// the configuration, never of memory contents, faults or the controller
+// that built it.
+func (c *Controller) SetProgramCache(cache *cmdstream.Cache) { c.cache = cache }
 
-// CacheStats snapshots the program cache's traffic counters.
+// ProgramCache returns the program cache the controller serves from, nil
+// when it is off.
+func (c *Controller) ProgramCache() *cmdstream.Cache { return c.cache }
+
+// CacheStats snapshots the program cache's traffic counters, which count
+// every controller that shares the cache.
 func (c *Controller) CacheStats() cmdstream.CacheStats {
 	if c.cache == nil {
 		return cmdstream.CacheStats{}
@@ -314,19 +317,15 @@ func OpsCounter(class Class) ledger.Counter { return ledger.HwIntraSub + ledger.
 
 // ResetForReuse restores the controller to its just-built state so a
 // pooled shard sandbox is indistinguishable from a fresh one: mode
-// registers, the program-cache traffic counters and the SA model's
-// sampling stream all return to their New values (the check words reset
-// with the memory's row records). Cached
-// lowered programs deliberately survive — they are pure functions of
-// operand addresses and geometry, so a reused sandbox replaying a
-// same-shaped window hits instead of re-lowering. The attached injector
-// and codec stay attached, and the ledger is left alone: the owning
-// System resets both itself.
+// registers and the SA model's sampling stream return to their New
+// values (the check words reset with the memory's row records). The
+// program cache is left alone: it is the System's, shared with the live
+// controller, and its lowerings are pure functions of operand addresses
+// and geometry, so a reused sandbox replaying a same-shaped window hits
+// instead of re-lowering. The attached injector and codec stay attached,
+// and the ledger is left alone: the owning System resets both itself.
 func (c *Controller) ResetForReuse() {
 	c.mrs = ddr.ModeRegisters{}
-	if c.cache != nil {
-		c.cache.ResetStats()
-	}
 	c.be.Reset()
 }
 
@@ -509,22 +508,13 @@ func newProgEntry(class Class, seconds float64, en energy.Meter, cmds []ddr.Cmd,
 	return p
 }
 
-// cacheEligible reports whether the program cache may serve this
-// controller: only on the ideal-hardware path, with no injector and no
-// ECC codec. Lowerings are pure under faults and ECC too, so this is a
-// memory condition, not a correctness one: a cache in every pooled
-// fault-injected sandbox costs heap (DESIGN.md §14).
-func (c *Controller) cacheEligible() bool {
-	return c.cacheOn && c.inj == nil && c.codec == nil
-}
-
 // opKey builds an operation's program-cache key in keyBuf and reports
 // whether the cache may serve it. Addresses are bounds-checked first:
 // Encode is only injective inside the geometry, so an out-of-bounds
 // operand must reach lower's validation errors rather than alias a cached
 // valid address.
 func (c *Controller) opKey(op sense.Op, srcs []memarch.RowAddr, bits int, dst *memarch.RowAddr, digital bool) bool {
-	if !c.cacheEligible() {
+	if c.cache == nil {
 		return false
 	}
 	geo := c.mem.Geometry()
@@ -965,7 +955,7 @@ const hostWriteKey = 0xFF
 // Panics if the sequence violates the DDR protocol — a controller bug,
 // never a caller error.
 func (c *Controller) hostWriteProgram(addr memarch.RowAddr, bits int) progEntry {
-	keyed := c.cacheEligible()
+	keyed := c.cache != nil
 	if keyed {
 		k := &c.keyBuf
 		k.Reset()

@@ -3,6 +3,7 @@ package pimrt
 import (
 	"fmt"
 
+	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/nvm"
 	"pinatubo/internal/pim"
@@ -82,7 +83,7 @@ func NewEngineWithGeometry(tech nvm.Tech, maxRows int, geo memarch.Geometry) (*E
 	if err != nil {
 		return nil, err
 	}
-	ctl.SetProgramCache(true)
+	ctl.SetProgramCache(cmdstream.NewCache())
 	return &Engine{
 		sched: Scheduler{Ctl: ctl},
 		geo:   geo,

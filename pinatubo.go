@@ -282,9 +282,6 @@ type System struct {
 	sandboxPool []*System
 	poolGets    int64
 	poolReuses  int64
-	// cacheAbsorbed accumulates program-cache traffic merged back from
-	// released sandboxes, so PerfStats covers shard executions too.
-	cacheAbsorbed cmdstream.CacheStats
 	// ownedRows is a window merge's buffer: the rows one shard sandbox
 	// owns (Memory.AppendOwnedAddrs).
 	ownedRows []memarch.RowAddr
@@ -318,6 +315,13 @@ type Stats struct {
 
 // New builds a system.
 func New(cfg Config) (*System, error) {
+	return newSystem(cfg, cmdstream.NewCache())
+}
+
+// newSystem builds a system whose controller serves lowerings from cache
+// (nil: no program cache). New gives each System a cache of its own; a
+// window sandbox is built with its System's (getSandbox).
+func newSystem(cfg Config, cache *cmdstream.Cache) (*System, error) {
 	tech, err := cfg.Tech.internal()
 	if err != nil {
 		return nil, err
@@ -357,7 +361,7 @@ func New(cfg Config) (*System, error) {
 		alloc: alloc,
 		led:   ctl.Ledger(),
 	}
-	ctl.SetProgramCache(true)
+	ctl.SetProgramCache(cache)
 	faultCfg := cfg.Fault.internal()
 	if err := faultCfg.Validate(); err != nil {
 		return nil, err
@@ -491,14 +495,15 @@ func opsCounter(class PlacementClass) ledger.Counter {
 // PerfStats describes the wall-clock machinery underneath it.
 type PerfStats struct {
 	// ProgramCacheHits / ProgramCacheMisses count executions served from /
-	// added to the lowered-program cache, including executions inside
-	// batch-shard sandboxes (folded in when a sandbox is released).
+	// added to the lowered-program cache. A System's window sandboxes
+	// share its cache, so their executions count as they happen.
 	ProgramCacheHits   int64
 	ProgramCacheMisses int64
-	// ProgramCacheEvictions counts cached programs dropped because a
-	// cache reached its fixed entry cap, sandboxes included.
+	// ProgramCacheEvictions counts cached programs dropped because the
+	// cache reached its fixed entry cap.
 	ProgramCacheEvictions int64
-	// ProgramCacheEntries is the live System's current cached-program count.
+	// ProgramCacheEntries is the cache's current program count, the
+	// sandboxes' lowerings included.
 	ProgramCacheEntries int
 	// SandboxPoolGets counts shard sandboxes handed out for batch windows;
 	// SandboxPoolReuses counts how many of those were recycled from the
@@ -513,9 +518,9 @@ func (s *System) PerfStats() PerfStats {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	return PerfStats{
-		ProgramCacheHits:      cs.Hits + s.cacheAbsorbed.Hits,
-		ProgramCacheMisses:    cs.Misses + s.cacheAbsorbed.Misses,
-		ProgramCacheEvictions: cs.Evictions + s.cacheAbsorbed.Evictions,
+		ProgramCacheHits:      cs.Hits,
+		ProgramCacheMisses:    cs.Misses,
+		ProgramCacheEvictions: cs.Evictions,
 		ProgramCacheEntries:   cs.Entries,
 		SandboxPoolGets:       s.poolGets,
 		SandboxPoolReuses:     s.poolReuses,
@@ -529,7 +534,8 @@ const sandboxPoolCap = 64
 
 // getSandbox returns a shard-sandbox System: a pooled one, reset to the
 // exact observable state New(s.cfg) would produce, or a freshly built one
-// when the pool is empty.
+// when the pool is empty. A fresh sandbox is built with s's program cache
+// (none when s's is off), and a pooled one keeps it.
 func (s *System) getSandbox() (*System, error) {
 	s.poolMu.Lock()
 	var sb *System
@@ -544,31 +550,25 @@ func (s *System) getSandbox() (*System, error) {
 	}
 	s.poolMu.Unlock()
 	if sb == nil {
-		return New(s.cfg)
+		return newSystem(s.cfg, s.ctl.ProgramCache())
 	}
 	sb.resetForReuse()
 	return sb, nil
 }
 
 // putSandbox releases a shard sandbox back to the pool once its window is
-// finished (merged or discarded). The sandbox's program-cache traffic
-// (hits, misses and evictions) is folded into the live System's
-// PerfStats first, so cache observability covers shard executions,
-// whether or not the window merged; its ledger was absorbed by the merge,
-// if any, and is cleared with one Reset on the sandbox's next get. Its
-// last op's program and scheduler result are emptied now, so the pool
-// does not keep that op's command sequences and result words alive.
+// finished (merged or discarded). Its ledger was absorbed by the merge,
+// if any, and is cleared with one Reset on the sandbox's next get; its
+// program-cache traffic is already in the System's cache. Its last op's
+// program and scheduler result are emptied now, so the pool does not
+// keep that op's command sequences and result words alive.
 func (s *System) putSandbox(sb *System) {
 	if sb == nil {
 		return
 	}
 	sb.prog.Reset()
 	sb.sched.Reset()
-	cs := sb.ctl.CacheStats()
 	s.poolMu.Lock()
-	s.cacheAbsorbed.Hits += cs.Hits
-	s.cacheAbsorbed.Misses += cs.Misses
-	s.cacheAbsorbed.Evictions += cs.Evictions
 	if len(s.sandboxPool) < sandboxPoolCap {
 		s.sandboxPool = append(s.sandboxPool, sb)
 	}

@@ -305,9 +305,26 @@ func TestPlanFaultySamplesEveryCopy(t *testing.T) {
 // TestPlanDuringWindow plans on the owning goroutine between a window's
 // Start and Wait, as BatchRun allows, while the window's workers run. The
 // window must end exactly as a twin's that did not plan, and the report
-// must equal a fresh System's.
+// must equal a fresh System's. Under SECDED with sense flips the owner
+// also reads a vector the window does not touch, on both twins, so the
+// owner and the workers use the System's program cache at once; the read
+// must return the vector's words.
 func TestPlanDuringWindow(t *testing.T) {
-	cfg := Config{Tech: PCM, Geometry: spreadGeometry()}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		read bool
+	}{
+		{"ideal", Config{Tech: PCM, Geometry: spreadGeometry()}, false},
+		{"ecc-flips", Config{Tech: PCM, Geometry: spreadGeometry(),
+			Resilience: ResilienceConfig{Verify: VerifyECC},
+			Fault:      FaultConfig{Seed: 5, SenseFlipRate: 1e-3}}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) { planDuringWindow(t, c.cfg, c.read) })
+	}
+}
+
+func planDuringWindow(t *testing.T, cfg Config, read bool) {
 	systems := make([]*System, 3)
 	for i := range systems {
 		s, err := New(cfg)
@@ -320,6 +337,37 @@ func TestPlanDuringWindow(t *testing.T) {
 	const bits = 4096
 	ops := buildBatchOps(t, sys, bits)
 	twinOps := buildBatchOps(t, twin, bits)
+	// idle is a vector no op of the window names, with the same words on
+	// both twins.
+	idleWords := make([]uint64, bits/64)
+	for i := range idleWords {
+		idleWords[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	idle := func(s *System) *BitVector {
+		t.Helper()
+		v, err := s.Alloc(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Write(v, idleWords); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	sysIdle, twinIdle := idle(sys), idle(twin)
+	readIdle := func(s *System, v *BitVector) {
+		t.Helper()
+		if !read {
+			return
+		}
+		got, _, err := s.Read(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, idleWords) {
+			t.Error("a read during the window returned other words than the vector holds")
+		}
+	}
 
 	window := func(s *System, ops []BatchOp, between func()) BatchResult {
 		t.Helper()
@@ -346,8 +394,9 @@ func TestPlanDuringWindow(t *testing.T) {
 		if rep, err = sys.Plan(OpOr, 16, 0); err != nil {
 			t.Fatal(err)
 		}
+		readIdle(sys, sysIdle)
 	})
-	want := window(twin, twinOps, func() {})
+	want := window(twin, twinOps, func() { readIdle(twin, twinIdle) })
 
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("window that planned:\n%+v\ntwin's:\n%+v", got, want)
@@ -360,6 +409,9 @@ func TestPlanDuringWindow(t *testing.T) {
 	}
 	if a, b := sys.FaultStats(), twin.FaultStats(); a != b {
 		t.Errorf("FaultStats %+v, twin %+v", a, b)
+	}
+	if p := sys.PerfStats(); p.ProgramCacheHits+p.ProgramCacheMisses == 0 {
+		t.Errorf("no request looked up the program cache: %+v", p)
 	}
 	for i := range ops {
 		vecs := append([]*BitVector{ops[i].Dst}, ops[i].Srcs...)

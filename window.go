@@ -224,7 +224,8 @@ func (b *BatchBuilder) reset() {
 }
 
 // BatchRun is a batch in flight. Between Start and Wait its workers touch
-// only the shard sandboxes, never the live System — so the owning
+// only the shard sandboxes and the System's program cache, which is safe
+// for concurrent use, never the live System's state — so the owning
 // goroutine is free to keep Adding to the next window's builder, answer
 // host reads of untouched vectors, or Plan. All live-state mutation (the
 // merge) happens inside Wait, on the caller's goroutine. A run keeps its
@@ -238,6 +239,10 @@ type BatchRun struct {
 	arb       Arbiter
 	ctx       context.Context
 	opSeqBase int64
+	// sequential says Start found a retired row in the window's
+	// footprint: no shard runs, and Wait replays the window on the live
+	// System.
+	sequential bool
 
 	// nextShard hands shard indices to the workers; running counts the
 	// workers still working, and the one that brings it to zero closes
@@ -267,14 +272,18 @@ type BatchRun struct {
 // shard until none is left. After Start returns, the live System is not
 // touched again until Wait — the window executes entirely on sandboxes,
 // which only read the lent rows, and that is what makes overlapping the
-// next window's admission race-free. Shards share nothing, so which
-// worker runs which shard changes no result. The builder is reset to
-// empty.
+// next window's admission race-free. Shards share nothing but the
+// program cache, whose lowerings are pure, so which worker runs which
+// shard changes no result. The builder is reset to empty.
 //
-// Start always sandboxes, even a single-shard window: the point is
-// overlap, and the merge in Wait keeps every integer counter exact (float
-// totals are summed per shard, so they can differ from the op-order sum
-// by ULPs).
+// Start sandboxes even a single-shard window: the point is overlap, and
+// the merge in Wait keeps every integer counter exact (float totals are
+// summed per shard, so they can differ from the op-order sum by ULPs).
+// The exception is a window whose footprint names a retired row, such as
+// a scratch row worn out by an earlier OR: sequential execution puts a
+// partial in a row on loan from the live allocator, which a shard cannot
+// do, so Start takes no sandbox and starts no worker, and Wait replays
+// the window on the live System.
 func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 	o, err := resolveOpts(opts)
 	if err != nil {
@@ -293,31 +302,34 @@ func (b *BatchBuilder) Start(opts ...Option) (*BatchRun, error) {
 		return nil, err
 	}
 	s := b.sys
-	shards := b.ss.shards()
-	sandboxes, err := b.prepareShards(shards)
-	if err != nil {
-		return nil, err
-	}
 	n := len(b.ops)
 	r := &BatchRun{
-		sys:       s,
-		ops:       slices.Clone(b.ops),
-		shards:    shards,
-		sandboxes: sandboxes,
-		arb:       o.arb,
-		ctx:       o.ctx,
-		results:   make([]Result, n),
-		reqs:      make([]chansim.Request, n),
-		errs:      make([]error, n),
-		ctxErrs:   make([]error, len(shards)),
-		done:      make(chan struct{}),
+		sys:     s,
+		ops:     slices.Clone(b.ops),
+		arb:     o.arb,
+		ctx:     o.ctx,
+		results: make([]Result, n),
+		reqs:    make([]chansim.Request, n),
+		errs:    make([]error, n),
+		done:    make(chan struct{}),
 	}
+	if b.touchesRetired() {
+		r.sequential = true
+		close(r.done)
+		b.reset()
+		return r, nil
+	}
+	r.shards = b.ss.shards()
+	if r.sandboxes, err = b.prepareShards(r.shards); err != nil {
+		return nil, err
+	}
+	r.ctxErrs = make([]error, len(r.shards))
 	if liveInj := s.ctl.Injector(); liveInj != nil {
 		r.opSeqBase = liveInj.OpSeq()
 	}
 	b.reset()
 
-	workers := min(runtime.GOMAXPROCS(0), len(shards))
+	workers := min(runtime.GOMAXPROCS(0), len(r.shards))
 	r.running.Store(int64(workers))
 	for w := 0; w < workers; w++ {
 		go r.work()
@@ -394,9 +406,10 @@ func (r *BatchRun) Done() <-chan struct{} {
 // merges: every sandbox is discarded and the System is exactly as if the
 // window never ran — the all-or-nothing guarantee a service needs to
 // retry or shed the window's requests. The exception is a fault-injected
-// run that retired a row mid-window: that falls back to a sequential
-// replay on the live system, where cancellation stops between ops and
-// the completed prefix stays applied.
+// run that retired a row mid-window, or whose footprint named a retired
+// row at Start: that falls back to a sequential replay on the live
+// system, where cancellation stops between ops and the completed prefix
+// stays applied.
 func (r *BatchRun) Wait() (BatchResult, error) {
 	<-r.done
 	if r.waited {
@@ -421,7 +434,7 @@ func (r *BatchRun) finish() (BatchResult, error) {
 	}
 	s := r.sys
 	liveInj := s.ctl.Injector()
-	if r.replay(liveInj != nil) {
+	if r.sequential || r.replay(liveInj != nil) {
 		clear(r.results)
 		if err := s.runSequential(r.ctx, r.ops, r.results, r.reqs); err != nil {
 			return BatchResult{}, err
@@ -458,9 +471,8 @@ func (r *BatchRun) finish() (BatchResult, error) {
 
 // replay reports whether the window must run again, sequentially, on the
 // live system instead of merging. A sandbox that touched its allocator
-// hit a row retirement (remap, replica teardown) or was lent a retired
-// scratch row (prepareShards): its side effects cannot merge into the
-// live allocator's address space. Under fault injection a
+// hit a row retirement (remap, replica teardown): its side effects cannot
+// merge into the live allocator's address space. Under fault injection a
 // shard that failed an op outright replays too, so its error is the one
 // sequential execution returns. The live system was never touched, so
 // the replay yields exactly the sequential execution — same substreams,
@@ -518,15 +530,20 @@ func (b *BatchBuilder) prepareShards(shards [][]int) ([]*System, error) {
 					continue
 				}
 				sh.mem.BorrowRow(k.addr, s.mem)
-				if s.alloc.Retired(k.addr) {
-					// A retired scratch row: sequential execution puts the
-					// partial in a row on loan from the live allocator,
-					// which a shard cannot do. The sandbox's allocator
-					// records the retirement, so the window replays.
-					sh.alloc.Retire(k.addr)
-				}
 			}
 		}
 	}
 	return sandboxes, nil
+}
+
+// touchesRetired reports whether a row in the admitted ops' footprints
+// is retired (Start replays such a window). While no row is retired it
+// makes no map lookup.
+func (b *BatchBuilder) touchesRetired() bool {
+	for _, k := range b.keys {
+		if k.kind == 'r' && b.sys.alloc.Retired(k.addr) {
+			return true
+		}
+	}
+	return false
 }
